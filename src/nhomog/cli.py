@@ -85,7 +85,10 @@ def _tolerance_from_flag(tol_flag: float | None) -> Tolerance:
     if tol_flag is None:
         return DEFAULT_TOL
     factor = tol_flag / DEFAULT_TOL.eq_tol
-    return Tolerance(rank_cut=DEFAULT_TOL.rank_cut * factor, psd_slack=tol_flag, eq_tol=tol_flag)
+    try:
+        return Tolerance(rank_cut=DEFAULT_TOL.rank_cut * factor, psd_slack=tol_flag, eq_tol=tol_flag)
+    except ValueError as exc:
+        raise SchemaError(f"--tol: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,10 +1,14 @@
 """Irreducible block decomposition and unitary-equivalence classification.
 
 ``decompose`` splits the carrier space of a MatTuple into irreducible
-invariant blocks with a seeded random commutant element, groups the
-blocks into unitary-equivalence classes with multiplicities, and flags
-common null blocks.  ``homogeneity_verdict`` and ``n_spectrum`` are the
-derived verdicts.
+invariant blocks, grouped into unitary-equivalence classes with
+multiplicities, plus common null blocks.  It takes a seeded random
+Hermitian element of the generated *-algebra (not of its commutant):
+each eigenvalue cluster of that element lies in one class, and the
+cyclic subspaces A.v of its vectors are that class's blocks, all
+aligned by one coefficient matrix.  ``homogeneity_verdict`` and
+``n_spectrum`` are the derived verdicts; ``unitarily_equivalent`` tests
+two irreducible tuples directly.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotIrreducible, NotNHomogeneous, NumericalFailure
 from .matrix_core import DEFAULT_TOL, Tolerance, adj, fix_phase, opnorm
-from .star_algebra import MatTuple, commutant, hermitian_basis, intertwiner_space, is_irreducible
+from .star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, intertwiner_space, is_irreducible, word_span
 
 _SPLITTER_RESEEDS = 5
 _FINGERPRINT_ATOL = 1e-6
@@ -140,7 +144,10 @@ def unitarily_equivalent(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL)
         raise DimensionMismatch("tuples must share dimension and arity")
     if not is_irreducible(a, tol) or not is_irreducible(b, tol):
         raise NotIrreducible("unitarily_equivalent requires irreducible tuples")
-    if not fingerprints_match(word_trace_fingerprint(a), word_trace_fingerprint(b)):
+    # fingerprint at a common unit scale: the match tolerance is absolute
+    c = max(a.scale, b.scale)
+    if not fingerprints_match(word_trace_fingerprint(MatTuple([g / c for g in a.gens])),
+                              word_trace_fingerprint(MatTuple([g / c for g in b.gens]))):
         return None
     space = intertwiner_space(a, b, tol)
     if space.dim == 0:
@@ -162,101 +169,69 @@ def unitarily_equivalent(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL)
     return u
 
 
-def _split_clusters(w: np.ndarray, gap: float) -> list[tuple[int, int]]:
-    """Group ascending eigenvalues into clusters separated by more than
-    ``gap``; returns [start, stop) index ranges."""
-    bounds = [0]
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] > gap:
-            bounds.append(i)
-    bounds.append(w.size)
-    return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+def _random_hermitian(span: SubspaceBasis, rng: np.random.Generator) -> np.ndarray:
+    """Random Hermitian element h = x + x* of the algebra, x drawn with
+    complex Gaussian coefficients over its orthonormal basis; scaled to
+    operator norm 1 (zero for the zero algebra)."""
+    coeffs = rng.standard_normal(span.dim) + 1j * rng.standard_normal(span.dim)
+    x = (coeffs @ span.vectors).reshape(span.element_shape)
+    h = x + adj(x)
+    nrm = opnorm(h)
+    return h / nrm if nrm > 0.0 else h
 
 
-def decompose(t: MatTuple, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Decomposition:
-    """Decompose the carrier space into irreducible invariant blocks.
-
-    Recursive: when the commutant of the compressed tuple is nontrivial,
-    a seeded random Hermitian commutant element (real Gaussian
-    coefficients over a Hermitian basis) is eigendecomposed and each
-    eigenspace, invariant for all generators and adjoints, is recursed
-    on.  Blocks are then grouped into unitary-equivalence classes, and
-    common null blocks are flagged separately.
-    """
-    rng = np.random.default_rng(seed)
+def _cyclic_split(t: MatTuple, span: SubspaceBasis, h: np.ndarray, tol: Tolerance) -> tuple[list, list]:
+    """One (m, d, n) stack of aligned block isometries per class, and the
+    null vectors, from the eigenvalue clusters of h.  Raises
+    NumericalFailure when a cluster mixed two classes, or a class with
+    the null space."""
     d = t.d
-    scale = t.scale
-    raw: list[tuple[np.ndarray, MatTuple]] = []
-
-    def recurse(iso: np.ndarray) -> None:
-        rep = MatTuple([adj(iso) @ g @ iso for g in t.gens])
-        comm = commutant(rep, tol)
-        if comm.dim <= 1:
-            raw.append((iso, rep))
-            return
-        herm = hermitian_basis(comm, tol)
-        clusters = None
-        vecs = None
-        for _ in range(_SPLITTER_RESEEDS):
-            coeffs = rng.standard_normal(len(herm))
-            h = sum(c * m for c, m in zip(coeffs, herm))
-            h = (h + adj(h)) / 2.0
-            nrm = opnorm(h)
-            if nrm == 0.0:
-                continue
-            h = h / nrm
-            w, u = np.linalg.eigh(h)
-            parts = _split_clusters(w, tol.psd_slack)
-            if len(parts) >= 2:
-                clusters, vecs = parts, u
-                break
-        if clusters is None:
-            raise NumericalFailure(
-                f"random splitter stayed degenerate after {_SPLITTER_RESEEDS} reseeds"
-            )
-        for lo, hi in clusters:
-            recurse(iso @ vecs[:, lo:hi])
-
-    recurse(np.eye(d, dtype=complex))
-
-    zero_cut = tol.eq_tol * (1.0 + scale)
-    entries = []
-    for iso, rep in raw:
-        is_zero = rep.scale <= zero_cut
-        if is_zero:
-            key = (True, rep.d, (), ())
-        else:
-            fp = word_trace_fingerprint(rep, max_len=3)
-            key = (False, rep.d, tuple(np.round(fp[0], 6)), tuple(np.round(fp[1], 6)))
-        entries.append((key, iso, rep, is_zero))
-    entries.sort(key=lambda e: e[0])
-
-    classes: list[MatTuple] = []
-    multiplicities: list[int] = []
-    blocks: list[Block] = []
-    for _, iso, rep, is_zero in entries:
-        if is_zero:
-            blocks.append(Block(iso, rep, None, None, True))
+    elems = span.vectors.reshape(-1, d, d)
+    letters = np.stack(t.with_adjoints())
+    zero_cut = tol.eq_tol * t.scale
+    w, u = np.linalg.eigh(h)
+    found = np.zeros((d, 0), dtype=complex)  # every block so far, side by side
+    classes, null = [], []
+    for cluster in np.split(np.arange(d), np.flatnonzero(np.diff(w) > tol.psd_slack) + 1):
+        e = u[:, cluster]
+        if np.linalg.norm(e - found @ (adj(found) @ e)) <= 1e-8:
+            continue  # another eigenspace of a class already split off
+        if np.linalg.norm(letters @ e) <= zero_cut:  # generators and adjoints, so all of A, kill e
+            null.extend(e.T)
+            found = np.hstack([found, e])
             continue
-        aligner = None
-        class_id = None
-        for ci, crep in enumerate(classes):
-            if crep.d != rep.d:
-                continue
-            u = unitarily_equivalent(crep, rep, tol)
-            if u is not None:
-                class_id, aligner = ci, u
-                break
-        if class_id is None:
-            classes.append(rep)
-            multiplicities.append(1)
-            class_id = len(classes) - 1
-            aligner = np.eye(rep.d, dtype=complex)
-        else:
-            multiplicities[class_id] += 1
-        blocks.append(Block(iso, rep, class_id, aligner, False))
+        images = np.einsum("jab,bk->kaj", elems, e)  # images[k] = [A_j e_k], d x dim A
+        _, s, vh = np.linalg.svd(images[0], full_matrices=False)
+        n = _rank_with_gap(s, tol.rank_cut, "cyclic subspace")
+        isos = images @ (adj(vh[:n]) / s[:n])  # one coefficient matrix maps every e_k
+        found = np.hstack([found, *isos])
+        if opnorm(adj(found) @ found - np.eye(found.shape[1])) > 1e-8:
+            raise NumericalFailure("cyclic blocks are not jointly orthonormal")
+        if np.linalg.norm(e - found @ (adj(found) @ e)) > 1e-8:
+            raise NumericalFailure("cyclic blocks do not cover their eigenvalue cluster")
+        classes.append(isos)
+    return classes, null
 
-    v = np.hstack([b.isometry for b in blocks]) if blocks else np.zeros((d, 0), dtype=complex)
+
+def _assemble(t: MatTuple, classes: list, null: list, tol: Tolerance, seed: int) -> Decomposition:
+    """Compress onto the blocks, order the classes canonically (by dim,
+    then word-trace fingerprint) and check every post-condition."""
+    d = t.d
+
+    def compress(iso: np.ndarray) -> MatTuple:
+        return MatTuple([adj(iso) @ g @ iso for g in t.gens])
+
+    def key(group):
+        fp = word_trace_fingerprint(group[0][1], max_len=3)
+        return group[0][1].d, tuple(np.round(fp[0], 6)), tuple(np.round(fp[1], 6))
+
+    groups = sorted(([(iso, compress(iso)) for iso in isos] for isos in classes), key=key)
+    reps = tuple(group[0][1] for group in groups)
+    blocks = [Block(iso, rep, ci, np.eye(rep.d, dtype=complex), False)
+              for ci, group in enumerate(groups) for iso, rep in group]
+    blocks += [Block(z[:, None], compress(z[:, None]), None, None, True) for z in null]
+
+    v = np.hstack([b.isometry for b in blocks])
     if v.shape != (d, d):
         raise NumericalFailure(f"block isometries assemble to shape {v.shape}, expected ({d}, {d})")
     if opnorm(adj(v) @ v - np.eye(d)) > 1e-8:
@@ -265,21 +240,37 @@ def decompose(t: MatTuple, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Decom
         recon = sum(b.isometry @ b.rep.gens[j] @ adj(b.isometry) for b in blocks)
         if opnorm(recon - g) > 1e-7 * (1.0 + opnorm(g)):
             raise NumericalFailure(f"block reconstruction of generator {j} failed")
-    covered = sum(b.dim for b in blocks)
-    if covered != d:
-        raise NumericalFailure(f"block dimensions sum to {covered}, expected {d}")
-    for crep in classes:
-        if not is_irreducible(crep, tol):
+    for b in blocks:  # every aligner is the identity
+        if not b.is_zero and not reps[b.class_id].allclose(b.rep, 1e-7):
+            raise NumericalFailure("a block's compression differs from its class representative")
+    for rep in reps:
+        if not is_irreducible(rep, tol):
             raise NumericalFailure("a class representative failed the irreducibility cross-check")
+    return Decomposition(t, v, tuple(blocks), reps, tuple(len(g) for g in groups), seed)
 
-    return Decomposition(
-        source=t,
-        v=v,
-        blocks=tuple(blocks),
-        classes=tuple(classes),
-        multiplicities=tuple(multiplicities),
-        seed=seed,
-    )
+
+def decompose(t: MatTuple, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Decomposition:
+    """Decompose the carrier space into irreducible invariant blocks.
+
+    The generated *-algebra is A = (+)_i M_{n_i} (x) I_{m_i} (+) 0.  A
+    seeded random Hermitian h in A has eigenspaces e (x) C^{m_i}, and
+    the null space in its kernel.  For the first vector v of each
+    eigenspace the cyclic subspace A.v is an irreducible block; the
+    algebra elements that map v onto an orthonormal basis of A.v map
+    every other vector of the eigenspace onto the other blocks of its
+    class, already aligned.  A draw whose eigenvalue clusters mix two
+    classes, or a class with the null space, fails the orthonormality,
+    covering or irreducibility checks and is redrawn.
+    """
+    span = word_span(t, tol)
+    rng = np.random.default_rng(seed)
+    failure = ""
+    for _ in range(_SPLITTER_RESEEDS):
+        try:
+            return _assemble(t, *_cyclic_split(t, span, _random_hermitian(span, rng), tol), tol, seed)
+        except NumericalFailure as exc:
+            failure = str(exc)
+    raise NumericalFailure(f"cyclic split failed on {_SPLITTER_RESEEDS} random draws; last: {failure}")
 
 
 def homogeneity_verdict(t: MatTuple, n: int, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> HomogeneityReport:

@@ -318,13 +318,6 @@ class GelfandModel:
     decomposition: object
 
 
-def _random_word_value(rng, mats: list[np.ndarray], d: int, max_len: int = 3) -> np.ndarray:
-    out = np.eye(d, dtype=complex)
-    for _ in range(int(rng.integers(1, max_len + 1))):
-        out = out @ mats[int(rng.integers(0, len(mats)))]
-    return out
-
-
 def gelfand_transform(t: MatTuple, n: int, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> GelfandModel:
     """Function model of an n-homogeneous tuple: one orbit per spectrum
     class, the j-th generator mapped to its table of class values.

@@ -95,6 +95,20 @@ class TestAnalyze:
         main(["analyze", "--in", pauli_file, "--n", "2", "--seed", "5"])
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("tol", ["0.5", "-1"])
+    def test_out_of_range_tol_exit_two(self, pauli_file, tol, capsys):
+        assert main(["analyze", "--in", pauli_file, "--n", "2", "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nhomog: input error: --tol") and err.count("\n") == 1
+
+    def test_failed_split_exit_three(self, tmp_path, capsys, monkeypatch):
+        # a splitter that separates nothing fails every redraw
+        monkeypatch.setattr("nhomog.decomposition._random_hermitian", lambda span, rng: np.zeros((4, 4)))
+        gens = [np.kron(np.eye(2), SX), np.kron(np.diag([1.0, 2.0]), SZ)]
+        path = write(tmp_path, "two.json", {"generators": [mat(g) for g in gens]})
+        assert main(["analyze", "--in", path, "--n", "2"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_env_seed_default(self, pauli_file, capsys, monkeypatch):
         monkeypatch.setenv("NHOMOG_SEED", "77")
         main(["analyze", "--in", pauli_file, "--n", "2"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nhomog.decomposition as decomposition
 from nhomog.decomposition import (
     decompose,
     homogeneity_verdict,
@@ -8,7 +9,7 @@ from nhomog.decomposition import (
     unitarily_equivalent,
     word_trace_fingerprint,
 )
-from nhomog.errors import NotIrreducible, NotNHomogeneous
+from nhomog.errors import NotIrreducible, NotNHomogeneous, NumericalFailure
 from nhomog.instances import (
     distinct_irreducible_tuples,
     random_homogeneous_instance,
@@ -17,7 +18,7 @@ from nhomog.instances import (
     scrambled_direct_sum,
 )
 from nhomog.matrix_core import adj, opnorm
-from nhomog.star_algebra import MatTuple, contains_identity, intertwiner_space
+from nhomog.star_algebra import MatTuple, SubspaceBasis, contains_identity, intertwiner_space
 
 from conftest import HADAMARD, SX, SZ, assert_close, rng, same_up_to_phase
 
@@ -102,10 +103,96 @@ class TestDecompose:
                 )
 
 
+def summary(dec):
+    return sorted((c.d, m) for c, m in zip(dec.classes, dec.multiplicities))
+
+
+class TestCyclicSplit:
+    # (class dims, multiplicities, null dim): carrier dims 20 to 29
+    SHAPES = [
+        ((2, 3, 3), (4, 2, 1), 3),
+        ((2, 2, 4), (3, 1, 3), 2),
+        ((1, 3, 5), (4, 3, 2), 1),
+        ((3, 3, 3), (4, 3, 2), 2),
+    ]
+
+    @staticmethod
+    def build(r, dims, mults, zero_dim, scale=1.0):
+        by_dim = {n: distinct_irreducible_tuples(r, n, 2, dims.count(n)) for n in sorted(set(dims))}
+        t = scrambled_direct_sum(r, [by_dim[n].pop() for n in dims], mults, zero_dim)
+        return MatTuple([scale * g for g in t.gens])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 100.0])
+    @pytest.mark.parametrize("shape", range(len(SHAPES)))
+    def test_scrambled_sums_recovered(self, shape, scale):
+        dims, mults, zero_dim = self.SHAPES[shape]
+        t = self.build(rng(40 + shape), dims, mults, zero_dim, scale)
+        assert t.d == sum(n * m for n, m in zip(dims, mults)) + zero_dim
+        dec = decompose(t, seed=shape)
+        assert summary(dec) == sorted(zip(dims, mults))
+        assert dec.zero_dim == zero_dim
+        for b in dec.blocks:
+            if not b.is_zero:
+                assert_close(b.aligner, np.eye(b.dim), atol=0.0)
+                assert dec.classes[b.class_id].allclose(b.rep, 1e-7)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_component_below_eq_tol_is_null(self, scale):
+        # relative size 5e-9 lies above rank_cut but below eq_tol
+        dec = decompose(MatTuple([scale * np.diag([1.0, 5e-9])]), seed=0)
+        assert dec.nonzero_dims == (1,) and dec.zero_dim == 1
+
+    def test_class_order_is_seed_independent(self):
+        t = self.build(rng(7), (2, 2, 3), (2, 1, 2), 1)
+        decs = [decompose(t, seed=seed) for seed in range(5)]
+        prints = [[word_trace_fingerprint(c, max_len=3) for c in dec.classes] for dec in decs]
+        assert all(dec.multiplicities == decs[0].multiplicities for dec in decs)
+        for other in prints[1:]:
+            for (re0, im0), (re1, im1) in zip(prints[0], other):
+                assert np.allclose(re0, re1, atol=1e-8) and np.allclose(im0, im1, atol=1e-8)
+
+    def test_colliding_draw_is_redrawn(self, monkeypatch):
+        real = decomposition._random_hermitian
+        draws = []
+
+        def first_collides(span, r):
+            draws.append(None)
+            # h = 0 puts every class in the null eigenvalue's cluster
+            return np.zeros(span.element_shape) if len(draws) == 1 else real(span, r)
+
+        monkeypatch.setattr(decomposition, "_random_hermitian", first_collides)
+        t = self.build(rng(8), (2, 3), (2, 1), 1)
+        dec = decompose(t, seed=0)
+        assert len(draws) == 2
+        assert summary(dec) == [(2, 2), (3, 1)] and dec.zero_dim == 1
+
+    def test_exhausted_redraws_raise(self, monkeypatch):
+        draws = []
+
+        def always_collides(span, r):
+            draws.append(None)
+            return np.zeros(span.element_shape)
+
+        monkeypatch.setattr(decomposition, "_random_hermitian", always_collides)
+        with pytest.raises(NumericalFailure, match="cyclic split failed.*not jointly orthonormal"):
+            decompose(self.build(rng(8), (2, 3), (2, 1), 1), seed=0)
+        assert len(draws) == decomposition._SPLITTER_RESEEDS
+
+    def test_inflated_word_span_fails_cleanly(self, monkeypatch):
+        # a span grown to all of M_d (as a noise leak would grow it) must
+        # end in NumericalFailure, never in a wrong block structure
+        t = self.build(rng(9), (2, 2), (1, 2), 1)
+        full = SubspaceBasis(element_shape=(t.d, t.d), vectors=np.eye(t.d * t.d, dtype=complex))
+        monkeypatch.setattr(decomposition, "word_span", lambda tup, tol: full)
+        with pytest.raises(NumericalFailure):
+            decompose(t, seed=0)
+
+
 class TestUnitarilyEquivalent:
-    def test_recovers_conjugating_unitary(self):
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_recovers_conjugating_unitary(self, c):
         u = random_unitary(rng(5), 2)
-        a = MatTuple([SX, SZ])
+        a = MatTuple([c * SX, c * SZ])
         b = a.conjugated(u)
         w = unitarily_equivalent(a, b)
         assert w is not None and same_up_to_phase(w, u)
