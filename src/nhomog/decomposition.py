@@ -144,10 +144,11 @@ def unitarily_equivalent(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL)
         raise DimensionMismatch("tuples must share dimension and arity")
     if not is_irreducible(a, tol) or not is_irreducible(b, tol):
         raise NotIrreducible("unitarily_equivalent requires irreducible tuples")
-    # fingerprint at a common unit scale: the match tolerance is absolute
+    # compare at a common unit scale: the fingerprint match and the
+    # intertwiner solve decide with absolute tolerances
     c = max(a.scale, b.scale)
-    if not fingerprints_match(word_trace_fingerprint(MatTuple([g / c for g in a.gens])),
-                              word_trace_fingerprint(MatTuple([g / c for g in b.gens]))):
+    a, b = (MatTuple([g / c for g in x.gens]) for x in (a, b))
+    if not fingerprints_match(word_trace_fingerprint(a), word_trace_fingerprint(b)):
         return None
     space = intertwiner_space(a, b, tol)
     if space.dim == 0:
@@ -182,13 +183,12 @@ def _random_hermitian(span: SubspaceBasis, rng: np.random.Generator) -> np.ndarr
 
 def _cyclic_split(t: MatTuple, span: SubspaceBasis, h: np.ndarray, tol: Tolerance) -> tuple[list, list]:
     """One (m, d, n) stack of aligned block isometries per class, and the
-    null vectors, from the eigenvalue clusters of h.  Raises
-    NumericalFailure when a cluster mixed two classes, or a class with
-    the null space."""
+    null vectors, from the eigenvalue clusters of h.  ``t`` has scale 1
+    (or 0).  Raises NumericalFailure when a cluster mixed two classes, or
+    a class with the null space."""
     d = t.d
     elems = span.vectors.reshape(-1, d, d)
     letters = np.stack(t.with_adjoints())
-    zero_cut = tol.eq_tol * t.scale
     w, u = np.linalg.eigh(h)
     found = np.zeros((d, 0), dtype=complex)  # every block so far, side by side
     classes, null = [], []
@@ -196,7 +196,7 @@ def _cyclic_split(t: MatTuple, span: SubspaceBasis, h: np.ndarray, tol: Toleranc
         e = u[:, cluster]
         if np.linalg.norm(e - found @ (adj(found) @ e)) <= 1e-8:
             continue  # another eigenspace of a class already split off
-        if np.linalg.norm(letters @ e) <= zero_cut:  # generators and adjoints, so all of A, kill e
+        if np.linalg.norm(letters @ e) <= tol.eq_tol:  # generators and adjoints, so all of A, kill e
             null.extend(e.T)
             found = np.hstack([found, e])
             continue
@@ -215,14 +215,16 @@ def _cyclic_split(t: MatTuple, span: SubspaceBasis, h: np.ndarray, tol: Toleranc
 
 def _assemble(t: MatTuple, classes: list, null: list, tol: Tolerance, seed: int) -> Decomposition:
     """Compress onto the blocks, order the classes canonically (by dim,
-    then word-trace fingerprint) and check every post-condition."""
+    then word-trace fingerprint) and check every post-condition, all
+    compared at the unit scale of t."""
     d = t.d
+    c = t.scale
 
     def compress(iso: np.ndarray) -> MatTuple:
         return MatTuple([adj(iso) @ g @ iso for g in t.gens])
 
     def key(group):
-        fp = word_trace_fingerprint(group[0][1], max_len=3)
+        fp = word_trace_fingerprint(MatTuple([g / c for g in group[0][1].gens]), max_len=3)
         return group[0][1].d, tuple(np.round(fp[0], 6)), tuple(np.round(fp[1], 6))
 
     groups = sorted(([(iso, compress(iso)) for iso in isos] for isos in classes), key=key)
@@ -238,10 +240,11 @@ def _assemble(t: MatTuple, classes: list, null: list, tol: Tolerance, seed: int)
         raise NumericalFailure("assembled change of basis is not unitary")
     for j, g in enumerate(t.gens):
         recon = sum(b.isometry @ b.rep.gens[j] @ adj(b.isometry) for b in blocks)
-        if opnorm(recon - g) > 1e-7 * (1.0 + opnorm(g)):
+        if opnorm(recon - g) > 1e-7 * (c + opnorm(g)):
             raise NumericalFailure(f"block reconstruction of generator {j} failed")
     for b in blocks:  # every aligner is the identity
-        if not b.is_zero and not reps[b.class_id].allclose(b.rep, 1e-7):
+        if not b.is_zero and any(opnorm(x - y) > 1e-7 * (c + opnorm(x))
+                                 for x, y in zip(reps[b.class_id].gens, b.rep.gens)):
             raise NumericalFailure("a block's compression differs from its class representative")
     for rep in reps:
         if not is_irreducible(rep, tol):
@@ -260,14 +263,17 @@ def decompose(t: MatTuple, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Decom
     every other vector of the eigenspace onto the other blocks of its
     class, already aligned.  A draw whose eigenvalue clusters mix two
     classes, or a class with the null space, fails the orthonormality,
-    covering or irreducibility checks and is redrawn.
+    covering or irreducibility checks and is redrawn.  The split is taken
+    on t / t.scale, so it does not depend on the scale of t.
     """
-    span = word_span(t, tol)
+    scale = t.scale
+    unit = MatTuple([g / scale for g in t.gens]) if scale > 0.0 else t
+    span = word_span(unit, tol)
     rng = np.random.default_rng(seed)
     failure = ""
     for _ in range(_SPLITTER_RESEEDS):
         try:
-            return _assemble(t, *_cyclic_split(t, span, _random_hermitian(span, rng), tol), tol, seed)
+            return _assemble(t, *_cyclic_split(unit, span, _random_hermitian(span, rng), tol), tol, seed)
         except NumericalFailure as exc:
             failure = str(exc)
     raise NumericalFailure(f"cyclic split failed on {_SPLITTER_RESEEDS} random draws; last: {failure}")

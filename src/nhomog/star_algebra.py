@@ -5,6 +5,11 @@ the operations here compute the *-algebra it generates, its commutant,
 and derived verdicts.  Subspaces of matrices (or of matrix-valued
 functions) are carried as orthonormal bases in the trace inner product
 <X, Y> = tr(Y* X).
+
+Two helpers carry the linear algebra for this module and ``sw_engine``:
+``closure`` is the one S <- S + S.G loop (a tuple is a function algebra
+on one point), and ``nullspace`` is the one nullspace solve behind the
+rank gate ``_rank_with_gap``.
 """
 
 from __future__ import annotations
@@ -106,31 +111,6 @@ class SubspaceBasis:
     vectors: np.ndarray = field(repr=False)  # (dim, prod(shape)), orthonormal rows
 
     @classmethod
-    def from_elements(cls, elements, element_shape=None, tol: Tolerance = DEFAULT_TOL,
-                      context: str = "subspace") -> "SubspaceBasis":
-        elements = [np.asarray(e, dtype=complex) for e in elements]
-        if element_shape is None:
-            if not elements:
-                raise DimensionMismatch("cannot infer element shape from an empty family")
-            element_shape = elements[0].shape
-        shape = tuple(element_shape)
-        ambient = prod(shape)
-        rows = []
-        for e in elements:
-            if e.shape != shape:
-                raise DimensionMismatch(f"element shape {e.shape} != {shape} in {context}")
-            v = e.ravel()
-            nrm = np.linalg.norm(v)
-            if nrm > 0.0:
-                rows.append(v / nrm)  # normalized: rank decisions see directions, not scales
-        if not rows:
-            return cls(shape, np.zeros((0, ambient), dtype=complex))
-        stack = np.vstack(rows)
-        _, s, vh = np.linalg.svd(stack, full_matrices=False)
-        rank = _rank_with_gap(s, tol.rank_cut, context)
-        return cls(shape, np.ascontiguousarray(vh[:rank]))
-
-    @classmethod
     def from_orthonormal(cls, elements, element_shape=None) -> "SubspaceBasis":
         """Trust the caller that the family is already orthonormal."""
         elements = [np.asarray(e, dtype=complex) for e in elements]
@@ -170,30 +150,51 @@ class SubspaceBasis:
         return self.vectors @ self.vectors.conj().T
 
 
+def closure(family, shape, tol: Tolerance = DEFAULT_TOL, context: str = "closure") -> SubspaceBasis:
+    """Orthonormal basis of the smallest subspace that contains ``family``
+    and is closed under right multiplication by its members
+    (S <- S + S.G).  ``@`` multiplies pointwise over leading axes, so one
+    loop serves matrices (d, d) and matrix-valued functions (P, n, n).
+
+    This is the spin-up of the MeatAxe (Holt-Rees 1994): S_{k-1}.G
+    already lies in S_k, so each round multiplies only the directions the
+    last round added.  The generators are scaled to unit Frobenius norm
+    once and products are kept at their own size, so a product that is
+    zero up to roundoff stays near 1e-16 and falls below the rank cut,
+    which is taken relative to 1.
+    """
+    shape = tuple(shape)
+    ambient = prod(shape)
+    letters = [np.asarray(g, dtype=complex) for g in family]
+    if any(g.shape != shape for g in letters):
+        raise DimensionMismatch(f"every element of {context} must have shape {shape}")
+    letters = np.array([g / nrm for g in letters if (nrm := fnorm(g)) > 0.0]).reshape(-1, *shape)
+    vectors = np.zeros((0, ambient), dtype=complex)
+    candidates = letters.reshape(-1, ambient)
+    while candidates.shape[0]:
+        for _ in range(2):  # Gram-Schmidt twice keeps the new rows orthogonal to roundoff
+            candidates = candidates - (candidates @ vectors.conj().T) @ vectors
+        _, s, vh = np.linalg.svd(candidates, full_matrices=False)
+        new = vh[:_rank_with_gap(s, tol.rank_cut, context, scale=1.0)]
+        vectors = np.vstack([vectors, new])
+        candidates = (new.reshape(-1, 1, *shape) @ letters).reshape(-1, ambient)
+    return SubspaceBasis(shape, np.ascontiguousarray(vectors))
+
+
+def nullspace(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL, context: str = "nullspace") -> np.ndarray:
+    """Orthonormal rows spanning {x : rows @ x = 0}.
+
+    Callers scale their constraint rows to unit size, so the rank cut is
+    taken relative to 1 and an all-noise system has rank 0.  The SVD is
+    thin for tall systems; a wide one needs its full V."""
+    _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    return vh[_rank_with_gap(s, tol.rank_cut, context, scale=1.0):].conj()
+
+
 def word_span(t: MatTuple, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the *-algebra generated by the tuple
-    (non-unital: span of words of length >= 1 in generators and adjoints).
-
-    Iterates S <- S + S.G until the dimension is stable for a full round.
-    """
-    gens = t.with_adjoints()
-    shape = (t.d, t.d)
-    floors = [NOISE_FLOOR * fnorm(g) for g in gens]
-    basis = SubspaceBasis.from_elements(gens, shape, tol, "word_span seed")
-    while True:
-        elems = basis.elements()
-        # basis elements have unit norm, so a product below the floor is
-        # a mathematically-zero product seen through roundoff
-        products = [
-            p
-            for e in elems
-            for g, floor in zip(gens, floors)
-            if fnorm(p := e @ g) > floor
-        ]
-        grown = SubspaceBasis.from_elements(elems + products, shape, tol, "word_span closure")
-        if grown.dim == basis.dim:
-            return grown
-        basis = grown
+    (non-unital: span of words of length >= 1 in generators and adjoints)."""
+    return closure(t.with_adjoints(), (t.d, t.d), tol, "word_span")
 
 
 def intertwiner_space(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
@@ -211,10 +212,7 @@ def intertwiner_space(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL) ->
         blocks.append((np.kron(eye, ga.T) - np.kron(gb, eye)) / scale)
     if not blocks:
         return SubspaceBasis(element_shape=(d, d), vectors=np.eye(d * d, dtype=complex))
-    stacked = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(stacked)
-    rank = _rank_with_gap(s, tol.rank_cut, "intertwiner nullspace", scale=1.0)
-    null = vh[rank:].conj()
+    null = nullspace(np.vstack(blocks), tol, "intertwiner nullspace")
     return SubspaceBasis(element_shape=(d, d), vectors=np.ascontiguousarray(null))
 
 
@@ -235,9 +233,12 @@ def commutant(t: MatTuple, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
 def is_irreducible(t: MatTuple, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the commutant is trivial; cross-checked against the word
     span filling all of M_d.  The all-zero tuple is not irreducible (the
-    zero representation does not count)."""
-    if t.scale <= tol.eq_tol:
+    zero representation does not count).  The verdict is scale-free: it
+    is taken on t / t.scale."""
+    scale = t.scale
+    if scale == 0.0:
         return False
+    t = MatTuple([g / scale for g in t.gens])
     by_commutant = commutant(t, tol).dim == 1
     by_span = word_span(t, tol).dim == t.d ** 2
     if by_commutant != by_span:

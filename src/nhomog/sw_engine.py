@@ -6,7 +6,9 @@ products.  At finite X the uniform closure of a span is the span, so
 density, the two-point approximable subspace, and the constructive
 approximation pipeline are all finite linear algebra plus the
 order-theoretic steps (lattice joins, power-mean envelopes, two-point
-flattening polynomials, operator-monotone root verification).
+flattening polynomials, operator-monotone root verification).  Closures
+and nullspaces come from ``star_algebra.closure`` and
+``star_algebra.nullspace``, shared with matrix tuples.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .matrix_core import (
     psd_power,
     require_hermitian,
 )
-from .star_algebra import NOISE_FLOOR, MatTuple, SubspaceBasis, _rank_with_gap, hermitian_basis
+from .star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, closure, hermitian_basis, nullspace
 
 _SEPARATION_DRAWS = 200
 
@@ -82,7 +84,7 @@ def fn_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def closure_star_subalgebra(gens, points: int | None = None, n: int | None = None,
                             tol: Tolerance = DEFAULT_TOL) -> FnAlgebra:
     """Smallest subspace containing the generators and their adjoints and
-    closed under pointwise products (iterated S <- S + S.G)."""
+    closed under pointwise products (``star_algebra.closure``)."""
     fns = [np.asarray(g, dtype=complex) for g in gens]
     if fns:
         shape = fns[0].shape
@@ -91,22 +93,8 @@ def closure_star_subalgebra(gens, points: int | None = None, n: int | None = Non
         points, n = shape[0], shape[1]
     if points is None or n is None:
         raise ValueError("an empty generator list needs explicit points and n")
-    shape = (points, n, n)
-    family = fns + [adj(f) for f in fns]
-    floors = [NOISE_FLOOR * fnorm(g) for g in family]
-    basis = SubspaceBasis.from_elements(family, shape, tol, "function algebra seed")
-    while True:
-        elems = basis.elements()
-        products = [
-            p
-            for e in elems
-            for g, floor in zip(family, floors)
-            if fnorm(p := fn_product(e, g)) > floor
-        ]
-        grown = SubspaceBasis.from_elements(elems + products, shape, tol, "function algebra closure")
-        if grown.dim == basis.dim:
-            return FnAlgebra(n=n, points=points, basis=grown)
-        basis = grown
+    basis = closure(fns + [adj(f) for f in fns], (points, n, n), tol, "function algebra closure")
+    return FnAlgebra(n=n, points=points, basis=basis)
 
 
 @dataclass(frozen=True)
@@ -169,27 +157,19 @@ def delta2_subspace(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis
     which at finite X is cut out by per-pair linear constraints."""
     P, n = e.points, e.n
     nn = n * n
-    ambient = e.ambient_dim
     vectors = e.basis.vectors
     constraints = []
     for x in range(P):
         for y in range(x, P):
             rows = np.hstack([vectors[:, e.point_slice(x)], vectors[:, e.point_slice(y)]])
-            if rows.shape[0]:
-                _, s, vh = np.linalg.svd(rows, full_matrices=False)
-                rank = _rank_with_gap(s, tol.rank_cut, "pair restriction", scale=1.0)
-                onb = vh[:rank]
-                proj = onb.T @ onb.conj()
-            else:
-                proj = np.zeros((2 * nn, 2 * nn), dtype=complex)
-            selector = np.zeros((2 * nn, ambient), dtype=complex)
-            selector[:nn, e.point_slice(x)] = np.eye(nn)
-            selector[nn:, e.point_slice(y)] = np.eye(nn)
-            constraints.append((np.eye(2 * nn) - proj) @ selector)
-    stacked = np.vstack(constraints)
-    _, s, vh = np.linalg.svd(stacked)
-    rank = _rank_with_gap(s, tol.rank_cut, "delta2 constraints", scale=1.0)
-    null = vh[rank:].conj()
+            _, s, vh = np.linalg.svd(rows, full_matrices=False)
+            onb = vh[:_rank_with_gap(s, tol.rank_cut, "pair restriction", scale=1.0)]
+            free = np.eye(2 * nn) - onb.T @ onb.conj()  # I - proj onto the pair restriction
+            block = np.zeros((2 * nn, e.ambient_dim), dtype=complex)
+            block[:, e.point_slice(x)] += free[:, :nn]
+            block[:, e.point_slice(y)] += free[:, nn:]
+            constraints.append(block)
+    null = nullspace(np.vstack(constraints), tol, "delta2 constraints")
     return SubspaceBasis(element_shape=(P, n, n), vectors=np.ascontiguousarray(null))
 
 
@@ -620,18 +600,11 @@ def _central_vectors(e: FnAlgebra, tol: Tolerance) -> np.ndarray:
     v(z) commutes with u(z) for every basis element u and point z}.
     Its members commute pairwise, which keeps power means of envelope
     families built from them numerically exact."""
-    dim = e.basis.dim
-    basis_elems = e.basis.elements()
-    cols = []
-    for i in range(dim):
-        v = basis_elems[i]
-        stacked = [fn_product(v, u) - fn_product(u, v) for u in basis_elems]
-        cols.append(np.concatenate([s.ravel() for s in stacked]))
-    system = np.column_stack(cols) if cols else np.zeros((1, 0), dtype=complex)
-    _, s, vh = np.linalg.svd(system, full_matrices=True)
-    rank = _rank_with_gap(s, tol.rank_cut, "relative commutant", scale=1.0)
-    coeff_null = vh[rank:].conj()
-    return coeff_null @ e.basis.vectors
+    elems = e.basis.vectors.reshape(-1, e.points, e.n, e.n)
+    dim = elems.shape[0]
+    comm = elems[:, None] @ elems[None] - elems[None] @ elems[:, None]  # comm[i, j] = [v_i, v_j]
+    system = comm.reshape(dim, dim * e.ambient_dim).T  # column i: [v_i, u] over every u
+    return nullspace(system, tol, "relative commutant") @ e.basis.vectors
 
 
 def _class_indicators(e: FnAlgebra, classes, witnesses, tol: Tolerance) -> list[np.ndarray]:

@@ -142,6 +142,13 @@ class TestCyclicSplit:
         dec = decompose(MatTuple([scale * np.diag([1.0, 5e-9])]), seed=0)
         assert dec.nonzero_dims == (1,) and dec.zero_dim == 1
 
+    @pytest.mark.parametrize("c", [1e-200, 1e-150, 1e-9, 1.0, 1e100, 1e200])
+    def test_verdict_is_scale_free(self, c):
+        t = self.build(rng(12), (2, 2), (2, 2), 1, scale=c)
+        report = homogeneity_verdict(t, 2, seed=0)
+        assert report.is_n_homogeneous and report.block_dims == (2, 2, 2, 2)
+        assert report.decomposition.multiplicities == (2, 2) and report.zero_dim == 1
+
     def test_class_order_is_seed_independent(self):
         t = self.build(rng(7), (2, 2, 3), (2, 1, 2), 1)
         decs = [decompose(t, seed=seed) for seed in range(5)]
@@ -189,7 +196,7 @@ class TestCyclicSplit:
 
 
 class TestUnitarilyEquivalent:
-    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("c", [1e-200, 1e-12, 1e-3, 1.0, 1e3, 1e200])
     def test_recovers_conjugating_unitary(self, c):
         u = random_unitary(rng(5), 2)
         a = MatTuple([c * SX, c * SZ])

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from nhomog.errors import NumericalFailure
-from nhomog.instances import ginibre, random_irreducible_tuple, random_unitary
+from nhomog.instances import (
+    distinct_irreducible_tuples,
+    ginibre,
+    random_irreducible_tuple,
+    random_unitary,
+    scrambled_direct_sum,
+)
 from nhomog.matrix_core import adj, opnorm
 from nhomog.star_algebra import (
     MatTuple,
@@ -15,6 +21,7 @@ from nhomog.star_algebra import (
     is_irreducible,
     word_span,
 )
+from nhomog.sw_engine import closure_star_subalgebra
 
 from conftest import SX, SZ, assert_close, rng
 
@@ -48,6 +55,26 @@ def brute_force_commutant_dim(gens):
     return d * d - np.linalg.matrix_rank(system, tol=1e-9)
 
 
+# (class dims, multiplicities, null dim) of seeded reducible direct sums;
+# their word span is the direct sum of one M_n per class
+DIRECT_SUMS = [((1, 2), (2, 1), 1), ((2, 2), (1, 2), 2), ((2, 3), (2, 1), 1), ((1, 1, 3), (1, 3, 1), 3)]
+
+
+def direct_sum(shape):
+    dims, mults, zero_dim = DIRECT_SUMS[shape]
+    r = rng(60 + shape)
+    by_dim = {n: distinct_irreducible_tuples(r, n, 2, dims.count(n)) for n in sorted(set(dims))}
+    return scrambled_direct_sum(r, [by_dim[n].pop() for n in dims], mults, zero_dim)
+
+
+def assert_star_closed(basis):
+    assert_close(basis.gram(), np.eye(basis.dim), atol=1e-10)
+    elems = np.array(basis.elements())
+    for a in elems:
+        for x in [adj(a), *(a @ elems)]:
+            assert basis.residual(x) <= 1e-10
+
+
 class TestWordSpan:
     def test_pauli_pair_fills_m2(self):
         t = MatTuple([SX, SZ])
@@ -66,6 +93,15 @@ class TestWordSpan:
     def test_orthonormal_gram(self):
         basis = word_span(MatTuple([SX, SZ]))
         assert_close(basis.gram(), np.eye(basis.dim), atol=1e-10)
+
+    @pytest.mark.parametrize("shape", range(len(DIRECT_SUMS)))
+    def test_tuple_is_one_point_function_algebra(self, shape):
+        t = direct_sum(shape)
+        span = word_span(t)
+        algebra = closure_star_subalgebra([g[None] for g in t.gens])
+        assert span.dim == algebra.basis.dim == sum(n * n for n in DIRECT_SUMS[shape][0])
+        assert_star_closed(span)
+        assert_star_closed(algebra.basis)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_conjugation_equivariant(self, seed):

@@ -70,6 +70,18 @@ class TestClosure:
         alg = closure_star_subalgebra([], points=2, n=2)
         assert alg.basis.dim == 0
 
+    @pytest.mark.parametrize("seed", [26, 31, 39])
+    def test_grouped_algebra_does_not_inflate(self, seed):
+        # roundoff leaking between groups must not become new directions:
+        # these seeds once grew 13 dimensions to all 72
+        gens, _ = grouped_function_algebra(
+            np.random.default_rng(seed), n=2, group_sizes=[4, 4, 4, 3, 3],
+            fibers=["full", "diag", "full", "scalar", "diag"],
+        )
+        alg = closure_star_subalgebra(gens)
+        assert alg.basis.dim == 13
+        assert density_check(alg).dense is False
+
     def test_products_stay_in_span(self):
         alg = matched_pair_algebra()
         from nhomog.sw_engine import fn_product
