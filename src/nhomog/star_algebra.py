@@ -150,6 +150,18 @@ class SubspaceBasis:
         return self.vectors @ self.vectors.conj().T
 
 
+def _unit_frobenius(g: np.ndarray) -> np.ndarray | None:
+    """g / ||g||_F, or None for g = 0.  The sum of squares behind
+    ||g||_F over- or underflows for entries beyond about 1e150 or below
+    1e-150, so such a g is first divided by its largest entry."""
+    top = float(np.abs(g).max(initial=0.0))
+    if top == 0.0:
+        return None
+    if not 1e-150 < top < 1e150:
+        g = g / top
+    return g / fnorm(g)
+
+
 def closure(family, shape, tol: Tolerance = DEFAULT_TOL, context: str = "closure") -> SubspaceBasis:
     """Orthonormal basis of the smallest subspace that contains ``family``
     and is closed under right multiplication by its members
@@ -159,16 +171,16 @@ def closure(family, shape, tol: Tolerance = DEFAULT_TOL, context: str = "closure
     This is the spin-up of the MeatAxe (Holt-Rees 1994): S_{k-1}.G
     already lies in S_k, so each round multiplies only the directions the
     last round added.  The generators are scaled to unit Frobenius norm
-    once and products are kept at their own size, so a product that is
-    zero up to roundoff stays near 1e-16 and falls below the rank cut,
-    which is taken relative to 1.
+    once (at any scale a double can hold) and products are kept at their
+    own size, so a product that is zero up to roundoff stays near 1e-16
+    and falls below the rank cut, which is taken relative to 1.
     """
     shape = tuple(shape)
     ambient = prod(shape)
     letters = [np.asarray(g, dtype=complex) for g in family]
     if any(g.shape != shape for g in letters):
         raise DimensionMismatch(f"every element of {context} must have shape {shape}")
-    letters = np.array([g / nrm for g in letters if (nrm := fnorm(g)) > 0.0]).reshape(-1, *shape)
+    letters = np.array([u for g in letters if (u := _unit_frobenius(g)) is not None]).reshape(-1, *shape)
     vectors = np.zeros((0, ambient), dtype=complex)
     candidates = letters.reshape(-1, ambient)
     while candidates.shape[0]:

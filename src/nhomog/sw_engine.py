@@ -8,7 +8,10 @@ approximation pipeline are all finite linear algebra plus the
 order-theoretic steps (lattice joins, power-mean envelopes, two-point
 flattening polynomials, operator-monotone root verification).  Closures
 and nullspaces come from ``star_algebra.closure`` and
-``star_algebra.nullspace``, shared with matrix tuples.
+``star_algebra.nullspace``, shared with matrix tuples.  Every pointwise
+spectral question (separation of two points, the unit, the spectral
+classes of points) is answered exactly from one ``decompose`` of the
+algebra, carried as a block-diagonal tuple in M_{|X| n}.
 """
 
 from __future__ import annotations
@@ -34,16 +37,14 @@ from .matrix_core import (
     as_matrix,
     fnorm,
     herm_abs,
-    herm_fun,
     normal_spectra_disjoint,
     opnorm,
     psd_order,
     psd_power,
     require_hermitian,
 )
-from .star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, closure, hermitian_basis, nullspace
-
-_SEPARATION_DRAWS = 200
+from .decomposition import decompose
+from .star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, closure, nullspace, word_span
 
 
 @dataclass(frozen=True)
@@ -100,55 +101,111 @@ def closure_star_subalgebra(gens, points: int | None = None, n: int | None = Non
 @dataclass(frozen=True)
 class SeparationVerdict:
     """certified=True comes with a witness whose values at the two points
-    are normal with disjoint spectra; certified=False only means the
-    search failed (it is not a proof of inseparability)."""
+    are normal with disjoint spectra; certified=False means the points
+    cannot be separated: they share a class of irreducible
+    representations, or both have a null part."""
 
     certified: bool
     witness: np.ndarray | None = field(repr=False, default=None)
-    candidates_tried: int = 0
 
     def __bool__(self) -> bool:
         return self.certified
 
 
-def spectrally_separates(e: FnAlgebra, x: int, y: int, tol: Tolerance = DEFAULT_TOL,
-                         seed: int = 0, draws: int = _SEPARATION_DRAWS) -> SeparationVerdict:
-    """Search the algebra for an element whose values at x and y are
-    normal with disjoint spectra.
+@dataclass(frozen=True)
+class UnitWitness:
+    in_closure: bool
+    witness: np.ndarray | None = field(repr=False, default=None)
 
-    Scans the basis (and basis Hermitian parts), then a seeded random
-    sample of real-linear combinations over the basis and its imaginary
-    rotation; Hermitian parts of the draws are tried because selfadjoint
-    values are automatically normal.
+
+@dataclass(frozen=True)
+class _ClassTable:
+    """The spectrum of an algebra, point by point: which classes of
+    irreducible representations, and whether a null part, each point
+    evaluation contains.  Label 0 is the null part and label i + 1 is
+    class i; ``present[l, x]`` says whether point x contains label l."""
+
+    algebra: FnAlgebra
+    present: np.ndarray = field(repr=False)  # (labels, P) bool
+    rows: np.ndarray = field(repr=False)  # (P, n, Pn): each point's rows of the decomposition unitary
+    labels: np.ndarray = field(repr=False)  # (Pn,) label of each column of that unitary
+    witness: np.ndarray = field(repr=False)  # sum_i (i + 1) P_i, taken pointwise
+
+    @classmethod
+    def of(cls, e: FnAlgebra, tol: Tolerance, seed: int) -> "_ClassTable":
+        """A function algebra on P points is a tuple in M_{Pn}: two seeded
+        random elements, each one's P values on the diagonal of a
+        block-diagonal matrix, generate it, and one ``decompose`` of that
+        tuple gives its classes.  A class with multiplicity above 1 may
+        have blocks that straddle points, so presence is read from the
+        trace of each point's diagonal block of the isotypic projection
+        P_i = sum V V* over the class's blocks, an integer."""
+        P, n = e.points, e.n
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((2, e.basis.dim)) + 1j * rng.standard_normal((2, e.basis.dim))
+        values = (coeffs @ e.basis.vectors).reshape(2, P, n, n)
+        gens = np.zeros((2, P * n, P * n), dtype=complex)
+        for x in range(P):
+            gens[:, x * n:(x + 1) * n, x * n:(x + 1) * n] = values[:, x]
+        t = MatTuple(gens)
+        if word_span(t, tol).dim != e.basis.dim:
+            raise NumericalFailure("two random elements do not generate the function algebra")
+        dec = decompose(t, tol, seed)
+        labels = np.concatenate([np.full(b.dim, 0 if b.is_zero else b.class_id + 1) for b in dec.blocks])
+        rows = dec.v.reshape(P, n, P * n)
+        onehot = labels == np.arange(len(dec.classes) + 1)[:, None]
+        traces = onehot @ (np.abs(rows) ** 2).sum(axis=1).T  # traces[l, x] = tr P_l at x
+        if np.abs(traces - np.round(traces)).max(initial=0.0) > 1e-6:
+            raise NumericalFailure("class projections do not split along the points")
+        witness = (rows * labels) @ adj(rows)
+        if e.basis.residual(witness) > 1e-10:
+            raise NumericalFailure("the class witness is not in the algebra span")
+        return cls(e, traces > 0.5, rows, labels, witness)
+
+    def unit(self, tol: Tolerance) -> UnitWitness:
+        """The unit is in the algebra iff no point has a null part; the
+        witness is sum_i P_i, taken pointwise."""
+        e = self.algebra
+        if self.present[0].any():
+            return UnitWitness(False, None)
+        witness = (self.rows * (self.labels > 0)) @ adj(self.rows)
+        if e.basis.residual(witness) > tol.eq_tol * np.sqrt(e.points * e.n):
+            raise NumericalFailure("unit witness failed the span membership check")
+        return UnitWitness(True, witness)
+
+    def separation(self, x: int, y: int, tol: Tolerance) -> SeparationVerdict:
+        if (self.present[:, x] & self.present[:, y]).any():
+            return SeparationVerdict(False)
+        w = self.witness
+        if not normal_spectra_disjoint(w[x], w[y], tol):
+            raise NumericalFailure(f"the class witness fails to separate points {x} and {y}")
+        return SeparationVerdict(True, w)
+
+    def groups(self) -> list[list[int]]:
+        """Points grouped by (set of classes, has-null), ordered by their
+        smallest point."""
+        out: dict[bytes, list[int]] = {}
+        for x in range(self.algebra.points):
+            out.setdefault(self.present[:, x].tobytes(), []).append(x)
+        return list(out.values())
+
+
+def spectrally_separates(e: FnAlgebra, x: int, y: int, tol: Tolerance = DEFAULT_TOL,
+                         seed: int = 0) -> SeparationVerdict:
+    """Decide whether some element of the algebra has values at x and y
+    that are normal with disjoint spectra.
+
+    Exact, from the algebra's class table: x and y are separable iff
+    they share no class of irreducible representations and do not both
+    have a null part.  The witness is the central element
+    sum_i (i + 1) P_i over the isotypic projections, whose value at a
+    point has eigenvalue i + 1 on class i and 0 on the null part.
     """
     e.check_point(x)
     e.check_point(y)
     if x == y:
         raise SamePoint(f"points must differ, both are {x}")
-    elems = e.basis.elements()
-    tried = 0
-
-    def check(candidate: np.ndarray) -> SeparationVerdict | None:
-        nonlocal tried
-        tried += 1
-        if normal_spectra_disjoint(candidate[x], candidate[y], tol):
-            return SeparationVerdict(True, candidate, tried)
-        return None
-
-    for b in elems:
-        hit = check(b) or check((b + adj(b)) / 2.0)
-        if hit:
-            return hit
-    if elems:
-        rng = np.random.default_rng([seed, x, y])
-        doubled = elems + [1j * b for b in elems]
-        for _ in range(draws):
-            coeffs = rng.standard_normal(len(doubled))
-            w = sum(c * b for c, b in zip(coeffs, doubled))
-            hit = check((w + adj(w)) / 2.0)
-            if hit:
-                return hit
-    return SeparationVerdict(False, None, tried)
+    return _ClassTable.of(e, tol, seed).separation(x, y, tol)
 
 
 def delta2_subspace(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
@@ -214,68 +271,38 @@ def density_check(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> 
     point) computed alongside.
 
     Density itself is the exact rank condition dim E = |X| n^2.  Pair
-    verdicts are certified-true or not-found; when every pair is
-    certified the biconditional with the criterion is asserted.
+    verdicts are exact, from one class table of the algebra, so the
+    criterion is decided on every input and must agree with density.
     """
     dim = e.basis.dim
     dense = dim == e.ambient_dim
     fullness = tuple(point_fullness(e, x, tol) for x in range(e.points))
+    table = _ClassTable.of(e, tol, seed)
     separated = {}
     witnesses = {}
-    not_found = []
     for x in range(e.points):
         for y in range(x + 1, e.points):
-            verdict = spectrally_separates(e, x, y, tol, seed)
+            verdict = table.separation(x, y, tol)
             separated[(x, y)] = verdict.certified
             witnesses[(x, y)] = verdict.witness
-            if not verdict.certified:
-                not_found.append((x, y))
-    full = all(f == e.n * e.n for f in fullness)
-    if not full:
-        criterion: bool | None = False
-    elif not not_found:
-        criterion = True
-    else:
-        criterion = None
-    consistent = None if criterion is None else (criterion == dense)
-    if consistent is False:
+    criterion = all(f == e.n * e.n for f in fullness) and all(separated.values())
+    if criterion != dense:
         raise NumericalFailure(
-            "density flag contradicts the certified separation/fullness criterion"
+            "density flag contradicts the separation/fullness criterion"
         )
     return DensityReport(dense, dim, e.ambient_dim, fullness, separated, witnesses,
-                         tuple(not_found), criterion, consistent)
-
-
-@dataclass(frozen=True)
-class UnitWitness:
-    in_closure: bool
-    witness: np.ndarray | None = field(repr=False, default=None)
+                         (), criterion, True)
 
 
 def unit_in_closure(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> UnitWitness:
     """Decide whether the constant identity function lies in the algebra.
 
-    Builds u = sum_j f_j* f_j over the basis; the unit is reachable iff
-    u(x) is positive definite at every point, in which case applying the
-    constant-one spectral function per point yields the witness, whose
-    membership in the span is re-verified.
+    From the class table: the unit is reachable iff no point evaluation
+    has a null part (a zero algebra is null everywhere).  The witness,
+    the sum of the isotypic projections, is re-verified to lie in the
+    span.
     """
-    P, n = e.points, e.n
-    if e.basis.dim == 0:
-        return UnitWitness(False, None)
-    u = np.zeros((P, n, n), dtype=complex)
-    for b in e.basis.elements():
-        u += fn_product(adj(b), b)
-    for z in range(P):
-        w = np.linalg.eigvalsh((u[z] + adj(u[z])) / 2.0)
-        if w[0] <= tol.psd_slack * (1.0 + float(w[-1])):
-            return UnitWitness(False, None)
-    witness = np.stack([herm_fun(u[z], np.ones_like, tol) for z in range(P)])
-    if e.basis.residual(witness) > tol.eq_tol * np.sqrt(P * n):
-        raise NumericalFailure(
-            "unit witness failed the span membership check despite pointwise invertibility"
-        )
-    return UnitWitness(True, witness)
+    return _ClassTable.of(e, tol, 0).unit(tol)
 
 
 def power_mean_exponent(eps: float, r: float, k: int) -> int:
@@ -514,46 +541,13 @@ def loewner_heinz_check(a, b, s_grid, tol: Tolerance = DEFAULT_TOL) -> LoewnerHe
 # constructive approximation pipeline
 
 
-def _union_find_classes(points: int, related) -> list[list[int]]:
-    parent = list(range(points))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for x in range(points):
-        for y in range(x + 1, points):
-            if related(x, y):
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-    groups: dict[int, list[int]] = {}
-    for i in range(points):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[r] for r in sorted(groups)]
-
-
 def max_spec_classes(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> list[list[int]]:
-    """Partition the points by equality of the spectral extremes of every
-    Hermitian basis element (tolerance 10 psd_slack, transitively
-    closed): the equivalence relation driving the partition of unity."""
-    herm = hermitian_basis(e.basis, tol)
-    if not herm:
-        return [list(range(e.points))]
-    feats = np.zeros((len(herm), e.points, 2))
-    for l, hfun in enumerate(herm):
-        for z in range(e.points):
-            w = np.linalg.eigvalsh((hfun[z] + adj(hfun[z])) / 2.0)
-            feats[l, z, 0] = w[-1]
-            feats[l, z, 1] = w[0]
-    thr = 10.0 * tol.psd_slack * (1.0 + float(np.abs(feats).max()))
-
-    def related(x, y):
-        return float(np.abs(feats[:, x, :] - feats[:, y, :]).max()) <= thr
-
-    return _union_find_classes(e.points, related)
+    """Partition the points by their spectrum: the set of classes of
+    irreducible representations and whether a null part is present.
+    Two points fall together exactly when every Hermitian element has
+    the same spectral extremes at both.  This is the equivalence
+    relation driving the partition of unity."""
+    return _ClassTable.of(e, tol, 0).groups()
 
 
 def _pair_interpolant(e: FnAlgebra, f: np.ndarray, x: int, y: int, tol: Tolerance,
@@ -715,15 +709,16 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
     """Approximate a two-point approximable target inside the algebra
     with a certified sup-norm error.
 
-    Hypotheses checked up front: the unit is in the closure; every pair
-    of points across distinct spectral-extreme classes is certifiably
-    separated; the target is two-point approximable.  Hermitian parts
-    are then handled separately.  A part commuting with the whole
-    algebra goes through the power-mean envelope of its per-point lower
-    envelopes; a general part goes through the partition of unity built
-    from two-point flattening products, weighted onto the envelope
-    family.  The certified error is measured by direct evaluation, and an
-    exact orthogonal-projection fallback is reported alongside.
+    Hypotheses checked up front, from one class table of the algebra:
+    the unit is in the closure; every pair of points across distinct
+    spectral classes is separated; the target is two-point
+    approximable.  Hermitian parts are then handled separately.  A part
+    commuting with the whole algebra goes through the power-mean
+    envelope of its per-point lower envelopes; a general part goes
+    through the partition of unity built from two-point flattening
+    products, weighted onto the envelope family.  The certified error is
+    measured by direct evaluation, and an exact orthogonal-projection
+    fallback is reported alongside.
     """
     target = np.asarray(f, dtype=complex)
     if target.shape != (e.points, e.n, e.n):
@@ -734,10 +729,10 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
     d2 = delta2_subspace(e, tol)
     if d2.residual(target) > tol.eq_tol * (1.0 + fnorm(target)):
         raise PreconditionFailed("target is not two-point approximable by the algebra")
-    unit = unit_in_closure(e, tol)
-    if not unit.in_closure:
+    table = _ClassTable.of(e, tol, seed)
+    if not table.unit(tol).in_closure:
         raise HypothesisViolated("(AX0) the constant identity is not in the closure")
-    classes = max_spec_classes(e, tol)
+    classes = table.groups()
     class_of = {}
     for ci, cls in enumerate(classes):
         for z in cls:
@@ -747,7 +742,7 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
         for y in range(x + 1, e.points):
             if class_of[x] == class_of[y]:
                 continue  # (AX2) holds by construction of the classes
-            verdict = spectrally_separates(e, x, y, tol, seed)
+            verdict = table.separation(x, y, tol)
             if not verdict.certified:
                 raise HypothesisViolated(
                     f"(AX1) no certified spectral separation for pair ({x}, {y})"

@@ -167,7 +167,7 @@ def test_criterion_6_span_equals_delta2():
     assert mismatches == 0
 
 
-@criterion(7, "density criterion biconditional on 200 certified instances (not-found <= 5%)")
+@criterion(7, "density criterion biconditional on 200 certified instances (no pair not found)")
 def test_criterion_7_density_biconditional():
     r = rng(707)
     total_pairs = 0
@@ -188,8 +188,8 @@ def test_criterion_7_density_biconditional():
             checked += 1
             assert report.consistent
             assert report.criterion == all(kind == "full" for kind in fibers)
-    assert checked >= 190
-    assert not_found <= 0.05 * max(total_pairs, 1)
+    assert checked == 200
+    assert not_found == 0
 
 
 @criterion(8, "ideal <-> vanishing-set roundtrip exact on 100 random ideals")

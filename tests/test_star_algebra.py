@@ -181,6 +181,13 @@ class TestContainsIdentity:
     def test_diagonal_distinct_eigenvalues(self):
         assert contains_identity(MatTuple([np.diag([1.0, 2.0])]))
 
+    @pytest.mark.parametrize("c", [1e-200, 1e-162, 1e160, 1e200])
+    def test_extreme_scales(self, c):
+        # the Frobenius norm of these generators over- or underflows
+        t = MatTuple([c * SX, c * SZ])
+        assert word_span(t).dim == 4
+        assert contains_identity(t)
+
 
 class TestHermitianBasis:
     def test_spans_hermitian_part(self):

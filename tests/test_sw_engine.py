@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from nhomog.calculus import eval_star_polynomial
 from nhomog.errors import (
     HypothesisViolated,
@@ -15,8 +18,9 @@ from nhomog.instances import (
     ginibre,
     grouped_function_algebra,
     ordered_psd_pair,
+    random_unitary,
 )
-from nhomog.matrix_core import DEFAULT_TOL, Ordering, adj, opnorm, psd_order
+from nhomog.matrix_core import DEFAULT_TOL, Ordering, adj, normal_spectra_disjoint, opnorm, psd_order
 from nhomog.star_algebra import MatTuple
 from nhomog.sw_engine import (
     closure_star_subalgebra,
@@ -113,6 +117,64 @@ class TestSpectrallySeparates:
         with pytest.raises(SamePoint):
             spectrally_separates(alg, 1, 1)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_grouped_algebra_separates_across_groups(self, seed):
+        gens, meta = grouped_function_algebra(
+            rng(seed), n=2, group_sizes=[4, 4, 4, 3, 3],
+            fibers=["full", "diag", "full", "scalar", "diag"],
+        )
+        alg = closure_star_subalgebra(gens)
+        group_of = {z: gi for gi, grp in enumerate(meta["groups"]) for z in grp}
+        report = density_check(alg, seed=seed)
+        assert report.not_found == () and report.criterion is False and report.consistent
+        for (x, y), separated in report.separated.items():
+            assert separated == (group_of[x] != group_of[y])
+            w = report.witnesses[(x, y)]
+            if separated:
+                assert normal_spectra_disjoint(w[x], w[y])
+                assert alg.basis.residual(w) <= 1e-10
+            else:
+                assert w is None
+
+    # hand-built null parts, n = 2
+    def test_shared_class_with_null_part(self):
+        # x: class chi plus a null line; y: chi twice
+        alg = closure_star_subalgebra([fn(np.diag([1.0, 0.0]), np.eye(2))])
+        assert not spectrally_separates(alg, 0, 1)
+
+    def test_null_part_against_other_class(self):
+        # x: class chi_1 plus a null line; y: chi_2 twice
+        alg = closure_star_subalgebra([fn(np.diag([1.0, 0.0]), np.zeros((2, 2))),
+                                       fn(np.zeros((2, 2)), np.eye(2))])
+        verdict = spectrally_separates(alg, 0, 1)
+        assert verdict.certified
+        assert normal_spectra_disjoint(verdict.witness[0], verdict.witness[1])
+
+    def test_two_classes_against_one_of_them(self):
+        # x: chi_1 and chi_2; y: chi_1 twice
+        alg = closure_star_subalgebra([fn(np.diag([1.0, 0.0]), np.eye(2)),
+                                       fn(np.diag([0.0, 1.0]), np.zeros((2, 2)))])
+        assert not spectrally_separates(alg, 0, 1)
+
+    def test_two_vanishing_points(self):
+        alg = closure_star_subalgebra([fn(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))])
+        assert not spectrally_separates(alg, 1, 2)
+        assert spectrally_separates(alg, 0, 1)
+        assert spectrally_separates(alg, 0, 2)
+
+    @given(st.integers(0, 10_000), st.floats(-150.0, 150.0))
+    @settings(max_examples=25, deadline=None)
+    def test_verdicts_invariant_under_scale_and_pointwise_conjugation(self, seed, log_c):
+        r = rng(seed)
+        gens, _ = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], vanish_groups=[2])
+        us = np.stack([random_unitary(r, 2) for _ in range(5)])
+        moved = [10.0 ** log_c * (us @ g @ adj(us)) for g in gens]
+        before = density_check(closure_star_subalgebra(gens), seed=seed)
+        after = density_check(closure_star_subalgebra(moved), seed=seed)
+        assert after.separated == before.separated
+        assert after.fullness == before.fullness
+        assert after.dense == before.dense
+
 
 class TestDelta2:
     def test_all_functions(self):
@@ -140,7 +202,8 @@ class TestDensityCheck:
         report = density_check(matched_pair_algebra())
         assert not report.dense
         # equal values mean equal spectra: the pair is never separated
-        assert report.not_found == ((0, 1),)
+        assert report.separated[(0, 1)] is False
+        assert report.not_found == ()
 
     def test_all_functions_three_points(self):
         report = density_check(all_functions_algebra(3, 2))
