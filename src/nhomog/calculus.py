@@ -177,8 +177,7 @@ def _assemble(dec: Decomposition, class_values) -> np.ndarray:
     for b in dec.blocks:
         if b.is_zero:
             continue
-        local = b.aligner @ class_values[b.class_id] @ adj(b.aligner)
-        out += b.isometry @ local @ adj(b.isometry)
+        out += b.isometry @ class_values[b.class_id] @ adj(b.isometry)
     return out
 
 
@@ -288,7 +287,7 @@ def n_measure_entry_mc(
     out = np.zeros((d, d), dtype=complex)
     for b in dec.blocks:
         if not b.is_zero and b.class_id == class_i:
-            out += b.isometry @ (b.aligner @ local @ adj(b.aligner)) @ adj(b.isometry)
+            out += b.isometry @ local @ adj(b.isometry)
     return out
 
 

@@ -29,13 +29,13 @@ _MAX_FINGERPRINT_WORDS = 400_000
 @dataclass(frozen=True)
 class Block:
     """One invariant block: a d x m isometry onto the subspace, the m x m
-    compressed tuple, the class it belongs to, and the unitary aligning
-    the class representative with this block's compression."""
+    compressed tuple and the class it belongs to.  A block's compression
+    equals its class representative (checked by ``decompose``), so no
+    aligning unitary is needed."""
 
     isometry: np.ndarray = field(repr=False)
     rep: MatTuple
     class_id: int | None
-    aligner: np.ndarray | None = field(repr=False)
     is_zero: bool
 
     @property
@@ -136,17 +136,22 @@ def fingerprints_match(fa, fb, atol: float = _FINGERPRINT_ATOL) -> bool:
 def unitarily_equivalent(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     """Return a unitary U with U A_j U* = B_j for all j, or None.
 
-    Fast-rejects on mismatched word-trace fingerprints, then solves the
-    intertwiner system; by Schur's lemma the solution space of two
-    irreducible tuples has dimension 0 or 1.
+    Fast-rejects on mismatched word-trace fingerprints, then the
+    intertwiner space decides.  If U exists that space is U times the
+    commutant of a, so by Schur's lemma dimension 1 proves both inputs
+    irreducible and dimension 0 proves them inequivalent; dimension
+    above 1 (or a zero input) raises NotIrreducible.  Irreducibility is
+    therefore never re-proved, and the answer is never wrong: a
+    reducible pair gives None or NotIrreducible.
     """
     if a.d != b.d or a.k != b.k:
         raise DimensionMismatch("tuples must share dimension and arity")
-    if not is_irreducible(a, tol) or not is_irreducible(b, tol):
-        raise NotIrreducible("unitarily_equivalent requires irreducible tuples")
+    scales = (a.scale, b.scale)
+    if min(scales) == 0.0:
+        raise NotIrreducible("the zero tuple is not irreducible")
     # compare at a common unit scale: the fingerprint match and the
     # intertwiner solve decide with absolute tolerances
-    c = max(a.scale, b.scale)
+    c = max(scales)
     a, b = (MatTuple([g / c for g in x.gens]) for x in (a, b))
     if not fingerprints_match(word_trace_fingerprint(a), word_trace_fingerprint(b)):
         return None
@@ -154,9 +159,7 @@ def unitarily_equivalent(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL)
     if space.dim == 0:
         return None
     if space.dim > 1:
-        raise NumericalFailure(
-            f"intertwiner space of two irreducibles has dimension {space.dim} (Schur violation)"
-        )
+        raise NotIrreducible(f"intertwiner space has dimension {space.dim}: the tuples are reducible")
     w = space.elements()[0]
     d = a.d
     gram = adj(w) @ w
@@ -229,9 +232,8 @@ def _assemble(t: MatTuple, classes: list, null: list, tol: Tolerance, seed: int)
 
     groups = sorted(([(iso, compress(iso)) for iso in isos] for isos in classes), key=key)
     reps = tuple(group[0][1] for group in groups)
-    blocks = [Block(iso, rep, ci, np.eye(rep.d, dtype=complex), False)
-              for ci, group in enumerate(groups) for iso, rep in group]
-    blocks += [Block(z[:, None], compress(z[:, None]), None, None, True) for z in null]
+    blocks = [Block(iso, rep, ci, False) for ci, group in enumerate(groups) for iso, rep in group]
+    blocks += [Block(z[:, None], compress(z[:, None]), None, True) for z in null]
 
     v = np.hstack([b.isometry for b in blocks])
     if v.shape != (d, d):
@@ -242,7 +244,7 @@ def _assemble(t: MatTuple, classes: list, null: list, tol: Tolerance, seed: int)
         recon = sum(b.isometry @ b.rep.gens[j] @ adj(b.isometry) for b in blocks)
         if opnorm(recon - g) > 1e-7 * (c + opnorm(g)):
             raise NumericalFailure(f"block reconstruction of generator {j} failed")
-    for b in blocks:  # every aligner is the identity
+    for b in blocks:  # blocks of a class are aligned: each compression is the representative
         if not b.is_zero and any(opnorm(x - y) > 1e-7 * (c + opnorm(x))
                                  for x, y in zip(reps[b.class_id].gens, b.rep.gens)):
             raise NumericalFailure("a block's compression differs from its class representative")

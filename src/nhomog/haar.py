@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IndexOutOfRange, MCBudgetTooSmall, NotSquare
-from .matrix_core import adj, as_matrix, require_square
+from .errors import IndexOutOfRange, MCBudgetTooSmall, NotSquare, NumericalFailure
+from .matrix_core import DEFAULT_TOL, adj, as_matrix, fix_phase, require_square
 from .n_space import FiniteNSpace, PointRef
 
 _MIN_SAMPLES = 1000
@@ -103,15 +103,19 @@ def mc_twirl(a, mc: McConfig) -> np.ndarray:
 def equivariant_average(g, space: FiniteNSpace, orbit: int, mc: McConfig) -> np.ndarray:
     """Monte-Carlo estimate at the orbit's base point of the averaged
     function u^{-1} . g(u . x): for already-equivariant g this recovers
-    the base value within the MC radius."""
+    the base value within the MC radius.  The unitarity of the whole
+    Haar stack is checked once, at the eq_tol of ``PointRef.make``, so
+    each sample becomes a point without a check of its own."""
     if not 0 <= orbit < space.orbits:
         raise IndexOutOfRange(f"orbit {orbit} out of range [0, {space.orbits})")
     if mc.samples < _MIN_SAMPLES:
         raise MCBudgetTooSmall(f"samples={mc.samples} < {_MIN_SAMPLES}")
     n = space.n
     us = haar_unitaries(HaarSampler(n, mc.seed), mc.samples)
+    if np.linalg.norm(adj(us) @ us - np.eye(n), 2, axis=(1, 2)).max() > DEFAULT_TOL.eq_tol:
+        raise NumericalFailure("Haar draws are not unitary within eq_tol")
     acc = np.zeros((n, n), dtype=complex)
     for u in us:
-        p = PointRef.make(orbit, u)
+        p = PointRef(orbit, fix_phase(u))
         acc += adj(p.u) @ as_matrix(g(p), "sampled value") @ p.u
     return acc / mc.samples

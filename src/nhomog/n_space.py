@@ -111,14 +111,10 @@ def eval_point(f: EquivariantElement, p: PointRef) -> np.ndarray:
     return p.u @ f.values[p.orbit] @ adj(p.u)
 
 
-def _matrix_units(n: int) -> list[np.ndarray]:
-    units = []
-    for j in range(n):
-        for k in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[j, k] = 1.0
-            units.append(e)
-    return units
+def _unit_images(u: np.ndarray) -> np.ndarray:
+    """u e_jk u* for every matrix unit e_jk, as an (n, n, n, n) array
+    indexed [j, k]: the outer product of columns j and k of u."""
+    return np.einsum("aj,bk->jkab", u, u.conj())
 
 
 @dataclass(frozen=True)
@@ -150,29 +146,19 @@ def ideal_set_correspondence(
     generator list is the zero ideal, vanishing everywhere.
     """
     m, n = space.orbits, space.n
+    if any(g.space != space for g in gens):
+        raise SpaceMismatch("generator attached to a different space")
     if vanishing_set is not None:
         vanish = sorted({space.check_orbit(int(i)) for i in vanishing_set})
         support = [i for i in range(m) if i not in vanish]
     else:
         scale = max((opnorm(v) for g in gens for v in g.values), default=0.0)
         cut = tol.eq_tol * (1.0 + scale)
-        support = []
-        for i in range(m):
-            for g in gens:
-                if g.space != space:
-                    raise SpaceMismatch("generator attached to a different space")
-                if opnorm(g.values[i]) > cut:
-                    support.append(i)
-                    break
+        support = [i for i in range(m) if any(opnorm(g.values[i]) > cut for g in gens)]
         vanish = [i for i in range(m) if i not in support]
-    elements = []
-    units = _matrix_units(n)
-    for i in support:
-        for e in units:
-            fn = np.zeros((m, n, n), dtype=complex)
-            fn[i] = e
-            elements.append(fn)
-    basis = SubspaceBasis.from_orthonormal(elements, element_shape=(m, n, n))
+    # the function with value e_jk on orbit i is the standard basis vector at (i, j, k)
+    vectors = np.eye(m * n * n, dtype=complex).reshape(m, n * n, m * n * n)[support]
+    basis = SubspaceBasis((m, n, n), vectors.reshape(-1, m * n * n))
     return IdealData(space, tuple(vanish), tuple(support), basis)
 
 
@@ -182,11 +168,7 @@ def point_evaluation_rep(space: FiniteNSpace, p: PointRef) -> np.ndarray:
     space.check_orbit(p.orbit)
     n, m = space.n, space.orbits
     images = np.zeros((m, n, n, n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[j, k] = 1.0
-            images[p.orbit, j, k] = p.u @ e @ adj(p.u)
+    images[p.orbit] = _unit_images(p.u)
     return images
 
 
@@ -241,12 +223,8 @@ def classify_matrix_rep(images, space: FiniteNSpace, tol: Tolerance = DEFAULT_TO
     u = np.column_stack([arr[i, c, 0] @ v1 for c in range(n)])
     if opnorm(adj(u) @ u - np.eye(n)) > 1e-6:
         raise NumericalFailure("recovered point representative is not unitary")
-    for j in range(n):
-        for k in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[j, k] = 1.0
-            if opnorm(arr[i, j, k] - u @ e @ adj(u)) > cut:
-                raise NumericalFailure("no orbit point matches the representation within tolerance")
+    if np.linalg.norm(arr[i] - _unit_images(u), 2, axis=(-2, -1)).max() > cut:
+        raise NumericalFailure("no orbit point matches the representation within tolerance")
     return PointRef.make(i, u, tol)
 
 
@@ -274,12 +252,7 @@ def induced_star_hom(
     for ell, (src, u) in assignment.items():
         space_y.check_orbit(ell)
         space_x.check_orbit(src)
-        um = as_matrix(u, "aligner")
-        for j in range(n):
-            for k in range(n):
-                e = np.zeros((n, n), dtype=complex)
-                e[j, k] = 1.0
-                images[src, j, k, ell] = um @ e @ adj(um)
+        images[src, :, :, ell] = _unit_images(as_matrix(u, "aligner"))
     return images
 
 
@@ -373,14 +346,10 @@ def represent_functional(unit_values, space: FiniteNSpace, tol: Tolerance = DEFA
         raise SpaceMismatch(f"functional values have shape {arr.shape}, expected {(m, n, n)}")
     pairing = [arr[i].T.copy() for i in range(m)]
     mu = NMeasure(space, pairing)
-    for i in range(m):
-        for j in range(n):
-            for k in range(n):
-                e = np.zeros((n, n), dtype=complex)
-                e[j, k] = 1.0
-                got = complex(np.trace(e @ mu.pairing[i]))
-                if abs(got - complex(arr[i, j, k])) > 1e-10 * (1.0 + abs(arr[i, j, k])):
-                    raise NumericalFailure("pairing matrices fail to reproduce the functional")
+    got = np.einsum("jkab,iba->ijk", _unit_images(np.eye(n, dtype=complex)),
+                    np.array(mu.pairing).reshape(m, n, n))  # tr(e_jk M_i)
+    if (np.abs(got - arr) > 1e-10 * (1.0 + np.abs(arr))).any():
+        raise NumericalFailure("pairing matrices fail to reproduce the functional")
     return mu
 
 

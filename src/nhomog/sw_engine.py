@@ -44,7 +44,7 @@ from .matrix_core import (
     require_hermitian,
 )
 from .decomposition import decompose
-from .star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, closure, nullspace, word_span
+from .star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, closure, nullspace
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,10 @@ def closure_star_subalgebra(gens, points: int | None = None, n: int | None = Non
 
 @dataclass(frozen=True)
 class SeparationVerdict:
-    """certified=True comes with a witness whose values at the two points
-    are normal with disjoint spectra; certified=False means the points
-    cannot be separated: they share a class of irreducible
+    """certified=True comes with a Hermitian witness whose values at the
+    two points have disjoint spectra (integer labels of disjoint sets of
+    classes, certified once per class table); certified=False means the
+    points cannot be separated: they share a class of irreducible
     representations, or both have a null part."""
 
     certified: bool
@@ -123,7 +124,9 @@ class _ClassTable:
     """The spectrum of an algebra, point by point: which classes of
     irreducible representations, and whether a null part, each point
     evaluation contains.  Label 0 is the null part and label i + 1 is
-    class i; ``present[l, x]`` says whether point x contains label l."""
+    class i; ``present[l, x]`` says whether point x contains label l.
+    The witness sum_i (i + 1) P_i is certified once, when the table is
+    built, so separating any pair is a lookup in ``present``."""
 
     algebra: FnAlgebra
     present: np.ndarray = field(repr=False)  # (labels, P) bool
@@ -136,10 +139,14 @@ class _ClassTable:
         """A function algebra on P points is a tuple in M_{Pn}: two seeded
         random elements, each one's P values on the diagonal of a
         block-diagonal matrix, generate it, and one ``decompose`` of that
-        tuple gives its classes.  A class with multiplicity above 1 may
-        have blocks that straddle points, so presence is read from the
-        trace of each point's diagonal block of the isotypic projection
-        P_i = sum V V* over the class's blocks, an integer."""
+        tuple gives its classes.  They generate all of E iff the classes'
+        full matrix algebras fill it: sum n_i^2 = dim E.  A class with
+        multiplicity above 1 may have blocks that straddle points, so
+        presence is read from the trace of each point's diagonal block
+        of the isotypic projection P_i = sum V V* over the class's
+        blocks, an integer.  The witness is Hermitian, lies in the span,
+        and at every point its spectrum is the labels present there,
+        each counted with that trace."""
         P, n = e.points, e.n
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal((2, e.basis.dim)) + 1j * rng.standard_normal((2, e.basis.dim))
@@ -147,20 +154,27 @@ class _ClassTable:
         gens = np.zeros((2, P * n, P * n), dtype=complex)
         for x in range(P):
             gens[:, x * n:(x + 1) * n, x * n:(x + 1) * n] = values[:, x]
-        t = MatTuple(gens)
-        if word_span(t, tol).dim != e.basis.dim:
+        dec = decompose(MatTuple(gens), tol, seed)
+        if sum(c.d ** 2 for c in dec.classes) != e.basis.dim:
             raise NumericalFailure("two random elements do not generate the function algebra")
-        dec = decompose(t, tol, seed)
         labels = np.concatenate([np.full(b.dim, 0 if b.is_zero else b.class_id + 1) for b in dec.blocks])
         rows = dec.v.reshape(P, n, P * n)
         onehot = labels == np.arange(len(dec.classes) + 1)[:, None]
         traces = onehot @ (np.abs(rows) ** 2).sum(axis=1).T  # traces[l, x] = tr P_l at x
-        if np.abs(traces - np.round(traces)).max(initial=0.0) > 1e-6:
+        counts = np.round(traces).astype(int)
+        if np.abs(traces - counts).max(initial=0.0) > 1e-6:
             raise NumericalFailure("class projections do not split along the points")
         witness = (rows * labels) @ adj(rows)
+        if np.abs(witness - adj(witness)).max(initial=0.0) > tol.eq_tol:
+            raise NumericalFailure("the class witness is not Hermitian")
+        # the i-th smallest eigenvalue at x is the number of labels whose
+        # cumulative count at x is at most i
+        expected = (np.cumsum(counts, axis=0)[:, :, None] <= np.arange(n)).sum(axis=0)
+        if np.abs(np.linalg.eigvalsh(witness) - expected).max(initial=0.0) > 1e-6:
+            raise NumericalFailure("the class witness's spectrum does not match the classes present")
         if e.basis.residual(witness) > 1e-10:
             raise NumericalFailure("the class witness is not in the algebra span")
-        return cls(e, traces > 0.5, rows, labels, witness)
+        return cls(e, counts > 0, rows, labels, witness)
 
     def unit(self, tol: Tolerance) -> UnitWitness:
         """The unit is in the algebra iff no point has a null part; the
@@ -173,13 +187,10 @@ class _ClassTable:
             raise NumericalFailure("unit witness failed the span membership check")
         return UnitWitness(True, witness)
 
-    def separation(self, x: int, y: int, tol: Tolerance) -> SeparationVerdict:
+    def separation(self, x: int, y: int) -> SeparationVerdict:
         if (self.present[:, x] & self.present[:, y]).any():
             return SeparationVerdict(False)
-        w = self.witness
-        if not normal_spectra_disjoint(w[x], w[y], tol):
-            raise NumericalFailure(f"the class witness fails to separate points {x} and {y}")
-        return SeparationVerdict(True, w)
+        return SeparationVerdict(True, self.witness)
 
     def groups(self) -> list[list[int]]:
         """Points grouped by (set of classes, has-null), ordered by their
@@ -205,7 +216,7 @@ def spectrally_separates(e: FnAlgebra, x: int, y: int, tol: Tolerance = DEFAULT_
     e.check_point(y)
     if x == y:
         raise SamePoint(f"points must differ, both are {x}")
-    return _ClassTable.of(e, tol, seed).separation(x, y, tol)
+    return _ClassTable.of(e, tol, seed).separation(x, y)
 
 
 def delta2_subspace(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
@@ -282,7 +293,7 @@ def density_check(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> 
     witnesses = {}
     for x in range(e.points):
         for y in range(x + 1, e.points):
-            verdict = table.separation(x, y, tol)
+            verdict = table.separation(x, y)
             separated[(x, y)] = verdict.certified
             witnesses[(x, y)] = verdict.witness
     criterion = all(f == e.n * e.n for f in fullness) and all(separated.values())
@@ -742,7 +753,7 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
         for y in range(x + 1, e.points):
             if class_of[x] == class_of[y]:
                 continue  # (AX2) holds by construction of the classes
-            verdict = table.separation(x, y, tol)
+            verdict = table.separation(x, y)
             if not verdict.certified:
                 raise HypothesisViolated(
                     f"(AX1) no certified spectral separation for pair ({x}, {y})"

@@ -268,7 +268,8 @@ def test_criterion_11_schur_burnside():
             t, _ = random_mixed_instance(r, dims=[int(r.integers(1, 3)) for _ in range(2)], k=2)
         else:
             t, _ = random_homogeneous_instance(r, n=2, k=2, num_classes=1, max_mult=2)
-        # is_irreducible raises on any commutant/word-span disagreement
+        # Schur (trivial commutant) and Burnside (word span is all of M_d)
+        # must give the same verdict
         verdict = is_irreducible(t)
         assert verdict == (commutant(t).dim == 1)
         assert verdict == (word_span(t).dim == t.d ** 2)

@@ -60,10 +60,7 @@ class TestDecompose:
             for j, g in enumerate(t.gens):
                 assert opnorm(b.rep.gens[j] - adj(b.isometry) @ g @ b.isometry) <= 1e-8
             if not b.is_zero:
-                rep_from_class = [
-                    b.aligner @ g @ adj(b.aligner) for g in dec.classes[b.class_id].gens
-                ]
-                for got, want in zip(rep_from_class, b.rep.gens):
+                for got, want in zip(dec.classes[b.class_id].gens, b.rep.gens):
                     assert opnorm(got - want) <= 1e-7
         assert sum(c.d * m for c, m in zip(dec.classes, dec.multiplicities)) + dec.zero_dim == t.d
 
@@ -133,7 +130,6 @@ class TestCyclicSplit:
         assert dec.zero_dim == zero_dim
         for b in dec.blocks:
             if not b.is_zero:
-                assert_close(b.aligner, np.eye(b.dim), atol=0.0)
                 assert dec.classes[b.class_id].allclose(b.rep, 1e-7)
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -217,6 +213,20 @@ class TestUnitarilyEquivalent:
         red = MatTuple([np.diag([1.0, 2.0])])
         with pytest.raises(NotIrreducible):
             unitarily_equivalent(red, red)
+
+    def test_inequivalent_reducible_pair_is_none(self):
+        # no intertwining unitary exists, so None is the right answer
+        # without first proving either input irreducible
+        a, b = MatTuple([np.diag([1.0, 2.0])]), MatTuple([np.diag([1.0, 3.0])])
+        assert unitarily_equivalent(a, b) is None
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_tuple_raises(self, d):
+        zero = MatTuple([np.zeros((d, d)), np.zeros((d, d))])
+        with pytest.raises(NotIrreducible):
+            unitarily_equivalent(zero, zero)
+        with pytest.raises(NotIrreducible):
+            unitarily_equivalent(MatTuple([np.eye(d), np.eye(d)]), zero)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_fingerprints_agree_on_equivalent_pairs(self, seed):

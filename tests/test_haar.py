@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nhomog.errors import IndexOutOfRange, MCBudgetTooSmall, NotSquare
+from nhomog import haar
+from nhomog.errors import IndexOutOfRange, MCBudgetTooSmall, NotSquare, NumericalFailure
 from nhomog.haar import (
     HaarSampler,
     McConfig,
@@ -119,3 +120,10 @@ class TestEquivariantAverage:
             equivariant_average(lambda p: np.eye(2), space, 0, McConfig(10, 0))
         with pytest.raises(IndexOutOfRange):
             equivariant_average(lambda p: np.eye(2), space, 3, McConfig(2000, 0))
+
+    def test_non_unitary_draws_raise(self, monkeypatch):
+        # one check covers the whole Haar stack, at PointRef.make's eq_tol
+        real = haar.haar_unitaries
+        monkeypatch.setattr(haar, "haar_unitaries", lambda s, count: real(s, count) * (1.0 + 1e-7))
+        with pytest.raises(NumericalFailure, match="not unitary"):
+            equivariant_average(lambda p: np.eye(2), FiniteNSpace(n=2, orbits=1), 0, McConfig(2000, 0))

@@ -79,6 +79,17 @@ class TestIdealCorrespondence:
         assert data.vanishing_set == ()
         assert data.dim == 3 * 4
 
+    @pytest.mark.parametrize("case", range(4))
+    def test_every_generator_space_is_checked(self, case):
+        # the support scan stops at the first live generator of each
+        # orbit, so it would never look at a later generator, nor at any
+        # generator when the space has no orbits
+        x, y, empty = (FiniteNSpace(n=2, orbits=m) for m in (2, 3, 0))
+        a, b, z = element(x, [SX, SZ]), element(y, [SX, SZ, np.eye(2)]), element(empty, [])
+        space, gens = [(x, [a, b]), (y, [b, a]), (x, [a, z]), (empty, [z, a])][case]
+        with pytest.raises(SpaceMismatch):
+            ideal_set_correspondence(space, gens)
+
     def test_backward_direction(self, space3):
         data = ideal_set_correspondence(space3, vanishing_set=[0, 2])
         assert data.support == (1,)

@@ -164,7 +164,7 @@ class TestIsIrreducible:
         r = rng(seed)
         n = int(r.integers(1, 4))
         t = MatTuple([ginibre(r, n) for _ in range(int(r.integers(1, 3)))])
-        is_irreducible(t)  # raises NumericalFailure on cross-check disagreement
+        assert is_irreducible(t) == (word_span(t).dim == t.d ** 2)
 
 
 class TestContainsIdentity:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from nhomog.calculus import eval_star_polynomial
 from nhomog.errors import (
     HypothesisViolated,
     NotHermitian,
+    NumericalFailure,
     PreconditionFailed,
     SamePoint,
     SpectraNotDisjoint,
@@ -21,6 +24,7 @@ from nhomog.instances import (
     random_unitary,
 )
 from nhomog.matrix_core import DEFAULT_TOL, Ordering, adj, normal_spectra_disjoint, opnorm, psd_order
+from nhomog import sw_engine
 from nhomog.star_algebra import MatTuple
 from nhomog.sw_engine import (
     closure_star_subalgebra,
@@ -161,6 +165,23 @@ class TestSpectrallySeparates:
         assert not spectrally_separates(alg, 1, 2)
         assert spectrally_separates(alg, 0, 1)
         assert spectrally_separates(alg, 0, 2)
+
+    def test_corrupted_class_table_raises(self, monkeypatch):
+        # Mix the two classes (one per point) of a full algebra on two
+        # points.  Each point's class traces stay integer, but the
+        # witness becomes 1.5 I there, whose spectrum is not {1, 2}.
+        real = sw_engine.decompose
+
+        def mixed(t, tol, seed):
+            dec = real(t, tol, seed)
+            a, b = dec.v[:, :2], dec.v[:, 2:]
+            return dataclasses.replace(dec, v=np.hstack([a + b, a - b]) / np.sqrt(2.0))
+
+        alg = closure_star_subalgebra([np.stack([ginibre(rng(s), 2) for s in range(2)])])
+        assert alg.basis.dim == 8
+        monkeypatch.setattr(sw_engine, "decompose", mixed)
+        with pytest.raises(NumericalFailure, match="spectrum"):
+            spectrally_separates(alg, 0, 1)
 
     @given(st.integers(0, 10_000), st.floats(-150.0, 150.0))
     @settings(max_examples=25, deadline=None)
