@@ -260,11 +260,13 @@ def n_measure_entry_mc(
 
     ``region`` is a predicate on the unitary parameterizing the orbit of
     class ``class_i``; it receives a phase-normalized representative and
-    must be constant on phases.  ``region=None`` means the whole orbit,
-    where the value delta_{jk}/n times the class projection is exact and
-    returned without sampling.  Otherwise the closed-form integrand
-    chi(u.x) u* e_k e_j^T u is averaged over Haar samples, assembled over
-    multiplicity copies, and conjugated back to the source basis.
+    must be constant on phases; one ``fix_phase`` call normalizes the
+    whole Haar stack, then ``region`` is called once per sample.
+    ``region=None`` means the whole orbit, where the value delta_{jk}/n
+    times the class projection is exact and returned without sampling.
+    Otherwise the closed-form integrand chi(u.x) u* e_k e_j^T u is
+    averaged over Haar samples and assembled over multiplicity copies
+    in the source basis.
     """
     if not 0 <= class_i < len(dec.classes):
         raise IndexOutOfRange(f"class index {class_i} out of range [0, {len(dec.classes)})")
@@ -277,18 +279,12 @@ def n_measure_entry_mc(
     if mc.samples < 1000:
         raise MCBudgetTooSmall(f"samples={mc.samples} < 1000")
     us = haar_unitaries(HaarSampler(n, mc.seed), mc.samples)
-    mask = np.fromiter((bool(region(fix_phase(u))) for u in us), dtype=bool, count=mc.samples)
-    if mask.any():
-        sel = us[mask]
-        local = np.einsum("sa,sb->ab", sel[:, k, :].conj(), sel[:, j, :]) / mc.samples
-    else:
-        local = np.zeros((n, n), dtype=complex)
-    d = dec.source.d
-    out = np.zeros((d, d), dtype=complex)
-    for b in dec.blocks:
-        if not b.is_zero and b.class_id == class_i:
-            out += b.isometry @ local @ adj(b.isometry)
-    return out
+    mask = np.fromiter((bool(region(p)) for p in fix_phase(us)), dtype=bool, count=mc.samples)
+    sel = us[mask]
+    local = np.einsum("sa,sb->ab", sel[:, k, :].conj(), sel[:, j, :]) / mc.samples
+    values = [np.zeros((c.d, c.d), dtype=complex) for c in dec.classes]
+    values[class_i] = local
+    return _assemble(dec, values)
 
 
 def dominated_convergence_run(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IndexOutOfRange, MCBudgetTooSmall, NotSquare, NumericalFailure
+from .errors import DimensionMismatch, DomainError, IndexOutOfRange, MCBudgetTooSmall, NotSquare, NumericalFailure
 from .matrix_core import DEFAULT_TOL, adj, as_matrix, fix_phase, require_square
 from .n_space import FiniteNSpace, PointRef
 
@@ -103,19 +103,28 @@ def mc_twirl(a, mc: McConfig) -> np.ndarray:
 def equivariant_average(g, space: FiniteNSpace, orbit: int, mc: McConfig) -> np.ndarray:
     """Monte-Carlo estimate at the orbit's base point of the averaged
     function u^{-1} . g(u . x): for already-equivariant g this recovers
-    the base value within the MC radius.  The unitarity of the whole
-    Haar stack is checked once, at the eq_tol of ``PointRef.make``, so
-    each sample becomes a point without a check of its own."""
+    the base value within the MC radius.  Each Haar draw's U*U - I must
+    have Frobenius norm (an upper bound on the spectral norm) within the
+    eq_tol of ``PointRef.make``, so a sample needs no check of its own.
+    ``g`` is called once per sample; its values are validated once, as a
+    stack: DimensionMismatch unless each is n x n, DomainError if any
+    entry is not finite."""
     if not 0 <= orbit < space.orbits:
         raise IndexOutOfRange(f"orbit {orbit} out of range [0, {space.orbits})")
     if mc.samples < _MIN_SAMPLES:
         raise MCBudgetTooSmall(f"samples={mc.samples} < {_MIN_SAMPLES}")
     n = space.n
     us = haar_unitaries(HaarSampler(n, mc.seed), mc.samples)
-    if np.linalg.norm(adj(us) @ us - np.eye(n), 2, axis=(1, 2)).max() > DEFAULT_TOL.eq_tol:
+    if np.linalg.norm(adj(us) @ us - np.eye(n), axis=(1, 2)).max() > DEFAULT_TOL.eq_tol:
         raise NumericalFailure("Haar draws are not unitary within eq_tol")
-    acc = np.zeros((n, n), dtype=complex)
-    for u in us:
-        p = PointRef(orbit, fix_phase(u))
-        acc += adj(p.u) @ as_matrix(g(p), "sampled value") @ p.u
-    return acc / mc.samples
+    ps = fix_phase(us)
+    values = [g(PointRef(orbit, p)) for p in ps]
+    try:
+        vs = np.array(values, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"sampled values are not {n} x {n} matrices: {exc}") from exc
+    if vs.shape != ps.shape:
+        raise DimensionMismatch(f"sampled values have shape {vs.shape[1:]}, expected ({n}, {n})")
+    if not np.isfinite(vs).all():
+        raise DomainError("sampled values contain non-finite entries")
+    return (adj(ps) @ vs @ ps).sum(axis=0) / mc.samples

@@ -121,17 +121,17 @@ def normality_defect(a: np.ndarray) -> float:
 def fix_phase(u: np.ndarray) -> np.ndarray:
     """Rescale by a unit scalar so the first nonzero entry (scanning
     column by column) is real positive.  Phase-normalized unitaries make
-    outputs reproducible."""
+    outputs reproducible.  Takes one (n, n) matrix or a (..., n, n)
+    stack and treats each matrix on its own: "nonzero" means above 1e-7
+    times that matrix's largest |entry|, and a zero matrix is unchanged."""
     m = np.array(u, dtype=complex)
-    scale = np.abs(m).max() if m.size else 0.0
-    if scale == 0.0:
+    if m.size == 0:
         return m
-    for col in range(m.shape[1]):
-        for row in range(m.shape[0]):
-            v = m[row, col]
-            if abs(v) > 1e-7 * scale:
-                return m * (v.conjugate() / abs(v))
-    return m
+    cols = np.swapaxes(m, -1, -2).reshape(*m.shape[:-2], -1)  # column-major scan order
+    mags = np.abs(cols)
+    lead = np.argmax(mags > 1e-7 * mags.max(axis=-1, keepdims=True), axis=-1)
+    v = np.take_along_axis(cols, lead[..., None], axis=-1)[..., None]
+    return m * (v.conj() / np.where(v == 0, 1.0, np.abs(v)))  # v is 0 only for a zero matrix
 
 
 def herm_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

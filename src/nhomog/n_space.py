@@ -175,25 +175,22 @@ def point_evaluation_rep(space: FiniteNSpace, p: PointRef) -> np.ndarray:
 def _verify_star_hom(images: np.ndarray, space: FiniteNSpace, tol: Tolerance, scale: float) -> None:
     m, n = space.orbits, space.n
     cut = 1e-6 * (1.0 + scale)  # looser than eq_tol: inputs may come from user JSON
-    for i in range(m):
-        for j in range(n):
-            for k in range(n):
-                if opnorm(adj(images[i, j, k]) - images[i, k, j]) > cut:
-                    raise NotAStarHom(f"adjoint axiom fails at orbit {i}, unit ({j},{k})")
-    for i1 in range(m):
-        for j1 in range(n):
-            for k1 in range(n):
-                a = images[i1, j1, k1]
-                for i2 in range(m):
-                    for j2 in range(n):
-                        for k2 in range(n):
-                            prod = a @ images[i2, j2, k2]
-                            expected = images[i1, j1, k2] if (i1 == i2 and k1 == j2) else 0.0
-                            if opnorm(prod - expected) > cut:
-                                raise NotAStarHom(
-                                    f"product axiom fails at orbits ({i1},{i2}), "
-                                    f"units ({j1},{k1})x({j2},{k2})"
-                                )
+    # argwhere keeps (orbit, row, column) order: the first failure is named
+    adj_err = np.linalg.norm(adj(images) - images.transpose(0, 2, 1, 3, 4), 2, axis=(-2, -1))
+    bad = np.argwhere(adj_err > cut)
+    if bad.size:
+        i, j, k = bad[0]
+        raise NotAStarHom(f"adjoint axiom fails at orbit {i}, unit ({j},{k})")
+    for i1, j1, k1 in np.ndindex(m, n, n):
+        expected = np.zeros_like(images)
+        expected[i1, k1] = images[i1, j1]  # e_{j1 k1} e_{k1 k2} = e_{j1 k2}; other products vanish
+        prod_err = np.linalg.norm(images[i1, j1, k1] @ images - expected, 2, axis=(-2, -1))
+        bad = np.argwhere(prod_err > cut)
+        if bad.size:
+            i2, j2, k2 = bad[0]
+            raise NotAStarHom(
+                f"product axiom fails at orbits ({i1},{i2}), units ({j1},{k1})x({j2},{k2})"
+            )
 
 
 def classify_matrix_rep(images, space: FiniteNSpace, tol: Tolerance = DEFAULT_TOL) -> PointRef | None:
@@ -211,7 +208,7 @@ def classify_matrix_rep(images, space: FiniteNSpace, tol: Tolerance = DEFAULT_TO
     scale = max(1.0, float(np.abs(arr).max()) if arr.size else 0.0)
     _verify_star_hom(arr, space, tol, scale)
     cut = 1e-6 * scale
-    live = [i for i in range(m) if max(opnorm(arr[i, j, k]) for j in range(n) for k in range(n)) > cut]
+    live = np.flatnonzero(np.linalg.norm(arr, 2, axis=(-2, -1)).max(axis=(1, 2)) > cut).tolist()
     if not live:
         return None
     if len(live) > 1:

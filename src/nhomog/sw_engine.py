@@ -458,10 +458,10 @@ def lattice_join_chain(gs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             diff = h[z] - g[z]
             h[z] = (h[z] + g[z] + herm_abs(diff, tol)) / 2.0
     for i, g in enumerate(mats):
-        for z in range(shape[0]):
-            w = np.linalg.eigvalsh((h[z] - g[z] + adj(h[z] - g[z])) / 2.0)
-            if w.size and w[0] < -tol.psd_slack:
-                raise NumericalFailure(f"join fails to dominate g_{i} at point {z}")
+        w = np.linalg.eigvalsh((h - g + adj(h - g)) / 2.0)
+        below = np.flatnonzero(w.min(axis=-1, initial=np.inf) < -tol.psd_slack)
+        if below.size:
+            raise NumericalFailure(f"join fails to dominate g_{i} at point {below[0]}")
     return h[0] if squeeze else h
 
 
@@ -642,12 +642,9 @@ def _partition_route(e: FnAlgebra, f: np.ndarray, delta: float, classes, witness
                      tol: Tolerance) -> np.ndarray:
     lower, upper = _envelopes(e, f, tol)
     P = e.points
-    in_d = np.zeros((P, P), dtype=bool)  # in_d[j, z]: z in D_j
-    for j in range(P):
-        for z in range(P):
-            diff = lower[j][z] - upper[j][z]
-            w = np.linalg.eigvalsh((diff + adj(diff)) / 2.0)
-            in_d[j, z] = w[0] > -2.0 * delta and w[-1] < 2.0 * delta
+    diff = np.array(lower) - np.array(upper)
+    w = np.linalg.eigvalsh((diff + adj(diff)) / 2.0)
+    in_d = (w[..., 0] > -2.0 * delta) & (w[..., -1] < 2.0 * delta)  # in_d[j, z]: z in D_j
     cover: list[list[int]] = []
     for ci, cls in enumerate(classes):
         js = [j for j in range(P) if all(in_d[j, z] for z in cls)]

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from nhomog import haar
-from nhomog.errors import IndexOutOfRange, MCBudgetTooSmall, NotSquare, NumericalFailure
+from nhomog.errors import (
+    DimensionMismatch,
+    DomainError,
+    IndexOutOfRange,
+    MCBudgetTooSmall,
+    NotSquare,
+    NumericalFailure,
+)
 from nhomog.haar import (
     HaarSampler,
     McConfig,
@@ -15,7 +22,7 @@ from nhomog.haar import (
 )
 from nhomog.instances import ginibre, random_unitary
 from nhomog.matrix_core import adj, opnorm
-from nhomog.n_space import FiniteNSpace
+from nhomog.n_space import FiniteNSpace, PointRef
 
 from conftest import SX, assert_close, rng
 
@@ -127,3 +134,32 @@ class TestEquivariantAverage:
         monkeypatch.setattr(haar, "haar_unitaries", lambda s, count: real(s, count) * (1.0 + 1e-7))
         with pytest.raises(NumericalFailure, match="not unitary"):
             equivariant_average(lambda p: np.eye(2), FiniteNSpace(n=2, orbits=1), 0, McConfig(2000, 0))
+
+    def test_matches_per_sample_loop(self):
+        # reference: one validated point and one conjugation per sample
+        space = FiniteNSpace(n=3, orbits=2)
+        r = rng(21)
+        f, c = ginibre(r, 3), ginibre(r, 3)
+        sampled = lambda p: p.u @ f @ adj(p.u) + c @ p.u  # not equivariant
+        mc = McConfig(samples=2000, seed=5)
+        acc = np.zeros((3, 3), dtype=complex)
+        for u in haar_unitaries(HaarSampler(3, mc.seed), mc.samples):
+            p = PointRef.make(1, u)
+            acc += adj(p.u) @ sampled(p) @ p.u
+        assert_close(equivariant_average(sampled, space, 1, mc), acc / mc.samples, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            (lambda p: np.eye(3), DimensionMismatch),
+            (lambda p: np.ones(2), DimensionMismatch),
+            (lambda p: 1.0, DimensionMismatch),
+            (lambda p: np.eye(2) if p.u[0, 0].real > 0.5 else np.eye(3), DimensionMismatch),
+            (lambda p: np.full((2, 2), np.nan), DomainError),
+            (lambda p: np.diag([1.0, np.inf]) if p.u[1, 1].real > 0.9 else np.eye(2), DomainError),
+        ],
+        ids=["n_plus_1", "one_d", "scalar", "ragged", "nan", "one_inf"],
+    )
+    def test_bad_sampled_values(self, value, error):
+        with pytest.raises(error):
+            equivariant_average(value, FiniteNSpace(n=2, orbits=1), 0, McConfig(1000, 0))

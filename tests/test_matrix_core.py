@@ -8,6 +8,7 @@ from nhomog.matrix_core import (
     DEFAULT_TOL,
     Ordering,
     Tolerance,
+    fix_phase,
     herm_abs,
     herm_eig,
     herm_fun,
@@ -161,3 +162,51 @@ class TestNormalSpectraDisjoint:
         nil = np.array([[0.0, 1.0], [0.0, 0.0]])
         v = normal_spectra_disjoint(np.diag([1.0, 2.0]), nil)
         assert not v and v.reason == "NonNormal:b"
+
+
+def fix_phase_loop(u):
+    """Reference: scan one matrix column by column for the first entry
+    above 1e-7 times its largest |entry| and rotate it to real positive."""
+    m = np.array(u, dtype=complex)
+    scale = np.abs(m).max() if m.size else 0.0
+    if scale == 0.0:
+        return m
+    for col in range(m.shape[1]):
+        for row in range(m.shape[0]):
+            v = m[row, col]
+            if abs(v) > 1e-7 * scale:
+                return m * (v.conjugate() / abs(v))
+    return m
+
+
+class TestFixPhase:
+    @staticmethod
+    def stack():
+        r = rng(17)
+        us = r.standard_normal((6, 3, 3)) + 1j * r.standard_normal((6, 3, 3))
+        us[1] = 0.0  # zero matrix
+        us[2][:, 0] = 0.0  # zero first column
+        us[3][0, 0] = 1e-9 * (1 + 1j)  # leading entry below 1e-7 * max
+        us[4] *= 1e-200
+        return us
+
+    def test_stack_matches_each_matrix(self):
+        us = self.stack()
+        assert_close(fix_phase(us), np.array([fix_phase(u) for u in us]), atol=1e-15)
+
+    def test_matches_reference_loop(self):
+        us = self.stack()
+        for got, u in zip(fix_phase(us), us):
+            ref = fix_phase_loop(u)
+            assert np.abs(got - ref).max() <= 1e-15 * max(1.0, np.abs(u).max())
+
+    def test_leading_entry_real_positive(self):
+        out = fix_phase(self.stack())
+        assert np.array_equal(out[1], np.zeros((3, 3)))
+        for s, (row, col) in ((0, (0, 0)), (2, (0, 1)), (3, (1, 0)), (4, (0, 0))):
+            v = out[s, row, col]
+            assert v.real > 0 and abs(v.imag) <= 1e-15 * abs(v)
+
+    def test_empty_stack(self):
+        out = fix_phase(np.zeros((0, 3, 3), dtype=complex))
+        assert out.shape == (0, 3, 3)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,21 @@ class TestClassifyMatrixRep:
         images[0, 0, 1] *= 2.0  # breaks multiplicativity
         with pytest.raises(NotAStarHom):
             classify_matrix_rep(images, space3)
+
+    @pytest.mark.parametrize(
+        "index, factor, message",
+        [
+            ((1, 0, 1), 1.1, "adjoint axiom fails at orbit 1, unit (0,1)"),
+            ((1, 1, 1), 2.0, "product axiom fails at orbits (1,1), units (0,1)x(1,1)"),
+        ],
+    )
+    def test_first_failure_named(self, index, factor, message):
+        # the first failing unit in (orbit, row, column) order, first factor outermost
+        space = FiniteNSpace(n=2, orbits=2)
+        images = point_evaluation_rep(space, PointRef.make(1, HADAMARD))
+        images[index] *= factor
+        with pytest.raises(NotAStarHom, match=re.escape(message) + "$"):
+            classify_matrix_rep(images, space)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_roundtrip_up_to_phase(self, seed):
