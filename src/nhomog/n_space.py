@@ -218,8 +218,10 @@ def classify_matrix_rep(images, space: FiniteNSpace, tol: Tolerance = DEFAULT_TO
     w, vecs = np.linalg.eigh(p00)
     v1 = vecs[:, -1]
     u = np.column_stack([arr[i, c, 0] @ v1 for c in range(n)])
-    if opnorm(adj(u) @ u - np.eye(n)) > 1e-6:
+    left, s, right = np.linalg.svd(u)
+    if np.abs(s**2 - 1.0).max() > 1e-6:  # the spectral norm of u*u - I
         raise NumericalFailure("recovered point representative is not unitary")
+    u = left @ right  # the nearest unitary: accepted at 1e-6, it must be a point to eq_tol
     if np.linalg.norm(arr[i] - _unit_images(u), 2, axis=(-2, -1)).max() > cut:
         raise NumericalFailure("no orbit point matches the representation within tolerance")
     return PointRef.make(i, u, tol)

@@ -12,7 +12,7 @@ from nhomog.jsonio import (
 )
 from nhomog.errors import ParseError, SchemaError
 
-from conftest import SX, SZ, assert_close
+from conftest import HADAMARD, SX, SZ, assert_close
 
 
 def mat(m):
@@ -103,7 +103,7 @@ class TestAnalyze:
 
     def test_failed_split_exit_three(self, tmp_path, capsys, monkeypatch):
         # a splitter that separates nothing fails every redraw
-        monkeypatch.setattr("nhomog.decomposition._random_hermitian", lambda span, rng: np.zeros((4, 4)))
+        monkeypatch.setattr("nhomog.decomposition._random_hermitian", lambda letters, rng: np.zeros((4, 4)))
         gens = [np.kron(np.eye(2), SX), np.kron(np.diag([1.0, 2.0]), SZ)]
         path = write(tmp_path, "two.json", {"generators": [mat(g) for g in gens]})
         assert main(["analyze", "--in", path, "--n", "2"]) == 3
@@ -215,3 +215,15 @@ class TestNSpaceCommand:
         assert report["ideal_dim"] == 4
         assert report["classification"]["kind"] == "point"
         assert report["classification"]["orbit"] == 1
+
+    def test_near_unitary_point_is_classified(self, tmp_path, capsys):
+        # the images of the Hadamard point scaled by 1 + 5e-8 pass the 1e-6
+        # star-hom check; the representative is the nearest unitary
+        u = (1 + 5e-8) * HADAMARD
+        rep = [[[mat(np.outer(u[:, j], u[:, k].conj())) for k in range(2)] for j in range(2)]]
+        path = write(tmp_path, "near.json", {"space": {"n": 2, "orbits": 1}, "rep": rep})
+        assert main(["nspace", "--in", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["classification"]["kind"] == "point"
+        assert report["classification"]["orbit"] == 0
+        assert_close(decode_matrix(report["classification"]["unitary"], "u"), HADAMARD, atol=1e-12)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nhomog.decomposition as decomposition
 from nhomog.decomposition import (
@@ -18,7 +20,7 @@ from nhomog.instances import (
     scrambled_direct_sum,
 )
 from nhomog.matrix_core import adj, opnorm
-from nhomog.star_algebra import MatTuple, SubspaceBasis, contains_identity, intertwiner_space
+from nhomog.star_algebra import MatTuple, contains_identity, intertwiner_space
 
 from conftest import HADAMARD, SX, SZ, assert_close, rng, same_up_to_phase
 
@@ -158,10 +160,10 @@ class TestCyclicSplit:
         real = decomposition._random_hermitian
         draws = []
 
-        def first_collides(span, r):
+        def first_collides(letters, r):
             draws.append(None)
             # h = 0 puts every class in the null eigenvalue's cluster
-            return np.zeros(span.element_shape) if len(draws) == 1 else real(span, r)
+            return np.zeros(letters.shape[1:]) if len(draws) == 1 else real(letters, r)
 
         monkeypatch.setattr(decomposition, "_random_hermitian", first_collides)
         t = self.build(rng(8), (2, 3), (2, 1), 1)
@@ -172,23 +174,111 @@ class TestCyclicSplit:
     def test_exhausted_redraws_raise(self, monkeypatch):
         draws = []
 
-        def always_collides(span, r):
+        def always_collides(letters, r):
             draws.append(None)
-            return np.zeros(span.element_shape)
+            return np.zeros(letters.shape[1:])
 
         monkeypatch.setattr(decomposition, "_random_hermitian", always_collides)
         with pytest.raises(NumericalFailure, match="cyclic split failed.*not jointly orthonormal"):
             decompose(self.build(rng(8), (2, 3), (2, 1), 1), seed=0)
         assert len(draws) == decomposition._SPLITTER_RESEEDS
 
-    def test_inflated_word_span_fails_cleanly(self, monkeypatch):
-        # a span grown to all of M_d (as a noise leak would grow it) must
-        # end in NumericalFailure, never in a wrong block structure
-        t = self.build(rng(9), (2, 2), (1, 2), 1)
-        full = SubspaceBasis(element_shape=(t.d, t.d), vectors=np.eye(t.d * t.d, dtype=complex))
-        monkeypatch.setattr(decomposition, "word_span", lambda tup, tol: full)
+    def test_inflated_spin_up_fails_cleanly(self, monkeypatch):
+        # a spin-up that keeps one direction outside A.v (as a noise leak
+        # would) must end in NumericalFailure, never in a wrong block structure
+        real = decomposition._spin_up
+
+        def inflated(letters, e, tol):
+            isos = real(letters, e, tol)
+            d = e.shape[0]
+            q, _ = np.linalg.qr(np.hstack([isos[0], np.ones((d, 1))]))
+            return np.concatenate([isos, np.broadcast_to(q[:, -1:], (len(isos), d, 1))], axis=2)
+
+        monkeypatch.setattr(decomposition, "_spin_up", inflated)
         with pytest.raises(NumericalFailure):
-            decompose(t, seed=0)
+            decompose(self.build(rng(9), (2, 2), (1, 2), 1), seed=0)
+
+    @staticmethod
+    def forced_draws(monkeypatch, h, times=1):
+        """Make the first ``times`` draws of the split return h."""
+        real = decomposition._random_hermitian
+        draws = []
+
+        def forced(letters, r):
+            draws.append(None)
+            return h if len(draws) <= times else real(letters, r)
+
+        monkeypatch.setattr(decomposition, "_random_hermitian", forced)
+        return draws
+
+    @staticmethod
+    def known_sum(r, parts, zero_dim):
+        """Tuple and unitary of u (+)_i parts[i] (+) 0 u*: the blocks of each
+        part, in order, are known."""
+        d = sum(p.d for p in parts) + zero_dim
+        u = random_unitary(r, d)
+        gens = []
+        for j in range(parts[0].k):
+            g = np.zeros((d, d), dtype=complex)
+            at = 0
+            for p in parts:
+                g[at:at + p.d, at:at + p.d] = p.gens[j]
+                at += p.d
+            gens.append(u @ g @ adj(u))
+        return MatTuple(gens), u
+
+    @pytest.mark.parametrize("a_eigs, redraws", [((-1.0, -1.0, 1.0), 1), ((1.0, 1.0, -1.0), 0)])
+    def test_eigenvalue_repeated_in_a_block(self, monkeypatch, a_eigs, redraws):
+        # Norton's count: a cluster of m vectors must give m jointly
+        # orthonormal blocks.  A double eigenvalue inside the 3-dim class,
+        # split first, spins both vectors up inside one block and is
+        # redrawn; split after the class's simple eigenvalue, it is covered
+        # already and the draw stands
+        r = rng(10)
+        (a,) = distinct_irreducible_tuples(r, 3, 2, 1)
+        (b,) = distinct_irreducible_tuples(r, 2, 2, 1)
+        t, u = self.known_sum(r, [a, b, b], 1)
+        h = u @ np.diag([*a_eigs, 0.3, 0.6, 0.3, 0.6, 0.0]).astype(complex) @ adj(u)
+        draws = self.forced_draws(monkeypatch, h)
+        dec = decompose(t, seed=0)
+        assert len(draws) == 1 + redraws
+        assert summary(dec) == [(2, 2), (3, 1)] and dec.zero_dim == 1
+
+    @pytest.mark.parametrize("gap", [2e-8, 1e-7, 1e-6])
+    def test_near_degenerate_draw_is_redrawn(self, monkeypatch, gap):
+        # eigenvalues of two 1-dim classes this close leave each other's
+        # eigenvector a share of about eps / gap, which the spin-up could
+        # keep and merge the classes: the draw is redrawn instead
+        r = rng(11)
+        t, u = self.known_sum(r, [MatTuple([np.array([[x]]), np.array([[y]])])
+                                  for x, y in ((1.0, 0.5), (0.3, 2.0), (0.7, -1.0))], 0)
+        h = u @ np.diag([0.2, 0.2 + gap, 0.9]).astype(complex) @ adj(u)
+        draws = self.forced_draws(monkeypatch, h)
+        dec = decompose(t, seed=0)
+        assert len(draws) == 2
+        assert dec.nonzero_dims == (1, 1, 1) and dec.multiplicities == (1, 1, 1)
+
+    # two classes of dim 10-12 with multiplicities (2, 1) and a null block
+    WIDE = [((10, 12), (2, 1), 2), ((12, 10), (2, 1), 4), ((11, 11), (2, 1), 5)]
+
+    @pytest.mark.parametrize("shape", range(len(WIDE)))
+    def test_wide_sums_recovered(self, shape):
+        dims, mults, zero_dim = self.WIDE[shape]
+        t = self.build(rng(60 + shape), dims, mults, zero_dim)
+        assert 32 <= t.d <= 38
+        dec = decompose(t, seed=shape)
+        assert summary(dec) == sorted(zip(dims, mults))
+        assert dec.zero_dim == zero_dim
+
+    @given(st.integers(0, 10_000), st.floats(-150.0, 150.0))
+    @settings(max_examples=25, deadline=None)
+    def test_verdict_invariant_under_conjugation_and_scale(self, seed, log_c):
+        r = rng(seed)
+        t = self.build(r, (2, 3), (2, 1), 1)
+        moved = MatTuple([10.0 ** log_c * g for g in t.conjugated(random_unitary(r, t.d)).gens])
+        want, got = homogeneity_verdict(t, 2, seed=seed), homogeneity_verdict(moved, 2, seed=seed)
+        assert (got.is_n_homogeneous, got.block_dims, got.zero_dim) == (want.is_n_homogeneous, want.block_dims, want.zero_dim)
+        assert summary(got.decomposition) == summary(want.decomposition) == [(2, 2), (3, 1)]
 
 
 class TestUnitarilyEquivalent:

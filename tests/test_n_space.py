@@ -11,7 +11,7 @@ from nhomog.errors import (
 )
 from nhomog.haar import HaarSampler, McConfig, equivariant_average, haar_unitaries, mc_radius
 from nhomog.instances import ginibre, random_homogeneous_instance, random_unitary
-from nhomog.matrix_core import adj, opnorm
+from nhomog.matrix_core import adj, fix_phase, opnorm
 from nhomog.n_space import (
     EquivariantElement,
     FiniteNSpace,
@@ -297,15 +297,14 @@ class TestFunctionals:
         direct = 0.0 + 0.0j
         for i in range(3):
             us = haar_unitaries(HaarSampler(2, mc.seed), mc.samples)
+            assert np.linalg.norm(adj(us) @ us - np.eye(2), 2, axis=(-2, -1)).max() <= 1e-8
+            points = [PointRef(i, u) for u in fix_phase(us)]  # what PointRef.make builds
             acc = 0.0 + 0.0j
-            for u in us:
-                p = PointRef.make(i, u)
+            for p in points:
                 val = sampled(p)
                 acc += complex(np.trace(val @ (p.u @ mu.pairing[i] @ adj(p.u))))
             direct += acc / mc.samples
-            bound += max(opnorm(sampled(PointRef.make(i, u))) for u in us[:50]) * opnorm(
-                mu.pairing[i]
-            )
+            bound += max(opnorm(sampled(p)) for p in points[:50]) * opnorm(mu.pairing[i])
         averaged = element(
             space3, [equivariant_average(sampled, space3, i, mc) for i in range(3)]
         )
