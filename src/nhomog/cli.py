@@ -251,7 +251,7 @@ def _cmd_haar(cfg: RunConfig) -> tuple[int, dict, list[str]]:
     a = jsonio.decode_matrix(payload["matrix"], "matrix")
     if a.shape[0] != a.shape[1]:
         raise SchemaError(f"matrix must be square, got shape {a.shape}")
-    if "n" in payload and int(payload["n"]) != a.shape[0]:
+    if "n" in payload and jsonio.decode_int(payload["n"], "'n'") != a.shape[0]:
         raise SchemaError("'n' does not match the matrix size")
     mc = McConfig(samples=cfg.samples, seed=cfg.seed)
     exact = twirl_exact(a)

@@ -40,6 +40,15 @@ def decode_complex(obj, where: str) -> complex:
     return complex(re, im)
 
 
+def decode_int(obj, where: str) -> int:
+    """A count or size field: a JSON integer, returned as int.  Strings,
+    null, booleans and every JSON float are rejected, 2.0 included, so a
+    value is never truncated or coerced."""
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        raise SchemaError(f"{where} must be an integer, got {obj!r}")
+    return obj
+
+
 def decode_matrix(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{where}: a matrix must be a nonempty list of rows")
@@ -78,9 +87,9 @@ def decode_tuple(obj, where: str = "tuple") -> MatTuple:
     for i, m in enumerate(mats):
         if m.shape != (d, d):
             raise SchemaError(f"{where}.generators[{i}] has shape {m.shape}, expected ({d}, {d})")
-    if "d" in obj and int(obj["d"]) != d:
+    if "d" in obj and decode_int(obj["d"], f"{where}.d") != d:
         raise SchemaError(f"{where}.d = {obj['d']} does not match matrix size {d}")
-    if "k" in obj and int(obj["k"]) != len(mats):
+    if "k" in obj and decode_int(obj["k"], f"{where}.k") != len(mats):
         raise SchemaError(f"{where}.k = {obj['k']} does not match generator count {len(mats)}")
     return MatTuple(mats)
 
@@ -89,7 +98,8 @@ def decode_space(obj, where: str = "space") -> FiniteNSpace:
     if not isinstance(obj, dict) or "n" not in obj or "orbits" not in obj:
         raise SchemaError(f"{where}: expected an object with 'n' and 'orbits'")
     try:
-        return FiniteNSpace(n=int(obj["n"]), orbits=int(obj["orbits"]))
+        return FiniteNSpace(n=decode_int(obj["n"], f"{where}.n"),
+                            orbits=decode_int(obj["orbits"], f"{where}.orbits"))
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
@@ -136,7 +146,7 @@ def decode_fn_algebra_input(obj) -> tuple[int, int, list[np.ndarray]]:
     for key in ("points", "n", "generators"):
         if key not in obj:
             raise SchemaError(f"sw-check input is missing the '{key}' field")
-    points, n = int(obj["points"]), int(obj["n"])
+    points, n = decode_int(obj["points"], "'points'"), decode_int(obj["n"], "'n'")
     if points < 1 or n < 1:
         raise SchemaError("'points' and 'n' must be positive")
     gens_obj = obj["generators"]

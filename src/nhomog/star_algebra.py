@@ -32,13 +32,33 @@ RANK_GAP_RATIO = 10.0
 NOISE_FLOOR = 1e-13
 
 
-def _rank_with_gap(s: np.ndarray, rank_cut: float, context: str, scale: float = 0.0) -> int:
+def _rank_with_gap(s: np.ndarray, rank_cut: float, context: str,
+                   scale: float = 0.0) -> int | np.ndarray:
     """Rank at a relative singular-value cutoff.
 
     ``scale`` sets a floor for the reference magnitude: nullspace-style
     decisions pass the natural scale of their constraint rows so that an
     all-noise matrix (no actual constraints) has rank 0 instead of full
-    rank."""
+    rank.
+
+    ``s`` is one descending spectrum, or a stack (..., r) of them; a
+    stack gives an integer array with each row's rank, cut and gap rule
+    taken row by row as for one spectrum.  The first ambiguous row in
+    C order raises, with the message its own call would give; empty rows
+    (r = 0) have rank 0."""
+    if s.ndim > 1:
+        r = s.shape[-1]
+        if r == 0:
+            return np.zeros(s.shape[:-1], dtype=int)
+        cut = rank_cut * np.maximum(s[..., :1], scale)
+        rank = np.sum(s > cut, axis=-1)
+        kept = np.take_along_axis(s, np.maximum(rank - 1, 0)[..., None], axis=-1)[..., 0]
+        dropped = np.take_along_axis(s, np.minimum(rank, r - 1)[..., None], axis=-1)[..., 0]
+        ratio = kept / np.where(dropped > 0.0, dropped, 1.0)
+        ambiguous = (0 < rank) & (rank < r) & (dropped > 0.0) & (ratio < RANK_GAP_RATIO)
+        if ambiguous.any():
+            _rank_with_gap(s.reshape(-1, r)[np.argmax(ambiguous.ravel())], rank_cut, context, scale)
+        return rank
     if s.size == 0:
         return 0
     top = max(float(s[0]), float(scale))
@@ -193,13 +213,27 @@ def closure(family, shape, tol: Tolerance = DEFAULT_TOL, context: str = "closure
     return SubspaceBasis(shape, np.ascontiguousarray(vectors))
 
 
+def _right_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and the full square V* of ``rows`` (m, c), or of
+    each matrix of a stack (..., m, c), without forming U.  A tall system
+    (m > c) is first reduced to its c x c factor R = Q* rows, which has
+    the same singular values and right singular vectors (Chan's R-SVD,
+    as LAPACK's gesdd does for tall inputs itself); a square or wide one
+    takes its full SVD, whose U is at most m x m."""
+    if rows.shape[-2] > rows.shape[-1]:
+        rows = np.linalg.qr(rows, mode="r")
+    _, s, vh = np.linalg.svd(rows, full_matrices=True)
+    return s, vh
+
+
 def nullspace(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL, context: str = "nullspace") -> np.ndarray:
     """Orthonormal rows spanning {x : rows @ x = 0}.
 
     Callers scale their constraint rows to unit size, so the rank cut is
-    taken relative to 1 and an all-noise system has rank 0.  The SVD is
-    thin for tall systems; a wide one needs its full V."""
-    _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    taken relative to 1 and an all-noise system has rank 0.  The rows
+    go through ``_right_svd``: QR first for a tall system, so its U is
+    never formed; a system with no rows leaves every x free."""
+    s, vh = _right_svd(rows)
     return vh[_rank_with_gap(s, tol.rank_cut, context, scale=1.0):].conj()
 
 

@@ -22,8 +22,10 @@ import numpy as np
 
 from .calculus import StarPolynomial, eval_star_polynomial
 from .errors import (
+    DomainError,
     HypothesisViolated,
     IndexOutOfRange,
+    NotHermitian,
     NumericalFailure,
     PreconditionFailed,
     SamePoint,
@@ -36,7 +38,6 @@ from .matrix_core import (
     adj,
     as_matrix,
     fnorm,
-    herm_abs,
     normal_spectra_disjoint,
     opnorm,
     psd_order,
@@ -44,7 +45,7 @@ from .matrix_core import (
     require_hermitian,
 )
 from .decomposition import decompose
-from .star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, closure, nullspace
+from .star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, _right_svd, closure, nullspace
 
 
 @dataclass(frozen=True)
@@ -222,22 +223,29 @@ def spectrally_separates(e: FnAlgebra, x: int, y: int, tol: Tolerance = DEFAULT_
 def delta2_subspace(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
     """All functions whose restriction to every pair of points lies in the
     algebra's pair restriction: the two-point approximable subspace,
-    which at finite X is cut out by per-pair linear constraints."""
+    which at finite X is cut out by per-pair linear constraints.
+
+    The restrictions to all pairs x <= y are one stacked (pairs, dim,
+    2n^2) array with one SVD and one stacked rank gate.  Each pair
+    constrains f by the 2n^2 - r rows of its V* after its rank r: an
+    orthonormal basis of the complement of its restriction, with the same
+    Gram matrix as the projector I - V^T conj(V) onto that complement.
+    On the diagonal x == y both halves of a row add into one point."""
     P, n = e.points, e.n
     nn = n * n
-    vectors = e.basis.vectors
-    constraints = []
-    for x in range(P):
-        for y in range(x, P):
-            rows = np.hstack([vectors[:, e.point_slice(x)], vectors[:, e.point_slice(y)]])
-            _, s, vh = np.linalg.svd(rows, full_matrices=False)
-            onb = vh[:_rank_with_gap(s, tol.rank_cut, "pair restriction", scale=1.0)]
-            free = np.eye(2 * nn) - onb.T @ onb.conj()  # I - proj onto the pair restriction
-            block = np.zeros((2 * nn, e.ambient_dim), dtype=complex)
-            block[:, e.point_slice(x)] += free[:, :nn]
-            block[:, e.point_slice(y)] += free[:, nn:]
-            constraints.append(block)
-    null = nullspace(np.vstack(constraints), tol, "delta2 constraints")
+    xs, ys = np.triu_indices(P)
+    values = e.basis.vectors.reshape(e.basis.dim, P, nn).transpose(1, 0, 2)  # values[x]: (dim, n^2)
+    pairs = np.concatenate([values[xs], values[ys]], axis=-1)
+    s, vh = _right_svd(pairs)
+    rank = _rank_with_gap(s, tol.rank_cut, "pair restriction", scale=1.0)
+    free = np.arange(2 * nn) >= rank[:, None]  # free[p, i]: row i of pair p's V* is a constraint
+    rows = vh[free].conj()
+    pair = np.nonzero(free)[0]
+    at = np.arange(rows.shape[0])
+    constraints = np.zeros((rows.shape[0], P, nn), dtype=complex)
+    constraints[at, xs[pair]] += rows[:, :nn]
+    constraints[at, ys[pair]] += rows[:, nn:]
+    null = nullspace(constraints.reshape(rows.shape[0], e.ambient_dim), tol, "delta2 constraints")
     return SubspaceBasis(element_shape=(P, n, n), vectors=np.ascontiguousarray(null))
 
 
@@ -438,6 +446,32 @@ def power_mean_envelope(a_list, b, eps: float, tol: Tolerance = DEFAULT_TOL,
     return PowerMeanEnvelope(n_pow, env)
 
 
+def _first_non_hermitian(f: np.ndarray, tol: Tolerance) -> int:
+    """The first point z at which ``require_hermitian`` rejects f(z), by
+    the same operator-norm test in one batched norm, or -1."""
+    defect = np.linalg.norm(f - adj(f), 2, axis=(-2, -1))
+    bad = np.flatnonzero(defect > tol.eq_tol * (1.0 + np.linalg.norm(f, 2, axis=(-2, -1))))
+    return int(bad[0]) if bad.size else -1
+
+
+def _herm_abs_points(f: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """``herm_abs`` at every point of a Hermitian-valued function, by its
+    steps (checks on f and f^2, then the PSD square root of f^2) with one
+    batched check and one batched ``eigh`` per step."""
+    sq = f @ f
+    for m in (f, sq):
+        if not np.all(np.isfinite(m)):
+            raise DomainError("matrix contains non-finite entries")
+        if _first_non_hermitian(m, tol) >= 0:
+            raise NotHermitian("matrix is not Hermitian within eq_tol")
+    w, u = np.linalg.eigh((sq + adj(sq)) / 2.0)
+    low = np.flatnonzero(w[:, 0] < -tol.psd_slack * (1.0 + np.abs(w).max(axis=-1)))
+    if low.size:
+        raise DomainError(f"matrix is not PSD within psd_slack (min eigenvalue {w[low[0], 0]:.3e})")
+    out = (u * np.power(np.clip(w, 0.0, None), 0.5)[:, None, :]) @ adj(u)
+    return (out + adj(out)) / 2.0
+
+
 def lattice_join_chain(gs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Iterated join h_k = (h_{k-1} + g_k + |h_{k-1} - g_k|) / 2 of
     Hermitian-valued functions; the result dominates every input."""
@@ -450,13 +484,12 @@ def lattice_join_chain(gs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     for i, m in enumerate(mats):
         if m.shape != shape:
             raise ValueError(f"function {i} has shape {m.shape}, expected {shape}")
-        for z in range(shape[0]):
-            require_hermitian(m[z], tol, f"g_{i} at point {z}")
+        z = _first_non_hermitian(m, tol)
+        if z >= 0:
+            raise NotHermitian(f"g_{i} at point {z} is not Hermitian within eq_tol")
     h = mats[0].copy()
     for g in mats[1:]:
-        for z in range(shape[0]):
-            diff = h[z] - g[z]
-            h[z] = (h[z] + g[z] + herm_abs(diff, tol)) / 2.0
+        h = (h + g + _herm_abs_points(h - g, tol)) / 2.0
     for i, g in enumerate(mats):
         w = np.linalg.eigvalsh((h - g + adj(h - g)) / 2.0)
         below = np.flatnonzero(w.min(axis=-1, initial=np.inf) < -tol.psd_slack)
@@ -647,7 +680,7 @@ def _partition_route(e: FnAlgebra, f: np.ndarray, delta: float, classes, witness
     in_d = (w[..., 0] > -2.0 * delta) & (w[..., -1] < 2.0 * delta)  # in_d[j, z]: z in D_j
     cover: list[list[int]] = []
     for ci, cls in enumerate(classes):
-        js = [j for j in range(P) if all(in_d[j, z] for z in cls)]
+        js = np.flatnonzero(in_d[:, cls].all(axis=1)).tolist()
         if not js:
             raise NumericalFailure(f"no envelope pair covers class {ci}")
         cover.append(js)

@@ -5,6 +5,7 @@ import pytest
 
 from nhomog.cli import main
 from nhomog.jsonio import (
+    decode_int,
     decode_matrix,
     dump_report,
     encode_matrix,
@@ -182,6 +183,56 @@ class TestSwCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["dense"] is False
         assert report["delta2_dim"] == report["algebra_dim"] == 4
+
+
+N_OPTION = {"analyze": ["--n", "2"], "calc": ["--n", "2"]}
+
+
+def integer_field_payloads(value):
+    """One payload per integer field of the CLI inputs, with ``value`` in
+    that field and every other field valid."""
+    zero = np.zeros((2, 2))
+    pair = {"generators": [mat(SX), mat(SZ)]}
+    return {
+        "sw-check points": ("sw-check", {"points": value, "n": 2, "generators": [[mat(SX)]]}),
+        "sw-check n": ("sw-check", {"points": 1, "n": value, "generators": [[mat(SX)]]}),
+        "analyze d": ("analyze", dict(pair, d=value)),
+        "analyze k": ("analyze", dict(pair, k=value)),
+        "calc tuple.d": ("calc", {"tuple": dict(pair, d=value), "polynomial": "z1"}),
+        "haar n": ("haar", {"n": value, "matrix": mat(np.eye(2))}),
+        "nspace n": ("nspace", {"space": {"n": value, "orbits": 1},
+                                "generators": [{"values": [mat(zero)]}]}),
+        "nspace orbits": ("nspace", {"space": {"n": 2, "orbits": value},
+                                     "generators": [{"values": [mat(zero)]}]}),
+    }
+
+
+class TestIntegerFields:
+    """Count and size fields take JSON integers only; anything else is an
+    input error (exit 2, one stderr line), never a traceback or a
+    truncated value."""
+
+    @pytest.mark.parametrize("value", ["x", None, True, False, 2.7, 1.5, 2.0, [2], {"n": 2}])
+    @pytest.mark.parametrize("site", list(integer_field_payloads(0)))
+    def test_malformed_value_exit_two(self, tmp_path, capsys, site, value):
+        command, payload = integer_field_payloads(value)[site]
+        path = write(tmp_path, "int.json", payload)
+        assert main([command, "--in", path, *N_OPTION.get(command, [])]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("nhomog: input error:") and "must be an integer" in err[0]
+
+    @pytest.mark.parametrize("site", ["sw-check points", "analyze d", "analyze k", "haar n"])
+    def test_well_formed_value_accepted(self, tmp_path, capsys, site):
+        command, payload = integer_field_payloads(2 if site != "sw-check points" else 1)[site]
+        path = write(tmp_path, "int.json", payload)
+        assert main([command, "--in", path, *N_OPTION.get(command, [])]) in (0, 1)
+        assert capsys.readouterr().err == ""
+
+    def test_decode_int(self):
+        assert decode_int(7, "f") == 7
+        with pytest.raises(SchemaError, match="f must be an integer, got 7.0"):
+            decode_int(7.0, "f")
 
 
 class TestHaarCommand:

@@ -204,3 +204,77 @@ class TestRankGuard:
 
         with pytest.raises(NumericalFailure):
             _rank_with_gap(np.array([1.0, 2e-9, 0.5e-9]), 1e-9, "test")
+
+    def random_spectra(self, r, rows, width):
+        """Descending spectra with a clear gap at a random rank, a few
+        all-zero rows and a random overall scale."""
+        out = np.zeros((rows, width))
+        for i in range(rows):
+            if r.random() < 0.2:
+                continue
+            kept = int(r.integers(0, width + 1))
+            top = 10.0 ** r.uniform(-3, 3)
+            out[i, :kept] = top * 10.0 ** r.uniform(-6, 0, kept)
+            out[i, kept:] = top * 10.0 ** r.uniform(-20, -12, width - kept) * (r.random() < 0.7)
+        return -np.sort(-out, axis=-1)
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0])
+    @pytest.mark.parametrize("width", [0, 1, 5])
+    def test_stacked_gate_equals_scalar_rows(self, scale, width):
+        from nhomog.star_algebra import _rank_with_gap
+
+        r = rng(int(scale) * 10 + width)
+        s = self.random_spectra(r, 24, width).reshape(4, 6, width)
+        ranks = _rank_with_gap(s, 1e-9, "test", scale=scale)
+        assert ranks.shape == (4, 6)
+        want = [_rank_with_gap(row, 1e-9, "test", scale=scale) for row in s.reshape(24, width)]
+        assert ranks.ravel().tolist() == want
+
+    def test_stacked_gate_raises_first_ambiguous_row(self):
+        from nhomog.star_algebra import _rank_with_gap
+
+        s = np.array([[1.0, 1e-3, 0.0], [1.0, 0.0, 0.0], [1.0, 2e-9, 0.5e-9],
+                      [1.0, 3e-9, 0.9e-9], [0.0, 0.0, 0.0]])
+        with pytest.raises(NumericalFailure) as scalar:
+            _rank_with_gap(s[2], 1e-9, "stack", scale=1.0)
+        with pytest.raises(NumericalFailure) as stacked:
+            _rank_with_gap(s, 1e-9, "stack", scale=1.0)
+        assert str(stacked.value) == str(scalar.value)
+        assert "2.000e-09" in str(stacked.value)
+
+
+class TestNullspace:
+    """QR-first nullspace against a plain SVD of the whole system."""
+
+    def system(self, r, rows, cols, rank):
+        a = ginibre(r, max(rows, cols))[:rows, :rank] @ ginibre(r, max(rows, cols))[:rank, :cols]
+        return a / (1.0 if rank == 0 else np.linalg.norm(a, 2))
+
+    @pytest.mark.parametrize("rows, cols, rank", [(60, 8, 5), (40, 12, 12), (8, 8, 6),
+                                                   (3, 8, 3), (5, 8, 2), (0, 8, 0), (30, 6, 0)])
+    def test_matches_plain_svd(self, rows, cols, rank):
+        from nhomog.star_algebra import _right_svd, nullspace
+
+        a = self.system(rng(rows * 100 + cols), rows, cols, rank)
+        s, vh = _right_svd(a)
+        s_ref = np.linalg.svd(a, compute_uv=False)
+        assert vh.shape == (cols, cols)
+        assert_close(s, s_ref, atol=1e-13)
+        _, s_ref, vh_ref = np.linalg.svd(a, full_matrices=True)
+        kept = int(np.sum(s_ref > 1e-9))
+        null_ref = vh_ref[kept:].conj()
+        null = nullspace(a)
+        assert null.shape == null_ref.shape == (cols - rank, cols)
+        assert_close(null.T @ null.conj(), null_ref.T @ null_ref.conj(), atol=1e-12)
+        if rows:
+            assert float(np.abs(a @ null.T).max(initial=0.0)) <= 1e-12
+
+    def test_tall_system_straddling_the_cut_raises(self):
+        from nhomog.star_algebra import nullspace
+
+        r = rng(3)
+        q, _ = np.linalg.qr(ginibre(r, 50)[:, :4])
+        v = random_unitary(r, 4)
+        a = q @ np.diag([1.0, 0.5, 2e-9, 0.5e-9]) @ v
+        with pytest.raises(NumericalFailure, match="ambiguous rank in nullspace"):
+            nullspace(a)

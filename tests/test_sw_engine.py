@@ -23,9 +23,18 @@ from nhomog.instances import (
     ordered_psd_pair,
     random_unitary,
 )
-from nhomog.matrix_core import DEFAULT_TOL, Ordering, adj, normal_spectra_disjoint, opnorm, psd_order
+from nhomog.matrix_core import (
+    DEFAULT_TOL,
+    Ordering,
+    adj,
+    herm_abs,
+    normal_spectra_disjoint,
+    opnorm,
+    psd_order,
+    require_hermitian,
+)
 from nhomog import sw_engine
-from nhomog.star_algebra import MatTuple
+from nhomog.star_algebra import MatTuple, _rank_with_gap, nullspace
 from nhomog.sw_engine import (
     closure_star_subalgebra,
     constructive_approximate,
@@ -214,6 +223,106 @@ class TestDelta2:
         assert delta2_subspace(alg).dim == 0
 
 
+def delta2_per_pair(e, tol=DEFAULT_TOL):
+    """The per-pair loop delta2_subspace replaced: one thin SVD per pair,
+    the projector I - V^T conj(V) as constraint rows, one thin SVD of the
+    stack."""
+    nn = e.n * e.n
+    vectors = e.basis.vectors
+    constraints = []
+    for x in range(e.points):
+        for y in range(x, e.points):
+            rows = np.hstack([vectors[:, e.point_slice(x)], vectors[:, e.point_slice(y)]])
+            _, s, vh = np.linalg.svd(rows, full_matrices=False)
+            onb = vh[:_rank_with_gap(s, tol.rank_cut, "pair restriction", scale=1.0)]
+            free = np.eye(2 * nn) - onb.T @ onb.conj()
+            block = np.zeros((2 * nn, e.ambient_dim), dtype=complex)
+            block[:, e.point_slice(x)] += free[:, :nn]
+            block[:, e.point_slice(y)] += free[:, nn:]
+            constraints.append(block)
+    stack = np.vstack(constraints)
+    _, s, vh = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
+    return vh[_rank_with_gap(s, tol.rank_cut, "delta2 constraints", scale=1.0):].conj()
+
+
+def projector(rows):
+    return rows.T @ rows.conj()
+
+
+class TestDelta2Batched:
+    """The stacked delta2_subspace against the per-pair loop it replaced."""
+
+    def assert_matches_loop(self, alg):
+        d2 = delta2_subspace(alg)
+        ref = delta2_per_pair(alg)
+        assert d2.dim == ref.shape[0]
+        assert_close(projector(d2.vectors), projector(ref), atol=1e-12)
+        return d2
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_criterion_six_style_algebras(self, seed):
+        r = rng(6000 + seed)
+        n = int(r.integers(1, 4))
+        group_count = int(r.integers(1, 5))
+        group_sizes = [int(r.integers(1, 3)) for _ in range(group_count)]
+        vanish = [group_count - 1] if (r.random() < 0.3 and group_count > 1) else []
+        gens, _ = grouped_function_algebra(r, n=n, group_sizes=group_sizes, vanish_groups=vanish)
+        alg = closure_star_subalgebra(gens, points=sum(group_sizes), n=n)
+        assert self.assert_matches_loop(alg).dim == alg.basis.dim
+
+    def test_five_group_shape(self):
+        gens, _ = grouped_function_algebra(rng(55), n=2, group_sizes=[4, 4, 4, 3, 3],
+                                           fibers=["full", "diag", "full", "scalar", "diag"])
+        alg = closure_star_subalgebra(gens, points=18, n=2)
+        assert self.assert_matches_loop(alg).dim == alg.basis.dim == 4 + 2 + 4 + 1 + 2
+
+    def test_block_size_one(self):
+        gens, _ = grouped_function_algebra(rng(11), n=1, group_sizes=[2, 1, 2], vanish_groups=[1])
+        alg = closure_star_subalgebra(gens, points=5, n=1)
+        assert self.assert_matches_loop(alg).dim == 2
+
+    def test_single_point(self):
+        alg = closure_star_subalgebra([fn(np.diag([1.0, 2.0]))])
+        assert self.assert_matches_loop(alg).dim == 2
+
+    def test_zero_algebra(self):
+        alg = closure_star_subalgebra([], points=3, n=2)
+        assert self.assert_matches_loop(alg).dim == 0
+
+    def test_all_functions_leaves_no_live_constraint(self, monkeypatch):
+        """Off the diagonal every pair restriction is full and gives no row;
+        a diagonal pair (x, x) gives n^2 rows (c, -c), which cancel to 0."""
+        seen = []
+
+        def recording(rows, tol, context):
+            seen.append(rows)
+            return nullspace(rows, tol, context)
+
+        monkeypatch.setattr(sw_engine, "nullspace", recording)
+        alg = all_functions_algebra(3, 2)
+        d2 = self.assert_matches_loop(alg)
+        [rows] = seen
+        assert rows.shape == (3 * 4, alg.ambient_dim)
+        assert float(np.abs(rows).max()) <= 1e-15
+        assert d2.dim == alg.ambient_dim
+
+    @given(st.integers(0, 10_000), st.floats(-150.0, 150.0))
+    @settings(max_examples=25, deadline=None)
+    def test_invariant_under_scale_and_pointwise_conjugation(self, seed, log_c):
+        r = rng(seed)
+        gens, _ = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], vanish_groups=[2])
+        us = np.stack([random_unitary(r, 2) for _ in range(5)])
+        moved = [10.0 ** log_c * (us @ g @ adj(us)) for g in gens]
+        verdicts = []
+        for family in (gens, moved):
+            alg = closure_star_subalgebra(family)
+            d2 = delta2_subspace(alg)
+            contained = all(d2.contains(b, 1e-7) for b in alg.basis.elements())
+            verdicts.append((d2.dim, alg.basis.dim == d2.dim and contained))
+        assert verdicts[0][1] is True
+        assert verdicts[1] == verdicts[0]
+
+
 class TestDensityCheck:
     def test_full_single_point(self):
         report = density_check(all_functions_algebra(1, 2))
@@ -311,6 +420,93 @@ class TestLatticeJoinChain:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             lattice_join_chain([np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+
+def join_per_point(gs, tol=DEFAULT_TOL):
+    """The per-point loop lattice_join_chain replaced."""
+    mats = [np.asarray(g, dtype=complex) for g in gs]
+    for i, m in enumerate(mats):
+        for z in range(m.shape[0]):
+            require_hermitian(m[z], tol, f"g_{i} at point {z}")
+    h = mats[0].copy()
+    for g in mats[1:]:
+        for z in range(h.shape[0]):
+            h[z] = (h[z] + g[z] + herm_abs(h[z] - g[z], tol)) / 2.0
+    return h
+
+
+def hermitian_function(r, points, n):
+    m = np.stack([ginibre(r, n) for _ in range(points)])
+    return (m + adj(m)) / 2.0
+
+
+class TestBatchedJoin:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_point_loop(self, seed):
+        r = rng(7000 + seed)
+        points, n, count = int(r.integers(1, 5)), int(r.integers(1, 4)), int(r.integers(1, 6))
+        gs = [hermitian_function(r, points, n) for _ in range(count)]
+        assert_close(lattice_join_chain(gs), join_per_point(gs), atol=1e-12)
+
+    def test_commuting_family_matches(self):
+        r = rng(71)
+        u = random_unitary(r, 3)
+        gs = [u @ np.diag(r.normal(size=3)).astype(complex) @ adj(u) for _ in range(4)]
+        assert_close(lattice_join_chain([g[None] for g in gs]), join_per_point([g[None] for g in gs]),
+                     atol=1e-12)
+
+    @pytest.mark.parametrize("bad_input, bad_point", [(0, 0), (2, 1), (3, 2)])
+    def test_names_first_failing_input_and_point(self, bad_input, bad_point):
+        r = rng(72)
+        gs = [hermitian_function(r, 3, 2) for _ in range(4)]
+        gs[bad_input][bad_point] += np.array([[0.0, 1.0], [0.0, 0.0]])
+        gs[3][2] += 1j * np.eye(2)  # a later failure is not the one named
+        with pytest.raises(NotHermitian) as old:
+            join_per_point(gs)
+        with pytest.raises(NotHermitian) as new:
+            lattice_join_chain(gs)
+        assert str(new.value) == str(old.value) == (
+            f"g_{bad_input} at point {bad_point} is not Hermitian within eq_tol"
+        )
+
+
+class TestBatchedPartitionRoute:
+    def test_matches_per_class_scan(self, monkeypatch):
+        """The class-cover scan as the old generator loop, around the real
+        route: same cover, same approximant."""
+        batched = sw_engine._partition_route
+        compared = []
+
+        def per_class_scan(e, f, delta, classes, witnesses, tol):
+            lower, upper = sw_engine._envelopes(e, f, tol)
+            diff = np.array(lower) - np.array(upper)
+            w = np.linalg.eigvalsh((diff + adj(diff)) / 2.0)
+            in_d = (w[..., 0] > -2.0 * delta) & (w[..., -1] < 2.0 * delta)
+            cover = [[j for j in range(e.points) if all(in_d[j, z] for z in cls)] for cls in classes]
+            chi = sw_engine._class_indicators(e, classes, witnesses, tol)
+            out = np.zeros_like(f)
+            for j in range(e.points):
+                alpha = np.zeros_like(f)
+                for ci, js in enumerate(cover):
+                    if j in js:
+                        alpha += chi[ci] / len(js)
+                if np.abs(alpha).max() > 0.0:
+                    out += sw_engine.fn_product(alpha, lower[j])
+            return out
+
+        def both(e, f, delta, classes, witnesses, tol):
+            got = batched(e, f, delta, classes, witnesses, tol)
+            assert_close(got, per_class_scan(e, f, delta, classes, witnesses, tol), atol=1e-12)
+            compared.append(len(classes))
+            return got
+
+        monkeypatch.setattr(sw_engine, "_partition_route", both)
+        for seed in (5, 1003, 1011):
+            r = rng(seed)
+            gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], fibers=["full"] * 3)
+            alg = closure_star_subalgebra(gens)
+            constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1, seed=seed)
+        assert compared and all(c == 3 for c in compared)
 
 
 class TestTwoPointFlatten:
