@@ -2,17 +2,18 @@
 
 ``decompose`` splits the carrier space of a MatTuple into irreducible
 invariant blocks, grouped into unitary-equivalence classes with
-multiplicities, plus common null blocks.  It works on vectors of C^d,
-never on the d^2-dimensional span of the algebra: a seeded random
-Hermitian element h of the generated *-algebra (a random sum of words
-of length <= 3) has each eigenvalue cluster in one class, the vector
-spin-up of the MeatAxe (Parker 1984; Holt-Rees 1994) computes the
-cyclic subspace A.v of one vector of the cluster, and the same
-coefficient matrices carry the cluster's other vectors onto the other
-blocks of the class, aligned.  Norton's count certifies each block
-irreducible.  ``homogeneity_verdict`` and ``n_spectrum`` are the
-derived verdicts; ``unitarily_equivalent`` tests two irreducible tuples
-directly.
+multiplicities, plus common null blocks.  The splitter works on a
+(k, P, n, n) stack of generators acting point by point on C^{Pn}, a
+tuple being the case P = 1, and on vectors, never on the span of the
+algebra: a seeded random Hermitian element h of the generated
+*-algebra (a random sum of words of length <= 3) has each eigenvalue
+cluster in one class, the vector spin-up of the MeatAxe (Parker 1984;
+Holt-Rees 1994) computes the cyclic subspace A.v of one vector of the
+cluster, and the same coefficient matrices carry the cluster's other
+vectors onto the other blocks of the class, aligned.  Norton's count
+certifies each block irreducible.  ``homogeneity_verdict`` and
+``n_spectrum`` are the derived verdicts; ``unitarily_equivalent`` tests
+two irreducible tuples directly.
 """
 
 from __future__ import annotations
@@ -179,9 +180,10 @@ def unitarily_equivalent(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL)
 
 def _random_hermitian(letters: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian element h = x + x* of the algebra generated by the
-    (L, d, d) stack of letters: x = X1 + X1 X2 + X1 X2 X3, each X_i a
-    complex Gaussian combination of the letters, so x is a random sum of
-    words of length <= 3, formed without listing the words."""
+    (L, P, n, n) stack of letters, at every point: x = X1 + X1 X2 +
+    X1 X2 X3, each X_i a complex Gaussian combination of the letters, so
+    x is a random sum of words of length <= 3, formed without listing the
+    words."""
     c = rng.standard_normal((3, len(letters))) + 1j * rng.standard_normal((3, len(letters)))
     x1, x2, x3 = np.tensordot(c, letters, axes=1)
     eye = np.eye(letters.shape[-1])
@@ -190,51 +192,59 @@ def _random_hermitian(letters: np.ndarray, rng: np.random.Generator) -> np.ndarr
 
 
 def _spin_up(letters: np.ndarray, e: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal bases of the cyclic subspaces A.e_k of the d x m columns
-    of e, as an (m, d, n) stack.  A.e_0 is spun up as ``closure`` spins up
-    an algebra: each round multiplies the last round's new vectors by
-    every letter, orthogonalises them twice against the basis so far and
-    keeps the rank of a thin SVD, relative to 1 (the letters have scale at
-    most 1).  The same coefficient matrices, replayed on e_1, ..., e_{m-1}
-    in the same batched products, map A.e_0 onto their cyclic subspaces,
-    already aligned with it."""
+    """Orthonormal bases of the cyclic subspaces A.e_k of the Pn x m
+    columns of e, as an (m, Pn, n') stack; the letters act point by
+    point.  A.e_0 is spun up as ``closure`` spins up an algebra: each
+    round multiplies the last round's new vectors by every letter,
+    orthogonalises them twice against the basis so far and keeps the
+    rank of a thin SVD, relative to 1 (the letters have scale at most 1).
+    The same coefficient matrices, replayed on e_1, ..., e_{m-1} in the
+    same batched products, map A.e_0 onto their cyclic subspaces, already
+    aligned with it."""
     d, m = e.shape
+    points, n = letters.shape[1:3]
+    rows = letters.swapaxes(0, 1).reshape(points, -1, n)  # each point's letters, one above the other
     basis = np.zeros((m, d, 0), dtype=complex)
     new = e.T[:, :, None]
     while new.shape[2]:
         r = new.shape[2]
-        cand = (letters.reshape(-1, d) @ new).reshape(m, -1, d, r).transpose(0, 2, 1, 3).reshape(m, d, -1)
+        cand = (rows @ new.reshape(m, points, n, r)).reshape(m, points, -1, n, r).swapaxes(2, 3).reshape(m, d, -1)
         for _ in range(2):  # Gram-Schmidt twice, with e_0's coefficients for every column
             cand = cand - basis @ (adj(basis[0]) @ cand[0])
         _, s, vh = np.linalg.svd(cand[0], full_matrices=False)
-        n = _rank_with_gap(s, tol.rank_cut, "spin-up", scale=1.0)
-        new = cand @ (adj(vh[:n]) / s[:n])
+        rank = _rank_with_gap(s, tol.rank_cut, "spin-up", scale=1.0)
+        new = cand @ (adj(vh[:rank]) / s[:rank])
         basis = np.concatenate([basis, new], axis=2)
     return basis
 
 
 def _cyclic_split(letters: np.ndarray, h: np.ndarray, tol: Tolerance) -> tuple[list, list]:
-    """One (m, d, n) stack of aligned block isometries per class, and the
-    null vectors, from the eigenvalue clusters of h (eigenvalues taken
-    relative to the largest |eigenvalue|).  ``letters`` are the generators
+    """Per class, and per null cluster, an (m, Pn, n') stack of aligned
+    block isometries and each block's point, from the eigenvalue clusters
+    of the (P, n, n) stack h: its P n eigenvalues in one ascending list,
+    relative to the largest |eigenvalue|.  ``letters`` are the generators
     and adjoints at unit scale.  Raises NumericalFailure when a cluster
     mixed two classes, a class with the null space, or two eigenvalues of
     one block, or lies too close to a neighbour for its spin-up."""
-    d = h.shape[0]
-    w, u = np.linalg.eigh(h)
+    points, n = letters.shape[1:3]
+    d = points * n
+    w, u = np.linalg.eigh(h.reshape(points, n, n))
+    order = np.argsort(w, axis=None, kind="stable")
+    w = w.ravel()[order]
     top = max(abs(w[0]), abs(w[-1]))
     if top > 0.0:
         w = w / top
-    images = letters @ u  # images[:, :, i]: every letter applied to eigenvector i
+    vecs = np.einsum("xy,xaj->xayj", np.eye(points), u).reshape(d, d)[:, order]  # zero off each one's point
+    images = (letters @ u).swapaxes(1, 2).reshape(len(letters), n, d)[:, :, order]  # every letter on every vecs[:, i]
     reach = np.linalg.norm(images, axis=(0, 1))
     found = np.zeros((d, 0), dtype=complex)  # every block so far, side by side
     classes, null = [], []
     for cluster in np.split(np.arange(d), np.flatnonzero(np.diff(w) > tol.psd_slack) + 1):
-        e = u[:, cluster]
+        e = vecs[:, cluster]
         if np.linalg.norm(e - found @ (adj(found) @ e)) <= 1e-8:
             continue  # another eigenspace of a class already split off
         if np.linalg.norm(images[:, :, cluster]) <= tol.eq_tol:  # generators and adjoints, so all of A, kill e
-            null.extend(e.T)
+            null.append((e.T[:, :, None], order[cluster] // n))
             found = np.hstack([found, e])
             continue
         # eigh leaves in e a share of about d eps / gap of each other
@@ -250,52 +260,85 @@ def _cyclic_split(letters: np.ndarray, h: np.ndarray, tol: Tolerance) -> tuple[l
             raise NumericalFailure("cyclic blocks are not jointly orthonormal")
         if np.linalg.norm(e - found @ (adj(found) @ e)) > 1e-8:
             raise NumericalFailure("cyclic blocks do not cover their eigenvalue cluster")
-        classes.append(isos)
+        classes.append((isos, order[cluster] // n))
     return classes, null
 
 
-def _assemble(t: MatTuple, classes: list, null: list, seed: int) -> Decomposition:
+@dataclass(frozen=True)
+class _PointSplit:
+    """Blocks of C^{Pn}, each zero off one point: v[x] holds point x's
+    blocks side by side, in block order; owner[x, i] is column i's block."""
+
+    blocks: tuple[Block, ...]
+    v: np.ndarray = field(repr=False)  # (P, n, n)
+    owner: np.ndarray = field(repr=False)  # (P, n)
+    classes: tuple[MatTuple, ...]
+    multiplicities: tuple[int, ...]
+
+
+def _assemble(gens: np.ndarray, c: float, classes: list, null: list) -> _PointSplit:
     """Compress onto the blocks, order the classes canonically (by dim,
     then word-trace fingerprint) and check every post-condition, all
-    compared at the unit scale of t, each as one batched norm over a
-    stack.  Irreducibility is not re-proved: once the reconstruction
-    shows every block reducing and the class check shows each class's
-    blocks aligned, Norton's count (see ``decompose``) certifies it."""
-    d = t.d
-    c = t.scale
-    gens = np.stack(t.gens)
+    compared at the scale c of the (k, P, n, n) generators, each as one
+    batched norm over a stack.  Irreducibility is not re-proved: once the
+    intertwining check G_j V = V (+)_b C_b shows every block reducing and
+    the class check shows each class's blocks aligned, Norton's count
+    (see ``decompose``) certifies it."""
+    k, points, n = gens.shape[:3]
 
-    def compress(isos: np.ndarray) -> np.ndarray:  # (m, d, n) -> (m, k, n, n)
-        return adj(isos)[:, None] @ gens @ isos[:, None]
+    def compress(isos: np.ndarray, at: np.ndarray) -> tuple:
+        """Each block at its point: the compressions C = (V* G) V, then
+        each column's point, its entries there and G V - V C there."""
+        local = isos.reshape(len(at), points, n, -1)[np.arange(len(at)), at]
+        g = gens[:, at].swapaxes(0, 1)
+        comps = adj(local)[:, None] @ g @ local[:, None]
+        resid = g @ local[:, None] - local[:, None] @ comps
+        return isos, comps, np.repeat(at, local.shape[-1]), np.hstack(local), np.concatenate(resid, axis=-1)
 
     def key(group):
-        rep = group[1][0]  # the first block's compressions, (k, n, n)
+        rep = group[1][0]  # the first block's compressions, (k, n', n')
         fp = word_trace_fingerprint(MatTuple(rep / c), max_len=3)
         return rep.shape[-1], tuple(np.round(fp[0], 6)), tuple(np.round(fp[1], 6))
 
-    groups = sorted(((isos, compress(isos)) for isos in classes), key=key)
-    reps = tuple(MatTuple(comps[0]) for _, comps in groups)
-    blocks = [Block(iso, MatTuple(comp), ci, False)
-              for ci, (isos, comps) in enumerate(groups) for iso, comp in zip(isos, comps)]
-    if null:
-        zs = np.array(null)[:, :, None]
-        blocks += [Block(z, MatTuple(comp), None, True) for z, comp in zip(zs, compress(zs))]
-
-    v = np.hstack([b.isometry for b in blocks])
-    if v.shape != (d, d):
-        raise NumericalFailure(f"block isometries assemble to shape {v.shape}, expected ({d}, {d})")
-    if opnorm(adj(v) @ v - np.eye(d)) > 1e-8:
+    groups = sorted((compress(isos, at) for isos, at in classes), key=key)
+    parts = [*enumerate(groups), *((None, compress(*z)) for z in null)]
+    blocks = tuple(Block(iso, MatTuple(comp), ci, ci is None)
+                   for ci, (isos, comps, *_) in parts for iso, comp in zip(isos, comps))
+    col_point, cols, resid = (np.concatenate([part[i] for _, part in parts], axis=-1) for i in (2, 3, 4))
+    if np.any(np.bincount(col_point, minlength=points) != n):
+        raise NumericalFailure(f"block isometries do not give every point {n} columns")
+    by_point = np.argsort(col_point, kind="stable")
+    v = cols[:, by_point].reshape(n, points, n).swapaxes(0, 1)
+    owner = np.repeat(np.arange(len(blocks)), [b.dim for b in blocks])[by_point].reshape(points, n)
+    if np.linalg.norm(adj(v) @ v - np.eye(n), 2, axis=(-2, -1)).max() > 1e-8:
         raise NumericalFailure("assembled change of basis is not unitary")
-    recon = sum(b.isometry @ np.stack(b.rep.gens) @ adj(b.isometry) for b in blocks)
-    norms = np.linalg.norm(np.concatenate([recon - gens, gens]), 2, axis=(-2, -1))
-    bad = np.flatnonzero(norms[:t.k] > 1e-7 * (c + norms[t.k:]))
+    # V is unitary, so |G_j V - V C_j| at a point is the error of G_j's block reconstruction there
+    resid = resid[:, :, by_point].reshape(k, n, points, n).swapaxes(1, 2)
+    norms = np.linalg.norm(resid, 2, axis=(-2, -1)).max(axis=1)
+    bad = np.flatnonzero(norms > 1e-7 * (c + np.linalg.norm(gens, 2, axis=(-2, -1)).max(axis=1)))
     if bad.size:
-        raise NumericalFailure(f"block reconstruction of generator {bad[0]} failed")
-    for _, comps in groups:  # blocks of a class are aligned: each compression is the representative
+        raise NumericalFailure(f"block intertwining of generator {bad[0]} failed")
+    for _, comps, *_ in groups:  # blocks of a class are aligned: each compression is the representative
         norms = np.linalg.norm(np.concatenate([comps[1:] - comps[0], comps[:1]]), 2, axis=(-2, -1))
         if np.any(norms[:-1] > 1e-7 * (c + norms[-1])):
             raise NumericalFailure("a block's compression differs from its class representative")
-    return Decomposition(t, v, tuple(blocks), reps, tuple(len(isos) for isos, _ in groups), seed)
+    return _PointSplit(blocks, v, owner, tuple(MatTuple(g[1][0]) for g in groups), tuple(len(g[0]) for g in groups))
+
+
+def _split_points(gens: np.ndarray, tol: Tolerance, seed: int) -> _PointSplit:
+    """Split a (k, P, n, n) stack of generators, acting point by point,
+    into irreducible blocks at single points (see ``decompose``, P = 1)."""
+    scale = float(np.linalg.norm(gens, 2, axis=(-2, -1)).max())
+    unit = gens / scale if scale > 0.0 else gens
+    letters = np.concatenate([unit, adj(unit)])
+    rng = np.random.default_rng(seed)
+    failure = ""
+    for _ in range(_SPLITTER_RESEEDS):
+        try:
+            return _assemble(gens, scale, *_cyclic_split(letters, _random_hermitian(letters, rng), tol))
+        except NumericalFailure as exc:
+            failure = str(exc)
+    raise NumericalFailure(f"cyclic split failed on {_SPLITTER_RESEEDS} random draws; last: {failure}")
 
 
 def decompose(t: MatTuple, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Decomposition:
@@ -320,19 +363,11 @@ def decompose(t: MatTuple, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Decom
     or covering checks; one whose eigenvector of a cluster is too
     inexact for the rank cut (a neighbouring eigenvalue too close) fails
     before its spin-up.  Either is redrawn.  The split is taken on
-    t / t.scale, so it does not depend on the scale of t.
+    t / t.scale, so it does not depend on the scale of t.  The splitter
+    takes a (k, P, n, n) stack, and a tuple is the stack at P = 1.
     """
-    scale = t.scale
-    unit = MatTuple([g / scale for g in t.gens]) if scale > 0.0 else t
-    letters = np.stack(unit.with_adjoints())
-    rng = np.random.default_rng(seed)
-    failure = ""
-    for _ in range(_SPLITTER_RESEEDS):
-        try:
-            return _assemble(t, *_cyclic_split(letters, _random_hermitian(letters, rng), tol), seed)
-        except NumericalFailure as exc:
-            failure = str(exc)
-    raise NumericalFailure(f"cyclic split failed on {_SPLITTER_RESEEDS} random draws; last: {failure}")
+    split = _split_points(np.stack(t.gens)[:, None], tol, seed)
+    return Decomposition(t, split.v[0], split.blocks, split.classes, split.multiplicities, seed)
 
 
 def homogeneity_verdict(t: MatTuple, n: int, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> HomogeneityReport:

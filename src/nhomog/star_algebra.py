@@ -130,17 +130,6 @@ class SubspaceBasis:
     element_shape: tuple[int, ...]
     vectors: np.ndarray = field(repr=False)  # (dim, prod(shape)), orthonormal rows
 
-    @classmethod
-    def from_orthonormal(cls, elements, element_shape=None) -> "SubspaceBasis":
-        """Trust the caller that the family is already orthonormal."""
-        elements = [np.asarray(e, dtype=complex) for e in elements]
-        if element_shape is None:
-            element_shape = elements[0].shape
-        shape = tuple(element_shape)
-        if not elements:
-            return cls(shape, np.zeros((0, prod(shape)), dtype=complex))
-        return cls(shape, np.vstack([e.ravel() for e in elements]))
-
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]

@@ -10,8 +10,9 @@ flattening polynomials, operator-monotone root verification).  Closures
 and nullspaces come from ``star_algebra.closure`` and
 ``star_algebra.nullspace``, shared with matrix tuples.  Every pointwise
 spectral question (separation of two points, the unit, the spectral
-classes of points) is answered exactly from one ``decompose`` of the
-algebra, carried as a block-diagonal tuple in M_{|X| n}.
+classes of points) is answered exactly from one split of the algebra's
+(2, |X|, n, n) values into irreducible blocks, each at one point, by
+the splitter behind ``decompose``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .matrix_core import (
     psd_power,
     require_hermitian,
 )
-from .decomposition import decompose
+from .decomposition import _split_points
 from .star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, _right_svd, closure, nullspace
 
 
@@ -131,51 +132,34 @@ class _ClassTable:
 
     algebra: FnAlgebra
     present: np.ndarray = field(repr=False)  # (labels, P) bool
-    rows: np.ndarray = field(repr=False)  # (P, n, Pn): each point's rows of the decomposition unitary
-    labels: np.ndarray = field(repr=False)  # (Pn,) label of each column of that unitary
+    v: np.ndarray = field(repr=False)  # (P, n, n): each point's blocks side by side, a unitary
+    labels: np.ndarray = field(repr=False)  # (P, n): label of each column of v
     witness: np.ndarray = field(repr=False)  # sum_i (i + 1) P_i, taken pointwise
 
     @classmethod
     def of(cls, e: FnAlgebra, tol: Tolerance, seed: int) -> "_ClassTable":
-        """A function algebra on P points is a tuple in M_{Pn}: two seeded
-        random elements, each one's P values on the diagonal of a
-        block-diagonal matrix, generate it, and one ``decompose`` of that
-        tuple gives its classes.  They generate all of E iff the classes'
-        full matrix algebras fill it: sum n_i^2 = dim E.  A class with
-        multiplicity above 1 may have blocks that straddle points, so
-        presence is read from the trace of each point's diagonal block
-        of the isotypic projection P_i = sum V V* over the class's
-        blocks, an integer.  The witness is Hermitian, lies in the span,
-        and at every point its spectrum is the labels present there,
-        each counted with that trace."""
-        P, n = e.points, e.n
+        """Two seeded random elements generate E, and the split of their
+        (2, P, n, n) values into irreducible blocks gives its classes.
+        They generate all of E iff the classes' full matrix algebras fill
+        it: sum n_i^2 = dim E.  Every block lies at one point, so a point
+        contains the labels of the blocks there.  The witness is
+        Hermitian, lies in the span, and at every point its spectrum is
+        the labels of the blocks there, each counted with its dimension."""
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal((2, e.basis.dim)) + 1j * rng.standard_normal((2, e.basis.dim))
-        values = (coeffs @ e.basis.vectors).reshape(2, P, n, n)
-        gens = np.zeros((2, P * n, P * n), dtype=complex)
-        for x in range(P):
-            gens[:, x * n:(x + 1) * n, x * n:(x + 1) * n] = values[:, x]
-        dec = decompose(MatTuple(gens), tol, seed)
-        if sum(c.d ** 2 for c in dec.classes) != e.basis.dim:
+        split = _split_points((coeffs @ e.basis.vectors).reshape(2, e.points, e.n, e.n), tol, seed)
+        if sum(c.d ** 2 for c in split.classes) != e.basis.dim:
             raise NumericalFailure("two random elements do not generate the function algebra")
-        labels = np.concatenate([np.full(b.dim, 0 if b.is_zero else b.class_id + 1) for b in dec.blocks])
-        rows = dec.v.reshape(P, n, P * n)
-        onehot = labels == np.arange(len(dec.classes) + 1)[:, None]
-        traces = onehot @ (np.abs(rows) ** 2).sum(axis=1).T  # traces[l, x] = tr P_l at x
-        counts = np.round(traces).astype(int)
-        if np.abs(traces - counts).max(initial=0.0) > 1e-6:
-            raise NumericalFailure("class projections do not split along the points")
-        witness = (rows * labels) @ adj(rows)
+        labels = np.array([0 if b.is_zero else b.class_id + 1 for b in split.blocks])[split.owner]
+        present = (labels == np.arange(len(split.classes) + 1)[:, None, None]).any(axis=-1)
+        witness = (split.v * labels[:, None, :]) @ adj(split.v)
         if np.abs(witness - adj(witness)).max(initial=0.0) > tol.eq_tol:
             raise NumericalFailure("the class witness is not Hermitian")
-        # the i-th smallest eigenvalue at x is the number of labels whose
-        # cumulative count at x is at most i
-        expected = (np.cumsum(counts, axis=0)[:, :, None] <= np.arange(n)).sum(axis=0)
-        if np.abs(np.linalg.eigvalsh(witness) - expected).max(initial=0.0) > 1e-6:
+        if np.abs(np.linalg.eigvalsh(witness) - np.sort(labels, axis=1)).max(initial=0.0) > 1e-6:
             raise NumericalFailure("the class witness's spectrum does not match the classes present")
         if e.basis.residual(witness) > 1e-10:
             raise NumericalFailure("the class witness is not in the algebra span")
-        return cls(e, counts > 0, rows, labels, witness)
+        return cls(e, present, split.v, labels, witness)
 
     def unit(self, tol: Tolerance) -> UnitWitness:
         """The unit is in the algebra iff no point has a null part; the
@@ -183,7 +167,7 @@ class _ClassTable:
         e = self.algebra
         if self.present[0].any():
             return UnitWitness(False, None)
-        witness = (self.rows * (self.labels > 0)) @ adj(self.rows)
+        witness = (self.v * (self.labels > 0)[:, None, :]) @ adj(self.v)
         if e.basis.residual(witness) > tol.eq_tol * np.sqrt(e.points * e.n):
             raise NumericalFailure("unit witness failed the span membership check")
         return UnitWitness(True, witness)
@@ -583,15 +567,6 @@ def loewner_heinz_check(a, b, s_grid, tol: Tolerance = DEFAULT_TOL) -> LoewnerHe
 
 # ---------------------------------------------------------------------------
 # constructive approximation pipeline
-
-
-def max_spec_classes(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> list[list[int]]:
-    """Partition the points by their spectrum: the set of classes of
-    irreducible representations and whether a null part is present.
-    Two points fall together exactly when every Hermitian element has
-    the same spectral extremes at both.  This is the equivalence
-    relation driving the partition of unity."""
-    return _ClassTable.of(e, tol, 0).groups()
 
 
 def _pair_interpolant(e: FnAlgebra, f: np.ndarray, x: int, y: int, tol: Tolerance,

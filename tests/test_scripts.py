@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ["run_decomposition_demo.py"],
     ["run_sw_density_experiment.py", "--trials", "5"],
     ["run_haar_diagnostics.py", "--budgets", "1000", "2000"],
+    ["cli_digest.py", "--seeds", "1"],
 ])
 def test_script_exits_zero(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

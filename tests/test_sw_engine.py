@@ -34,6 +34,7 @@ from nhomog.matrix_core import (
     require_hermitian,
 )
 from nhomog import sw_engine
+from nhomog.decomposition import decompose
 from nhomog.star_algebra import MatTuple, _rank_with_gap, nullspace
 from nhomog.sw_engine import (
     closure_star_subalgebra,
@@ -42,7 +43,6 @@ from nhomog.sw_engine import (
     density_check,
     lattice_join_chain,
     loewner_heinz_check,
-    max_spec_classes,
     power_mean_envelope,
     power_mean_exponent,
     spectrally_separates,
@@ -177,18 +177,18 @@ class TestSpectrallySeparates:
 
     def test_corrupted_class_table_raises(self, monkeypatch):
         # Mix the two classes (one per point) of a full algebra on two
-        # points.  Each point's class traces stay integer, but the
-        # witness becomes 1.5 I there, whose spectrum is not {1, 2}.
-        real = sw_engine.decompose
+        # points: each point's columns become (a +- b) / sqrt 2, so the
+        # witness there is no longer its label times the identity.
+        real = sw_engine._split_points
 
-        def mixed(t, tol, seed):
-            dec = real(t, tol, seed)
-            a, b = dec.v[:, :2], dec.v[:, 2:]
-            return dataclasses.replace(dec, v=np.hstack([a + b, a - b]) / np.sqrt(2.0))
+        def mixed(values, tol, seed):
+            split = real(values, tol, seed)
+            a, b = split.v
+            return dataclasses.replace(split, v=np.stack([a + b, a - b]) / np.sqrt(2.0))
 
         alg = closure_star_subalgebra([np.stack([ginibre(rng(s), 2) for s in range(2)])])
         assert alg.basis.dim == 8
-        monkeypatch.setattr(sw_engine, "decompose", mixed)
+        monkeypatch.setattr(sw_engine, "_split_points", mixed)
         with pytest.raises(NumericalFailure, match="spectrum"):
             spectrally_separates(alg, 0, 1)
 
@@ -204,6 +204,60 @@ class TestSpectrallySeparates:
         assert after.separated == before.separated
         assert after.fullness == before.fullness
         assert after.dense == before.dense
+
+
+def dense_class_table(e, tol, seed):
+    """The class table the pointwise split replaced: the two random
+    elements' values on the diagonal of a dense Pn x Pn tuple, one
+    decompose, and presence from the rounded traces of each point's
+    diagonal block of the isotypic projections."""
+    P, n = e.points, e.n
+    r = np.random.default_rng(seed)
+    coeffs = r.standard_normal((2, e.basis.dim)) + 1j * r.standard_normal((2, e.basis.dim))
+    values = (coeffs @ e.basis.vectors).reshape(2, P, n, n)
+    gens = np.zeros((2, P * n, P * n), dtype=complex)
+    for x in range(P):
+        gens[:, x * n:(x + 1) * n, x * n:(x + 1) * n] = values[:, x]
+    dec = decompose(MatTuple(gens), tol, seed)
+    assert sum(c.d ** 2 for c in dec.classes) == e.basis.dim
+    labels = np.concatenate([np.full(b.dim, 0 if b.is_zero else b.class_id + 1) for b in dec.blocks])
+    rows = dec.v.reshape(P, n, P * n)
+    onehot = labels == np.arange(len(dec.classes) + 1)[:, None]
+    traces = onehot @ (np.abs(rows) ** 2).sum(axis=1).T
+    counts = np.round(traces).astype(int)
+    assert np.abs(traces - counts).max() <= 1e-6
+    return counts > 0, (rows * labels) @ adj(rows)
+
+
+class TestClassTableReference:
+    """The class table from the pointwise split against the dense
+    embedding it replaced, on the five-group shape."""
+
+    FIBERS = ["full", "diag", "full", "scalar", "diag"]
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_dense_embedding(self, q, n, seed):
+        gens, meta = grouped_function_algebra(rng(seed), n=n, group_sizes=[4 * q, 4 * q, 4 * q, 3 * q, 3 * q],
+                                              fibers=self.FIBERS)
+        alg = closure_star_subalgebra(gens)
+        table = sw_engine._ClassTable.of(alg, DEFAULT_TOL, seed)
+        present, witness = dense_class_table(alg, DEFAULT_TOL, seed)
+        assert np.array_equal(table.present, present)
+        assert table.groups() == meta["groups"]
+        assert np.abs(table.witness - witness).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_blocks_lie_at_one_point(self, n):
+        gens, _ = grouped_function_algebra(rng(n), n=n, group_sizes=[4, 4, 4, 3, 3], fibers=self.FIBERS)
+        alg = closure_star_subalgebra(gens)
+        values = np.stack([alg.basis.project(g) for g in gens[:2]])
+        split = sw_engine._split_points(values, DEFAULT_TOL, 0)
+        assert sum(b.dim for b in split.blocks) == alg.points * n
+        for b in split.blocks:
+            at = np.abs(b.isometry.reshape(alg.points, n, -1)).max(axis=(1, 2))
+            assert np.count_nonzero(at) == 1
 
 
 class TestDelta2:
@@ -574,7 +628,7 @@ class TestMaxSpecClasses:
             rng(11), n=2, group_sizes=[2, 1], fibers=["full", "diag"]
         )
         alg = closure_star_subalgebra(gens)
-        assert max_spec_classes(alg) == meta["groups"]
+        assert sw_engine._ClassTable.of(alg, DEFAULT_TOL, 0).groups() == meta["groups"]
 
 
 class TestConstructiveApproximate:
