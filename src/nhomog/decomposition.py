@@ -255,9 +255,10 @@ def _cyclic_split(letters: np.ndarray, h: np.ndarray, tol: Tolerance) -> tuple[l
         if d * np.finfo(float).eps * np.max(reach[outside] / gap[outside], initial=0.0) > tol.rank_cut / RANK_GAP_RATIO:
             raise NumericalFailure("an eigenvalue cluster lies too close to its neighbours to resolve the rank cut")
         isos = _spin_up(letters, e, tol)
-        found = np.hstack([found, *isos])
-        if opnorm(adj(found) @ found - np.eye(found.shape[1])) > 1e-8:  # Norton's count: m blocks
+        new = np.hstack(isos)  # Norton's count: m blocks, orthonormal to each other and to the blocks found
+        if opnorm(np.vstack([adj(found) @ new, adj(new) @ new - np.eye(new.shape[1])])) > 1e-8:
             raise NumericalFailure("cyclic blocks are not jointly orthonormal")
+        found = np.hstack([found, new])
         if np.linalg.norm(e - found @ (adj(found) @ e)) > 1e-8:
             raise NumericalFailure("cyclic blocks do not cover their eigenvalue cluster")
         classes.append((isos, order[cluster] // n))

@@ -1,20 +1,21 @@
 """Haar sampling on the unitary group and Monte-Carlo equivariant averaging.
 
-Sampling draws a Ginibre matrix, orthonormalizes with QR, and corrects
-column phases by the sign of the triangular factor's diagonal; plain QR
-is not Haar.  The sampler is a value: identical (n, seed, counter)
-reproduce identical unitaries bit-for-bit, and parallel estimation can
-split counter ranges deterministically.
+Sampling orthonormalizes a Ginibre matrix by classical Gram-Schmidt twice
+(CGS2): its R has a positive diagonal, so Q is Haar with no phase fix
+(Mezzadri 2007), and the second pass keeps Q orthonormal to roundoff
+(Giraud, Langou & Rozlozník 2005).  The sampler is a value: identical
+(n, seed, counter) reproduce identical unitaries bit-for-bit, and parallel
+estimation can split counter ranges deterministically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, IndexOutOfRange, MCBudgetTooSmall, NotSquare, NumericalFailure
-from .matrix_core import DEFAULT_TOL, adj, as_matrix, fix_phase, require_square
+from .errors import DimensionMismatch, DomainError, IndexOutOfRange, MCBudgetTooSmall, NumericalFailure
+from .matrix_core import DEFAULT_TOL, as_matrix, fix_phase, require_square
 from .n_space import FiniteNSpace, PointRef
 
 _MIN_SAMPLES = 1000
@@ -33,9 +34,6 @@ class HaarSampler:
         if self.counter < 0:
             raise ValueError("counter must be >= 0")
 
-    def advanced(self, draws: int) -> "HaarSampler":
-        return replace(self, counter=self.counter + draws)
-
 
 @dataclass(frozen=True)
 class McConfig:
@@ -49,31 +47,59 @@ def mc_radius(bound: float, samples: int) -> float:
     return 6.0 * bound / np.sqrt(samples)
 
 
-def _uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
-    # One double consumes one PCG64 step, so the counter maps to an exact
-    # advance() offset and batch draws equal repeated single draws.
-    bits = np.random.PCG64(seed)
-    bits.advance(start)
-    return np.random.Generator(bits).random(count)
+def _uniforms(s: HaarSampler, count: int) -> np.ndarray:
+    """The 2 n^2 uniforms of each of ``count`` draws, sample axis last.  One
+    double is one PCG64 step, so the counter is an exact advance() offset."""
+    per_draw = 2 * s.n * s.n
+    gen = np.random.Generator(np.random.PCG64(s.seed).advance(s.counter * per_draw))
+    u = np.empty((per_draw, count))
+    for at in range(0, count, 512):  # drawn row by row, transposed in blocks
+        u[:, at:at + 512] = gen.random((min(512, count - at), per_draw)).T
+    return u
+
+
+def _cgs2(re: np.ndarray, im: np.ndarray) -> None:
+    """Orthonormalize in place the columns of a stack of (n, n, S) real and
+    imaginary parts by classical Gram-Schmidt twice.  A column that keeps
+    under sqrt(eps) of its norm (loses over half its digits) raises
+    NumericalFailure instead of turning into roundoff or NaN."""
+    for j in range(re.shape[0]):
+        ar, ai, br, bi = re[:, j], im[:, j], re[:, :j], im[:, :j]  # column j, (n, S), and Q so far, (n, j, S)
+        start = sum(x * x for x in (*ar, *ai))  # squared norms, summed in a fixed order
+        for _ in range(2 if j else 0):
+            cr, ci = np.zeros((2, *br.shape[1:]))  # c = Q* a
+            for i in range(len(ar)):
+                cr += br[i] * ar[i] + bi[i] * ai[i]
+                ci += br[i] * ai[i] - bi[i] * ar[i]
+            for k in range(j):  # a - Q c
+                ar -= br[:, k] * cr[k] - bi[:, k] * ci[k]
+                ai -= br[:, k] * ci[k] + bi[:, k] * cr[k]
+        kept = sum(x * x for x in (*ar, *ai))
+        if not (kept > np.finfo(float).eps * start).all():  # also false on NaN
+            raise NumericalFailure(f"Gram-Schmidt lost column {j} of a Haar draw to cancellation")
+        ar /= np.sqrt(kept)
+        ai /= np.sqrt(kept)
 
 
 def haar_unitaries(s: HaarSampler, count: int) -> np.ndarray:
-    """Draw ``count`` consecutive Haar unitaries as a (count, n, n) array."""
+    """Draw ``count`` consecutive Haar unitaries as a (count, n, n) array.
+
+    Box-Muller turns two uniforms into each Gaussian entry (a fixed budget
+    keeps the counter contract exact; ziggurat normals would not), and CGS2
+    orthonormalizes all draws at once, sample axis last, in float64 real
+    arithmetic: one IEEE operation per ufunc call and fixed-order sums over
+    n, so a batch equals repeated single draws bit for bit (complex
+    products, einsum and matmul round differently in SIMD and scalar loops)."""
     n = s.n
     if count <= 0:
         return np.zeros((0, n, n), dtype=complex)
-    per_draw = 2 * n * n
-    u = _uniform_stream(s.seed, s.counter * per_draw, count * per_draw).reshape(count, n * n, 2)
-    # Box-Muller with a fixed uniform budget per entry keeps the counter
-    # contract exact (ziggurat normals consume a variable number of words).
-    radius = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
-    z = radius * np.exp(2j * np.pi * u[..., 1]) / np.sqrt(2.0)
-    z = z.reshape(count, n, n)
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("sii->si", r)
-    mags = np.abs(diag)
-    phases = np.where(mags == 0.0, 1.0, diag / np.where(mags == 0.0, 1.0, mags))
-    return q * phases[:, None, :]
+    re, im = _uniforms(s, count).reshape(n, n, 2, count).transpose(2, 0, 1, 3)  # radius, angle; then the entries
+    np.sqrt(-2.0 * np.log1p(-re), out=re)
+    re, im = re * np.cos(2.0 * np.pi * im), re * np.sin(2.0 * np.pi * im)
+    _cgs2(re, im)
+    out = np.empty((count, n, n), dtype=complex)
+    out.real, out.imag = np.moveaxis(re, -1, 0), np.moveaxis(im, -1, 0)
+    return out
 
 
 def haar_unitary(s: HaarSampler) -> np.ndarray:
@@ -83,11 +109,8 @@ def haar_unitary(s: HaarSampler) -> np.ndarray:
 
 def twirl_exact(a) -> np.ndarray:
     """Exact unitary average of u a u*: Schur's lemma forces (tr a / n) I."""
-    m = as_matrix(a, "a")
-    if m.shape[0] != m.shape[1]:
-        raise NotSquare(f"twirl needs a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    return (np.trace(m) / n) * np.eye(n, dtype=complex)
+    m = require_square(as_matrix(a, "a"), "a")
+    return (np.trace(m) / len(m)) * np.eye(len(m), dtype=complex)
 
 
 def mc_twirl(a, mc: McConfig) -> np.ndarray:
@@ -96,8 +119,9 @@ def mc_twirl(a, mc: McConfig) -> np.ndarray:
     m = require_square(as_matrix(a, "a"))
     if mc.samples < _MIN_SAMPLES:
         raise MCBudgetTooSmall(f"samples={mc.samples} < {_MIN_SAMPLES}")
-    us = haar_unitaries(HaarSampler(m.shape[0], mc.seed), mc.samples)
-    return np.einsum("sij,jk,slk->il", us, m, us.conj()) / mc.samples
+    us = haar_unitaries(HaarSampler(len(m), mc.seed), mc.samples)
+    w = us.reshape(-1, len(m)) @ m  # u a for every draw, one GEMM
+    return np.tensordot(w.reshape(us.shape), us.conj(), axes=([0, 2], [0, 2])) / mc.samples
 
 
 def equivariant_average(g, space: FiniteNSpace, orbit: int, mc: McConfig) -> np.ndarray:
@@ -115,7 +139,7 @@ def equivariant_average(g, space: FiniteNSpace, orbit: int, mc: McConfig) -> np.
         raise MCBudgetTooSmall(f"samples={mc.samples} < {_MIN_SAMPLES}")
     n = space.n
     us = haar_unitaries(HaarSampler(n, mc.seed), mc.samples)
-    if np.linalg.norm(adj(us) @ us - np.eye(n), axis=(1, 2)).max() > DEFAULT_TOL.eq_tol:
+    if np.linalg.norm(np.einsum("sji,sjk->sik", us.conj(), us) - np.eye(n), axis=(1, 2)).max() > DEFAULT_TOL.eq_tol:
         raise NumericalFailure("Haar draws are not unitary within eq_tol")
     ps = fix_phase(us)
     values = [g(PointRef(orbit, p)) for p in ps]
@@ -127,4 +151,4 @@ def equivariant_average(g, space: FiniteNSpace, orbit: int, mc: McConfig) -> np.
         raise DimensionMismatch(f"sampled values have shape {vs.shape[1:]}, expected ({n}, {n})")
     if not np.isfinite(vs).all():
         raise DomainError("sampled values contain non-finite entries")
-    return (adj(ps) @ vs @ ps).sum(axis=0) / mc.samples
+    return ps.reshape(-1, n).conj().T @ (vs @ ps).reshape(-1, n) / mc.samples  # the sum of p* v p as one GEMM

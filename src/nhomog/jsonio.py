@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, SchemaError
-from .n_space import EquivariantElement, FiniteNSpace, NMeasure
+from .n_space import EquivariantElement, FiniteNSpace
 from .star_algebra import MatTuple
 
 
@@ -115,27 +115,6 @@ def decode_element(obj, space: FiniteNSpace, where: str = "element") -> Equivari
         if m.shape != (space.n, space.n):
             raise SchemaError(f"{where}.values[{i}] has shape {m.shape}, expected ({space.n}, {space.n})")
     return EquivariantElement(space, mats)
-
-
-def encode_element(f: EquivariantElement) -> dict:
-    return {"values": [encode_matrix(v) for v in f.values]}
-
-
-def encode_measure(mu: NMeasure) -> dict:
-    return {"pairing": [encode_matrix(m) for m in mu.pairing]}
-
-
-def decode_measure(obj, space: FiniteNSpace, where: str = "measure") -> NMeasure:
-    if not isinstance(obj, dict) or "pairing" not in obj:
-        raise SchemaError(f"{where}: expected an object with a 'pairing' field")
-    mats = obj["pairing"]
-    if not isinstance(mats, list) or len(mats) != space.orbits:
-        raise SchemaError(f"{where}.pairing must list one matrix per orbit ({space.orbits})")
-    pairing = [decode_matrix(m, f"{where}.pairing[{i}]") for i, m in enumerate(mats)]
-    for i, m in enumerate(pairing):
-        if m.shape != (space.n, space.n):
-            raise SchemaError(f"{where}.pairing[{i}] has shape {m.shape}")
-    return NMeasure(space, pairing)
 
 
 def decode_fn_algebra_input(obj) -> tuple[int, int, list[np.ndarray]]:

@@ -64,11 +64,6 @@ class EquivariantElement:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", vals)
 
-    def as_array(self) -> np.ndarray:
-        if not self.values:
-            return np.zeros((0, self.space.n, self.space.n), dtype=complex)
-        return np.stack(self.values)
-
 
 @dataclass(frozen=True)
 class PointRef:

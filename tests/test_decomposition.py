@@ -198,6 +198,21 @@ class TestCyclicSplit:
         with pytest.raises(NumericalFailure):
             decompose(self.build(rng(9), (2, 2), (1, 2), 1), seed=0)
 
+    def test_block_overlapping_a_found_block_fails_norton(self, monkeypatch):
+        # Norton's count checks each new spin-up against the blocks found
+        # before it: a second class handed the first class's block is an
+        # isometry, so only that cross check can catch it
+        real = decomposition._spin_up
+        calls = []
+
+        def stale(letters, e, tol):
+            calls.append(real(letters, e, tol) if len(calls) % 2 == 0 else calls[-1])
+            return calls[-1]
+
+        monkeypatch.setattr(decomposition, "_spin_up", stale)
+        with pytest.raises(NumericalFailure, match="not jointly orthonormal"):
+            decompose(self.build(rng(10), (2, 2), (1, 1), 0), seed=0)
+
     @staticmethod
     def forced_draws(monkeypatch, h, times=1):
         """Make the first ``times`` draws of the split return h."""

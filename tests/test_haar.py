@@ -27,6 +27,23 @@ from nhomog.n_space import FiniteNSpace, PointRef
 from conftest import SX, assert_close, rng
 
 
+LADDER = (1, 2, 3, 4, 6, 8)
+
+
+def qr_haar_unitaries(s, count):
+    """The sampler as it was before Gram-Schmidt: the same Box-Muller
+    normals, LAPACK QR and the phase fix by R's diagonal."""
+    n = s.n
+    per_draw = 2 * n * n
+    stream = np.random.Generator(np.random.PCG64(s.seed).advance(s.counter * per_draw))
+    u = stream.random(count * per_draw).reshape(count, n * n, 2)
+    radius = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
+    z = (radius * np.exp(2j * np.pi * u[..., 1]) / np.sqrt(2.0)).reshape(count, n, n)
+    q, r = np.linalg.qr(z)
+    diag = np.einsum("sii->si", r)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
 class TestSampler:
     def test_bit_for_bit_determinism(self):
         s = HaarSampler(n=2, seed=42, counter=0)
@@ -43,10 +60,80 @@ class TestSampler:
         tail = haar_unitaries(HaarSampler(2, 9, 4), 6)
         assert np.array_equal(whole, np.concatenate([head, tail]))
 
+    @pytest.mark.parametrize("n", LADDER)
+    @pytest.mark.parametrize("count", [1, 7, 9, 5000])
+    def test_batch_is_single_draws_bit_for_bit(self, n, count):
+        # the kernel is elementwise over the stack, so no draw's bits may
+        # depend on how many others share its batch
+        whole = haar_unitaries(HaarSampler(n, 17, 0), count)
+        for i in sorted({*range(min(20, count)), *range(max(0, count - 10), count)}):
+            assert np.array_equal(whole[i], haar_unitary(HaarSampler(n, 17, i))), i
+        for cut in sorted({1, count // 2, count - 1} - {0, count}):
+            head = haar_unitaries(HaarSampler(n, 17, 0), cut)
+            tail = haar_unitaries(HaarSampler(n, 17, cut), count - cut)
+            assert np.array_equal(whole, np.concatenate([head, tail])), cut
+
+    @pytest.mark.parametrize("n", LADDER)
+    def test_matches_qr_sampler(self, n):
+        s = HaarSampler(n, 23, 40)
+        assert np.abs(haar_unitaries(s, 500) - qr_haar_unitaries(s, 500)).max() <= 1e-12
+
     def test_unitarity_within_1e12(self):
         us = haar_unitaries(HaarSampler(4, 3, 0), 200)
         worst = max(opnorm(adj(u) @ u - np.eye(4)) for u in us)
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("n", LADDER)
+    def test_unitarity_ladder(self, n):
+        us = haar_unitaries(HaarSampler(n, 31, 0), 2000)
+        gram = np.einsum("sji,sjk->sik", us.conj(), us) - np.eye(n)
+        assert np.linalg.norm(gram, 2, axis=(1, 2)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", LADDER)
+    def test_second_moment_of_an_entry(self, n):
+        # each column of a Haar unitary is uniform on the sphere, so
+        # E|U_00|^2 = 1/n, and |U_00|^2 lies in [0, 1]
+        samples = 20000
+        us = haar_unitaries(HaarSampler(n, 37, 0), samples)
+        assert abs(np.mean(np.abs(us[:, 0, 0]) ** 2) - 1.0 / n) <= mc_radius(1.0, samples)
+
+    @pytest.mark.parametrize("dependent", ["zero_column", "repeated_column", "near_repeated"])
+    def test_lost_column_raises(self, dependent):
+        # a column that keeps less than sqrt(eps) of its norm raises
+        # instead of normalising roundoff into a NaN or a spurious vector
+        n, count = 3, 50
+        re, im = rng(3).standard_normal((2, n, n, count))
+        if dependent == "zero_column":
+            re[:, 1, 7] = im[:, 1, 7] = 0.0
+        elif dependent == "repeated_column":
+            re[:, 2], im[:, 2] = 2.0 * re[:, 0], 2.0 * im[:, 0]
+        else:
+            re[:, 2, 9], im[:, 2, 9] = re[:, 1, 9] * (1.0 + 1e-12), im[:, 1, 9]
+        with np.errstate(all="raise"), pytest.raises(NumericalFailure, match="lost column"):
+            haar._cgs2(re, im)
+
+    def test_second_pass_restores_orthogonality(self):
+        # a column independent only at 1e-6 loses 6 digits, under half: one
+        # Gram-Schmidt pass leaves Q far from orthonormal, the second
+        # brings it back to roundoff ("twice is enough")
+        re, im = rng(5).standard_normal((2, 4, 4, 30))
+        re[:, 3] = re[:, 1] + 1e-6 * re[:, 3]
+        im[:, 3] = im[:, 1] + 1e-6 * im[:, 3]
+        haar._cgs2(re, im)
+        q = np.moveaxis(re + 1j * im, -1, 0)
+        gram = np.einsum("sji,sjk->sik", q.conj(), q) - np.eye(4)
+        assert np.linalg.norm(gram, 2, axis=(1, 2)).max() <= 1e-12
+
+    def test_well_conditioned_stack_is_orthonormalised_in_place(self):
+        re, im = rng(4).standard_normal((2, 3, 3, 40))
+        z = np.moveaxis(re + 1j * im, -1, 0)
+        haar._cgs2(re, im)
+        q = np.moveaxis(re + 1j * im, -1, 0)
+        assert np.isfinite(q).all()
+        assert_close(np.einsum("sji,sjk->sik", q.conj(), q), np.broadcast_to(np.eye(3), q.shape), atol=1e-14)
+        r = np.einsum("sji,sjk->sik", q.conj(), z)  # Q* Z is upper triangular with a positive diagonal
+        assert np.abs(np.tril(r, -1)).max() <= 1e-13
+        assert (np.einsum("sii->si", r).real > 0).all()
 
     def test_n1_is_uniform_phase(self):
         us = haar_unitaries(HaarSampler(1, 5, 0), 100)
@@ -86,6 +173,13 @@ class TestTwirl:
         mc = McConfig(samples=20000, seed=seed)
         estimate = mc_twirl(a, mc)
         assert opnorm(estimate - twirl_exact(a)) <= mc_radius(opnorm(a), mc.samples)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_mc_matches_per_sample_loop(self, n):
+        a = ginibre(rng(30 + n), n)
+        mc = McConfig(samples=1000, seed=n)
+        acc = sum(u @ a @ adj(u) for u in haar_unitaries(HaarSampler(n, mc.seed), mc.samples))
+        assert_close(mc_twirl(a, mc), acc / mc.samples, atol=1e-12)
 
 
 class TestEquivariantAverage:
