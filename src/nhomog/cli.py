@@ -91,42 +91,48 @@ def _tolerance_from_flag(tol_flag: float | None) -> Tolerance:
         raise SchemaError(f"--tol: {exc}") from exc
 
 
+_COMMAND_HELP = """\
+commands:
+  analyze   decide n-homogeneity of a matrix tuple
+  spectrum  orbit representatives and multiplicities of an n-homogeneous tuple
+  calc      apply a *-polynomial or orbit table through the decomposition
+  sw-check  density / two-point approximability report for a function algebra
+  haar      unitary-average diagnostics: exact twirl vs Monte Carlo
+  nspace    ideal correspondence and representation classification
+"""
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nhomog",
-        description="Finite matrix *-algebra analysis: block decomposition, spectra, "
+        description="Finite matrix *-algebra analysis: block decomposition, spectra,\n"
         "functional calculus, and function-algebra density checks.",
+        epilog=_COMMAND_HELP,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("analyze", "decide n-homogeneity of a matrix tuple"),
-        ("spectrum", "orbit representatives and multiplicities of an n-homogeneous tuple"),
-        ("calc", "apply a *-polynomial or orbit table through the decomposition"),
-        ("sw-check", "density / two-point approximability report for a function algebra"),
-        ("haar", "unitary-average diagnostics: exact twirl vs Monte Carlo"),
-        ("nspace", "ideal correspondence and representation classification"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--in", dest="input_path", required=True, help="input JSON file")
-        p.add_argument("--n", type=int, default=None, help="block size for homogeneity checks")
-        p.add_argument("--tol", type=float, default=None, help="override eq_tol/psd_slack (rank_cut scales along)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for stochastic steps (default: NHOMOG_SEED or 0)")
-        p.add_argument("--samples", type=int, default=20000, help="Monte Carlo sample budget")
-        p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-        p.add_argument("--human", action="store_true", help="append a text summary after the JSON")
+    parser.add_argument("command", choices=_COMMANDS, help="one of the commands listed below")
+    parser.add_argument("--in", dest="input_path", required=True, help="input JSON file")
+    parser.add_argument("--n", type=int, default=None, help="block size for homogeneity checks")
+    parser.add_argument("--tol", type=float, default=None, help="override eq_tol/psd_slack (rank_cut scales along)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed for stochastic steps (default: NHOMOG_SEED or 0)")
+    parser.add_argument("--samples", type=int, default=20000, help="Monte Carlo sample budget")
+    parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
+    parser.add_argument("--human", action="store_true", help="append a text summary after the JSON")
     return parser
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
     if args.seed is not None:
-        seed = args.seed
+        seed, source = args.seed, "--seed"
     else:
         env = os.environ.get("NHOMOG_SEED")
         try:
-            seed = int(env) if env else 0
+            seed, source = (int(env) if env else 0), "NHOMOG_SEED"
         except ValueError as exc:
             raise SchemaError(f"NHOMOG_SEED must be an integer, got {env!r}") from exc
+    if seed < 0:
+        raise SchemaError(f"{source} must be >= 0, got {seed}")
     if args.n is not None and args.n < 1:
         raise SchemaError(f"--n must be >= 1, got {args.n}")
     return RunConfig(

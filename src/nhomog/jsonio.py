@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ import numpy as np
 from .errors import ParseError, SchemaError
 from .n_space import EquivariantElement, FiniteNSpace
 from .star_algebra import MatTuple
+
+_NUMBER_TYPES = {int, float}
 
 
 def encode_complex(z) -> list[float]:
@@ -24,17 +27,16 @@ def encode_complex(z) -> list[float]:
 
 def encode_matrix(a) -> list[list[list[float]]]:
     m = np.asarray(a, dtype=complex)
-    return [[encode_complex(v) for v in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def decode_complex(obj, where: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
-    ):
+    if type(obj) is not list or len(obj) != 2 or not set(map(type, obj)) <= _NUMBER_TYPES:
         raise SchemaError(f"{where}: a complex number must be a [re, im] pair, got {obj!r}")
-    re, im = float(obj[0]), float(obj[1])
+    try:
+        re, im = float(obj[0]), float(obj[1])
+    except OverflowError:
+        raise SchemaError(f"{where}: entry {obj!r} is too large for a float") from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise SchemaError(f"{where}: non-finite entry {obj!r}")
     return complex(re, im)
@@ -49,31 +51,61 @@ def decode_int(obj, where: str) -> int:
     return obj
 
 
+def _complex_array(obj, depth: int) -> np.ndarray | None:
+    """The complex array of a payload nested ``depth`` lists deep around
+    [re, im] pairs, or None if it is not one.  Types are checked exactly
+    before numpy sees the payload, since numpy would turn true, "1.0" and
+    null into floats; numpy then checks the shape, and finiteness last."""
+    nodes = [obj]
+    for _ in range(depth + 1):
+        if set(map(type, nodes)) != {list}:
+            return None
+        nodes = list(chain.from_iterable(nodes))
+    if not set(map(type, nodes)) <= _NUMBER_TYPES:
+        return None
+    try:
+        a = np.array(obj, dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    if a.ndim != depth + 1 or a.shape[-1] != 2 or not np.isfinite(a).all():
+        return None
+    return a.view(complex)[..., 0]
+
+
 def decode_matrix(obj, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
+    """A matrix payload as a complex array, converted by numpy in one
+    call.  A payload the conversion refuses is walked only to name its
+    first bad row or entry; the walk never accepts it."""
+    m = _complex_array(obj, 2)
+    if m is not None:
+        return m
+    if type(obj) is not list or not obj:
         raise SchemaError(f"{where}: a matrix must be a nonempty list of rows")
-    rows = []
-    width = None
+    width = len(obj[0]) if type(obj[0]) is list else None
     for r, row in enumerate(obj):
-        if not isinstance(row, list) or not row:
+        if type(row) is not list or not row:
             raise SchemaError(f"{where}: row {r} must be a nonempty list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != width:
             raise SchemaError(f"{where}: ragged rows (row {r} has {len(row)} entries, expected {width})")
-        rows.append([decode_complex(v, f"{where}[{r}]") for v in row])
-    return np.array(rows, dtype=complex)
+        for v in row:
+            decode_complex(v, f"{where}[{r}]")
+    raise SchemaError(f"{where}: malformed matrix")
 
 
 def load_json(path) -> dict:
     p = Path(path)
-    if not p.exists():
-        raise ParseError(f"input file {p} does not exist")
     try:
-        with p.open() as fh:
-            return json.load(fh)
+        data = p.read_bytes()
+    except FileNotFoundError:
+        raise ParseError(f"input file {p} does not exist") from None
+    except OSError as exc:
+        raise ParseError(f"{p}: cannot read the input file: {exc.strerror}") from exc
+    try:
+        return json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, too many digits, too deep
+        raise ParseError(f"{p}: invalid JSON: {exc}") from exc
 
 
 def decode_tuple(obj, where: str = "tuple") -> MatTuple:
@@ -135,11 +167,14 @@ def decode_fn_algebra_input(obj) -> tuple[int, int, list[np.ndarray]]:
     for gi, fn in enumerate(gens_obj):
         if not isinstance(fn, list) or len(fn) != points:
             raise SchemaError(f"generators[{gi}] must list one matrix per point ({points})")
-        mats = [decode_matrix(m, f"generators[{gi}][{p}]") for p, m in enumerate(fn)]
-        for p, m in enumerate(mats):
-            if m.shape != (n, n):
-                raise SchemaError(f"generators[{gi}][{p}] has shape {m.shape}, expected ({n}, {n})")
-        gens.append(np.stack(mats))
+        values = _complex_array(fn, 3)
+        if values is None or values.shape != (points, n, n):
+            mats = [decode_matrix(m, f"generators[{gi}][{p}]") for p, m in enumerate(fn)]
+            for p, m in enumerate(mats):
+                if m.shape != (n, n):
+                    raise SchemaError(f"generators[{gi}][{p}] has shape {m.shape}, expected ({n}, {n})")
+            raise SchemaError(f"generators[{gi}]: malformed values")
+        gens.append(values)
     return points, n, gens
 
 

@@ -1,10 +1,17 @@
+import argparse
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nhomog.cli import main
+from nhomog import jsonio
+from nhomog.cli import _config, build_parser, main
 from nhomog.jsonio import (
+    decode_fn_algebra_input,
     decode_int,
     decode_matrix,
     dump_report,
@@ -278,3 +285,348 @@ class TestNSpaceCommand:
         assert report["classification"]["kind"] == "point"
         assert report["classification"]["orbit"] == 0
         assert_close(decode_matrix(report["classification"]["unitary"], "u"), HADAMARD, atol=1e-12)
+
+
+def reference_decode_matrix(obj, where):
+    """decode_matrix as it was before the numpy conversion: every entry
+    checked and converted in Python, one at a time."""
+
+    def decode_complex(v, at):
+        if (
+            not isinstance(v, (list, tuple))
+            or len(v) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+        ):
+            raise SchemaError(f"{at}: a complex number must be a [re, im] pair, got {v!r}")
+        re, im = float(v[0]), float(v[1])
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise SchemaError(f"{at}: non-finite entry {v!r}")
+        return complex(re, im)
+
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError(f"{where}: a matrix must be a nonempty list of rows")
+    rows = []
+    width = None
+    for r, row in enumerate(obj):
+        if not isinstance(row, list) or not row:
+            raise SchemaError(f"{where}: row {r} must be a nonempty list")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise SchemaError(f"{where}: ragged rows (row {r} has {len(row)} entries, expected {width})")
+        rows.append([decode_complex(v, f"{where}[{r}]") for v in row])
+    return np.array(rows, dtype=complex)
+
+
+def reference_fn_values(fn, n):
+    """One sw-check generator function decoded as it was: matrix by
+    matrix, then shape by shape."""
+    mats = [reference_decode_matrix(m, f"generators[0][{p}]") for p, m in enumerate(fn)]
+    for p, m in enumerate(mats):
+        if m.shape != (n, n):
+            raise SchemaError(f"generators[0][{p}] has shape {m.shape}, expected ({n}, {n})")
+    return np.stack(mats)
+
+
+def outcome(decode, *args):
+    """("ok", shape, bytes) of a decoded array, or ("error", message)."""
+    try:
+        a = decode(*args)
+    except SchemaError as exc:
+        return ("error", str(exc))
+    assert a.dtype == complex
+    return ("ok", a.shape, a.tobytes())
+
+
+# JSON numbers within float range: -0.0, subnormals, the largest floats,
+# and integers past 2**53 and 2**64 that round when converted
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 5e-324, -5e-324, 1.7976931348623157e308, 2**53 + 1, -(2**64) - 1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**80), 2**80),
+    st.integers(-(10**308), 10**308),
+)
+# one bad entry or row; 10**400 is left out, since the old walk let its
+# OverflowError escape (see TestTracebackCases)
+BAD_ENTRIES = [
+    True, False, "1.0", None, [1.0], [1.0, 0.0, 0.0], [], [[1.0], 0.0], [True, 0.0],
+    [0.0, False], ["1.0", 0.0], [None, 0.0], [math.nan, 0.0], [0.0, math.inf], [-math.inf, 1], 2.5,
+]
+BAD_ROWS = ["empty", "short", "long", "scalar"]
+
+
+@st.composite
+def matrix_payloads(draw, rows=None, cols=None):
+    r = rows or draw(st.integers(1, 4))
+    c = cols or draw(st.integers(1, 4))
+    return [[[draw(NUMBERS), draw(NUMBERS)] for _ in range(c)] for _ in range(r)]
+
+
+@st.composite
+def corrupted(draw, payload):
+    """The payload with one or two entries or rows spoiled."""
+    payload = list(payload)
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(payload) - 1))
+        row = list(payload[i]) if isinstance(payload[i], list) else []
+        if row and draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_ENTRIES))
+            payload[i] = row
+        else:
+            kind = draw(st.sampled_from(BAD_ROWS))
+            payload[i] = {"empty": [], "short": row[:-1], "long": row + [[0.0, 0.0]], "scalar": 1.0}[kind]
+    return payload
+
+
+class TestNumpyDecode:
+    """decode_matrix converts a payload with one numpy call; on every
+    payload it must agree with the old entry-by-entry walk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_payloads())
+    @example([[[-0.0, 1.0], [0.0, -0.0]], [[-0.0, -0.0], [5e-324, -1]]])
+    def test_well_formed_bit_identical(self, payload):
+        got = outcome(decode_matrix, payload, "m")
+        assert got[0] == "ok"
+        assert got == outcome(reference_decode_matrix, payload, "m")
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_payloads().flatmap(corrupted))
+    def test_corrupted_same_message(self, payload):
+        assert outcome(decode_matrix, payload, "m") == outcome(reference_decode_matrix, payload, "m")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    def test_fn_algebra_values_same_as_per_matrix(self, points, n, data):
+        fn = [data.draw(matrix_payloads(n, n)) for _ in range(points)]
+        if data.draw(st.booleans()):
+            p = data.draw(st.integers(0, points - 1))
+            fn[p] = data.draw(st.one_of(corrupted(fn[p]), matrix_payloads()))
+        payload = {"points": points, "n": n, "generators": [fn]}
+        got = outcome(lambda: decode_fn_algebra_input(payload)[2][0])
+        assert got == outcome(reference_fn_values, fn, n)
+
+    def test_refused_payload_is_never_accepted(self, monkeypatch):
+        # the walk only names faults: if the numpy check refuses a payload
+        # the walk finds nothing wrong with, it is still an error
+        convert = jsonio._complex_array
+        monkeypatch.setattr(jsonio, "_complex_array", lambda obj, depth: None)
+        with pytest.raises(SchemaError, match="m: malformed matrix"):
+            decode_matrix(mat(SX), "m")
+        monkeypatch.setattr(jsonio, "_complex_array",
+                            lambda obj, depth: None if depth == 3 else convert(obj, depth))
+        with pytest.raises(SchemaError, match=r"generators\[0\]: malformed values"):
+            decode_fn_algebra_input({"points": 1, "n": 2, "generators": [[mat(SX)]]})
+
+    def test_encode_matches_entry_loop(self):
+        rng = np.random.default_rng(7)
+        specials = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1.7e308, 1e-300, 2.0**60])
+        for _ in range(250):
+            d = int(rng.integers(1, 21))
+            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            mask = rng.random((d, d)) < 0.3
+            m.real[mask] = rng.choice(specials, mask.sum())
+            m.imag[mask] = rng.choice(specials, mask.sum())
+            loop = [[[complex(v).real, complex(v).imag] for v in row] for row in m]
+            assert dump_report({"m": encode_matrix(m)}) == dump_report({"m": loop})
+
+
+def matrix_sites(bad):
+    """One payload per matrix site of the CLI inputs, with ``bad`` as the
+    matrix at that site and every other field valid, and the name the
+    error must carry."""
+    zero = mat(np.zeros((2, 2)))
+    pair = {"generators": [mat(SX), bad]}
+    return {
+        "analyze generators": ("analyze", pair, "tuple.generators[1]"),
+        "calc tuple": ("calc", {"tuple": pair, "polynomial": "z1"}, "tuple.generators[1]"),
+        "calc table values": ("calc", {"tuple": {"generators": [mat(SX), mat(SZ)]},
+                                       "table": {"values": [bad]}}, "table.values[0]"),
+        "sw-check generators": ("sw-check", {"points": 2, "n": 2, "generators": [[mat(SX), bad]]},
+                                "generators[0][1]"),
+        "haar matrix": ("haar", {"matrix": bad}, "matrix"),
+        "nspace values": ("nspace", {"space": {"n": 2, "orbits": 1},
+                                     "generators": [{"values": [bad]}]}, "generators[0].values[0]"),
+        "nspace rep": ("nspace", {"space": {"n": 2, "orbits": 1},
+                                  "rep": [[[bad, zero], [zero, zero]]]}, "rep[0][0][0]"),
+    }
+
+
+def spoiled(value, where="scalar"):
+    """A 2 x 2 matrix of floats with ``value`` as the real part (or, with
+    where="entry", the whole entry) of its entry [1][0]."""
+    m = mat(np.diag([0.5, 0.25]))
+    m[1][0] = [value, 0.0] if where == "scalar" else value
+    return m
+
+
+FLOAT_ROW = [[0.5, 0.0], [0.25, 0.0]]
+MALFORMED_MATRICES = {
+    "true": spoiled(True),
+    "false": spoiled(False),
+    "true entry": spoiled(True, "entry"),
+    "string": spoiled("1.0"),
+    "null": spoiled(None),
+    "nested list": spoiled([1.0]),
+    "pair of 1": spoiled([1.0], "entry"),
+    "pair of 3": spoiled([1.0, 0.0, 0.0], "entry"),
+    "NaN": spoiled(math.nan),
+    "Infinity": spoiled(math.inf),
+    "10**400": spoiled(10**400),
+    "empty row": [FLOAT_ROW, []],
+    "ragged rows": [FLOAT_ROW, FLOAT_ROW[:1]],
+    "scalar row": [FLOAT_ROW, 0.5],
+    "bool in float row": [FLOAT_ROW, [[0.125, 0.0], [0.0, True]]],
+}
+
+
+class TestMalformedMatrices:
+    """Every matrix site refuses every malformed payload with exit 2 and
+    one stderr line naming the site, never a traceback or a coerced value."""
+
+    @pytest.mark.parametrize("bad", list(MALFORMED_MATRICES))
+    @pytest.mark.parametrize("site", list(matrix_sites(None)))
+    def test_exit_two_naming_site(self, tmp_path, capsys, site, bad):
+        command, payload, where = matrix_sites(MALFORMED_MATRICES[bad])[site]
+        path = write(tmp_path, "bad.json", payload)
+        assert main([command, "--in", path, *N_OPTION.get(command, [])]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"nhomog: input error: {where}")
+
+
+# every argv the suite, the benchmark and the digest script pass to main
+SUITE_ARGVS = [
+    ["analyze", "--in", "f.json", "--n", "2"],
+    ["analyze", "--in", "f.json", "--n", "2", "--seed", "5"],
+    ["analyze", "--in", "f.json", "--n", "2", "--tol", "0.5"],
+    ["analyze", "--in", "f.json", "--n", "2", "--tol", "-1"],
+    ["analyze", "--in", "f.json", "--n", "2", "--out", "report.json"],
+    ["analyze", "--in", "f.json", "--n", "2", "--human"],
+    ["analyze", "--in", "f.json", "--n", "3", "--seed", "0"],
+    ["spectrum", "--in", "f.json", "--n", "2"],
+    ["calc", "--in", "f.json", "--n", "2"],
+    ["calc", "--in", "f.json"],
+    ["calc", "--in", "f.json", "--n", "2", "--seed", "0"],
+    ["sw-check", "--in", "f.json"],
+    ["sw-check", "--in", "f.json", "--seed", "0"],
+    ["haar", "--in", "f.json", "--samples", "5000", "--seed", "4"],
+    ["haar", "--in", "f.json", "--seed", "3"],
+    ["nspace", "--in", "f.json"],
+]
+COMMAND_HELP = {
+    "analyze": "decide n-homogeneity of a matrix tuple",
+    "spectrum": "orbit representatives and multiplicities of an n-homogeneous tuple",
+    "calc": "apply a *-polynomial or orbit table through the decomposition",
+    "sw-check": "density / two-point approximability report for a function algebra",
+    "haar": "unitary-average diagnostics: exact twirl vs Monte Carlo",
+    "nspace": "ideal correspondence and representation classification",
+}
+
+
+def reference_build_parser():
+    """The parser as it was: one subparser per command, each declaring
+    the same seven options."""
+    parser = argparse.ArgumentParser(prog="nhomog")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMAND_HELP:
+        p = sub.add_parser(name)
+        p.add_argument("--in", dest="input_path", required=True)
+        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--samples", type=int, default=20000)
+        p.add_argument("--out", default=None)
+        p.add_argument("--human", action="store_true")
+    return parser
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", SUITE_ARGVS, ids=" ".join)
+    def test_suite_argv_same_config(self, argv, monkeypatch):
+        monkeypatch.delenv("NHOMOG_SEED", raising=False)
+        new, old = build_parser().parse_args(argv), reference_build_parser().parse_args(argv)
+        assert vars(new) == vars(old)
+        try:
+            want = _config(old)
+        except SchemaError as exc:
+            with pytest.raises(SchemaError, match=re.escape(str(exc))):
+                _config(new)
+        else:
+            assert _config(new) == want
+
+    @pytest.mark.parametrize("argv", [
+        ["--in", "f.json"],
+        ["bogus", "--in", "f.json"],
+        ["analyze", "--n", "2"],
+        [],
+    ])
+    def test_argparse_errors_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "nhomog: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+    def test_help_lists_every_command(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, text in COMMAND_HELP.items():
+            assert any(line.split() == [name, *text.split()] for line in out.splitlines()), name
+
+
+class TestTracebackCases:
+    """Inputs that once ended in a traceback now exit 2 with one line."""
+
+    def run_one_line(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("nhomog: input error:")
+        return err[0]
+
+    def test_int_too_large_for_float(self, tmp_path, capsys):
+        big = 10**400
+        assert jsonio._complex_array([[[big, 0]]], 2) is None
+        with pytest.raises(SchemaError, match=r"m\[0\]: entry \[1000+, 0\] is too large for a float"):
+            decode_matrix([[[big, 0]]], "m")
+        path = write(tmp_path, "big.json", {"generators": [[[[big, 0]]]]})
+        err = self.run_one_line(capsys, ["analyze", "--in", path, "--n", "1"])
+        assert "tuple.generators[0][0]: entry" in err and "too large" in err
+        path = write(tmp_path, "bigsw.json", {"points": 1, "n": 1, "generators": [[[[[0, big]]]]]})
+        err = self.run_one_line(capsys, ["sw-check", "--in", path])
+        assert "generators[0][0][0]: entry" in err and "too large" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "haar"])
+    def test_negative_seed_flag(self, tmp_path, capsys, command):
+        path = write(tmp_path, "h.json", {"generators": [mat(SX)], "matrix": mat(SX)})
+        err = self.run_one_line(capsys, [command, "--in", path, "--n", "2", "--seed", "-1"])
+        assert err.endswith("--seed must be >= 0, got -1")
+
+    def test_negative_seed_env(self, pauli_file, capsys, monkeypatch):
+        monkeypatch.setenv("NHOMOG_SEED", "-4")
+        err = self.run_one_line(capsys, ["analyze", "--in", pauli_file, "--n", "2"])
+        assert err.endswith("NHOMOG_SEED must be >= 0, got -4")
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe\xff",  # a UTF-16 byte-order mark, then a truncated code unit
+        b'\x80{"generators": []}',  # not UTF-8
+        b"[" * 100000,  # nested past the parser's recursion limit
+        b"1" * 5000,  # more digits than int() converts
+    ], ids=["truncated-utf16", "not-utf8", "too-deep", "too-many-digits"])
+    def test_undecodable_input(self, tmp_path, capsys, content):
+        path = tmp_path / "raw.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_json(path)
+        self.run_one_line(capsys, ["analyze", "--in", str(path), "--n", "2"])
+
+    def test_directory_input(self, tmp_path, capsys):
+        with pytest.raises(ParseError, match="cannot read"):
+            load_json(tmp_path)
+        self.run_one_line(capsys, ["analyze", "--in", str(tmp_path), "--n", "2"])
+
+    def test_missing_file_message_kept(self, tmp_path):
+        with pytest.raises(ParseError, match="input file .* does not exist"):
+            load_json(tmp_path / "none.json")
