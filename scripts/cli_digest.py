@@ -7,8 +7,14 @@ to a temporary directory and run through ``nhomog analyze``, ``calc`` and
 ``sw-check`` with the benchmark's own arguments; their combined digest is
 the ``all:`` line.  Then ``nhomog haar`` runs with ``--seed`` set to each
 seed on fixed complex Gaussian matrices of size 2, 3 and 4, digested
-apart on the ``haar`` lines.  A refactor that keeps the answers prints
-the same lines before and after:
+apart on the ``haar`` lines.  Last, ``nhomog spectrum`` and ``nhomog
+nspace`` run on inputs drawn from each seed for block sizes 2 and 3: a
+scrambled direct sum of Ginibre blocks with a repeated class and a null
+line, and a three-orbit space with an ideal vanishing on one orbit and a
+point evaluation at another (``spectrum`` and ``nspace`` lines).  The
+inputs are built with numpy alone, so they do not move with the program.
+A refactor that keeps the answers prints the same lines before and
+after:
 
     PYTHONPATH=src python3 scripts/cli_digest.py --seeds 1 2 3 4 5
 
@@ -33,6 +39,7 @@ import workloads  # noqa: E402  (perfbench's workloads, after the path is set)
 
 CLI_WORKLOADS = ("analyze-large", "calc-small", "sw-grouped")
 HAAR_SIZES = (2, 3, 4)
+BLOCK_SIZES = (2, 3)
 
 
 def digest(code: int, out: str) -> str:
@@ -43,6 +50,51 @@ def haar_input(n: int, path: Path) -> Path:
     """A fixed n x n complex Gaussian matrix as ``nhomog haar`` input."""
     z = np.random.default_rng(1000 + n).standard_normal((n, n, 2))
     path.write_text(json.dumps({"matrix": z.tolist()}))
+    return path
+
+
+def encode(m: np.ndarray) -> list:
+    return np.stack([m.real, m.imag], -1).tolist()
+
+
+def ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(ginibre(rng, n))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def spectrum_input(seed: int, n: int, path: Path) -> Path:
+    """A pair of (3n + 1)-square matrices: Ginibre classes A and B of size
+    n, A twice and B once, each copy twisted by a unitary, plus a null
+    line, all conjugated by one unitary."""
+    rng = np.random.default_rng([seed, n])
+    a, b = [ginibre(rng, n) for _ in range(2)], [ginibre(rng, n) for _ in range(2)]
+    d = 3 * n + 1
+    gens = [np.zeros((d, d), dtype=complex) for _ in range(2)]
+    for at, cls in ((0, a), (n, a), (2 * n, b)):
+        u = unitary(rng, n)
+        for g, block in zip(gens, cls):
+            g[at:at + n, at:at + n] = u @ block @ u.conj().T
+    v = unitary(rng, d)
+    path.write_text(json.dumps({"generators": [encode(v @ g @ v.conj().T) for g in gens]}))
+    return path
+
+
+def nspace_input(seed: int, n: int, path: Path) -> Path:
+    """Three orbits of n x n matrices: two generators vanishing on orbit
+    seed mod 3, and the evaluation at orbit seed + 1 mod 3 through a
+    random unitary."""
+    rng = np.random.default_rng([seed, n])
+    zero, live = seed % 3, (seed + 1) % 3
+    gens = [{"values": [encode(np.zeros((n, n)) if i == zero else ginibre(rng, n)) for i in range(3)]}
+            for _ in range(2)]
+    u = unitary(rng, n)
+    rep = [[[encode(np.outer(u[:, j], u[:, k].conj()) if i == live else np.zeros((n, n)))
+             for k in range(n)] for j in range(n)] for i in range(3)]
+    path.write_text(json.dumps({"space": {"n": n, "orbits": 3}, "generators": gens, "rep": rep}))
     return path
 
 
@@ -70,6 +122,17 @@ def main():
                 haar_total.update(line.encode())
                 print(f"haar n {n} seed {seed}: {line}")
         print(f"haar all: {haar_total.hexdigest()}")
+        for command, write, flags in (("spectrum", spectrum_input, lambda n: ["--n", str(n)]),
+                                      ("nspace", nspace_input, lambda n: [])):
+            command_total = hashlib.sha256()
+            for seed in args.seeds:
+                for n in BLOCK_SIZES:
+                    path = write(seed, n, Path(tmp) / f"{command}-{seed}-{n}.json")
+                    argv = [command, "--in", str(path), "--seed", str(seed), *flags(n)]
+                    line = digest(*workloads.run_cli(argv)[:2])
+                    command_total.update(line.encode())
+                    print(f"{command} n {n} seed {seed}: {line}")
+            print(f"{command} all: {command_total.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from .errors import (
     TableMismatch,
 )
 from .haar import HaarSampler, McConfig, haar_unitaries, mc_radius, mc_twirl, twirl_exact
-from .matrix_core import DEFAULT_TOL, Tolerance, opnorm
+from .matrix_core import DEFAULT_TOL, Tolerance, adj, opnorm
 from .n_space import classify_matrix_rep, ideal_set_correspondence
 from .sw_engine import closure_star_subalgebra, delta2_subspace, density_check
 
@@ -265,9 +265,7 @@ def _cmd_haar(cfg: RunConfig) -> tuple[int, dict, list[str]]:
     deviation = opnorm(estimate - exact)
     radius = mc_radius(opnorm(a), mc.samples)
     sample_check = haar_unitaries(HaarSampler(a.shape[0], cfg.seed), 64)
-    unitarity = max(
-        opnorm(u.conj().T @ u - np.eye(a.shape[0])) for u in sample_check
-    )
+    unitarity = opnorm(adj(sample_check) @ sample_check - np.eye(a.shape[0]))
     report = {
         "exact": jsonio.encode_matrix(exact),
         "mc_estimate": jsonio.encode_matrix(estimate),

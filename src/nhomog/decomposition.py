@@ -172,7 +172,7 @@ def unitarily_equivalent(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL)
     if lam <= 0.0 or opnorm(gram - lam * np.eye(d)) > tol.eq_tol * (1.0 + lam):
         return None
     u = fix_phase(w / np.sqrt(lam))
-    residual = max(opnorm(u @ ga @ adj(u) - gb) for ga, gb in zip(a.gens, b.gens))
+    residual = opnorm(u @ np.array(a.gens) @ adj(u) - np.array(b.gens))
     if residual > 1e-7 * (1.0 + a.scale):
         raise NumericalFailure(f"intertwiner residual {residual:.3e} exceeds 1e-7")
     return u

@@ -20,11 +20,6 @@ from .star_algebra import MatTuple
 _NUMBER_TYPES = {int, float}
 
 
-def encode_complex(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def encode_matrix(a) -> list[list[list[float]]]:
     m = np.asarray(a, dtype=complex)
     return np.stack([m.real, m.imag], -1).tolist()

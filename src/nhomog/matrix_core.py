@@ -3,6 +3,9 @@
 Hermitian eigendecomposition, matrix functions, the positive-semidefinite
 order, and spectral utilities used by every other module.  Matrices are
 plain complex numpy arrays; every public entry point validates its inputs.
+A function on a finite set X with values in M_n is a (P, n, n) stack:
+``opnorm``, ``require_hermitian`` and ``herm_abs`` take one matrix or a
+stack, and ``opnorm`` of a stack is the sup norm max_x ||f(x)||.
 """
 
 from __future__ import annotations
@@ -72,14 +75,20 @@ class SpectralSeparation(NamedTuple):
         return self.disjoint
 
 
+def _finite_complex(a, name: str) -> np.ndarray:
+    """Coerce to a complex array of any shape, rejecting non-finite entries."""
+    m = np.asarray(a, dtype=complex)
+    if m.size and not np.all(np.isfinite(m.real) & np.isfinite(m.imag)):
+        raise DomainError(f"{name} contains non-finite entries")
+    return m
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-d complex array, rejecting non-finite entries."""
     m = np.array(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m.real) & np.isfinite(m.imag)):
-        raise DomainError(f"{name} contains non-finite entries")
-    return m
+    return _finite_complex(m, name)
 
 
 def require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -93,24 +102,30 @@ def adj(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
+def _opnorms(a: np.ndarray) -> np.ndarray:
+    """Operator norm of each matrix of a (..., n, n) stack, by one
+    stacked SVD (0 for empty matrices)."""
+    return np.linalg.norm(a, 2, axis=(-2, -1)) if a.size else np.zeros(a.shape[:-2])
+
+
 def opnorm(a: np.ndarray) -> float:
-    """Operator (spectral) norm."""
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    """Operator (spectral) norm; of a (P, n, n) stack, the sup norm
+    max_x ||a[x]||."""
+    return float(_opnorms(a).max(initial=0.0))
 
 
 def fnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a.ravel()))
 
 
-def hermitian_defect(a: np.ndarray) -> float:
-    return opnorm(a - adj(a))
-
-
 def require_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
-    if hermitian_defect(a) > tol.eq_tol * (1.0 + opnorm(a)):
-        raise NotHermitian(f"{name} is not Hermitian within eq_tol")
+    """Reject a unless ||a - a*|| <= eq_tol (1 + ||a||).  A (P, n, n)
+    stack is checked point by point, and the first failing point z is
+    named as the matrix ``f"{name} at point {z}"`` would be."""
+    bad = np.flatnonzero(_opnorms(a - adj(a)) > tol.eq_tol * (1.0 + _opnorms(a)))
+    if bad.size:
+        where = f" at point {bad[0]}" if a.ndim == 3 else ""
+        raise NotHermitian(f"{name}{where} is not Hermitian within eq_tol")
     return a
 
 
@@ -181,9 +196,17 @@ def psd_power(a, s: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def herm_abs(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """|a| = sqrt(a* a) for Hermitian a."""
-    m = require_hermitian(require_square(as_matrix(a)), tol)
-    return psd_power(m @ m, 0.5, tol)
+    """|a| = u |w| u* from one eigendecomposition a = u w u* of a Hermitian
+    matrix, or at every point of a (P, n, n) stack.  a^2 is never formed,
+    so |c a| = c |a| over the whole float range and eigenvalues near 0
+    keep their digits."""
+    m = np.asarray(a, dtype=complex)
+    m = _finite_complex(m, "matrix") if m.ndim == 3 else as_matrix(m)
+    if m.shape[-2] != m.shape[-1]:
+        raise NotSquare(f"matrix must be square, got shape {m.shape}")
+    w, u = np.linalg.eigh((require_hermitian(m, tol) + adj(m)) / 2.0)
+    out = (u * np.abs(w)[..., None, :]) @ adj(u)
+    return (out + adj(out)) / 2.0
 
 
 def max_spec(a, tol: Tolerance = DEFAULT_TOL) -> float:

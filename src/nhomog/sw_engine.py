@@ -23,10 +23,8 @@ import numpy as np
 
 from .calculus import StarPolynomial, eval_star_polynomial
 from .errors import (
-    DomainError,
     HypothesisViolated,
     IndexOutOfRange,
-    NotHermitian,
     NumericalFailure,
     PreconditionFailed,
     SamePoint,
@@ -36,9 +34,11 @@ from .matrix_core import (
     DEFAULT_TOL,
     Ordering,
     Tolerance,
+    _opnorms,
     adj,
     as_matrix,
     fnorm,
+    herm_abs,
     normal_spectra_disjoint,
     opnorm,
     psd_order,
@@ -258,14 +258,17 @@ class DensityReport:
         }
 
 
+def _fullness(e: FnAlgebra, xs, tol: Tolerance) -> np.ndarray:
+    """Dimension of {f(x) : f in E} at each point x of xs, from one
+    stacked SVD of the (len(xs), dim, n^2) values and one rank gate."""
+    values = e.basis.vectors.reshape(e.basis.dim, e.points, -1)[:, xs].transpose(1, 0, 2)
+    s = np.linalg.svd(values, compute_uv=False)
+    return _rank_with_gap(s, tol.rank_cut, "point fullness", scale=1.0)
+
+
 def point_fullness(e: FnAlgebra, x: int, tol: Tolerance = DEFAULT_TOL) -> int:
     """Dimension of the set of values {f(x) : f in E}."""
-    e.check_point(x)
-    rows = e.basis.vectors[:, e.point_slice(x)]
-    if rows.shape[0] == 0:
-        return 0
-    s = np.linalg.svd(rows, compute_uv=False)
-    return _rank_with_gap(s, tol.rank_cut, "point fullness", scale=1.0)
+    return int(_fullness(e, [e.check_point(x)], tol)[0])
 
 
 def density_check(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> DensityReport:
@@ -279,7 +282,7 @@ def density_check(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> 
     """
     dim = e.basis.dim
     dense = dim == e.ambient_dim
-    fullness = tuple(point_fullness(e, x, tol) for x in range(e.points))
+    fullness = tuple(_fullness(e, np.arange(e.points), tol).tolist())
     table = _ClassTable.of(e, tol, seed)
     separated = {}
     witnesses = {}
@@ -430,35 +433,11 @@ def power_mean_envelope(a_list, b, eps: float, tol: Tolerance = DEFAULT_TOL,
     return PowerMeanEnvelope(n_pow, env)
 
 
-def _first_non_hermitian(f: np.ndarray, tol: Tolerance) -> int:
-    """The first point z at which ``require_hermitian`` rejects f(z), by
-    the same operator-norm test in one batched norm, or -1."""
-    defect = np.linalg.norm(f - adj(f), 2, axis=(-2, -1))
-    bad = np.flatnonzero(defect > tol.eq_tol * (1.0 + np.linalg.norm(f, 2, axis=(-2, -1))))
-    return int(bad[0]) if bad.size else -1
-
-
-def _herm_abs_points(f: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """``herm_abs`` at every point of a Hermitian-valued function, by its
-    steps (checks on f and f^2, then the PSD square root of f^2) with one
-    batched check and one batched ``eigh`` per step."""
-    sq = f @ f
-    for m in (f, sq):
-        if not np.all(np.isfinite(m)):
-            raise DomainError("matrix contains non-finite entries")
-        if _first_non_hermitian(m, tol) >= 0:
-            raise NotHermitian("matrix is not Hermitian within eq_tol")
-    w, u = np.linalg.eigh((sq + adj(sq)) / 2.0)
-    low = np.flatnonzero(w[:, 0] < -tol.psd_slack * (1.0 + np.abs(w).max(axis=-1)))
-    if low.size:
-        raise DomainError(f"matrix is not PSD within psd_slack (min eigenvalue {w[low[0], 0]:.3e})")
-    out = (u * np.power(np.clip(w, 0.0, None), 0.5)[:, None, :]) @ adj(u)
-    return (out + adj(out)) / 2.0
-
-
 def lattice_join_chain(gs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Iterated join h_k = (h_{k-1} + g_k + |h_{k-1} - g_k|) / 2 of
-    Hermitian-valued functions; the result dominates every input."""
+    Hermitian-valued functions; the result dominates every input, within
+    psd_slack relative to the family's sup norm, so the join is scale
+    covariant."""
     mats = [np.asarray(g, dtype=complex) for g in gs]
     if not mats:
         raise ValueError("lattice_join_chain needs at least one function")
@@ -468,17 +447,16 @@ def lattice_join_chain(gs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     for i, m in enumerate(mats):
         if m.shape != shape:
             raise ValueError(f"function {i} has shape {m.shape}, expected {shape}")
-        z = _first_non_hermitian(m, tol)
-        if z >= 0:
-            raise NotHermitian(f"g_{i} at point {z} is not Hermitian within eq_tol")
+        require_hermitian(m, tol, f"g_{i}")
     h = mats[0].copy()
     for g in mats[1:]:
-        h = (h + g + _herm_abs_points(h - g, tol)) / 2.0
-    for i, g in enumerate(mats):
-        w = np.linalg.eigvalsh((h - g + adj(h - g)) / 2.0)
-        below = np.flatnonzero(w.min(axis=-1, initial=np.inf) < -tol.psd_slack)
-        if below.size:
-            raise NumericalFailure(f"join fails to dominate g_{i} at point {below[0]}")
+        h = (h + g + herm_abs(h - g, tol)) / 2.0
+    family = np.stack(mats)
+    gap = h - family
+    w = np.linalg.eigvalsh((gap + adj(gap)) / 2.0)
+    below = np.argwhere(w.min(axis=-1, initial=np.inf) < -tol.psd_slack * (1.0 + opnorm(family)))
+    if below.size:
+        raise NumericalFailure(f"join fails to dominate g_{below[0, 0]} at point {below[0, 1]}")
     return h[0] if squeeze else h
 
 
@@ -634,14 +612,13 @@ def _class_indicators(e: FnAlgebra, classes, witnesses, tol: Tolerance) -> list[
             wit, poly = witnesses[(ci, cj)]
             vals = np.stack([eval_star_polynomial(poly, MatTuple([wit[z]])) for z in range(P)])
             prod = fn_product(prod, vals)
-        members = set(cls)
-        for z in range(P):
-            want = eye if z in members else np.zeros((n, n), dtype=complex)
-            if opnorm(prod[z] - want) > 1e-6:
-                raise NumericalFailure(
-                    f"class indicator {ci} deviates at point {z}: the instance does not "
-                    "behave covariantly on its equivalence classes"
-                )
+        want = np.isin(np.arange(P), cls)[:, None, None] * eye
+        bad = np.flatnonzero(_opnorms(prod - want) > 1e-6)
+        if bad.size:
+            raise NumericalFailure(
+                f"class indicator {ci} deviates at point {bad[0]}: the instance does not "
+                "behave covariantly on its equivalence classes"
+            )
         out.append(prod)
     return out
 
@@ -681,13 +658,10 @@ def _commuting_route(e: FnAlgebra, f: np.ndarray, delta: float, tol: Tolerance) 
     lower, _ = _envelopes(e, f, tol, vectors=central)
     P, n = e.points, e.n
     eye = np.eye(n, dtype=complex)
-    gmin = min(
-        float(np.linalg.eigvalsh((g[z] + adj(g[z])) / 2.0)[0]) for g in lower for z in range(P)
-    )
-    fmin = min(float(np.linalg.eigvalsh((f[z] + adj(f[z])) / 2.0)[0]) for z in range(P))
-    c = max(0.0, -gmin, -fmin) + tol.psd_slack
-    b_fn = np.stack([f[z] + (c + delta) * eye for z in range(P)])
-    r = max(opnorm(b_fn[z]) for z in range(P))
+    low = np.stack(lower + [f])  # the lower envelopes, then f: (P + 1, P, n, n)
+    c = max(0.0, -float(np.linalg.eigvalsh((low + adj(low)) / 2.0)[..., 0].min())) + tol.psd_slack
+    b_fn = f + (c + delta) * eye
+    r = opnorm(b_fn)
     n_pow = power_mean_exponent(delta, r, P)
     out = np.zeros_like(f)
     for z in range(P):
@@ -699,14 +673,11 @@ def _commuting_route(e: FnAlgebra, f: np.ndarray, delta: float, tol: Tolerance) 
 
 
 def _commutes_with_algebra(e: FnAlgebra, f: np.ndarray, tol: Tolerance) -> bool:
-    for b in e.basis.elements():
-        comm = fn_product(f, b) - fn_product(b, f)
-        scale = (1.0 + max(opnorm(f[z]) for z in range(e.points))) * (
-            1.0 + max(opnorm(b[z]) for z in range(e.points))
-        )
-        if max(opnorm(comm[z]) for z in range(e.points)) > tol.eq_tol * scale:
-            return False
-    return True
+    """Whether sup_x ||[f, b](x)|| <= eq_tol (1 + ||f||)(1 + ||b||) for
+    every basis element b, in sup norms, all from one stacked norm."""
+    elems = e.basis.vectors.reshape(-1, e.points, e.n, e.n)
+    comm_sup, elem_sup = _opnorms(np.stack([f @ elems - elems @ f, elems])).max(axis=-1, initial=0.0)
+    return bool(np.all(comm_sup <= tol.eq_tol * ((1.0 + opnorm(f)) * (1.0 + elem_sup))))
 
 
 @dataclass(frozen=True)
@@ -794,7 +765,7 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
             approx = _partition_route(e, part, delta, classes, witnesses, tol)
         results.append(approx)
     g = results[0] + 1j * results[1]
-    certified = max(opnorm(g[z] - target[z]) for z in range(e.points))
+    certified = opnorm(g - target)
     if certified > eps + tol.psd_slack:
         raise NumericalFailure(
             f"constructive route missed its certificate: error {certified:.3e} > eps {eps:.3e}"
@@ -802,7 +773,7 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
     if e.basis.residual(g) > 1e-6 * (1.0 + fnorm(g)):
         raise NumericalFailure("constructed approximant left the algebra span")
     projection = e.basis.project(target)
-    projection_error = max(opnorm(projection[z] - target[z]) for z in range(e.points))
+    projection_error = opnorm(projection - target)
     return ApproximationReport(
         g=g,
         certified_error=float(certified),

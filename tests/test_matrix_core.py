@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nhomog.errors import DimensionMismatch, DomainError, NotHermitian
+from nhomog.errors import DimensionMismatch, DomainError, NotHermitian, NotSquare
 from nhomog.matrix_core import (
     DEFAULT_TOL,
     Ordering,
@@ -17,6 +17,7 @@ from nhomog.matrix_core import (
     opnorm,
     psd_order,
     psd_power,
+    require_hermitian,
 )
 
 from conftest import SX, SZ, assert_close, rng
@@ -210,3 +211,78 @@ class TestFixPhase:
     def test_empty_stack(self):
         out = fix_phase(np.zeros((0, 3, 3), dtype=complex))
         assert out.shape == (0, 3, 3)
+
+
+def hermitian_stack(r, points, n):
+    g = r.standard_normal((points, n, n)) + 1j * r.standard_normal((points, n, n))
+    return (g + np.swapaxes(g.conj(), -1, -2)) / 2
+
+
+class TestHermAbs:
+    def test_near_zero_eigenvalues_keep_their_digits(self):
+        """Through a^2 the eigenvalues -3e-9 and 1e-12 square to below
+        roundoff and come back with about 1e-8 error."""
+        r = rng(31)
+        d = np.array([1.0, -3e-9, 1e-12, -0.5])
+        worst = 0.0
+        for _ in range(50):
+            u = random_unitary(r, 4)
+            want = (u * np.abs(d)) @ u.conj().T
+            worst = max(worst, np.abs(herm_abs((u * d) @ u.conj().T) - want).max())
+        assert worst <= 1e-14
+
+    @given(st.integers(0, 10_000), st.floats(-150.0, 150.0))
+    @example(0, -200.0)  # a^2 would underflow to 0
+    @example(0, 160.0)  # a^2 would overflow
+    @settings(max_examples=60, deadline=None)
+    def test_scale_covariant(self, seed, log_c):
+        a = random_hermitian(rng(seed), 4)
+        c = 10.0 ** log_c
+        want = herm_abs(a)
+        assert opnorm(herm_abs(c * a) / c - want) <= 1e-12 * opnorm(want)
+
+    def test_pauli_x(self):
+        assert_close(herm_abs(SX), np.eye(2), atol=1e-15)
+
+    def test_stack_rejects_non_square_and_non_finite(self):
+        with pytest.raises(NotSquare):
+            herm_abs(np.zeros((2, 2, 3)))
+        bad = np.zeros((2, 2, 2))
+        bad[1, 0, 0] = np.inf
+        with pytest.raises(DomainError):
+            herm_abs(bad)
+
+
+class TestStacks:
+    """A (P, n, n) stack gives what a loop over its P matrices gives."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_opnorm_is_max_of_pointwise_norms(self, seed):
+        r = rng(300 + seed)
+        f = r.standard_normal((5, 3, 3)) + 1j * r.standard_normal((5, 3, 3))
+        assert opnorm(f) == max(opnorm(m) for m in f)
+
+    def test_opnorm_of_empty_stacks(self):
+        assert opnorm(np.zeros((0, 3, 3))) == 0.0
+        assert opnorm(np.zeros((4, 0, 0))) == 0.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_herm_abs_matches_each_matrix(self, seed):
+        f = hermitian_stack(rng(400 + seed), 6, 3)
+        assert_close(herm_abs(f), np.array([herm_abs(m) for m in f]), atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [[0], [2], [1, 3]])
+    def test_require_hermitian_names_first_failing_point(self, bad):
+        f = hermitian_stack(rng(500), 4, 2)
+        for z in bad:
+            f[z, 0, 1] += 1.0
+        with pytest.raises(NotHermitian) as loop:
+            for z, m in enumerate(f):
+                require_hermitian(m, DEFAULT_TOL, f"f at point {z}")
+        with pytest.raises(NotHermitian) as stacked:
+            require_hermitian(f, DEFAULT_TOL, "f")
+        assert str(stacked.value) == str(loop.value) == f"f at point {bad[0]} is not Hermitian within eq_tol"
+
+    def test_require_hermitian_passes_hermitian_stack(self):
+        f = hermitian_stack(rng(501), 4, 3)
+        assert require_hermitian(f) is f

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from nhomog import star_algebra
 from nhomog.errors import NumericalFailure
 from nhomog.instances import (
     distinct_irreducible_tuples,
@@ -142,6 +143,41 @@ class TestCommutant:
         for x in commutant(t).elements():
             for gen in t.gens:
                 assert opnorm(x @ gen - gen @ x) <= 1e-7 * opnorm(gen)
+
+
+def commutant_check_per_pair(basis, t):
+    """The per-element, per-generator loop the commutant check replaced."""
+    for x in basis.elements():
+        for g in t.gens:
+            if opnorm(x @ g - g @ x) > 1e-7 * (1.0 + opnorm(g)):
+                return False
+    return True
+
+
+class TestBatchedCommutantCheck:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_pair_loop(self, seed, monkeypatch):
+        """The true basis passes; a slightly tilted one and a random one
+        fail, in the loop and in the stacked check alike."""
+        r = rng(600 + seed)
+        g = ginibre(r, 4)
+        t = MatTuple([g @ adj(g), np.kron(np.eye(2), ginibre(r, 2))])
+        true = star_algebra.intertwiner_space(t, t)
+        tilted = true.vectors.copy()
+        tilted[-1] += 1e-6 * (r.standard_normal(16) + 1j * r.standard_normal(16))
+        noise = r.standard_normal((2, 16)) + 1j * r.standard_normal((2, 16))
+        verdicts = []
+        for vectors in (true.vectors, tilted, noise):
+            basis = SubspaceBasis(element_shape=(4, 4), vectors=vectors)
+            monkeypatch.setattr(star_algebra, "intertwiner_space", lambda a, b, tol: basis)
+            try:
+                commutant(t)
+                passed = True
+            except NumericalFailure:
+                passed = False
+            assert passed == commutant_check_per_pair(basis, t)
+            verdicts.append(passed)
+        assert verdicts == [True, False, False]
 
 
 class TestIsIrreducible:

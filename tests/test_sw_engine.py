@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhomog.calculus import eval_star_polynomial
@@ -475,6 +475,14 @@ class TestLatticeJoinChain:
         with pytest.raises(NotHermitian):
             lattice_join_chain([np.array([[0.0, 1.0], [0.0, 0.0]])])
 
+    def test_domination_failure_names_first_input_and_point(self, monkeypatch):
+        """With |.| broken to 0 the join is the running mean, which fails
+        to dominate g_1 first at point 1."""
+        monkeypatch.setattr(sw_engine, "herm_abs", lambda a, tol: np.zeros_like(a))
+        gs = [fn(np.eye(2), np.eye(2)), fn(np.eye(2), 3 * np.eye(2)), fn(5 * np.eye(2), np.eye(2))]
+        with pytest.raises(NumericalFailure, match="join fails to dominate g_1 at point 1"):
+            lattice_join_chain(gs)
+
 
 def join_per_point(gs, tol=DEFAULT_TOL):
     """The per-point loop lattice_join_chain replaced."""
@@ -522,6 +530,126 @@ class TestBatchedJoin:
         assert str(new.value) == str(old.value) == (
             f"g_{bad_input} at point {bad_point} is not Hermitian within eq_tol"
         )
+
+
+class TestScaleCovariantJoin:
+    @given(st.integers(0, 10_000), st.floats(-150.0, 150.0))
+    @example(0, 8.0)  # an absolute psd_slack failed domination from about here
+    @example(0, 160.0)
+    @example(0, -200.0)
+    @settings(max_examples=40, deadline=None)
+    def test_join_of_scaled_family(self, seed, log_c):
+        r = rng(seed)
+        gs = [hermitian_function(r, 4, 3) for _ in range(3)]
+        c = 10.0 ** log_c
+        want = lattice_join_chain(gs)
+        assert opnorm(lattice_join_chain([c * g for g in gs]) / c - want) <= 1e-12 * opnorm(want)
+
+
+def commutes_per_element(e, f, tol=DEFAULT_TOL):
+    """The per-element, per-point loop _commutes_with_algebra replaced."""
+    for b in e.basis.elements():
+        comm = sw_engine.fn_product(f, b) - sw_engine.fn_product(b, f)
+        scale = (1.0 + max(opnorm(f[z]) for z in range(e.points))) * (
+            1.0 + max(opnorm(b[z]) for z in range(e.points))
+        )
+        if max(opnorm(comm[z]) for z in range(e.points)) > tol.eq_tol * scale:
+            return False
+    return True
+
+
+def class_indicators_per_point(e, classes, witnesses, tol):
+    """The per-point check _class_indicators replaced, around the same
+    products."""
+    P, n = e.points, e.n
+    eye = np.eye(n, dtype=complex)
+    out = []
+    for ci, cls in enumerate(classes):
+        prod = np.tile(eye, (P, 1, 1))
+        for cj in range(len(classes)):
+            if cj == ci:
+                continue
+            wit, poly = witnesses[(ci, cj)]
+            vals = np.stack([eval_star_polynomial(poly, MatTuple([wit[z]])) for z in range(P)])
+            prod = sw_engine.fn_product(prod, vals)
+        members = set(cls)
+        for z in range(P):
+            want = eye if z in members else np.zeros((n, n), dtype=complex)
+            if opnorm(prod[z] - want) > 1e-6:
+                raise NumericalFailure(
+                    f"class indicator {ci} deviates at point {z}: the instance does not "
+                    "behave covariantly on its equivalence classes"
+                )
+        out.append(prod)
+    return out
+
+
+class TestBatchedPointwiseChecks:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_commutes_with_algebra_matches_loop(self, seed):
+        r = rng(8000 + seed)
+        n = 2 if seed < 3 else 3
+        gens, meta = grouped_function_algebra(r, n=n, group_sizes=[2, 1, 2],
+                                              fibers=["full", "diag", "scalar"])
+        alg = closure_star_subalgebra(gens)
+        central = np.zeros((alg.points, n, n), dtype=complex)
+        for grp in meta["groups"]:
+            central[grp] = float(r.standard_normal()) * np.eye(n)
+        nudged = central.copy()
+        nudged[2] += 1e-6 * hermitian_function(r, 1, n)[0]
+        target = equivariant_target(r, meta, n)
+        verdicts = []
+        for f in (central, nudged, (target + adj(target)) / 2.0, hermitian_function(r, alg.points, n)):
+            verdicts.append(sw_engine._commutes_with_algebra(alg, f, DEFAULT_TOL))
+            assert verdicts[-1] == commutes_per_element(alg, f)
+        assert verdicts[0] and not verdicts[1] and not verdicts[3]
+
+    def test_zero_algebra_commutes_with_anything(self):
+        alg = closure_star_subalgebra([], points=2, n=2)
+        f = hermitian_function(rng(8100), 2, 2)
+        assert sw_engine._commutes_with_algebra(alg, f, DEFAULT_TOL) is commutes_per_element(alg, f) is True
+
+    def test_class_indicators_match_loop(self, monkeypatch):
+        """The arguments of the real calls, then the same classes permuted
+        or regrouped, so that the check fails: same indicators, same
+        message naming the same class and point."""
+        calls = []
+        real = sw_engine._class_indicators
+
+        def record(e, classes, witnesses, tol):
+            calls.append((e, classes, witnesses, tol))
+            return real(e, classes, witnesses, tol)
+
+        monkeypatch.setattr(sw_engine, "_class_indicators", record)
+        for seed in (5, 1003):
+            r = rng(seed)
+            gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], fibers=["full"] * 3)
+            alg = closure_star_subalgebra(gens)
+            constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1, seed=seed)
+        assert calls
+        for e, classes, witnesses, tol in calls:
+            for got, want in zip(real(e, classes, witnesses, tol),
+                                 class_indicators_per_point(e, classes, witnesses, tol)):
+                assert np.array_equal(got, want)
+            moved = [classes[0] + classes[1][:1], classes[1][1:] or classes[1], *classes[2:]]
+            for bad in (classes[::-1], moved):
+                with pytest.raises(NumericalFailure) as old:
+                    class_indicators_per_point(e, bad, witnesses, tol)
+                with pytest.raises(NumericalFailure) as new:
+                    real(e, bad, witnesses, tol)
+                assert str(new.value) == str(old.value)
+
+
+class TestBatchedFullness:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_density_check_matches_point_fullness(self, seed):
+        r = rng(8200 + seed)
+        gens, _ = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 1],
+                                           fibers=["full", "diag", "scalar"], vanish_groups=[2])
+        alg = closure_star_subalgebra(gens, points=4, n=2)
+        report = density_check(alg)
+        assert report.fullness == tuple(sw_engine.point_fullness(alg, x) for x in range(4)) == (4, 4, 2, 0)
+        assert all(type(f) is int for f in report.fullness)
 
 
 class TestBatchedPartitionRoute:
