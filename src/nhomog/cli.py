@@ -19,27 +19,7 @@ import numpy as np
 from . import jsonio
 from .calculus import OrbitTable, StarPolynomial, calc
 from .decomposition import homogeneity_verdict, n_spectrum
-from .errors import (
-    ArityMismatch,
-    DimensionMismatch,
-    DomainError,
-    HypothesisViolated,
-    IndexOutOfRange,
-    MCBudgetTooSmall,
-    NHomogError,
-    NotAStarHom,
-    NotHermitian,
-    NotNHomogeneous,
-    NotSquare,
-    NumericalFailure,
-    ParseError,
-    PreconditionFailed,
-    SamePoint,
-    SchemaError,
-    SpaceMismatch,
-    SpectraNotDisjoint,
-    TableMismatch,
-)
+from .errors import HypothesisViolated, InputError, NHomogError, NotNHomogeneous, NumericalFailure, SchemaError
 from .haar import HaarSampler, McConfig, haar_unitaries, mc_radius, mc_twirl, twirl_exact
 from .matrix_core import DEFAULT_TOL, Tolerance, adj, opnorm
 from .n_space import classify_matrix_rep, ideal_set_correspondence
@@ -49,24 +29,6 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-_INPUT_ERRORS = (
-    ParseError,
-    SchemaError,
-    ArityMismatch,
-    DimensionMismatch,
-    DomainError,
-    IndexOutOfRange,
-    NotHermitian,
-    NotSquare,
-    NotAStarHom,
-    SamePoint,
-    SpaceMismatch,
-    SpectraNotDisjoint,
-    TableMismatch,
-    PreconditionFailed,
-    MCBudgetTooSmall,
-)
 
 
 @dataclass(frozen=True)
@@ -335,7 +297,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config(args)
         code, text = run(cfg)
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"nhomog: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NumericalFailure, HypothesisViolated) as exc:

@@ -13,7 +13,7 @@ cluster, and the same coefficient matrices carry the cluster's other
 vectors onto the other blocks of the class, aligned.  Norton's count
 certifies each block irreducible.  ``homogeneity_verdict`` and
 ``n_spectrum`` are the derived verdicts; ``unitarily_equivalent`` tests
-two irreducible tuples directly.
+two irreducible tuples by one intertwiner solve.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .matrix_core import DEFAULT_TOL, Tolerance, adj, fix_phase, opnorm
 from .star_algebra import RANK_GAP_RATIO, MatTuple, _rank_with_gap, intertwiner_space
 
 _SPLITTER_RESEEDS = 5
-_FINGERPRINT_ATOL = 1e-6
-_MAX_FINGERPRINT_WORDS = 400_000
 
 
 @dataclass(frozen=True)
@@ -107,59 +105,43 @@ class HomogeneityReport:
         }
 
 
-def word_trace_fingerprint(t: MatTuple, max_len: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted traces of all words in generators/adjoints up to length
-    min(6, 2 d^2): a unitary-invariant filter for tuple equivalence.
+def word_trace_fingerprint(t: MatTuple, max_len: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted traces of all words of length 1 to ``max_len`` in the
+    generators and adjoints: unitary invariants of the tuple.  The
+    default length is that of the class-order key of ``decompose``.
 
     Real and imaginary parts are sorted separately per word length, which
     keeps the elementwise comparison stable under tiny perturbations.
     """
-    d = t.d
-    length = max_len if max_len is not None else min(6, 2 * d * d)
-    letters = np.stack(t.with_adjoints())
+    letters = t.with_adjoints()
     level = letters
     reals, imags = [], []
-    for step in range(length):
+    for step in range(max_len):
         tr = np.einsum("wii->w", level)
         reals.append(np.sort(tr.real))
         imags.append(np.sort(tr.imag))
-        if step + 1 < length:
-            if level.shape[0] * letters.shape[0] > _MAX_FINGERPRINT_WORDS:
-                break  # filter only; truncation depends only on (k, d)
-            level = np.einsum("wij,ljk->wlik", level, letters).reshape(-1, d, d)
+        if step + 1 < max_len:
+            level = np.einsum("wij,ljk->wlik", level, letters).reshape(-1, t.d, t.d)
     return np.concatenate(reals), np.concatenate(imags)
-
-
-def fingerprints_match(fa, fb, atol: float = _FINGERPRINT_ATOL) -> bool:
-    return (
-        fa[0].shape == fb[0].shape
-        and np.allclose(fa[0], fb[0], rtol=1e-9, atol=atol)
-        and np.allclose(fa[1], fb[1], rtol=1e-9, atol=atol)
-    )
 
 
 def unitarily_equivalent(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     """Return a unitary U with U A_j U* = B_j for all j, or None.
 
-    Fast-rejects on mismatched word-trace fingerprints, then the
-    intertwiner space decides.  If U exists that space is U times the
-    commutant of a, so by Schur's lemma dimension 1 proves both inputs
-    irreducible and dimension 0 proves them inequivalent; dimension
-    above 1 (or a zero input) raises NotIrreducible.  Irreducibility is
-    therefore never re-proved, and the answer is never wrong: a
-    reducible pair gives None or NotIrreducible.
+    One intertwiner solve decides.  If U exists the intertwiner space is
+    U times the commutant of a, so by Schur's lemma dimension 1 proves
+    both inputs irreducible and dimension 0 proves them inequivalent;
+    dimension above 1 (or a zero input) raises NotIrreducible.
+    Irreducibility is therefore never re-proved, and the answer is never
+    wrong: a reducible pair gives None or NotIrreducible.
     """
     if a.d != b.d or a.k != b.k:
         raise DimensionMismatch("tuples must share dimension and arity")
     scales = (a.scale, b.scale)
     if min(scales) == 0.0:
         raise NotIrreducible("the zero tuple is not irreducible")
-    # compare at a common unit scale: the fingerprint match and the
-    # intertwiner solve decide with absolute tolerances
-    c = max(scales)
-    a, b = (MatTuple([g / c for g in x.gens]) for x in (a, b))
-    if not fingerprints_match(word_trace_fingerprint(a), word_trace_fingerprint(b)):
-        return None
+    c = max(scales)  # one common unit scale for the solve and the checks below
+    a, b = MatTuple(a.gens / c), MatTuple(b.gens / c)
     space = intertwiner_space(a, b, tol)
     if space.dim == 0:
         return None
@@ -172,7 +154,7 @@ def unitarily_equivalent(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL)
     if lam <= 0.0 or opnorm(gram - lam * np.eye(d)) > tol.eq_tol * (1.0 + lam):
         return None
     u = fix_phase(w / np.sqrt(lam))
-    residual = opnorm(u @ np.array(a.gens) @ adj(u) - np.array(b.gens))
+    residual = opnorm(u @ a.gens @ adj(u) - b.gens)
     if residual > 1e-7 * (1.0 + a.scale):
         raise NumericalFailure(f"intertwiner residual {residual:.3e} exceeds 1e-7")
     return u
@@ -298,7 +280,7 @@ def _assemble(gens: np.ndarray, c: float, classes: list, null: list) -> _PointSp
 
     def key(group):
         rep = group[1][0]  # the first block's compressions, (k, n', n')
-        fp = word_trace_fingerprint(MatTuple(rep / c), max_len=3)
+        fp = word_trace_fingerprint(MatTuple(rep / c))
         return rep.shape[-1], tuple(np.round(fp[0], 6)), tuple(np.round(fp[1], 6))
 
     groups = sorted((compress(isos, at) for isos, at in classes), key=key)
@@ -367,7 +349,7 @@ def decompose(t: MatTuple, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Decom
     t / t.scale, so it does not depend on the scale of t.  The splitter
     takes a (k, P, n, n) stack, and a tuple is the stack at P = 1.
     """
-    split = _split_points(np.stack(t.gens)[:, None], tol, seed)
+    split = _split_points(t.gens[:, None], tol, seed)
     return Decomposition(t, split.v[0], split.blocks, split.classes, split.multiplicities, seed)
 
 

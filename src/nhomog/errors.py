@@ -7,19 +7,25 @@ class NHomogError(Exception):
     """Base class for all library errors."""
 
 
-class NotHermitian(NHomogError):
+class InputError(NHomogError):
+    """Base class for faults in the caller's input: malformed data, an
+    argument outside an operation's domain, or an unmet precondition.
+    The command line exits 2 on these."""
+
+
+class NotHermitian(InputError):
     pass
 
 
-class NotSquare(NHomogError):
+class NotSquare(InputError):
     pass
 
 
-class DimensionMismatch(NHomogError):
+class DimensionMismatch(InputError):
     pass
 
 
-class DomainError(NHomogError):
+class DomainError(InputError):
     """A scalar function was applied outside its domain, or an input
     carries non-finite entries."""
 
@@ -37,39 +43,39 @@ class NotNHomogeneous(NHomogError):
     pass
 
 
-class ArityMismatch(NHomogError):
+class ArityMismatch(InputError):
     pass
 
 
-class TableMismatch(NHomogError):
+class TableMismatch(InputError):
     pass
 
 
-class IndexOutOfRange(NHomogError):
+class IndexOutOfRange(InputError):
     pass
 
 
-class MCBudgetTooSmall(NHomogError):
+class MCBudgetTooSmall(InputError):
     pass
 
 
-class SpaceMismatch(NHomogError):
+class SpaceMismatch(InputError):
     pass
 
 
-class NotAStarHom(NHomogError):
+class NotAStarHom(InputError):
     pass
 
 
-class SamePoint(NHomogError):
+class SamePoint(InputError):
     pass
 
 
-class SpectraNotDisjoint(NHomogError):
+class SpectraNotDisjoint(InputError):
     pass
 
 
-class PreconditionFailed(NHomogError):
+class PreconditionFailed(InputError):
     pass
 
 
@@ -77,9 +83,9 @@ class HypothesisViolated(NHomogError):
     pass
 
 
-class ParseError(NHomogError):
+class ParseError(InputError):
     pass
 
 
-class SchemaError(NHomogError):
+class SchemaError(InputError):
     pass

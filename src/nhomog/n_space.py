@@ -302,24 +302,18 @@ def gelfand_transform(t: MatTuple, n: int, tol: Tolerance = DEFAULT_TOL, seed: i
         EquivariantElement(space, [cls.gens[j] for cls in dec.classes]) for j in range(t.k)
     )
     rng = np.random.default_rng([seed, 1])
-    source_mats = t.with_adjoints()
-    class_mats = [cls.with_adjoints() for cls in dec.classes]
+    source = t.with_adjoints()
+    classes = np.array([cls.with_adjoints() for cls in dec.classes]).reshape(-1, len(source), n, n)
     for _ in range(8):
         length = int(rng.integers(1, 4))
-        picks = [int(rng.integers(0, len(source_mats))) for _ in range(length)]
+        picks = [int(rng.integers(0, len(source))) for _ in range(length)]
         coeff = complex(rng.standard_normal(), rng.standard_normal())
         full = np.eye(t.d, dtype=complex)
+        per_class = np.eye(n, dtype=complex)
         for p in picks:
-            full = full @ source_mats[p]
-        full = coeff * full
-        per_class = []
-        for mats in class_mats:
-            val = np.eye(n, dtype=complex)
-            for p in picks:
-                val = val @ mats[p]
-            per_class.append(opnorm(coeff * val))
-        lhs = opnorm(full)
-        rhs = max(per_class, default=0.0)
+            full = full @ source[p]
+            per_class = per_class @ classes[:, p]
+        lhs, rhs = opnorm(coeff * full), opnorm(coeff * per_class)
         if abs(lhs - rhs) > 1e-8 * (1.0 + lhs):
             raise NumericalFailure(
                 f"transform is not isometric on a sampled word: {lhs:.6e} vs {rhs:.6e}"

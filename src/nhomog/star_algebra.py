@@ -78,48 +78,57 @@ def _rank_with_gap(s: np.ndarray, rank_cut: float, context: str,
 
 @dataclass(frozen=True)
 class MatTuple:
-    """A k-tuple of d x d complex matrices."""
+    """A k-tuple of d x d complex matrices, held as one read-only
+    (k, d, d) stack ``gens``; every operation on the tuple is one
+    operation on the stack."""
 
-    gens: tuple[np.ndarray, ...]
+    gens: np.ndarray
 
     def __init__(self, gens) -> None:
-        mats = tuple(as_matrix(g, f"generator {i}") for i, g in enumerate(gens))
+        mats = list(gens)
         if not mats:
             raise DimensionMismatch("a MatTuple needs at least one generator")
-        d = mats[0].shape[0]
-        for i, g in enumerate(mats):
-            if g.shape != (d, d):
-                raise DimensionMismatch(f"generator {i} has shape {g.shape}, expected ({d}, {d})")
-        for g in mats:
-            g.setflags(write=False)
-        object.__setattr__(self, "gens", mats)
+        try:
+            stack = np.array(mats, dtype=complex)
+        except (TypeError, ValueError):  # ragged or non-numeric: named below
+            stack = np.empty(0, dtype=complex)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not np.isfinite(stack).all():
+            checked = [as_matrix(g, f"generator {i}") for i, g in enumerate(mats)]
+            d = checked[0].shape[0]
+            for i, g in enumerate(checked):
+                if g.shape != (d, d):
+                    raise DimensionMismatch(f"generator {i} has shape {g.shape}, expected ({d}, {d})")
+            stack = np.array(checked)
+        stack.setflags(write=False)
+        object.__setattr__(self, "gens", stack)
 
     @property
     def d(self) -> int:
-        return self.gens[0].shape[0]
+        return self.gens.shape[1]
 
     @property
     def k(self) -> int:
-        return len(self.gens)
+        return self.gens.shape[0]
 
     @property
     def scale(self) -> float:
-        return max(opnorm(g) for g in self.gens)
+        return opnorm(self.gens)
 
-    def with_adjoints(self) -> list[np.ndarray]:
-        return list(self.gens) + [adj(g) for g in self.gens]
+    def with_adjoints(self) -> np.ndarray:
+        """The (2k, d, d) stack of the generators, then their adjoints."""
+        return np.concatenate([self.gens, adj(self.gens)])
 
     def conjugated(self, u: np.ndarray) -> "MatTuple":
         u = as_matrix(u, "u")
-        return MatTuple([u @ g @ adj(u) for g in self.gens])
+        return MatTuple(u @ self.gens @ adj(u))
 
     def with_extra(self, extra) -> "MatTuple":
-        return MatTuple(list(self.gens) + [extra])
+        return MatTuple([*self.gens, extra])
 
     def allclose(self, other: "MatTuple", atol: float) -> bool:
         if self.d != other.d or self.k != other.k:
             return False
-        return all(opnorm(a - b) <= atol * (1.0 + opnorm(a)) for a, b in zip(self.gens, other.gens))
+        return bool(np.all(_opnorms(self.gens - other.gens) <= atol * (1.0 + _opnorms(self.gens))))
 
 
 @dataclass(frozen=True)
@@ -233,21 +242,28 @@ def word_span(t: MatTuple, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
 
 
 def intertwiner_space(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
-    """Solutions X of X a_j = b_j X and X a_j* = b_j* X for all j."""
+    """Solutions X of X a_j = b_j X and X a_j* = b_j* X for all j.
+
+    One stacked expression builds the 2k Kronecker blocks, each divided
+    by the larger norm of its two letters.  A letter pair below
+    NOISE_FLOOR times the largest generator norm of the two tuples is a
+    zero generator and constrains nothing, so the solve is scale
+    covariant: (c a, c b) has the same solutions as (a, b) for any c > 0.
+    """
     if a.d != b.d or a.k != b.k:
         raise DimensionMismatch("intertwiner_space needs matching dimensions and arities")
     d = a.d
+    la, lb = a.with_adjoints(), b.with_adjoints()
+    scale = np.maximum(_opnorms(la), _opnorms(lb))
+    live = scale > NOISE_FLOOR * scale.max()  # no rows at all leave every X free
+    la, lb, scale = la[live], lb[live], scale[live]
     eye = np.eye(d, dtype=complex)
-    blocks = []
-    for ga, gb in zip(a.with_adjoints(), b.with_adjoints()):
-        scale = max(opnorm(ga), opnorm(gb))
-        if scale <= NOISE_FLOOR:
-            continue  # a zero generator constrains nothing
-        # row-major vec: vec(X g) = (I (x) g^T) vec X, vec(g X) = (g (x) I) vec X
-        blocks.append((np.kron(eye, ga.T) - np.kron(gb, eye)) / scale)
-    if not blocks:
-        return SubspaceBasis(element_shape=(d, d), vectors=np.eye(d * d, dtype=complex))
-    null = nullspace(np.vstack(blocks), tol, "intertwiner nullspace")
+    # row-major vec: vec(X g) = (I (x) g^T) vec X, vec(g X) = (g (x) I) vec X; the
+    # products are np.kron's, element for element
+    left = eye[None, :, None, :, None] * la.swapaxes(1, 2)[:, None, :, None, :]
+    right = lb[:, :, None, :, None] * eye[None, None, :, None, :]
+    blocks = (left - right) / scale[:, None, None, None, None]
+    null = nullspace(blocks.reshape(len(la) * d * d, d * d), tol, "intertwiner nullspace")
     return SubspaceBasis(element_shape=(d, d), vectors=np.ascontiguousarray(null))
 
 
@@ -256,12 +272,14 @@ def commutant(t: MatTuple, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
 
     Always contains the identity, so the dimension is at least 1.  Basis
     elements are re-verified to commute with every generator, all pairs
-    in one stacked norm.
+    in one stacked norm, relative to the tuple's scale.  Like
+    ``intertwiner_space``, the commutant of c t is that of t for any
+    c > 0.
     """
     basis = intertwiner_space(t, t, tol)
     xs = basis.vectors.reshape(-1, 1, t.d, t.d)
-    gens = np.array(t.gens)
-    if np.any(_opnorms(xs @ gens - gens @ xs) > 1e-7 * (1.0 + _opnorms(gens))):
+    norms = _opnorms(t.gens)
+    if np.any(_opnorms(xs @ t.gens - t.gens @ xs) > 1e-7 * (norms.max() + norms)):
         raise NumericalFailure("commutant basis element fails to commute with a generator")
     return basis
 
@@ -275,7 +293,7 @@ def is_irreducible(t: MatTuple, tol: Tolerance = DEFAULT_TOL) -> bool:
     scale = t.scale
     if scale == 0.0:
         return False
-    return commutant(MatTuple([g / scale for g in t.gens]), tol).dim == 1
+    return commutant(MatTuple(t.gens / scale), tol).dim == 1
 
 
 def contains_identity(t: MatTuple, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from nhomog import matrix_core
+from nhomog.star_algebra import NOISE_FLOOR, SubspaceBasis, nullspace
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1, -1]).astype(complex)
@@ -45,3 +48,22 @@ def same_up_to_phase(u, v, atol=1e-8):
         return False
     phase = z / abs(z)
     return float(np.abs(u - phase * v).max()) <= atol
+
+
+def kron_loop_intertwiner(a, b, tol=matrix_core.DEFAULT_TOL):
+    """intertwiner_space as a Python loop of np.kron blocks over the
+    letter pairs, two norms per pair, with the zero-generator cut taken
+    absolute: the reference for the stacked solve, whose cut agrees with
+    it on tuples of unit scale."""
+    d = a.d
+    eye = np.eye(d, dtype=complex)
+    blocks = []
+    for ga, gb in zip(a.with_adjoints(), b.with_adjoints()):
+        scale = max(matrix_core.opnorm(ga), matrix_core.opnorm(gb))
+        if scale <= NOISE_FLOOR:
+            continue
+        blocks.append((np.kron(eye, ga.T) - np.kron(gb, eye)) / scale)
+    if not blocks:
+        return SubspaceBasis(element_shape=(d, d), vectors=np.eye(d * d, dtype=complex))
+    null = nullspace(np.vstack(blocks), tol, "intertwiner nullspace")
+    return SubspaceBasis(element_shape=(d, d), vectors=np.ascontiguousarray(null))

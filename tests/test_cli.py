@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nhomog import jsonio
+from nhomog import cli, errors, jsonio
 from nhomog.cli import _config, build_parser, main
 from nhomog.jsonio import (
     decode_fn_algebra_input,
@@ -130,6 +130,38 @@ class TestAnalyze:
         main(["analyze", "--in", pauli_file, "--n", "2", "--human"])
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("{") and any(l.startswith("#") for l in lines[1:])
+
+
+INPUT_FAULTS = ["ParseError", "SchemaError", "ArityMismatch", "DimensionMismatch", "DomainError",
+                "IndexOutOfRange", "NotHermitian", "NotSquare", "NotAStarHom", "SamePoint",
+                "SpaceMismatch", "SpectraNotDisjoint", "TableMismatch", "PreconditionFailed",
+                "MCBudgetTooSmall"]
+OTHER_FAULTS = ["NumericalFailure", "HypothesisViolated", "NotIrreducible", "NotNHomogeneous"]
+
+
+class TestInputErrorClass:
+    @pytest.mark.parametrize("name", INPUT_FAULTS)
+    def test_input_faults_exit_two(self, name, pauli_file, capsys, monkeypatch):
+        fault = getattr(errors, name)
+        assert issubclass(fault, errors.InputError)
+
+        def run(cfg):
+            raise fault("bad input")
+
+        monkeypatch.setattr(cli, "run", run)
+        assert main(["analyze", "--in", pauli_file, "--n", "2"]) == 2
+        assert capsys.readouterr().err == "nhomog: input error: bad input\n"
+
+    @pytest.mark.parametrize("name", OTHER_FAULTS)
+    def test_other_faults_are_not_input_errors(self, name, pauli_file, monkeypatch):
+        fault = getattr(errors, name)
+        assert issubclass(fault, errors.NHomogError) and not issubclass(fault, errors.InputError)
+
+        def run(cfg):
+            raise fault("not the input")
+
+        monkeypatch.setattr(cli, "run", run)
+        assert main(["analyze", "--in", pauli_file, "--n", "2"]) == 3
 
 
 class TestSpectrum:

@@ -19,10 +19,10 @@ from nhomog.instances import (
     random_unitary,
     scrambled_direct_sum,
 )
-from nhomog.matrix_core import adj, opnorm
+from nhomog.matrix_core import DEFAULT_TOL, adj, fix_phase, opnorm
 from nhomog.star_algebra import MatTuple, contains_identity, intertwiner_space
 
-from conftest import HADAMARD, SX, SZ, assert_close, rng, same_up_to_phase
+from conftest import HADAMARD, SX, SZ, assert_close, kron_loop_intertwiner, rng, same_up_to_phase
 
 
 def block_diag(a, b):
@@ -296,6 +296,59 @@ class TestCyclicSplit:
         assert summary(got.decomposition) == summary(want.decomposition) == [(2, 2), (3, 1)]
 
 
+def filtered_unitarily_equivalent(a, b, tol=DEFAULT_TOL):
+    """unitarily_equivalent as it was with the word-trace fast reject
+    (words up to length min(6, 2 d^2), cut at 400 000 words, compared to
+    1e-6) in front of the intertwiner solve, on the np.kron loop."""
+
+    def fingerprint(t):
+        length = min(6, 2 * t.d * t.d)
+        letters = level = t.with_adjoints()
+        reals, imags = [], []
+        for step in range(length):
+            tr = np.einsum("wii->w", level)
+            reals.append(np.sort(tr.real))
+            imags.append(np.sort(tr.imag))
+            if step + 1 < length:
+                if level.shape[0] * letters.shape[0] > 400_000:
+                    break
+                level = np.einsum("wij,ljk->wlik", level, letters).reshape(-1, t.d, t.d)
+        return np.concatenate(reals), np.concatenate(imags)
+
+    scales = (a.scale, b.scale)
+    if min(scales) == 0.0:
+        raise NotIrreducible("the zero tuple is not irreducible")
+    c = max(scales)
+    a, b = MatTuple([g / c for g in a.gens]), MatTuple([g / c for g in b.gens])
+    fa, fb = fingerprint(a), fingerprint(b)
+    if not (fa[0].shape == fb[0].shape and np.allclose(fa[0], fb[0], rtol=1e-9, atol=1e-6)
+            and np.allclose(fa[1], fb[1], rtol=1e-9, atol=1e-6)):
+        return None
+    space = kron_loop_intertwiner(a, b, tol)
+    if space.dim == 0:
+        return None
+    if space.dim > 1:
+        raise NotIrreducible(f"intertwiner space has dimension {space.dim}: the tuples are reducible")
+    w = space.elements()[0]
+    gram = adj(w) @ w
+    lam = float(np.trace(gram).real) / a.d
+    if lam <= 0.0 or opnorm(gram - lam * np.eye(a.d)) > tol.eq_tol * (1.0 + lam):
+        return None
+    u = fix_phase(w / np.sqrt(lam))
+    if opnorm(u @ np.array(a.gens) @ adj(u) - np.array(b.gens)) > 1e-7 * (1.0 + a.scale):
+        raise NumericalFailure("intertwiner residual exceeds 1e-7")
+    return u
+
+
+def outcome(solve, a, b):
+    """("None" | "unitary" | "NotIrreducible", the unitary or None)."""
+    try:
+        u = solve(a, b)
+    except NotIrreducible:
+        return "NotIrreducible", None
+    return ("None", None) if u is None else ("unitary", u)
+
+
 class TestUnitarilyEquivalent:
     @pytest.mark.parametrize("c", [1e-200, 1e-12, 1e-3, 1.0, 1e3, 1e200])
     def test_recovers_conjugating_unitary(self, c):
@@ -338,9 +391,49 @@ class TestUnitarilyEquivalent:
         r = rng(seed)
         a = random_irreducible_tuple(r, 3, 2)
         b = a.conjugated(random_unitary(r, 3))
-        fa, fb = word_trace_fingerprint(a), word_trace_fingerprint(b)
+        fa, fb = word_trace_fingerprint(a, max_len=6), word_trace_fingerprint(b, max_len=6)
         assert np.allclose(fa[0], fb[0], atol=1e-8)
         assert np.allclose(fa[1], fb[1], atol=1e-8)
+
+    def test_reducible_pair_the_filter_answered(self):
+        """The one outcome that changed with the word-trace fast reject
+        gone: a reducible pair with different traces is no longer
+        answered None before the solve, which sees a 4-dimensional
+        intertwiner space and raises."""
+        a, b = MatTuple([np.diag([1.0, 1.0, 2.0])]), MatTuple([np.diag([1.0, 1.0, 3.0])])
+        assert filtered_unitarily_equivalent(a, b) is None
+        with pytest.raises(NotIrreducible, match="dimension 4"):
+            unitarily_equivalent(a, b)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_outcome_as_filtered_solve(self, seed):
+        """Equivalent, inequivalent, reducible and zero pairs at d <= 4,
+        k <= 3 and scales 1e-3 to 1e3: the same None, the same unitary up
+        to phase or the same NotIrreducible, except that a reducible pair
+        the filter answered None may now raise NotIrreducible."""
+        r = rng(900 + seed)
+        d, k = int(r.integers(1, 5)), int(r.integers(1, 4))
+        c = 10.0 ** r.uniform(-3.0, 3.0)
+        a = random_irreducible_tuple(r, d, k)
+        red = scrambled_direct_sum(r, [MatTuple(r.standard_normal((k, 1, 1)))], [d])
+        other_red = scrambled_direct_sum(r, [MatTuple(r.standard_normal((k, 1, 1))) for _ in range(d)], [1] * d)
+        p, q, s = (MatTuple(r.standard_normal((k, 1, 1))) for _ in range(3))
+        shared = [scrambled_direct_sum(r, [p, x], [d - 1, 1]) for x in (q, s)] if d > 1 else [p, q]
+        zero = MatTuple(np.zeros((k, d, d)))
+        pairs = [(a, a.conjugated(random_unitary(r, d)), False),
+                 (a, random_irreducible_tuple(r, d, k), False),
+                 (red, red.conjugated(random_unitary(r, d)), True),
+                 (red, other_red, True), (other_red, other_red, True), (*shared, True),
+                 (zero, a, False), (a, zero, False)]
+        for x, y, reducible in pairs:
+            x, y = MatTuple(c * x.gens), MatTuple(c * y.gens)
+            want, got = outcome(filtered_unitarily_equivalent, x, y), outcome(unitarily_equivalent, x, y)
+            if reducible and want[0] == "None":
+                assert got[0] in ("None", "NotIrreducible")
+                continue
+            assert got[0] == want[0]
+            if got[0] == "unitary":
+                assert same_up_to_phase(got[1], want[1], atol=1e-12)
 
     def test_schur_intertwiner_zero_for_inequivalent(self):
         a, b = distinct_irreducible_tuples(rng(21), 2, 2, 2)

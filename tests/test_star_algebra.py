@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nhomog import star_algebra
-from nhomog.errors import NumericalFailure
+from nhomog.errors import DimensionMismatch, DomainError, NumericalFailure
 from nhomog.instances import (
     distinct_irreducible_tuples,
     ginibre,
@@ -19,12 +21,13 @@ from nhomog.star_algebra import (
     commutant,
     contains_identity,
     hermitian_basis,
+    intertwiner_space,
     is_irreducible,
     word_span,
 )
 from nhomog.sw_engine import closure_star_subalgebra
 
-from conftest import SX, SZ, assert_close, rng
+from conftest import SX, SZ, assert_close, kron_loop_intertwiner, rng
 
 
 def brute_force_word_span_dim(gens, max_len=3):
@@ -314,3 +317,95 @@ class TestNullspace:
         a = q @ np.diag([1.0, 0.5, 2e-9, 0.5e-9]) @ v
         with pytest.raises(NumericalFailure, match="ambiguous rank in nullspace"):
             nullspace(a)
+
+
+class TestMatTupleStack:
+    def test_gens_is_one_read_only_copy(self):
+        src = np.array([SX, SZ])
+        t = MatTuple(src)
+        assert t.gens.shape == (2, 2, 2) and t.gens.dtype == complex
+        with pytest.raises(ValueError):
+            t.gens[0, 0, 0] = 5.0
+        src[0, 0, 0] = 5.0
+        assert t.gens[0, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("gens, error, message", [
+        ([SX, np.ones(2), SZ], DimensionMismatch, "generator 1 must be 2-dimensional, got shape (2,)"),
+        ([SX, SZ, np.ones((3, 3))], DimensionMismatch, "generator 2 has shape (3, 3), expected (2, 2)"),
+        ([np.ones((2, 3)), np.ones((2, 3))], DimensionMismatch, "generator 0 has shape (2, 3), expected (2, 2)"),
+        ([SX, [[0.0, np.nan], [1.0, 0.0]]], DomainError, "generator 1 contains non-finite entries"),
+        ([SX, SZ, [[0.0, 1.0], [1.0, 1j * np.inf]]], DomainError, "generator 2 contains non-finite entries"),
+        ([], DimensionMismatch, "a MatTuple needs at least one generator"),
+    ])
+    def test_messages_name_the_generator(self, gens, error, message):
+        with pytest.raises(error) as exc:
+            MatTuple(gens)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stacked_operations_match_per_generator_loops(self, seed):
+        r = rng(500 + seed)
+        d, k = int(r.integers(1, 5)), int(r.integers(1, 4))
+        t = MatTuple([ginibre(r, d) for _ in range(k)])
+        u = random_unitary(r, d)
+        assert t.scale == max(opnorm(g) for g in t.gens)
+        assert np.array_equal(t.with_adjoints(), [*t.gens, *(adj(g) for g in t.gens)])
+        assert np.array_equal(t.conjugated(u).gens, [u @ g @ adj(u) for g in t.gens])
+        for step in (0.0, 1e-11, 1e-9, 1.0):
+            other = MatTuple(t.gens + step * ginibre(r, d))
+            loop = all(opnorm(a - b) <= 1e-10 * (1.0 + opnorm(a)) for a, b in zip(t.gens, other.gens))
+            assert t.allclose(other, 1e-10) is loop
+
+
+class TestStackedIntertwiner:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rows_equal_kron_loop(self, seed):
+        """Bit for bit, on equivalent, inequivalent, reducible and
+        zero-generator pairs at scales 1e-3 to 1e3."""
+        r = rng(700 + seed)
+        d, k = int(r.integers(1, 5)), int(r.integers(1, 4))
+        a = MatTuple([ginibre(r, d) for _ in range(k)])
+        red = direct_sum(seed % len(DIRECT_SUMS))
+        zero_last = MatTuple([*a.gens[:-1], np.zeros((d, d))])
+        pairs = [(a, a), (a, a.conjugated(random_unitary(r, d))),
+                 (a, MatTuple([ginibre(r, d) for _ in range(k)])),
+                 (red, red.conjugated(random_unitary(r, red.d))), (zero_last, zero_last),
+                 (MatTuple(np.zeros((k, d, d))), MatTuple(np.zeros((k, d, d))))]
+        c = 10.0 ** r.uniform(-3.0, 3.0)
+        for x, y in pairs:
+            x, y = MatTuple(c * x.gens), MatTuple(c * y.gens)
+            assert np.array_equal(intertwiner_space(x, y).vectors, kron_loop_intertwiner(x, y).vectors)
+
+
+def scale_pairs():
+    """Pairs (a, b) with the intertwiner dimension at unit scale: Schur's
+    1 and 0, reducible pairs, and tuples with an exactly zero and a
+    negligible generator (both constrain nothing at any scale)."""
+    r = rng(71)
+    a = random_irreducible_tuple(r, 3, 2)
+    one_one_two, one_one_three = MatTuple([np.diag([1.0, 1.0, 2.0])]), MatTuple([np.diag([1.0, 1.0, 3.0])])
+    return [
+        (MatTuple([SX, SZ]), MatTuple([SX, SZ]), 1),
+        (a, a.conjugated(random_unitary(r, 3)), 1),
+        (a, random_irreducible_tuple(r, 3, 2), 0),
+        (one_one_two, one_one_two, 5),
+        (one_one_two, one_one_three, 4),
+        (MatTuple([SX, np.zeros((2, 2))]), MatTuple([SX, np.zeros((2, 2))]), 2),
+        (MatTuple([SX, 1e-14 * SZ]), MatTuple([SX, 1e-14 * SZ]), 2),
+    ]
+
+
+SCALE_PAIRS = scale_pairs()
+
+
+class TestScaleCovariantSolves:
+    @given(log_c=st.floats(-150.0, 150.0))
+    @example(log_c=-200.0)
+    @example(log_c=-14.0)
+    @settings(max_examples=40, deadline=None)
+    def test_dimensions_do_not_depend_on_scale(self, log_c):
+        c = 10.0 ** log_c
+        for a, b, dim in SCALE_PAIRS:
+            ca, cb = MatTuple(c * a.gens), MatTuple(c * b.gens)
+            assert intertwiner_space(ca, cb).dim == dim
+            assert commutant(ca).dim == commutant(a).dim

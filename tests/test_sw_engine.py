@@ -820,3 +820,81 @@ class TestConstructiveApproximate:
         result = constructive_approximate(alg, f, eps=eps, seed=seed)
         assert result.certified_error <= eps + DEFAULT_TOL.psd_slack
         assert result.projection_error <= result.certified_error + eps
+
+
+def character_algebra(labels):
+    """Diagonal functions on len(labels) points, n = 2: point x carries
+    the characters labels[x] on its two diagonal entries, and the algebra
+    is spanned by one indicator function per character.  It holds the
+    unit, and two points are spectrally separated iff they share no
+    character."""
+    gens = [np.array([np.diag([float(i == c), float(j == c)]) for i, j in labels], dtype=complex)
+            for c in range(1 + max(max(pair) for pair in labels))]
+    return closure_star_subalgebra(gens, points=len(labels), n=2), gens
+
+
+def witnesses_by_point_pairs(e, table, tol=DEFAULT_TOL):
+    """The loop over all point pairs that the class-pair loop of
+    constructive_approximate replaced: its first unseparated pair, or
+    the flattening witnesses keyed by class pair."""
+    classes = table.groups()
+    class_of = {z: ci for ci, cls in enumerate(classes) for z in cls}
+    witnesses = {}
+    for x in range(e.points):
+        for y in range(x + 1, e.points):
+            if class_of[x] == class_of[y]:
+                continue
+            verdict = table.separation(x, y)
+            if not verdict.certified:
+                return (x, y)
+            ci, cj = class_of[x], class_of[y]
+            if (ci, cj) not in witnesses:
+                wit = verdict.witness
+                witnesses[(ci, cj)] = (wit, two_point_flatten(wit[x], wit[y], 1.0, 0.0, tol))
+                witnesses[(cj, ci)] = (wit, two_point_flatten(wit[x], wit[y], 0.0, 1.0, tol))
+    return witnesses
+
+
+class TestClassPairSeparation:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_first_unseparated_pair_as_point_loop(self, seed):
+        r = rng(9100 + seed)
+        labels = [tuple(int(c) for c in r.integers(0, 4, 2)) for _ in range(int(r.integers(3, 8)))]
+        alg, gens = character_algebra(labels)
+        table = sw_engine._ClassTable.of(alg, DEFAULT_TOL, seed)
+        want = witnesses_by_point_pairs(alg, table)
+        if isinstance(want, tuple):
+            with pytest.raises(HypothesisViolated) as exc:
+                constructive_approximate(alg, gens[0], eps=0.1, seed=seed)
+            assert str(exc.value) == f"(AX1) no certified spectral separation for pair {want}"
+        else:
+            constructive_approximate(alg, gens[0], eps=0.1, seed=seed)
+
+    def test_unseparated_pair_after_separated_groups(self):
+        """Groups {0, 2}, {1, 5}, {3}, {4}: every pair with point 0
+        separates, and the first that does not is (1, 3), met through the
+        first points of groups 1 and 2."""
+        alg, gens = character_algebra([(0, 0), (1, 1), (0, 0), (1, 2), (3, 3), (1, 1)])
+        with pytest.raises(HypothesisViolated, match=r"pair \(1, 3\)$"):
+            constructive_approximate(alg, gens[0], eps=0.1)
+
+    def test_witnesses_as_point_loop(self, monkeypatch):
+        seen = []
+        real = sw_engine._partition_route
+
+        def record(e, f, delta, classes, witnesses, tol):
+            table = sw_engine._ClassTable.of(e, tol, seed)
+            want = witnesses_by_point_pairs(e, table, tol)
+            assert classes == table.groups() and witnesses.keys() == want.keys()
+            for key, (wit, poly) in witnesses.items():
+                assert np.array_equal(wit, want[key][0]) and poly == want[key][1]
+            seen.append(len(classes))
+            return real(e, f, delta, classes, witnesses, tol)
+
+        monkeypatch.setattr(sw_engine, "_partition_route", record)
+        for seed in (5, 1003, 1011, 1017):
+            r = rng(seed)
+            gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2, 1], fibers=["full"] * 4)
+            alg = closure_star_subalgebra(gens)
+            constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1, seed=seed)
+        assert seen and all(c == 4 for c in seen)
