@@ -85,20 +85,14 @@ class MatTuple:
     gens: np.ndarray
 
     def __init__(self, gens) -> None:
-        mats = list(gens)
-        if not mats:
+        checked = [as_matrix(g, f"generator {i}") for i, g in enumerate(gens)]
+        if not checked:
             raise DimensionMismatch("a MatTuple needs at least one generator")
-        try:
-            stack = np.array(mats, dtype=complex)
-        except (TypeError, ValueError):  # ragged or non-numeric: named below
-            stack = np.empty(0, dtype=complex)
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not np.isfinite(stack).all():
-            checked = [as_matrix(g, f"generator {i}") for i, g in enumerate(mats)]
-            d = checked[0].shape[0]
-            for i, g in enumerate(checked):
-                if g.shape != (d, d):
-                    raise DimensionMismatch(f"generator {i} has shape {g.shape}, expected ({d}, {d})")
-            stack = np.array(checked)
+        d = checked[0].shape[0]
+        for i, g in enumerate(checked):
+            if g.shape != (d, d):
+                raise DimensionMismatch(f"generator {i} has shape {g.shape}, expected ({d}, {d})")
+        stack = np.array(checked)
         stack.setflags(write=False)
         object.__setattr__(self, "gens", stack)
 
@@ -248,7 +242,8 @@ def intertwiner_space(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL) ->
     by the larger norm of its two letters.  A letter pair below
     NOISE_FLOOR times the largest generator norm of the two tuples is a
     zero generator and constrains nothing, so the solve is scale
-    covariant: (c a, c b) has the same solutions as (a, b) for any c > 0.
+    covariant: (c a, c b) has the same solutions as (a, b) for c from
+    1e-200 to 1e150.
     """
     if a.d != b.d or a.k != b.k:
         raise DimensionMismatch("intertwiner_space needs matching dimensions and arities")
@@ -262,8 +257,9 @@ def intertwiner_space(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL) ->
     # products are np.kron's, element for element
     left = eye[None, :, None, :, None] * la.swapaxes(1, 2)[:, None, :, None, :]
     right = lb[:, :, None, :, None] * eye[None, None, :, None, :]
-    blocks = (left - right) / scale[:, None, None, None, None]
-    null = nullspace(blocks.reshape(len(la) * d * d, d * d), tol, "intertwiner nullspace")
+    np.subtract(left, right, out=left)  # in place: one (2k, d, d, d, d) array fewer
+    left /= scale[:, None, None, None, None]
+    null = nullspace(left.reshape(len(la) * d * d, d * d), tol, "intertwiner nullspace")
     return SubspaceBasis(element_shape=(d, d), vectors=np.ascontiguousarray(null))
 
 
@@ -273,8 +269,8 @@ def commutant(t: MatTuple, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
     Always contains the identity, so the dimension is at least 1.  Basis
     elements are re-verified to commute with every generator, all pairs
     in one stacked norm, relative to the tuple's scale.  Like
-    ``intertwiner_space``, the commutant of c t is that of t for any
-    c > 0.
+    ``intertwiner_space``, the commutant of c t is that of t for c from
+    1e-200 to 1e150.
     """
     basis = intertwiner_space(t, t, tol)
     xs = basis.vectors.reshape(-1, 1, t.d, t.d)
