@@ -97,13 +97,16 @@ def eval_star_polynomial(p: StarPolynomial, t: MatTuple) -> np.ndarray:
     word's letters, each letter a generator or its adjoint."""
     if p.k != t.k:
         raise ArityMismatch(f"polynomial arity {p.k} != tuple arity {t.k}")
-    d = t.d
-    out = np.zeros((d, d), dtype=complex)
+    return _eval_stack(p, t.gens)
+
+
+def _eval_stack(p: StarPolynomial, gens: np.ndarray) -> np.ndarray:
+    """The polynomial at every tuple of a (k, ..., d, d) stack at once."""
+    out = np.zeros(gens.shape[1:], dtype=complex)
     for coeff, word in p.terms:
-        m = np.eye(d, dtype=complex)
+        m = np.eye(gens.shape[-1], dtype=complex)
         for idx, star in word:
-            g = t.gens[idx]
-            m = m @ (adj(g) if star else g)
+            m = m @ (adj(gens[idx]) if star else gens[idx])
         out += coeff * m
     return out
 

@@ -29,7 +29,7 @@ from .star_algebra import RANK_GAP_RATIO, MatTuple, _rank_with_gap, intertwiner_
 _SPLITTER_RESEEDS = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Block:
     """One invariant block: a d x m isometry onto the subspace, the m x m
     compressed tuple and the class it belongs to.  A block's compression
@@ -46,7 +46,7 @@ class Block:
         return self.rep.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     source: MatTuple
     v: np.ndarray = field(repr=False)

@@ -76,11 +76,11 @@ def _rank_with_gap(s: np.ndarray, rank_cut: float, context: str,
     return rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatTuple:
     """A k-tuple of d x d complex matrices, held as one read-only
     (k, d, d) stack ``gens``; every operation on the tuple is one
-    operation on the stack."""
+    operation on the stack.  Equality is identity; see ``allclose``."""
 
     gens: np.ndarray
 
@@ -185,7 +185,9 @@ def closure(family, shape, tol: Tolerance = DEFAULT_TOL, context: str = "closure
     last round added.  The generators are scaled to unit Frobenius norm
     once (at any scale a double can hold) and products are kept at their
     own size, so a product that is zero up to roundoff stays near 1e-16
-    and falls below the rank cut, which is taken relative to 1.
+    and falls below the rank cut, which is taken relative to 1.  Rounds
+    project their candidates R off the span twice (orthogonal to roundoff)
+    and end the loop if one pass leaves ||R||_F <= rank_cut / RANK_GAP_RATIO.
     """
     shape = tuple(shape)
     ambient = prod(shape)
@@ -195,26 +197,26 @@ def closure(family, shape, tol: Tolerance = DEFAULT_TOL, context: str = "closure
     letters = np.array([u for g in letters if (u := _unit_frobenius(g)) is not None]).reshape(-1, *shape)
     vectors = np.zeros((0, ambient), dtype=complex)
     candidates = letters.reshape(-1, ambient)
-    while candidates.shape[0]:
-        for _ in range(2):  # Gram-Schmidt twice keeps the new rows orthogonal to roundoff
-            candidates = candidates - (candidates @ vectors.conj().T) @ vectors
-        _, s, vh = np.linalg.svd(candidates, full_matrices=False)
+    while fnorm(candidates) > tol.rank_cut / RANK_GAP_RATIO:  # else s_max <= ||R||_F leaves no rank
+        s, vh = _right_svd(candidates - (candidates @ vectors.conj().T) @ vectors, full=False)
         new = vh[:_rank_with_gap(s, tol.rank_cut, context, scale=1.0)]
         vectors = np.vstack([vectors, new])
         candidates = (new.reshape(-1, 1, *shape) @ letters).reshape(-1, ambient)
+        candidates = candidates - (candidates @ vectors.conj().T) @ vectors
     return SubspaceBasis(shape, np.ascontiguousarray(vectors))
 
 
-def _right_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and the full square V* of ``rows`` (m, c), or of
-    each matrix of a stack (..., m, c), without forming U.  A tall system
-    (m > c) is first reduced to its c x c factor R = Q* rows, which has
-    the same singular values and right singular vectors (Chan's R-SVD,
-    as LAPACK's gesdd does for tall inputs itself); a square or wide one
-    takes its full SVD, whose U is at most m x m."""
+def _right_svd(rows: np.ndarray, full: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and the full square V* (its first min(m, c) rows
+    if not ``full``) of ``rows`` (m, c), or of each matrix of a stack
+    (..., m, c), without forming U.  A tall system (m > c) is first
+    reduced to its c x c factor R = Q* rows, which has the same singular
+    values and right singular vectors (Chan's R-SVD, as LAPACK's gesdd
+    does for tall inputs itself); a square or wide one takes its SVD
+    directly, whose U is at most m x m."""
     if rows.shape[-2] > rows.shape[-1]:
         rows = np.linalg.qr(rows, mode="r")
-    _, s, vh = np.linalg.svd(rows, full_matrices=True)
+    _, s, vh = np.linalg.svd(rows, full_matrices=full)
     return s, vh
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import StarPolynomial, eval_star_polynomial
+from .calculus import StarPolynomial, _eval_stack
 from .errors import (
     HypothesisViolated,
     IndexOutOfRange,
@@ -47,7 +47,7 @@ from .matrix_core import (
     require_hermitian,
 )
 from .decomposition import _split_points
-from .star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, _right_svd, closure, nullspace
+from .star_algebra import SubspaceBasis, _rank_with_gap, _right_svd, closure, nullspace
 
 
 @dataclass(frozen=True)
@@ -205,33 +205,40 @@ def spectrally_separates(e: FnAlgebra, x: int, y: int, tol: Tolerance = DEFAULT_
     return _ClassTable.of(e, tol, seed).separation(x, y)
 
 
+def _fibres(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Each fibre E(x) = {f(x) : f in E}: its dimension r_x and, from the
+    same stacked SVD, a V* whose first r_x rows are a basis B_x of E(x)."""
+    s, vh = _right_svd(e.basis.vectors.reshape(e.basis.dim, e.points, e.n * e.n).transpose(1, 0, 2))
+    return _rank_with_gap(s, tol.rank_cut, "point fullness", scale=1.0), vh
+
+
 def delta2_subspace(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
     """All functions whose restriction to every pair of points lies in the
     algebra's pair restriction: the two-point approximable subspace,
     which at finite X is cut out by per-pair linear constraints.
 
-    The restrictions to all pairs x <= y are one stacked (pairs, dim,
-    2n^2) array with one SVD and one stacked rank gate.  Each pair
-    constrains f by the 2n^2 - r rows of its V* after its rank r: an
-    orthonormal basis of the complement of its restriction, with the same
-    Gram matrix as the projector I - V^T conj(V) onto that complement.
-    On the diagonal x == y both halves of a row add into one point."""
-    P, n = e.points, e.n
-    nn = n * n
-    xs, ys = np.triu_indices(P)
-    values = e.basis.vectors.reshape(e.basis.dim, P, nn).transpose(1, 0, 2)  # values[x]: (dim, n^2)
-    pairs = np.concatenate([values[xs], values[ys]], axis=-1)
-    s, vh = _right_svd(pairs)
-    rank = _rank_with_gap(s, tol.rank_cut, "pair restriction", scale=1.0)
-    free = np.arange(2 * nn) >= rank[:, None]  # free[p, i]: row i of pair p's V* is a constraint
-    rows = vh[free].conj()
-    pair = np.nonzero(free)[0]
-    at = np.arange(rows.shape[0])
-    constraints = np.zeros((rows.shape[0], P, nn), dtype=complex)
-    constraints[at, xs[pair]] += rows[:, :nn]
-    constraints[at, ys[pair]] += rows[:, nn:]
-    null = nullspace(constraints.reshape(rows.shape[0], e.ambient_dim), tol, "delta2 constraints")
-    return SubspaceBasis(element_shape=(P, n, n), vectors=np.ascontiguousarray(null))
+    It is solved in fibre coordinates f(x) = c_x B_x (``_fibres``), as the
+    diagonal pairs (x, x) demand.  The pairs x < y are one stack of
+    coordinates padded to r = max r_x, with a unit row on each padded
+    column; its SVD leaves each pair the r_x + r_y - r_xy complement rows
+    of its restriction, and one nullspace over the sum_x r_x live columns
+    gives orthonormal c, so orthonormal f."""
+    rank, vh = _fibres(e, tol)
+    r = int(rank.max())
+    live = np.arange(r) < rank[:, None]  # live[x, i]: coordinate i of point x is an unknown
+    basis = vh[:, :r] * live[..., None]  # (P, r, n^2): B_x, padded with zero rows
+    coords = e.basis.vectors.reshape(e.basis.dim, e.points, e.n * e.n).transpose(1, 0, 2) @ adj(basis)
+    xs, ys = np.triu_indices(e.points, k=1)
+    units = ~np.concatenate([live[xs], live[ys]], axis=-1)[..., None] * np.eye(2 * r)
+    pairs = np.concatenate([np.concatenate([coords[xs], coords[ys]], axis=-1), units], axis=-2)
+    s, pair_vh = _right_svd(pairs)
+    free = np.arange(2 * r) >= _rank_with_gap(s, tol.rank_cut, "pair restriction", scale=1.0)[:, None]
+    rows = pair_vh[free].conj()[:, None]  # (rows, 1, 2r): each pair's complement rows
+    ends = np.eye(e.points)[np.stack([xs, ys])[:, np.nonzero(free)[0]]][..., None]  # (2, rows, P, 1)
+    constraints = ends[0] * rows[..., :r] + ends[1] * rows[..., r:]  # (rows, P, r)
+    null = nullspace(constraints[:, live], tol, "delta2 constraints")
+    lift = np.eye(e.points)[np.nonzero(live)[0], :, None] * basis[live][:, None]  # B_x[i] placed at x
+    return SubspaceBasis(element_shape=(e.points, e.n, e.n), vectors=null @ lift.reshape(-1, e.ambient_dim))
 
 
 @dataclass(frozen=True)
@@ -259,17 +266,9 @@ class DensityReport:
         }
 
 
-def _fullness(e: FnAlgebra, xs, tol: Tolerance) -> np.ndarray:
-    """Dimension of {f(x) : f in E} at each point x of xs, from one
-    stacked SVD of the (len(xs), dim, n^2) values and one rank gate."""
-    values = e.basis.vectors.reshape(e.basis.dim, e.points, -1)[:, xs].transpose(1, 0, 2)
-    s = np.linalg.svd(values, compute_uv=False)
-    return _rank_with_gap(s, tol.rank_cut, "point fullness", scale=1.0)
-
-
 def point_fullness(e: FnAlgebra, x: int, tol: Tolerance = DEFAULT_TOL) -> int:
     """Dimension of the set of values {f(x) : f in E}."""
-    return int(_fullness(e, [e.check_point(x)], tol)[0])
+    return int(_fibres(e, tol)[0][e.check_point(x)])
 
 
 def density_check(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> DensityReport:
@@ -283,7 +282,7 @@ def density_check(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> 
     """
     dim = e.basis.dim
     dense = dim == e.ambient_dim
-    fullness = tuple(_fullness(e, np.arange(e.points), tol).tolist())
+    fullness = tuple(_fibres(e, tol)[0].tolist())
     table = _ClassTable.of(e, tol, seed)
     separated = {}
     witnesses = {}
@@ -500,8 +499,7 @@ def two_point_flatten(a, b, alpha: float, beta: float, tol: Tolerance = DEFAULT_
     poly = StarPolynomial(k=1, terms=tuple(terms), unital=True)
     bound = 1e-8 * max(1.0, abs(alpha), abs(beta))
     for mat, want in ((ma, alpha), (mb, beta)):
-        got = eval_star_polynomial(poly, MatTuple([mat]))
-        if opnorm(got - want * np.eye(mat.shape[0])) > bound:
+        if opnorm(_eval_stack(poly, mat[None]) - want * np.eye(mat.shape[0])) > bound:
             raise NumericalFailure("interpolation polynomial failed to flatten a side")
     return poly
 
@@ -611,8 +609,7 @@ def _class_indicators(e: FnAlgebra, classes, witnesses, tol: Tolerance) -> list[
             if cj == ci:
                 continue
             wit, poly = witnesses[(ci, cj)]
-            vals = np.stack([eval_star_polynomial(poly, MatTuple([wit[z]])) for z in range(P)])
-            prod = fn_product(prod, vals)
+            prod = fn_product(prod, _eval_stack(poly, wit[None]))
         want = np.isin(np.arange(P), cls)[:, None, None] * eye
         bad = np.flatnonzero(_opnorms(prod - want) > 1e-6)
         if bad.size:

@@ -54,6 +54,14 @@ class TestDecompose:
         assert len(dec.classes) == 0
         assert dec.zero_dim == 2
 
+    def test_equality_is_identity(self):
+        t = MatTuple([block_diag(SX, SX), block_diag(SZ, -SZ)])
+        dec, again = decompose(t, seed=0), decompose(t, seed=0)
+        assert dec == dec and dec != again and len({dec, again}) == 2
+        block, other = dec.blocks[0], again.blocks[0]
+        assert block == block and block != other and len({block, other}) == 2
+        assert block.rep.allclose(other.rep, 1e-12)
+
     def test_block_invariants(self):
         t, _ = random_homogeneous_instance(rng(3), n=2, k=2, num_classes=2, zero_dim=1)
         dec = decompose(t, seed=7)

@@ -10,14 +10,16 @@ from nhomog.errors import DimensionMismatch, DomainError, NumericalFailure
 from nhomog.instances import (
     distinct_irreducible_tuples,
     ginibre,
+    grouped_function_algebra,
     random_irreducible_tuple,
     random_unitary,
     scrambled_direct_sum,
 )
-from nhomog.matrix_core import adj, opnorm
+from nhomog.matrix_core import DEFAULT_TOL, adj, opnorm
 from nhomog.star_algebra import (
     MatTuple,
     SubspaceBasis,
+    _rank_with_gap,
     commutant,
     contains_identity,
     hermitian_basis,
@@ -355,6 +357,67 @@ class TestMatTupleStack:
             other = MatTuple(t.gens + step * ginibre(r, d))
             loop = all(opnorm(a - b) <= 1e-10 * (1.0 + opnorm(a)) for a, b in zip(t.gens, other.gens))
             assert t.allclose(other, 1e-10) is loop
+
+    def test_equality_is_identity(self):
+        t, same = MatTuple([SX, SZ]), MatTuple([SX, SZ])
+        assert t == t and t != same and t.allclose(same, 0.0)
+        assert len({t, same, t}) == 2
+
+
+def closure_two_pass_loop(family, shape, tol=DEFAULT_TOL):
+    """The closure loop before its last-round exit: every round projects
+    twice and takes the thin SVD of the whole candidate set."""
+    ambient = int(np.prod(shape))
+    letters = np.array([g / np.linalg.norm(g) for g in family if np.abs(g).max() > 0.0]).reshape(-1, *shape)
+    vectors = np.zeros((0, ambient), dtype=complex)
+    candidates = letters.reshape(-1, ambient)
+    while candidates.shape[0]:
+        for _ in range(2):
+            candidates = candidates - (candidates @ vectors.conj().T) @ vectors
+        _, s, vh = np.linalg.svd(candidates, full_matrices=False)
+        new = vh[:_rank_with_gap(s, tol.rank_cut, "closure", scale=1.0)]
+        vectors = np.vstack([vectors, new])
+        candidates = (new.reshape(-1, 1, *shape) @ letters).reshape(-1, ambient)
+    return vectors
+
+
+def test_closure_matches_two_pass_loop_on_criterion_six_instances(monkeypatch):
+    """Same spans as the old loop, and the last round, whose candidates
+    all lie in the span, ends before any SVD."""
+    spectra = []
+
+    def recording(rows, full=True):
+        s, vh = right_svd(rows, full)
+        spectra.append(s)
+        return s, vh
+
+    right_svd = star_algebra._right_svd
+    monkeypatch.setattr(star_algebra, "_right_svd", recording)
+    r = rng(606)
+    for _ in range(200):
+        n = int(r.integers(1, 4))
+        group_count = int(r.integers(1, 4))
+        group_sizes = [int(r.integers(1, 3)) for _ in range(group_count)]
+        vanish = [group_count - 1] if (r.random() < 0.2 and group_count > 1) else []
+        gens, _ = grouped_function_algebra(r, n=n, group_sizes=group_sizes, vanish_groups=vanish)
+        family = gens + [adj(g) for g in gens]
+        shape = (sum(group_sizes), n, n)
+        got = star_algebra.closure(family, shape).vectors
+        want = closure_two_pass_loop(family, shape)
+        assert got.shape == want.shape
+        assert_close(got.T @ got.conj(), want.T @ want.conj(), atol=1e-12)
+    assert min(float(s[0]) for s in spectra) > DEFAULT_TOL.rank_cut
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-8, 1e-11])
+def test_closure_keeps_a_small_new_direction(eps):
+    """diag(1, eps) squared leaves the span by about eps: a new direction
+    above the rank cut must survive the last-round exit, one below it not."""
+    family = [np.diag([1.0, eps])]
+    got = star_algebra.closure(family, (2, 2)).vectors
+    want = closure_two_pass_loop(family, (2, 2))
+    assert got.shape[0] == want.shape[0] == (2 if eps > 1e-9 else 1)
+    assert_close(got.T @ got.conj(), want.T @ want.conj(), atol=1e-12)
 
 
 class TestStackedIntertwiner:

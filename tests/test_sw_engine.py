@@ -343,9 +343,37 @@ class TestDelta2Batched:
         alg = closure_star_subalgebra([], points=3, n=2)
         assert self.assert_matches_loop(alg).dim == 0
 
+    @pytest.mark.parametrize("points", [15, 30])
+    def test_five_group_shape_at_n3(self, points, monkeypatch):
+        """Fibres of dim 9, 3, 9, 1, 3 on five groups of points / 5 points.
+        A pair inside a group restricts to the fibre's dim, a pair across
+        groups to the sum, so the solve has C(points / 5, 2) unit rows per
+        fibre dimension over sum_x r_x columns: no padded part, no zero row."""
+        seen = []
+
+        def recording(rows, tol, context):
+            seen.append(rows)
+            return nullspace(rows, tol, context)
+
+        monkeypatch.setattr(sw_engine, "nullspace", recording)
+        size = points // 5
+        gens, _ = grouped_function_algebra(rng(points), n=3, group_sizes=[size] * 5,
+                                           fibers=["full", "diag", "full", "scalar", "diag"])
+        alg = closure_star_subalgebra(gens, points=points, n=3)
+        assert self.assert_matches_loop(alg).dim == alg.basis.dim == 9 + 3 + 9 + 1 + 3
+        [rows] = seen
+        assert rows.shape == (size * (size - 1) // 2 * 25, size * 25)
+        assert_close(np.linalg.norm(rows, axis=1), np.ones(rows.shape[0]), atol=1e-12)
+
+    def test_vanishing_fibre_beside_full_fibre(self):
+        gens, _ = grouped_function_algebra(rng(12), n=3, group_sizes=[2, 1], fibers=["full", "full"],
+                                           vanish_groups=[1])
+        alg = closure_star_subalgebra(gens, points=3, n=3)
+        assert self.assert_matches_loop(alg).dim == alg.basis.dim == 9
+
     def test_all_functions_leaves_no_live_constraint(self, monkeypatch):
-        """Off the diagonal every pair restriction is full and gives no row;
-        a diagonal pair (x, x) gives n^2 rows (c, -c), which cancel to 0."""
+        """Every fibre is full and every pair restriction is full, so the
+        solve over the sum_x r_x = P n^2 fibre coordinates has no row."""
         seen = []
 
         def recording(rows, tol, context):
@@ -356,8 +384,7 @@ class TestDelta2Batched:
         alg = all_functions_algebra(3, 2)
         d2 = self.assert_matches_loop(alg)
         [rows] = seen
-        assert rows.shape == (3 * 4, alg.ambient_dim)
-        assert float(np.abs(rows).max()) <= 1e-15
+        assert rows.shape == (0, alg.ambient_dim)
         assert d2.dim == alg.ambient_dim
 
     @given(st.integers(0, 10_000), st.floats(-150.0, 150.0))
