@@ -41,7 +41,6 @@ from .matrix_core import (
     Tolerance,
     herm_eig,
     herm_fun,
-    max_spec,
     normal_spectra_disjoint,
     psd_order,
     psd_power,

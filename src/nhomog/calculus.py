@@ -19,12 +19,11 @@ from .decomposition import Decomposition
 from .errors import (
     ArityMismatch,
     IndexOutOfRange,
-    MCBudgetTooSmall,
     NumericalFailure,
     TableMismatch,
 )
-from .haar import HaarSampler, McConfig, haar_unitaries
-from .matrix_core import DEFAULT_TOL, Tolerance, adj, as_matrix, fix_phase, opnorm
+from .haar import McConfig, _mc_draws
+from .matrix_core import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm
 from .star_algebra import MatTuple
 
 Letter = tuple[int, bool]  # (generator index, adjoint flag)
@@ -263,13 +262,13 @@ def n_measure_entry_mc(
 
     ``region`` is a predicate on the unitary parameterizing the orbit of
     class ``class_i``; it receives a phase-normalized representative and
-    must be constant on phases; one ``fix_phase`` call normalizes the
-    whole Haar stack, then ``region`` is called once per sample.
-    ``region=None`` means the whole orbit, where the value delta_{jk}/n
-    times the class projection is exact and returned without sampling.
-    Otherwise the closed-form integrand chi(u.x) u* e_k e_j^T u is
-    averaged over Haar samples and assembled over multiplicity copies
-    in the source basis.
+    must be constant on phases; it is called once per sample of the
+    read-only phase-normalized stack of ``haar._mc_draws``, shared with
+    the other estimators on one config.  ``region=None`` means the whole
+    orbit, where delta_{jk}/n times the class projection is exact and
+    returned without sampling or budget check.  Otherwise the closed-form
+    integrand chi(u.x) u* e_k e_j^T u is averaged over Haar samples and
+    assembled over multiplicity copies in the source basis.
     """
     if not 0 <= class_i < len(dec.classes):
         raise IndexOutOfRange(f"class index {class_i} out of range [0, {len(dec.classes)})")
@@ -279,10 +278,8 @@ def n_measure_entry_mc(
     if region is None:
         weight = (1.0 / n) if j == k else 0.0
         return weight * invariant_spectral_projection(dec, [class_i], tol)
-    if mc.samples < 1000:
-        raise MCBudgetTooSmall(f"samples={mc.samples} < 1000")
-    us = haar_unitaries(HaarSampler(n, mc.seed), mc.samples)
-    mask = np.fromiter((bool(region(p)) for p in fix_phase(us)), dtype=bool, count=mc.samples)
+    us, ps = _mc_draws(n, mc)
+    mask = np.fromiter((bool(region(p)) for p in ps), dtype=bool, count=mc.samples)
     sel = us[mask]
     local = np.einsum("sa,sb->ab", sel[:, k, :].conj(), sel[:, j, :]) / mc.samples
     values = [np.zeros((c.d, c.d), dtype=complex) for c in dec.classes]

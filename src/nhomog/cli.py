@@ -20,7 +20,7 @@ from . import jsonio
 from .calculus import OrbitTable, StarPolynomial, calc
 from .decomposition import homogeneity_verdict, n_spectrum
 from .errors import HypothesisViolated, InputError, NHomogError, NotNHomogeneous, NumericalFailure, SchemaError
-from .haar import HaarSampler, McConfig, haar_unitaries, mc_radius, mc_twirl, twirl_exact
+from .haar import McConfig, _mc_draws, mc_radius, mc_twirl, twirl_exact
 from .matrix_core import DEFAULT_TOL, Tolerance, adj, opnorm
 from .n_space import classify_matrix_rep, ideal_set_correspondence
 from .sw_engine import closure_star_subalgebra, delta2_subspace, density_check
@@ -226,7 +226,7 @@ def _cmd_haar(cfg: RunConfig) -> tuple[int, dict, list[str]]:
     estimate = mc_twirl(a, mc)
     deviation = opnorm(estimate - exact)
     radius = mc_radius(opnorm(a), mc.samples)
-    sample_check = haar_unitaries(HaarSampler(a.shape[0], cfg.seed), 64)
+    sample_check = _mc_draws(a.shape[0], mc)[0][:64]  # the stack mc_twirl just drew
     unitarity = opnorm(adj(sample_check) @ sample_check - np.eye(a.shape[0]))
     report = {
         "exact": jsonio.encode_matrix(exact),

@@ -11,6 +11,7 @@ estimation can split counter ranges deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,13 +114,28 @@ def twirl_exact(a) -> np.ndarray:
     return (np.trace(m) / len(m)) * np.eye(len(m), dtype=complex)
 
 
+@lru_cache(maxsize=1)
+def _mc_draws(n: int, mc: McConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (samples, n, n) Haar stack ``us`` of a config and its
+    read-only ``fix_phase`` ``ps``, after the budget guard and one check
+    that each U*U - I is within eq_tol in Frobenius norm (a bound on the
+    spectral norm ``PointRef.make`` checks), so no sample needs its own.
+    Only the last stack is kept; estimates in a row on one config share it."""
+    if mc.samples < _MIN_SAMPLES:
+        raise MCBudgetTooSmall(f"samples={mc.samples} < {_MIN_SAMPLES}")
+    us = haar_unitaries(HaarSampler(n, mc.seed), mc.samples)
+    if np.linalg.norm(np.einsum("sji,sjk->sik", us.conj(), us) - np.eye(n), axis=(1, 2)).max() > DEFAULT_TOL.eq_tol:
+        raise NumericalFailure("Haar draws are not unitary within eq_tol")
+    ps = fix_phase(us)
+    us.flags.writeable = ps.flags.writeable = False
+    return us, ps
+
+
 def mc_twirl(a, mc: McConfig) -> np.ndarray:
     """Monte-Carlo estimate of the twirl; validates the sampling machinery
     against the exact Schur value."""
     m = require_square(as_matrix(a, "a"))
-    if mc.samples < _MIN_SAMPLES:
-        raise MCBudgetTooSmall(f"samples={mc.samples} < {_MIN_SAMPLES}")
-    us = haar_unitaries(HaarSampler(len(m), mc.seed), mc.samples)
+    us, _ = _mc_draws(len(m), mc)
     w = us.reshape(-1, len(m)) @ m  # u a for every draw, one GEMM
     return np.tensordot(w.reshape(us.shape), us.conj(), axes=([0, 2], [0, 2])) / mc.samples
 
@@ -127,21 +143,16 @@ def mc_twirl(a, mc: McConfig) -> np.ndarray:
 def equivariant_average(g, space: FiniteNSpace, orbit: int, mc: McConfig) -> np.ndarray:
     """Monte-Carlo estimate at the orbit's base point of the averaged
     function u^{-1} . g(u . x): for already-equivariant g this recovers
-    the base value within the MC radius.  Each Haar draw's U*U - I must
-    have Frobenius norm (an upper bound on the spectral norm) within the
-    eq_tol of ``PointRef.make``, so a sample needs no check of its own.
-    ``g`` is called once per sample; its values are validated once, as a
-    stack: DimensionMismatch unless each is n x n, DomainError if any
-    entry is not finite."""
+    the base value within the MC radius.  The points are the checked,
+    phase-normalized stack of ``_mc_draws``, shared with the other
+    estimators on the same config; ``p.u`` is read-only.  ``g`` is called
+    once per sample; its values are validated once, as a stack:
+    DimensionMismatch unless each is n x n, DomainError if any entry is
+    not finite."""
     if not 0 <= orbit < space.orbits:
         raise IndexOutOfRange(f"orbit {orbit} out of range [0, {space.orbits})")
-    if mc.samples < _MIN_SAMPLES:
-        raise MCBudgetTooSmall(f"samples={mc.samples} < {_MIN_SAMPLES}")
     n = space.n
-    us = haar_unitaries(HaarSampler(n, mc.seed), mc.samples)
-    if np.linalg.norm(np.einsum("sji,sjk->sik", us.conj(), us) - np.eye(n), axis=(1, 2)).max() > DEFAULT_TOL.eq_tol:
-        raise NumericalFailure("Haar draws are not unitary within eq_tol")
-    ps = fix_phase(us)
+    _, ps = _mc_draws(n, mc)
     values = [g(PointRef(orbit, p)) for p in ps]
     try:
         vs = np.array(values, dtype=complex)

@@ -209,12 +209,6 @@ def herm_abs(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return (out + adj(out)) / 2.0
 
 
-def max_spec(a, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Largest eigenvalue of a Hermitian matrix."""
-    w, _ = herm_eig(a, tol)
-    return float(w[-1])
-
-
 def psd_order(a, b, tol: Tolerance = DEFAULT_TOL) -> Ordering:
     """Compare two Hermitian matrices in the positive-semidefinite order.
 

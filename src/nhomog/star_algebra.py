@@ -116,9 +116,6 @@ class MatTuple:
         u = as_matrix(u, "u")
         return MatTuple(u @ self.gens @ adj(u))
 
-    def with_extra(self, extra) -> "MatTuple":
-        return MatTuple([*self.gens, extra])
-
     def allclose(self, other: "MatTuple", atol: float) -> bool:
         if self.d != other.d or self.k != other.k:
             return False

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nhomog import matrix_core
+from nhomog import haar, matrix_core
 from nhomog.star_algebra import NOISE_FLOOR, SubspaceBasis, nullspace
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -23,6 +23,16 @@ def sz():
 @pytest.fixture
 def hadamard():
     return HADAMARD.copy()
+
+
+@pytest.fixture
+def fresh_draws():
+    """Forget the Haar stack that haar._mc_draws keeps, before and after the
+    test, so a count of draws or a patched sampler does not depend on
+    which test ran before."""
+    haar._mc_draws.cache_clear()
+    yield
+    haar._mc_draws.cache_clear()
 
 
 def rng(seed):

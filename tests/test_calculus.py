@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhomog import calculus, haar
 from nhomog.calculus import (
     OrbitTable,
     StarPolynomial,
@@ -15,13 +16,14 @@ from nhomog.calculus import (
 )
 from nhomog.decomposition import decompose
 from nhomog.errors import ArityMismatch, IndexOutOfRange, MCBudgetTooSmall, TableMismatch
-from nhomog.haar import McConfig, mc_radius
+from nhomog.haar import HaarSampler, McConfig, equivariant_average, haar_unitaries, mc_radius
 from nhomog.instances import (
     random_homogeneous_instance,
     random_orbit_table,
     random_star_polynomial,
 )
-from nhomog.matrix_core import adj, opnorm
+from nhomog.matrix_core import adj, fix_phase, opnorm
+from nhomog.n_space import FiniteNSpace
 from nhomog.star_algebra import MatTuple
 
 from conftest import SX, SZ, assert_close, rng
@@ -36,6 +38,26 @@ def pauli_dec():
 def layered_dec():
     t, _ = random_homogeneous_instance(rng(14), n=2, k=2, num_classes=2, max_mult=2, zero_dim=1)
     return decompose(t, seed=3)
+
+
+@pytest.fixture(scope="module")
+def orbit_dec():
+    """Classes of size 3, as in the orbit-average benchmark."""
+    t, _ = random_homogeneous_instance(rng(15), n=3, k=2, num_classes=2, max_mult=2, zero_dim=1)
+    return decompose(t, seed=3)
+
+
+def entry_reference(dec, class_i, j, k, region, mc):
+    """n_measure_entry_mc on a region as it was before the shared stack:
+    its own draw and its own fix_phase, writable."""
+    n = dec.classes[class_i].d
+    us = haar_unitaries(HaarSampler(n, mc.seed), mc.samples)
+    mask = np.fromiter((bool(region(p)) for p in fix_phase(us)), dtype=bool, count=mc.samples)
+    sel = us[mask]
+    local = np.einsum("sa,sb->ab", sel[:, k, :].conj(), sel[:, j, :]) / mc.samples
+    values = [np.zeros((c.d, c.d), dtype=complex) for c in dec.classes]
+    values[class_i] = local
+    return calculus._assemble(dec, values)
 
 
 class TestStarPolynomial:
@@ -231,6 +253,62 @@ class TestNMeasureEntries:
     def test_budget_guard(self, layered_dec):
         with pytest.raises(MCBudgetTooSmall):
             n_measure_entry_mc(layered_dec, 0, 0, 0, region=lambda u: True, mc=McConfig(10, 0))
+
+    def test_guard_order(self, layered_dec):
+        # index checks come first; the whole orbit is exact and needs no budget
+        small = McConfig(10, 0)
+        with pytest.raises(IndexOutOfRange):
+            n_measure_entry_mc(layered_dec, 0, 5, 0, region=lambda u: True, mc=small)
+        exact = n_measure_entry_mc(layered_dec, 0, 1, 1)
+        assert np.array_equal(n_measure_entry_mc(layered_dec, 0, 1, 1, mc=small), exact)
+
+
+def orbit_region(u) -> bool:
+    """The orbit-average benchmark's region, constant on phases."""
+    return abs(u[0, 0]) ** 2 > 1.0 / 3.0
+
+
+class TestSharedDraws:
+    def test_one_draw_per_config(self, layered_dec, monkeypatch, fresh_draws):
+        calls = []
+        real = haar.haar_unitaries
+        monkeypatch.setattr(haar, "haar_unitaries",
+                            lambda s, count: calls.append((s.n, s.seed, count)) or real(s, count))
+        n = layered_dec.classes[0].d
+        mc = McConfig(2000, 7)
+        average = lambda n, mc: equivariant_average(lambda p: p.u, FiniteNSpace(n=n, orbits=1), 0, mc)
+        average(n, mc)
+        n_measure_entry_mc(layered_dec, 0, 0, 0, orbit_region, mc)
+        n_measure_entry_mc(layered_dec, 0, 0, 1, lambda u: not orbit_region(u), mc)
+        n_measure_entry_mc(layered_dec, 0, 0, 0, None, mc)  # exact: no draw
+        assert calls == [(n, 7, 2000)]
+        for key in [(n + 1, mc), (n, McConfig(2000, 8)), (n, McConfig(3000, 7)), (n, mc)]:
+            average(*key)  # only the last stack is kept
+        assert calls == [(n, 7, 2000), (n + 1, 7, 2000), (n, 8, 2000), (n, 7, 3000), (n, 7, 2000)]
+
+    @pytest.mark.parametrize("dec_name, samples", [("orbit_dec", 5000), ("layered_dec", 2000)])
+    def test_entries_equal_their_own_draws(self, request, dec_name, samples):
+        dec = request.getfixturevalue(dec_name)
+        mc = McConfig(samples, 3)
+        complement = lambda u: not orbit_region(u)
+        for (j, k), region in [((0, 1), orbit_region), ((1, 1), complement)]:
+            want = entry_reference(dec, 0, j, k, region, mc)
+            haar._mc_draws.cache_clear()
+            assert np.array_equal(n_measure_entry_mc(dec, 0, j, k, region, mc), want)  # a fresh draw
+            assert np.array_equal(n_measure_entry_mc(dec, 0, j, k, region, mc), want)  # the kept stack
+
+    def test_region_cannot_write_the_stack(self, layered_dec, fresh_draws):
+        mc = McConfig(2000, 2)
+
+        def scribble(u):
+            u[0, 0] = 0.0
+            return True
+
+        with pytest.raises(ValueError, match="read-only"):
+            n_measure_entry_mc(layered_dec, 0, 0, 0, scribble, mc)
+        # the refused write left the kept stack as drawn
+        want = entry_reference(layered_dec, 0, 0, 0, orbit_region, mc)
+        assert np.array_equal(n_measure_entry_mc(layered_dec, 0, 0, 0, orbit_region, mc), want)
 
 
 class TestDominatedConvergence:

@@ -480,7 +480,7 @@ class TestHomogeneityVerdict:
             t, _ = random_homogeneous_instance(r, n=2, k=2, num_classes=int(r.integers(1, 3)))
             report = homogeneity_verdict(t, 2, seed=seed)
             assert report.is_n_homogeneous
-            unitalized = homogeneity_verdict(t.with_extra(np.eye(t.d)), 2, seed=seed)
+            unitalized = homogeneity_verdict(MatTuple([*t.gens, np.eye(t.d)]), 2, seed=seed)
             if unitalized.is_n_homogeneous:
                 assert contains_identity(t)
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from nhomog import haar
+from nhomog.calculus import n_measure_entry_mc
+from nhomog.decomposition import decompose
 from nhomog.errors import (
     DimensionMismatch,
     DomainError,
@@ -21,10 +23,11 @@ from nhomog.haar import (
     twirl_exact,
 )
 from nhomog.instances import ginibre, random_unitary
-from nhomog.matrix_core import adj, opnorm
+from nhomog.matrix_core import adj, fix_phase, opnorm
 from nhomog.n_space import FiniteNSpace, PointRef
+from nhomog.star_algebra import MatTuple
 
-from conftest import SX, assert_close, rng
+from conftest import SX, SZ, assert_close, rng
 
 
 LADDER = (1, 2, 3, 4, 6, 8)
@@ -42,6 +45,23 @@ def qr_haar_unitaries(s, count):
     q, r = np.linalg.qr(z)
     diag = np.einsum("sii->si", r)
     return q * (diag / np.abs(diag))[:, None, :]
+
+
+def twirl_reference(a, mc):
+    """mc_twirl as it was before the shared stack: its own draw, no check."""
+    m = np.asarray(a, dtype=complex)
+    us = haar_unitaries(HaarSampler(len(m), mc.seed), mc.samples)
+    w = us.reshape(-1, len(m)) @ m
+    return np.tensordot(w.reshape(us.shape), us.conj(), axes=([0, 2], [0, 2])) / mc.samples
+
+
+def average_reference(g, orbit, n, mc):
+    """equivariant_average as it was before the shared stack: its own draw
+    and its own fix_phase, writable."""
+    us = haar_unitaries(HaarSampler(n, mc.seed), mc.samples)
+    ps = fix_phase(us)
+    vs = np.array([g(PointRef(orbit, p)) for p in ps], dtype=complex)
+    return ps.reshape(-1, n).conj().T @ (vs @ ps).reshape(-1, n) / mc.samples
 
 
 class TestSampler:
@@ -221,13 +241,28 @@ class TestEquivariantAverage:
             equivariant_average(lambda p: np.eye(2), space, 0, McConfig(10, 0))
         with pytest.raises(IndexOutOfRange):
             equivariant_average(lambda p: np.eye(2), space, 3, McConfig(2000, 0))
+        with pytest.raises(IndexOutOfRange):  # the orbit is checked before the budget
+            equivariant_average(lambda p: np.eye(2), space, 3, McConfig(10, 0))
 
-    def test_non_unitary_draws_raise(self, monkeypatch):
-        # one check covers the whole Haar stack, at PointRef.make's eq_tol
+    def test_non_unitary_draws_raise(self, monkeypatch, fresh_draws):
+        # one check covers the whole Haar stack, at PointRef.make's eq_tol,
+        # for every estimator; a failed draw is not kept, so good draws on
+        # the same config then succeed
         real = haar.haar_unitaries
-        monkeypatch.setattr(haar, "haar_unitaries", lambda s, count: real(s, count) * (1.0 + 1e-7))
-        with pytest.raises(NumericalFailure, match="not unitary"):
-            equivariant_average(lambda p: np.eye(2), FiniteNSpace(n=2, orbits=1), 0, McConfig(2000, 0))
+        mc = McConfig(2000, 0)
+        dec = decompose(MatTuple([SX, SZ]), seed=0)
+        estimates = [
+            lambda: equivariant_average(lambda p: np.eye(2), FiniteNSpace(n=2, orbits=1), 0, mc),
+            lambda: n_measure_entry_mc(dec, 0, 0, 0, lambda u: True, mc),
+            lambda: mc_twirl(SX, mc),
+        ]
+        for estimate in estimates:
+            haar._mc_draws.cache_clear()
+            monkeypatch.setattr(haar, "haar_unitaries", lambda s, count: real(s, count) * (1.0 + 1e-7))
+            with pytest.raises(NumericalFailure, match="not unitary"):
+                estimate()
+            monkeypatch.undo()
+            assert np.isfinite(estimate()).all()
 
     def test_matches_per_sample_loop(self):
         # reference: one validated point and one conjugation per sample
@@ -257,3 +292,38 @@ class TestEquivariantAverage:
     def test_bad_sampled_values(self, value, error):
         with pytest.raises(error):
             equivariant_average(value, FiniteNSpace(n=2, orbits=1), 0, McConfig(1000, 0))
+
+
+class TestSharedStack:
+    """equivariant_average, n_measure_entry_mc and mc_twirl share one
+    checked, read-only Haar stack per (n, seed, samples)."""
+
+    @pytest.mark.parametrize("n, samples", [(3, 5000), (2, 2000)])
+    def test_estimators_equal_their_own_draws(self, n, samples):
+        r = rng(40 + n)
+        f, c = ginibre(r, n), ginibre(r, n)
+        sampled = lambda p: p.u @ f @ p.u.conj().T + c  # the orbit-average operation
+        mc = McConfig(samples, seed=3)
+        space = FiniteNSpace(n=n, orbits=3)
+        runs = [
+            (lambda: equivariant_average(sampled, space, 1, mc), average_reference(sampled, 1, n, mc)),
+            (lambda: mc_twirl(f, mc), twirl_reference(f, mc)),
+        ]
+        for estimate, want in runs:
+            haar._mc_draws.cache_clear()
+            assert np.array_equal(estimate(), want)  # a fresh draw
+            assert np.array_equal(estimate(), want)  # the kept stack
+
+    def test_points_are_read_only(self, fresh_draws):
+        space = FiniteNSpace(n=2, orbits=1)
+        mc = McConfig(2000, 4)
+
+        def scribble(p):
+            p.u[0, 0] = 0.0
+            return p.u
+
+        with pytest.raises(ValueError, match="read-only"):
+            equivariant_average(scribble, space, 0, mc)
+        # the refused write left the kept stack as drawn
+        g = lambda p: p.u @ SX @ adj(p.u)
+        assert np.array_equal(equivariant_average(g, space, 0, mc), average_reference(g, 0, 2, mc))
