@@ -184,7 +184,7 @@ def _cmd_calc(cfg: RunConfig) -> tuple[int, dict, list[str]]:
         raise SchemaError("calc input needs a 'polynomial' or 'table' field")
     result = calc(f, dec, cfg.tol)
     report = {"result": jsonio.encode_matrix(result), "classes": len(dec.classes)}
-    return EXIT_OK, report, [f"result norm {opnorm(result):.6g}"]
+    return EXIT_OK, report, [f"result norm {opnorm(result):.6g}"] if cfg.human else []
 
 
 def _cmd_sw_check(cfg: RunConfig) -> tuple[int, dict, list[str]]:

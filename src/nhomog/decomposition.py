@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotIrreducible, NotNHomogeneous, NumericalFailure
-from .matrix_core import DEFAULT_TOL, Tolerance, adj, fix_phase, opnorm
+from .matrix_core import DEFAULT_TOL, Tolerance, _exceeds, _opnorms, adj, fix_phase, opnorm
 from .star_algebra import RANK_GAP_RATIO, MatTuple, _rank_with_gap, intertwiner_space
 
 _SPLITTER_RESEEDS = 5
@@ -238,7 +238,7 @@ def _cyclic_split(letters: np.ndarray, h: np.ndarray, tol: Tolerance) -> tuple[l
             raise NumericalFailure("an eigenvalue cluster lies too close to its neighbours to resolve the rank cut")
         isos = _spin_up(letters, e, tol)
         new = np.hstack(isos)  # Norton's count: m blocks, orthonormal to each other and to the blocks found
-        if opnorm(np.vstack([adj(found) @ new, adj(new) @ new - np.eye(new.shape[1])])) > 1e-8:
+        if _exceeds(np.vstack([adj(found) @ new, adj(new) @ new - np.eye(new.shape[1])]), 1e-8):
             raise NumericalFailure("cyclic blocks are not jointly orthonormal")
         found = np.hstack([found, new])
         if np.linalg.norm(e - found @ (adj(found) @ e)) > 1e-8:
@@ -259,15 +259,17 @@ class _PointSplit:
     multiplicities: tuple[int, ...]
 
 
-def _assemble(gens: np.ndarray, c: float, classes: list, null: list) -> _PointSplit:
+def _assemble(gens: np.ndarray, norms: np.ndarray, classes: list, null: list) -> _PointSplit:
     """Compress onto the blocks, order the classes canonically (by dim,
     then word-trace fingerprint) and check every post-condition, all
-    compared at the scale c of the (k, P, n, n) generators, each as one
-    batched norm over a stack.  Irreducibility is not re-proved: once the
+    compared at the scale c = max ||G_j(x)|| of the (k, P, n, n)
+    generators, from their (k, P) ``norms``, each as one norm test over
+    a stack (``_exceeds``).  Irreducibility is not re-proved: once the
     intertwining check G_j V = V (+)_b C_b shows every block reducing and
     the class check shows each class's blocks aligned, Norton's count
     (see ``decompose``) certifies it."""
     k, points, n = gens.shape[:3]
+    c = float(norms.max())
 
     def compress(isos: np.ndarray, at: np.ndarray) -> tuple:
         """Each block at its point: the compressions C = (V* G) V, then
@@ -293,17 +295,17 @@ def _assemble(gens: np.ndarray, c: float, classes: list, null: list) -> _PointSp
     by_point = np.argsort(col_point, kind="stable")
     v = cols[:, by_point].reshape(n, points, n).swapaxes(0, 1)
     owner = np.repeat(np.arange(len(blocks)), [b.dim for b in blocks])[by_point].reshape(points, n)
-    if np.linalg.norm(adj(v) @ v - np.eye(n), 2, axis=(-2, -1)).max() > 1e-8:
+    if _exceeds(adj(v) @ v - np.eye(n), 1e-8).any():
         raise NumericalFailure("assembled change of basis is not unitary")
     # V is unitary, so |G_j V - V C_j| at a point is the error of G_j's block reconstruction there
     resid = resid[:, :, by_point].reshape(k, n, points, n).swapaxes(1, 2)
-    norms = np.linalg.norm(resid, 2, axis=(-2, -1)).max(axis=1)
-    bad = np.flatnonzero(norms > 1e-7 * (c + np.linalg.norm(gens, 2, axis=(-2, -1)).max(axis=1)))
+    bad = np.flatnonzero(_exceeds(resid, 1e-7 * (c + norms.max(axis=1))[:, None]).any(axis=1))
     if bad.size:
         raise NumericalFailure(f"block intertwining of generator {bad[0]} failed")
     for _, comps, *_ in groups:  # blocks of a class are aligned: each compression is the representative
-        norms = np.linalg.norm(np.concatenate([comps[1:] - comps[0], comps[:1]]), 2, axis=(-2, -1))
-        if np.any(norms[:-1] > 1e-7 * (c + norms[-1])):
+        drift = comps[1:] - comps[0]
+        # c <= c + ||C_0||: drift the exact test finds, the first test, which needs no norm of C_0, finds too
+        if _exceeds(drift, 1e-7 * c).any() and _exceeds(drift, 1e-7 * (c + _opnorms(comps[0]))).any():
             raise NumericalFailure("a block's compression differs from its class representative")
     return _PointSplit(blocks, v, owner, tuple(MatTuple(g[1][0]) for g in groups), tuple(len(g[0]) for g in groups))
 
@@ -311,14 +313,15 @@ def _assemble(gens: np.ndarray, c: float, classes: list, null: list) -> _PointSp
 def _split_points(gens: np.ndarray, tol: Tolerance, seed: int) -> _PointSplit:
     """Split a (k, P, n, n) stack of generators, acting point by point,
     into irreducible blocks at single points (see ``decompose``, P = 1)."""
-    scale = float(np.linalg.norm(gens, 2, axis=(-2, -1)).max())
+    norms = np.linalg.norm(gens, 2, axis=(-2, -1))
+    scale = float(norms.max())
     unit = gens / scale if scale > 0.0 else gens
     letters = np.concatenate([unit, adj(unit)])
     rng = np.random.default_rng(seed)
     failure = ""
     for _ in range(_SPLITTER_RESEEDS):
         try:
-            return _assemble(gens, scale, *_cyclic_split(letters, _random_hermitian(letters, rng), tol))
+            return _assemble(gens, norms, *_cyclic_split(letters, _random_hermitian(letters, rng), tol))
         except NumericalFailure as exc:
             failure = str(exc)
     raise NumericalFailure(f"cyclic split failed on {_SPLITTER_RESEEDS} random draws; last: {failure}")

@@ -6,6 +6,9 @@ plain complex numpy arrays; every public entry point validates its inputs.
 A function on a finite set X with values in M_n is a (P, n, n) stack:
 ``opnorm``, ``require_hermitian`` and ``herm_abs`` take one matrix or a
 stack, and ``opnorm`` of a stack is the sup norm max_x ||f(x)||.
+Checks of the form ||X||_2 <= bound go through ``_exceeds``: exact, and
+decided by a Frobenius screen, with the SVD taken only where ||X||_F, an
+upper bound, leaves the answer open.
 """
 
 from __future__ import annotations
@@ -106,6 +109,32 @@ def _opnorms(a: np.ndarray) -> np.ndarray:
     """Operator norm of each matrix of a (..., n, n) stack, by one
     stacked SVD (0 for empty matrices)."""
     return np.linalg.norm(a, 2, axis=(-2, -1)) if a.size else np.zeros(a.shape[:-2])
+
+
+# ||a||_2 <= ||a||_F.  The screen of ``_exceeds`` passes a matrix only
+# with a relative margin for the rounding of both norms, and only at
+# bounds where no square of an entry underflows enough to matter.
+_SCREEN_MARGIN = 1e-10
+_SCREEN_FLOOR = 1e-150
+
+
+def _exceeds(a: np.ndarray, bound) -> np.ndarray:
+    """``_opnorms(a) > bound`` for each matrix of a (..., m, n) stack,
+    with ``bound`` broadcast against the stack, decided exactly but with
+    an SVD only where the Frobenius norm, an upper bound, does not
+    already settle it.  NaN and inf fail the screen, so they reach the
+    SVD as they would in ``_opnorms``."""
+    a = np.asarray(a)
+    bound = np.asarray(bound, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the screen
+        fro = np.linalg.norm(a, axis=(-2, -1)) if a.size else np.zeros(a.shape[:-2])
+    passed = (fro < np.inf) & (bound >= _SCREEN_FLOOR) & (fro * (1.0 + _SCREEN_MARGIN) <= bound)
+    unsure = np.asarray(~passed)
+    if unsure.any():  # the exact test where the screen is unsure; False everywhere else
+        shape = unsure.shape
+        norms = _opnorms(np.broadcast_to(a, shape + a.shape[-2:])[unsure])
+        unsure[unsure] = norms > np.broadcast_to(bound, shape)[unsure]
+    return unsure
 
 
 def opnorm(a: np.ndarray) -> float:

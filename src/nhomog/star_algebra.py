@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from typing import NoReturn
 
 import numpy as np
 
@@ -76,6 +77,19 @@ def _rank_with_gap(s: np.ndarray, rank_cut: float, context: str,
     return rank
 
 
+def _refuse(gens) -> NoReturn:
+    """Raise the error that names the first bad generator of a refused
+    ``MatTuple`` input."""
+    checked = [as_matrix(g, f"generator {i}") for i, g in enumerate(gens)]
+    if not checked:
+        raise DimensionMismatch("a MatTuple needs at least one generator")
+    d = checked[0].shape[0]
+    for i, g in enumerate(checked):
+        if g.shape != (d, d):
+            raise DimensionMismatch(f"generator {i} has shape {g.shape}, expected ({d}, {d})")
+    raise DimensionMismatch("the generators do not form a (k, d, d) stack")
+
+
 @dataclass(frozen=True, eq=False)
 class MatTuple:
     """A k-tuple of d x d complex matrices, held as one read-only
@@ -85,14 +99,18 @@ class MatTuple:
     gens: np.ndarray
 
     def __init__(self, gens) -> None:
-        checked = [as_matrix(g, f"generator {i}") for i, g in enumerate(gens)]
-        if not checked:
-            raise DimensionMismatch("a MatTuple needs at least one generator")
-        d = checked[0].shape[0]
-        for i, g in enumerate(checked):
-            if g.shape != (d, d):
-                raise DimensionMismatch(f"generator {i} has shape {g.shape}, expected ({d}, {d})")
-        stack = np.array(checked)
+        """One conversion to a complex (k, d, d) copy, one shape check and
+        one finiteness check.  A refused input is walked generator by
+        generator only to name the first bad one; the walk never accepts."""
+        if not isinstance(gens, np.ndarray):
+            gens = list(gens)  # an iterator is read once
+        try:
+            stack = np.array(gens, dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            stack = None
+        if (stack is None or stack.ndim != 3 or not stack.shape[0] or stack.shape[1] != stack.shape[2]
+                or not np.isfinite(stack).all()):
+            _refuse(gens)
         stack.setflags(write=False)
         object.__setattr__(self, "gens", stack)
 

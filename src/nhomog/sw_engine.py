@@ -53,11 +53,13 @@ from .star_algebra import SubspaceBasis, _rank_with_gap, _right_svd, closure, nu
 @dataclass(frozen=True)
 class FnAlgebra:
     """A *-subalgebra of functions on a finite point set, carried as an
-    orthonormal basis closed (within tolerance) under pointwise products."""
+    orthonormal basis closed (within tolerance) under pointwise products.
+    The fibres (``_fibres``) are kept per rank cut once computed."""
 
     n: int
     points: int
     basis: SubspaceBasis
+    _fibre_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.points < 1:
@@ -207,9 +209,16 @@ def spectrally_separates(e: FnAlgebra, x: int, y: int, tol: Tolerance = DEFAULT_
 
 def _fibres(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """Each fibre E(x) = {f(x) : f in E}: its dimension r_x and, from the
-    same stacked SVD, a V* whose first r_x rows are a basis B_x of E(x)."""
-    s, vh = _right_svd(e.basis.vectors.reshape(e.basis.dim, e.points, e.n * e.n).transpose(1, 0, 2))
-    return _rank_with_gap(s, tol.rank_cut, "point fullness", scale=1.0), vh
+    same stacked SVD, a V* whose first r_x rows are a basis B_x of E(x).
+    Taken once per algebra and rank cut, and kept on it read-only."""
+    fibres = e._fibre_memo.get(tol.rank_cut)
+    if fibres is None:
+        s, vh = _right_svd(e.basis.vectors.reshape(e.basis.dim, e.points, e.n * e.n).transpose(1, 0, 2))
+        fibres = (_rank_with_gap(s, tol.rank_cut, "point fullness", scale=1.0), vh)
+        for a in fibres:
+            a.setflags(write=False)
+        e._fibre_memo[tol.rank_cut] = fibres
+    return fibres
 
 
 def delta2_subspace(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
@@ -284,13 +293,11 @@ def density_check(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> 
     dense = dim == e.ambient_dim
     fullness = tuple(_fibres(e, tol)[0].tolist())
     table = _ClassTable.of(e, tol, seed)
-    separated = {}
-    witnesses = {}
-    for x in range(e.points):
-        for y in range(x + 1, e.points):
-            verdict = table.separation(x, y)
-            separated[(x, y)] = verdict.certified
-            witnesses[(x, y)] = verdict.witness
+    xs, ys = np.triu_indices(e.points, k=1)
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    shared = (table.present[:, xs] & table.present[:, ys]).any(axis=0).tolist()  # the rule of ``separation``
+    separated = {p: not s for p, s in zip(pairs, shared)}
+    witnesses = {p: None if s else table.witness for p, s in zip(pairs, shared)}
     criterion = all(f == e.n * e.n for f in fullness) and all(separated.values())
     if criterion != dense:
         raise NumericalFailure(

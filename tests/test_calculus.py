@@ -15,7 +15,7 @@ from nhomog.calculus import (
     reconstruct_generators,
 )
 from nhomog.decomposition import decompose
-from nhomog.errors import ArityMismatch, IndexOutOfRange, MCBudgetTooSmall, TableMismatch
+from nhomog.errors import ArityMismatch, IndexOutOfRange, MCBudgetTooSmall, NumericalFailure, TableMismatch
 from nhomog.haar import HaarSampler, McConfig, equivariant_average, haar_unitaries, mc_radius
 from nhomog.instances import (
     random_homogeneous_instance,
@@ -129,6 +129,31 @@ class TestCalc:
         p = random_star_polynomial(rng(4), k=2)
         direct = eval_star_polynomial(p, layered_dec.source)
         assert opnorm(calc(p, layered_dec) - direct) <= 1e-8 * (1 + opnorm(direct))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("shape", ["rank one", "identity"])
+    @pytest.mark.parametrize("ratio", [0.5, 0.999, 1.001, 2.0])
+    def test_cross_check_raises_as_the_exact_test(self, monkeypatch, layered_dec, scale, shape, ratio):
+        """The screened cross-check fails exactly where ||out - direct||_2 >
+        1e-8 (1 + ||direct||_2) does.  An identity-shaped error has
+        ||.||_F = sqrt(d) ||.||_2, so below the bound it passes only through
+        the exact test."""
+        t = MatTuple(scale * layered_dec.source.gens)
+        dec = decompose(t, seed=3)
+        p = StarPolynomial.parse("z1*z2' + 2*z2", 2, unital=False)
+        direct = eval_star_polynomial(p, t)
+        d = t.d
+        error = np.eye(d) if shape == "identity" else np.outer(np.arange(1, d + 1), np.ones(d)) + 0j
+        error *= ratio * 1e-8 * (1.0 + opnorm(direct)) / opnorm(error)
+        assemble = calculus._assemble
+        monkeypatch.setattr(calculus, "_assemble", lambda dec, values: assemble(dec, values) + error)
+        out = assemble(dec, [eval_star_polynomial(p, c) for c in dec.classes]) + error
+        if opnorm(out - direct) > 1e-8 * (1.0 + opnorm(direct)):
+            with pytest.raises(NumericalFailure, match="disagrees"):
+                calc(p, dec)
+        else:
+            assert np.array_equal(calc(p, dec), out)
+        assert (opnorm(out - direct) > 1e-8 * (1.0 + opnorm(direct))) is (ratio > 1.0)
 
     def test_table_mismatch_detected(self, pauli_dec, layered_dec):
         table = OrbitTable.identity(pauli_dec)

@@ -196,6 +196,16 @@ class TestCalc:
         report = json.loads(capsys.readouterr().out)
         assert_close(decode_matrix(report["result"], "r"), np.eye(2), atol=1e-9)
 
+    def test_human_line_only_with_human(self, tmp_path, capsys, monkeypatch):
+        """The result norm is taken only for the --human summary."""
+        path = write(tmp_path, "calc.json", {"tuple": {"generators": [mat(SX), mat(SZ)]}, "polynomial": "2*z1"})
+        monkeypatch.setattr(cli, "opnorm", lambda a: pytest.fail("norm taken without --human"))
+        assert main(["calc", "--in", path, "--n", "2"]) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setattr(cli, "opnorm", lambda a: 2.0)
+        assert main(["calc", "--in", path, "--n", "2", "--human"]) == 0
+        assert capsys.readouterr().out == plain.rstrip("\n") + "\n# result norm 2\n"
+
     def test_bad_polynomial_exit_two(self, tmp_path):
         path = write(
             tmp_path, "badp.json", {"tuple": {"generators": [mat(SX)]}, "polynomial": "z9"}

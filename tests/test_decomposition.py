@@ -14,6 +14,7 @@ from nhomog.decomposition import (
 from nhomog.errors import NotIrreducible, NotNHomogeneous, NumericalFailure
 from nhomog.instances import (
     distinct_irreducible_tuples,
+    grouped_function_algebra,
     random_homogeneous_instance,
     random_irreducible_tuple,
     random_unitary,
@@ -507,3 +508,46 @@ class TestNSpectrum:
     def test_rejects_inhomogeneous(self):
         with pytest.raises(NotNHomogeneous):
             n_spectrum(MatTuple([np.diag([1.0, 2.0])]), 2)
+
+
+class TestNoCertificationSvd:
+    """The splitter's post-conditions are decided by the Frobenius screen:
+    on inputs that pass, the only 2-norm taken is the generators' scale."""
+
+    @staticmethod
+    def two_norm_calls(monkeypatch):
+        calls = []
+        norm = np.linalg.norm
+
+        def counting(x, ord=None, axis=None, keepdims=False):
+            if ord == 2:
+                calls.append(np.shape(x))
+            return norm(x, ord, axis, keepdims)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_decompose_takes_only_the_scale(self, monkeypatch, seed):
+        """A 20-dim tuple: classes of dim 3 with multiplicities 3, 2 and 1,
+        and a 2-dim null part."""
+        r = rng(900 + seed)
+        classes = distinct_irreducible_tuples(r, 3, 2, 3)
+        t = scrambled_direct_sum(r, classes, [3, 2, 1], zero_dim=2)
+        calls = self.two_norm_calls(monkeypatch)
+        dec = decompose(t)
+        assert sorted(dec.multiplicities) == [1, 2, 3] and dec.zero_dim == 2
+        assert calls == [(2, 1, 20, 20)]
+
+    @pytest.mark.parametrize("fibers", [["full", "scalar", "scalar"], ["diag", "scalar", "scalar"]])
+    def test_class_table_takes_only_the_scale(self, monkeypatch, fibers):
+        """15 points, n = 2, in three groups of 5; the last group vanishes."""
+        from nhomog.sw_engine import _ClassTable, closure_star_subalgebra
+
+        gens, meta = grouped_function_algebra(rng(901), n=2, group_sizes=[5, 5, 5], fibers=fibers,
+                                              vanish_groups=[2])
+        alg = closure_star_subalgebra(gens)
+        calls = self.two_norm_calls(monkeypatch)
+        table = _ClassTable.of(alg, DEFAULT_TOL, 0)
+        assert table.groups() == meta["groups"]
+        assert calls == [(2, 15, 2, 2)]

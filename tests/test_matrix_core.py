@@ -4,10 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhomog.errors import DimensionMismatch, DomainError, NotHermitian, NotSquare
+from nhomog import matrix_core
 from nhomog.matrix_core import (
     DEFAULT_TOL,
     Ordering,
     Tolerance,
+    _exceeds,
+    _opnorms,
     fix_phase,
     herm_abs,
     herm_eig,
@@ -290,3 +293,112 @@ class TestStacks:
     def test_require_hermitian_passes_hermitian_stack(self):
         f = hermitian_stack(rng(501), 4, 3)
         assert require_hermitian(f) is f
+
+
+def outcome(f, *args):
+    """What a call returns, or the type of the error it raises."""
+    try:
+        return f(*args)
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+def assert_same_as_svd(a, bound):
+    """``_exceeds`` gives exactly what the stacked SVD gives, error or value."""
+    want = outcome(lambda: _opnorms(a) > bound)
+    got = outcome(_exceeds, a, bound)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == bool
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def ulp_bounds(norms):
+    """Each norm, and the floats one step below and above it."""
+    return [np.nextafter(norms, -np.inf), norms, np.nextafter(norms, np.inf)]
+
+
+class TestExceeds:
+    """The Frobenius screen decides ||a||_2 > bound exactly as the SVD does."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 4), st.integers(0, 4),
+           st.floats(-150.0, 150.0), st.sampled_from([-1, 0, 1]))
+    @example(0, 3, 3, 2, -150.0, -1)
+    @example(0, 3, 3, 2, 150.0, 1)
+    @settings(max_examples=120, deadline=None)
+    def test_bounds_one_ulp_around_the_norm(self, seed, m, n, p, log_c, step):
+        r = rng(seed)
+        a = (r.standard_normal((p, m, n)) + 1j * r.standard_normal((p, m, n))) * 10.0 ** log_c
+        bound = ulp_bounds(_opnorms(a))[step + 1]
+        assert_same_as_svd(a, bound)
+        assert_same_as_svd(np.stack([a, 2.0 * a]), np.stack([bound, 2.0 * bound]))
+        assert_same_as_svd(np.stack([a, a]), bound[None, :])  # broadcast over a leading axis
+
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 6),
+           st.floats(-150.0, 150.0))
+    @settings(max_examples=80, deadline=None)
+    def test_rank_one_where_both_norms_agree(self, seed, m, n, log_c):
+        r = rng(seed)
+        u = r.standard_normal((3, m, 1)) + 1j * r.standard_normal((3, m, 1))
+        v = r.standard_normal((3, 1, n)) + 1j * r.standard_normal((3, 1, n))
+        a = (u @ v) * 10.0 ** log_c
+        fro = np.linalg.norm(a, axis=(-2, -1))
+        for bound in (*ulp_bounds(_opnorms(a)), *ulp_bounds(fro)):
+            assert_same_as_svd(a, bound)
+
+    def test_frobenius_above_spectral_below(self, monkeypatch):
+        """The identity of M_4 has ||.||_F = 2 and ||.||_2 = 1: at bound 1.5
+        the screen is unsure, and the SVD clears it."""
+        taken = []
+
+        def counting(x):
+            taken.append(x.shape)
+            return opnorms(x)
+
+        opnorms = matrix_core._opnorms
+        monkeypatch.setattr(matrix_core, "_opnorms", counting)
+        a = np.stack([np.eye(4), 3.0 * np.eye(4), 1e-3 * np.eye(4)]).astype(complex)
+        assert _exceeds(a, 1.5).tolist() == [False, True, False]
+        assert taken == [(2, 4, 4)]  # the third passes the screen
+        assert _exceeds(np.eye(4), 1.5).shape == () and not _exceeds(np.eye(4), 1.5)
+
+    def test_small_residuals_take_no_svd(self, monkeypatch):
+        monkeypatch.setattr(matrix_core, "_opnorms", lambda x: pytest.fail("SVD on a passing path"))
+        r = rng(7)
+        resid = 1e-15 * (r.standard_normal((2, 15, 4, 4)) + 1j * r.standard_normal((2, 15, 4, 4)))
+        assert not _exceeds(resid, 1e-8).any()
+        assert not _exceeds(resid, np.full((2, 1), 1e-7)).any()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 5), (0, 3, 3), (4, 0, 0), (2, 0, 3), (2, 3, 0, 0)])
+    def test_two_dimensional_and_empty_stacks(self, shape):
+        a = rng(8).standard_normal(shape) + 0j
+        for bound in (0.0, 1e-300, 1.0, 10.0):
+            assert_same_as_svd(a, bound)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+    @pytest.mark.parametrize("bound", [0.0, 1.0, 1e300, np.inf])
+    def test_non_finite_entries_reach_the_svd(self, value, bound):
+        a = np.stack([np.eye(3), np.eye(3)]).astype(complex)
+        a[1, 0, 2] = value
+        assert_same_as_svd(a, bound)
+        assert_same_as_svd(a[1], bound)
+
+    def test_nan_raises_as_the_svd_does(self):
+        a = np.eye(3, dtype=complex)
+        a[1, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            _exceeds(a, 1e6)
+
+    @pytest.mark.parametrize("log_c", [-170.0, -160.0, -155.0, -150.0, 150.0, 154.0, 160.0, 200.0])
+    def test_entries_near_the_float_limits(self, log_c):
+        """Squares of entries below 1e-154 lose digits and above 1e154
+        overflow; neither may decide a bound."""
+        r = rng(9)
+        a = (r.standard_normal((3, 4, 4)) + 1j * r.standard_normal((3, 4, 4))) * 10.0 ** log_c
+        norms = _opnorms(a)
+        for bound in (*ulp_bounds(norms), 0.5 * norms, 2.0 * norms, 4.0 * norms):
+            assert_same_as_svd(a, bound)
+
+    def test_nan_bound(self):
+        assert_same_as_svd(np.eye(2, dtype=complex), np.nan)

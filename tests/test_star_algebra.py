@@ -15,7 +15,7 @@ from nhomog.instances import (
     random_unitary,
     scrambled_direct_sum,
 )
-from nhomog.matrix_core import DEFAULT_TOL, adj, opnorm
+from nhomog.matrix_core import DEFAULT_TOL, adj, as_matrix, opnorm
 from nhomog.star_algebra import (
     MatTuple,
     SubspaceBasis,
@@ -362,6 +362,144 @@ class TestMatTupleStack:
         t, same = MatTuple([SX, SZ]), MatTuple([SX, SZ])
         assert t == t and t != same and t.allclose(same, 0.0)
         assert len({t, same, t}) == 2
+
+
+def mattuple_stack_reference(gens):
+    """The MatTuple constructor as it was: every generator converted and
+    checked on its own, then stacked."""
+    checked = [as_matrix(g, f"generator {i}") for i, g in enumerate(gens)]
+    if not checked:
+        raise DimensionMismatch("a MatTuple needs at least one generator")
+    d = checked[0].shape[0]
+    for i, g in enumerate(checked):
+        if g.shape != (d, d):
+            raise DimensionMismatch(f"generator {i} has shape {g.shape}, expected ({d}, {d})")
+    stack = np.array(checked)
+    stack.setflags(write=False)
+    return stack
+
+
+def construction(build, gens):
+    """The stack a constructor builds, or the type and message of its error."""
+    try:
+        return build(gens)
+    except Exception as exc:  # every refusal is compared, whatever its type
+        return type(exc), str(exc)
+
+
+def assert_same_construction(make_gens):
+    """MatTuple and the reference agree on a fresh copy of the input:
+    the same stack, or the same error type and message."""
+    want = construction(mattuple_stack_reference, make_gens())
+    got = construction(lambda g: MatTuple(g).gens, make_gens())
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == complex and not got.flags.writeable
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+BAD_NAN = [[0.0, np.nan], [1.0, 0.0]]
+BAD_INF = [[0.0, 1.0], [1.0, 1j * np.inf]]
+
+REFUSALS = {
+    "no generators": lambda: [],
+    "no generators, empty stack": lambda: np.zeros((0, 2, 2)),
+    "no generators, empty iterator": lambda: iter([]),
+    "1-d generator 1": lambda: [SX, np.ones(2), SZ],
+    "3-d generator 1": lambda: [SX, np.ones((1, 2, 2))],
+    "scalar generator 0": lambda: [1.0, SX],
+    "0-d array": lambda: np.array(1.0),
+    "one matrix, not a list of them": lambda: SX,
+    "4-d stack": lambda: np.ones((2, 1, 2, 2)),
+    "not iterable": lambda: 5,
+    "shape mismatch at generator 2": lambda: [SX, SZ, np.ones((3, 3))],
+    "non-square generators": lambda: [np.ones((2, 3)), np.ones((2, 3))],
+    "non-square stack": lambda: np.ones((2, 2, 3)),
+    "non-square then mismatched": lambda: [np.ones((2, 3)), np.ones((3, 2))],
+    "ragged rows in generator 0": lambda: [[[1.0, 2.0], [3.0]], SX],
+    "ragged rows in generator 1": lambda: [SX, [[1.0, 2.0], [3.0]]],
+    "nan in generator 1": lambda: [SX, BAD_NAN],
+    "inf in generator 2": lambda: [SX, SZ, BAD_INF],
+    "nan in a stack": lambda: np.array([SX, SZ, np.where(np.eye(2) > 0, np.nan, 0.0)]),
+    "nan before a shape mismatch": lambda: [np.ones((3, 3)), BAD_NAN],
+    "shape mismatch before a nan": lambda: [SX, np.ones((3, 3)), BAD_NAN],
+    "nan in a 1-d generator": lambda: [SX, [np.nan, 1.0]],
+    "None entry": lambda: [SX, [[None, 1.0], [1.0, 0.0]]],
+    "string entry": lambda: [SX, [["a", 1.0], [1.0, 0.0]]],
+    "object entry": lambda: [[[object(), 1.0], [1.0, 0.0]]],
+    "dict generator": lambda: [SX, {"a": 1}],
+    "string generator": lambda: ["abc"],
+    "too large an integer": lambda: [[[10**400, 0], [0, 0]]],
+    "None before an overflow": lambda: [[[None, 0], [0, 0]], [[10**400, 0], [0, 0]]],
+    "bad iterator": lambda: (g for g in [SX, BAD_NAN]),
+}
+
+ACCEPTED = {
+    "list of arrays": lambda: [SX, SZ],
+    "stack": lambda: np.array([SX, SZ]),
+    "real stack": lambda: np.ones((3, 2, 2)),
+    "integer lists": lambda: [[[0, 1], [1, 0]], [[1, 0], [0, -1]]],
+    "numeric strings": lambda: [[["1", "2j"], ["3", "4"]]],
+    "iterator": lambda: (g for g in [SX, SZ, SX @ SZ]),
+    "tuple of arrays": lambda: (SX, SZ),
+    "one generator": lambda: [SX],
+    "empty matrices": lambda: [np.zeros((0, 0)), np.zeros((0, 0))],
+    "object array of matrices": lambda: np.array([SX, SZ], dtype=object),
+    "1 x 1": lambda: [[[2.0 + 1j]]],
+}
+
+
+class TestMatTupleRefusals:
+    """One conversion and one check pass refuse and accept what the old
+    per-generator constructor refused and accepted, with its messages."""
+
+    @pytest.mark.parametrize("name", REFUSALS)
+    def test_refusal_matches_reference(self, name):
+        assert isinstance(construction(mattuple_stack_reference, REFUSALS[name]()), tuple)
+        assert_same_construction(REFUSALS[name])
+
+    @pytest.mark.parametrize("name", ACCEPTED)
+    def test_acceptance_matches_reference(self, name):
+        assert isinstance(construction(mattuple_stack_reference, ACCEPTED[name]()), np.ndarray)
+        assert_same_construction(ACCEPTED[name])
+
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 3),
+           st.sampled_from(["none", "nan", "inf", "shape", "flat", "ragged", "string"]),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_random_corruptions(self, seed, k, d, fault, as_lists):
+        r = rng(seed)
+        mats = [ginibre(r, d) for _ in range(k)]
+        at = int(r.integers(k))
+        if fault == "nan":
+            mats[at][int(r.integers(d)), int(r.integers(d))] = complex(np.nan, 0.0) if r.random() < 0.5 else 1j * np.nan
+        elif fault == "inf":
+            mats[at][int(r.integers(d)), int(r.integers(d))] = -np.inf
+        elif fault == "shape":
+            mats[at] = ginibre(r, d + 1)[:, : d + int(r.integers(2))]
+        elif fault == "flat":
+            mats[at] = mats[at].ravel()
+        gens = [m.tolist() for m in mats] if as_lists else mats
+        if fault == "ragged":
+            gens[at] = [list(row) for row in mats[at]]
+            gens[at][-1] = gens[at][-1][:-1]
+        elif fault == "string":
+            gens[at] = [[str(v) for v in row] for row in mats[at]]
+            gens[at][0][0] = "x"
+        assert_same_construction(lambda: [np.array(g, copy=True) if isinstance(g, np.ndarray) else g for g in gens])
+
+    @pytest.mark.parametrize("source", ["stack", "list"])
+    def test_copy_and_read_only(self, source):
+        src = np.array([SX, SZ]) if source == "stack" else [SX.copy(), SZ.copy()]
+        t = MatTuple(src)
+        with pytest.raises(ValueError):
+            t.gens[0, 0, 0] = 5.0
+        src[0][0, 0] = 5.0
+        assert t.gens[0, 0, 0] == 0.0 and t.gens.base is None
+        again = MatTuple(t.gens)
+        assert again.gens is not t.gens and again.gens.flags.writeable is False
+        assert np.array_equal(again.gens, t.gens)
 
 
 def closure_two_pass_loop(family, shape, tol=DEFAULT_TOL):

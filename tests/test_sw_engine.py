@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -420,6 +421,111 @@ class TestDensityCheck:
         report = density_check(all_functions_algebra(3, 2))
         assert report.dense and report.criterion is True
         assert all(f == 4 for f in report.fullness)
+
+
+def density_pairs_reference(table, points):
+    """Pair verdicts and witnesses as the per-pair loop over
+    ``_ClassTable.separation`` gave them."""
+    separated, witnesses = {}, {}
+    for x in range(points):
+        for y in range(x + 1, points):
+            verdict = table.separation(x, y)
+            separated[(x, y)] = verdict.certified
+            witnesses[(x, y)] = verdict.witness
+    return separated, witnesses
+
+
+class TestDensityPairs:
+    """The pair verdicts of ``density_check`` from one boolean product
+    over the class table equal the per-pair loop: same keys in the same
+    order, same values, same witness objects."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_pair_loop(self, seed):
+        r = rng(700 + seed)
+        sizes = [int(r.integers(1, 4)) for _ in range(int(r.integers(1, 5)))]
+        vanish = [len(sizes) - 1] if len(sizes) > 1 and r.random() < 0.4 else []
+        gens, _ = grouped_function_algebra(r, n=int(r.integers(1, 4)), group_sizes=sizes, vanish_groups=vanish)
+        alg = closure_star_subalgebra(gens)
+        report = density_check(alg, DEFAULT_TOL, seed)
+        table = sw_engine._ClassTable.of(alg, DEFAULT_TOL, seed)
+        separated, witnesses = density_pairs_reference(table, alg.points)
+        assert list(report.separated.items()) == list(separated.items())
+        assert list(report.witnesses) == list(witnesses)
+        for pair, w in witnesses.items():
+            got = report.witnesses[pair]
+            assert (got is None) if w is None else np.array_equal(got, w)
+        assert all(type(x) is int and type(y) is int and type(v) is bool for (x, y), v in report.separated.items())
+
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_few_points(self, points):
+        alg = all_functions_algebra(points, 2)
+        report = density_check(alg)
+        assert report.separated == ({} if points == 1 else {(0, 1): True})
+        assert report.to_json()["separation"] == ({} if points == 1 else {"0,1": True})
+
+    def test_witness_is_the_table_witness(self, monkeypatch):
+        built = []
+        of = sw_engine._ClassTable.of
+
+        def recording(*args):
+            built.append(of(*args))
+            return built[-1]
+
+        monkeypatch.setattr(sw_engine._ClassTable, "of", recording)
+        gens, _ = grouped_function_algebra(rng(9), n=2, group_sizes=[2, 1], fibers=["full", "diag"])
+        report = density_check(closure_star_subalgebra(gens))
+        assert [report.witnesses[p] is built[0].witness for p in [(0, 2), (1, 2)]] == [True, True]
+        assert report.witnesses[(0, 1)] is None and report.separated[(0, 1)] is False
+
+
+class TestFibresOnce:
+    """The fibre SVD is taken once per algebra and rank cut."""
+
+    @staticmethod
+    def fibre_svds(monkeypatch, alg_shape):
+        calls = []
+        right_svd = sw_engine._right_svd
+
+        def counting(rows, *args, **kwargs):
+            if rows.shape == alg_shape:
+                calls.append(rows.shape)
+            return right_svd(rows, *args, **kwargs)
+
+        monkeypatch.setattr(sw_engine, "_right_svd", counting)
+        return calls
+
+    def test_one_fibre_svd_per_sw_check(self, monkeypatch, tmp_path):
+        from nhomog.cli import main
+
+        gens, meta = grouped_function_algebra(rng(11), n=2, group_sizes=[5, 5, 5],
+                                              fibers=["full", "scalar", "scalar"], vanish_groups=[2])
+        alg = closure_star_subalgebra(gens)
+        calls = self.fibre_svds(monkeypatch, (alg.points, alg.basis.dim, alg.n * alg.n))
+        path = tmp_path / "sw.json"
+        payload = {"points": alg.points, "n": alg.n,
+                   "generators": [[[[[float(v.real), float(v.imag)] for v in row] for row in m] for m in g]
+                                  for g in gens]}
+        path.write_text(json.dumps(payload))
+        assert main(["sw-check", "--in", str(path)]) == 1
+        assert len(calls) == 1
+
+    def test_kept_per_rank_cut_and_read_only(self, monkeypatch):
+        gens, _ = grouped_function_algebra(rng(12), n=2, group_sizes=[2, 2], fibers=["full", "diag"])
+        alg = closure_star_subalgebra(gens)
+        calls = self.fibre_svds(monkeypatch, (alg.points, alg.basis.dim, alg.n * alg.n))
+        rank, vh = sw_engine._fibres(alg, DEFAULT_TOL)
+        assert [sw_engine.point_fullness(alg, x) for x in range(alg.points)] == rank.tolist() == [4, 4, 2, 2]
+        density_check(alg)
+        delta2_subspace(alg)
+        assert len(calls) == 1
+        assert not rank.flags.writeable and not vh.flags.writeable
+        with pytest.raises(ValueError):
+            vh[0, 0, 0] = 1.0
+        loose = dataclasses.replace(DEFAULT_TOL, rank_cut=1e-6)
+        assert sw_engine._fibres(alg, loose)[0].tolist() == rank.tolist() and len(calls) == 2
+        assert sw_engine._fibres(alg, DEFAULT_TOL)[1] is vh and len(calls) == 2
+        assert "_fibre_memo" not in repr(alg)
 
 
 class TestUnitInClosure:
