@@ -206,22 +206,22 @@ def calc(f, dec: Decomposition, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     statement made executable.  A constant term over a decomposition with
     null blocks is the one case where the routes legitimately differ (the
     calculus sends constants to the support projection, not to the full
-    identity), so the assert is skipped there.
-    """
-    values = _table_for(dec, f)
-    out = _assemble(dec, values)
-    if isinstance(f, StarPolynomial):
-        has_constant = any(not word for _, word in f.terms)
-        if not (has_constant and dec.zero_dim > 0):
+    identity), so the assert is skipped there.  Overflow on either route
+    raises NumericalFailure."""
+    direct = None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        out = _assemble(dec, _table_for(dec, f))
+        if isinstance(f, StarPolynomial) and not (dec.zero_dim > 0 and any(not w for _, w in f.terms)):
             direct = eval_star_polynomial(f, dec.source)
-            diff = out - direct
-            # half the largest |entry| of direct is at most ||direct||_2 even after rounding,
-            # so a disagreement the exact test finds, the first test finds too
-            low = 0.5 * np.abs(direct).max(initial=0.0)
-            if _exceeds(diff, 1e-8 * (1.0 + low)) and _exceeds(diff, 1e-8 * (1.0 + opnorm(direct))):
-                raise NumericalFailure(
-                    "decomposition route disagrees with direct polynomial evaluation"
-                )
+    if not np.isfinite(out).all() or (direct is not None and not np.isfinite(direct).all()):
+        raise NumericalFailure("calculus value is not finite (overflow)")
+    if direct is not None:
+        diff = out - direct
+        # half the largest |entry| of direct is at most ||direct||_2 even after rounding,
+        # so a disagreement the exact test finds, the first test finds too
+        low = 0.5 * np.abs(direct).max(initial=0.0)
+        if _exceeds(diff, 1e-8 * (1.0 + low)) and _exceeds(diff, 1e-8 * (1.0 + opnorm(direct))):
+            raise NumericalFailure("decomposition route disagrees with direct polynomial evaluation")
     return out
 
 

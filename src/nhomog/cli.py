@@ -292,8 +292,11 @@ def run(cfg: RunConfig) -> tuple[int, str]:
     return code, text
 
 
+_PARSER = build_parser()  # built once per process
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _config(args)
         code, text = run(cfg)

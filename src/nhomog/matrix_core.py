@@ -107,8 +107,16 @@ def adj(a: np.ndarray) -> np.ndarray:
 
 def _opnorms(a: np.ndarray) -> np.ndarray:
     """Operator norm of each matrix of a (..., n, n) stack, by one
-    stacked SVD (0 for empty matrices)."""
-    return np.linalg.norm(a, 2, axis=(-2, -1)) if a.size else np.zeros(a.shape[:-2])
+    stacked SVD (0 for empty matrices, inf for a matrix with a NaN or
+    infinite entry, so every ||X|| > bound check fails closed)."""
+    if not a.size:
+        return np.zeros(a.shape[:-2])
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.norm(a, 2, axis=(-2, -1))
+    out = np.full(finite.shape, np.inf)
+    out[finite] = np.linalg.norm(a[finite], 2, axis=(-2, -1))
+    return out
 
 
 # ||a||_2 <= ||a||_F.  The screen of ``_exceeds`` passes a matrix only
@@ -122,8 +130,8 @@ def _exceeds(a: np.ndarray, bound) -> np.ndarray:
     """``_opnorms(a) > bound`` for each matrix of a (..., m, n) stack,
     with ``bound`` broadcast against the stack, decided exactly but with
     an SVD only where the Frobenius norm, an upper bound, does not
-    already settle it.  NaN and inf fail the screen, so they reach the
-    SVD as they would in ``_opnorms``."""
+    already settle it.  A matrix with a NaN or infinite entry fails the
+    screen and exceeds every finite bound, as in ``_opnorms``."""
     a = np.asarray(a)
     bound = np.asarray(bound, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the screen
@@ -158,10 +166,6 @@ def require_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "
     return a
 
 
-def normality_defect(a: np.ndarray) -> float:
-    return opnorm(a @ adj(a) - adj(a) @ a)
-
-
 def fix_phase(u: np.ndarray) -> np.ndarray:
     """Rescale by a unit scalar so the first nonzero entry (scanning
     column by column) is real positive.  Phase-normalized unitaries make
@@ -192,6 +196,13 @@ def herm_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
+def _from_eig(fw: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u diag(fw) u*, made exactly Hermitian; leading axes of fw and u
+    broadcast, so one u and S rows of fw give a (S, n, n) stack."""
+    out = (u * fw[..., None, :]) @ adj(u)
+    return (out + adj(out)) / 2.0
+
+
 def herm_fun(a, f: Callable[[np.ndarray], np.ndarray], tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Apply a real scalar function to a Hermitian matrix through its
     eigenvalues.  ``f`` receives the eigenvalue vector; a scalar-only
@@ -206,22 +217,26 @@ def herm_fun(a, f: Callable[[np.ndarray], np.ndarray], tol: Tolerance = DEFAULT_
             fw = np.array([float(f(x)) for x in w])
     if fw.size and not np.all(np.isfinite(fw)):
         raise DomainError("scalar function is undefined on part of the spectrum")
-    out = (u * fw) @ adj(u)
-    return (out + adj(out)) / 2.0
+    return _from_eig(fw, u)
+
+
+def _psd_fails(lo, scale, tol: Tolerance) -> np.ndarray:
+    """The PSD rule of every order check, True where it fails: X with
+    least eigenvalue lo is PSD within slack iff lo >= -psd_slack * s, s
+    the norm of the matrices X was formed from, so c X has X's verdict."""
+    return np.asarray(lo) < -tol.psd_slack * np.asarray(scale)
 
 
 def psd_power(a, s: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Fractional power of a positive-semidefinite matrix.
 
-    Eigenvalues in [-psd_slack, 0] are clamped to 0; anything below the
-    slack is a domain error.
+    Eigenvalues in [-psd_slack ||a||, 0] are clamped to 0; anything below
+    the slack is a domain error.
     """
     w, u = herm_eig(a, tol)
-    if w.size and w[0] < -tol.psd_slack * (1.0 + float(np.abs(w).max())):
+    if w.size and _psd_fails(w[0], np.abs(w).max(), tol):
         raise DomainError(f"matrix is not PSD within psd_slack (min eigenvalue {w[0]:.3e})")
-    w = np.clip(w, 0.0, None)
-    out = (u * np.power(w, s)) @ adj(u)
-    return (out + adj(out)) / 2.0
+    return _from_eig(np.clip(w, 0.0, None) ** s, u)
 
 
 def herm_abs(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -234,15 +249,15 @@ def herm_abs(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if m.shape[-2] != m.shape[-1]:
         raise NotSquare(f"matrix must be square, got shape {m.shape}")
     w, u = np.linalg.eigh((require_hermitian(m, tol) + adj(m)) / 2.0)
-    out = (u * np.abs(w)[..., None, :]) @ adj(u)
-    return (out + adj(out)) / 2.0
+    return _from_eig(np.abs(w), u)
 
 
 def psd_order(a, b, tol: Tolerance = DEFAULT_TOL) -> Ordering:
     """Compare two Hermitian matrices in the positive-semidefinite order.
 
-    LT when b - a is positive definite beyond psd_slack, LEQ when it is
-    PSD within psd_slack, INCOMPARABLE otherwise.
+    With s = max(||a||, ||b||): LT when the least eigenvalue of b - a
+    exceeds psd_slack s, LEQ when b - a is PSD within psd_slack s,
+    INCOMPARABLE otherwise.
     """
     ma = as_matrix(a, "a")
     mb = as_matrix(b, "b")
@@ -253,11 +268,10 @@ def psd_order(a, b, tol: Tolerance = DEFAULT_TOL) -> Ordering:
     diff = mb - ma
     w = np.linalg.eigvalsh((diff + adj(diff)) / 2.0)
     lo = float(w[0]) if w.size else 0.0
-    if lo > tol.psd_slack:
+    scale = _opnorms(np.stack([ma, mb])).max(initial=0.0)
+    if _psd_fails(-lo, scale, tol):  # lo > psd_slack s
         return Ordering.LT
-    if lo >= -tol.psd_slack:
-        return Ordering.LEQ
-    return Ordering.INCOMPARABLE
+    return Ordering.INCOMPARABLE if _psd_fails(lo, scale, tol) else Ordering.LEQ
 
 
 def normal_spectra_disjoint(a, b, tol: Tolerance = DEFAULT_TOL) -> SpectralSeparation:
@@ -273,7 +287,7 @@ def normal_spectra_disjoint(a, b, tol: Tolerance = DEFAULT_TOL) -> SpectralSepar
     if ma.shape[0] != ma.shape[1] or mb.shape[0] != mb.shape[1]:
         return SpectralSeparation(False, "NotSquare", float("nan"))
     for name, m in (("a", ma), ("b", mb)):
-        if normality_defect(m) > tol.eq_tol * (1.0 + opnorm(m) ** 2):
+        if opnorm(m @ adj(m) - adj(m) @ m) > tol.eq_tol * (1.0 + opnorm(m) ** 2):
             return SpectralSeparation(False, f"NonNormal:{name}", float("nan"))
     sa = np.linalg.eigvals(ma)
     sb = np.linalg.eigvals(mb)

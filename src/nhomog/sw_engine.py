@@ -24,6 +24,7 @@ import numpy as np
 
 from .calculus import StarPolynomial, _eval_stack
 from .errors import (
+    DimensionMismatch,
     HypothesisViolated,
     IndexOutOfRange,
     NumericalFailure,
@@ -35,7 +36,10 @@ from .matrix_core import (
     DEFAULT_TOL,
     Ordering,
     Tolerance,
+    _exceeds,
+    _from_eig,
     _opnorms,
+    _psd_fails,
     adj,
     as_matrix,
     fnorm,
@@ -340,52 +344,24 @@ class PowerMeanEnvelope:
     env: np.ndarray = field(repr=False)
 
 
-def _joint_eigenbasis(mats, tol: Tolerance) -> np.ndarray:
-    """Unitary whose columns split a pairwise-commuting Hermitian family
-    into joint near-eigenspaces (refined matrix by matrix)."""
-    d = mats[0].shape[0]
-    blocks = [np.eye(d, dtype=complex)]
-    for m in mats:
-        gap = tol.psd_slack * (1.0 + opnorm(m))
+def _power_mean_commuting(mats: np.ndarray, norms: np.ndarray, n_pow: int, tol: Tolerance) -> np.ndarray:
+    """Power mean of a pairwise-commuting PSD family, not all zero (a
+    (k, d, d) stack with its norms), per joint eigendirection (split off
+    at gaps above psd_slack ||a_j||) in the log domain.  This keeps
+    eigenvalue ratios far beyond what the summed matrix can carry."""
+    blocks = [np.eye(mats.shape[-1], dtype=complex)]
+    for m, norm in zip(mats, norms):
         refined = []
         for q in blocks:
-            if q.shape[1] == 1:
-                refined.append(q)
-                continue
-            sub = adj(q) @ m @ q
-            w, u = np.linalg.eigh((sub + adj(sub)) / 2.0)
-            start = 0
-            for i in range(1, w.size + 1):
-                if i == w.size or w[i] - w[i - 1] > gap:
-                    refined.append(q @ u[:, start:i])
-                    start = i
+            w, u = np.linalg.eigh(adj(q) @ m @ q)
+            refined += np.split(q @ u, np.flatnonzero(np.diff(w) > tol.psd_slack * norm) + 1, axis=1)
         blocks = refined
-    return np.hstack(blocks)
-
-
-def _power_mean_commuting(mats, n_pow: int, tol: Tolerance) -> np.ndarray:
-    """Power mean of a pairwise-commuting PSD family, evaluated per joint
-    eigendirection in the log domain.  This keeps eigenvalue ratios far
-    beyond what the summed matrix can carry in double precision."""
-    v = _joint_eigenbasis(mats, tol)
-    d = v.shape[0]
-    lams = np.empty((len(mats), d))
-    for j, a in enumerate(mats):
-        diag = np.einsum("ia,ij,ja->a", v.conj(), a, v).real
-        lams[j] = np.clip(diag, 0.0, None)
-    scale = float(lams.max())
-    if scale == 0.0:
-        return np.zeros((d, d), dtype=complex)
-    env_eigs = np.zeros(d)
-    with np.errstate(divide="ignore"):
-        logs = np.log(lams / scale)  # -inf where the eigenvalue is zero
-    for a_col in range(d):
-        col = n_pow * logs[:, a_col]
-        top = col.max()
-        if top == -np.inf:
-            continue
-        env_eigs[a_col] = scale * np.exp((top + np.log(np.exp(col - top).sum())) / n_pow)
-    return (v * env_eigs) @ adj(v)
+    v = np.hstack(blocks)
+    lams = np.clip(np.einsum("ia,kij,ja->ka", v.conj(), mats, v).real, 0.0, None)
+    scale = lams.max()
+    with np.errstate(divide="ignore"):  # log 0 = -inf; a direction where every a_j is 0 gets 0
+        lse = np.logaddexp.reduce(n_pow * np.log(lams / scale), axis=0)
+    return (v * (scale * np.exp(lse / n_pow))) @ adj(v)
 
 
 def power_mean_envelope(a_list, b, eps: float, tol: Tolerance = DEFAULT_TOL,
@@ -398,45 +374,49 @@ def power_mean_envelope(a_list, b, eps: float, tol: Tolerance = DEFAULT_TOL,
     joint eigendirection in the log domain; otherwise the summed matrix
     is formed directly (rescaled so large exponents cannot overflow),
     which limits the usable eigenvalue range to double precision.
+    Order checks take the PSD rule of ``matrix_core``, commutation
+    checks ||[x, y]|| <= eq_tol ||x|| ||y||, so no verdict depends on scale.
     """
     mats = [require_hermitian(as_matrix(a, f"a_{j}"), tol, f"a_{j}") for j, a in enumerate(a_list)]
     if not mats:
         raise PreconditionFailed("the family a_1..a_k must be nonempty")
     bm = require_hermitian(as_matrix(b, "b"), tol, "b")
-    zero = np.zeros_like(bm)
-    violations = []
-    for j, a in enumerate(mats):
-        if psd_order(zero, a, tol) is Ordering.INCOMPARABLE:
-            violations.append(f"a_{j} is not PSD")
-        if psd_order(a, bm, tol) is Ordering.INCOMPARABLE:
-            violations.append(f"a_{j} <= b fails")
-        if opnorm(bm @ a - a @ bm) > tol.eq_tol * (1.0 + opnorm(a)) * (1.0 + opnorm(bm)):
-            violations.append(f"b does not commute with a_{j}")
-    if violations:
-        raise PreconditionFailed("; ".join(violations))
-    r = opnorm(bm)
-    n_pow = n_power if n_power is not None else power_mean_exponent(eps, r, len(mats))
+    for a in mats:
+        if a.shape != bm.shape:
+            raise DimensionMismatch(f"shapes {bm.shape} and {a.shape} differ")
+    fam, k = np.stack(mats), len(mats)
+    na, r = _opnorms(fam), opnorm(bm)
+    checked = np.concatenate([fam, bm - fam])
+    lows = np.linalg.eigvalsh((checked + adj(checked)) / 2.0)[:, 0]
+    failed = np.stack([
+        _psd_fails(lows[:k], na, tol),
+        _psd_fails(lows[k:], np.maximum(na, r), tol),
+        _exceeds(bm @ fam - fam @ bm, tol.eq_tol * na * r),
+    ], axis=1)
+    if failed.any():
+        texts = ("a_{} is not PSD", "a_{} <= b fails", "b does not commute with a_{}")
+        raise PreconditionFailed("; ".join(texts[c].format(j) for j, c in np.argwhere(failed)))
+    n_pow = n_power if n_power is not None else power_mean_exponent(eps, r, k)
     if n_pow < 2:
         raise ValueError("power-mean exponent must be >= 2")
-    pairwise = all(
-        opnorm(x @ y - y @ x) <= tol.eq_tol * (1.0 + opnorm(x)) * (1.0 + opnorm(y))
-        for i, x in enumerate(mats)
-        for y in mats[i + 1 :]
-    )
-    scale = max(opnorm(a) for a in mats)
+    i, j = np.triu_indices(k, 1)
+    pairwise = not _exceeds(fam[i] @ fam[j] - fam[j] @ fam[i], tol.eq_tol * na[i] * na[j]).any()
+    scale = na.max()
     if scale == 0.0:
         env = np.zeros_like(bm)
     elif pairwise:
-        env = _power_mean_commuting(mats, n_pow, tol)
+        env = _power_mean_commuting(fam, na, n_pow, tol)
     else:
-        total = sum(psd_power(a / scale, n_pow, tol) for a in mats)
-        env = scale * psd_power(total, 1.0 / n_pow, tol)
-    eye = np.eye(bm.shape[0], dtype=complex)
-    for j, a in enumerate(mats):
-        if psd_order(a, env, tol) is Ordering.INCOMPARABLE:
-            raise NumericalFailure(f"envelope fails a_{j} <= env")
-    if psd_order(env, bm + eps * eye, tol) is Ordering.INCOMPARABLE:
-        raise NumericalFailure("envelope fails env <= b + eps")
+        unit = fam / scale
+        w, u = np.linalg.eigh((unit + adj(unit)) / 2.0)
+        env = scale * psd_power(_from_eig(np.clip(w, 0.0, None) ** n_pow, u).sum(axis=0), 1.0 / n_pow, tol)
+    checked = np.concatenate([env - fam, (bm + eps * np.eye(bm.shape[0]) - env)[None]])
+    lows = np.linalg.eigvalsh((checked + adj(checked)) / 2.0)[:, 0]
+    e = opnorm(env)  # and ||b + eps|| = r + eps, as b is PSD
+    failed = np.flatnonzero(_psd_fails(lows, np.append(np.maximum(na, e), max(e, r + eps)), tol))
+    if failed.size:
+        what = f"a_{failed[0]} <= env" if failed[0] < k else "env <= b + eps"
+        raise NumericalFailure(f"envelope fails {what}")
     return PowerMeanEnvelope(n_pow, env)
 
 
@@ -461,7 +441,7 @@ def lattice_join_chain(gs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     family = np.stack(mats)
     gap = h - family
     w = np.linalg.eigvalsh((gap + adj(gap)) / 2.0)
-    below = np.argwhere(w.min(axis=-1, initial=np.inf) < -tol.psd_slack * (1.0 + opnorm(family)))
+    below = np.argwhere(_psd_fails(w.min(axis=-1, initial=np.inf), opnorm(family), tol))
     if below.size:
         raise NumericalFailure(f"join fails to dominate g_{below[0, 0]} at point {below[0, 1]}")
     return h[0] if squeeze else h
@@ -520,33 +500,35 @@ class LoewnerHeinzReport:
 
 def loewner_heinz_check(a, b, s_grid, tol: Tolerance = DEFAULT_TOL) -> LoewnerHeinzReport:
     """Verify that taking fractional powers preserves the order of a
-    dominated PSD pair: min eigenvalue of b^s - a^s per exponent.
+    dominated PSD pair: min eigenvalue of b^s - a^s for every exponent
+    at once, from one eigendecomposition of each side.
 
     The inequality holds in exact arithmetic, so a violation beyond
-    psd_slack indicates a kernel bug and raises.
+    psd_slack max(||a||, ||b||)^s indicates a kernel bug and raises.
     """
     ma = as_matrix(a, "a")
     mb = as_matrix(b, "b")
+    eigs = []
     for name, m in (("a", ma), ("b", mb)):
         require_hermitian(m, tol, name)
-        w = np.linalg.eigvalsh((m + adj(m)) / 2.0)
-        if w.size and w[0] < -tol.psd_slack * (1.0 + float(np.abs(w).max())):
+        w, u = np.linalg.eigh((m + adj(m)) / 2.0)
+        if w.size and _psd_fails(w[0], np.abs(w).max(), tol):
             raise PreconditionFailed(f"{name} is not PSD within psd_slack")
+        eigs.append((np.clip(w, 0.0, None), u))
     if psd_order(ma, mb, tol) is Ordering.INCOMPARABLE:
         raise PreconditionFailed("a <= b fails in the PSD order")
     exponents = tuple(float(s) for s in s_grid)
     for s in exponents:
         if not 0.0 < s < 1.0:
             raise PreconditionFailed(f"exponent {s} outside (0, 1)")
-    minima = []
-    for s in exponents:
-        diff = psd_power(mb, s, tol) - psd_power(ma, s, tol)
-        minima.append(float(np.linalg.eigvalsh((diff + adj(diff)) / 2.0)[0]))
-    passed = all(v >= -tol.psd_slack for v in minima)
-    if not passed:
-        worst = min(minima)
-        raise NumericalFailure(f"fractional-power order violated: min eigenvalue {worst:.3e}")
-    return LoewnerHeinzReport(exponents, tuple(minima), passed)
+    grid = np.array(exponents)
+    (wa, ua), (wb, ub) = eigs
+    diff = _from_eig(wb ** grid[:, None], ub) - _from_eig(wa ** grid[:, None], ua)
+    minima = np.linalg.eigvalsh((diff + adj(diff)) / 2.0)[:, 0]
+    top = max(wa[-1], wb[-1])  # max(||a^s||, ||b^s||) = top^s
+    if _psd_fails(minima, top ** grid, tol).any():
+        raise NumericalFailure(f"fractional-power order violated: min eigenvalue {minima.min():.3e}")
+    return LoewnerHeinzReport(exponents, tuple(float(v) for v in minima), True)
 
 
 # ---------------------------------------------------------------------------

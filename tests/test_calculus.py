@@ -155,6 +155,13 @@ class TestCalc:
             assert np.array_equal(calc(p, dec), out)
         assert (opnorm(out - direct) > 1e-8 * (1.0 + opnorm(direct))) is (ratio > 1.0)
 
+    def test_overflowing_table_raises(self, pauli_dec):
+        """A table whose assembled value overflows fails on the table
+        route too, where no direct evaluation cross-checks it."""
+        table = OrbitTable.for_decomposition(pauli_dec, [np.full((2, 2), 1e308, dtype=complex)])
+        with pytest.raises(NumericalFailure, match="not finite"):
+            calc(table, pauli_dec)
+
     def test_table_mismatch_detected(self, pauli_dec, layered_dec):
         table = OrbitTable.identity(pauli_dec)
         with pytest.raises(TableMismatch):

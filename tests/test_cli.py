@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,26 @@ class TestCalc:
             tmp_path, "badp.json", {"tuple": {"generators": [mat(SX)]}, "polynomial": "z9"}
         )
         assert main(["calc", "--in", path]) == 2
+
+    @pytest.mark.parametrize("scale", [1e100, 1e110, 1e160, 1e200])
+    def test_overflow_exits_three_with_one_line(self, tmp_path, capsys, scale):
+        """z1 z2 z1 of a random pair scaled by 1e110 or more overflows; the
+        run ends in exit 3 with one line, not a traceback or NaN output."""
+        r = np.random.default_rng(0)
+        gens = [scale * (r.standard_normal((2, 2)) + 1j * r.standard_normal((2, 2))) for _ in range(2)]
+        path = write(tmp_path, "big.json", {"tuple": {"generators": [mat(g) for g in gens]},
+                                            "polynomial": "z1*z2*z1"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["calc", "--in", path, "--n", "2"])
+        out, err = capsys.readouterr()
+        if scale == 1e100:
+            assert code == 0 and err == ""
+            result = decode_matrix(json.loads(out)["result"], "r")
+            assert_close(result / 1e300, gens[0] @ gens[1] @ gens[0] / 1e300, atol=1e-8)
+        else:
+            assert code == 3 and out == ""
+            assert err.splitlines() == ["nhomog: numerical failure: calculus value is not finite (overflow)"]
 
 
 class TestSwCheck:
@@ -608,6 +629,13 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert "nhomog: error:" in capsys.readouterr().err
+
+    def test_parser_built_once(self, pauli_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert main(["analyze", "--in", pauli_file, "--n", "2"]) == 0
+        assert main(["spectrum", "--in", pauli_file, "--n", "2"]) == 0
+        with pytest.raises(SystemExit):
+            main(["bogus", "--in", pauli_file])
 
     @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
     def test_help_lists_every_command(self, argv, capsys):

@@ -384,11 +384,28 @@ class TestExceeds:
         assert_same_as_svd(a, bound)
         assert_same_as_svd(a[1], bound)
 
-    def test_nan_raises_as_the_svd_does(self):
+    def test_nan_fails_closed(self):
         a = np.eye(3, dtype=complex)
         a[1, 1] = np.nan
-        with pytest.raises(np.linalg.LinAlgError):
-            _exceeds(a, 1e6)
+        assert _opnorms(a) == np.inf and opnorm(a) == np.inf
+        assert _exceeds(a, 1e6)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(1.0, -np.inf)])
+    def test_non_finite_matrices_fail_closed_in_a_stack(self, value):
+        """A matrix with a NaN or infinite entry has norm inf and exceeds
+        every finite bound; the finite matrices of the stack keep their
+        SVD norms."""
+        r = rng(10)
+        a = r.standard_normal((2, 3, 4, 4)) + 1j * r.standard_normal((2, 3, 4, 4))
+        norms = np.linalg.norm(a, 2, axis=(-2, -1))
+        a[0, 1, 2, 3] = value
+        a[1, 2, 0, 0] = value
+        bad = [[False, True, False], [False, False, True]]
+        assert np.array_equal(_opnorms(a), np.where(bad, np.inf, norms))
+        assert opnorm(a) == np.inf and opnorm(a[0, 0]) == norms[0, 0]
+        assert _exceeds(a, 1e300).tolist() == bad
+        assert _exceeds(a, norms + 1.0).tolist() == bad
+        assert_same_as_svd(a, norms)
 
     @pytest.mark.parametrize("log_c", [-170.0, -160.0, -155.0, -150.0, 150.0, 154.0, 160.0, 200.0])
     def test_entries_near_the_float_limits(self, log_c):

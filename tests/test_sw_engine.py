@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nhomog.calculus import eval_star_polynomial
 from nhomog.errors import (
+    DomainError,
     HypothesisViolated,
     NotHermitian,
     NumericalFailure,
@@ -22,6 +23,7 @@ from nhomog.instances import (
     ginibre,
     grouped_function_algebra,
     ordered_psd_pair,
+    random_psd,
     random_unitary,
 )
 from nhomog.matrix_core import (
@@ -32,6 +34,7 @@ from nhomog.matrix_core import (
     normal_spectra_disjoint,
     opnorm,
     psd_order,
+    psd_power,
     require_hermitian,
 )
 from nhomog import sw_engine
@@ -571,6 +574,17 @@ class TestPowerMeanEnvelope:
             power_mean_envelope([a], b, eps=0.5)
         assert "commute" in str(err.value)
 
+    def test_joined_message_for_violations_across_j(self):
+        """Every violation is named, input by input, in a fixed order per
+        input: PSD, then a_j <= b, then commutation with b."""
+        b = np.diag([2.0, 1.0])
+        family = [np.diag([-1.0, 0.5]), np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(2), np.diag([3.0, 0.0])]
+        with pytest.raises(PreconditionFailed) as err:
+            power_mean_envelope(family, b, eps=0.5)
+        assert str(err.value) == (
+            "a_0 is not PSD; a_1 <= b fails; b does not commute with a_1; a_3 <= b fails"
+        )
+
     @pytest.mark.parametrize("seed", range(25))
     def test_random_commuting_families(self, seed):
         r = rng(seed)
@@ -580,6 +594,139 @@ class TestPowerMeanEnvelope:
         for a in family:
             assert psd_order(a, result.env) in (Ordering.LEQ, Ordering.LT)
         assert psd_order(result.env, b + eps * np.eye(3)) in (Ordering.LEQ, Ordering.LT)
+
+
+def dominated_noncommuting_family(r, d, k):
+    """Random PSD a_j below b = beta I, with eps so large a share of
+    beta that the power-mean exponent stays small (N <= 8): the summed
+    path loses eigenvalues below double precision at large N."""
+    family = [random_psd(r, d) for _ in range(k)]
+    beta = max(opnorm(a) for a in family) * float(r.uniform(1.0, 2.0))
+    return family, beta * np.eye(d), beta * float(r.uniform(0.2, 1.0))
+
+
+def envelope_per_matrix(family, b, eps, tol=DEFAULT_TOL):
+    """The envelope as power_mean_envelope formed it matrix by matrix and
+    direction by direction, before the stacked checks."""
+    mats = [np.asarray(a, dtype=complex) for a in family]
+    n_pow = power_mean_exponent(eps, opnorm(b), len(mats))
+    pairwise = all(
+        opnorm(x @ y - y @ x) <= tol.eq_tol * (1.0 + opnorm(x)) * (1.0 + opnorm(y))
+        for i, x in enumerate(mats)
+        for y in mats[i + 1 :]
+    )
+    scale = max(opnorm(a) for a in mats)
+    if not pairwise:
+        total = sum(psd_power(a / scale, n_pow, tol) for a in mats)
+        return scale * psd_power(total, 1.0 / n_pow, tol)
+    blocks = [np.eye(b.shape[0], dtype=complex)]
+    for m in mats:
+        gap = tol.psd_slack * (1.0 + opnorm(m))
+        refined = []
+        for q in blocks:
+            if q.shape[1] == 1:
+                refined.append(q)
+                continue
+            sub = adj(q) @ m @ q
+            w, u = np.linalg.eigh((sub + adj(sub)) / 2.0)
+            start = 0
+            for i in range(1, w.size + 1):
+                if i == w.size or w[i] - w[i - 1] > gap:
+                    refined.append(q @ u[:, start:i])
+                    start = i
+        blocks = refined
+    v = np.hstack(blocks)
+    lams = np.array([np.clip(np.einsum("ia,ij,ja->a", v.conj(), a, v).real, 0.0, None) for a in mats])
+    top_lam = float(lams.max())
+    env_eigs = np.zeros(v.shape[0])
+    with np.errstate(divide="ignore"):
+        logs = np.log(lams / top_lam)
+    for col in range(v.shape[0]):
+        c = n_pow * logs[:, col]
+        if c.max() > -np.inf:
+            env_eigs[col] = top_lam * np.exp((c.max() + np.log(np.exp(c - c.max()).sum())) / n_pow)
+    return (v * env_eigs) @ adj(v)
+
+
+def loewner_minima_per_exponent(a, b, s_grid, tol=DEFAULT_TOL):
+    """The minima as loewner_heinz_check took them, two psd_power calls
+    and one eigensolve per exponent."""
+    out = []
+    for s in s_grid:
+        diff = psd_power(b, s, tol) - psd_power(a, s, tol)
+        out.append(float(np.linalg.eigvalsh((diff + adj(diff)) / 2.0)[0]))
+    return out
+
+
+class TestStackedOrderChecks:
+    """The stacked envelope and Loewner-Heinz minima are the per-matrix
+    ones at unit scale."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_envelope_matches_per_matrix_routine(self, seed):
+        for trial in range(20):  # 200 commuting and 200 non-commuting families in all
+            r = rng(9000 + 20 * seed + trial)
+            d, k = int(r.integers(2, 5)), int(r.integers(1, 5))
+            family, b = commuting_dominated_family(r, d=d, k=k)
+            eps = float(r.uniform(0.05, 1.0))
+            assert_close(power_mean_envelope(family, b, eps).env, envelope_per_matrix(family, b, eps), atol=1e-12)
+            family, b, eps = dominated_noncommuting_family(r, d, int(r.integers(2, 5)))
+            assert_close(power_mean_envelope(family, b, eps).env, envelope_per_matrix(family, b, eps), atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loewner_minima_match_per_exponent_loop(self, seed):
+        s_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+        for trial in range(50):  # 200 pairs in all
+            r = rng(9500 + 50 * seed + trial)
+            a, b = ordered_psd_pair(r, int(r.integers(2, 7)))
+            got = loewner_heinz_check(a, b, s_grid).minima
+            assert np.abs(np.array(got) - loewner_minima_per_exponent(a, b, s_grid)).max() <= 1e-12
+
+    def test_one_eigensolve_per_side_and_one_stacked(self, monkeypatch):
+        a, b = ordered_psd_pair(rng(3), 4)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda x, *a, _f=real, _n=name, **k: calls.append(_n) or _f(x, *a, **k))
+        loewner_heinz_check(a, b, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+        assert sorted(calls) == ["eigh", "eigh", "eigvalsh", "eigvalsh"]  # the a <= b check, then the minima
+
+
+SCALES = [1e-150, 1e-9, 1.0, 1e7, 1e10, 1e150]
+
+
+class TestScaleLadder:
+    """Every order verdict on c-scaled inputs is the verdict at c = 1: the
+    PSD rule takes its slack relative to the norms of the inputs.  The
+    join's covariance over the same range is TestScaleCovariantJoin's."""
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_envelope_accepts_dominated_families(self, c):
+        for seed in range(40):
+            r = rng(9800 + seed)
+            d = int(r.integers(2, 5))
+            family, b = commuting_dominated_family(r, d=d, k=int(r.integers(1, 5)))
+            eps = float(r.uniform(0.05, 1.0))
+            power_mean_envelope([c * a for a in family], c * b, c * eps)
+            family, b, eps = dominated_noncommuting_family(r, d, int(r.integers(2, 5)))
+            power_mean_envelope([c * a for a in family], c * b, c * eps)
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_unordered_pair_refused_at_every_scale(self, c):
+        a, b = c * np.diag([2.0, 0.0]), c * np.eye(2)
+        assert psd_order(a, b) is Ordering.INCOMPARABLE
+        with pytest.raises(PreconditionFailed, match="a_0 <= b fails"):
+            power_mean_envelope([a], b, 0.5 * c)
+        with pytest.raises(PreconditionFailed, match="a <= b fails"):
+            loewner_heinz_check(a, b, [0.5])
+        with pytest.raises(DomainError):
+            psd_power(c * np.diag([1.0, -1.0]), 0.5)
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_loewner_heinz_passes_ordered_pairs(self, c):
+        for seed in range(40):
+            a, b = ordered_psd_pair(rng(9900 + seed), 4)
+            assert loewner_heinz_check(c * a, c * b, [0.1, 0.5, 0.9]).passed
 
 
 class TestLatticeJoinChain:
