@@ -10,6 +10,7 @@ JSON on stdout (or --out), diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass
@@ -19,7 +20,8 @@ import numpy as np
 from . import jsonio
 from .calculus import OrbitTable, StarPolynomial, calc
 from .decomposition import homogeneity_verdict, n_spectrum
-from .errors import HypothesisViolated, InputError, NHomogError, NotNHomogeneous, NumericalFailure, SchemaError
+from .errors import (HypothesisViolated, InputError, NHomogError, NotNHomogeneous, NumericalFailure, ParseError,
+                     SchemaError)
 from .haar import McConfig, _mc_draws, mc_radius, mc_twirl, twirl_exact
 from .matrix_core import DEFAULT_TOL, Tolerance, adj, opnorm
 from .n_space import classify_matrix_rep, ideal_set_correspondence
@@ -178,7 +180,8 @@ def _cmd_calc(cfg: RunConfig) -> tuple[int, dict, list[str]]:
         tbl = payload["table"]
         if not isinstance(tbl, dict) or "values" not in tbl:
             raise SchemaError("'table' needs a 'values' field")
-        values = [jsonio.decode_matrix(v, f"table.values[{i}]") for i, v in enumerate(tbl["values"])]
+        values = [jsonio.decode_matrix(v, f"table.values[{i}]")
+                  for i, v in enumerate(jsonio.decode_list(tbl["values"], "table.values"))]
         f = OrbitTable.for_decomposition(dec, values)
     else:
         raise SchemaError("calc input needs a 'polynomial' or 'table' field")
@@ -248,7 +251,7 @@ def _cmd_nspace(cfg: RunConfig) -> tuple[int, dict, list[str]]:
     space = jsonio.decode_space(payload["space"])
     gens = [
         jsonio.decode_element(g, space, f"generators[{i}]")
-        for i, g in enumerate(payload.get("generators", []))
+        for i, g in enumerate(jsonio.decode_list(payload.get("generators", []), "generators"))
     ]
     ideal = ideal_set_correspondence(space, gens, tol=cfg.tol)
     report: dict = {
@@ -295,11 +298,25 @@ def run(cfg: RunConfig) -> tuple[int, str]:
 _PARSER = build_parser()  # built once per process
 
 
+def _report_sink(path: str | None):
+    """stdout, or the --out file opened (and emptied) before the work, so
+    a path that cannot be written is an input error, not a loss of the
+    finished report."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ParseError(f"--out {path}: cannot open for writing: {exc.strerror}") from None
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = _config(args)
-        code, text = run(cfg)
+        with _report_sink(cfg.out) as sink:
+            code, text = run(cfg)
+            print(text, file=sink)
     except InputError as exc:
         print(f"nhomog: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -309,11 +326,6 @@ def main(argv=None) -> int:
     except NHomogError as exc:
         print(f"nhomog: error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return code
 
 

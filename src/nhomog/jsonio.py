@@ -46,6 +46,13 @@ def decode_int(obj, where: str) -> int:
     return obj
 
 
+def decode_list(obj, where: str) -> list:
+    """A list field, returned as is; anything else is rejected."""
+    if not isinstance(obj, list):
+        raise SchemaError(f"{where} must be a list, got {obj!r}")
+    return obj
+
+
 def _complex_array(obj, depth: int) -> np.ndarray | None:
     """The complex array of a payload nested ``depth`` lists deep around
     [re, im] pairs, or None if it is not one.  Types are checked exactly
@@ -125,10 +132,13 @@ def decode_space(obj, where: str = "space") -> FiniteNSpace:
     if not isinstance(obj, dict) or "n" not in obj or "orbits" not in obj:
         raise SchemaError(f"{where}: expected an object with 'n' and 'orbits'")
     try:
-        return FiniteNSpace(n=decode_int(obj["n"], f"{where}.n"),
-                            orbits=decode_int(obj["orbits"], f"{where}.orbits"))
+        space = FiniteNSpace(n=decode_int(obj["n"], f"{where}.n"),
+                             orbits=decode_int(obj["orbits"], f"{where}.orbits"))
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
+    if space.orbits == 0:  # the library's empty space; an input names at least one orbit
+        raise SchemaError(f"{where}.orbits must be >= 1, got 0")
+    return space
 
 
 def decode_element(obj, space: FiniteNSpace, where: str = "element") -> EquivariantElement:

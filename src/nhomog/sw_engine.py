@@ -51,7 +51,7 @@ from .matrix_core import (
     require_hermitian,
 )
 from .decomposition import _split_points
-from .star_algebra import SubspaceBasis, _rank_with_gap, _right_svd, closure, nullspace
+from .star_algebra import RANK_GAP_RATIO, SubspaceBasis, _rank_with_gap, _right_svd, closure, nullspace
 
 
 @dataclass(frozen=True)
@@ -151,22 +151,35 @@ class _ClassTable:
         it: sum n_i^2 = dim E.  Every block lies at one point, so a point
         contains the labels of the blocks there.  The witness is
         Hermitian, lies in the span, and at every point its spectrum is
-        the labels of the blocks there, each counted with its dimension."""
+        the labels of the blocks there, each counted with its dimension.
+
+        Only the algebra's support is split: a point where every basis
+        element is exactly zero carries only the zero representation, so
+        it is a null point (label 0 throughout, v = I, witness 0).  An
+        algebra that is null everywhere takes no split."""
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal((2, e.basis.dim)) + 1j * rng.standard_normal((2, e.basis.dim))
-        split = _split_points((coeffs @ e.basis.vectors).reshape(2, e.points, e.n, e.n), tol, seed)
-        if sum(c.d ** 2 for c in split.classes) != e.basis.dim:
+        vectors = e.basis.vectors.reshape(e.basis.dim, e.points, e.n * e.n)
+        support = (vectors != 0.0).any(axis=(0, 2))
+        labels = np.zeros((e.points, e.n), dtype=int)
+        v = np.tile(np.eye(e.n, dtype=complex), (e.points, 1, 1))
+        classes = ()
+        if support.any():
+            split = _split_points(np.tensordot(coeffs, vectors[:, support], 1).reshape(2, -1, e.n, e.n), tol, seed)
+            classes = split.classes
+            labels[support] = np.array([0 if b.is_zero else b.class_id + 1 for b in split.blocks])[split.owner]
+            v[support] = split.v
+        if sum(c.d ** 2 for c in classes) != e.basis.dim:
             raise NumericalFailure("two random elements do not generate the function algebra")
-        labels = np.array([0 if b.is_zero else b.class_id + 1 for b in split.blocks])[split.owner]
-        present = (labels == np.arange(len(split.classes) + 1)[:, None, None]).any(axis=-1)
-        witness = (split.v * labels[:, None, :]) @ adj(split.v)
+        present = (labels == np.arange(len(classes) + 1)[:, None, None]).any(axis=-1)
+        witness = (v * labels[:, None, :]) @ adj(v)
         if np.abs(witness - adj(witness)).max(initial=0.0) > tol.eq_tol:
             raise NumericalFailure("the class witness is not Hermitian")
         if np.abs(np.linalg.eigvalsh(witness) - np.sort(labels, axis=1)).max(initial=0.0) > 1e-6:
             raise NumericalFailure("the class witness's spectrum does not match the classes present")
         if e.basis.residual(witness) > 1e-10:
             raise NumericalFailure("the class witness is not in the algebra span")
-        return cls(e, present, split.v, labels, witness)
+        return cls(e, present, v, labels, witness)
 
     def unit(self, tol: Tolerance) -> UnitWitness:
         """The unit is in the algebra iff no point has a null part; the
@@ -225,23 +238,53 @@ def _fibres(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     return fibres
 
 
+def _coupled_pairs(coords: np.ndarray, live: np.ndarray, rank: np.ndarray,
+                   tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs x < y whose restriction a Gram bound cannot prove to have
+    full rank 2r, from the (P, dim, r) fibre coordinates.
+
+    A pair's stacked matrix M (coordinates over unit rows) has Gram
+    M*M = D + O: D its diagonal (s^2 on live coordinates, 1 on padded
+    ones), O the cross block coords_x* coords_y and the roundoff of the
+    point blocks.  Weyl's bound lambda_min >= min D - ||O||_F settles a
+    pair when it puts sigma_min a RANK_GAP_RATIO margin above the rank
+    cut, with 2 r dim eps allowed for the rounding of the Gram, so its
+    SVD could leave no complement row.  A pair with a zero fibre restricts to the other
+    point's fibre, which ``_fibres`` has ranked already."""
+    points, dim, r = coords.shape
+    flat = coords.transpose(1, 0, 2).reshape(dim, points * r)
+    gram = adj(flat) @ flat
+    d = np.where(live, gram.diagonal().real.reshape(points, r), 1.0)
+    np.fill_diagonal(gram, 0.0)
+    off = (np.abs(gram) ** 2).reshape(points, r, points, r).sum(axis=(1, 3))  # ||O||_F^2 by blocks
+    xs, ys = np.triu_indices(points, k=1)
+    o_norm = np.sqrt(off[xs, xs] + off[ys, ys] + 2.0 * off[xs, ys])
+    d_min, d_max = d.min(axis=1, initial=1.0), d.max(axis=1, initial=1.0)  # r = 0: only unit rows
+    low = np.minimum(d_min[xs], d_min[ys]) - o_norm
+    high = np.maximum(d_max[xs], d_max[ys]) + o_norm
+    margin = (RANK_GAP_RATIO * tol.rank_cut) ** 2 + 2 * r * dim * np.finfo(float).eps
+    settled = (low > margin * np.maximum(high, 1.0)) | (np.minimum(rank[xs], rank[ys]) == 0)
+    return xs[~settled], ys[~settled]
+
+
 def delta2_subspace(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
     """All functions whose restriction to every pair of points lies in the
     algebra's pair restriction: the two-point approximable subspace,
     which at finite X is cut out by per-pair linear constraints.
 
     It is solved in fibre coordinates f(x) = c_x B_x (``_fibres``), as the
-    diagonal pairs (x, x) demand.  The pairs x < y are one stack of
-    coordinates padded to r = max r_x, with a unit row on each padded
-    column; its SVD leaves each pair the r_x + r_y - r_xy complement rows
-    of its restriction, and one nullspace over the sum_x r_x live columns
-    gives orthonormal c, so orthonormal f."""
+    diagonal pairs (x, x) demand.  A pair x < y that ``_coupled_pairs``
+    proves to have full rank adds no constraint.  The others are one
+    stack of coordinates padded to r = max r_x, with a unit row on each
+    padded column; its SVD leaves each pair the r_x + r_y - r_xy
+    complement rows of its restriction, and one nullspace over the
+    sum_x r_x live columns gives orthonormal c, so orthonormal f."""
     rank, vh = _fibres(e, tol)
     r = int(rank.max())
     live = np.arange(r) < rank[:, None]  # live[x, i]: coordinate i of point x is an unknown
     basis = vh[:, :r] * live[..., None]  # (P, r, n^2): B_x, padded with zero rows
     coords = e.basis.vectors.reshape(e.basis.dim, e.points, e.n * e.n).transpose(1, 0, 2) @ adj(basis)
-    xs, ys = np.triu_indices(e.points, k=1)
+    xs, ys = _coupled_pairs(coords, live, rank, tol)
     units = ~np.concatenate([live[xs], live[ys]], axis=-1)[..., None] * np.eye(2 * r)
     pairs = np.concatenate([np.concatenate([coords[xs], coords[ys]], axis=-1), units], axis=-2)
     s, pair_vh = _right_svd(pairs)

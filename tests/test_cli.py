@@ -700,3 +700,30 @@ class TestTracebackCases:
     def test_missing_file_message_kept(self, tmp_path):
         with pytest.raises(ParseError, match="input file .* does not exist"):
             load_json(tmp_path / "none.json")
+
+    def test_out_in_missing_directory(self, pauli_file, tmp_path, capsys, monkeypatch):
+        """--out is opened before the work, so the tuple is never analysed."""
+
+        def never(*args):
+            raise AssertionError("the work ran before --out was opened")
+
+        monkeypatch.setattr(cli, "homogeneity_verdict", never)
+        out = tmp_path / "missing" / "x.json"
+        err = self.run_one_line(capsys, ["analyze", "--in", pauli_file, "--n", "2", "--out", str(out)])
+        assert err.endswith(f"--out {out}: cannot open for writing: No such file or directory")
+        assert not out.parent.exists()
+
+    def test_calc_table_values_not_a_list(self, tmp_path, capsys):
+        path = write(tmp_path, "calc.json", {"tuple": {"generators": [mat(SX), mat(SZ)]}, "table": {"values": 5}})
+        err = self.run_one_line(capsys, ["calc", "--in", path])
+        assert err.endswith("table.values must be a list, got 5")
+
+    def test_nspace_generators_not_a_list(self, tmp_path, capsys):
+        path = write(tmp_path, "ns.json", {"space": {"n": 2, "orbits": 1}, "generators": 5})
+        err = self.run_one_line(capsys, ["nspace", "--in", path])
+        assert err.endswith("generators must be a list, got 5")
+
+    def test_nspace_zero_orbits(self, tmp_path, capsys):
+        path = write(tmp_path, "ns.json", {"space": {"n": 2, "orbits": 0}})
+        err = self.run_one_line(capsys, ["nspace", "--in", path])
+        assert err.endswith("space.orbits must be >= 1, got 0")

@@ -541,7 +541,8 @@ class TestNoCertificationSvd:
 
     @pytest.mark.parametrize("fibers", [["full", "scalar", "scalar"], ["diag", "scalar", "scalar"]])
     def test_class_table_takes_only_the_scale(self, monkeypatch, fibers):
-        """15 points, n = 2, in three groups of 5; the last group vanishes."""
+        """15 points, n = 2, in three groups of 5; the last group vanishes,
+        so its points are null points and the split sees the other 10."""
         from nhomog.sw_engine import _ClassTable, closure_star_subalgebra
 
         gens, meta = grouped_function_algebra(rng(901), n=2, group_sizes=[5, 5, 5], fibers=fibers,
@@ -550,4 +551,4 @@ class TestNoCertificationSvd:
         calls = self.two_norm_calls(monkeypatch)
         table = _ClassTable.of(alg, DEFAULT_TOL, 0)
         assert table.groups() == meta["groups"]
-        assert calls == [(2, 15, 2, 2)]
+        assert calls == [(2, 10, 2, 2)]

@@ -39,7 +39,7 @@ from nhomog.matrix_core import (
 )
 from nhomog import sw_engine
 from nhomog.decomposition import decompose
-from nhomog.star_algebra import MatTuple, _rank_with_gap, nullspace
+from nhomog.star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, _right_svd, nullspace
 from nhomog.sw_engine import (
     closure_star_subalgebra,
     constructive_approximate,
@@ -263,6 +263,58 @@ class TestClassTableReference:
             at = np.abs(b.isometry.reshape(alg.points, n, -1)).max(axis=(1, 2))
             assert np.count_nonzero(at) == 1
 
+    @staticmethod
+    def split_shapes(monkeypatch):
+        shapes = []
+        split_points = sw_engine._split_points
+
+        def recording(values, *args):
+            shapes.append(values.shape)
+            return split_points(values, *args)
+
+        monkeypatch.setattr(sw_engine, "_split_points", recording)
+        return shapes
+
+    @pytest.mark.parametrize("vanish", [[1], [3], [0, 1, 2, 3, 4]], ids=["group-1", "group-3", "all-null"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_null_points_match_dense_embedding(self, vanish, n, seed, monkeypatch):
+        """Points where every element vanishes are left out of the split and
+        read as null points; an all-null algebra takes no split."""
+        gens, meta = grouped_function_algebra(rng(seed), n=n, group_sizes=[4, 4, 4, 3, 3], fibers=self.FIBERS,
+                                              vanish_groups=vanish)
+        alg = closure_star_subalgebra(gens, points=18, n=n)
+        shapes = self.split_shapes(monkeypatch)
+        table = sw_engine._ClassTable.of(alg, DEFAULT_TOL, seed)
+        present, witness = dense_class_table(alg, DEFAULT_TOL, seed)
+        assert np.array_equal(table.present, present)
+        assert np.abs(table.witness - witness).max() <= 1e-12
+        live = [x for g, grp in enumerate(meta["groups"]) if g not in vanish for x in grp]
+        support = np.count_nonzero((alg.basis.vectors.reshape(-1, 18, n * n) != 0.0).any(axis=(0, 2)))
+        assert shapes == ([(2, support, n, n)] if live else [])
+        assert len(live) <= support < 18  # roundoff of the closure's SVD may leave 1e-32 at a vanishing point
+        assert table.groups() == (meta["groups"] if live else [list(range(18))])
+        assert table.unit(DEFAULT_TOL).in_closure is False
+
+    def test_off_support_noise_takes_the_full_split(self, monkeypatch):
+        """Noise of 1e-17 where the algebra vanishes makes those points part
+        of the support, tested on exact zeros: the split sees every point
+        and gives the table of the noiseless algebra."""
+        gens, meta = grouped_function_algebra(rng(7), n=2, group_sizes=[5, 5, 5], fibers=["full", "scalar", "full"],
+                                              vanish_groups=[2])
+        noise = 1e-17 * ginibre(rng(8), 2)
+        noisy = [g + np.isin(np.arange(15), meta["groups"][2])[:, None, None] * noise for g in gens]
+        clean, alg = closure_star_subalgebra(gens), closure_star_subalgebra(noisy)
+        assert (alg.basis.vectors.reshape(alg.basis.dim, 15, 4)[:, 10:] != 0.0).any(axis=(0, 2)).all()
+        shapes = self.split_shapes(monkeypatch)
+        table = sw_engine._ClassTable.of(alg, DEFAULT_TOL, 0)
+        expected = sw_engine._ClassTable.of(clean, DEFAULT_TOL, 0)
+        assert shapes == [(2, 15, 2, 2), (2, 10, 2, 2)]
+        assert np.array_equal(table.present, expected.present)
+        assert np.abs(table.witness - expected.witness).max() <= 1e-12
+        assert_close(projector(delta2_subspace(alg).vectors), projector(delta2_unscreened(alg)), atol=1e-12)
+        assert_close(projector(delta2_subspace(alg).vectors), projector(delta2_subspace(clean).vectors), atol=1e-12)
+
 
 class TestDelta2:
     def test_all_functions(self):
@@ -307,14 +359,113 @@ def projector(rows):
     return rows.T @ rows.conj()
 
 
+def delta2_unscreened(e, tol=DEFAULT_TOL):
+    """delta2_subspace before the pair screen: every pair x < y goes
+    through the stacked SVD.  Returns the orthonormal rows."""
+    rank, vh = sw_engine._fibres(e, tol)
+    r = int(rank.max())
+    live = np.arange(r) < rank[:, None]
+    basis = vh[:, :r] * live[..., None]
+    coords = e.basis.vectors.reshape(e.basis.dim, e.points, e.n * e.n).transpose(1, 0, 2) @ adj(basis)
+    xs, ys = np.triu_indices(e.points, k=1)
+    units = ~np.concatenate([live[xs], live[ys]], axis=-1)[..., None] * np.eye(2 * r)
+    pairs = np.concatenate([np.concatenate([coords[xs], coords[ys]], axis=-1), units], axis=-2)
+    s, pair_vh = _right_svd(pairs)
+    free = np.arange(2 * r) >= _rank_with_gap(s, tol.rank_cut, "pair restriction", scale=1.0)[:, None]
+    rows = pair_vh[free].conj()[:, None]
+    ends = np.eye(e.points)[np.stack([xs, ys])[:, np.nonzero(free)[0]]][..., None]
+    constraints = ends[0] * rows[..., :r] + ends[1] * rows[..., r:]
+    null = nullspace(constraints[:, live], tol, "delta2 constraints")
+    lift = np.eye(e.points)[np.nonzero(live)[0], :, None] * basis[live][:, None]
+    return null @ lift.reshape(-1, e.ambient_dim)
+
+
+class TestPairScreen:
+    """Pairs that the Gram bound proves full rank skip the SVD; the
+    screened delta2_subspace against the unscreened routine."""
+
+    FIBERS = ["full", "diag", "full", "scalar", "diag"]
+
+    @staticmethod
+    def pair_stacks(monkeypatch, alg):
+        sw_engine._fibres(alg, DEFAULT_TOL)  # the fibre SVD is kept on the algebra, so it is not counted
+        shapes = []
+        right_svd = sw_engine._right_svd
+
+        def recording(rows, *args, **kwargs):
+            shapes.append(rows.shape)
+            return right_svd(rows, *args, **kwargs)
+
+        monkeypatch.setattr(sw_engine, "_right_svd", recording)
+        return shapes
+
+    def assert_matches_unscreened(self, alg):
+        d2 = delta2_subspace(alg)
+        ref = delta2_unscreened(alg)
+        assert d2.dim == ref.shape[0]
+        assert_close(projector(d2.vectors), projector(ref), atol=1e-12)
+        return d2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("sizes", [[4, 4, 4, 3, 3], [8, 8, 8, 6, 6], [12, 12, 12, 12, 12]],
+                             ids=["P18", "P36", "P60"])
+    def test_five_group_shapes(self, n, sizes):
+        gens, _ = grouped_function_algebra(rng(sum(sizes) + n), n=n, group_sizes=sizes, fibers=self.FIBERS)
+        alg = closure_star_subalgebra(gens, points=sum(sizes), n=n)
+        assert self.assert_matches_unscreened(alg).dim == alg.basis.dim
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("vanish", [[0], [3], [1, 4]])
+    def test_vanishing_groups(self, n, vanish):
+        gens, _ = grouped_function_algebra(rng(40 + n), n=n, group_sizes=[4, 4, 4, 3, 3], fibers=self.FIBERS,
+                                           vanish_groups=vanish)
+        alg = closure_star_subalgebra(gens, points=18, n=n)
+        assert self.assert_matches_unscreened(alg).dim == alg.basis.dim
+
+    @pytest.mark.parametrize("fibers", [["full", "scalar", "full"], ["diag", "scalar", "full"]])
+    def test_grouped_count(self, monkeypatch, fibers):
+        """15 points in three groups of 5, the last vanishing: the 20 pairs
+        inside the two live groups reach the SVD, and none of the 85 pairs
+        across groups or at a vanishing point does."""
+        gens, _ = grouped_function_algebra(rng(21), n=2, group_sizes=[5, 5, 5], fibers=fibers, vanish_groups=[2])
+        alg = closure_star_subalgebra(gens)
+        shapes = self.pair_stacks(monkeypatch, alg)
+        self.assert_matches_unscreened(alg)
+        assert len(shapes) == 1 and shapes[0][0] == 20
+
+    @staticmethod
+    def three_point_span(w2):
+        """Functions on 3 points at n = 1 spanned by two orthonormal rows: the
+        first two columns of a real orthogonal matrix whose last column is
+        (w, w, sqrt(1 - 2 w^2)).  Pair (0, 1) has Gram [[1 - w^2, -w^2],
+        [-w^2, 1 - w^2]]: full rank for w^2 < 1/2, while the bound
+        min D - ||O||_F = 1 - (1 + sqrt 2) w^2 proves it only for
+        w^2 < 1 / (1 + sqrt 2).  Pairs (0, 2) and (1, 2) pass the bound."""
+        w = np.sqrt(w2)
+        last = np.array([w, w, np.sqrt(1.0 - 2.0 * w2)])
+        q, _ = np.linalg.qr(np.column_stack([last, np.eye(3)[:, :2]]))
+        rows = q[:, 1:].T.astype(complex)
+        return sw_engine.FnAlgebra(n=1, points=3, basis=SubspaceBasis((3, 1, 1), rows))
+
+    @pytest.mark.parametrize("side, reach", [(-1e-6, 0), (1e-6, 1)], ids=["inside", "outside"])
+    def test_pair_at_the_bound(self, monkeypatch, side, reach):
+        """A full-rank pair just outside the bound goes to the SVD, which
+        finds no complement row; just inside, no pair does."""
+        alg = self.three_point_span(1.0 / (1.0 + np.sqrt(2.0)) + side)
+        shapes = self.pair_stacks(monkeypatch, alg)
+        assert self.assert_matches_unscreened(alg).dim == 3
+        assert [s[0] for s in shapes] == [reach]
+
+
 class TestDelta2Batched:
-    """The stacked delta2_subspace against the per-pair loop it replaced."""
+    """The stacked delta2_subspace against the per-pair loop it replaced,
+    and against the stacked routine without the pair screen."""
 
     def assert_matches_loop(self, alg):
         d2 = delta2_subspace(alg)
-        ref = delta2_per_pair(alg)
-        assert d2.dim == ref.shape[0]
-        assert_close(projector(d2.vectors), projector(ref), atol=1e-12)
+        for ref in (delta2_per_pair(alg), delta2_unscreened(alg)):
+            assert d2.dim == ref.shape[0]
+            assert_close(projector(d2.vectors), projector(ref), atol=1e-12)
         return d2
 
     @pytest.mark.parametrize("seed", range(30))
