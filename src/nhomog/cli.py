@@ -32,6 +32,10 @@ EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
+# bytes: ``haar`` keeps the (samples, n, n) complex Haar stack and its
+# phase-fixed copy, 2 samples n^2 16 bytes, and refuses a larger budget
+HAAR_STACK_CAP = 1 << 30
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -224,6 +228,10 @@ def _cmd_haar(cfg: RunConfig) -> tuple[int, dict, list[str]]:
         raise SchemaError(f"matrix must be square, got shape {a.shape}")
     if "n" in payload and jsonio.decode_int(payload["n"], "'n'") != a.shape[0]:
         raise SchemaError("'n' does not match the matrix size")
+    stack = 2 * cfg.samples * a.shape[0] ** 2 * 16
+    if stack > HAAR_STACK_CAP:
+        raise SchemaError(f"--samples {cfg.samples} at n = {a.shape[0]} needs {stack} bytes of Haar draws, "
+                          f"above the cap of {HAAR_STACK_CAP}")
     mc = McConfig(samples=cfg.samples, seed=cfg.seed)
     exact = twirl_exact(a)
     estimate = mc_twirl(a, mc)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotIrreducible, NotNHomogeneous, NumericalFailure
-from .matrix_core import DEFAULT_TOL, Tolerance, _exceeds, _opnorms, adj, fix_phase, opnorm
+from .matrix_core import (_SCREEN_FLOOR, _SCREEN_MARGIN, DEFAULT_TOL, Tolerance, _exceeds, _opnorms, adj, fix_phase,
+                          opnorm)
 from .star_algebra import RANK_GAP_RATIO, MatTuple, _rank_with_gap, intertwiner_space
 
 _SPLITTER_RESEEDS = 5
@@ -113,16 +114,24 @@ def word_trace_fingerprint(t: MatTuple, max_len: int = 3) -> tuple[np.ndarray, n
     Real and imaginary parts are sorted separately per word length, which
     keeps the elementwise comparison stable under tiny perturbations.
     """
-    letters = t.with_adjoints()
+    reals, imags = _fingerprints(t.gens[None], max_len)
+    return reals[0], imags[0]
+
+
+def _fingerprints(gens: np.ndarray, max_len: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """``word_trace_fingerprint`` of each tuple of a (C, k, n, n) stack,
+    as (C, W) real and imaginary parts."""
+    count, n = len(gens), gens.shape[-1]
+    letters = np.concatenate([gens, adj(gens)], axis=1)
     level = letters
     reals, imags = [], []
     for step in range(max_len):
-        tr = np.einsum("wii->w", level)
+        tr = np.einsum("cwii->cw", level)
         reals.append(np.sort(tr.real))
         imags.append(np.sort(tr.imag))
         if step + 1 < max_len:
-            level = np.einsum("wij,ljk->wlik", level, letters).reshape(-1, t.d, t.d)
-    return np.concatenate(reals), np.concatenate(imags)
+            level = np.einsum("cwij,cljk->cwlik", level, letters).reshape(count, -1, n, n)
+    return np.concatenate(reals, axis=-1), np.concatenate(imags, axis=-1)
 
 
 def unitarily_equivalent(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
@@ -167,7 +176,7 @@ def _random_hermitian(letters: np.ndarray, rng: np.random.Generator) -> np.ndarr
     x is a random sum of words of length <= 3, formed without listing the
     words."""
     c = rng.standard_normal((3, len(letters))) + 1j * rng.standard_normal((3, len(letters)))
-    x1, x2, x3 = np.tensordot(c, letters, axes=1)
+    x1, x2, x3 = (c @ letters.reshape(len(letters), -1)).reshape(3, *letters.shape[1:])
     eye = np.eye(letters.shape[-1])
     x = x1 @ (eye + x2 @ (eye + x3))
     return x + adj(x)
@@ -178,11 +187,15 @@ def _spin_up(letters: np.ndarray, e: np.ndarray, tol: Tolerance) -> np.ndarray:
     columns of e, as an (m, Pn, n') stack; the letters act point by
     point.  A.e_0 is spun up as ``closure`` spins up an algebra: each
     round multiplies the last round's new vectors by every letter,
-    orthogonalises them twice against the basis so far and keeps the
-    rank of a thin SVD, relative to 1 (the letters have scale at most 1).
-    The same coefficient matrices, replayed on e_1, ..., e_{m-1} in the
-    same batched products, map A.e_0 onto their cyclic subspaces, already
-    aligned with it."""
+    orthogonalises them twice against the basis so far (from the second
+    round on) and keeps the rank of a thin SVD, relative to 1 (the
+    letters have scale at most 1).  A round whose projected candidates R
+    have ||R||_F (1 + 1e-10) <= rank_cut adds nothing and ends the loop
+    without the SVD: s_max <= ||R||_F, so the rank would be 0 (at a
+    rank_cut below 1e-150, where squares could underflow, the SVD
+    decides).  The same coefficient matrices, replayed on e_1, ...,
+    e_{m-1} in the same batched products, map A.e_0 onto their cyclic
+    subspaces, already aligned with it."""
     d, m = e.shape
     points, n = letters.shape[1:3]
     rows = letters.swapaxes(0, 1).reshape(points, -1, n)  # each point's letters, one above the other
@@ -191,8 +204,10 @@ def _spin_up(letters: np.ndarray, e: np.ndarray, tol: Tolerance) -> np.ndarray:
     while new.shape[2]:
         r = new.shape[2]
         cand = (rows @ new.reshape(m, points, n, r)).reshape(m, points, -1, n, r).swapaxes(2, 3).reshape(m, d, -1)
-        for _ in range(2):  # Gram-Schmidt twice, with e_0's coefficients for every column
+        for _ in range(2 if basis.shape[2] else 0):  # Gram-Schmidt twice, with e_0's coefficients for every column
             cand = cand - basis @ (adj(basis[0]) @ cand[0])
+        if tol.rank_cut >= _SCREEN_FLOOR and np.linalg.norm(cand[0]) * (1.0 + _SCREEN_MARGIN) <= tol.rank_cut:
+            break  # the screen of ``_exceeds``: nothing above the rank cut
         _, s, vh = np.linalg.svd(cand[0], full_matrices=False)
         rank = _rank_with_gap(s, tol.rank_cut, "spin-up", scale=1.0)
         new = cand @ (adj(vh[:rank]) / s[:rank])
@@ -218,14 +233,20 @@ def _cyclic_split(letters: np.ndarray, h: np.ndarray, tol: Tolerance) -> tuple[l
         w = w / top
     vecs = np.einsum("xy,xaj->xayj", np.eye(points), u).reshape(d, d)[:, order]  # zero off each one's point
     images = (letters @ u).swapaxes(1, 2).reshape(len(letters), n, d)[:, :, order]  # every letter on every vecs[:, i]
-    reach = np.linalg.norm(images, axis=(0, 1))
+    reach2 = np.add.reduce((images.conj() * images).real, axis=(0, 1))
+    reach = np.sqrt(reach2)
+    starts = np.flatnonzero(np.r_[True, np.diff(w) > tol.psd_slack])
+    clusters = np.split(np.arange(d), starts[1:])
+    # generators and adjoints, so all of A, kill a null cluster's vectors
+    null_clusters = np.add.reduceat(reach2, starts) <= tol.eq_tol ** 2
+    covered = np.zeros(len(clusters), dtype=bool)  # eigenspaces of a class already split off
     found = np.zeros((d, 0), dtype=complex)  # every block so far, side by side
     classes, null = [], []
-    for cluster in np.split(np.arange(d), np.flatnonzero(np.diff(w) > tol.psd_slack) + 1):
+    for i, cluster in enumerate(clusters):
+        if covered[i]:
+            continue
         e = vecs[:, cluster]
-        if np.linalg.norm(e - found @ (adj(found) @ e)) <= 1e-8:
-            continue  # another eigenspace of a class already split off
-        if np.linalg.norm(images[:, :, cluster]) <= tol.eq_tol:  # generators and adjoints, so all of A, kill e
+        if null_clusters[i]:
             null.append((e.T[:, :, None], order[cluster] // n))
             found = np.hstack([found, e])
             continue
@@ -241,7 +262,11 @@ def _cyclic_split(letters: np.ndarray, h: np.ndarray, tol: Tolerance) -> tuple[l
         if _exceeds(np.vstack([adj(found) @ new, adj(new) @ new - np.eye(new.shape[1])]), 1e-8):
             raise NumericalFailure("cyclic blocks are not jointly orthonormal")
         found = np.hstack([found, new])
-        if np.linalg.norm(e - found @ (adj(found) @ e)) > 1e-8:
+        # this cluster and every later one off the blocks found: one projection settles which are covered
+        rest = vecs[:, cluster[0]:]
+        off = rest - found @ (adj(found) @ rest)
+        covered[i:] |= np.add.reduceat((off.conj() * off).real.sum(axis=0), starts[i:] - cluster[0]) <= 1e-8 ** 2
+        if not covered[i]:
             raise NumericalFailure("cyclic blocks do not cover their eigenvalue cluster")
         classes.append((isos, order[cluster] // n))
     return classes, null
@@ -249,14 +274,29 @@ def _cyclic_split(letters: np.ndarray, h: np.ndarray, tol: Tolerance) -> tuple[l
 
 @dataclass(frozen=True)
 class _PointSplit:
-    """Blocks of C^{Pn}, each zero off one point: v[x] holds point x's
-    blocks side by side, in block order; owner[x, i] is column i's block."""
+    """Blocks of C^{Pn}, each zero off one point, as arrays.  ``parts``
+    holds (label, isometries (m, Pn, n'), compressions (m, k, n', n'))
+    per class, in class order, then per null cluster: label i + 1 for
+    class i and 0 for null blocks.  v[x] holds point x's blocks side by
+    side, in block order; labels[x, i] is column i's label."""
 
-    blocks: tuple[Block, ...]
+    parts: tuple[tuple[int, np.ndarray, np.ndarray], ...]
     v: np.ndarray = field(repr=False)  # (P, n, n)
-    owner: np.ndarray = field(repr=False)  # (P, n)
-    classes: tuple[MatTuple, ...]
-    multiplicities: tuple[int, ...]
+    labels: np.ndarray = field(repr=False)  # (P, n)
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple(Block(iso, MatTuple(comp), label - 1 if label else None, not label)
+                     for label, isos, comps in self.parts for iso, comp in zip(isos, comps))
+
+    @property
+    def reps(self) -> list[np.ndarray]:
+        """Each class's representative, the compressions of its first block."""
+        return [comps[0] for label, _, comps in self.parts if label]
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(len(isos) for label, isos, _ in self.parts if label)
 
 
 def _assemble(gens: np.ndarray, norms: np.ndarray, classes: list, null: list) -> _PointSplit:
@@ -280,21 +320,22 @@ def _assemble(gens: np.ndarray, norms: np.ndarray, classes: list, null: list) ->
         resid = g @ local[:, None] - local[:, None] @ comps
         return isos, comps, np.repeat(at, local.shape[-1]), np.hstack(local), np.concatenate(resid, axis=-1)
 
-    def key(group):
-        rep = group[1][0]  # the first block's compressions, (k, n', n')
-        fp = word_trace_fingerprint(MatTuple(rep / c))
-        return rep.shape[-1], tuple(np.round(fp[0], 6)), tuple(np.round(fp[1], 6))
-
-    groups = sorted((compress(isos, at) for isos, at in classes), key=key)
-    parts = [*enumerate(groups), *((None, compress(*z)) for z in null)]
-    blocks = tuple(Block(iso, MatTuple(comp), ci, ci is None)
-                   for ci, (isos, comps, *_) in parts for iso, comp in zip(isos, comps))
+    groups = [compress(isos, at) for isos, at in classes]
+    keys = [()] * len(groups)  # (dim, rounded fingerprint): the fingerprints of each dim in one stack
+    for dim in {comps.shape[-1] for _, comps, *_ in groups}:
+        at = [i for i, (_, comps, *_) in enumerate(groups) if comps.shape[-1] == dim]
+        reals, imags = np.round(_fingerprints(np.stack([groups[i][1][0] for i in at]) / c), 6).tolist()
+        for i, re, im in zip(at, reals, imags):
+            keys[i] = (dim, re, im)
+    groups = [groups[i] for i in sorted(range(len(groups)), key=keys.__getitem__)]
+    parts = [*((i + 1, g) for i, g in enumerate(groups)), *((0, compress(*z)) for z in null)]
     col_point, cols, resid = (np.concatenate([part[i] for _, part in parts], axis=-1) for i in (2, 3, 4))
     if np.any(np.bincount(col_point, minlength=points) != n):
         raise NumericalFailure(f"block isometries do not give every point {n} columns")
     by_point = np.argsort(col_point, kind="stable")
     v = cols[:, by_point].reshape(n, points, n).swapaxes(0, 1)
-    owner = np.repeat(np.arange(len(blocks)), [b.dim for b in blocks])[by_point].reshape(points, n)
+    labels = np.repeat([label for label, _ in parts], [len(part[2]) for _, part in parts])[by_point]
+    labels = labels.reshape(points, n)
     if _exceeds(adj(v) @ v - np.eye(n), 1e-8).any():
         raise NumericalFailure("assembled change of basis is not unitary")
     # V is unitary, so |G_j V - V C_j| at a point is the error of G_j's block reconstruction there
@@ -307,7 +348,7 @@ def _assemble(gens: np.ndarray, norms: np.ndarray, classes: list, null: list) ->
         # c <= c + ||C_0||: drift the exact test finds, the first test, which needs no norm of C_0, finds too
         if _exceeds(drift, 1e-7 * c).any() and _exceeds(drift, 1e-7 * (c + _opnorms(comps[0]))).any():
             raise NumericalFailure("a block's compression differs from its class representative")
-    return _PointSplit(blocks, v, owner, tuple(MatTuple(g[1][0]) for g in groups), tuple(len(g[0]) for g in groups))
+    return _PointSplit(tuple((label, part[0], part[1]) for label, part in parts), v, labels)
 
 
 def _split_points(gens: np.ndarray, tol: Tolerance, seed: int) -> _PointSplit:
@@ -336,7 +377,11 @@ def decompose(t: MatTuple, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Decom
     eigenspace the spin-up computes the cyclic subspace A.v; the
     algebra elements that map v onto its orthonormal basis map every
     other vector of the eigenspace onto the other blocks of its class,
-    already aligned.
+    already aligned.  The spin-up's closing round, which adds nothing,
+    ends on a Frobenius screen instead of an SVD.  Which eigenspaces are
+    null is decided for all of them at once, and after each class one
+    projection of the remaining eigenvectors settles every eigenspace
+    the blocks found so far cover.
 
     Norton's count certifies the blocks irreducible, with no commutant
     solve: when a cluster of m vectors gives m jointly orthonormal
@@ -353,7 +398,7 @@ def decompose(t: MatTuple, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Decom
     takes a (k, P, n, n) stack, and a tuple is the stack at P = 1.
     """
     split = _split_points(t.gens[:, None], tol, seed)
-    return Decomposition(t, split.v[0], split.blocks, split.classes, split.multiplicities, seed)
+    return Decomposition(t, split.v[0], split.blocks, tuple(map(MatTuple, split.reps)), split.multiplicities, seed)
 
 
 def homogeneity_verdict(t: MatTuple, n: int, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> HomogeneityReport:

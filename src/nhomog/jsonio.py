@@ -55,23 +55,29 @@ def decode_list(obj, where: str) -> list:
 
 def _complex_array(obj, depth: int) -> np.ndarray | None:
     """The complex array of a payload nested ``depth`` lists deep around
-    [re, im] pairs, or None if it is not one.  Types are checked exactly
-    before numpy sees the payload, since numpy would turn true, "1.0" and
-    null into floats; numpy then checks the shape, and finiteness last."""
-    nodes = [obj]
+    [re, im] pairs, or None if it is not one.  The payload is flattened
+    level by level, each level checked to hold lists of one length, and
+    the numbers' types are checked exactly, since numpy would turn true,
+    "1.0" and null into floats; numpy then converts the flat list in one
+    call, and finiteness is checked last."""
+    nodes, shape = [obj], []
     for _ in range(depth + 1):
         if set(map(type, nodes)) != {list}:
             return None
+        lengths = set(map(len, nodes))
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
         nodes = list(chain.from_iterable(nodes))
-    if not set(map(type, nodes)) <= _NUMBER_TYPES:
+    if shape[-1] != 2 or not set(map(type, nodes)) <= _NUMBER_TYPES:
         return None
     try:
-        a = np.array(obj, dtype=float)
-    except (ValueError, OverflowError):
+        a = np.array(nodes, dtype=float)
+    except OverflowError:
         return None
-    if a.ndim != depth + 1 or a.shape[-1] != 2 or not np.isfinite(a).all():
+    if not np.isfinite(a).all():
         return None
-    return a.view(complex)[..., 0]
+    return a.reshape(shape).view(complex)[..., 0]
 
 
 def decode_matrix(obj, where: str) -> np.ndarray:

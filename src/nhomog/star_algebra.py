@@ -203,6 +203,9 @@ def closure(family, shape, tol: Tolerance = DEFAULT_TOL, context: str = "closure
     and falls below the rank cut, which is taken relative to 1.  Rounds
     project their candidates R off the span twice (orthogonal to roundoff)
     and end the loop if one pass leaves ||R||_F <= rank_cut / RANK_GAP_RATIO.
+    The leading axes of ``shape`` are points and the last two a matrix;
+    the loop runs on the points where some member is nonzero, so the
+    basis is exactly zero at the others.
     """
     shape = tuple(shape)
     ambient = prod(shape)
@@ -210,14 +213,25 @@ def closure(family, shape, tol: Tolerance = DEFAULT_TOL, context: str = "closure
     if any(g.shape != shape for g in letters):
         raise DimensionMismatch(f"every element of {context} must have shape {shape}")
     letters = np.array([u for g in letters if (u := _unit_frobenius(g)) is not None]).reshape(-1, *shape)
-    vectors = np.zeros((0, ambient), dtype=complex)
-    candidates = letters.reshape(-1, ambient)
+    points = prod(shape[:-2])  # the leading axes; a matrix (d, d) is one point
+    live = letters.any(axis=0).reshape(points, -1).any(axis=1)
+    part = 0 < live.sum() < points
+    if part:  # every product vanishes where every letter does: spin up on the other points alone
+        letters = letters.reshape(len(letters), points, *shape[-2:])[:, live]
+    inner = letters.shape[1:]
+    width = prod(inner)
+    vectors = np.zeros((0, width), dtype=complex)
+    candidates = letters.reshape(-1, width)
     while fnorm(candidates) > tol.rank_cut / RANK_GAP_RATIO:  # else s_max <= ||R||_F leaves no rank
         s, vh = _right_svd(candidates - (candidates @ vectors.conj().T) @ vectors, full=False)
         new = vh[:_rank_with_gap(s, tol.rank_cut, context, scale=1.0)]
         vectors = np.vstack([vectors, new])
-        candidates = (new.reshape(-1, 1, *shape) @ letters).reshape(-1, ambient)
+        candidates = (new.reshape(-1, 1, *inner) @ letters).reshape(-1, width)
         candidates = candidates - (candidates @ vectors.conj().T) @ vectors
+    if part:  # exact zeros at the points left out
+        spread = np.zeros((len(vectors), ambient), dtype=complex)
+        spread[:, np.repeat(live, ambient // points)] = vectors
+        vectors = spread
     return SubspaceBasis(shape, np.ascontiguousarray(vectors))
 
 

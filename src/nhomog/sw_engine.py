@@ -163,13 +163,13 @@ class _ClassTable:
         support = (vectors != 0.0).any(axis=(0, 2))
         labels = np.zeros((e.points, e.n), dtype=int)
         v = np.tile(np.eye(e.n, dtype=complex), (e.points, 1, 1))
-        classes = ()
+        classes = []
         if support.any():
             split = _split_points(np.tensordot(coeffs, vectors[:, support], 1).reshape(2, -1, e.n, e.n), tol, seed)
-            classes = split.classes
-            labels[support] = np.array([0 if b.is_zero else b.class_id + 1 for b in split.blocks])[split.owner]
+            classes = split.reps
+            labels[support] = split.labels
             v[support] = split.v
-        if sum(c.d ** 2 for c in classes) != e.basis.dim:
+        if sum(c.shape[-1] ** 2 for c in classes) != e.basis.dim:
             raise NumericalFailure("two random elements do not generate the function algebra")
         present = (labels == np.arange(len(classes) + 1)[:, None, None]).any(axis=-1)
         witness = (v * labels[:, None, :]) @ adj(v)

@@ -314,6 +314,24 @@ class TestHaarCommand:
         assert report["unitarity_defect"] <= 1e-12
         assert_close(decode_matrix(report["exact"], "e"), np.eye(2) / 2)
 
+    def test_samples_beyond_the_stack_cap(self, tmp_path, capsys, monkeypatch):
+        """2 10^12 draws of 2 x 2 unitaries would need 1.3e14 bytes: refused
+        before any draw, as an input error."""
+
+        def never(*args):
+            raise AssertionError("a Haar draw ran")
+
+        monkeypatch.setattr(cli, "_mc_draws", never)
+        monkeypatch.setattr(cli, "mc_twirl", never)
+        path = write(tmp_path, "h.json", {"matrix": mat(np.eye(2))})
+        assert main(["haar", "--in", path, "--samples", "1000000000000"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("nhomog: input error: --samples 1000000000000 at n = 2")
+        assert f"above the cap of {cli.HAAR_STACK_CAP}" in err[0]
+        samples = cli.HAAR_STACK_CAP // (2 * 4 * 16)  # the largest budget within the cap at n = 2
+        with pytest.raises(AssertionError, match="a Haar draw ran"):
+            main(["haar", "--in", path, "--samples", str(samples)])
+
 
 class TestNSpaceCommand:
     def test_ideal_and_classification(self, tmp_path, capsys):

@@ -552,3 +552,110 @@ class TestNoCertificationSvd:
         table = _ClassTable.of(alg, DEFAULT_TOL, 0)
         assert table.groups() == meta["groups"]
         assert calls == [(2, 10, 2, 2)]
+
+    @staticmethod
+    def spin_up_svds(monkeypatch):
+        """Every SVD taken, and per ``_spin_up`` call the SVDs taken inside it."""
+        svds, per_spin_up, inside = [], [], []
+        svd, spin_up = np.linalg.svd, decomposition._spin_up
+
+        def counting_svd(*args, **kwargs):
+            svds.append(np.shape(args[0]))
+            if inside:
+                per_spin_up[-1] += 1
+            return svd(*args, **kwargs)
+
+        def counting_spin_up(*args):
+            per_spin_up.append(0)
+            inside.append(None)
+            try:
+                return spin_up(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(decomposition, "_spin_up", counting_spin_up)
+        return svds, per_spin_up
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_svd_per_class(self, monkeypatch, seed):
+        """The closing round of each spin-up ends on the Frobenius screen,
+        so each of the three classes takes one SVD, and nothing else in
+        decompose takes one."""
+        r = rng(900 + seed)
+        t = scrambled_direct_sum(r, distinct_irreducible_tuples(r, 3, 2, 3), [3, 2, 1], zero_dim=2)
+        two_norms = self.two_norm_calls(monkeypatch)
+        svds, per_spin_up = self.spin_up_svds(monkeypatch)
+        dec = decompose(t)
+        assert len(dec.classes) == 3 and dec.zero_dim == 2
+        assert len(svds) == 3 and per_spin_up == [1, 1, 1]
+        assert two_norms == [(2, 1, 20, 20)]
+
+    @pytest.mark.parametrize("fibers", [["full", "scalar", "scalar"], ["diag", "scalar", "scalar"]])
+    def test_class_table_one_spin_up_svd_per_class(self, monkeypatch, fibers):
+        from nhomog.sw_engine import _ClassTable, closure_star_subalgebra
+
+        gens, _ = grouped_function_algebra(rng(901), n=2, group_sizes=[5, 5, 5], fibers=fibers,
+                                           vanish_groups=[2])
+        alg = closure_star_subalgebra(gens)
+        _, per_spin_up = self.spin_up_svds(monkeypatch)
+        table = _ClassTable.of(alg, DEFAULT_TOL, 0)
+        classes = len(table.present) - 1
+        assert classes == (2 if fibers[0] == "full" else 3)
+        assert per_spin_up == [1] * classes
+
+
+def spin_up_without_screen(letters, e, tol):
+    """The spin-up as it was before the closing round's Frobenius screen:
+    Gram-Schmidt in every round and an SVD in every round."""
+    d, m = e.shape
+    points, n = letters.shape[1:3]
+    rows = letters.swapaxes(0, 1).reshape(points, -1, n)
+    basis = np.zeros((m, d, 0), dtype=complex)
+    new = e.T[:, :, None]
+    while new.shape[2]:
+        r = new.shape[2]
+        cand = (rows @ new.reshape(m, points, n, r)).reshape(m, points, -1, n, r).swapaxes(2, 3)
+        cand = cand.reshape(m, d, -1)
+        for _ in range(2):
+            cand = cand - basis @ (adj(basis[0]) @ cand[0])
+        _, s, vh = np.linalg.svd(cand[0], full_matrices=False)
+        rank = decomposition._rank_with_gap(s, tol.rank_cut, "spin-up", scale=1.0)
+        new = cand @ (adj(vh[:rank]) / s[:rank])
+        basis = np.concatenate([basis, new], axis=2)
+    return basis
+
+
+class TestSpinUpScreen:
+    """The closing round: the screen skips the SVD only where the rank
+    would be 0, and a round just above the cut takes the SVD as before."""
+
+    @staticmethod
+    def leaky(delta):
+        """Letters on C^4 (one point) and e_0: A = E_10 swaps e_0 and e_1
+        with A*, and B = delta E_20, C = delta E_30 leak e_0 towards e_2
+        and e_3.  A.e_0 spins up to span(e_1, e_0) in two rounds; the third
+        round's candidates, off that span, are delta e_2 and delta e_3, so
+        ||R||_F = sqrt(2) delta with both singular values delta."""
+        def unit(i, j):
+            u = np.zeros((4, 4), dtype=complex)
+            u[i, j] = 1.0
+            return u
+
+        gens = np.stack([unit(1, 0), delta * unit(2, 0), delta * unit(3, 0)])
+        return np.concatenate([gens, adj(gens)])[:, None], np.eye(4, 1, dtype=complex)
+
+    # delta / rank_cut: at 0.9 and 0.71, ||R||_F is 1.27 and 1.004 rank_cut,
+    # so the closing round takes its SVD (which keeps nothing, as both
+    # singular values lie below the cut); at 0.7 and 0 the screen ends it
+    @pytest.mark.parametrize("ratio, svds", [(0.9, 3), (0.71, 3), (0.7, 2), (0.0, 2)])
+    def test_closing_round_near_the_cut(self, monkeypatch, ratio, svds):
+        tol = DEFAULT_TOL
+        letters, e = self.leaky(ratio * tol.rank_cut)
+        want = spin_up_without_screen(letters, e, tol)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(None) or svd(*a, **k))
+        got = decomposition._spin_up(letters, e, tol)
+        assert len(calls) == svds
+        assert got.shape == (1, 4, 2) and np.array_equal(got, want)

@@ -1,6 +1,8 @@
-"""Smoke tests: the example scripts listed in the README run to completion."""
+"""Smoke tests: the example scripts listed in the README run to completion,
+and the CLI digest prints the lines the README records."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,10 +16,18 @@ ROOT = Path(__file__).resolve().parents[1]
     ["run_decomposition_demo.py"],
     ["run_sw_density_experiment.py", "--trials", "5"],
     ["run_haar_diagnostics.py", "--budgets", "1000", "2000"],
-    ["cli_digest.py", "--seeds", "1"],
+    ["cli_digest.py", "--seeds", "1", "2", "3", "4", "5"],
 ])
 def test_script_exits_zero(argv):
+    """``cli_digest.py`` is the refactor check: on seeds 1 to 5 it must
+    also print the four ``all:`` lines recorded in the README, which were
+    taken with numpy 2.4.6."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    if argv[0] == "cli_digest.py":
+        recorded = [line for line in (ROOT / "README.md").read_text().splitlines()
+                    if re.fullmatch(r"(\w+ )?all: [0-9a-f]{64}", line)]
+        assert len(recorded) == 4
+        assert [line for line in done.stdout.splitlines() if "all:" in line] == recorded

@@ -292,9 +292,24 @@ class TestClassTableReference:
         live = [x for g, grp in enumerate(meta["groups"]) if g not in vanish for x in grp]
         support = np.count_nonzero((alg.basis.vectors.reshape(-1, 18, n * n) != 0.0).any(axis=(0, 2)))
         assert shapes == ([(2, support, n, n)] if live else [])
-        assert len(live) <= support < 18  # roundoff of the closure's SVD may leave 1e-32 at a vanishing point
+        assert support == len(live)
         assert table.groups() == (meta["groups"] if live else [list(range(18))])
         assert table.unit(DEFAULT_TOL).in_closure is False
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_vanishing_group_is_exactly_zero(self, seed, monkeypatch):
+        """The closure spins up only on points where some generator is
+        nonzero, so its basis is exactly zero on a vanishing group and the
+        split sees the other 14 points; roundoff of its SVD once left
+        entries of 1e-32 at point 4 here, and the split saw 15."""
+        gens, meta = grouped_function_algebra(rng(seed), n=2, group_sizes=[4, 4, 4, 3, 3], fibers=self.FIBERS,
+                                              vanish_groups=[1])
+        alg = closure_star_subalgebra(gens, points=18, n=2)
+        assert not alg.basis.vectors.reshape(alg.basis.dim, 18, 4)[:, meta["groups"][1]].any()
+        shapes = self.split_shapes(monkeypatch)
+        table = sw_engine._ClassTable.of(alg, DEFAULT_TOL, seed)
+        assert shapes == [(2, 14, 2, 2)]
+        assert table.groups() == meta["groups"]
 
     def test_off_support_noise_takes_the_full_split(self, monkeypatch):
         """Noise of 1e-17 where the algebra vanishes makes those points part
