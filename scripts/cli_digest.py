@@ -13,6 +13,10 @@ scrambled direct sum of Ginibre blocks with a repeated class and a null
 line, and a three-orbit space with an ideal vanishing on one orbit and a
 point evaluation at another (``spectrum`` and ``nspace`` lines).  The
 inputs are built with numpy alone, so they do not move with the program.
+Last, each command runs on a fixed corpus of malformed payloads, and the
+exit code plus stderr of each is digested on the ``errors`` lines; a run
+that raises out of ``main`` is digested by its exception's type.  The
+corpus holds payload faults only, so no path appears in a message.
 A refactor that keeps the answers prints the same lines before and
 after:
 
@@ -98,6 +102,64 @@ def nspace_input(seed: int, n: int, path: Path) -> Path:
     return path
 
 
+I2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]  # the 2 x 2 identity
+Z2 = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+I1 = [[[1, 0]]]
+DIAG3 = {"generators": [[[[1, 0], [0, 0], [0, 0]], [[0, 0], [2, 0], [0, 0]], [[0, 0], [0, 0], [3, 0]]]]}
+PAIR = {"generators": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]], [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]]}
+UNITS = [[[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]],
+         [[[[0, 0], [0, 0]], [[1, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]]
+BAD = [[[1, 0], [True, 0]], [[0, 0], [1, 0]]]  # a boolean entry
+# (command, flags, payload): malformed inputs, each refused before or by the work
+ERROR_CORPUS = [
+    *(("analyze", ["--n", "2"], p) for p in [
+        [], {}, {"generators": 5}, {"generators": []}, {"generators": [I2, BAD]},
+        {"generators": [[[[1, 0], [0, 0]], [[1, 0]]]]}, {"generators": [[[[1, 0], [0, 0]]]]},
+        {"generators": [I2, I1]}, {"generators": [I2], "d": 3}, {"generators": [I2], "d": "2"},
+        {"generators": [I2], "k": 2}, {"generators": [[[[10**400, 0]]]]}, {"generators": [[[[0, float("nan")]]]]},
+        {"generators": [[I2]]}, {"generators": [I2, 7]}]),
+    *(("spectrum", ["--n", "2"], p) for p in [{"generators": [I2, [[[1, 0, 0]]]]}, {"generators": I2}]),
+    *(("calc", flags, p) for flags in (["--n", "2"], []) for p in [
+        [], {"polynomial": "z1"}, {"tuple": DIAG3}, {"tuple": DIAG3, "polynomial": 7},
+        {"tuple": DIAG3, "polynomial": "z1 ** q"}, {"tuple": DIAG3, "polynomial": "z2"},
+        {"tuple": DIAG3, "table": 5}, {"tuple": DIAG3, "table": {}}, {"tuple": DIAG3, "table": {"values": 5}},
+        {"tuple": DIAG3, "table": {"values": [BAD]}}, {"tuple": PAIR, "table": {"values": []}},
+        {"tuple": PAIR, "table": {"values": [I1]}}, {"tuple": {"generators": [BAD]}, "polynomial": "z1"}]),
+    *(("sw-check", [], p) for p in [
+        [], {"n": 2, "generators": []}, {"points": 1, "generators": []}, {"points": 1, "n": 2},
+        {"points": "1", "n": 2, "generators": []}, {"points": 0, "n": 2, "generators": []},
+        {"points": 1, "n": 2.0, "generators": []}, {"points": 1, "n": 2, "generators": 5},
+        {"points": 1, "n": 2, "generators": [5]}, {"points": 2, "n": 2, "generators": [[I2]]},
+        {"points": 2, "n": 2, "generators": [[I2, BAD]]}, {"points": 1, "n": 2, "generators": [[I1]]},
+        {"points": 2, "n": 2, "generators": [[I2, I2], [I2]]}, {"points": 10**400, "n": 1, "generators": []}]),
+    *(("haar", ["--samples", "1000"], p) for p in [
+        [], {"n": 2}, {"matrix": [[[1, 0], [0, 0]]]}, {"matrix": I2, "n": 3}, {"matrix": I2, "n": True},
+        {"matrix": BAD}, {"matrix": []}]),
+    *(("nspace", [], p) for p in [
+        [], {"generators": []}, {"space": 5}, {"space": {"n": 2}}, {"space": {"n": 0, "orbits": 1}},
+        {"space": {"n": 2, "orbits": 0}}, {"space": {"n": 2, "orbits": -1}}, {"space": {"n": 2, "orbits": True}},
+        {"space": {"n": 2, "orbits": 1}, "generators": 5}, {"space": {"n": 2, "orbits": 1}, "generators": [5]},
+        {"space": {"n": 2, "orbits": 1}, "generators": [{"values": [I2, I2]}]},
+        {"space": {"n": 2, "orbits": 1}, "generators": [{"values": [BAD]}]},
+        {"space": {"n": 2, "orbits": 1}, "generators": [{"values": [I1]}]},
+        {"space": {"n": 2, "orbits": 1}, "rep": 5}, {"space": {"n": 2, "orbits": 1}, "rep": []},
+        {"space": {"n": 2, "orbits": 1}, "rep": [[UNITS[0]]]}, {"space": {"n": 2, "orbits": 1}, "rep": [[[I2]]]},
+        {"space": {"n": 2, "orbits": 1}, "rep": [[[BAD, Z2], [Z2, Z2]]]},
+        {"space": {"n": 2, "orbits": 1}, "rep": [[[I1, Z2], [Z2, Z2]]]},
+        {"space": {"n": 2, "orbits": 1}, "rep": [[[I2, I2], [I2, I2]]]},
+        {"space": {"n": 2, "orbits": 1}, "rep": [UNITS], "generators": [{"values": [I1]}]}]),
+]
+
+
+def error_outcome(argv: list[str]) -> tuple[int | str, str]:
+    """Exit code and stderr of one run, or the type of what it raised."""
+    try:
+        code, _, err = workloads.run_cli(argv)
+    except Exception as exc:  # a traceback, as code from before a fault was mended gives
+        return f"raised {type(exc).__name__}", ""
+    return code, err
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
@@ -133,6 +195,15 @@ def main():
                     command_total.update(line.encode())
                     print(f"{command} n {n} seed {seed}: {line}")
             print(f"{command} all: {command_total.hexdigest()}")
+        errors_total = hashlib.sha256()
+        for i, (command, flags, payload) in enumerate(ERROR_CORPUS):
+            path = Path(tmp) / f"error-{i}.json"
+            path.write_text(json.dumps(payload))
+            code, err = error_outcome([command, "--in", str(path), "--seed", "0", *flags])
+            line = digest(code, err)
+            errors_total.update(line.encode())
+            print(f"errors {i} {command}: {line} {code} {err.strip()[:160]}")
+        print(f"errors all: {errors_total.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .calculus import OrbitTable, StarPolynomial, calc
-from .decomposition import homogeneity_verdict, n_spectrum
+from .calculus import OrbitTable, calc
+from .decomposition import decompose, homogeneity_verdict, n_spectrum
 from .errors import (HypothesisViolated, InputError, NHomogError, NotNHomogeneous, NumericalFailure, ParseError,
                      SchemaError)
 from .haar import McConfig, _mc_draws, mc_radius, mc_twirl, twirl_exact
@@ -127,8 +127,7 @@ def _require_n(cfg: RunConfig) -> int:
     return cfg.n
 
 
-def _cmd_analyze(cfg: RunConfig) -> tuple[int, dict, list[str]]:
-    payload = jsonio.load_json(cfg.input_path)
+def _cmd_analyze(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
     t = jsonio.decode_tuple(payload)
     report = homogeneity_verdict(t, _require_n(cfg), cfg.tol, cfg.seed)
     code = EXIT_OK if report.is_n_homogeneous else EXIT_FALSE
@@ -139,8 +138,7 @@ def _cmd_analyze(cfg: RunConfig) -> tuple[int, dict, list[str]]:
     return code, report.to_json(), human
 
 
-def _cmd_spectrum(cfg: RunConfig) -> tuple[int, dict, list[str]]:
-    payload = jsonio.load_json(cfg.input_path)
+def _cmd_spectrum(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
     t = jsonio.decode_tuple(payload)
     n = _require_n(cfg)
     try:
@@ -159,58 +157,29 @@ def _cmd_spectrum(cfg: RunConfig) -> tuple[int, dict, list[str]]:
     return EXIT_OK, report, human
 
 
-def _cmd_calc(cfg: RunConfig) -> tuple[int, dict, list[str]]:
-    payload = jsonio.load_json(cfg.input_path)
-    if not isinstance(payload, dict) or "tuple" not in payload:
-        raise SchemaError("calc input needs a 'tuple' field")
-    t = jsonio.decode_tuple(payload["tuple"])
+def _cmd_calc(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
+    t, polynomial, values = jsonio.decode_calc_input(payload)
     if cfg.n is not None:
         report = homogeneity_verdict(t, cfg.n, cfg.tol, cfg.seed)
         if not report.is_n_homogeneous:
             return EXIT_FALSE, report.to_json(), [f"tuple is not {cfg.n}-homogeneous"]
         dec = report.decomposition
     else:
-        from .decomposition import decompose
-
         dec = decompose(t, cfg.tol, cfg.seed)
-    if "polynomial" in payload:
-        if not isinstance(payload["polynomial"], str):
-            raise SchemaError("'polynomial' must be a string")
-        try:
-            f = StarPolynomial.parse(payload["polynomial"], t.k)
-        except ValueError as exc:
-            raise SchemaError(f"polynomial: {exc}") from exc
-    elif "table" in payload:
-        tbl = payload["table"]
-        if not isinstance(tbl, dict) or "values" not in tbl:
-            raise SchemaError("'table' needs a 'values' field")
-        values = [jsonio.decode_matrix(v, f"table.values[{i}]")
-                  for i, v in enumerate(jsonio.decode_list(tbl["values"], "table.values"))]
-        f = OrbitTable.for_decomposition(dec, values)
-    else:
-        raise SchemaError("calc input needs a 'polynomial' or 'table' field")
+    f = polynomial if values is None else OrbitTable.for_decomposition(dec, values)
     result = calc(f, dec, cfg.tol)
     report = {"result": jsonio.encode_matrix(result), "classes": len(dec.classes)}
     return EXIT_OK, report, [f"result norm {opnorm(result):.6g}"] if cfg.human else []
 
 
-def _cmd_sw_check(cfg: RunConfig) -> tuple[int, dict, list[str]]:
-    payload = jsonio.load_json(cfg.input_path)
+def _cmd_sw_check(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
     points, n, gens = jsonio.decode_fn_algebra_input(payload)
     algebra = closure_star_subalgebra(gens, points=points, n=n, tol=cfg.tol)
     density = density_check(algebra, cfg.tol, cfg.seed)
     d2 = delta2_subspace(algebra, cfg.tol)
     contained = all(d2.contains(b, 1e-7) for b in algebra.basis.elements())
-    report = density.to_json()
-    report.update(
-        {
-            "points": points,
-            "n": n,
-            "algebra_dim": algebra.basis.dim,
-            "delta2_dim": d2.dim,
-            "span_equals_delta2": bool(algebra.basis.dim == d2.dim and contained),
-        }
-    )
+    report = {**density.to_json(), "points": points, "n": n, "algebra_dim": algebra.basis.dim, "delta2_dim": d2.dim,
+              "span_equals_delta2": bool(algebra.basis.dim == d2.dim and contained)}
     code = EXIT_OK if density.dense else EXIT_FALSE
     human = [
         f"dim E = {algebra.basis.dim} of ambient {algebra.ambient_dim}; dense: {density.dense}",
@@ -219,24 +188,20 @@ def _cmd_sw_check(cfg: RunConfig) -> tuple[int, dict, list[str]]:
     return code, report, human
 
 
-def _cmd_haar(cfg: RunConfig) -> tuple[int, dict, list[str]]:
-    payload = jsonio.load_json(cfg.input_path)
-    if not isinstance(payload, dict) or "matrix" not in payload:
-        raise SchemaError("haar input needs a 'matrix' field")
-    a = jsonio.decode_matrix(payload["matrix"], "matrix")
-    if a.shape[0] != a.shape[1]:
-        raise SchemaError(f"matrix must be square, got shape {a.shape}")
-    if "n" in payload and jsonio.decode_int(payload["n"], "'n'") != a.shape[0]:
-        raise SchemaError("'n' does not match the matrix size")
+def _cmd_haar(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
+    a = jsonio.decode_haar_input(payload)
     stack = 2 * cfg.samples * a.shape[0] ** 2 * 16
     if stack > HAAR_STACK_CAP:
         raise SchemaError(f"--samples {cfg.samples} at n = {a.shape[0]} needs {stack} bytes of Haar draws, "
                           f"above the cap of {HAAR_STACK_CAP}")
     mc = McConfig(samples=cfg.samples, seed=cfg.seed)
-    exact = twirl_exact(a)
-    estimate = mc_twirl(a, mc)
-    deviation = opnorm(estimate - exact)
-    radius = mc_radius(opnorm(a), mc.samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        exact = twirl_exact(a)
+        estimate = mc_twirl(a, mc)
+        deviation = opnorm(estimate - exact)
+        radius = mc_radius(opnorm(a), mc.samples)
+    if not np.isfinite([deviation, radius, *estimate.ravel(), *exact.ravel()]).all():
+        raise NumericalFailure("haar values are not finite (overflow)")
     sample_check = _mc_draws(a.shape[0], mc)[0][:64]  # the stack mc_twirl just drew
     unitarity = opnorm(adj(sample_check) @ sample_check - np.eye(a.shape[0]))
     report = {
@@ -252,15 +217,8 @@ def _cmd_haar(cfg: RunConfig) -> tuple[int, dict, list[str]]:
     return EXIT_OK, report, human
 
 
-def _cmd_nspace(cfg: RunConfig) -> tuple[int, dict, list[str]]:
-    payload = jsonio.load_json(cfg.input_path)
-    if not isinstance(payload, dict) or "space" not in payload:
-        raise SchemaError("nspace input needs a 'space' field")
-    space = jsonio.decode_space(payload["space"])
-    gens = [
-        jsonio.decode_element(g, space, f"generators[{i}]")
-        for i, g in enumerate(jsonio.decode_list(payload.get("generators", []), "generators"))
-    ]
+def _cmd_nspace(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
+    space, gens, images = jsonio.decode_nspace_input(payload)
     ideal = ideal_set_correspondence(space, gens, tol=cfg.tol)
     report: dict = {
         "space": {"n": space.n, "orbits": space.orbits},
@@ -269,8 +227,7 @@ def _cmd_nspace(cfg: RunConfig) -> tuple[int, dict, list[str]]:
         "ideal_dim": ideal.dim,
     }
     human = [f"ideal dim {ideal.dim}; vanishing set {list(ideal.vanishing_set)}"]
-    if "rep" in payload:
-        images = jsonio.decode_rep_images(payload["rep"], space)
+    if images is not None:
         point = classify_matrix_rep(images, space, cfg.tol)
         if point is None:
             report["classification"] = {"kind": "zero"}
@@ -296,7 +253,7 @@ _COMMANDS = {
 
 
 def run(cfg: RunConfig) -> tuple[int, str]:
-    code, report, human = _COMMANDS[cfg.command](cfg)
+    code, report, human = _COMMANDS[cfg.command](cfg, jsonio.load_json(cfg.input_path))
     text = jsonio.dump_report(_stamp(cfg, report))
     if cfg.human:
         text = text + "\n" + "\n".join(f"# {line}" for line in human)
@@ -327,6 +284,9 @@ def main(argv=None) -> int:
             print(text, file=sink)
     except InputError as exc:
         print(f"nhomog: input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:  # the input asks for more than the host holds, as the haar cap does
+        print(f"nhomog: input error: {args.command} on this input does not fit in memory", file=sys.stderr)
         return EXIT_INPUT
     except (NumericalFailure, HypothesisViolated) as exc:
         print(f"nhomog: numerical failure: {exc}", file=sys.stderr)

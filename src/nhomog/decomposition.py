@@ -123,15 +123,15 @@ def _fingerprints(gens: np.ndarray, max_len: int = 3) -> tuple[np.ndarray, np.nd
     as (C, W) real and imaginary parts."""
     count, n = len(gens), gens.shape[-1]
     letters = np.concatenate([gens, adj(gens)], axis=1)
-    level = letters
-    reals, imags = [], []
-    for step in range(max_len):
-        tr = np.einsum("cwii->cw", level)
-        reals.append(np.sort(tr.real))
-        imags.append(np.sort(tr.imag))
-        if step + 1 < max_len:
+    level, traces = letters, [np.einsum("cwii->cw", letters)]
+    for step in range(2, max_len + 1):
+        if step < max_len:
             level = np.einsum("cwij,cljk->cwlik", level, letters).reshape(count, -1, n, n)
-    return np.concatenate(reals, axis=-1), np.concatenate(imags, axis=-1)
+            traces.append(np.einsum("cwii->cw", level))
+        else:  # the last level's traces without its products: tr(W L) = sum_ij W_ij L_ji
+            traces.append(np.einsum("cwij,clji->cwl", level, letters).reshape(count, -1))
+    return (np.concatenate([np.sort(tr.real) for tr in traces], axis=-1),
+            np.concatenate([np.sort(tr.imag) for tr in traces], axis=-1))
 
 
 def unitarily_equivalent(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
@@ -340,13 +340,14 @@ def _assemble(gens: np.ndarray, norms: np.ndarray, classes: list, null: list) ->
         raise NumericalFailure("assembled change of basis is not unitary")
     # V is unitary, so |G_j V - V C_j| at a point is the error of G_j's block reconstruction there
     resid = resid[:, :, by_point].reshape(k, n, points, n).swapaxes(1, 2)
-    bad = np.flatnonzero(_exceeds(resid, 1e-7 * (c + norms.max(axis=1))[:, None]).any(axis=1))
+    # each bound as a sum of products, which cannot overflow at c near the largest float
+    bad = np.flatnonzero(_exceeds(resid, (1e-7 * c + 1e-7 * norms.max(axis=1))[:, None]).any(axis=1))
     if bad.size:
         raise NumericalFailure(f"block intertwining of generator {bad[0]} failed")
     for _, comps, *_ in groups:  # blocks of a class are aligned: each compression is the representative
         drift = comps[1:] - comps[0]
         # c <= c + ||C_0||: drift the exact test finds, the first test, which needs no norm of C_0, finds too
-        if _exceeds(drift, 1e-7 * c).any() and _exceeds(drift, 1e-7 * (c + _opnorms(comps[0]))).any():
+        if _exceeds(drift, 1e-7 * c).any() and _exceeds(drift, 1e-7 * c + 1e-7 * _opnorms(comps[0])).any():
             raise NumericalFailure("a block's compression differs from its class representative")
     return _PointSplit(tuple((label, part[0], part[1]) for label, part in parts), v, labels)
 

@@ -1,7 +1,9 @@
 """JSON encoding shared by the CLI and file interfaces.
 
 Complex numbers serialize as two-element arrays [re, im]; matrices as
-row-major arrays of rows.
+row-major arrays of rows.  Each CLI command has one ``decode_*``
+decoder that checks every field of its payload and returns typed
+values, so a malformed payload is refused before any numerical work.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .calculus import StarPolynomial
 from .errors import ParseError, SchemaError
 from .n_space import EquivariantElement, FiniteNSpace
 from .star_algebra import MatTuple
@@ -50,6 +53,13 @@ def decode_list(obj, where: str) -> list:
     """A list field, returned as is; anything else is rejected."""
     if not isinstance(obj, list):
         raise SchemaError(f"{where} must be a list, got {obj!r}")
+    return obj
+
+
+def _object(obj, fields: tuple[str, ...], where: str) -> dict:
+    """A JSON object holding every one of ``fields``."""
+    if not isinstance(obj, dict) or not all(key in obj for key in fields):
+        raise SchemaError(f"{where} must be an object with {', '.join(map(repr, fields))}")
     return obj
 
 
@@ -100,6 +110,44 @@ def decode_matrix(obj, where: str) -> np.ndarray:
     raise SchemaError(f"{where}: malformed matrix")
 
 
+def _matrices(obj, where: str, counts: tuple[int | None, ...], n: int | None) -> np.ndarray:
+    """A field of n x n matrices nested ``len(counts)`` lists deep, as one
+    complex array of shape (*counts, n, n) from one ``_complex_array``
+    call.  A count of None takes any length, and n = None the first
+    matrix's row count.  A refused payload is walked only to name its
+    first bad site, list by list and then shape by shape; the walk never
+    accepts it."""
+    a = _complex_array(obj, len(counts) + 2)
+    if a is not None:
+        side = a.shape[-2] if n is None else n
+        if all(want in (None, got) for want, got in zip((*counts, side, side), a.shape)):
+            return a
+    elif obj == [] and counts[:1] == (None,):  # an empty list of anything
+        return np.zeros((0, *counts[1:], n, n), dtype=complex)
+    leaves = _leaves(obj, where, counts)
+    side = leaves[0][1].shape[0] if n is None else n
+    for at, m in leaves:
+        if m.shape != (side, side):
+            raise SchemaError(f"{at} has shape {m.shape}, expected ({side}, {side})")
+    raise SchemaError(f"{where}: malformed values")
+
+
+def _leaves(obj, where: str, counts: tuple[int | None, ...]) -> list[tuple[str, np.ndarray]]:
+    """Each matrix of a field with its site, decoded one by one."""
+    if not counts:
+        return [(where, decode_matrix(obj, where))]
+    if counts[0] not in (None, len(decode_list(obj, where))):
+        raise SchemaError(f"{where} must have length {counts[0]}, got {len(obj)}")
+    return [leaf for i, item in enumerate(obj) for leaf in _leaves(item, f"{where}[{i}]", counts[1:])]
+
+
+def _fits(entries: int, where: str) -> None:
+    """Refuse a size whose complex array numpy could not even address (one
+    it can address but the host cannot hold raises MemoryError later)."""
+    if entries > np.iinfo(np.intp).max // 16:
+        raise SchemaError(f"{where}: {entries} complex entries do not fit in memory")
+
+
 def load_json(path) -> dict:
     p = Path(path)
     try:
@@ -117,97 +165,81 @@ def load_json(path) -> dict:
 
 
 def decode_tuple(obj, where: str = "tuple") -> MatTuple:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object with a 'generators' field")
-    gens = obj.get("generators")
-    if not isinstance(gens, list) or not gens:
+    """The analyze and spectrum payload: {"generators": [matrix, ...]},
+    with optional "d" and "k" checked against it."""
+    gens = _object(obj, ("generators",), where)["generators"]
+    if type(gens) is not list or not gens:
         raise SchemaError(f"{where}.generators must be a nonempty list of matrices")
-    mats = [decode_matrix(g, f"{where}.generators[{i}]") for i, g in enumerate(gens)]
-    d = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.shape != (d, d):
-            raise SchemaError(f"{where}.generators[{i}] has shape {m.shape}, expected ({d}, {d})")
-    if "d" in obj and decode_int(obj["d"], f"{where}.d") != d:
-        raise SchemaError(f"{where}.d = {obj['d']} does not match matrix size {d}")
-    if "k" in obj and decode_int(obj["k"], f"{where}.k") != len(mats):
-        raise SchemaError(f"{where}.k = {obj['k']} does not match generator count {len(mats)}")
-    return MatTuple(mats)
+    stack = _matrices(gens, f"{where}.generators", (None,), None)
+    if "d" in obj and decode_int(obj["d"], f"{where}.d") != stack.shape[1]:
+        raise SchemaError(f"{where}.d = {obj['d']} does not match matrix size {stack.shape[1]}")
+    if "k" in obj and decode_int(obj["k"], f"{where}.k") != len(stack):
+        raise SchemaError(f"{where}.k = {obj['k']} does not match generator count {len(stack)}")
+    return MatTuple(stack)
 
 
-def decode_space(obj, where: str = "space") -> FiniteNSpace:
-    if not isinstance(obj, dict) or "n" not in obj or "orbits" not in obj:
-        raise SchemaError(f"{where}: expected an object with 'n' and 'orbits'")
-    try:
-        space = FiniteNSpace(n=decode_int(obj["n"], f"{where}.n"),
-                             orbits=decode_int(obj["orbits"], f"{where}.orbits"))
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-    if space.orbits == 0:  # the library's empty space; an input names at least one orbit
-        raise SchemaError(f"{where}.orbits must be >= 1, got 0")
-    return space
+def decode_calc_input(obj) -> tuple[MatTuple, StarPolynomial | None, list[np.ndarray] | None]:
+    """The calc payload: {"tuple": ..., "polynomial": str} or {"tuple":
+    ..., "table": {"values": [matrix, ...]}} -> (tuple, polynomial, None)
+    or (tuple, None, table values).  The values' count and sizes depend
+    on the tuple's classes, so ``OrbitTable`` checks them after the split."""
+    t = decode_tuple(_object(obj, ("tuple",), "calc input")["tuple"])
+    if "polynomial" in obj:
+        if type(obj["polynomial"]) is not str:
+            raise SchemaError("'polynomial' must be a string")
+        try:
+            return t, StarPolynomial.parse(obj["polynomial"], t.k), None
+        except ValueError as exc:
+            raise SchemaError(f"polynomial: {exc}") from exc
+    if "table" not in obj:
+        raise SchemaError("calc input needs a 'polynomial' or 'table' field")
+    values = decode_list(_object(obj["table"], ("values",), "table")["values"], "table.values")
+    return t, None, [decode_matrix(v, f"table.values[{i}]") for i, v in enumerate(values)]
 
 
-def decode_element(obj, space: FiniteNSpace, where: str = "element") -> EquivariantElement:
-    if not isinstance(obj, dict) or "values" not in obj:
-        raise SchemaError(f"{where}: expected an object with a 'values' field")
-    vals = obj["values"]
-    if not isinstance(vals, list) or len(vals) != space.orbits:
-        raise SchemaError(f"{where}.values must list one matrix per orbit ({space.orbits})")
-    mats = [decode_matrix(v, f"{where}.values[{i}]") for i, v in enumerate(vals)]
-    for i, m in enumerate(mats):
-        if m.shape != (space.n, space.n):
-            raise SchemaError(f"{where}.values[{i}] has shape {m.shape}, expected ({space.n}, {space.n})")
-    return EquivariantElement(space, mats)
-
-
-def decode_fn_algebra_input(obj) -> tuple[int, int, list[np.ndarray]]:
+def decode_fn_algebra_input(obj) -> tuple[int, int, np.ndarray]:
     """The sw-check payload: {"points": int, "n": int, "generators":
-    [[matrix per point], ...]} -> (points, n, generator functions)."""
-    if not isinstance(obj, dict):
-        raise SchemaError("sw-check input must be a JSON object")
-    for key in ("points", "n", "generators"):
-        if key not in obj:
-            raise SchemaError(f"sw-check input is missing the '{key}' field")
+    [[matrix per point], ...]} -> (points, n, a (k, points, n, n) stack);
+    k may be 0."""
+    _object(obj, ("points", "n", "generators"), "sw-check input")
     points, n = decode_int(obj["points"], "'points'"), decode_int(obj["n"], "'n'")
     if points < 1 or n < 1:
         raise SchemaError("'points' and 'n' must be positive")
-    gens_obj = obj["generators"]
-    if not isinstance(gens_obj, list):
-        raise SchemaError("'generators' must be a list of functions")
-    gens = []
-    for gi, fn in enumerate(gens_obj):
-        if not isinstance(fn, list) or len(fn) != points:
-            raise SchemaError(f"generators[{gi}] must list one matrix per point ({points})")
-        values = _complex_array(fn, 3)
-        if values is None or values.shape != (points, n, n):
-            mats = [decode_matrix(m, f"generators[{gi}][{p}]") for p, m in enumerate(fn)]
-            for p, m in enumerate(mats):
-                if m.shape != (n, n):
-                    raise SchemaError(f"generators[{gi}][{p}] has shape {m.shape}, expected ({n}, {n})")
-            raise SchemaError(f"generators[{gi}]: malformed values")
-        gens.append(values)
-    return points, n, gens
+    _fits(points * n * n, "'points' x 'n'^2")
+    return points, n, _matrices(obj["generators"], "generators", (None, points), n)
 
 
-def decode_rep_images(obj, space: FiniteNSpace, where: str = "rep") -> np.ndarray:
-    """Representation payload: images[i][j][k] is the image matrix of the
+def decode_haar_input(obj) -> np.ndarray:
+    """The haar payload: {"matrix": square matrix}, with an optional "n"
+    checked against it."""
+    a = _matrices(_object(obj, ("matrix",), "haar input")["matrix"], "matrix", (), None)
+    if "n" in obj and decode_int(obj["n"], "'n'") != len(a):
+        raise SchemaError("'n' does not match the matrix size")
+    return a
+
+
+def decode_nspace_input(obj) -> tuple[FiniteNSpace, list[EquivariantElement], np.ndarray | None]:
+    """The nspace payload: {"space": {"n": int, "orbits": int},
+    "generators": [{"values": [matrix per orbit]}, ...], "rep": ...} ->
+    (space, elements, rep images or None).  The rep images are an
+    (orbits, n, n, n, n) stack: images[i][j][k] is the image of the
     (j, k) matrix unit supported on orbit i."""
+    spec = _object(_object(obj, ("space",), "nspace input")["space"], ("n", "orbits"), "space")
+    try:
+        space = FiniteNSpace(n=decode_int(spec["n"], "space.n"), orbits=decode_int(spec["orbits"], "space.orbits"))
+    except ValueError as exc:
+        raise SchemaError(f"space: {exc}") from exc
     n, m = space.n, space.orbits
-    if not isinstance(obj, list) or len(obj) != m:
-        raise SchemaError(f"{where} must list one unit table per orbit ({m})")
-    images = np.zeros((m, n, n, n, n), dtype=complex)
-    for i, per_orbit in enumerate(obj):
-        if not isinstance(per_orbit, list) or len(per_orbit) != n:
-            raise SchemaError(f"{where}[{i}] must have {n} rows of unit images")
-        for j, row in enumerate(per_orbit):
-            if not isinstance(row, list) or len(row) != n:
-                raise SchemaError(f"{where}[{i}][{j}] must have {n} unit images")
-            for k, mat in enumerate(row):
-                img = decode_matrix(mat, f"{where}[{i}][{j}][{k}]")
-                if img.shape != (n, n):
-                    raise SchemaError(f"{where}[{i}][{j}][{k}] has shape {img.shape}")
-                images[i, j, k] = img
-    return images
+    if m == 0:  # the library's empty space; an input names at least one orbit
+        raise SchemaError("space.orbits must be >= 1, got 0")
+    _fits(m * n * n, "space.orbits x space.n^2")
+    elements = []
+    for i, g in enumerate(decode_list(obj.get("generators", []), "generators")):
+        at = f"generators[{i}]"
+        values = _object(g, ("values",), at)["values"]
+        elements.append(EquivariantElement(space, _matrices(values, f"{at}.values", (m,), n)))
+    rep = _matrices(obj["rep"], "rep", (m, n, n), n) if "rep" in obj else None
+    return space, elements, rep
 
 
 def dump_report(report: dict) -> str:

@@ -22,7 +22,7 @@ from .errors import (
     NumericalFailure,
     SpaceMismatch,
 )
-from .matrix_core import DEFAULT_TOL, Tolerance, adj, as_matrix, fix_phase, opnorm
+from .matrix_core import DEFAULT_TOL, Tolerance, _exceeds, adj, as_matrix, fix_phase, opnorm
 from .star_algebra import MatTuple, SubspaceBasis
 
 
@@ -151,9 +151,12 @@ def ideal_set_correspondence(
         cut = tol.eq_tol * (1.0 + scale)
         support = [i for i in range(m) if any(opnorm(g.values[i]) > cut for g in gens)]
         vanish = [i for i in range(m) if i not in support]
-    # the function with value e_jk on orbit i is the standard basis vector at (i, j, k)
-    vectors = np.eye(m * n * n, dtype=complex).reshape(m, n * n, m * n * n)[support]
-    basis = SubspaceBasis((m, n, n), vectors.reshape(-1, m * n * n))
+    # the function with value e_jk on orbit i is the standard basis vector at (i, j, k);
+    # only the support's rows are formed, not the (m n^2)^2 identity
+    ones = (np.asarray(support, dtype=np.intp)[:, None] * (n * n) + np.arange(n * n)).ravel()
+    vectors = np.zeros((ones.size, m * n * n), dtype=complex)
+    vectors[np.arange(ones.size), ones] = 1.0
+    basis = SubspaceBasis((m, n, n), vectors)
     return IdealData(space, tuple(vanish), tuple(support), basis)
 
 
@@ -170,17 +173,18 @@ def point_evaluation_rep(space: FiniteNSpace, p: PointRef) -> np.ndarray:
 def _verify_star_hom(images: np.ndarray, space: FiniteNSpace, tol: Tolerance, scale: float) -> None:
     m, n = space.orbits, space.n
     cut = 1e-6 * (1.0 + scale)  # looser than eq_tol: inputs may come from user JSON
-    # argwhere keeps (orbit, row, column) order: the first failure is named
-    adj_err = np.linalg.norm(adj(images) - images.transpose(0, 2, 1, 3, 4), 2, axis=(-2, -1))
-    bad = np.argwhere(adj_err > cut)
+    # argwhere keeps (orbit, row, column) order: the first failure is named; an error that
+    # overflows (images near the largest float) is infinite and fails closed
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = np.argwhere(_exceeds(adj(images) - images.transpose(0, 2, 1, 3, 4), cut))
     if bad.size:
         i, j, k = bad[0]
         raise NotAStarHom(f"adjoint axiom fails at orbit {i}, unit ({j},{k})")
     for i1, j1, k1 in np.ndindex(m, n, n):
         expected = np.zeros_like(images)
         expected[i1, k1] = images[i1, j1]  # e_{j1 k1} e_{k1 k2} = e_{j1 k2}; other products vanish
-        prod_err = np.linalg.norm(images[i1, j1, k1] @ images - expected, 2, axis=(-2, -1))
-        bad = np.argwhere(prod_err > cut)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = np.argwhere(_exceeds(images[i1, j1, k1] @ images - expected, cut))
         if bad.size:
             i2, j2, k2 = bad[0]
             raise NotAStarHom(

@@ -15,6 +15,7 @@ from nhomog.jsonio import (
     decode_fn_algebra_input,
     decode_int,
     decode_matrix,
+    decode_tuple,
     dump_report,
     encode_matrix,
     load_json,
@@ -494,10 +495,16 @@ class TestNumpyDecode:
         monkeypatch.setattr(jsonio, "_complex_array", lambda obj, depth: None)
         with pytest.raises(SchemaError, match="m: malformed matrix"):
             decode_matrix(mat(SX), "m")
+        # each field is converted whole: sw-check generators at depth 4,
+        # a tuple's generators at depth 3
+        monkeypatch.setattr(jsonio, "_complex_array",
+                            lambda obj, depth: None if depth == 4 else convert(obj, depth))
+        with pytest.raises(SchemaError, match=r"^generators: malformed values"):
+            decode_fn_algebra_input({"points": 1, "n": 2, "generators": [[mat(SX)]]})
         monkeypatch.setattr(jsonio, "_complex_array",
                             lambda obj, depth: None if depth == 3 else convert(obj, depth))
-        with pytest.raises(SchemaError, match=r"generators\[0\]: malformed values"):
-            decode_fn_algebra_input({"points": 1, "n": 2, "generators": [[mat(SX)]]})
+        with pytest.raises(SchemaError, match=r"^tuple.generators: malformed values"):
+            decode_tuple({"generators": [mat(SX)]})
 
     def test_encode_matches_entry_loop(self):
         rng = np.random.default_rng(7)
@@ -745,3 +752,73 @@ class TestTracebackCases:
         path = write(tmp_path, "ns.json", {"space": {"n": 2, "orbits": 0}})
         err = self.run_one_line(capsys, ["nspace", "--in", path])
         assert err.endswith("space.orbits must be >= 1, got 0")
+
+    def test_nspace_large_space_without_generators(self, tmp_path, capsys):
+        """64 orbits of 64 x 64 matrices: the zero ideal is formed from its
+        support rows alone (none), not sliced out of a 1 TiB identity."""
+        path = write(tmp_path, "ns.json", {"space": {"n": 64, "orbits": 64}})
+        assert main(["nspace", "--in", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ideal_dim"] == 0 and report["support"] == []
+        assert report["vanishing_set"] == list(range(64))
+
+    @pytest.mark.parametrize("command, work, payload", [
+        ("analyze", "homogeneity_verdict", {"generators": [mat(SX)]}),
+        ("sw-check", "closure_star_subalgebra", {"points": 1, "n": 1, "generators": []}),
+        ("nspace", "ideal_set_correspondence", {"space": {"n": 1, "orbits": 1}}),
+    ])
+    def test_memory_error_exits_two(self, tmp_path, capsys, monkeypatch, command, work, payload):
+        """An input that asks for more memory than the host holds is an
+        input error, as the haar stack cap is.  No test allocates for real:
+        a size refused on one host may be granted on a larger one."""
+
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 9.31 GiB for an array with shape (100000, 100000)")
+
+        monkeypatch.setattr(cli, work, too_big)
+        path = write(tmp_path, "in.json", payload)
+        err = self.run_one_line(capsys, [command, "--in", path, "--n", "2"])
+        assert err == f"nhomog: input error: {command} on this input does not fit in memory"
+
+    @pytest.mark.parametrize("payload", [
+        {"points": 10**400, "n": 1, "generators": []},
+        {"points": 1, "n": 2**40, "generators": []},
+    ])
+    def test_sw_check_sizes_no_array_can_hold(self, tmp_path, capsys, payload):
+        path = write(tmp_path, "sw.json", payload)
+        assert self.run_one_line(capsys, ["sw-check", "--in", path]).endswith("do not fit in memory")
+
+    @pytest.mark.parametrize("space", [{"n": 1, "orbits": 10**400}, {"n": 10**400, "orbits": 1}])
+    def test_nspace_sizes_no_array_can_hold(self, tmp_path, capsys, space):
+        path = write(tmp_path, "ns.json", {"space": space})
+        assert self.run_one_line(capsys, ["nspace", "--in", path]).endswith("do not fit in memory")
+
+
+def no_split(*args, **kwargs):
+    raise AssertionError("the tuple was split before its calc payload was checked")
+
+
+class TestCalcFaultsBeforeWork:
+    """Every calc payload fault exits 2 with one line before the tuple is
+    split, with --n (whose false verdict would exit 1) and without it."""
+
+    TUPLE = {"generators": [mat(np.diag([1.0, 2.0, 3.0]))]}
+    FAULTS = {
+        "no polynomial or table": ({}, "calc input needs a 'polynomial' or 'table' field"),
+        "polynomial 7": ({"polynomial": 7}, "'polynomial' must be a string"),
+        "unparsable polynomial": ({"polynomial": "z1 ** q"}, "polynomial: cannot parse factor"),
+        "table values not a list": ({"table": {"values": 5}}, "table.values must be a list, got 5"),
+        "bad table matrix": ({"table": {"values": [spoiled(True)]}}, "table.values[0][1]: a complex number"),
+    }
+
+    @pytest.mark.parametrize("n_option", [["--n", "2"], []], ids=["n2", "no-n"])
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_exit_two_before_the_split(self, tmp_path, capsys, monkeypatch, fault, n_option):
+        monkeypatch.setattr(cli, "homogeneity_verdict", no_split)
+        monkeypatch.setattr(cli, "decompose", no_split)
+        extra, message = self.FAULTS[fault]
+        path = write(tmp_path, "calc.json", {"tuple": self.TUPLE, **extra})
+        assert main(["calc", "--in", path, *n_option]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"nhomog: input error: {message}")

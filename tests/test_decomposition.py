@@ -404,6 +404,32 @@ class TestUnitarilyEquivalent:
         assert np.allclose(fa[0], fb[0], atol=1e-8)
         assert np.allclose(fa[1], fb[1], atol=1e-8)
 
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (1, 1, 1), (2, 3, 4), (4, 1, 2)])
+    def test_fingerprints_match_every_word_product(self, shape, max_len):
+        """The last level's traces are taken from the level below, as
+        tr(W L) = sum_ij W_ij L_ji; they match the traces of the formed
+        products, as the routine took them before, to 1e-12."""
+
+        def reference(gens, max_len):
+            count, n = len(gens), gens.shape[-1]
+            letters = np.concatenate([gens, adj(gens)], axis=1)
+            level, reals, imags = letters, [], []
+            for step in range(max_len):
+                tr = np.einsum("cwii->cw", level)
+                reals.append(np.sort(tr.real))
+                imags.append(np.sort(tr.imag))
+                if step + 1 < max_len:
+                    level = np.einsum("cwij,cljk->cwlik", level, letters).reshape(count, -1, n, n)
+            return np.concatenate(reals, axis=-1), np.concatenate(imags, axis=-1)
+
+        count, k, n = shape
+        r = rng(sum(shape) + max_len)
+        gens = np.stack([random_irreducible_tuple(r, n, k).gens for _ in range(count)])
+        for got, want in zip(decomposition._fingerprints(gens, max_len), reference(gens, max_len)):
+            assert got.shape == want.shape == (count, sum((2 * k) ** j for j in range(1, max_len + 1)))
+            assert np.abs(got - want).max() <= 1e-12
+
     def test_reducible_pair_the_filter_answered(self):
         """The one outcome that changed with the word-trace fast reject
         gone: a reducible pair with different traces is no longer

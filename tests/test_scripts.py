@@ -20,8 +20,9 @@ ROOT = Path(__file__).resolve().parents[1]
 ])
 def test_script_exits_zero(argv):
     """``cli_digest.py`` is the refactor check: on seeds 1 to 5 it must
-    also print the four ``all:`` lines recorded in the README, which were
-    taken with numpy 2.4.6."""
+    also print the five ``all:`` lines recorded in the README, which were
+    taken with numpy 2.4.6: four over valid inputs, one (``errors all:``)
+    over malformed ones."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                           env=env, capture_output=True, text=True, timeout=120)
@@ -29,5 +30,5 @@ def test_script_exits_zero(argv):
     if argv[0] == "cli_digest.py":
         recorded = [line for line in (ROOT / "README.md").read_text().splitlines()
                     if re.fullmatch(r"(\w+ )?all: [0-9a-f]{64}", line)]
-        assert len(recorded) == 4
+        assert len(recorded) == 5
         assert [line for line in done.stdout.splitlines() if "all:" in line] == recorded
