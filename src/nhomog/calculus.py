@@ -206,21 +206,21 @@ def calc(f, dec: Decomposition, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     statement made executable.  A constant term over a decomposition with
     null blocks is the one case where the routes legitimately differ (the
     calculus sends constants to the support projection, not to the full
-    identity), so the assert is skipped there.  Overflow on either route
-    raises NumericalFailure."""
+    identity), so the assert is skipped there.  The routes must agree
+    within eq_tol of sum |c_w| ||T||^|w|, the scale of the terms, since
+    the value itself can cancel to 0.  Overflow on either route raises
+    NumericalFailure."""
     direct = None
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below; an infinite scale passes
         out = _assemble(dec, _table_for(dec, f))
         if isinstance(f, StarPolynomial) and not (dec.zero_dim > 0 and any(not w for _, w in f.terms)):
             direct = eval_star_polynomial(f, dec.source)
+            norm = np.float64(dec.source.scale)
+            scale = sum(abs(c) * norm ** len(w) for c, w in f.terms)
     if not np.isfinite(out).all() or (direct is not None and not np.isfinite(direct).all()):
         raise NumericalFailure("calculus value is not finite (overflow)")
     if direct is not None:
-        diff = out - direct
-        # half the largest |entry| of direct is at most ||direct||_2 even after rounding,
-        # so a disagreement the exact test finds, the first test finds too
-        low = 0.5 * np.abs(direct).max(initial=0.0)
-        if _exceeds(diff, 1e-8 * (1.0 + low)) and _exceeds(diff, 1e-8 * (1.0 + opnorm(direct))):
+        if _exceeds(out - direct, tol.eq_tol * scale):
             raise NumericalFailure("decomposition route disagrees with direct polynomial evaluation")
     return out
 
@@ -247,7 +247,7 @@ def invariant_spectral_projection(dec: Decomposition, class_indices, tol: Tolera
     for b in dec.blocks:
         if not b.is_zero and b.class_id in wanted:
             out += b.isometry @ adj(b.isometry)
-    if opnorm(out @ out - out) > tol.eq_tol * (1.0 + opnorm(out)) or opnorm(out - adj(out)) > tol.eq_tol:
+    if _exceeds(np.stack([out @ out - out, out - adj(out)]), tol.eq_tol).any():  # s = 1: a projection
         raise NumericalFailure("spectral projection is not an orthogonal projection")
     return out
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotIrreducible, NotNHomogeneous, NumericalFailure
-from .matrix_core import (_SCREEN_FLOOR, _SCREEN_MARGIN, DEFAULT_TOL, Tolerance, _exceeds, _opnorms, adj, fix_phase,
-                          opnorm)
+from .matrix_core import (_SCREEN_FLOOR, _SCREEN_MARGIN, DEFAULT_TOL, Tolerance, _exceeds, _fails, _opnorms, adj,
+                          fix_phase, opnorm)
 from .star_algebra import RANK_GAP_RATIO, MatTuple, _rank_with_gap, intertwiner_space
 
 _SPLITTER_RESEEDS = 5
@@ -160,11 +160,11 @@ def unitarily_equivalent(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL)
     d = a.d
     gram = adj(w) @ w
     lam = float(np.trace(gram).real) / d
-    if lam <= 0.0 or opnorm(gram - lam * np.eye(d)) > tol.eq_tol * (1.0 + lam):
+    if lam <= 0.0 or _fails(opnorm(gram - lam * np.eye(d)), tol.eq_tol, lam):
         return None
     u = fix_phase(w / np.sqrt(lam))
     residual = opnorm(u @ a.gens @ adj(u) - b.gens)
-    if residual > 1e-7 * (1.0 + a.scale):
+    if _fails(residual, 1e-7, sum(scales) / c):  # ||a|| + ||b|| at the common unit scale
         raise NumericalFailure(f"intertwiner residual {residual:.3e} exceeds 1e-7")
     return u
 
@@ -259,13 +259,13 @@ def _cyclic_split(letters: np.ndarray, h: np.ndarray, tol: Tolerance) -> tuple[l
             raise NumericalFailure("an eigenvalue cluster lies too close to its neighbours to resolve the rank cut")
         isos = _spin_up(letters, e, tol)
         new = np.hstack(isos)  # Norton's count: m blocks, orthonormal to each other and to the blocks found
-        if _exceeds(np.vstack([adj(found) @ new, adj(new) @ new - np.eye(new.shape[1])]), 1e-8):
+        if _exceeds(np.vstack([adj(found) @ new, adj(new) @ new - np.eye(new.shape[1])]), tol.eq_tol):
             raise NumericalFailure("cyclic blocks are not jointly orthonormal")
         found = np.hstack([found, new])
         # this cluster and every later one off the blocks found: one projection settles which are covered
         rest = vecs[:, cluster[0]:]
         off = rest - found @ (adj(found) @ rest)
-        covered[i:] |= np.add.reduceat((off.conj() * off).real.sum(axis=0), starts[i:] - cluster[0]) <= 1e-8 ** 2
+        covered[i:] |= np.add.reduceat((off.conj() * off).real.sum(axis=0), starts[i:] - cluster[0]) <= tol.eq_tol ** 2
         if not covered[i]:
             raise NumericalFailure("cyclic blocks do not cover their eigenvalue cluster")
         classes.append((isos, order[cluster] // n))
@@ -299,7 +299,7 @@ class _PointSplit:
         return tuple(len(isos) for label, isos, _ in self.parts if label)
 
 
-def _assemble(gens: np.ndarray, norms: np.ndarray, classes: list, null: list) -> _PointSplit:
+def _assemble(gens: np.ndarray, norms: np.ndarray, tol: Tolerance, classes: list, null: list) -> _PointSplit:
     """Compress onto the blocks, order the classes canonically (by dim,
     then word-trace fingerprint) and check every post-condition, all
     compared at the scale c = max ||G_j(x)|| of the (k, P, n, n)
@@ -336,7 +336,7 @@ def _assemble(gens: np.ndarray, norms: np.ndarray, classes: list, null: list) ->
     v = cols[:, by_point].reshape(n, points, n).swapaxes(0, 1)
     labels = np.repeat([label for label, _ in parts], [len(part[2]) for _, part in parts])[by_point]
     labels = labels.reshape(points, n)
-    if _exceeds(adj(v) @ v - np.eye(n), 1e-8).any():
+    if _exceeds(adj(v) @ v - np.eye(n), tol.eq_tol).any():
         raise NumericalFailure("assembled change of basis is not unitary")
     # V is unitary, so |G_j V - V C_j| at a point is the error of G_j's block reconstruction there
     resid = resid[:, :, by_point].reshape(k, n, points, n).swapaxes(1, 2)
@@ -363,7 +363,7 @@ def _split_points(gens: np.ndarray, tol: Tolerance, seed: int) -> _PointSplit:
     failure = ""
     for _ in range(_SPLITTER_RESEEDS):
         try:
-            return _assemble(gens, norms, *_cyclic_split(letters, _random_hermitian(letters, rng), tol))
+            return _assemble(gens, norms, tol, *_cyclic_split(letters, _random_hermitian(letters, rng), tol))
         except NumericalFailure as exc:
             failure = str(exc)
     raise NumericalFailure(f"cyclic split failed on {_SPLITTER_RESEEDS} random draws; last: {failure}")

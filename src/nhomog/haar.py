@@ -133,11 +133,14 @@ def _mc_draws(n: int, mc: McConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def mc_twirl(a, mc: McConfig) -> np.ndarray:
     """Monte-Carlo estimate of the twirl; validates the sampling machinery
-    against the exact Schur value."""
+    against the exact Schur value.  The sum over draws is taken on 2^-e a,
+    entries below 1, and scaled back: exact, and finite where the average is."""
     m = require_square(as_matrix(a, "a"))
     us, _ = _mc_draws(len(m), mc)
-    w = us.reshape(-1, len(m)) @ m  # u a for every draw, one GEMM
-    return np.tensordot(w.reshape(us.shape), us.conj(), axes=([0, 2], [0, 2])) / mc.samples
+    e = np.frexp(np.abs(m).max(initial=0.0))[1]  # ldexp on the float view scales re and im
+    w = us.reshape(-1, len(m)) @ np.ldexp(m.view(float), -e).view(complex)  # u a for every draw, one GEMM
+    total = np.tensordot(w.reshape(us.shape), us.conj(), axes=([0, 2], [0, 2]))
+    return np.ldexp((total / mc.samples).view(float), e).view(complex)
 
 
 def equivariant_average(g, space: FiniteNSpace, orbit: int, mc: McConfig) -> np.ndarray:

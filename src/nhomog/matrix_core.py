@@ -6,9 +6,10 @@ plain complex numpy arrays; every public entry point validates its inputs.
 A function on a finite set X with values in M_n is a (P, n, n) stack:
 ``opnorm``, ``require_hermitian`` and ``herm_abs`` take one matrix or a
 stack, and ``opnorm`` of a stack is the sup norm max_x ||f(x)||.
-Checks of the form ||X||_2 <= bound go through ``_exceeds``: exact, and
-decided by a Frobenius screen, with the SVD taken only where ||X||_F, an
-upper bound, leaves the answer open.
+Every tolerance test decides by one relative rule, ``_fails``; those of
+the form ||X||_2 <= rel s go through ``_exceeds``: exact, and decided by
+a Frobenius screen, with the SVD taken only where ||X||_F, an upper
+bound, leaves the answer open.
 """
 
 from __future__ import annotations
@@ -155,11 +156,19 @@ def fnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a.ravel()))
 
 
+def _fails(err, rel: float, scale) -> np.ndarray:
+    """The closeness rule, True where err, formed from quantities of norm
+    s = ``scale``, is not within rel s of 0 or is not finite: never 1 + s,
+    so c-scaled inputs keep their verdict.  A PSD test takes err = -lambda_min."""
+    err = np.asarray(err, dtype=float)
+    return ~np.isfinite(err) | (err > rel * np.asarray(scale))
+
+
 def require_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
-    """Reject a unless ||a - a*|| <= eq_tol (1 + ||a||).  A (P, n, n)
-    stack is checked point by point, and the first failing point z is
-    named as the matrix ``f"{name} at point {z}"`` would be."""
-    bad = np.flatnonzero(_opnorms(a - adj(a)) > tol.eq_tol * (1.0 + _opnorms(a)))
+    """Reject a unless ||a - a*|| <= eq_tol ||a||.  A (P, n, n) stack is
+    checked point by point, and the first failing point z is named as
+    the matrix ``f"{name} at point {z}"`` would be."""
+    bad = np.flatnonzero(_fails(_opnorms(a - adj(a)), tol.eq_tol, _opnorms(a)))
     if bad.size:
         where = f" at point {bad[0]}" if a.ndim == 3 else ""
         raise NotHermitian(f"{name}{where} is not Hermitian within eq_tol")
@@ -220,13 +229,6 @@ def herm_fun(a, f: Callable[[np.ndarray], np.ndarray], tol: Tolerance = DEFAULT_
     return _from_eig(fw, u)
 
 
-def _psd_fails(lo, scale, tol: Tolerance) -> np.ndarray:
-    """The PSD rule of every order check, True where it fails: X with
-    least eigenvalue lo is PSD within slack iff lo >= -psd_slack * s, s
-    the norm of the matrices X was formed from, so c X has X's verdict."""
-    return np.asarray(lo) < -tol.psd_slack * np.asarray(scale)
-
-
 def psd_power(a, s: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Fractional power of a positive-semidefinite matrix.
 
@@ -234,7 +236,7 @@ def psd_power(a, s: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     the slack is a domain error.
     """
     w, u = herm_eig(a, tol)
-    if w.size and _psd_fails(w[0], np.abs(w).max(), tol):
+    if w.size and _fails(-w[0], tol.psd_slack, np.abs(w).max()):
         raise DomainError(f"matrix is not PSD within psd_slack (min eigenvalue {w[0]:.3e})")
     return _from_eig(np.clip(w, 0.0, None) ** s, u)
 
@@ -259,8 +261,7 @@ def psd_order(a, b, tol: Tolerance = DEFAULT_TOL) -> Ordering:
     exceeds psd_slack s, LEQ when b - a is PSD within psd_slack s,
     INCOMPARABLE otherwise.
     """
-    ma = as_matrix(a, "a")
-    mb = as_matrix(b, "b")
+    ma, mb = as_matrix(a, "a"), as_matrix(b, "b")
     if ma.shape != mb.shape:
         raise DimensionMismatch(f"shapes {ma.shape} and {mb.shape} differ")
     require_hermitian(require_square(ma, "a"), tol, "a")
@@ -269,9 +270,9 @@ def psd_order(a, b, tol: Tolerance = DEFAULT_TOL) -> Ordering:
     w = np.linalg.eigvalsh((diff + adj(diff)) / 2.0)
     lo = float(w[0]) if w.size else 0.0
     scale = _opnorms(np.stack([ma, mb])).max(initial=0.0)
-    if _psd_fails(-lo, scale, tol):  # lo > psd_slack s
+    if _fails(lo, tol.psd_slack, scale):
         return Ordering.LT
-    return Ordering.INCOMPARABLE if _psd_fails(lo, scale, tol) else Ordering.LEQ
+    return Ordering.INCOMPARABLE if _fails(-lo, tol.psd_slack, scale) else Ordering.LEQ
 
 
 def normal_spectra_disjoint(a, b, tol: Tolerance = DEFAULT_TOL) -> SpectralSeparation:
@@ -282,16 +283,14 @@ def normal_spectra_disjoint(a, b, tol: Tolerance = DEFAULT_TOL) -> SpectralSepar
     taken from the general complex eigensolver, where they are
     well-conditioned.
     """
-    ma = as_matrix(a, "a")
-    mb = as_matrix(b, "b")
+    ma, mb = as_matrix(a, "a"), as_matrix(b, "b")
     if ma.shape[0] != ma.shape[1] or mb.shape[0] != mb.shape[1]:
         return SpectralSeparation(False, "NotSquare", float("nan"))
     for name, m in (("a", ma), ("b", mb)):
-        if opnorm(m @ adj(m) - adj(m) @ m) > tol.eq_tol * (1.0 + opnorm(m) ** 2):
+        if _fails(opnorm(m @ adj(m) - adj(m) @ m), tol.eq_tol, opnorm(m) ** 2):
             return SpectralSeparation(False, f"NonNormal:{name}", float("nan"))
-    sa = np.linalg.eigvals(ma)
-    sb = np.linalg.eigvals(mb)
+    sa, sb = np.linalg.eigvals(ma), np.linalg.eigvals(mb)
     gap = float(np.abs(sa[:, None] - sb[None, :]).min())
-    if gap > 2.0 * tol.psd_slack:
+    if _fails(gap, 2.0 * tol.psd_slack, np.abs(np.r_[sa, sb]).max()):  # max(||a||, ||b||), as both are normal
         return SpectralSeparation(True, "Disjoint", gap)
     return SpectralSeparation(False, "SpectraOverlap", gap)

@@ -22,7 +22,7 @@ from .errors import (
     NumericalFailure,
     SpaceMismatch,
 )
-from .matrix_core import DEFAULT_TOL, Tolerance, _exceeds, adj, as_matrix, fix_phase, opnorm
+from .matrix_core import DEFAULT_TOL, Tolerance, _exceeds, _fails, _opnorms, adj, as_matrix, fix_phase, opnorm
 from .star_algebra import MatTuple, SubspaceBasis
 
 
@@ -144,13 +144,12 @@ def ideal_set_correspondence(
     if any(g.space != space for g in gens):
         raise SpaceMismatch("generator attached to a different space")
     if vanishing_set is not None:
-        vanish = sorted({space.check_orbit(int(i)) for i in vanishing_set})
-        support = [i for i in range(m) if i not in vanish]
-    else:
-        scale = max((opnorm(v) for g in gens for v in g.values), default=0.0)
-        cut = tol.eq_tol * (1.0 + scale)
-        support = [i for i in range(m) if any(opnorm(g.values[i]) > cut for g in gens)]
-        vanish = [i for i in range(m) if i not in support]
+        live = np.ones(m, dtype=bool)
+        live[[space.check_orbit(int(i)) for i in vanishing_set]] = False
+    else:  # (k, m) norms, one stacked SVD; an orbit is live where a value is not 0 at the generators' scale
+        norms = _opnorms(np.array([g.values for g in gens], dtype=complex).reshape(len(gens), m, n, n))
+        live = _fails(norms, tol.eq_tol, norms.max(initial=0.0)).any(axis=0)
+    support, vanish = np.flatnonzero(live).tolist(), np.flatnonzero(~live).tolist()
     # the function with value e_jk on orbit i is the standard basis vector at (i, j, k);
     # only the support's rows are formed, not the (m n^2)^2 identity
     ones = (np.asarray(support, dtype=np.intp)[:, None] * (n * n) + np.arange(n * n)).ravel()
@@ -170,9 +169,8 @@ def point_evaluation_rep(space: FiniteNSpace, p: PointRef) -> np.ndarray:
     return images
 
 
-def _verify_star_hom(images: np.ndarray, space: FiniteNSpace, tol: Tolerance, scale: float) -> None:
+def _verify_star_hom(images: np.ndarray, space: FiniteNSpace, cut: float) -> None:
     m, n = space.orbits, space.n
-    cut = 1e-6 * (1.0 + scale)  # looser than eq_tol: inputs may come from user JSON
     # argwhere keeps (orbit, row, column) order: the first failure is named; an error that
     # overflows (images near the largest float) is infinite and fails closed
     with np.errstate(over="ignore", invalid="ignore"):
@@ -204,9 +202,9 @@ def classify_matrix_rep(images, space: FiniteNSpace, tol: Tolerance = DEFAULT_TO
     arr = np.asarray(images, dtype=complex)
     if arr.shape != (m, n, n, n, n):
         raise SpaceMismatch(f"images have shape {arr.shape}, expected {(m, n, n, n, n)}")
-    scale = max(1.0, float(np.abs(arr).max()) if arr.size else 0.0)
-    _verify_star_hom(arr, space, tol, scale)
-    cut = 1e-6 * scale
+    # matrix-unit images have norm 1; looser than eq_tol: inputs may come from user JSON
+    cut = 1e-6 * max(1.0, float(np.abs(arr).max()) if arr.size else 0.0)
+    _verify_star_hom(arr, space, cut)
     live = np.flatnonzero(np.linalg.norm(arr, 2, axis=(-2, -1)).max(axis=(1, 2)) > cut).tolist()
     if not live:
         return None
@@ -318,7 +316,7 @@ def gelfand_transform(t: MatTuple, n: int, tol: Tolerance = DEFAULT_TOL, seed: i
             full = full @ source[p]
             per_class = per_class @ classes[:, p]
         lhs, rhs = opnorm(coeff * full), opnorm(coeff * per_class)
-        if abs(lhs - rhs) > 1e-8 * (1.0 + lhs):
+        if _fails(abs(lhs - rhs), tol.eq_tol, abs(coeff) * np.prod(_opnorms(source[picks]))):  # the letters' scale
             raise NumericalFailure(
                 f"transform is not isometric on a sampled word: {lhs:.6e} vs {rhs:.6e}"
             )
@@ -340,7 +338,7 @@ def represent_functional(unit_values, space: FiniteNSpace, tol: Tolerance = DEFA
     mu = NMeasure(space, pairing)
     got = np.einsum("jkab,iba->ijk", _unit_images(np.eye(n, dtype=complex)),
                     np.array(mu.pairing).reshape(m, n, n))  # tr(e_jk M_i)
-    if (np.abs(got - arr) > 1e-10 * (1.0 + np.abs(arr))).any():
+    if _fails(np.abs(got - arr), 1e-10, np.abs(arr).max(initial=0.0)).any():
         raise NumericalFailure("pairing matrices fail to reproduce the functional")
     return mu
 

@@ -21,7 +21,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure
-from .matrix_core import DEFAULT_TOL, Tolerance, _opnorms, adj, as_matrix, fnorm, opnorm
+from .matrix_core import DEFAULT_TOL, Tolerance, _fails, _opnorms, adj, as_matrix, fnorm, opnorm
 
 # Rank decisions require this ratio between the smallest kept and largest
 # dropped singular value; anything closer is an error, never a guess.
@@ -134,10 +134,12 @@ class MatTuple:
         u = as_matrix(u, "u")
         return MatTuple(u @ self.gens @ adj(u))
 
-    def allclose(self, other: "MatTuple", atol: float) -> bool:
+    def allclose(self, other: "MatTuple", rel: float) -> bool:
+        """Whether each ||a_j - b_j|| <= rel max(||a||, ||b||), in tuple scales."""
         if self.d != other.d or self.k != other.k:
             return False
-        return bool(np.all(_opnorms(self.gens - other.gens) <= atol * (1.0 + _opnorms(self.gens))))
+        norms = _opnorms(np.stack([self.gens - other.gens, self.gens, other.gens]))
+        return not _fails(norms[0], rel, norms[1:].max()).any()
 
 
 @dataclass(frozen=True)
@@ -170,8 +172,8 @@ class SubspaceBasis:
     def residual(self, x) -> float:
         return fnorm(np.asarray(x, dtype=complex) - self.project(x))
 
-    def contains(self, x, atol: float) -> bool:
-        return self.residual(x) <= atol * (1.0 + fnorm(np.asarray(x, dtype=complex)))
+    def contains(self, x, rel: float) -> bool:
+        return not _fails(self.residual(x), rel, fnorm(np.asarray(x, dtype=complex)))
 
     def gram(self) -> np.ndarray:
         return self.vectors @ self.vectors.conj().T

@@ -38,8 +38,8 @@ from .matrix_core import (
     Tolerance,
     _exceeds,
     _from_eig,
+    _fails,
     _opnorms,
-    _psd_fails,
     adj,
     as_matrix,
     fnorm,
@@ -397,7 +397,7 @@ def _power_mean_commuting(mats: np.ndarray, norms: np.ndarray, n_pow: int, tol: 
         refined = []
         for q in blocks:
             w, u = np.linalg.eigh(adj(q) @ m @ q)
-            refined += np.split(q @ u, np.flatnonzero(np.diff(w) > tol.psd_slack * norm) + 1, axis=1)
+            refined += np.split(q @ u, np.flatnonzero(_fails(np.diff(w), tol.psd_slack, norm)) + 1, axis=1)
         blocks = refined
     v = np.hstack(blocks)
     lams = np.clip(np.einsum("ia,kij,ja->ka", v.conj(), mats, v).real, 0.0, None)
@@ -432,8 +432,8 @@ def power_mean_envelope(a_list, b, eps: float, tol: Tolerance = DEFAULT_TOL,
     checked = np.concatenate([fam, bm - fam])
     lows = np.linalg.eigvalsh((checked + adj(checked)) / 2.0)[:, 0]
     failed = np.stack([
-        _psd_fails(lows[:k], na, tol),
-        _psd_fails(lows[k:], np.maximum(na, r), tol),
+        _fails(-lows[:k], tol.psd_slack, na),
+        _fails(-lows[k:], tol.psd_slack, np.maximum(na, r)),
         _exceeds(bm @ fam - fam @ bm, tol.eq_tol * na * r),
     ], axis=1)
     if failed.any():
@@ -456,7 +456,7 @@ def power_mean_envelope(a_list, b, eps: float, tol: Tolerance = DEFAULT_TOL,
     checked = np.concatenate([env - fam, (bm + eps * np.eye(bm.shape[0]) - env)[None]])
     lows = np.linalg.eigvalsh((checked + adj(checked)) / 2.0)[:, 0]
     e = opnorm(env)  # and ||b + eps|| = r + eps, as b is PSD
-    failed = np.flatnonzero(_psd_fails(lows, np.append(np.maximum(na, e), max(e, r + eps)), tol))
+    failed = np.flatnonzero(_fails(-lows, tol.psd_slack, np.append(np.maximum(na, e), max(e, r + eps))))
     if failed.size:
         what = f"a_{failed[0]} <= env" if failed[0] < k else "env <= b + eps"
         raise NumericalFailure(f"envelope fails {what}")
@@ -484,7 +484,7 @@ def lattice_join_chain(gs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     family = np.stack(mats)
     gap = h - family
     w = np.linalg.eigvalsh((gap + adj(gap)) / 2.0)
-    below = np.argwhere(_psd_fails(w.min(axis=-1, initial=np.inf), opnorm(family), tol))
+    below = np.argwhere(_fails((-w).max(axis=-1, initial=0.0), tol.psd_slack, opnorm(family)))
     if below.size:
         raise NumericalFailure(f"join fails to dominate g_{below[0, 0]} at point {below[0, 1]}")
     return h[0] if squeeze else h
@@ -494,43 +494,40 @@ def two_point_flatten(a, b, alpha: float, beta: float, tol: Tolerance = DEFAULT_
     """One-variable polynomial taking the constant value alpha on the
     spectrum of a and beta on the spectrum of b (both normal, spectra
     disjoint): Lagrange interpolation on the joint spectrum, with nodes
-    closer than psd_slack merged to keep the weights conditioned."""
-    ma = as_matrix(a, "a")
-    mb = as_matrix(b, "b")
+    closer than psd_slack rho merged (rho = max |z|), and terms with
+    |c_k| rho^k below 1e-14 of the largest dropped.  c_k is of size about
+    rho^-k, so with m nodes the call raises NumericalFailure where
+    rho^(m - 1) or its inverse is not a float (|log10 rho| > ~308 / (m - 1))."""
+    ma, mb = as_matrix(a, "a"), as_matrix(b, "b")
     verdict = normal_spectra_disjoint(ma, mb, tol)
     if not verdict.disjoint:
         raise SpectraNotDisjoint(f"two_point_flatten precondition fails: {verdict.reason}")
     raw = [(complex(z), float(alpha)) for z in np.linalg.eigvals(ma)]
     raw += [(complex(z), float(beta)) for z in np.linalg.eigvals(mb)]
     raw.sort(key=lambda p: (p[0].real, p[0].imag))
+    rho = max(abs(z) for z, _ in raw)
     nodes: list[complex] = []
     targets: list[float] = []
-    for z, t in raw:
-        if nodes and abs(z - nodes[-1]) <= tol.psd_slack:
-            if targets[-1] != t:
-                raise SpectraNotDisjoint("spectra collide within psd_slack across the two sides")
-            continue
-        nodes.append(z)
-        targets.append(t)
-    m = len(nodes)
-    coeffs = np.zeros(m, dtype=complex)
-    from numpy.polynomial import polynomial as npoly
-
-    for i in range(m):
-        others = [nodes[j] for j in range(m) if j != i]
-        base = npoly.polyfromroots(others) if others else np.array([1.0 + 0.0j])
-        denom = np.prod([nodes[i] - z for z in others]) if others else 1.0
-        coeffs[: base.size] += targets[i] * base / denom
-    cut = 1e-14 * (1.0 + float(np.abs(coeffs).max()) if m else 1.0)
-    terms = []
-    for power, c in enumerate(coeffs):
-        if abs(c) > cut:
-            terms.append((complex(c), ((0, False),) * power))
-    poly = StarPolynomial(k=1, terms=tuple(terms), unital=True)
-    bound = 1e-8 * max(1.0, abs(alpha), abs(beta))
-    for mat, want in ((ma, alpha), (mb, beta)):
-        if opnorm(_eval_stack(poly, mat[None]) - want * np.eye(mat.shape[0])) > bound:
-            raise NumericalFailure("interpolation polynomial failed to flatten a side")
+    for z, t in raw:  # the sides lie over 2 psd_slack rho apart, so a merge stays on one side
+        if not nodes or _fails(abs(z - nodes[-1]), tol.psd_slack, rho):
+            nodes.append(z)
+            targets.append(t)
+    coeffs = np.zeros(len(nodes), dtype=complex)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            for i, (z, t) in enumerate(zip(nodes, targets)):
+                others = nodes[:i] + nodes[i + 1:]  # never empty: each side gives a node
+                coeffs += t * np.poly(others)[::-1] / np.prod([z - w for w in others])
+            weights = np.abs(coeffs) * rho ** np.arange(coeffs.size)
+            terms = tuple((complex(c), ((0, False),) * power) for power, c in enumerate(coeffs)
+                          if _fails(weights[power], 1e-14, weights.max()))
+            poly = StarPolynomial(k=1, terms=terms, unital=True)
+            misses = [opnorm(_eval_stack(poly, mat[None]) - want * np.eye(mat.shape[0]))
+                      for mat, want in ((ma, alpha), (mb, beta))]
+        except FloatingPointError as exc:
+            raise NumericalFailure(f"flattening coefficients are not floats at spectral reach {rho:.1e}") from exc
+    if _fails(misses, tol.eq_tol, max(abs(alpha), abs(beta))).any():
+        raise NumericalFailure("interpolation polynomial failed to flatten a side")
     return poly
 
 
@@ -549,13 +546,12 @@ def loewner_heinz_check(a, b, s_grid, tol: Tolerance = DEFAULT_TOL) -> LoewnerHe
     The inequality holds in exact arithmetic, so a violation beyond
     psd_slack max(||a||, ||b||)^s indicates a kernel bug and raises.
     """
-    ma = as_matrix(a, "a")
-    mb = as_matrix(b, "b")
+    ma, mb = as_matrix(a, "a"), as_matrix(b, "b")
     eigs = []
     for name, m in (("a", ma), ("b", mb)):
         require_hermitian(m, tol, name)
         w, u = np.linalg.eigh((m + adj(m)) / 2.0)
-        if w.size and _psd_fails(w[0], np.abs(w).max(), tol):
+        if w.size and _fails(-w[0], tol.psd_slack, np.abs(w).max()):
             raise PreconditionFailed(f"{name} is not PSD within psd_slack")
         eigs.append((np.clip(w, 0.0, None), u))
     if psd_order(ma, mb, tol) is Ordering.INCOMPARABLE:
@@ -569,7 +565,7 @@ def loewner_heinz_check(a, b, s_grid, tol: Tolerance = DEFAULT_TOL) -> LoewnerHe
     diff = _from_eig(wb ** grid[:, None], ub) - _from_eig(wa ** grid[:, None], ua)
     minima = np.linalg.eigvalsh((diff + adj(diff)) / 2.0)[:, 0]
     top = max(wa[-1], wb[-1])  # max(||a^s||, ||b^s||) = top^s
-    if _psd_fails(minima, top ** grid, tol).any():
+    if _fails(-minima, tol.psd_slack, top ** grid).any():
         raise NumericalFailure(f"fractional-power order violated: min eigenvalue {minima.min():.3e}")
     return LoewnerHeinzReport(exponents, tuple(float(v) for v in minima), True)
 
@@ -578,25 +574,25 @@ def loewner_heinz_check(a, b, s_grid, tol: Tolerance = DEFAULT_TOL) -> LoewnerHe
 # constructive approximation pipeline
 
 
-def _pair_interpolant(e: FnAlgebra, f: np.ndarray, x: int, y: int, tol: Tolerance,
+def _pair_interpolant(e: FnAlgebra, f: np.ndarray, x: int, y: int, tol: Tolerance, scale: float,
                       vectors: np.ndarray | None = None) -> np.ndarray:
     """Element of the span (optionally of a subspace given by its own
     vector rows) matching f at the two points, via minimal-norm
-    coefficients; exists whenever f is two-point approximable there."""
+    coefficients on the singular directions above rank_cut, so roundoff
+    in f is not amplified; exists, within eq_tol of the target's norm
+    ``scale``, whenever f is two-point approximable there."""
     if vectors is None:
         vectors = e.basis.vectors
     block = np.hstack([vectors[:, e.point_slice(x)], vectors[:, e.point_slice(y)]])
     target = np.concatenate([f[x].ravel(), f[y].ravel()])
-    coeffs, *_ = np.linalg.lstsq(block.T, target, rcond=None)
+    coeffs, *_ = np.linalg.lstsq(block.T, target, rcond=tol.rank_cut)
     residual = np.linalg.norm(block.T @ coeffs - target)
-    if residual > 1e-8 * (1.0 + np.linalg.norm(target)):
-        raise PreconditionFailed(
-            f"target is not two-point approximable at pair ({x}, {y}); residual {residual:.3e}"
-        )
+    if _fails(residual, tol.eq_tol, scale):
+        raise PreconditionFailed(f"target is not two-point approximable at pair ({x}, {y}); residual {residual:.3e}")
     return (coeffs @ vectors).reshape(e.points, e.n, e.n)
 
 
-def _envelopes(e: FnAlgebra, f: np.ndarray, tol: Tolerance,
+def _envelopes(e: FnAlgebra, f: np.ndarray, tol: Tolerance, scale: float,
                vectors: np.ndarray | None = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-point exact lower/upper envelopes through the pair
     interpolants and the lattice join chain: lower[x] <= f <= upper[x]
@@ -605,15 +601,13 @@ def _envelopes(e: FnAlgebra, f: np.ndarray, tol: Tolerance,
     interp: dict[tuple[int, int], np.ndarray] = {}
     for x in range(P):
         for y in range(x, P):
-            g = _pair_interpolant(e, f, x, y, tol, vectors)
+            g = _pair_interpolant(e, f, x, y, tol, scale, vectors)
             interp[(x, y)] = (g + adj(g)) / 2.0
     lower, upper = [], []
     for x in range(P):
         family = [interp[(min(x, y), max(x, y))] for y in range(P)]
-        up = lattice_join_chain(family, tol)
-        low = -lattice_join_chain([-g for g in family], tol)
-        lower.append(low)
-        upper.append(up)
+        upper.append(lattice_join_chain(family, tol))
+        lower.append(-lattice_join_chain([-g for g in family], tol))
     return lower, upper
 
 
@@ -654,8 +648,8 @@ def _class_indicators(e: FnAlgebra, classes, witnesses, tol: Tolerance) -> list[
 
 
 def _partition_route(e: FnAlgebra, f: np.ndarray, delta: float, classes, witnesses,
-                     tol: Tolerance) -> np.ndarray:
-    lower, upper = _envelopes(e, f, tol)
+                     tol: Tolerance, scale: float) -> np.ndarray:
+    lower, upper = _envelopes(e, f, tol, scale)
     P = e.points
     diff = np.array(lower) - np.array(upper)
     w = np.linalg.eigvalsh((diff + adj(diff)) / 2.0)
@@ -678,18 +672,18 @@ def _partition_route(e: FnAlgebra, f: np.ndarray, delta: float, classes, witness
     return out
 
 
-def _commuting_route(e: FnAlgebra, f: np.ndarray, delta: float, tol: Tolerance) -> np.ndarray:
+def _commuting_route(e: FnAlgebra, f: np.ndarray, delta: float, tol: Tolerance, scale: float) -> np.ndarray:
     """Envelope aggregation for a target commuting with the whole
     algebra: interpolants are drawn from the relative commutant (so the
     envelope family is pairwise commuting) and merged through the
     power-mean envelope.  Raises PreconditionFailed when the commutant
     cannot interpolate the target at some pair."""
     central = _central_vectors(e, tol)
-    lower, _ = _envelopes(e, f, tol, vectors=central)
+    lower, _ = _envelopes(e, f, tol, scale, vectors=central)
     P, n = e.points, e.n
     eye = np.eye(n, dtype=complex)
     low = np.stack(lower + [f])  # the lower envelopes, then f: (P + 1, P, n, n)
-    c = max(0.0, -float(np.linalg.eigvalsh((low + adj(low)) / 2.0)[..., 0].min())) + tol.psd_slack
+    c = max(0.0, -float(np.linalg.eigvalsh((low + adj(low)) / 2.0)[..., 0].min())) + tol.psd_slack * scale
     b_fn = f + (c + delta) * eye
     r = opnorm(b_fn)
     n_pow = power_mean_exponent(delta, r, P)
@@ -703,11 +697,11 @@ def _commuting_route(e: FnAlgebra, f: np.ndarray, delta: float, tol: Tolerance) 
 
 
 def _commutes_with_algebra(e: FnAlgebra, f: np.ndarray, tol: Tolerance) -> bool:
-    """Whether sup_x ||[f, b](x)|| <= eq_tol (1 + ||f||)(1 + ||b||) for
-    every basis element b, in sup norms, all from one stacked norm."""
+    """Whether sup_x ||[f, b](x)|| <= eq_tol ||f|| ||b|| for every basis
+    element b, in sup norms, all from one stacked norm."""
     elems = e.basis.vectors.reshape(-1, e.points, e.n, e.n)
     comm_sup, elem_sup = _opnorms(np.stack([f @ elems - elems @ f, elems])).max(axis=-1, initial=0.0)
-    return bool(np.all(comm_sup <= tol.eq_tol * ((1.0 + opnorm(f)) * (1.0 + elem_sup))))
+    return not _fails(comm_sup, tol.eq_tol, opnorm(f) * elem_sup).any()
 
 
 @dataclass(frozen=True)
@@ -735,7 +729,9 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
     through the partition of unity built from two-point flattening
     products, weighted onto the envelope family.  The certified error is
     measured by direct evaluation, and an exact orthogonal-projection
-    fallback is reported alongside.
+    fallback is reported alongside.  Every tolerance test takes its
+    scale from the target's sup norm, once per call, so a c-scaled target
+    and eps give the same verdict and routes, and c times the error.
     """
     target = np.asarray(f, dtype=complex)
     if target.shape != (e.points, e.n, e.n):
@@ -743,8 +739,9 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
 
+    scale = opnorm(target)
     d2 = delta2_subspace(e, tol)
-    if d2.residual(target) > tol.eq_tol * (1.0 + fnorm(target)):
+    if _fails(d2.residual(target), tol.eq_tol, scale):
         raise PreconditionFailed("target is not two-point approximable by the algebra")
     table = _ClassTable.of(e, tol, seed)
     if not table.unit(tol).in_closure:
@@ -766,8 +763,7 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
 
     part_re = (target + adj(target)) / 2.0
     part_im = (target - adj(target)) / 2.0j
-    scale = 1.0 + fnorm(target)
-    parts = [(p, fnorm(p) > 1e-14 * scale) for p in (part_re, part_im)]
+    parts = [(p, bool(_fails(fnorm(p), 1e-14, scale))) for p in (part_re, part_im)]
     live = sum(1 for _, nz in parts if nz)
     routes = []
     results = []
@@ -780,21 +776,19 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
         approx = None
         if _commutes_with_algebra(e, part, tol):
             try:
-                approx = _commuting_route(e, part, delta, tol)
+                approx = _commuting_route(e, part, delta, tol, scale)
                 routes.append("power-mean")
             except PreconditionFailed:
                 approx = None  # commutant too small to interpolate; use the partition
         if approx is None:
             routes.append("partition")
-            approx = _partition_route(e, part, delta, classes, witnesses, tol)
+            approx = _partition_route(e, part, delta, classes, witnesses, tol, scale)
         results.append(approx)
     g = results[0] + 1j * results[1]
     certified = opnorm(g - target)
-    if certified > eps + tol.psd_slack:
-        raise NumericalFailure(
-            f"constructive route missed its certificate: error {certified:.3e} > eps {eps:.3e}"
-        )
-    if e.basis.residual(g) > 1e-6 * (1.0 + fnorm(g)):
+    if _fails(certified - eps, tol.psd_slack, scale):
+        raise NumericalFailure(f"constructive route missed its certificate: error {certified:.3e} > eps {eps:.3e}")
+    if _fails(e.basis.residual(g), 1e-6, scale):
         raise NumericalFailure("constructed approximant left the algebra span")
     projection = e.basis.project(target)
     projection_error = opnorm(projection - target)

@@ -135,25 +135,26 @@ class TestCalc:
     @pytest.mark.parametrize("ratio", [0.5, 0.999, 1.001, 2.0])
     def test_cross_check_raises_as_the_exact_test(self, monkeypatch, layered_dec, scale, shape, ratio):
         """The screened cross-check fails exactly where ||out - direct||_2 >
-        1e-8 (1 + ||direct||_2) does.  An identity-shaped error has
-        ||.||_F = sqrt(d) ||.||_2, so below the bound it passes only through
-        the exact test."""
+        1e-8 s does, s = sum |c_w| ||T||^|w| the scale of the terms.  An
+        identity-shaped error has ||.||_F = sqrt(d) ||.||_2, so below the
+        bound it passes only through the exact test."""
         t = MatTuple(scale * layered_dec.source.gens)
         dec = decompose(t, seed=3)
         p = StarPolynomial.parse("z1*z2' + 2*z2", 2, unital=False)
         direct = eval_star_polynomial(p, t)
+        bound = 1e-8 * sum(abs(c) * t.scale ** len(w) for c, w in p.terms)
         d = t.d
         error = np.eye(d) if shape == "identity" else np.outer(np.arange(1, d + 1), np.ones(d)) + 0j
-        error *= ratio * 1e-8 * (1.0 + opnorm(direct)) / opnorm(error)
+        error *= ratio * bound / opnorm(error)
         assemble = calculus._assemble
         monkeypatch.setattr(calculus, "_assemble", lambda dec, values: assemble(dec, values) + error)
         out = assemble(dec, [eval_star_polynomial(p, c) for c in dec.classes]) + error
-        if opnorm(out - direct) > 1e-8 * (1.0 + opnorm(direct)):
+        if opnorm(out - direct) > bound:
             with pytest.raises(NumericalFailure, match="disagrees"):
                 calc(p, dec)
         else:
             assert np.array_equal(calc(p, dec), out)
-        assert (opnorm(out - direct) > 1e-8 * (1.0 + opnorm(direct))) is (ratio > 1.0)
+        assert (opnorm(out - direct) > bound) is (ratio > 1.0)
 
     def test_overflowing_table_raises(self, pauli_dec):
         """A table whose assembled value overflows fails on the table

@@ -315,6 +315,15 @@ class TestHaarCommand:
         assert report["unitarity_defect"] <= 1e-12
         assert_close(decode_matrix(report["exact"], "e"), np.eye(2) / 2)
 
+    def test_matrix_near_the_largest_float(self, tmp_path, capsys):
+        """The Monte-Carlo sum is taken at unit scale, so an average that
+        fits in a float is reported, not refused as an overflow."""
+        path = write(tmp_path, "h.json", {"matrix": mat(1e305 * np.eye(2))})
+        assert main(["haar", "--in", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["within_radius"] is True
+        assert_close(decode_matrix(report["exact"], "e"), 1e305 * np.eye(2))
+
     def test_samples_beyond_the_stack_cap(self, tmp_path, capsys, monkeypatch):
         """2 10^12 draws of 2 x 2 unitaries would need 1.3e14 bytes: refused
         before any draw, as an input error."""

@@ -194,6 +194,22 @@ class TestTwirl:
         estimate = mc_twirl(a, mc)
         assert opnorm(estimate - twirl_exact(a)) <= mc_radius(opnorm(a), mc.samples)
 
+    @pytest.mark.parametrize("e", [600, -600, 3])
+    def test_mc_twirl_is_exact_under_powers_of_two(self, e):
+        """Scaling by 2^e commutes with the estimate bit for bit, as it
+        did before the sum was pre-scaled."""
+        a = ginibre(rng(40), 3)
+        mc = McConfig(samples=2000, seed=5)
+        assert np.array_equal(mc_twirl(a * 2.0 ** e, mc), mc_twirl(a, mc) * 2.0 ** e)
+        assert np.array_equal(mc_twirl(a, mc), twirl_reference(a, mc))
+
+    def test_mc_twirl_near_the_largest_float(self):
+        """The sum over 20 000 draws of 1e305 I would overflow; the
+        average does not."""
+        estimate = mc_twirl(1e305 * np.eye(2), McConfig(samples=20000, seed=0))
+        assert np.isfinite(estimate).all()
+        assert opnorm(estimate - 1e305 * np.eye(2)) <= mc_radius(1e305, 20000)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_mc_matches_per_sample_loop(self, n):
         a = ginibre(rng(30 + n), n)

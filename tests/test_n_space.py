@@ -11,7 +11,7 @@ from nhomog.errors import (
 )
 from nhomog.haar import HaarSampler, McConfig, equivariant_average, haar_unitaries, mc_radius
 from nhomog.instances import ginibre, random_homogeneous_instance, random_unitary
-from nhomog.matrix_core import adj, fix_phase, opnorm
+from nhomog.matrix_core import DEFAULT_TOL, adj, fix_phase, opnorm
 from nhomog.n_space import (
     EquivariantElement,
     FiniteNSpace,
@@ -63,6 +63,15 @@ class TestEvalPoint:
             eval_point(f, PointRef.make(7, np.eye(2)))
 
 
+def ideal_support_reference(space, gens, tol=DEFAULT_TOL):
+    """The per-orbit, per-generator scan over lists that the stacked norm
+    and mask replaced: orbit i is live where some generator's value has
+    norm above eq_tol times the largest value norm."""
+    scale = max((opnorm(v) for g in gens for v in g.values), default=0.0)
+    support = [i for i in range(space.orbits) if any(opnorm(g.values[i]) > tol.eq_tol * scale for g in gens)]
+    return tuple(support), tuple(i for i in range(space.orbits) if i not in support)
+
+
 class TestIdealCorrespondence:
     def test_single_generator_vanishing_on_one_orbit(self, space3):
         g = element(space3, [SX, np.zeros((2, 2)), np.eye(2)])
@@ -91,6 +100,21 @@ class TestIdealCorrespondence:
         space, gens = [(x, [a, b]), (y, [b, a]), (x, [a, z]), (empty, [z, a])][case]
         with pytest.raises(SpaceMismatch):
             ideal_set_correspondence(space, gens)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_support_matches_list_scan(self, seed):
+        """Values zero, below, near and above the cut, then all scaled by c."""
+        r = rng(700 + seed)
+        space = FiniteNSpace(n=int(r.integers(1, 4)), orbits=int(r.integers(0, 7)))
+        gens = [EquivariantElement(space, [size * ginibre(r, space.n)
+                                           for size in r.choice([0.0, 1e-12, 1e-8, 1.0], size=space.orbits)])
+                for _ in range(int(r.integers(0, 4)))]
+        c = 10.0 ** r.uniform(-100.0, 100.0)
+        want = ideal_support_reference(space, gens)
+        for scaled in (gens, [EquivariantElement(space, [c * v for v in g.values]) for g in gens]):
+            data = ideal_set_correspondence(space, scaled)
+            assert (data.support, data.vanishing_set) == want
+            assert data.dim == len(want[0]) * space.n ** 2
 
     def test_backward_direction(self, space3):
         data = ideal_set_correspondence(space3, vanishing_set=[0, 2])

@@ -32,3 +32,21 @@ def test_script_exits_zero(argv):
                     if re.fullmatch(r"(\w+ )?all: [0-9a-f]{64}", line)]
         assert len(recorded) == 5
         assert [line for line in done.stdout.splitlines() if "all:" in line] == recorded
+
+
+# The closeness forms that ``matrix_core._fails`` replaced: a slack of
+# ``tol * (1 + ||x||)``, absolute below unit scale, or a bare psd_slack.
+ABSOLUTE_SLACK = re.compile(r"tol\.\w+ \* \(1\.0 \+|\b1e-\d+ \* \(1\.0 \+|\+ tol\.psd_slack(?! \*)")
+
+
+def test_no_absolute_slack_in_the_library():
+    """Every tolerance test of the library decides through the one
+    relative closeness rule; none of the old absolute forms comes back."""
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sorted((ROOT / "src" / "nhomog").glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1) if ABSOLUTE_SLACK.search(line)]
+    assert hits == []
+    assert ABSOLUTE_SLACK.search("cut = tol.eq_tol * (1.0 + scale)")
+    assert ABSOLUTE_SLACK.search("if residual > 1e-8 * (1.0 + norm):")
+    assert ABSOLUTE_SLACK.search("if certified > eps + tol.psd_slack:")
+    assert not ABSOLUTE_SLACK.search("c = low + tol.psd_slack * scale")

@@ -355,7 +355,8 @@ class TestMatTupleStack:
         assert np.array_equal(t.conjugated(u).gens, [u @ g @ adj(u) for g in t.gens])
         for step in (0.0, 1e-11, 1e-9, 1.0):
             other = MatTuple(t.gens + step * ginibre(r, d))
-            loop = all(opnorm(a - b) <= 1e-10 * (1.0 + opnorm(a)) for a, b in zip(t.gens, other.gens))
+            scale = max(t.scale, other.scale)
+            loop = all(opnorm(a - b) <= 1e-10 * scale for a, b in zip(t.gens, other.gens))
             assert t.allclose(other, 1e-10) is loop
 
     def test_equality_is_identity(self):

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -895,6 +897,97 @@ class TestScaleLadder:
             assert loewner_heinz_check(c * a, c * b, [0.1, 0.5, 0.9]).passed
 
 
+@functools.lru_cache(maxsize=None)
+def ladder_cases():
+    """Grouped 2 + 2 + 1 algebras (full, diag, scalar fibres) at n = 2,
+    each with a two-point approximable target (partition route), a random
+    one (not approximable) and a scalar one per group (power-mean route),
+    and each case's outcome at c = 1."""
+    cases = []
+    for seed in range(3):
+        r = rng(9700 + seed)
+        gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 2, 1], fibers=["full", "diag", "scalar"])
+        alg = closure_star_subalgebra(gens, points=5, n=2)
+        scalar = np.zeros((5, 2, 2), dtype=complex)
+        for grp in meta["groups"]:
+            scalar[grp] = complex(*r.standard_normal(2)) * np.eye(2)
+        for f in (equivariant_target(r, meta, 2), np.stack([ginibre(r, 2) for _ in range(5)]), scalar):
+            cases.append((alg, f, seed, approximation_outcome(alg, f, 0.1, seed)))
+    return cases
+
+
+def approximation_outcome(alg, f, eps, seed):
+    """(verdict, routes, certified error) of constructive_approximate."""
+    try:
+        report = constructive_approximate(alg, f, eps, seed=seed)
+    except (PreconditionFailed, HypothesisViolated, NumericalFailure) as exc:
+        return type(exc).__name__, (), 0.0
+    return "ok", report.routes, report.certified_error
+
+
+class TestApproximationScaleLadder:
+    """constructive_approximate on a c-scaled target and eps gives the
+    verdict and routes of c = 1, and c times its certified error: every
+    tolerance test takes its scale from the target.  The error is
+    compared to 1e-9 relative, above the rounding floor 1e-12 ||f||."""
+
+    def test_cases_cover_every_outcome(self):
+        outcomes = {(verdict, routes) for *_, (verdict, routes, _) in ladder_cases()}
+        assert ("ok", ("partition", "partition")) in outcomes
+        assert ("ok", ("power-mean", "power-mean")) in outcomes
+        assert ("PreconditionFailed", ()) in outcomes
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.integers(0, 8), log_c=st.floats(-150.0, 150.0))
+    @example(case=0, log_c=-150.0)
+    @example(case=1, log_c=-9.0)
+    @example(case=0, log_c=9.0)
+    @example(case=2, log_c=150.0)
+    def test_same_verdict_routes_and_error(self, case, log_c):
+        alg, f, seed, (verdict, routes, error) = ladder_cases()[case]
+        c = 10.0 ** log_c
+        got_verdict, got_routes, got_error = approximation_outcome(alg, c * f, 0.1 * c, seed)
+        assert (got_verdict, got_routes) == (verdict, routes)
+        assert abs(got_error / c - error) <= 1e-9 * error + 1e-12 * np.abs(f).max()
+
+
+class TestRelativeClosenessReproducers:
+    """Tests that once took an absolute slack: each verdict at c = 1e-9 is
+    the verdict at c = 1."""
+
+    @pytest.mark.parametrize("c", [1e-9, 1.0])
+    def test_shifted_spectra_are_disjoint(self, c):
+        verdict = normal_spectra_disjoint(c * SZ, c * (SZ + 3.0 * np.eye(2)))
+        assert verdict.disjoint and verdict.reason == "Disjoint"
+
+    @pytest.mark.parametrize("c", [1e-9, 1.0])
+    def test_flatten_separates_close_nodes(self, c):
+        a, b = c * np.diag([1.0, 2.0]), c * np.diag([4.0, 5.0])
+        p = two_point_flatten(a, b, 1.0, 0.0)
+        assert_close(eval_star_polynomial(p, MatTuple([a])), np.eye(2), atol=1e-8)
+        assert opnorm(eval_star_polynomial(p, MatTuple([b]))) <= 1e-8
+
+    @pytest.mark.parametrize("c", [1e-9, 1.0])
+    def test_nilpotent_is_not_hermitian(self, c):
+        with pytest.raises(NotHermitian):
+            require_hermitian(c * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_flatten_works_or_raises_without_warning(self, c):
+        """Four nodes give coefficients of size about rho^-3: not floats at
+        rho near 1e+-150, where the call must raise, and nowhere else."""
+        a, b = c * np.diag([1.0, 2.0]), c * np.diag([4.0, 5.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if c in (1e-150, 1e150):
+                with pytest.raises(NumericalFailure, match="not floats"):
+                    two_point_flatten(a, b, 1.0, 0.0)
+                return
+            p = two_point_flatten(a, b, 1.0, 0.0)
+        assert_close(eval_star_polynomial(p, MatTuple([a])), np.eye(2), atol=1e-8)
+        assert opnorm(eval_star_polynomial(p, MatTuple([b]))) <= 1e-8
+
+
 class TestLatticeJoinChain:
     def test_commuting_diagonals(self):
         h = lattice_join_chain([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
@@ -996,9 +1089,7 @@ def commutes_per_element(e, f, tol=DEFAULT_TOL):
     """The per-element, per-point loop _commutes_with_algebra replaced."""
     for b in e.basis.elements():
         comm = sw_engine.fn_product(f, b) - sw_engine.fn_product(b, f)
-        scale = (1.0 + max(opnorm(f[z]) for z in range(e.points))) * (
-            1.0 + max(opnorm(b[z]) for z in range(e.points))
-        )
+        scale = max(opnorm(f[z]) for z in range(e.points)) * max(opnorm(b[z]) for z in range(e.points))
         if max(opnorm(comm[z]) for z in range(e.points)) > tol.eq_tol * scale:
             return False
     return True
@@ -1105,8 +1196,8 @@ class TestBatchedPartitionRoute:
         batched = sw_engine._partition_route
         compared = []
 
-        def per_class_scan(e, f, delta, classes, witnesses, tol):
-            lower, upper = sw_engine._envelopes(e, f, tol)
+        def per_class_scan(e, f, delta, classes, witnesses, tol, scale):
+            lower, upper = sw_engine._envelopes(e, f, tol, scale)
             diff = np.array(lower) - np.array(upper)
             w = np.linalg.eigvalsh((diff + adj(diff)) / 2.0)
             in_d = (w[..., 0] > -2.0 * delta) & (w[..., -1] < 2.0 * delta)
@@ -1122,9 +1213,9 @@ class TestBatchedPartitionRoute:
                     out += sw_engine.fn_product(alpha, lower[j])
             return out
 
-        def both(e, f, delta, classes, witnesses, tol):
-            got = batched(e, f, delta, classes, witnesses, tol)
-            assert_close(got, per_class_scan(e, f, delta, classes, witnesses, tol), atol=1e-12)
+        def both(e, f, delta, classes, witnesses, tol, scale):
+            got = batched(e, f, delta, classes, witnesses, tol, scale)
+            assert_close(got, per_class_scan(e, f, delta, classes, witnesses, tol, scale), atol=1e-12)
             compared.append(len(classes))
             return got
 
@@ -1328,14 +1419,14 @@ class TestClassPairSeparation:
         seen = []
         real = sw_engine._partition_route
 
-        def record(e, f, delta, classes, witnesses, tol):
+        def record(e, f, delta, classes, witnesses, tol, scale):
             table = sw_engine._ClassTable.of(e, tol, seed)
             want = witnesses_by_point_pairs(e, table, tol)
             assert classes == table.groups() and witnesses.keys() == want.keys()
             for key, (wit, poly) in witnesses.items():
                 assert np.array_equal(wit, want[key][0]) and poly == want[key][1]
             seen.append(len(classes))
-            return real(e, f, delta, classes, witnesses, tol)
+            return real(e, f, delta, classes, witnesses, tol, scale)
 
         monkeypatch.setattr(sw_engine, "_partition_route", record)
         for seed in (5, 1003, 1011, 1017):
