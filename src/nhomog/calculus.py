@@ -267,12 +267,12 @@ def n_measure_entry_mc(
     ``region`` is a predicate on the unitary parameterizing the orbit of
     class ``class_i``; it receives a phase-normalized representative and
     must be constant on phases; it is called once per sample of the
-    read-only phase-normalized stack of ``haar._mc_draws``, shared with
-    the other estimators on one config.  ``region=None`` means the whole
-    orbit, where delta_{jk}/n times the class projection is exact and
-    returned without sampling or budget check.  Otherwise the closed-form
-    integrand chi(u.x) u* e_k e_j^T u is averaged over Haar samples and
-    assembled over multiplicity copies in the source basis.
+    read-only phase-normalized stack ``haar._mc_draws`` keeps for the
+    config, which the other estimators read too.  ``region=None`` means
+    the whole orbit, where delta_{jk}/n times the class projection is
+    exact and returned without sampling or budget check.  Otherwise the
+    closed-form integrand chi(u.x) u* e_k e_j^T u is averaged over Haar
+    samples and assembled over multiplicity copies in the source basis.
     """
     if not 0 <= class_i < len(dec.classes):
         raise IndexOutOfRange(f"class index {class_i} out of range [0, {len(dec.classes)})")

@@ -10,8 +10,10 @@ estimation can split counter ranges deterministically.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import update_wrapper
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .n_space import FiniteNSpace, PointRef
 
 _MIN_SAMPLES = 1000
 DEFAULT_SAMPLES = 20000
+_KEPT_STACK_BYTES = 64 * 2**20  # Haar stacks kept over all configs; the newest is kept even alone above it
 
 
 @dataclass(frozen=True)
@@ -114,13 +117,49 @@ def twirl_exact(a) -> np.ndarray:
     return (np.trace(m) / len(m)) * np.eye(len(m), dtype=complex)
 
 
-@lru_cache(maxsize=1)
+class _StackMemo:
+    """The checked stacks of a draw function keyed by ``(n, McConfig)``,
+    least recently used evicted first while the kept bytes pass
+    ``_KEPT_STACK_BYTES`` and another stack is kept: the newest always
+    stays.  A draw that raises is not kept.  ``cache_clear`` forgets every
+    kept stack."""
+
+    def __init__(self, draw) -> None:
+        update_wrapper(self, draw)
+        self._draw = draw
+        self._kept: OrderedDict[tuple[int, McConfig], tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, n: int, mc: McConfig) -> tuple[np.ndarray, np.ndarray]:
+        key = (n, mc)
+        with self._lock:
+            if key in self._kept:
+                self._kept.move_to_end(key)
+                return self._kept[key]
+        stacks = self._draw(n, mc)
+        with self._lock:
+            self._kept[key] = stacks
+            self._kept.move_to_end(key)
+            kept = sum(us.nbytes + ps.nbytes for us, ps in self._kept.values())
+            while kept > _KEPT_STACK_BYTES and len(self._kept) > 1:
+                us, ps = self._kept.popitem(last=False)[1]
+                kept -= us.nbytes + ps.nbytes
+        return stacks
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._kept.clear()
+
+
+@_StackMemo
 def _mc_draws(n: int, mc: McConfig) -> tuple[np.ndarray, np.ndarray]:
     """The read-only (samples, n, n) Haar stack ``us`` of a config and its
     read-only ``fix_phase`` ``ps``, after the budget guard and one check
     that each U*U - I is within eq_tol in Frobenius norm (a bound on the
     spectral norm ``PointRef.make`` checks), so no sample needs its own.
-    Only the last stack is kept; estimates in a row on one config share it."""
+    Each config's pair, 2·samples·n²·16 bytes, stays kept while the
+    configs' pairs fit in ``_KEPT_STACK_BYTES``; estimates on a kept
+    config, in any order between configs, share it."""
     if mc.samples < _MIN_SAMPLES:
         raise MCBudgetTooSmall(f"samples={mc.samples} < {_MIN_SAMPLES}")
     us = haar_unitaries(HaarSampler(n, mc.seed), mc.samples)
@@ -133,8 +172,9 @@ def _mc_draws(n: int, mc: McConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def mc_twirl(a, mc: McConfig) -> np.ndarray:
     """Monte-Carlo estimate of the twirl; validates the sampling machinery
-    against the exact Schur value.  The sum over draws is taken on 2^-e a,
-    entries below 1, and scaled back: exact, and finite where the average is."""
+    against the exact Schur value.  The draws are the config's kept stack
+    of ``_mc_draws``.  The sum over draws is taken on 2^-e a, entries
+    below 1, and scaled back: exact, and finite where the average is."""
     m = require_square(as_matrix(a, "a"))
     us, _ = _mc_draws(len(m), mc)
     e = np.frexp(np.abs(m).max(initial=0.0))[1]  # ldexp on the float view scales re and im
@@ -147,8 +187,8 @@ def equivariant_average(g, space: FiniteNSpace, orbit: int, mc: McConfig) -> np.
     """Monte-Carlo estimate at the orbit's base point of the averaged
     function u^{-1} . g(u . x): for already-equivariant g this recovers
     the base value within the MC radius.  The points are the checked,
-    phase-normalized stack of ``_mc_draws``, shared with the other
-    estimators on the same config; ``p.u`` is read-only.  ``g`` is called
+    phase-normalized stack ``_mc_draws`` keeps for the config, which
+    the other estimators read too; ``p.u`` is read-only.  ``g`` is called
     once per sample; its values are validated once, as a stack:
     DimensionMismatch unless each is n x n, DomainError if any entry is
     not finite."""

@@ -11,6 +11,7 @@ and the transform sending an n-homogeneous tuple to its function model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -119,11 +120,22 @@ class IdealData:
     space: FiniteNSpace
     vanishing_set: tuple[int, ...]
     support: tuple[int, ...]
-    basis: SubspaceBasis
 
     @property
     def dim(self) -> int:
-        return self.basis.dim
+        return len(self.support) * self.space.n ** 2
+
+    @cached_property
+    def basis(self) -> SubspaceBasis:
+        """The matrix units e_jk on each support orbit, formed on first
+        access: a dense (dim, m n^2) matrix."""
+        m, n = self.space.orbits, self.space.n
+        # the function with value e_jk on orbit i is the standard basis vector at (i, j, k);
+        # only the support's rows are formed, not the (m n^2)^2 identity
+        ones = (np.asarray(self.support, dtype=np.intp)[:, None] * (n * n) + np.arange(n * n)).ravel()
+        vectors = np.zeros((ones.size, m * n * n), dtype=complex)
+        vectors[np.arange(ones.size), ones] = 1.0
+        return SubspaceBasis((m, n, n), vectors)
 
 
 def ideal_set_correspondence(
@@ -149,14 +161,7 @@ def ideal_set_correspondence(
     else:  # (k, m) norms, one stacked SVD; an orbit is live where a value is not 0 at the generators' scale
         norms = _opnorms(np.array([g.values for g in gens], dtype=complex).reshape(len(gens), m, n, n))
         live = _fails(norms, tol.eq_tol, norms.max(initial=0.0)).any(axis=0)
-    support, vanish = np.flatnonzero(live).tolist(), np.flatnonzero(~live).tolist()
-    # the function with value e_jk on orbit i is the standard basis vector at (i, j, k);
-    # only the support's rows are formed, not the (m n^2)^2 identity
-    ones = (np.asarray(support, dtype=np.intp)[:, None] * (n * n) + np.arange(n * n)).ravel()
-    vectors = np.zeros((ones.size, m * n * n), dtype=complex)
-    vectors[np.arange(ones.size), ones] = 1.0
-    basis = SubspaceBasis((m, n, n), vectors)
-    return IdealData(space, tuple(vanish), tuple(support), basis)
+    return IdealData(space, tuple(np.flatnonzero(~live).tolist()), tuple(np.flatnonzero(live).tolist()))
 
 
 def point_evaluation_rep(space: FiniteNSpace, p: PointRef) -> np.ndarray:

@@ -25,10 +25,10 @@ def hadamard():
     return HADAMARD.copy()
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def fresh_draws():
-    """Forget the Haar stack that haar._mc_draws keeps, before and after the
-    test, so a count of draws or a patched sampler does not depend on
+    """Forget every Haar stack that haar._mc_draws keeps, before and after
+    each test, so a count of draws or a patched sampler does not depend on
     which test ran before."""
     haar._mc_draws.cache_clear()
     yield

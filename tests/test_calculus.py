@@ -315,9 +315,10 @@ class TestSharedDraws:
         n_measure_entry_mc(layered_dec, 0, 0, 1, lambda u: not orbit_region(u), mc)
         n_measure_entry_mc(layered_dec, 0, 0, 0, None, mc)  # exact: no draw
         assert calls == [(n, 7, 2000)]
-        for key in [(n + 1, mc), (n, McConfig(2000, 8)), (n, McConfig(3000, 7)), (n, mc)]:
-            average(*key)  # only the last stack is kept
-        assert calls == [(n, 7, 2000), (n + 1, 7, 2000), (n, 8, 2000), (n, 7, 3000), (n, 7, 2000)]
+        keys = [(n + 1, mc), (n, McConfig(2000, 8)), (n, McConfig(3000, 7)), (n, mc)]
+        for key in keys + keys:
+            average(*key)  # every config's stack stays kept while they fit
+        assert calls == [(n, 7, 2000), (n + 1, 7, 2000), (n, 8, 2000), (n, 7, 3000)]
 
     @pytest.mark.parametrize("dec_name, samples", [("orbit_dec", 5000), ("layered_dec", 2000)])
     def test_entries_equal_their_own_draws(self, request, dec_name, samples):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nhomog import cli, errors, jsonio
+from nhomog import cli, errors, jsonio, n_space
 from nhomog.cli import _config, build_parser, main
 from nhomog.jsonio import (
     decode_fn_algebra_input,
@@ -364,6 +364,23 @@ class TestNSpaceCommand:
         assert report["ideal_dim"] == 4
         assert report["classification"]["kind"] == "point"
         assert report["classification"]["orbit"] == 1
+
+    def test_report_never_forms_the_basis(self, tmp_path, capsys, monkeypatch):
+        """The report reads the ideal's dimension and orbit lists, not its
+        dense basis of matrix units."""
+        zero = np.zeros((2, 2))
+        payload = {"space": {"n": 2, "orbits": 3}, "generators": [{"values": [mat(SX), mat(zero), mat(SZ)]}]}
+        path = write(tmp_path, "ns.json", payload)
+        assert main(["nspace", "--in", path]) == 0
+        want = capsys.readouterr().out
+
+        def never(*args):
+            raise AssertionError("the ideal's basis was formed")
+
+        monkeypatch.setattr(n_space, "SubspaceBasis", never)
+        assert main(["nspace", "--in", path]) == 0
+        assert capsys.readouterr().out == want
+        assert json.loads(want)["ideal_dim"] == 8
 
     def test_near_unitary_point_is_classified(self, tmp_path, capsys):
         # the images of the Hadamard point scaled by 1 + 5e-8 pass the 1e-6

@@ -343,3 +343,76 @@ class TestSharedStack:
         # the refused write left the kept stack as drawn
         g = lambda p: p.u @ SX @ adj(p.u)
         assert np.array_equal(equivariant_average(g, space, 0, mc), average_reference(g, 0, 2, mc))
+
+
+def kept_reference(keys, cap):
+    """The draws of a least-recently-used memo over (n, McConfig) and the
+    keys it keeps after each call, as a list scan: a hit moves its key
+    last; a miss appends it, then the first keys go while the kept bytes
+    pass ``cap`` and more than one key is kept."""
+    size = lambda key: 2 * key[1].samples * key[0] ** 2 * 16
+    kept, draws, states = [], [], []
+    for key in keys:
+        if key in kept:
+            kept.remove(key)
+        else:
+            draws.append(key)
+        kept.append(key)
+        while len(kept) > 1 and sum(map(size, kept)) > cap:
+            kept.pop(0)
+        states.append(list(kept))
+    return draws, states
+
+
+class TestKeptStacks:
+    """_mc_draws keeps each config's stack; past _KEPT_STACK_BYTES the
+    least recently used goes first, and the newest is always kept."""
+
+    @staticmethod
+    def count_draws(monkeypatch):
+        calls = []
+        real = haar.haar_unitaries
+        monkeypatch.setattr(haar, "haar_unitaries",
+                            lambda s, count: calls.append((s.n, McConfig(count, s.seed))) or real(s, count))
+        return calls
+
+    @staticmethod
+    def kept():
+        return list(haar._mc_draws._kept)
+
+    def test_oldest_is_evicted_first(self, monkeypatch):
+        draws = self.count_draws(monkeypatch)
+        a, b, c = ((2, McConfig(1000, seed)) for seed in (1, 2, 3))
+        monkeypatch.setattr(haar, "_KEPT_STACK_BYTES", 2 * (2 * 1000 * 4 * 16))  # two of these pairs
+        first = haar._mc_draws(*a)
+        for key in (b, a, c):  # the hit on a refreshes it, so c evicts b
+            haar._mc_draws(*key)
+        assert draws == [a, b, c] and self.kept() == [a, c]
+        assert haar._mc_draws(*a) is first
+        haar._mc_draws(*b)
+        assert draws == [a, b, c, b] and self.kept() == [a, b]
+        big = (2, McConfig(3000, 4))  # its pair alone is above the constant
+        us, ps = haar._mc_draws(*big)
+        assert us.nbytes + ps.nbytes > haar._KEPT_STACK_BYTES
+        assert self.kept() == [big]
+        assert haar._mc_draws(*big)[0] is us
+        assert draws == [a, b, c, b, big]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kept_bytes_stay_within_the_constant(self, monkeypatch, seed):
+        draws = self.count_draws(monkeypatch)
+        cap = 2 * 2000 * 9 * 16  # one n = 3, 2000-sample pair; a 3000-sample one is kept alone
+        monkeypatch.setattr(haar, "_KEPT_STACK_BYTES", cap)
+        r = rng(60 + seed)
+        keys = [(int(r.integers(1, 4)), McConfig(int(r.choice([1000, 2000, 3000])), int(r.integers(0, 2))))
+                for _ in range(40)]
+        want_draws, want_kept = kept_reference(keys, cap)
+        lone = 0
+        for key, want in zip(keys, want_kept):
+            haar._mc_draws(*key)
+            assert self.kept() == want
+            total = sum(us.nbytes + ps.nbytes for us, ps in haar._mc_draws._kept.values())
+            assert total <= cap or len(want) == 1
+            lone += total > cap
+        assert draws == want_draws
+        assert lone and len(want_draws) < len(keys)  # the sequence has lone stacks over the cap, and hits

@@ -77,18 +77,18 @@ class TestIdealCorrespondence:
         g = element(space3, [SX, np.zeros((2, 2)), np.eye(2)])
         data = ideal_set_correspondence(space3, [g])
         assert data.vanishing_set == (1,)
-        assert data.dim == 2 * 4  # two live orbits, full M_2 each
+        assert data.dim == data.basis.dim == 2 * 4  # two live orbits, full M_2 each
 
     def test_empty_generators_give_zero_ideal(self, space3):
         data = ideal_set_correspondence(space3, [])
         assert data.vanishing_set == (0, 1, 2)
-        assert data.dim == 0
+        assert data.dim == data.basis.dim == 0
 
     def test_spanning_generators_give_everything(self, space3):
         gens = [element(space3, [ginibre(rng(i), 2) for _ in range(3)]) for i in range(2)]
         data = ideal_set_correspondence(space3, gens)
         assert data.vanishing_set == ()
-        assert data.dim == 3 * 4
+        assert data.dim == data.basis.dim == 3 * 4
 
     @pytest.mark.parametrize("case", range(4))
     def test_every_generator_space_is_checked(self, case):
@@ -114,12 +114,12 @@ class TestIdealCorrespondence:
         for scaled in (gens, [EquivariantElement(space, [c * v for v in g.values]) for g in gens]):
             data = ideal_set_correspondence(space, scaled)
             assert (data.support, data.vanishing_set) == want
-            assert data.dim == len(want[0]) * space.n ** 2
+            assert data.dim == data.basis.dim == len(want[0]) * space.n ** 2
 
     def test_backward_direction(self, space3):
         data = ideal_set_correspondence(space3, vanishing_set=[0, 2])
         assert data.support == (1,)
-        assert data.dim == 4
+        assert data.dim == data.basis.dim == 4
 
     @pytest.mark.parametrize("seed", range(20))
     def test_roundtrip_random_ideals(self, seed):
@@ -133,7 +133,7 @@ class TestIdealCorrespondence:
         gens = [EquivariantElement(space, list(b)) for b in ideal.basis.elements()]
         back = ideal_set_correspondence(space, gens)
         assert back.vanishing_set == tuple(vanish)
-        assert back.dim == ideal.dim
+        assert back.dim == ideal.dim == ideal.basis.dim == back.basis.dim
         for b in back.basis.elements():
             assert ideal.basis.residual(b) <= 1e-10
 
