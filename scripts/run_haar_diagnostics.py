@@ -1,23 +1,74 @@
 #!/usr/bin/env python3
 """Convergence table for Monte-Carlo unitary averaging against the exact
-twirl value, across sample budgets."""
+twirl value, across sample budgets.
+
+With --timing, instead: the time of ``equivariant_average`` and of a
+region entry of ``n_measure_entry_mc`` on a kept config (the perfbench
+orbit-average shape by default: n = 3, 5000 samples), split into the
+sampled callable's own time, taken by calling it over the config's kept
+points and rows, and the library's share, the rest."""
 
 import argparse
+import statistics
+import time
 
 import numpy as np
 
-from nhomog.haar import McConfig, mc_radius, mc_twirl, twirl_exact
-from nhomog.instances import ginibre
+from nhomog import haar
+from nhomog.calculus import n_measure_entry_mc
+from nhomog.decomposition import decompose
+from nhomog.haar import McConfig, equivariant_average, mc_radius, mc_twirl, twirl_exact
+from nhomog.instances import ginibre, random_irreducible_tuple
 from nhomog.matrix_core import opnorm
+from nhomog.n_space import FiniteNSpace
+
+
+def median_ms(call, repeats):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
+
+
+def timing(args):
+    rng = np.random.default_rng(args.seed)
+    n = args.n
+    f, c = ginibre(rng, n), ginibre(rng, n)
+    dec = decompose(random_irreducible_tuple(rng, n, 2))
+    space, orbit = FiniteNSpace(n=n, orbits=3), 1
+    mc = McConfig(samples=args.samples, seed=args.seed)
+    g = lambda p: p.u @ f @ p.u.conj().T + c  # the orbit-average operation
+    region = lambda u: abs(u[0, 0]) ** 2 > 1.0 / n
+    average = lambda: equivariant_average(g, space, orbit, mc)
+    entry = lambda: n_measure_entry_mc(dec, 0, 0, 0, region, mc)
+    average(), entry()  # draws the stack and keeps its rows and points
+    points, rows = haar._mc_draws.points(n, mc, orbit), haar._mc_draws.rows(n, mc)
+    runs = [
+        ("equivariant_average", average, lambda: [g(p) for p in points]),
+        ("n_measure_entry_mc", entry, lambda: [bool(region(u)) for u in rows]),
+    ]
+    print(f"n = {n}, {args.samples} samples, median of {args.repeats} calls on a kept config")
+    print(f"{'':<20} {'total ms':>9} {'callable ms':>12} {'library ms':>11}")
+    for name, call, own in runs:
+        total, callable_ms = median_ms(call, args.repeats), median_ms(own, args.repeats)
+        print(f"{name:<20} {total:>9.2f} {callable_ms:>12.2f} {total - callable_ms:>11.2f}")
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--n", type=int, default=3)
     parser.add_argument("--budgets", type=int, nargs="+",
                         default=[1000, 4000, 20000, 80000])
+    parser.add_argument("--timing", action="store_true", help="time the estimators instead")
+    parser.add_argument("--samples", type=int, default=5000, help="--timing sample budget")
+    parser.add_argument("--repeats", type=int, default=20, help="--timing calls per median")
     args = parser.parse_args()
+    if args.timing:
+        timing(args)
+        return
 
     rng = np.random.default_rng(args.seed)
     a = ginibre(rng, args.n)

@@ -266,9 +266,10 @@ def n_measure_entry_mc(
 
     ``region`` is a predicate on the unitary parameterizing the orbit of
     class ``class_i``; it receives a phase-normalized representative and
-    must be constant on phases; it is called once per sample of the
-    read-only phase-normalized stack ``haar._mc_draws`` keeps for the
-    config, which the other estimators read too.  ``region=None`` means
+    must be constant on phases; it is called once per sample, on the
+    read-only row views of the phase-normalized stack ``haar._mc_draws``
+    keeps for the config (built once per config and kept with it, and
+    the stack the other estimators read too).  ``region=None`` means
     the whole orbit, where delta_{jk}/n times the class projection is
     exact and returned without sampling or budget check.  Otherwise the
     closed-form integrand chi(u.x) u* e_k e_j^T u is averaged over Haar
@@ -282,8 +283,8 @@ def n_measure_entry_mc(
     if region is None:
         weight = (1.0 / n) if j == k else 0.0
         return weight * invariant_spectral_projection(dec, [class_i], tol)
-    us, ps = _mc_draws(n, mc)
-    mask = np.fromiter((bool(region(p)) for p in ps), dtype=bool, count=mc.samples)
+    us, _ = _mc_draws(n, mc)
+    mask = np.fromiter(map(bool, map(region, _mc_draws.rows(n, mc))), dtype=bool, count=mc.samples)
     sel = us[mask]
     local = np.einsum("sa,sb->ab", sel[:, k, :].conj(), sel[:, j, :]) / mc.samples
     values = [np.zeros((c.d, c.d), dtype=complex) for c in dec.classes]

@@ -24,6 +24,7 @@ from .n_space import FiniteNSpace, PointRef
 _MIN_SAMPLES = 1000
 DEFAULT_SAMPLES = 20000
 _KEPT_STACK_BYTES = 64 * 2**20  # Haar stacks kept over all configs; the newest is kept even alone above it
+_ROW_BYTES, _POINT_BYTES = 136, 56  # a kept row view and a kept PointRef, with its tuple slot
 
 
 @dataclass(frozen=True)
@@ -119,15 +120,23 @@ def twirl_exact(a) -> np.ndarray:
 
 class _StackMemo:
     """The checked stacks of a draw function keyed by ``(n, McConfig)``,
-    least recently used evicted first while the kept bytes pass
-    ``_KEPT_STACK_BYTES`` and another stack is kept: the newest always
-    stays.  A draw that raises is not kept.  ``cache_clear`` forgets every
-    kept stack."""
+    and the per-sample Python objects built from them on first use:
+    ``rows``, the read-only row views of ``ps``, and ``points``, the
+    ``PointRef`` tuple of the orbit last averaged on (a call on another
+    orbit replaces it, so a config keeps one).  The kept bytes count each
+    config's arrays and, per sample, ``_ROW_BYTES`` for its rows and
+    ``_POINT_BYTES`` for its points (their tracemalloc sizes).  The least
+    recently used config goes first, with its rows and points, while the
+    kept bytes pass ``_KEPT_STACK_BYTES`` and another config is kept: the
+    newest always stays.  A draw that raises is not kept.  ``cache_clear``
+    forgets every kept config."""
 
     def __init__(self, draw) -> None:
         update_wrapper(self, draw)
         self._draw = draw
         self._kept: OrderedDict[tuple[int, McConfig], tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self._rows: dict[tuple[int, McConfig], tuple[np.ndarray, ...]] = {}
+        self._points: dict[tuple[int, McConfig], tuple[int, tuple[PointRef, ...]]] = {}
         self._lock = threading.Lock()
 
     def __call__(self, n: int, mc: McConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -140,15 +149,52 @@ class _StackMemo:
         with self._lock:
             self._kept[key] = stacks
             self._kept.move_to_end(key)
-            kept = sum(us.nbytes + ps.nbytes for us, ps in self._kept.values())
-            while kept > _KEPT_STACK_BYTES and len(self._kept) > 1:
-                us, ps = self._kept.popitem(last=False)[1]
-                kept -= us.nbytes + ps.nbytes
+            self._evict()
         return stacks
+
+    def rows(self, n: int, mc: McConfig) -> tuple[np.ndarray, ...]:
+        """The read-only (n, n) row views of the config's ``ps``."""
+        _, ps = self(n, mc)
+        rows = self._rows.get((n, mc))
+        if rows is None:
+            rows = tuple(ps)
+            self._keep(self._rows, (n, mc), rows)
+        return rows
+
+    def points(self, n: int, mc: McConfig, orbit: int) -> tuple[PointRef, ...]:
+        """``PointRef(orbit, p)`` for each row ``p`` of the config."""
+        rows = self.rows(n, mc)
+        kept = self._points.get((n, mc))
+        if kept is None or kept[0] != orbit:
+            kept = (orbit, tuple(PointRef(orbit, p) for p in rows))
+            self._keep(self._points, (n, mc), kept)
+        return kept[1]
+
+    def _keep(self, store: dict, key, value) -> None:
+        with self._lock:
+            if key in self._kept:  # else evicted since it was read
+                store[key] = value
+                self._evict()
+
+    def nbytes(self, key) -> int:
+        us, ps = self._kept[key]
+        per_sample = _ROW_BYTES * (key in self._rows) + _POINT_BYTES * (key in self._points)
+        return us.nbytes + ps.nbytes + len(ps) * per_sample
+
+    def _evict(self) -> None:
+        kept = sum(map(self.nbytes, self._kept))
+        while kept > _KEPT_STACK_BYTES and len(self._kept) > 1:
+            key = next(iter(self._kept))
+            kept -= self.nbytes(key)
+            del self._kept[key]
+            self._rows.pop(key, None)
+            self._points.pop(key, None)
 
     def cache_clear(self) -> None:
         with self._lock:
             self._kept.clear()
+            self._rows.clear()
+            self._points.clear()
 
 
 @_StackMemo
@@ -157,9 +203,10 @@ def _mc_draws(n: int, mc: McConfig) -> tuple[np.ndarray, np.ndarray]:
     read-only ``fix_phase`` ``ps``, after the budget guard and one check
     that each U*U - I is within eq_tol in Frobenius norm (a bound on the
     spectral norm ``PointRef.make`` checks), so no sample needs its own.
-    Each config's pair, 2·samples·n²·16 bytes, stays kept while the
-    configs' pairs fit in ``_KEPT_STACK_BYTES``; estimates on a kept
-    config, in any order between configs, share it."""
+    Each config's pair, 2·samples·n²·16 bytes, stays kept with the rows
+    and points built from it while the configs fit in
+    ``_KEPT_STACK_BYTES``; estimates on a kept config, in any order
+    between configs, share them."""
     if mc.samples < _MIN_SAMPLES:
         raise MCBudgetTooSmall(f"samples={mc.samples} < {_MIN_SAMPLES}")
     us = haar_unitaries(HaarSampler(n, mc.seed), mc.samples)
@@ -188,15 +235,17 @@ def equivariant_average(g, space: FiniteNSpace, orbit: int, mc: McConfig) -> np.
     function u^{-1} . g(u . x): for already-equivariant g this recovers
     the base value within the MC radius.  The points are the checked,
     phase-normalized stack ``_mc_draws`` keeps for the config, which
-    the other estimators read too; ``p.u`` is read-only.  ``g`` is called
-    once per sample; its values are validated once, as a stack:
-    DimensionMismatch unless each is n x n, DomainError if any entry is
-    not finite."""
+    the other estimators read too; ``p.u`` is read-only.  The config also
+    keeps the ``PointRef`` of each sample for the orbit last averaged on,
+    so a repeated average on a kept config and orbit builds no point and
+    only calls ``g``, once per sample.  The values are validated once, as
+    a stack: DimensionMismatch unless each is n x n, DomainError if any
+    entry is not finite."""
     if not 0 <= orbit < space.orbits:
         raise IndexOutOfRange(f"orbit {orbit} out of range [0, {space.orbits})")
     n = space.n
     _, ps = _mc_draws(n, mc)
-    values = [g(PointRef(orbit, p)) for p in ps]
+    values = list(map(g, _mc_draws.points(n, mc, orbit)))
     try:
         vs = np.array(values, dtype=complex)
     except (TypeError, ValueError) as exc:

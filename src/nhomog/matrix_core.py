@@ -120,11 +120,19 @@ def _opnorms(a: np.ndarray) -> np.ndarray:
     return out
 
 
-# ||a||_2 <= ||a||_F.  The screen of ``_exceeds`` passes a matrix only
-# with a relative margin for the rounding of both norms, and only at
-# bounds where no square of an entry underflows enough to matter.
+# ||a||_2 <= ||a||_F.  The screens of ``_exceeds`` and
+# ``require_hermitian`` decide a matrix only with a relative margin for
+# the rounding of the norms, and only at bounds where no square of an
+# entry underflows enough to matter.
 _SCREEN_MARGIN = 1e-10
 _SCREEN_FLOOR = 1e-150
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """||X||_F of each matrix of a (..., m, n) stack; inf or NaN where an
+    entry is, or where the squares overflow, so no screen passes it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(a, axis=(-2, -1)) if a.size else np.zeros(a.shape[:-2])
 
 
 def _exceeds(a: np.ndarray, bound) -> np.ndarray:
@@ -135,8 +143,7 @@ def _exceeds(a: np.ndarray, bound) -> np.ndarray:
     screen and exceeds every finite bound, as in ``_opnorms``."""
     a = np.asarray(a)
     bound = np.asarray(bound, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the screen
-        fro = np.linalg.norm(a, axis=(-2, -1)) if a.size else np.zeros(a.shape[:-2])
+    fro = _frobenius(a)
     passed = (fro < np.inf) & (bound >= _SCREEN_FLOOR) & (fro * (1.0 + _SCREEN_MARGIN) <= bound)
     unsure = np.asarray(~passed)
     if unsure.any():  # the exact test where the screen is unsure; False everywhere else
@@ -167,8 +174,23 @@ def _fails(err, rel: float, scale) -> np.ndarray:
 def require_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
     """Reject a unless ||a - a*|| <= eq_tol ||a||.  A (P, n, n) stack is
     checked point by point, and the first failing point z is named as
-    the matrix ``f"{name} at point {z}"`` would be."""
-    bad = np.flatnonzero(_fails(_opnorms(a - adj(a)), tol.eq_tol, _opnorms(a)))
+    the matrix ``f"{name} at point {z}"`` would be.
+
+    ||x||_F / sqrt(n) <= ||x|| <= ||x||_F, so a Frobenius screen passes
+    a matrix with ||a - a*||_F <= eq_tol ||a||_F / sqrt(n) and fails one
+    with ||a - a*||_F / sqrt(n) > eq_tol ||a||_F, each with a margin for
+    rounding and only at bounds above the screen floor; the two SVDs
+    decide the rest, and non-finite entries."""
+    d = a - adj(a)
+    fd, fa, root_n = _frobenius(d), _frobenius(a), np.sqrt(max(a.shape[-1], 1))
+    on_screen = (fd < np.inf) & (fa < np.inf)
+    lo, hi = tol.eq_tol * fa / root_n, tol.eq_tol * fa  # the bound's range over ||a|| given ||a||_F
+    passed = on_screen & (lo >= _SCREEN_FLOOR) & (fd * (1.0 + _SCREEN_MARGIN) <= lo)
+    failed = np.asarray(on_screen & (hi >= _SCREEN_FLOOR) & (fd / root_n > hi * (1.0 + _SCREEN_MARGIN)))
+    unsure = ~(passed | failed)
+    if unsure.any():
+        failed[unsure] = _fails(_opnorms(d[unsure]), tol.eq_tol, _opnorms(a[unsure]))
+    bad = np.flatnonzero(failed)
     if bad.size:
         where = f" at point {bad[0]}" if a.ndim == 3 else ""
         raise NotHermitian(f"{name}{where} is not Hermitian within eq_tol")

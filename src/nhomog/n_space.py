@@ -66,10 +66,11 @@ class EquivariantElement:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointRef:
     """A point of the space: an orbit index plus a unitary representative
-    (phase-normalized so references compare reproducibly)."""
+    (phase-normalized so references compare reproducibly).  Slotted: the
+    Haar estimators keep one per sample."""
 
     orbit: int
     u: np.ndarray = field(repr=False)

@@ -47,7 +47,6 @@ from .matrix_core import (
     normal_spectra_disjoint,
     opnorm,
     psd_order,
-    psd_power,
     require_hermitian,
 )
 from .decomposition import _split_points
@@ -409,16 +408,17 @@ def _power_mean_commuting(mats: np.ndarray, norms: np.ndarray, n_pow: int, tol: 
 
 def power_mean_envelope(a_list, b, eps: float, tol: Tolerance = DEFAULT_TOL,
                         n_power: int | None = None) -> PowerMeanEnvelope:
-    """Common upper envelope (sum of N-th powers)^(1/N) of a dominated
-    family commuting with b: each a_j stays below it, and it stays below
-    b + eps.
+    """Common upper envelope (sum of N-th powers)^(1/N) of a dominated,
+    pairwise commuting family commuting with b: each a_j stays below it,
+    and it stays below b + eps.
 
-    When the family is also pairwise commuting the mean is taken per
-    joint eigendirection in the log domain; otherwise the summed matrix
-    is formed directly (rescaled so large exponents cannot overflow),
-    which limits the usable eigenvalue range to double precision.
-    Order checks take the PSD rule of ``matrix_core``, commutation
-    checks ||[x, y]|| <= eq_tol ||x|| ||y||, so no verdict depends on scale.
+    The mean is taken per joint eigendirection in the log domain, so no
+    eigenvalue ratio is lost to double precision.  A family that does
+    not commute pairwise is refused (PreconditionFailed): the sum of its
+    N-th powers has no joint eigenbasis, and formed as one matrix it
+    loses its eigenvalues below double precision.  Order checks take the
+    PSD rule of ``matrix_core``, commutation checks
+    ||[x, y]|| <= eq_tol ||x|| ||y||, so no verdict depends on scale.
     """
     mats = [require_hermitian(as_matrix(a, f"a_{j}"), tol, f"a_{j}") for j, a in enumerate(a_list)]
     if not mats:
@@ -439,20 +439,14 @@ def power_mean_envelope(a_list, b, eps: float, tol: Tolerance = DEFAULT_TOL,
     if failed.any():
         texts = ("a_{} is not PSD", "a_{} <= b fails", "b does not commute with a_{}")
         raise PreconditionFailed("; ".join(texts[c].format(j) for j, c in np.argwhere(failed)))
+    i, j = np.triu_indices(k, 1)
+    clash = np.flatnonzero(_exceeds(fam[i] @ fam[j] - fam[j] @ fam[i], tol.eq_tol * na[i] * na[j]))
+    if clash.size:
+        raise PreconditionFailed(f"a_{i[clash[0]]} and a_{j[clash[0]]} do not commute pairwise")
     n_pow = n_power if n_power is not None else power_mean_exponent(eps, r, k)
     if n_pow < 2:
         raise ValueError("power-mean exponent must be >= 2")
-    i, j = np.triu_indices(k, 1)
-    pairwise = not _exceeds(fam[i] @ fam[j] - fam[j] @ fam[i], tol.eq_tol * na[i] * na[j]).any()
-    scale = na.max()
-    if scale == 0.0:
-        env = np.zeros_like(bm)
-    elif pairwise:
-        env = _power_mean_commuting(fam, na, n_pow, tol)
-    else:
-        unit = fam / scale
-        w, u = np.linalg.eigh((unit + adj(unit)) / 2.0)
-        env = scale * psd_power(_from_eig(np.clip(w, 0.0, None) ** n_pow, u).sum(axis=0), 1.0 / n_pow, tol)
+    env = _power_mean_commuting(fam, na, n_pow, tol) if na.max() > 0.0 else np.zeros_like(bm)
     checked = np.concatenate([env - fam, (bm + eps * np.eye(bm.shape[0]) - env)[None]])
     lows = np.linalg.eigvalsh((checked + adj(checked)) / 2.0)[:, 0]
     e = opnorm(env)  # and ||b + eps|| = r + eps, as b is PSD

@@ -14,6 +14,7 @@ from nhomog.decomposition import (
 from nhomog.errors import NotIrreducible, NotNHomogeneous, NumericalFailure
 from nhomog.instances import (
     distinct_irreducible_tuples,
+    ginibre,
     grouped_function_algebra,
     random_homogeneous_instance,
     random_irreducible_tuple,
@@ -685,3 +686,55 @@ class TestSpinUpScreen:
         got = decomposition._spin_up(letters, e, tol)
         assert len(calls) == svds
         assert got.shape == (1, 4, 2) and np.array_equal(got, want)
+
+
+def class_table(t):
+    """decompose's (dim, multiplicity) per class, sorted, or "exit 3"."""
+    try:
+        dec = decompose(t, seed=0)
+    except NumericalFailure:
+        return "exit 3"
+    return sorted((c.d, m) for c, m in zip(dec.classes, dec.multiplicities))
+
+
+def near_equivalent_pair(seed, delta):
+    """A 3-dim class a beside b = a + delta G, G Ginibre, scrambled (d = 6)."""
+    r = rng(seed)
+    a = random_irreducible_tuple(r, 3, 2)
+    b = MatTuple([g + delta * ginibre(r, 3) for g in a.gens])
+    return scrambled_direct_sum(r, [a, b], [1, 1])
+
+
+def beside_a_scaled_class(seed, s):
+    """A 2-dim class beside a 3-dim class of multiplicity 2 scaled by s."""
+    r = rng(seed)
+    small = random_irreducible_tuple(r, 2, 2)
+    big = random_irreducible_tuple(r, 3, 2)
+    return scrambled_direct_sum(r, [small, MatTuple([s * g for g in big.gens])], [1, 2])
+
+
+TWO, ONE, EXIT = [(3, 1), (3, 1)], [(3, 2)], "exit 3"
+
+
+class TestNearDegenerateInputs:
+    """Near the rank cut decompose may end in exit 3 (NumericalFailure),
+    never in a wrong class table (decompose seed 0, instance seeds 0 to
+    9).  Two classes at distance delta are told apart at delta >= 1e-4
+    and are one class at delta <= 1e-9; between them a call may exit 3,
+    and at delta = 1e-8, which is eq_tol, it may give either table.  A
+    class at 3e-7 of the tuple scale or below may exit 3."""
+
+    @pytest.mark.parametrize("delta, allowed", [
+        (1e-3, [TWO]), (1e-4, [TWO]),
+        (1e-5, [TWO, EXIT]), (1e-6, [TWO, EXIT]), (1e-7, [TWO, EXIT]),
+        (1e-8, [TWO, ONE, EXIT]),
+        (1e-9, [ONE]), (1e-10, [ONE]),
+    ])
+    def test_near_equivalent_classes(self, delta, allowed):
+        got = [class_table(near_equivalent_pair(seed, delta)) for seed in range(10)]
+        assert all(table in allowed for table in got), got
+
+    @pytest.mark.parametrize("s", [1e-6, 3e-7, 1e-7])
+    def test_class_at_a_small_scale(self, s):
+        got = [class_table(beside_a_scaled_class(seed, s)) for seed in range(10)]
+        assert all(table in ([(2, 1), (3, 2)], EXIT) for table in got), got

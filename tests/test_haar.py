@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -416,3 +420,124 @@ class TestKeptStacks:
             lone += total > cap
         assert draws == want_draws
         assert lone and len(want_draws) < len(keys)  # the sequence has lone stacks over the cap, and hits
+
+
+class TestKeptPoints:
+    """Each kept config also keeps the read-only row views of its ``ps``
+    and the PointRef tuple of the orbit last averaged on, counted
+    against _KEPT_STACK_BYTES and evicted with their stack."""
+
+    @staticmethod
+    def count_points(monkeypatch):
+        made = []
+        real = haar.PointRef
+        monkeypatch.setattr(haar, "PointRef", lambda orbit, u: made.append(orbit) or real(orbit, u))
+        return made
+
+    def test_repeated_average_builds_no_point(self, monkeypatch):
+        made = self.count_points(monkeypatch)
+        space, mc = FiniteNSpace(n=2, orbits=2), McConfig(2000, 5)
+        seen = []
+        g = lambda p: seen.append(p) or p.u @ SX @ adj(p.u)
+        first = equivariant_average(g, space, 0, mc)
+        assert made == [0] * 2000
+        assert np.array_equal(equivariant_average(g, space, 0, mc), first)
+        assert made == [0] * 2000 and all(p is q for p, q in zip(seen[:2000], seen[2000:]))
+        rows = haar._mc_draws._rows[(2, mc)]
+        assert all(p.u is row for p, row in zip(seen, rows))
+        equivariant_average(g, space, 1, mc)  # another orbit rebuilds them, from the same rows
+        assert made == [0] * 2000 + [1] * 2000
+        assert [p.orbit for p in seen[4000:]] == [1] * 2000 and all(p.u is row for p, row in zip(seen[4000:], rows))
+        assert haar._mc_draws._points[(2, mc)][0] == 1  # a config keeps one orbit's points
+
+    def test_region_masks_iterate_over_the_kept_rows(self):
+        dec = decompose(MatTuple([SX, SZ]), seed=0)
+        mc = McConfig(2000, 6)
+        seen = []
+        region = lambda u: seen.append(u) or abs(u[0, 0]) ** 2 > 0.5
+        for j, k in [(0, 0), (0, 1)]:
+            n_measure_entry_mc(dec, 0, j, k, region, mc)
+        rows = haar._mc_draws._rows[(2, mc)]
+        assert len(seen) == 4000 and all(u is row for u, row in zip(seen, rows + rows))
+        assert all(not row.flags.writeable for row in rows)
+
+    def test_kept_bytes_count_rows_and_points(self, monkeypatch):
+        memo, space = haar._mc_draws, FiniteNSpace(n=1, orbits=1)
+        a, b = (1, McConfig(1000, 1)), (1, McConfig(1000, 2))
+        arrays = 2 * 1000 * 16  # us and ps at n = 1: the rows alone take about 4 times as much
+        rows, points = 1000 * haar._ROW_BYTES, 1000 * haar._POINT_BYTES
+        monkeypatch.setattr(haar, "_KEPT_STACK_BYTES", 2 * arrays + rows)  # a's and b's arrays and one set of rows
+        memo(*a)
+        memo.rows(*b)
+        assert list(memo._kept) == [a, b] and [memo.nbytes(key) for key in (a, b)] == [arrays, arrays + rows]
+        equivariant_average(lambda p: p.u, space, 0, b[1])  # b's points pass the cap: a goes
+        assert list(memo._kept) == [b] and memo.nbytes(b) == arrays + rows + points
+        equivariant_average(lambda p: p.u, space, 0, a[1])  # a again, with its rows and points: b goes
+        assert list(memo._kept) == [a] and memo.nbytes(a) == arrays + rows + points
+        assert list(memo._rows) == [a] and list(memo._points) == [a]
+        memo.cache_clear()
+        assert not memo._kept and not memo._rows and not memo._points
+
+    def test_row_and_point_bytes_are_not_undercounted(self):
+        n, mc = 3, McConfig(5000, 7)
+        haar._mc_draws(n, mc)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            haar._mc_draws.rows(n, mc)
+            mid = tracemalloc.get_traced_memory()[0]
+            haar._mc_draws.points(n, mc, 0)
+            end = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (mid - start) / mc.samples <= 1.05 * haar._ROW_BYTES
+        assert (end - mid) / mc.samples <= 1.05 * haar._POINT_BYTES
+
+    def test_points_of_a_config_evicted_meanwhile_are_not_kept(self, monkeypatch):
+        """Another caller's draw evicts the config while its points are
+        built: they are used, not kept."""
+        memo, space = haar._mc_draws, FiniteNSpace(n=1, orbits=1)
+        mc, other = McConfig(1000, 1), McConfig(1000, 2)
+        monkeypatch.setattr(haar, "_KEPT_STACK_BYTES", 1)  # only the newest config stays
+        real = haar.PointRef
+
+        def evicting(orbit, u):
+            if (1, other) not in memo._kept:
+                memo(1, other)
+            return real(orbit, u)
+
+        monkeypatch.setattr(haar, "PointRef", evicting)
+        g = lambda p: p.u
+        assert np.array_equal(equivariant_average(g, space, 0, mc), average_reference(g, 0, 1, mc))
+        assert list(memo._kept) == [(1, other)] and not memo._rows and not memo._points
+
+    def test_threads_share_the_memo(self, monkeypatch):
+        """Threads averaging over configs and orbits that evict each other
+        get the single-threaded answers, and no rows or points outlive
+        their stack."""
+        space = FiniteNSpace(n=2, orbits=2)
+        g = lambda p: p.u @ SZ @ adj(p.u) + p.orbit * SX
+        jobs = [(McConfig(1000, seed), orbit) for seed in range(3) for orbit in range(2)]
+        want = {job: equivariant_average(g, space, job[1], job[0]) for job in jobs}
+        haar._mc_draws.cache_clear()
+        per_config = 2 * 1000 * 4 * 16 + 1000 * (haar._ROW_BYTES + haar._POINT_BYTES)
+        monkeypatch.setattr(haar, "_KEPT_STACK_BYTES", 2 * per_config)  # two of the three configs
+        got, switch = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def work(shift):
+                for i in range(12):
+                    job = jobs[(i + shift) % len(jobs)]
+                    got.append(np.array_equal(equivariant_average(g, space, job[1], job[0]), want[job]))
+
+            threads = [threading.Thread(target=work, args=(shift,)) for shift in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        memo = haar._mc_draws
+        assert got == [True] * 48
+        assert set(memo._rows) <= set(memo._kept) and set(memo._points) <= set(memo._kept)

@@ -10,7 +10,9 @@ from nhomog.matrix_core import (
     Ordering,
     Tolerance,
     _exceeds,
+    _fails,
     _opnorms,
+    adj,
     fix_phase,
     herm_abs,
     herm_eig,
@@ -419,3 +421,98 @@ class TestExceeds:
 
     def test_nan_bound(self):
         assert_same_as_svd(np.eye(2, dtype=complex), np.nan)
+
+
+def require_hermitian_reference(a, tol=DEFAULT_TOL, name="matrix"):
+    """require_hermitian before its Frobenius screen: two stacked SVDs
+    decide every point."""
+    bad = np.flatnonzero(_fails(_opnorms(a - adj(a)), tol.eq_tol, _opnorms(a)))
+    if bad.size:
+        where = f" at point {bad[0]}" if a.ndim == 3 else ""
+        raise NotHermitian(f"{name}{where} is not Hermitian within eq_tol")
+    return a
+
+
+def hermitian_verdict(check, a):
+    try:
+        check(a, DEFAULT_TOL, "f")
+    except NotHermitian as exc:
+        return str(exc)
+    return None
+
+
+def straddles(r, n):
+    """Matrices a = h + i t k, with t set so that ||a - a*|| / ||a|| sits
+    1e-10 and 1e-6 relative either side of eq_tol, and so do the screen's
+    two Frobenius ratios ||a - a*||_F sqrt(n) / ||a||_F and
+    ||a - a*||_F / (sqrt(n) ||a||_F); h and k are generic, rank one or
+    the identity, so ||.||_F is ||.|| or sqrt(n) ||.|| or in between."""
+    v = r.standard_normal(n) + 1j * r.standard_normal(n)
+    shapes = [random_hermitian(r, n), np.outer(v, v.conj()), np.eye(n, dtype=complex)]
+    fro = lambda x: np.linalg.norm(x)
+    ratios = [
+        lambda a: opnorm(a - adj(a)) / opnorm(a),
+        lambda a: fro(a - adj(a)) * np.sqrt(n) / fro(a),
+        lambda a: fro(a - adj(a)) / (np.sqrt(n) * fro(a)),
+    ]
+    out = []
+    for h in shapes:
+        for k in shapes:
+            for ratio in ratios:
+                for rel in (-1e-6, -1e-10, 1e-10, 1e-6):
+                    want, t = DEFAULT_TOL.eq_tol * (1.0 + rel), 1e-8
+                    for _ in range(5):  # the ratio is t times a slowly varying factor
+                        t *= want / ratio(h + 1j * t * k)
+                    out.append(h + 1j * t * k)
+    return out
+
+
+class TestRequireHermitianScreen:
+    """require_hermitian's Frobenius screen gives the verdict of the two
+    SVDs, and names the same failing point."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("c", [1e-150, 1.0, 1e150])
+    def test_same_verdicts_as_the_svd(self, n, c):
+        r = rng(600 + n)
+        mats = straddles(r, n) + [
+            np.zeros((n, n), dtype=complex),
+            np.full((n, n), np.nan + 0j),
+            np.where(np.eye(n, dtype=bool), np.inf, 0.0).astype(complex),
+            random_hermitian(r, n),
+            r.standard_normal((n, n)) + 1j * r.standard_normal((n, n)),
+        ]
+        checks = (require_hermitian, require_hermitian_reference)
+        with np.errstate(invalid="ignore"):  # inf - inf in a - a*, on both sides
+            a = c * np.stack([mats[i] for i in r.permutation(len(mats))])
+            tails = [hermitian_verdict(check, a[z:]) for z in range(len(a)) for check in checks]
+            singles = [hermitian_verdict(check, m) for m in a for check in checks]
+        assert tails[0::2] == tails[1::2]
+        assert singles[0::2] == singles[1::2]
+        assert None in singles and "f is not Hermitian within eq_tol" in singles
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_straddles_reach_every_path(self, monkeypatch, n):
+        """Each of pass and refuse is reached both by the screen alone
+        and by the SVD."""
+        taken = []
+        opnorms = matrix_core._opnorms
+        monkeypatch.setattr(matrix_core, "_opnorms", lambda x: taken.append(len(x)) or opnorms(x))
+        paths = set()
+        for m in straddles(rng(600 + n), n):
+            taken.clear()
+            passed = hermitian_verdict(require_hermitian, m) is None
+            paths.add((bool(taken), passed))  # (took the SVD, passed)
+        assert paths == {(False, True), (False, False), (True, True), (True, False)}
+
+    def test_clear_verdicts_take_no_svd(self, monkeypatch):
+        monkeypatch.setattr(matrix_core, "_opnorms", lambda x: pytest.fail("SVD on a screened stack"))
+        r = rng(610)
+        f = hermitian_stack(r, 30, 4)
+        f = f + 1e-12 * 1j * hermitian_stack(r, 30, 4)  # rounding-sized skew parts
+        for c in (1e-100, 1.0, 1e150):
+            assert require_hermitian(c * f) is not None
+            g = c * f
+            g[[3, 17], 0, 1] += c  # off by about 1 / ||f|| relative
+            with pytest.raises(NotHermitian, match="f at point 3 is"):
+                require_hermitian(g, DEFAULT_TOL, "f")

@@ -753,6 +753,17 @@ class TestPowerMeanEnvelope:
             "a_0 is not PSD; a_1 <= b fails; b does not commute with a_1; a_3 <= b fails"
         )
 
+    def test_noncommuting_families_refused_at_any_exponent(self):
+        # eps in (0.05, 1) takes the exponent up to N = 149, where a sum of
+        # N-th powers formed as one matrix loses eigenvalues to rounding
+        # and fails a_j <= env on 4 of these families
+        for seed in range(200):
+            r = rng(9700 + seed)
+            family, b, _ = dominated_noncommuting_family(r, int(r.integers(2, 5)), int(r.integers(2, 5)))
+            eps = float(r.uniform(0.05, 1.0))
+            with pytest.raises(PreconditionFailed, match=r"a_\d and a_\d do not commute pairwise"):
+                power_mean_envelope(family, b, eps)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_random_commuting_families(self, seed):
         r = rng(seed)
@@ -765,28 +776,19 @@ class TestPowerMeanEnvelope:
 
 
 def dominated_noncommuting_family(r, d, k):
-    """Random PSD a_j below b = beta I, with eps so large a share of
-    beta that the power-mean exponent stays small (N <= 8): the summed
-    path loses eigenvalues below double precision at large N."""
+    """Random PSD a_j below b = beta I that do not commute pairwise, with
+    eps a large share of beta (the power-mean exponent stays N <= 8)."""
     family = [random_psd(r, d) for _ in range(k)]
     beta = max(opnorm(a) for a in family) * float(r.uniform(1.0, 2.0))
     return family, beta * np.eye(d), beta * float(r.uniform(0.2, 1.0))
 
 
 def envelope_per_matrix(family, b, eps, tol=DEFAULT_TOL):
-    """The envelope as power_mean_envelope formed it matrix by matrix and
-    direction by direction, before the stacked checks."""
+    """The envelope of a pairwise commuting family as power_mean_envelope
+    formed it matrix by matrix and direction by direction, before the
+    stacked checks."""
     mats = [np.asarray(a, dtype=complex) for a in family]
     n_pow = power_mean_exponent(eps, opnorm(b), len(mats))
-    pairwise = all(
-        opnorm(x @ y - y @ x) <= tol.eq_tol * (1.0 + opnorm(x)) * (1.0 + opnorm(y))
-        for i, x in enumerate(mats)
-        for y in mats[i + 1 :]
-    )
-    scale = max(opnorm(a) for a in mats)
-    if not pairwise:
-        total = sum(psd_power(a / scale, n_pow, tol) for a in mats)
-        return scale * psd_power(total, 1.0 / n_pow, tol)
     blocks = [np.eye(b.shape[0], dtype=complex)]
     for m in mats:
         gap = tol.psd_slack * (1.0 + opnorm(m))
@@ -832,14 +834,15 @@ class TestStackedOrderChecks:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_envelope_matches_per_matrix_routine(self, seed):
-        for trial in range(20):  # 200 commuting and 200 non-commuting families in all
+        for trial in range(20):  # 200 commuting families, and 200 non-commuting ones refused
             r = rng(9000 + 20 * seed + trial)
             d, k = int(r.integers(2, 5)), int(r.integers(1, 5))
             family, b = commuting_dominated_family(r, d=d, k=k)
             eps = float(r.uniform(0.05, 1.0))
             assert_close(power_mean_envelope(family, b, eps).env, envelope_per_matrix(family, b, eps), atol=1e-12)
             family, b, eps = dominated_noncommuting_family(r, d, int(r.integers(2, 5)))
-            assert_close(power_mean_envelope(family, b, eps).env, envelope_per_matrix(family, b, eps), atol=1e-12)
+            with pytest.raises(PreconditionFailed, match="do not commute pairwise"):
+                power_mean_envelope(family, b, eps)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_loewner_minima_match_per_exponent_loop(self, seed):
@@ -877,7 +880,8 @@ class TestScaleLadder:
             eps = float(r.uniform(0.05, 1.0))
             power_mean_envelope([c * a for a in family], c * b, c * eps)
             family, b, eps = dominated_noncommuting_family(r, d, int(r.integers(2, 5)))
-            power_mean_envelope([c * a for a in family], c * b, c * eps)
+            with pytest.raises(PreconditionFailed, match="do not commute pairwise"):
+                power_mean_envelope([c * a for a in family], c * b, c * eps)
 
     @pytest.mark.parametrize("c", SCALES)
     def test_unordered_pair_refused_at_every_scale(self, c):
