@@ -23,9 +23,12 @@ from nhomog.matrix_core import opnorm
 from nhomog.n_space import FiniteNSpace
 
 
-def median_ms(call, repeats):
+REPEATS = 20  # --timing calls per median
+
+
+def median_ms(call):
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
@@ -49,10 +52,10 @@ def timing(args):
         ("equivariant_average", average, lambda: [g(p) for p in points]),
         ("n_measure_entry_mc", entry, lambda: [bool(region(u)) for u in rows]),
     ]
-    print(f"n = {n}, {args.samples} samples, median of {args.repeats} calls on a kept config")
+    print(f"n = {n}, {args.samples} samples, median of {REPEATS} calls on a kept config")
     print(f"{'':<20} {'total ms':>9} {'callable ms':>12} {'library ms':>11}")
     for name, call, own in runs:
-        total, callable_ms = median_ms(call, args.repeats), median_ms(own, args.repeats)
+        total, callable_ms = median_ms(call), median_ms(own)
         print(f"{name:<20} {total:>9.2f} {callable_ms:>12.2f} {total - callable_ms:>11.2f}")
 
 
@@ -64,7 +67,6 @@ def main():
                         default=[1000, 4000, 20000, 80000])
     parser.add_argument("--timing", action="store_true", help="time the estimators instead")
     parser.add_argument("--samples", type=int, default=5000, help="--timing sample budget")
-    parser.add_argument("--repeats", type=int, default=20, help="--timing calls per median")
     args = parser.parse_args()
     if args.timing:
         timing(args)

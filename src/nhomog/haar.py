@@ -10,6 +10,7 @@ estimation can split counter ranges deterministically.
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ from .n_space import FiniteNSpace, PointRef
 _MIN_SAMPLES = 1000
 DEFAULT_SAMPLES = 20000
 _KEPT_STACK_BYTES = 64 * 2**20  # Haar stacks kept over all configs; the newest is kept even alone above it
-_ROW_BYTES, _POINT_BYTES = 136, 56  # a kept row view and a kept PointRef, with its tuple slot
 
 
 @dataclass(frozen=True)
@@ -118,83 +118,91 @@ def twirl_exact(a) -> np.ndarray:
     return (np.trace(m) / len(m)) * np.eye(len(m), dtype=complex)
 
 
+class _Kept(tuple):
+    """A kept config's ``(us, ps)`` pair, with the per-sample objects
+    built from it on first use: ``rows``, the read-only row views of
+    ``ps``, and ``points``, the orbit last averaged on and its
+    ``PointRef`` tuple."""
+
+    rows: tuple[np.ndarray, ...] | None = None
+    points: tuple[int, tuple[PointRef, ...]] | None = None
+
+
+def _tuple_bytes(items: tuple | None) -> int:
+    """Bytes of a kept tuple of like objects (sizes as ``sys.getsizeof``
+    gives them): its own, and its first item's size for each item."""
+    return 0 if items is None else sys.getsizeof(items) + len(items) * sys.getsizeof(items[0])
+
+
 class _StackMemo:
     """The checked stacks of a draw function keyed by ``(n, McConfig)``,
-    and the per-sample Python objects built from them on first use:
-    ``rows``, the read-only row views of ``ps``, and ``points``, the
-    ``PointRef`` tuple of the orbit last averaged on (a call on another
-    orbit replaces it, so a config keeps one).  The kept bytes count each
-    config's arrays and, per sample, ``_ROW_BYTES`` for its rows and
-    ``_POINT_BYTES`` for its points (their tracemalloc sizes).  The least
-    recently used config goes first, with its rows and points, while the
-    kept bytes pass ``_KEPT_STACK_BYTES`` and another config is kept: the
-    newest always stays.  A draw that raises is not kept.  ``cache_clear``
-    forgets every kept config."""
+    one ``_Kept`` record per config: the ``(us, ps)`` pair, its row views
+    and the points of the orbit last averaged on (a call on another orbit
+    replaces them, so a config keeps one orbit's).  The kept bytes count
+    each config's arrays and its rows and points at their
+    ``sys.getsizeof`` sizes.  The least recently used config goes first,
+    with everything built from it, while the kept bytes pass
+    ``_KEPT_STACK_BYTES`` and another config is kept: the newest always
+    stays.  A draw that raises is not kept.  ``cache_clear`` forgets
+    every kept config."""
 
     def __init__(self, draw) -> None:
         update_wrapper(self, draw)
         self._draw = draw
-        self._kept: OrderedDict[tuple[int, McConfig], tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self._rows: dict[tuple[int, McConfig], tuple[np.ndarray, ...]] = {}
-        self._points: dict[tuple[int, McConfig], tuple[int, tuple[PointRef, ...]]] = {}
+        self._kept: OrderedDict[tuple[int, McConfig], _Kept] = OrderedDict()
         self._lock = threading.Lock()
 
-    def __call__(self, n: int, mc: McConfig) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, n: int, mc: McConfig) -> _Kept:
         key = (n, mc)
         with self._lock:
             if key in self._kept:
                 self._kept.move_to_end(key)
                 return self._kept[key]
-        stacks = self._draw(n, mc)
+        kept = _Kept(self._draw(n, mc))
         with self._lock:
-            self._kept[key] = stacks
+            self._kept[key] = kept
             self._kept.move_to_end(key)
             self._evict()
-        return stacks
+        return kept
 
     def rows(self, n: int, mc: McConfig) -> tuple[np.ndarray, ...]:
         """The read-only (n, n) row views of the config's ``ps``."""
-        _, ps = self(n, mc)
-        rows = self._rows.get((n, mc))
+        return self._rows(self(n, mc))
+
+    def _rows(self, kept: _Kept) -> tuple[np.ndarray, ...]:
+        rows = kept.rows
         if rows is None:
-            rows = tuple(ps)
-            self._keep(self._rows, (n, mc), rows)
+            rows = tuple(kept[1])
+            with self._lock:  # on a record evicted meanwhile they are used, not kept
+                kept.rows = rows
+                self._evict()
         return rows
 
     def points(self, n: int, mc: McConfig, orbit: int) -> tuple[PointRef, ...]:
         """``PointRef(orbit, p)`` for each row ``p`` of the config."""
-        rows = self.rows(n, mc)
-        kept = self._points.get((n, mc))
-        if kept is None or kept[0] != orbit:
-            kept = (orbit, tuple(PointRef(orbit, p) for p in rows))
-            self._keep(self._points, (n, mc), kept)
-        return kept[1]
-
-    def _keep(self, store: dict, key, value) -> None:
-        with self._lock:
-            if key in self._kept:  # else evicted since it was read
-                store[key] = value
+        kept = self(n, mc)
+        points = kept.points
+        if points is None or points[0] != orbit:
+            points = (orbit, tuple(PointRef(orbit, p) for p in self._rows(kept)))
+            with self._lock:
+                kept.points = points
                 self._evict()
+        return points[1]
 
     def nbytes(self, key) -> int:
-        us, ps = self._kept[key]
-        per_sample = _ROW_BYTES * (key in self._rows) + _POINT_BYTES * (key in self._points)
-        return us.nbytes + ps.nbytes + len(ps) * per_sample
+        kept = self._kept[key]
+        rows, points = kept.rows, kept.points
+        return kept[0].nbytes + kept[1].nbytes + _tuple_bytes(rows) + _tuple_bytes(points and points[1])
 
     def _evict(self) -> None:
         kept = sum(map(self.nbytes, self._kept))
         while kept > _KEPT_STACK_BYTES and len(self._kept) > 1:
-            key = next(iter(self._kept))
-            kept -= self.nbytes(key)
-            del self._kept[key]
-            self._rows.pop(key, None)
-            self._points.pop(key, None)
+            kept -= self.nbytes(next(iter(self._kept)))
+            self._kept.popitem(last=False)
 
     def cache_clear(self) -> None:
         with self._lock:
             self._kept.clear()
-            self._rows.clear()
-            self._points.clear()
 
 
 @_StackMemo
@@ -238,9 +246,11 @@ def equivariant_average(g, space: FiniteNSpace, orbit: int, mc: McConfig) -> np.
     the other estimators read too; ``p.u`` is read-only.  The config also
     keeps the ``PointRef`` of each sample for the orbit last averaged on,
     so a repeated average on a kept config and orbit builds no point and
-    only calls ``g``, once per sample.  The values are validated once, as
-    a stack: DimensionMismatch unless each is n x n, DomainError if any
-    entry is not finite."""
+    only calls ``g``, once per sample; an average on another orbit
+    builds and keeps its own, a little slower than points built and
+    dropped per call.  The values are validated once, as a stack:
+    DimensionMismatch unless each is n x n, DomainError if any entry is
+    not finite."""
     if not 0 <= orbit < space.orbits:
         raise IndexOutOfRange(f"orbit {orbit} out of range [0, {space.orbits})")
     n = space.n

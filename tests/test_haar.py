@@ -443,12 +443,12 @@ class TestKeptPoints:
         assert made == [0] * 2000
         assert np.array_equal(equivariant_average(g, space, 0, mc), first)
         assert made == [0] * 2000 and all(p is q for p, q in zip(seen[:2000], seen[2000:]))
-        rows = haar._mc_draws._rows[(2, mc)]
+        rows = haar._mc_draws._kept[(2, mc)].rows
         assert all(p.u is row for p, row in zip(seen, rows))
         equivariant_average(g, space, 1, mc)  # another orbit rebuilds them, from the same rows
         assert made == [0] * 2000 + [1] * 2000
         assert [p.orbit for p in seen[4000:]] == [1] * 2000 and all(p.u is row for p, row in zip(seen[4000:], rows))
-        assert haar._mc_draws._points[(2, mc)][0] == 1  # a config keeps one orbit's points
+        assert haar._mc_draws._kept[(2, mc)].points[0] == 1  # a config keeps one orbit's points
 
     def test_region_masks_iterate_over_the_kept_rows(self):
         dec = decompose(MatTuple([SX, SZ]), seed=0)
@@ -457,41 +457,52 @@ class TestKeptPoints:
         region = lambda u: seen.append(u) or abs(u[0, 0]) ** 2 > 0.5
         for j, k in [(0, 0), (0, 1)]:
             n_measure_entry_mc(dec, 0, j, k, region, mc)
-        rows = haar._mc_draws._rows[(2, mc)]
+        rows = haar._mc_draws._kept[(2, mc)].rows
         assert len(seen) == 4000 and all(u is row for u, row in zip(seen, rows + rows))
         assert all(not row.flags.writeable for row in rows)
 
     def test_kept_bytes_count_rows_and_points(self, monkeypatch):
         memo, space = haar._mc_draws, FiniteNSpace(n=1, orbits=1)
         a, b = (1, McConfig(1000, 1)), (1, McConfig(1000, 2))
-        arrays = 2 * 1000 * 16  # us and ps at n = 1: the rows alone take about 4 times as much
-        rows, points = 1000 * haar._ROW_BYTES, 1000 * haar._POINT_BYTES
+        arrays = 2 * 1000 * 16  # us and ps at n = 1: the rows alone take several times as much
+        size = lambda items: sys.getsizeof(items) + sum(map(sys.getsizeof, items))
+        monkeypatch.setattr(haar, "_KEPT_STACK_BYTES", 10**9)
+        rows, points = size(memo.rows(*a)), size(memo.points(*a, 0))
+        assert rows > 4 * arrays and points > arrays
+        memo.cache_clear()
         monkeypatch.setattr(haar, "_KEPT_STACK_BYTES", 2 * arrays + rows)  # a's and b's arrays and one set of rows
         memo(*a)
         memo.rows(*b)
         assert list(memo._kept) == [a, b] and [memo.nbytes(key) for key in (a, b)] == [arrays, arrays + rows]
         equivariant_average(lambda p: p.u, space, 0, b[1])  # b's points pass the cap: a goes
         assert list(memo._kept) == [b] and memo.nbytes(b) == arrays + rows + points
+        kept_b = memo._kept[b]
         equivariant_average(lambda p: p.u, space, 0, a[1])  # a again, with its rows and points: b goes
         assert list(memo._kept) == [a] and memo.nbytes(a) == arrays + rows + points
-        assert list(memo._rows) == [a] and list(memo._points) == [a]
+        assert kept_b.rows is not None and b not in memo._kept  # b's rows and points went with its record
         memo.cache_clear()
-        assert not memo._kept and not memo._rows and not memo._points
+        assert not memo._kept
 
-    def test_row_and_point_bytes_are_not_undercounted(self):
-        n, mc = 3, McConfig(5000, 7)
-        haar._mc_draws(n, mc)
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_row_and_point_bytes_are_not_undercounted(self, n):
+        """The counted bytes of the rows and of the points are within 1 %
+        below and 5 % above what tracemalloc sees them allocate."""
+        memo, key = haar._mc_draws, (n, McConfig(5000, 7))
+        memo(*key)
+        counted, traced = [memo.nbytes(key)], []
         tracemalloc.start()
         try:
-            start = tracemalloc.get_traced_memory()[0]
-            haar._mc_draws.rows(n, mc)
-            mid = tracemalloc.get_traced_memory()[0]
-            haar._mc_draws.points(n, mc, 0)
-            end = tracemalloc.get_traced_memory()[0]
+            traced.append(tracemalloc.get_traced_memory()[0])
+            memo.rows(*key)
+            counted.append(memo.nbytes(key))
+            traced.append(tracemalloc.get_traced_memory()[0])
+            memo.points(*key, 0)
+            counted.append(memo.nbytes(key))
+            traced.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
-        assert (mid - start) / mc.samples <= 1.05 * haar._ROW_BYTES
-        assert (end - mid) / mc.samples <= 1.05 * haar._POINT_BYTES
+        for grew, seen in zip(np.diff(counted), np.diff(traced)):
+            assert 0.99 * seen <= grew <= 1.05 * seen
 
     def test_points_of_a_config_evicted_meanwhile_are_not_kept(self, monkeypatch):
         """Another caller's draw evicts the config while its points are
@@ -509,18 +520,19 @@ class TestKeptPoints:
         monkeypatch.setattr(haar, "PointRef", evicting)
         g = lambda p: p.u
         assert np.array_equal(equivariant_average(g, space, 0, mc), average_reference(g, 0, 1, mc))
-        assert list(memo._kept) == [(1, other)] and not memo._rows and not memo._points
+        assert list(memo._kept) == [(1, other)]
+        assert memo._kept[(1, other)].rows is None and memo._kept[(1, other)].points is None
 
     def test_threads_share_the_memo(self, monkeypatch):
         """Threads averaging over configs and orbits that evict each other
-        get the single-threaded answers, and no rows or points outlive
-        their stack."""
+        get the single-threaded answers, and the kept configs, rows and
+        points included, stay within the cap."""
         space = FiniteNSpace(n=2, orbits=2)
         g = lambda p: p.u @ SZ @ adj(p.u) + p.orbit * SX
         jobs = [(McConfig(1000, seed), orbit) for seed in range(3) for orbit in range(2)]
         want = {job: equivariant_average(g, space, job[1], job[0]) for job in jobs}
+        per_config = haar._mc_draws.nbytes((2, jobs[-1][0]))  # arrays, rows and points
         haar._mc_draws.cache_clear()
-        per_config = 2 * 1000 * 4 * 16 + 1000 * (haar._ROW_BYTES + haar._POINT_BYTES)
         monkeypatch.setattr(haar, "_KEPT_STACK_BYTES", 2 * per_config)  # two of the three configs
         got, switch = [], sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -540,4 +552,4 @@ class TestKeptPoints:
             sys.setswitchinterval(switch)
         memo = haar._mc_draws
         assert got == [True] * 48
-        assert set(memo._rows) <= set(memo._kept) and set(memo._points) <= set(memo._kept)
+        assert sum(map(memo.nbytes, memo._kept)) <= 2 * per_config

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ["run_sw_density_experiment.py", "--trials", "5"],
     ["run_haar_diagnostics.py", "--budgets", "1000", "2000"],
     ["cli_digest.py", "--seeds", "1", "2", "3", "4", "5"],
-    ["run_haar_diagnostics.py", "--timing", "--samples", "1000", "--repeats", "2"],
+    ["run_haar_diagnostics.py", "--timing", "--samples", "1000"],
 ])
 def test_script_exits_zero(argv):
     """``cli_digest.py`` is the refactor check: on seeds 1 to 5 it must
