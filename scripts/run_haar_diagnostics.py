@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Convergence table for Monte-Carlo unitary averaging against the exact
-twirl value, across sample budgets.
+twirl value, across sample budgets, with the tracemalloc peak of each
+``mc_twirl`` call on a fresh config (its draw included).
 
 With --timing, instead: the time of ``equivariant_average`` and of a
 region entry of ``n_measure_entry_mc`` on a kept config (the perfbench
 orbit-average shape by default: n = 3, 5000 samples), split into the
 sampled callable's own time, taken by calling it over the config's kept
-points and rows, and the library's share, the rest."""
+points and rows, and the library's share, the rest; and the bytes the
+config keeps (its stack, rows and points)."""
 
 import argparse
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -52,7 +55,8 @@ def timing(args):
         ("equivariant_average", average, lambda: [g(p) for p in points]),
         ("n_measure_entry_mc", entry, lambda: [bool(region(u)) for u in rows]),
     ]
-    print(f"n = {n}, {args.samples} samples, median of {REPEATS} calls on a kept config")
+    print(f"n = {n}, {args.samples} samples, median of {REPEATS} calls on a kept config "
+          f"of {haar._mc_draws.nbytes((n, mc)) / 1e6:.2f} MB kept")
     print(f"{'':<20} {'total ms':>9} {'callable ms':>12} {'library ms':>11}")
     for name, call, own in runs:
         total, callable_ms = median_ms(call), median_ms(own)
@@ -76,12 +80,18 @@ def main():
     a = ginibre(rng, args.n)
     exact = twirl_exact(a)
     print(f"matrix size {args.n}, |a| = {opnorm(a):.4f}")
-    print(f"{'samples':>8} {'deviation':>12} {'radius':>12} {'ok':>3}")
+    print(f"{'samples':>8} {'deviation':>12} {'radius':>12} {'ok':>3} {'peak MB':>8}")
     for budget in args.budgets:
-        estimate = mc_twirl(a, McConfig(samples=budget, seed=args.seed))
+        haar._mc_draws.cache_clear()
+        tracemalloc.start()
+        try:
+            estimate = mc_twirl(a, McConfig(samples=budget, seed=args.seed))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         dev = opnorm(estimate - exact)
         radius = mc_radius(opnorm(a), budget)
-        print(f"{budget:>8} {dev:>12.3e} {radius:>12.3e} {'y' if dev <= radius else 'N':>3}")
+        print(f"{budget:>8} {dev:>12.3e} {radius:>12.3e} {'y' if dev <= radius else 'N':>3} {peak / 1e6:>8.2f}")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .errors import (
     NumericalFailure,
     TableMismatch,
 )
-from .haar import McConfig, _mc_draws
+from .haar import McConfig, _blocks, _mc_draws
 from .matrix_core import DEFAULT_TOL, Tolerance, _exceeds, adj, as_matrix, opnorm
 from .star_algebra import MatTuple
 
@@ -272,8 +272,10 @@ def n_measure_entry_mc(
     the stack the other estimators read too).  ``region=None`` means
     the whole orbit, where delta_{jk}/n times the class projection is
     exact and returned without sampling or budget check.  Otherwise the
-    closed-form integrand chi(u.x) u* e_k e_j^T u is averaged over Haar
-    samples and assembled over multiplicity copies in the source basis.
+    closed-form integrand chi(u.x) u* e_k e_j^T u, which a unit phase
+    does not change, is averaged over that stack, summed block by block
+    of ``haar._BLOCK`` samples, and assembled over multiplicity copies
+    in the source basis.
     """
     if not 0 <= class_i < len(dec.classes):
         raise IndexOutOfRange(f"class index {class_i} out of range [0, {len(dec.classes)})")
@@ -283,12 +285,14 @@ def n_measure_entry_mc(
     if region is None:
         weight = (1.0 / n) if j == k else 0.0
         return weight * invariant_spectral_projection(dec, [class_i], tol)
-    us, _ = _mc_draws(n, mc)
+    ps = _mc_draws(n, mc)
     mask = np.fromiter(map(bool, map(region, _mc_draws.rows(n, mc))), dtype=bool, count=mc.samples)
-    sel = us[mask]
-    local = np.einsum("sa,sb->ab", sel[:, k, :].conj(), sel[:, j, :]) / mc.samples
+    local = np.zeros((n, n), dtype=complex)
+    for block, keep in zip(_blocks(ps), _blocks(mask)):
+        sel = block[keep]
+        local += np.einsum("sa,sb->ab", sel[:, k, :].conj(), sel[:, j, :])
     values = [np.zeros((c.d, c.d), dtype=complex) for c in dec.classes]
-    values[class_i] = local
+    values[class_i] = local / mc.samples
     return _assemble(dec, values)
 
 

@@ -32,8 +32,9 @@ EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-# bytes: ``haar`` keeps the (samples, n, n) complex Haar stack and its
-# phase-fixed copy, 2 samples n^2 16 bytes, and refuses a larger budget
+# bytes: ``haar`` keeps the (samples, n, n) complex phase-fixed Haar stack,
+# samples n^2 16 bytes, its peak beside block-sized temporaries, and
+# refuses a larger budget
 HAAR_STACK_CAP = 1 << 30
 
 
@@ -190,7 +191,7 @@ def _cmd_sw_check(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
 
 def _cmd_haar(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
     a = jsonio.decode_haar_input(payload)
-    stack = 2 * cfg.samples * a.shape[0] ** 2 * 16
+    stack = cfg.samples * a.shape[0] ** 2 * 16
     if stack > HAAR_STACK_CAP:
         raise SchemaError(f"--samples {cfg.samples} at n = {a.shape[0]} needs {stack} bytes of Haar draws, "
                           f"above the cap of {HAAR_STACK_CAP}")
@@ -202,7 +203,7 @@ def _cmd_haar(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
         radius = mc_radius(opnorm(a), mc.samples)
     if not np.isfinite([deviation, radius, *estimate.ravel(), *exact.ravel()]).all():
         raise NumericalFailure("haar values are not finite (overflow)")
-    sample_check = _mc_draws(a.shape[0], mc)[0][:64]  # the stack mc_twirl just drew
+    sample_check = _mc_draws(a.shape[0], mc)[:64]  # the stack mc_twirl just drew
     unitarity = opnorm(adj(sample_check) @ sample_check - np.eye(a.shape[0]))
     report = {
         "exact": jsonio.encode_matrix(exact),

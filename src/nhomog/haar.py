@@ -10,6 +10,7 @@ estimation can split counter ranges deterministically.
 
 from __future__ import annotations
 
+import numbers
 import sys
 import threading
 from collections import OrderedDict
@@ -25,6 +26,16 @@ from .n_space import FiniteNSpace, PointRef
 _MIN_SAMPLES = 1000
 DEFAULT_SAMPLES = 20000
 _KEPT_STACK_BYTES = 64 * 2**20  # Haar stacks kept over all configs; the newest is kept even alone above it
+_BLOCK = 4096  # draws per block: the Haar layer's temporaries are a block's, never a whole stack's
+
+
+def _require_int(field: str, value, low: int | None = None) -> None:
+    """ValueError naming ``field`` unless ``value`` is an integer (a bool
+    is not one) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{field} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -34,16 +45,28 @@ class HaarSampler:
     counter: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.counter < 0:
-            raise ValueError("counter must be >= 0")
+        _require_int("n", self.n, 1)
+        _require_int("seed", self.seed, 0)
+        _require_int("counter", self.counter, 0)
 
 
 @dataclass(frozen=True)
 class McConfig:
+    """A Monte-Carlo budget and seed.  The seed must be an integer >= 0
+    and ``samples`` an integer; a budget below 1 000 is refused by the
+    estimators, with ``MCBudgetTooSmall``."""
+
     samples: int = DEFAULT_SAMPLES
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _require_int("samples", self.samples)
+        _require_int("seed", self.seed, 0)
+
+
+def _blocks(a: np.ndarray):
+    """Views of ``a``, ``_BLOCK`` rows at a time."""
+    return (a[at:at + _BLOCK] for at in range(0, len(a), _BLOCK))
 
 
 def mc_radius(bound: float, samples: int) -> float:
@@ -91,19 +114,31 @@ def haar_unitaries(s: HaarSampler, count: int) -> np.ndarray:
 
     Box-Muller turns two uniforms into each Gaussian entry (a fixed budget
     keeps the counter contract exact; ziggurat normals would not), and CGS2
-    orthonormalizes all draws at once, sample axis last, in float64 real
-    arithmetic: one IEEE operation per ufunc call and fixed-order sums over
-    n, so a batch equals repeated single draws bit for bit (complex
-    products, einsum and matmul round differently in SIMD and scalar loops)."""
+    orthonormalizes the draws of a block at once, sample axis last, in
+    float64 real arithmetic: one IEEE operation per ufunc call and
+    fixed-order sums over n, so a batch equals repeated single draws bit
+    for bit (complex products, einsum and matmul round differently in SIMD
+    and scalar loops).  The result is preallocated and filled ``_BLOCK``
+    draws at a time, each block from the sampler at ``counter + at``, so
+    beside it only one block's temporaries are held."""
     n = s.n
-    if count <= 0:
-        return np.zeros((0, n, n), dtype=complex)
-    re, im = _uniforms(s, count).reshape(n, n, 2, count).transpose(2, 0, 1, 3)  # radius, angle; then the entries
-    np.sqrt(-2.0 * np.log1p(-re), out=re)
-    re, im = re * np.cos(2.0 * np.pi * im), re * np.sin(2.0 * np.pi * im)
-    _cgs2(re, im)
-    out = np.empty((count, n, n), dtype=complex)
-    out.real, out.imag = np.moveaxis(re, -1, 0), np.moveaxis(im, -1, 0)
+    out = np.empty((max(count, 0), n, n), dtype=complex)
+    for at in range(0, count, _BLOCK):
+        block = out[at:at + _BLOCK]
+        u = _uniforms(HaarSampler(n, s.seed, s.counter + at), len(block))
+        re, im = u.reshape(n, n, 2, -1).transpose(2, 0, 1, 3)  # radius, angle; then the entries
+        np.negative(re, out=re)  # re <- sqrt(-2 log(1 - re)), in place
+        np.log1p(re, out=re)
+        re *= -2.0
+        np.sqrt(re, out=re)
+        im *= 2.0 * np.pi  # re, im <- re cos(im), re sin(im), with cos the one temporary
+        cos = np.cos(im)
+        np.sin(im, out=im)
+        im *= re
+        re *= cos
+        del cos
+        _cgs2(re, im)
+        block.real, block.imag = np.moveaxis(re, -1, 0), np.moveaxis(im, -1, 0)
     return out
 
 
@@ -118,12 +153,14 @@ def twirl_exact(a) -> np.ndarray:
     return (np.trace(m) / len(m)) * np.eye(len(m), dtype=complex)
 
 
-class _Kept(tuple):
-    """A kept config's ``(us, ps)`` pair, with the per-sample objects
-    built from it on first use: ``rows``, the read-only row views of
-    ``ps``, and ``points``, the orbit last averaged on and its
-    ``PointRef`` tuple."""
+@dataclass(eq=False)
+class _Kept:
+    """A kept config's read-only phase-fixed ``stack``, with the
+    per-sample objects built from it on first use: ``rows``, its
+    read-only row views, and ``points``, the orbit last averaged on and
+    its ``PointRef`` tuple."""
 
+    stack: np.ndarray
     rows: tuple[np.ndarray, ...] | None = None
     points: tuple[int, tuple[PointRef, ...]] | None = None
 
@@ -136,15 +173,15 @@ def _tuple_bytes(items: tuple | None) -> int:
 
 class _StackMemo:
     """The checked stacks of a draw function keyed by ``(n, McConfig)``,
-    one ``_Kept`` record per config: the ``(us, ps)`` pair, its row views
-    and the points of the orbit last averaged on (a call on another orbit
-    replaces them, so a config keeps one orbit's).  The kept bytes count
-    each config's arrays and its rows and points at their
-    ``sys.getsizeof`` sizes.  The least recently used config goes first,
-    with everything built from it, while the kept bytes pass
-    ``_KEPT_STACK_BYTES`` and another config is kept: the newest always
-    stays.  A draw that raises is not kept.  ``cache_clear`` forgets
-    every kept config."""
+    one ``_Kept`` record per config: the stack, its row views and the
+    points of the orbit last averaged on (a call on another orbit
+    replaces them, so a config keeps one orbit's).  A call returns the
+    stack.  The kept bytes count each config's stack and its rows and
+    points at their ``sys.getsizeof`` sizes.  The least recently used
+    config goes first, with everything built from it, while the kept
+    bytes pass ``_KEPT_STACK_BYTES`` and another config is kept: the
+    newest always stays.  A draw that raises is not kept.
+    ``cache_clear`` forgets every kept config."""
 
     def __init__(self, draw) -> None:
         update_wrapper(self, draw)
@@ -152,7 +189,10 @@ class _StackMemo:
         self._kept: OrderedDict[tuple[int, McConfig], _Kept] = OrderedDict()
         self._lock = threading.Lock()
 
-    def __call__(self, n: int, mc: McConfig) -> _Kept:
+    def __call__(self, n: int, mc: McConfig) -> np.ndarray:
+        return self._record(n, mc).stack
+
+    def _record(self, n: int, mc: McConfig) -> _Kept:
         key = (n, mc)
         with self._lock:
             if key in self._kept:
@@ -166,13 +206,13 @@ class _StackMemo:
         return kept
 
     def rows(self, n: int, mc: McConfig) -> tuple[np.ndarray, ...]:
-        """The read-only (n, n) row views of the config's ``ps``."""
-        return self._rows(self(n, mc))
+        """The read-only (n, n) row views of the config's stack."""
+        return self._rows(self._record(n, mc))
 
     def _rows(self, kept: _Kept) -> tuple[np.ndarray, ...]:
         rows = kept.rows
         if rows is None:
-            rows = tuple(kept[1])
+            rows = tuple(kept.stack)
             with self._lock:  # on a record evicted meanwhile they are used, not kept
                 kept.rows = rows
                 self._evict()
@@ -180,7 +220,7 @@ class _StackMemo:
 
     def points(self, n: int, mc: McConfig, orbit: int) -> tuple[PointRef, ...]:
         """``PointRef(orbit, p)`` for each row ``p`` of the config."""
-        kept = self(n, mc)
+        kept = self._record(n, mc)
         points = kept.points
         if points is None or points[0] != orbit:
             points = (orbit, tuple(PointRef(orbit, p) for p in self._rows(kept)))
@@ -192,7 +232,7 @@ class _StackMemo:
     def nbytes(self, key) -> int:
         kept = self._kept[key]
         rows, points = kept.rows, kept.points
-        return kept[0].nbytes + kept[1].nbytes + _tuple_bytes(rows) + _tuple_bytes(points and points[1])
+        return kept.stack.nbytes + _tuple_bytes(rows) + _tuple_bytes(points and points[1])
 
     def _evict(self) -> None:
         kept = sum(map(self.nbytes, self._kept))
@@ -206,35 +246,45 @@ class _StackMemo:
 
 
 @_StackMemo
-def _mc_draws(n: int, mc: McConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only (samples, n, n) Haar stack ``us`` of a config and its
-    read-only ``fix_phase`` ``ps``, after the budget guard and one check
-    that each U*U - I is within eq_tol in Frobenius norm (a bound on the
-    spectral norm ``PointRef.make`` checks), so no sample needs its own.
-    Each config's pair, 2·samples·n²·16 bytes, stays kept with the rows
-    and points built from it while the configs fit in
-    ``_KEPT_STACK_BYTES``; estimates on a kept config, in any order
-    between configs, share them."""
+def _mc_draws(n: int, mc: McConfig) -> np.ndarray:
+    """The read-only, phase-fixed (samples, n, n) Haar stack of a config,
+    after the budget guard: ``fix_phase(haar_unitaries(...))`` bit for
+    bit, built in place.  Each block of ``_BLOCK`` draws is checked once,
+    each U*U - I within eq_tol in Frobenius norm (a bound on the spectral
+    norm ``PointRef.make`` checks), so no sample needs its own, and then
+    overwritten by its ``fix_phase``: the draws and their phase-fixed
+    copy never exist side by side.  Each config's stack,
+    samples·n²·16 bytes, stays kept with the rows and points built from
+    it while the configs fit in ``_KEPT_STACK_BYTES``; estimates on a
+    kept config, in any order between configs, share them."""
     if mc.samples < _MIN_SAMPLES:
         raise MCBudgetTooSmall(f"samples={mc.samples} < {_MIN_SAMPLES}")
-    us = haar_unitaries(HaarSampler(n, mc.seed), mc.samples)
-    if np.linalg.norm(np.einsum("sji,sjk->sik", us.conj(), us) - np.eye(n), axis=(1, 2)).max() > DEFAULT_TOL.eq_tol:
-        raise NumericalFailure("Haar draws are not unitary within eq_tol")
-    ps = fix_phase(us)
-    us.flags.writeable = ps.flags.writeable = False
-    return us, ps
+    ps = haar_unitaries(HaarSampler(n, mc.seed), mc.samples)
+    for block in _blocks(ps):
+        defect = np.linalg.norm(np.einsum("sji,sjk->sik", block.conj(), block) - np.eye(n), axis=(1, 2))
+        if defect.max() > DEFAULT_TOL.eq_tol:
+            raise NumericalFailure("Haar draws are not unitary within eq_tol")
+        block[:] = fix_phase(block)
+    ps.flags.writeable = False
+    return ps
 
 
 def mc_twirl(a, mc: McConfig) -> np.ndarray:
     """Monte-Carlo estimate of the twirl; validates the sampling machinery
-    against the exact Schur value.  The draws are the config's kept stack
-    of ``_mc_draws``.  The sum over draws is taken on 2^-e a, entries
-    below 1, and scaled back: exact, and finite where the average is."""
+    against the exact Schur value.  The draws are the config's kept
+    phase-fixed stack of ``_mc_draws`` (u a u* does not change under a
+    unit phase), summed block by block.  The sum is taken on 2^-e a,
+    entries below 1, and scaled back: exact, and finite where the
+    average is."""
     m = require_square(as_matrix(a, "a"))
-    us, _ = _mc_draws(len(m), mc)
+    n = len(m)
+    ps = _mc_draws(n, mc)
     e = np.frexp(np.abs(m).max(initial=0.0))[1]  # ldexp on the float view scales re and im
-    w = us.reshape(-1, len(m)) @ np.ldexp(m.view(float), -e).view(complex)  # u a for every draw, one GEMM
-    total = np.tensordot(w.reshape(us.shape), us.conj(), axes=([0, 2], [0, 2]))
+    scaled = np.ldexp(m.view(float), -e).view(complex)
+    total = np.zeros((n, n), dtype=complex)
+    for block in _blocks(ps):
+        w = block.reshape(-1, n) @ scaled  # p a for every draw of the block, one GEMM
+        total += np.tensordot(w.reshape(block.shape), block.conj(), axes=([0, 2], [0, 2]))
     return np.ldexp((total / mc.samples).view(float), e).view(complex)
 
 
@@ -250,18 +300,23 @@ def equivariant_average(g, space: FiniteNSpace, orbit: int, mc: McConfig) -> np.
     builds and keeps its own, a little slower than points built and
     dropped per call.  The values are validated once, as a stack:
     DimensionMismatch unless each is n x n, DomainError if any entry is
-    not finite."""
+    not finite.  Beside the stack, the sum of p* v p holds the value
+    stack and one product stack: the list of values is dropped once
+    stacked, and the spent value stack takes conj(p) for the last GEMM."""
     if not 0 <= orbit < space.orbits:
         raise IndexOutOfRange(f"orbit {orbit} out of range [0, {space.orbits})")
     n = space.n
-    _, ps = _mc_draws(n, mc)
+    ps = _mc_draws(n, mc)
     values = list(map(g, _mc_draws.points(n, mc, orbit)))
     try:
         vs = np.array(values, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"sampled values are not {n} x {n} matrices: {exc}") from exc
+    del values
     if vs.shape != ps.shape:
         raise DimensionMismatch(f"sampled values have shape {vs.shape[1:]}, expected ({n}, {n})")
     if not np.isfinite(vs).all():
         raise DomainError("sampled values contain non-finite entries")
-    return ps.reshape(-1, n).conj().T @ (vs @ ps).reshape(-1, n) / mc.samples  # the sum of p* v p as one GEMM
+    vp = vs @ ps
+    np.conjugate(ps, out=vs)  # vs is spent: its buffer holds conj(p), laid out as ps.conj() would be
+    return vs.reshape(-1, n).T @ vp.reshape(-1, n) / mc.samples  # the sum of p* v p as one GEMM

@@ -210,6 +210,7 @@ def fix_phase(u: np.ndarray) -> np.ndarray:
     mags = np.abs(cols)
     lead = np.argmax(mags > 1e-7 * mags.max(axis=-1, keepdims=True), axis=-1)
     v = np.take_along_axis(cols, lead[..., None], axis=-1)[..., None]
+    del cols, mags  # on a stack, the product below is the only copy of it beside m
     return m * (v.conj() / np.where(v == 0, 1.0, np.abs(v)))  # v is 0 only for a zero matrix
 
 

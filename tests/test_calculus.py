@@ -49,14 +49,16 @@ def orbit_dec():
 
 def entry_reference(dec, class_i, j, k, region, mc):
     """n_measure_entry_mc on a region as it was before the shared stack:
-    its own draw and its own fix_phase, writable."""
+    its own draw and its own fix_phase, writable, summed block by block."""
     n = dec.classes[class_i].d
-    us = haar_unitaries(HaarSampler(n, mc.seed), mc.samples)
-    mask = np.fromiter((bool(region(p)) for p in fix_phase(us)), dtype=bool, count=mc.samples)
-    sel = us[mask]
-    local = np.einsum("sa,sb->ab", sel[:, k, :].conj(), sel[:, j, :]) / mc.samples
+    ps = fix_phase(haar_unitaries(HaarSampler(n, mc.seed), mc.samples))
+    mask = np.fromiter((bool(region(p)) for p in ps), dtype=bool, count=mc.samples)
+    local = np.zeros((n, n), dtype=complex)
+    for at in range(0, mc.samples, haar._BLOCK):
+        sel = ps[at:at + haar._BLOCK][mask[at:at + haar._BLOCK]]
+        local += np.einsum("sa,sb->ab", sel[:, k, :].conj(), sel[:, j, :])
     values = [np.zeros((c.d, c.d), dtype=complex) for c in dec.classes]
-    values[class_i] = local
+    values[class_i] = local / mc.samples
     return calculus._assemble(dec, values)
 
 

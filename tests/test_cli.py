@@ -325,8 +325,9 @@ class TestHaarCommand:
         assert_close(decode_matrix(report["exact"], "e"), 1e305 * np.eye(2))
 
     def test_samples_beyond_the_stack_cap(self, tmp_path, capsys, monkeypatch):
-        """2 10^12 draws of 2 x 2 unitaries would need 1.3e14 bytes: refused
-        before any draw, as an input error."""
+        """10^12 draws of 2 x 2 unitaries would need a 6.4e13-byte stack:
+        refused before any draw, as an input error.  The cap counts the
+        one kept stack, samples n^2 16 bytes."""
 
         def never(*args):
             raise AssertionError("a Haar draw ran")
@@ -338,9 +339,16 @@ class TestHaarCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("nhomog: input error: --samples 1000000000000 at n = 2")
         assert f"above the cap of {cli.HAAR_STACK_CAP}" in err[0]
-        samples = cli.HAAR_STACK_CAP // (2 * 4 * 16)  # the largest budget within the cap at n = 2
+        samples = cli.HAAR_STACK_CAP // (4 * 16)  # the largest budget within the cap at n = 2
         with pytest.raises(AssertionError, match="a Haar draw ran"):
             main(["haar", "--in", path, "--samples", str(samples)])
+        assert main(["haar", "--in", path, "--samples", str(samples + 1)]) == 2
+        assert f"above the cap of {cli.HAAR_STACK_CAP}" in capsys.readouterr().err
+
+    def test_a_negative_budget_is_an_input_error(self, tmp_path, capsys):
+        path = write(tmp_path, "h.json", {"matrix": mat(np.eye(2))})
+        assert main(["haar", "--in", path, "--samples", "-5"]) == 2
+        assert capsys.readouterr().err == "nhomog: input error: samples=-5 < 1000\n"
 
 
 class TestNSpaceCommand:

@@ -52,11 +52,17 @@ def qr_haar_unitaries(s, count):
 
 
 def twirl_reference(a, mc):
-    """mc_twirl as it was before the shared stack: its own draw, no check."""
+    """mc_twirl as it was before the shared stack: its own draw and its
+    own fix_phase, no check, summed block by block."""
     m = np.asarray(a, dtype=complex)
-    us = haar_unitaries(HaarSampler(len(m), mc.seed), mc.samples)
-    w = us.reshape(-1, len(m)) @ m
-    return np.tensordot(w.reshape(us.shape), us.conj(), axes=([0, 2], [0, 2])) / mc.samples
+    n = len(m)
+    ps = fix_phase(haar_unitaries(HaarSampler(n, mc.seed), mc.samples))
+    total = np.zeros((n, n), dtype=complex)
+    for at in range(0, mc.samples, haar._BLOCK):
+        block = ps[at:at + haar._BLOCK]
+        w = block.reshape(-1, n) @ m
+        total += np.tensordot(w.reshape(block.shape), block.conj(), axes=([0, 2], [0, 2]))
+    return total / mc.samples
 
 
 def average_reference(g, orbit, n, mc):
@@ -85,12 +91,13 @@ class TestSampler:
         assert np.array_equal(whole, np.concatenate([head, tail]))
 
     @pytest.mark.parametrize("n", LADDER)
-    @pytest.mark.parametrize("count", [1, 7, 9, 5000])
+    @pytest.mark.parametrize("count", [1, 7, 9, 5000, haar._BLOCK, haar._BLOCK + 1, 2 * haar._BLOCK + 1])
     def test_batch_is_single_draws_bit_for_bit(self, n, count):
         # the kernel is elementwise over the stack, so no draw's bits may
-        # depend on how many others share its batch
+        # depend on how many others share its batch or its block
         whole = haar_unitaries(HaarSampler(n, 17, 0), count)
-        for i in sorted({*range(min(20, count)), *range(max(0, count - 10), count)}):
+        edges = {i for at in range(haar._BLOCK, count, haar._BLOCK) for i in range(at - 2, min(at + 2, count))}
+        for i in sorted({*range(min(20, count)), *range(max(0, count - 10), count), *edges}):
             assert np.array_equal(whole[i], haar_unitary(HaarSampler(n, 17, i))), i
         for cut in sorted({1, count // 2, count - 1} - {0, count}):
             head = haar_unitaries(HaarSampler(n, 17, 0), cut)
@@ -175,6 +182,38 @@ class TestSampler:
         a = ginibre(rng(0), 3)
         theta = np.exp(1j * 0.7)
         assert_close(adj(u) @ a @ u, adj(theta * u) @ a @ (theta * u), atol=1e-13)
+
+
+class TestConfigFields:
+    """McConfig and HaarSampler refuse a bad seed, budget, dimension or
+    counter when built, with a ValueError naming the field; a bool is
+    not an integer."""
+
+    @pytest.mark.parametrize("fields, field", [
+        ((2000, -1), "seed"), ((2000.5, 1), "samples"), ((2000, 1.5), "seed"), ((True, 0), "samples"),
+        ((2000, True), "seed"), (("2000", 0), "samples"), ((2000, None), "seed"),
+    ])
+    def test_mc_config_refuses_a_bad_field(self, fields, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            McConfig(*fields)
+
+    @pytest.mark.parametrize("fields, field", [
+        ((2, -1), "seed"), ((2, 1.5), "seed"), ((2, True), "seed"), ((0, 1), "n"), ((2.0, 1), "n"),
+        ((True, 1), "n"), ((2, 1, -1), "counter"), ((2, 1, 0.5), "counter"), ((2, 1, False), "counter"),
+    ])
+    def test_sampler_refuses_a_bad_field(self, fields, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            HaarSampler(*fields)
+
+    def test_numpy_integers_are_integers(self):
+        assert McConfig(np.int64(2000), np.uint32(3)) == McConfig(2000, 3)
+        assert HaarSampler(np.int32(2), np.int64(3), np.uint8(1)) == HaarSampler(2, 3, 1)
+
+    @pytest.mark.parametrize("samples", [999, 0, -5])
+    def test_a_small_budget_is_refused_at_draw_time(self, samples):
+        mc = McConfig(samples, 0)
+        with pytest.raises(MCBudgetTooSmall, match=f"^samples={samples} < 1000$"):
+            mc_twirl(np.eye(2), mc)
 
 
 class TestTwirl:
@@ -316,7 +355,39 @@ class TestEquivariantAverage:
 
 class TestSharedStack:
     """equivariant_average, n_measure_entry_mc and mc_twirl share one
-    checked, read-only Haar stack per (n, seed, samples)."""
+    checked, read-only, phase-fixed Haar stack per (n, seed, samples)."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("samples", [1000, haar._BLOCK, haar._BLOCK + 1, 2 * haar._BLOCK + 1])
+    def test_stack_is_the_phase_fixed_draws(self, n, samples):
+        """Checked and phase-fixed block by block in place, the stack is
+        the whole stack's fix_phase bit for bit."""
+        mc = McConfig(samples, seed=9)
+        ps = haar._mc_draws(n, mc)
+        assert not ps.flags.writeable
+        assert np.array_equal(ps, fix_phase(haar_unitaries(HaarSampler(n, mc.seed), samples)))
+
+    def test_temporaries_stay_within_a_few_blocks(self):
+        """At n = 3 and 50 000 samples (a 6.9 MiB stack), a fresh draw
+        peaks within 2 MiB of its stack, and a twirl on the kept config
+        adds at most 2.5 MiB: block-sized temporaries, never a whole
+        stack's."""
+        mc, a = McConfig(50000, 1), ginibre(rng(50), 3)
+        haar._mc_draws(3, McConfig(1000, 1))  # numpy's and the memo's first-call allocations
+        mc_twirl(a, McConfig(1000, 1))
+        tracemalloc.start()
+        try:
+            ps = haar._mc_draws(3, mc)
+            drawn = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            kept = tracemalloc.get_traced_memory()[0]
+            mc_twirl(a, mc)
+            twirled = tracemalloc.get_traced_memory()[1] - kept
+        finally:
+            tracemalloc.stop()
+        assert ps.nbytes == 50000 * 9 * 16
+        assert drawn <= ps.nbytes + 2 * 2**20
+        assert twirled <= 2.5 * 2**20
 
     @pytest.mark.parametrize("n, samples", [(3, 5000), (2, 2000)])
     def test_estimators_equal_their_own_draws(self, n, samples):
@@ -354,7 +425,7 @@ def kept_reference(keys, cap):
     keys it keeps after each call, as a list scan: a hit moves its key
     last; a miss appends it, then the first keys go while the kept bytes
     pass ``cap`` and more than one key is kept."""
-    size = lambda key: 2 * key[1].samples * key[0] ** 2 * 16
+    size = lambda key: key[1].samples * key[0] ** 2 * 16
     kept, draws, states = [], [], []
     for key in keys:
         if key in kept:
@@ -387,7 +458,7 @@ class TestKeptStacks:
     def test_oldest_is_evicted_first(self, monkeypatch):
         draws = self.count_draws(monkeypatch)
         a, b, c = ((2, McConfig(1000, seed)) for seed in (1, 2, 3))
-        monkeypatch.setattr(haar, "_KEPT_STACK_BYTES", 2 * (2 * 1000 * 4 * 16))  # two of these pairs
+        monkeypatch.setattr(haar, "_KEPT_STACK_BYTES", 2 * (1000 * 4 * 16))  # two of these stacks
         first = haar._mc_draws(*a)
         for key in (b, a, c):  # the hit on a refreshes it, so c evicts b
             haar._mc_draws(*key)
@@ -395,17 +466,17 @@ class TestKeptStacks:
         assert haar._mc_draws(*a) is first
         haar._mc_draws(*b)
         assert draws == [a, b, c, b] and self.kept() == [a, b]
-        big = (2, McConfig(3000, 4))  # its pair alone is above the constant
-        us, ps = haar._mc_draws(*big)
-        assert us.nbytes + ps.nbytes > haar._KEPT_STACK_BYTES
+        big = (2, McConfig(3000, 4))  # its stack alone is above the constant
+        ps = haar._mc_draws(*big)
+        assert ps.nbytes > haar._KEPT_STACK_BYTES
         assert self.kept() == [big]
-        assert haar._mc_draws(*big)[0] is us
+        assert haar._mc_draws(*big) is ps
         assert draws == [a, b, c, b, big]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_kept_bytes_stay_within_the_constant(self, monkeypatch, seed):
         draws = self.count_draws(monkeypatch)
-        cap = 2 * 2000 * 9 * 16  # one n = 3, 2000-sample pair; a 3000-sample one is kept alone
+        cap = 2000 * 9 * 16  # one n = 3, 2000-sample stack; a 3000-sample one is kept alone
         monkeypatch.setattr(haar, "_KEPT_STACK_BYTES", cap)
         r = rng(60 + seed)
         keys = [(int(r.integers(1, 4)), McConfig(int(r.choice([1000, 2000, 3000])), int(r.integers(0, 2))))
@@ -415,7 +486,7 @@ class TestKeptStacks:
         for key, want in zip(keys, want_kept):
             haar._mc_draws(*key)
             assert self.kept() == want
-            total = sum(us.nbytes + ps.nbytes for us, ps in haar._mc_draws._kept.values())
+            total = sum(kept.stack.nbytes for kept in haar._mc_draws._kept.values())
             assert total <= cap or len(want) == 1
             lone += total > cap
         assert draws == want_draws
@@ -423,7 +494,7 @@ class TestKeptStacks:
 
 
 class TestKeptPoints:
-    """Each kept config also keeps the read-only row views of its ``ps``
+    """Each kept config also keeps the read-only row views of its stack
     and the PointRef tuple of the orbit last averaged on, counted
     against _KEPT_STACK_BYTES and evicted with their stack."""
 
@@ -464,13 +535,13 @@ class TestKeptPoints:
     def test_kept_bytes_count_rows_and_points(self, monkeypatch):
         memo, space = haar._mc_draws, FiniteNSpace(n=1, orbits=1)
         a, b = (1, McConfig(1000, 1)), (1, McConfig(1000, 2))
-        arrays = 2 * 1000 * 16  # us and ps at n = 1: the rows alone take several times as much
+        arrays = 1000 * 16  # the stack at n = 1: the rows alone take several times as much
         size = lambda items: sys.getsizeof(items) + sum(map(sys.getsizeof, items))
         monkeypatch.setattr(haar, "_KEPT_STACK_BYTES", 10**9)
         rows, points = size(memo.rows(*a)), size(memo.points(*a, 0))
         assert rows > 4 * arrays and points > arrays
         memo.cache_clear()
-        monkeypatch.setattr(haar, "_KEPT_STACK_BYTES", 2 * arrays + rows)  # a's and b's arrays and one set of rows
+        monkeypatch.setattr(haar, "_KEPT_STACK_BYTES", 2 * arrays + rows)  # a's and b's stacks and one set of rows
         memo(*a)
         memo.rows(*b)
         assert list(memo._kept) == [a, b] and [memo.nbytes(key) for key in (a, b)] == [arrays, arrays + rows]
@@ -531,7 +602,7 @@ class TestKeptPoints:
         g = lambda p: p.u @ SZ @ adj(p.u) + p.orbit * SX
         jobs = [(McConfig(1000, seed), orbit) for seed in range(3) for orbit in range(2)]
         want = {job: equivariant_average(g, space, job[1], job[0]) for job in jobs}
-        per_config = haar._mc_draws.nbytes((2, jobs[-1][0]))  # arrays, rows and points
+        per_config = haar._mc_draws.nbytes((2, jobs[-1][0]))  # stack, rows and points
         haar._mc_draws.cache_clear()
         monkeypatch.setattr(haar, "_KEPT_STACK_BYTES", 2 * per_config)  # two of the three configs
         got, switch = [], sys.getswitchinterval()
