@@ -8,7 +8,10 @@ region entry of ``n_measure_entry_mc`` on a kept config (the perfbench
 orbit-average shape by default: n = 3, 5000 samples), split into the
 sampled callable's own time, taken by calling it over the config's kept
 points and rows, and the library's share, the rest; and the bytes the
-config keeps (its stack, rows and points)."""
+config keeps (its stack, rows and points).  Each repeat times the
+estimator call and its callable-only loop back to back, and the share is
+the median of the per-repeat differences, so host drift between repeats
+cancels within each pair."""
 
 import argparse
 import statistics
@@ -26,16 +29,21 @@ from nhomog.matrix_core import opnorm
 from nhomog.n_space import FiniteNSpace
 
 
-REPEATS = 20  # --timing calls per median
+REPEATS = 20  # --timing pairs per median
 
 
-def median_ms(call):
-    times = []
+def paired_ms(call, own):
+    """Medians, in ms, of ``call``'s time, of ``own``'s time and of their
+    difference, over ``REPEATS`` repeats that each time the two back to
+    back."""
+    pairs = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         call()
-        times.append(time.perf_counter() - start)
-    return 1e3 * statistics.median(times)
+        middle = time.perf_counter()
+        own()
+        pairs.append((middle - start, time.perf_counter() - middle))
+    return tuple(1e3 * statistics.median(column) for column in (*zip(*pairs), [t - o for t, o in pairs]))
 
 
 def timing(args):
@@ -55,12 +63,12 @@ def timing(args):
         ("equivariant_average", average, lambda: [g(p) for p in points]),
         ("n_measure_entry_mc", entry, lambda: [bool(region(u)) for u in rows]),
     ]
-    print(f"n = {n}, {args.samples} samples, median of {REPEATS} calls on a kept config "
+    print(f"n = {n}, {args.samples} samples, medians of {REPEATS} paired calls on a kept config "
           f"of {haar._mc_draws.nbytes((n, mc)) / 1e6:.2f} MB kept")
     print(f"{'':<20} {'total ms':>9} {'callable ms':>12} {'library ms':>11}")
     for name, call, own in runs:
-        total, callable_ms = median_ms(call), median_ms(own)
-        print(f"{name:<20} {total:>9.2f} {callable_ms:>12.2f} {total - callable_ms:>11.2f}")
+        total, callable_ms, library_ms = paired_ms(call, own)
+        print(f"{name:<20} {total:>9.2f} {callable_ms:>12.2f} {library_ms:>11.2f}")
 
 
 def main():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,9 +23,11 @@ from .errors import (
     NumericalFailure,
     TableMismatch,
 )
-from .haar import McConfig, _blocks, _mc_draws
 from .matrix_core import DEFAULT_TOL, Tolerance, _exceeds, adj, as_matrix, opnorm
 from .star_algebra import MatTuple
+
+if TYPE_CHECKING:
+    from .haar import McConfig
 
 Letter = tuple[int, bool]  # (generator index, adjoint flag)
 Word = tuple[Letter, ...]
@@ -258,7 +261,7 @@ def n_measure_entry_mc(
     j: int,
     k: int,
     region=None,
-    mc: McConfig = McConfig(),
+    mc: McConfig | None = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
     """Entry (j, k) of the atomic matrix of measures on a region of one
@@ -275,7 +278,8 @@ def n_measure_entry_mc(
     closed-form integrand chi(u.x) u* e_k e_j^T u, which a unit phase
     does not change, is averaged over that stack, summed block by block
     of ``haar._BLOCK`` samples, and assembled over multiplicity copies
-    in the source basis.
+    in the source basis.  ``mc=None`` means ``McConfig()``; ``haar`` is
+    imported only when a region is sampled.
     """
     if not 0 <= class_i < len(dec.classes):
         raise IndexOutOfRange(f"class index {class_i} out of range [0, {len(dec.classes)})")
@@ -285,6 +289,9 @@ def n_measure_entry_mc(
     if region is None:
         weight = (1.0 / n) if j == k else 0.0
         return weight * invariant_spectral_projection(dec, [class_i], tol)
+    from .haar import McConfig, _blocks, _mc_draws
+
+    mc = McConfig() if mc is None else mc
     ps = _mc_draws(n, mc)
     mask = np.fromiter(map(bool, map(region, _mc_draws.rows(n, mc))), dtype=bool, count=mc.samples)
     local = np.zeros((n, n), dtype=complex)

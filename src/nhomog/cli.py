@@ -5,6 +5,9 @@ JSON files (complex entries as [re, im] pairs), reports are canonical
 JSON on stdout (or --out), diagnostics go to stderr.  Exit codes:
 0 success / true verdict, 1 clean false verdict, 2 input error,
 3 numerical failure.
+
+Each command imports the modules that do its work when it runs, so a
+process loads only what its command uses.
 """
 
 from __future__ import annotations
@@ -18,14 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .calculus import OrbitTable, calc
 from .decomposition import decompose, homogeneity_verdict, n_spectrum
 from .errors import (HypothesisViolated, InputError, NHomogError, NotNHomogeneous, NumericalFailure, ParseError,
                      SchemaError)
-from .haar import McConfig, _mc_draws, mc_radius, mc_twirl, twirl_exact
 from .matrix_core import DEFAULT_TOL, Tolerance, adj, opnorm
-from .n_space import classify_matrix_rep, ideal_set_correspondence
-from .sw_engine import closure_star_subalgebra, delta2_subspace, density_check
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -159,6 +158,8 @@ def _cmd_spectrum(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_calc(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
+    from .calculus import OrbitTable, calc
+
     t, polynomial, values = jsonio.decode_calc_input(payload)
     if cfg.n is not None:
         report = homogeneity_verdict(t, cfg.n, cfg.tol, cfg.seed)
@@ -174,6 +175,8 @@ def _cmd_calc(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_sw_check(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
+    from .sw_engine import closure_star_subalgebra, delta2_subspace, density_check
+
     points, n, gens = jsonio.decode_fn_algebra_input(payload)
     algebra = closure_star_subalgebra(gens, points=points, n=n, tol=cfg.tol)
     density = density_check(algebra, cfg.tol, cfg.seed)
@@ -190,6 +193,8 @@ def _cmd_sw_check(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_haar(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
+    from .haar import McConfig, _mc_draws, mc_radius, mc_twirl, twirl_exact
+
     a = jsonio.decode_haar_input(payload)
     stack = cfg.samples * a.shape[0] ** 2 * 16
     if stack > HAAR_STACK_CAP:
@@ -219,6 +224,8 @@ def _cmd_haar(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_nspace(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
+    from .n_space import classify_matrix_rep, ideal_set_correspondence
+
     space, gens, images = jsonio.decode_nspace_input(payload)
     ideal = ideal_set_correspondence(space, gens, tol=cfg.tol)
     report: dict = {
@@ -264,12 +271,19 @@ def run(cfg: RunConfig) -> tuple[int, str]:
 _PARSER = build_parser()  # built once per process
 
 
-def _report_sink(path: str | None):
+def _report_sink(path: str | None, input_path: str):
     """stdout, or the --out file opened (and emptied) before the work, so
     a path that cannot be written is an input error, not a loss of the
-    finished report."""
+    finished report.  An --out that names the --in file is refused before
+    anything is opened, since opening it would empty the input."""
     if path is None:
         return contextlib.nullcontext(sys.stdout)
+    try:
+        same = os.path.samefile(path, input_path)
+    except OSError:  # one of them does not exist
+        same = os.path.realpath(path) == os.path.realpath(input_path)
+    if same:
+        raise ParseError(f"--out {path} is the --in file; writing the report there would empty the input")
     try:
         return open(path, "w")
     except OSError as exc:
@@ -280,7 +294,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = _config(args)
-        with _report_sink(cfg.out) as sink:
+        with _report_sink(cfg.out, cfg.input_path) as sink:
             code, text = run(cfg)
             print(text, file=sink)
     except InputError as exc:

@@ -4,6 +4,9 @@ Complex numbers serialize as two-element arrays [re, im]; matrices as
 row-major arrays of rows.  Each CLI command has one ``decode_*``
 decoder that checks every field of its payload and returns typed
 values, so a malformed payload is refused before any numerical work.
+The ``calc`` and ``nspace`` decoders import the library types they build
+when they run, so decoding a tuple loads neither ``calculus`` nor
+``n_space``.
 """
 
 from __future__ import annotations
@@ -12,13 +15,16 @@ import json
 import math
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .calculus import StarPolynomial
 from .errors import ParseError, SchemaError
-from .n_space import EquivariantElement, FiniteNSpace
 from .star_algebra import MatTuple
+
+if TYPE_CHECKING:
+    from .calculus import StarPolynomial
+    from .n_space import EquivariantElement, FiniteNSpace
 
 _NUMBER_TYPES = {int, float}
 
@@ -183,6 +189,8 @@ def decode_calc_input(obj) -> tuple[MatTuple, StarPolynomial | None, list[np.nda
     ..., "table": {"values": [matrix, ...]}} -> (tuple, polynomial, None)
     or (tuple, None, table values).  The values' count and sizes depend
     on the tuple's classes, so ``OrbitTable`` checks them after the split."""
+    from .calculus import StarPolynomial
+
     t = decode_tuple(_object(obj, ("tuple",), "calc input")["tuple"])
     if "polynomial" in obj:
         if type(obj["polynomial"]) is not str:
@@ -224,6 +232,8 @@ def decode_nspace_input(obj) -> tuple[FiniteNSpace, list[EquivariantElement], np
     (space, elements, rep images or None).  The rep images are an
     (orbits, n, n, n, n) stack: images[i][j][k] is the image of the
     (j, k) matrix unit supported on orbit i."""
+    from .n_space import EquivariantElement, FiniteNSpace
+
     spec = _object(_object(obj, ("space",), "nspace input")["space"], ("n", "orbits"), "space")
     try:
         space = FiniteNSpace(n=decode_int(spec["n"], "space.n"), orbits=decode_int(spec["orbits"], "space.orbits"))

@@ -332,8 +332,9 @@ class TestHaarCommand:
         def never(*args):
             raise AssertionError("a Haar draw ran")
 
-        monkeypatch.setattr(cli, "_mc_draws", never)
-        monkeypatch.setattr(cli, "mc_twirl", never)
+        # the command imports both from haar when it runs; mc_twirl draws through _mc_draws too
+        monkeypatch.setattr("nhomog.haar._mc_draws", never)
+        monkeypatch.setattr("nhomog.haar.mc_twirl", never)
         path = write(tmp_path, "h.json", {"matrix": mat(np.eye(2))})
         assert main(["haar", "--in", path, "--samples", "1000000000000"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
@@ -772,6 +773,22 @@ class TestTracebackCases:
         assert err.endswith(f"--out {out}: cannot open for writing: No such file or directory")
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("spelling", ["same", "relative", "link"])
+    def test_out_naming_the_input_is_refused(self, pauli_file, tmp_path, capsys, monkeypatch, spelling):
+        """Opening --out empties it, so an --out that names the --in file,
+        by any path, is refused before anything is opened; the input
+        keeps its bytes."""
+        before = open(pauli_file, "rb").read()
+        monkeypatch.chdir(tmp_path)
+        out = {"same": pauli_file, "relative": "./pauli.json", "link": str(tmp_path / "link.json")}[spelling]
+        if spelling == "link":
+            (tmp_path / "link.json").symlink_to(pauli_file)
+        err = self.run_one_line(capsys, ["analyze", "--in", pauli_file, "--n", "2", "--out", out])
+        assert err == f"nhomog: input error: --out {out} is the --in file; writing the report there would empty the input"
+        assert open(pauli_file, "rb").read() == before
+        assert main(["analyze", "--in", pauli_file, "--n", "2", "--out", str(tmp_path / "report.json")]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["is_n_homogeneous"] is True
+
     def test_calc_table_values_not_a_list(self, tmp_path, capsys):
         path = write(tmp_path, "calc.json", {"tuple": {"generators": [mat(SX), mat(SZ)]}, "table": {"values": 5}})
         err = self.run_one_line(capsys, ["calc", "--in", path])
@@ -809,7 +826,9 @@ class TestTracebackCases:
         def too_big(*args, **kwargs):
             raise MemoryError("Unable to allocate 9.31 GiB for an array with shape (100000, 100000)")
 
-        monkeypatch.setattr(cli, work, too_big)
+        owner = {"homogeneity_verdict": "nhomog.cli", "closure_star_subalgebra": "nhomog.sw_engine",
+                 "ideal_set_correspondence": "nhomog.n_space"}[work]  # the namespace the command reads it from
+        monkeypatch.setattr(f"{owner}.{work}", too_big)
         path = write(tmp_path, "in.json", payload)
         err = self.run_one_line(capsys, [command, "--in", path, "--n", "2"])
         assert err == f"nhomog: input error: {command} on this input does not fit in memory"
