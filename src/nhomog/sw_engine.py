@@ -18,6 +18,7 @@ the splitter behind ``decompose``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -372,11 +373,18 @@ def power_mean_exponent(eps: float, r: float, k: int) -> int:
         raise ValueError(f"k must be >= 1, got {k}")
     if r <= 0.0 or k == 1:
         return 2
-    n = 2
-    while k ** (1.0 / n) > 1.0 + eps / r:
+    bound = 1.0 + eps / r
+    if bound == 1.0:
+        raise NumericalFailure(f"power-mean exponent out of range: 1 + eps/r rounds to 1 at eps/r = {eps / r:.1e}")
+    # N log(1 + eps/r) >= log k; up to N = 1e7 the float test moves this N by
+    # far less than one, so a step or two reaches the test's own threshold
+    n = max(2, math.ceil(math.log(k) / math.log1p(eps / r)))
+    while 2 < n <= 10_000_001 and k ** (1.0 / (n - 1)) <= bound:
+        n -= 1
+    while n <= 10_000_000 and k ** (1.0 / n) > bound:
         n += 1
-        if n > 10_000_000:  # pragma: no cover - eps/r would be absurdly small
-            raise NumericalFailure("power-mean exponent out of range")
+    if n > 10_000_000:
+        raise NumericalFailure(f"power-mean exponent out of range: N = {n} at eps/r = {eps / r:.1e}")
     return n
 
 
@@ -568,41 +576,39 @@ def loewner_heinz_check(a, b, s_grid, tol: Tolerance = DEFAULT_TOL) -> LoewnerHe
 # constructive approximation pipeline
 
 
-def _pair_interpolant(e: FnAlgebra, f: np.ndarray, x: int, y: int, tol: Tolerance, scale: float,
-                      vectors: np.ndarray | None = None) -> np.ndarray:
-    """Element of the span (optionally of a subspace given by its own
-    vector rows) matching f at the two points, via minimal-norm
-    coefficients on the singular directions above rank_cut, so roundoff
-    in f is not amplified; exists, within eq_tol of the target's norm
-    ``scale``, whenever f is two-point approximable there."""
+def _lower_envelopes(e: FnAlgebra, f: np.ndarray, tol: Tolerance, scale: float,
+                     vectors: np.ndarray | None = None) -> np.ndarray:
+    """Per-point exact lower envelopes, a (P, P, n, n) stack with
+    lower[x] <= f and equality at x; the upper ones are -lower of -f.
+
+    Every pair x <= y is solved at once for the element of the span
+    (optionally of a subspace given by its own vector rows) matching f at
+    both points: minimal-norm coefficients from one stacked pseudo-inverse
+    that keeps only singular directions above rank_cut, so roundoff in f
+    is not amplified.  It exists, within eq_tol of the target's norm
+    ``scale``, whenever f is two-point approximable there; the first
+    pair that fails is named.  lower[x] is the meet of the Hermitian
+    parts g_xy over y, taken for every x in one join chain."""
     if vectors is None:
         vectors = e.basis.vectors
-    block = np.hstack([vectors[:, e.point_slice(x)], vectors[:, e.point_slice(y)]])
-    target = np.concatenate([f[x].ravel(), f[y].ravel()])
-    coeffs, *_ = np.linalg.lstsq(block.T, target, rcond=tol.rank_cut)
-    residual = np.linalg.norm(block.T @ coeffs - target)
-    if _fails(residual, tol.eq_tol, scale):
-        raise PreconditionFailed(f"target is not two-point approximable at pair ({x}, {y}); residual {residual:.3e}")
-    return (coeffs @ vectors).reshape(e.points, e.n, e.n)
-
-
-def _envelopes(e: FnAlgebra, f: np.ndarray, tol: Tolerance, scale: float,
-               vectors: np.ndarray | None = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-point exact lower/upper envelopes through the pair
-    interpolants and the lattice join chain: lower[x] <= f <= upper[x]
-    with equality at x."""
-    P = e.points
-    interp: dict[tuple[int, int], np.ndarray] = {}
-    for x in range(P):
-        for y in range(x, P):
-            g = _pair_interpolant(e, f, x, y, tol, scale, vectors)
-            interp[(x, y)] = (g + adj(g)) / 2.0
-    lower, upper = [], []
-    for x in range(P):
-        family = [interp[(min(x, y), max(x, y))] for y in range(P)]
-        upper.append(lattice_join_chain(family, tol))
-        lower.append(-lattice_join_chain([-g for g in family], tol))
-    return lower, upper
+    P, nn = e.points, e.n * e.n
+    xs, ys = np.triu_indices(P)
+    values = vectors.reshape(-1, P, nn)
+    blocks = np.concatenate([values[:, xs], values[:, ys]], axis=-1).transpose(1, 2, 0)  # (pairs, 2n^2, dim)
+    flat = f.reshape(P, nn)
+    targets = np.concatenate([flat[xs], flat[ys]], axis=-1)[..., None]
+    coeffs = np.linalg.pinv(blocks, rcond=tol.rank_cut) @ targets
+    residuals = np.linalg.norm(blocks @ coeffs - targets, axis=(1, 2))
+    bad = np.flatnonzero(_fails(residuals, tol.eq_tol, scale))
+    if bad.size:
+        x, y, res = xs[bad[0]], ys[bad[0]], residuals[bad[0]]
+        raise PreconditionFailed(f"target is not two-point approximable at pair ({x}, {y}); residual {res:.3e}")
+    g = (coeffs[..., 0] @ vectors).reshape(-1, P, e.n, e.n)
+    pair = np.zeros((P, P), dtype=int)
+    pair[xs, ys] = pair[ys, xs] = np.arange(xs.size)
+    family = (g + adj(g))[pair] / 2.0  # family[x, y] = g_xy, symmetric in x and y
+    negated = -family.swapaxes(0, 1).reshape(P, P * P, e.n, e.n)  # function y takes g_xy(z) at x P + z
+    return -lattice_join_chain(negated, tol).reshape(P, P, e.n, e.n)
 
 
 def _central_vectors(e: FnAlgebra, tol: Tolerance) -> np.ndarray:
@@ -643,27 +649,16 @@ def _class_indicators(e: FnAlgebra, classes, witnesses, tol: Tolerance) -> list[
 
 def _partition_route(e: FnAlgebra, f: np.ndarray, delta: float, classes, witnesses,
                      tol: Tolerance, scale: float) -> np.ndarray:
-    lower, upper = _envelopes(e, f, tol, scale)
-    P = e.points
-    diff = np.array(lower) - np.array(upper)
+    lower = _lower_envelopes(e, f, tol, scale)
+    diff = lower + _lower_envelopes(e, -f, tol, scale)  # lower - upper
     w = np.linalg.eigvalsh((diff + adj(diff)) / 2.0)
     in_d = (w[..., 0] > -2.0 * delta) & (w[..., -1] < 2.0 * delta)  # in_d[j, z]: z in D_j
-    cover: list[list[int]] = []
-    for ci, cls in enumerate(classes):
-        js = np.flatnonzero(in_d[:, cls].all(axis=1)).tolist()
-        if not js:
-            raise NumericalFailure(f"no envelope pair covers class {ci}")
-        cover.append(js)
-    chi = _class_indicators(e, classes, witnesses, tol)
-    out = np.zeros_like(f)
-    for j in range(P):
-        alpha = np.zeros_like(f)
-        for ci, js in enumerate(cover):
-            if j in js:
-                alpha += chi[ci] / len(js)
-        if np.abs(alpha).max() > 0.0:
-            out += fn_product(alpha, lower[j])
-    return out
+    covers = np.stack([in_d[:, cls].all(axis=1) for cls in classes], axis=1)  # (P, classes)
+    counts = covers.sum(axis=0)
+    if not counts.all():
+        raise NumericalFailure(f"no envelope pair covers class {np.flatnonzero(counts == 0)[0]}")
+    alpha = np.tensordot(covers / counts, _class_indicators(e, classes, witnesses, tol), 1)  # (P, P, n, n)
+    return (alpha @ lower).sum(axis=0)
 
 
 def _commuting_route(e: FnAlgebra, f: np.ndarray, delta: float, tol: Tolerance, scale: float) -> np.ndarray:
@@ -673,10 +668,10 @@ def _commuting_route(e: FnAlgebra, f: np.ndarray, delta: float, tol: Tolerance, 
     power-mean envelope.  Raises PreconditionFailed when the commutant
     cannot interpolate the target at some pair."""
     central = _central_vectors(e, tol)
-    lower, _ = _envelopes(e, f, tol, scale, vectors=central)
+    lower = _lower_envelopes(e, f, tol, scale, vectors=central)
     P, n = e.points, e.n
     eye = np.eye(n, dtype=complex)
-    low = np.stack(lower + [f])  # the lower envelopes, then f: (P + 1, P, n, n)
+    low = np.concatenate([lower, f[None]])  # the lower envelopes, then f: (P + 1, P, n, n)
     c = max(0.0, -float(np.linalg.eigvalsh((low + adj(low)) / 2.0)[..., 0].min())) + tol.psd_slack * scale
     b_fn = f + (c + delta) * eye
     r = opnorm(b_fn)
@@ -684,7 +679,7 @@ def _commuting_route(e: FnAlgebra, f: np.ndarray, delta: float, tol: Tolerance, 
     out = np.zeros_like(f)
     for z in range(P):
         env = power_mean_envelope(
-            [lower[j][z] + c * eye for j in range(P)], b_fn[z], delta, tol, n_power=n_pow
+            lower[:, z] + c * eye, b_fn[z], delta, tol, n_power=n_pow
         ).env
         out[z] = env - c * eye
     return out

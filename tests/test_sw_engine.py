@@ -722,6 +722,28 @@ class TestPowerMeanEnvelope:
         # ln 10 / ln 1.1 ~ 24.16, so the first exponent that works is 25
         assert power_mean_exponent(0.1, 1.0, 10) == 25
 
+    def test_exponent_as_linear_search(self):
+        """The smallest N >= 2 passing the float test, as the search that
+        steps N up one at a time finds it, on a seeded grid."""
+        def linear_search(eps, r, k):
+            n = 2
+            while k ** (1.0 / n) > 1.0 + eps / r:
+                n += 1
+            return n
+
+        g = rng(9750)
+        for _ in range(300):
+            eps, r, k = 10.0 ** g.uniform(-3.0, 1.0), 10.0 ** g.uniform(-2.0, 2.0), int(g.integers(1, 60))
+            if eps / r >= 1e-4:  # N <= 4e4: the search stays quick
+                assert power_mean_exponent(eps, r, k) == linear_search(eps, r, k)
+
+    @pytest.mark.parametrize("eps, r", [(1e-7, 1.0), (1e-15, 1.0), (1e-17, 1.0), (1e-300, 1e100)])
+    def test_exponent_out_of_range_raises(self, eps, r):
+        """N would pass 1e7, or 1 + eps/r rounds to 1 (eps/r may even
+        round to 0): refused at once."""
+        with pytest.raises(NumericalFailure, match="out of range"):
+            power_mean_exponent(eps, r, 30)
+
     def test_projection_family_by_hand(self):
         a = np.diag([1.0, 0.0])
         result = power_mean_envelope([a, a], np.eye(2), eps=1.0)
@@ -1201,7 +1223,8 @@ class TestBatchedPartitionRoute:
         compared = []
 
         def per_class_scan(e, f, delta, classes, witnesses, tol, scale):
-            lower, upper = sw_engine._envelopes(e, f, tol, scale)
+            lower = sw_engine._lower_envelopes(e, f, tol, scale)
+            upper = -sw_engine._lower_envelopes(e, -f, tol, scale)
             diff = np.array(lower) - np.array(upper)
             w = np.linalg.eigvalsh((diff + adj(diff)) / 2.0)
             in_d = (w[..., 0] > -2.0 * delta) & (w[..., -1] < 2.0 * delta)
@@ -1230,6 +1253,83 @@ class TestBatchedPartitionRoute:
             alg = closure_star_subalgebra(gens)
             constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1, seed=seed)
         assert compared and all(c == 3 for c in compared)
+
+
+def pair_interpolant_lstsq(e, f, x, y, tol, scale, vectors=None):
+    """The element matching f at x and y, from one lstsq per pair: the
+    solve that the stacked pseudo-inverse of _lower_envelopes replaced."""
+    if vectors is None:
+        vectors = e.basis.vectors
+    block = np.hstack([vectors[:, e.point_slice(x)], vectors[:, e.point_slice(y)]])
+    target = np.concatenate([f[x].ravel(), f[y].ravel()])
+    coeffs, *_ = np.linalg.lstsq(block.T, target, rcond=tol.rank_cut)
+    residual = np.linalg.norm(block.T @ coeffs - target)
+    if residual > tol.eq_tol * scale:
+        raise PreconditionFailed(f"target is not two-point approximable at pair ({x}, {y}); residual {residual:.3e}")
+    return (coeffs @ vectors).reshape(e.points, e.n, e.n)
+
+
+def envelopes_per_point(e, f, tol, scale, vectors=None):
+    """Lower and upper envelopes as lists over x, each from two join
+    chains over the pair interpolants of x."""
+    P = e.points
+    interp = {}
+    for x in range(P):
+        for y in range(x, P):
+            g = pair_interpolant_lstsq(e, f, x, y, tol, scale, vectors)
+            interp[(x, y)] = (g + adj(g)) / 2.0
+    lower, upper = [], []
+    for x in range(P):
+        family = [interp[(min(x, y), max(x, y))] for y in range(P)]
+        upper.append(lattice_join_chain(family, tol))
+        lower.append(-lattice_join_chain([-g for g in family], tol))
+    return lower, upper
+
+
+class TestStackedEnvelopes:
+    """_lower_envelopes against the per-pair lstsq loop and per-point
+    join chains, on the full span and on the relative commutant: the same
+    lower envelopes, the same upper ones as -(lower of -f), and the same
+    refusal naming the same first pair."""
+
+    @pytest.mark.parametrize("n, sizes, seed", [
+        (2, [1, 1, 1], 0), (2, [2, 2, 1], 1), (3, [2, 2, 1], 2), (3, [4, 3, 3], 3), (2, [10, 10, 10], 4),
+    ])
+    def test_matches_per_pair_loop(self, n, sizes, seed):
+        r = rng(9800 + seed)
+        gens, meta = grouped_function_algebra(r, n=n, group_sizes=sizes, fibers=["full", "diag", "scalar"])
+        alg = closure_star_subalgebra(gens, points=sum(sizes), n=n)
+        scalar = np.zeros((alg.points, n, n), dtype=complex)
+        for grp in meta["groups"]:
+            scalar[grp] = float(r.standard_normal()) * np.eye(n)
+        central = sw_engine._central_vectors(alg, DEFAULT_TOL)
+        target = equivariant_target(r, meta, n)
+        for f, vectors in ((target + adj(target)) / 2.0, None), (target, None), (scalar, central):
+            scale = opnorm(f)
+            lower = sw_engine._lower_envelopes(alg, f, DEFAULT_TOL, scale, vectors)
+            upper = -sw_engine._lower_envelopes(alg, -f, DEFAULT_TOL, scale, vectors)
+            want_lower, want_upper = envelopes_per_point(alg, f, DEFAULT_TOL, scale, vectors)
+            assert lower.shape == (alg.points, alg.points, n, n)
+            assert np.abs(lower - np.array(want_lower)).max() <= 1e-12 * scale
+            assert np.abs(upper - np.array(want_upper)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n, sizes, seed", [(2, [2, 2, 1], 5), (3, [3, 2, 2], 6), (2, [10, 10, 10], 7)])
+    def test_refusal_names_the_first_pair(self, n, sizes, seed):
+        r = rng(9800 + seed)
+        gens, meta = grouped_function_algebra(r, n=n, group_sizes=sizes, fibers=["full", "diag", "scalar"])
+        alg = closure_star_subalgebra(gens, points=sum(sizes), n=n)
+        central = sw_engine._central_vectors(alg, DEFAULT_TOL)
+        noise = np.stack([ginibre(r, n) for _ in range(alg.points)])
+        target = equivariant_target(r, meta, n)
+        moved = target.copy()  # a diag-group point off its group's value: first refused at the pair within the group
+        z = meta["groups"][1][-1]
+        moved[z] = meta["twists"][z] @ np.diag(r.standard_normal(n)) @ adj(meta["twists"][z])
+        for f, vectors in (noise, None), (moved, None), (target, central):
+            with pytest.raises(PreconditionFailed) as old:
+                envelopes_per_point(alg, f, DEFAULT_TOL, opnorm(f), vectors)
+            with pytest.raises(PreconditionFailed) as new:
+                sw_engine._lower_envelopes(alg, f, DEFAULT_TOL, opnorm(f), vectors)
+            assert str(new.value) == str(old.value)
 
 
 class TestTwoPointFlatten:
