@@ -12,6 +12,10 @@ namespace, so a program loads only the modules it uses.
 from importlib import import_module as _import_module
 
 _EXPORTS = {
+    "approximation": (
+        "constructive_approximate", "lattice_join_chain", "loewner_heinz_check", "power_mean_envelope",
+        "two_point_flatten",
+    ),
     "calculus": (
         "OrbitTable", "StarPolynomial", "calc", "dominated_convergence_run", "eval_star_polynomial",
         "invariant_spectral_projection", "n_measure_entry_mc", "reconstruct_generators",
@@ -38,9 +42,8 @@ _EXPORTS = {
         "word_span",
     ),
     "sw_engine": (
-        "FnAlgebra", "closure_star_subalgebra", "constructive_approximate", "delta2_subspace", "density_check",
-        "lattice_join_chain", "loewner_heinz_check", "power_mean_envelope", "spectrally_separates",
-        "two_point_flatten", "unit_in_closure",
+        "FnAlgebra", "closure_star_subalgebra", "delta2_subspace", "density_check", "spectrally_separates",
+        "unit_in_closure",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

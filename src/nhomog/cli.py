@@ -181,9 +181,8 @@ def _cmd_sw_check(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
     algebra = closure_star_subalgebra(gens, points=points, n=n, tol=cfg.tol)
     density = density_check(algebra, cfg.tol, cfg.seed)
     d2 = delta2_subspace(algebra, cfg.tol)
-    contained = all(d2.contains(b, 1e-7) for b in algebra.basis.elements())
     report = {**density.to_json(), "points": points, "n": n, "algebra_dim": algebra.basis.dim, "delta2_dim": d2.dim,
-              "span_equals_delta2": bool(algebra.basis.dim == d2.dim and contained)}
+              "span_equals_delta2": algebra.basis.dim == d2.dim and d2.contains_span(algebra.basis, 1e-7)}
     code = EXIT_OK if density.dense else EXIT_FALSE
     human = [
         f"dim E = {algebra.basis.dim} of ambient {algebra.ambient_dim}; dense: {density.dense}",

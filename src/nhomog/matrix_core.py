@@ -264,6 +264,13 @@ def psd_power(a, s: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return _from_eig(np.clip(w, 0.0, None) ** s, u)
 
 
+def _herm_abs(m: np.ndarray) -> np.ndarray:
+    """|m| of each matrix of a finite (..., n, n) stack, from one eigh of
+    its Hermitian part, with no check that m is Hermitian."""
+    w, u = np.linalg.eigh((m + adj(m)) / 2.0)
+    return _from_eig(np.abs(w), u)
+
+
 def herm_abs(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """|a| = u |w| u* from one eigendecomposition a = u w u* of a Hermitian
     matrix, or at every point of a (P, n, n) stack.  a^2 is never formed,
@@ -273,8 +280,7 @@ def herm_abs(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     m = _finite_complex(m, "matrix") if m.ndim == 3 else as_matrix(m)
     if m.shape[-2] != m.shape[-1]:
         raise NotSquare(f"matrix must be square, got shape {m.shape}")
-    w, u = np.linalg.eigh((require_hermitian(m, tol) + adj(m)) / 2.0)
-    return _from_eig(np.abs(w), u)
+    return _herm_abs(require_hermitian(m, tol))
 
 
 def psd_order(a, b, tol: Tolerance = DEFAULT_TOL) -> Ordering:

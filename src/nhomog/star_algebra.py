@@ -175,6 +175,13 @@ class SubspaceBasis:
     def contains(self, x, rel: float) -> bool:
         return not _fails(self.residual(x), rel, fnorm(np.asarray(x, dtype=complex)))
 
+    def contains_span(self, other: "SubspaceBasis", rel: float) -> bool:
+        """Whether every basis element of ``other`` passes ``contains``,
+        decided from one stacked residual of its rows."""
+        rows = other.vectors
+        residuals = np.linalg.norm(rows - (rows @ self.vectors.conj().T) @ self.vectors, axis=1)
+        return not _fails(residuals, rel, np.linalg.norm(rows, axis=1)).any()
+
     def gram(self) -> np.ndarray:
         return self.vectors @ self.vectors.conj().T
 

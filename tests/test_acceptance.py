@@ -40,13 +40,8 @@ from nhomog.n_space import (
     point_evaluation_rep,
 )
 from nhomog.star_algebra import MatTuple, commutant, intertwiner_space, word_span
-from nhomog.sw_engine import (
-    closure_star_subalgebra,
-    delta2_subspace,
-    density_check,
-    loewner_heinz_check,
-    power_mean_envelope,
-)
+from nhomog.approximation import loewner_heinz_check, power_mean_envelope
+from nhomog.sw_engine import closure_star_subalgebra, delta2_subspace, density_check
 
 from conftest import rng, same_up_to_phase
 

@@ -230,6 +230,31 @@ class TestContainsIdentity:
         assert contains_identity(t)
 
 
+def orthonormal_rows(m):
+    q, _ = np.linalg.qr(np.asarray(m, dtype=complex).T)
+    return q.T
+
+
+class TestContainsSpan:
+    """One stacked residual for span containment, against ``contains`` on
+    each basis element."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, 0.9e-7, 1.1e-7, 1e-3])
+    def test_matches_per_element_loop(self, seed, offset):
+        r = rng(600 + seed)
+        shape = (3, 2, 2)
+        big = orthonormal_rows(r.standard_normal((5, 12)) + 1j * r.standard_normal((5, 12)))
+        outside = r.standard_normal(12) + 1j * r.standard_normal(12)
+        outside -= big.conj() @ outside @ big
+        outside /= np.linalg.norm(outside)
+        inner = orthonormal_rows(r.standard_normal((3, 5)) @ big)
+        inner[int(r.integers(0, 3))] += offset * outside
+        span, sub = SubspaceBasis(shape, big), SubspaceBasis(shape, inner)
+        for a, b in ((span, sub), (sub, span), (span, span), (SubspaceBasis(shape, big[:0]), sub),
+                     (span, SubspaceBasis(shape, big[:0]))):
+            assert a.contains_span(b, 1e-7) is all(a.contains(x, 1e-7) for x in b.elements())
+
 class TestHermitianBasis:
     def test_spans_hermitian_part(self):
         basis = word_span(MatTuple([SX, SZ]))

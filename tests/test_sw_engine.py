@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import itertools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -34,25 +36,28 @@ from nhomog.matrix_core import (
     adj,
     herm_abs,
     normal_spectra_disjoint,
+    _fails,
     opnorm,
     psd_order,
     psd_power,
     require_hermitian,
 )
-from nhomog import sw_engine
-from nhomog.decomposition import decompose
-from nhomog.star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, _right_svd, nullspace
-from nhomog.sw_engine import (
-    closure_star_subalgebra,
+from nhomog import approximation, sw_engine
+from nhomog.approximation import (
     constructive_approximate,
-    delta2_subspace,
-    density_check,
     lattice_join_chain,
     loewner_heinz_check,
     power_mean_envelope,
     power_mean_exponent,
-    spectrally_separates,
     two_point_flatten,
+)
+from nhomog.decomposition import decompose
+from nhomog.star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, _right_svd, nullspace
+from nhomog.sw_engine import (
+    closure_star_subalgebra,
+    delta2_subspace,
+    density_check,
+    spectrally_separates,
     unit_in_closure,
 )
 
@@ -696,7 +701,53 @@ class TestFibresOnce:
         loose = dataclasses.replace(DEFAULT_TOL, rank_cut=1e-6)
         assert sw_engine._fibres(alg, loose)[0].tolist() == rank.tolist() and len(calls) == 2
         assert sw_engine._fibres(alg, DEFAULT_TOL)[1] is vh and len(calls) == 2
-        assert "_fibre_memo" not in repr(alg)
+        assert "_memo" not in repr(alg)
+
+
+class TestClassTableOnce:
+    """The class table is split once per algebra, tolerance and seed, and
+    kept on the algebra read-only."""
+
+    @staticmethod
+    def count_splits(monkeypatch):
+        calls = []
+        real = sw_engine._split_points
+
+        def counting(values, *args):
+            calls.append(values.shape)
+            return real(values, *args)
+
+        monkeypatch.setattr(sw_engine, "_split_points", counting)
+        return calls
+
+    def test_one_split_for_density_separation_and_approximation(self, monkeypatch):
+        r = rng(13)
+        gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], fibers=["full", "diag", "full"])
+        alg = closure_star_subalgebra(gens)
+        calls = self.count_splits(monkeypatch)
+        report = density_check(alg)
+        assert len(calls) == 1
+        for x, y in itertools.combinations(range(alg.points), 2):
+            assert bool(spectrally_separates(alg, x, y)) is report.separated[(x, y)]
+        assert len(calls) == 1
+        result = constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1)
+        assert unit_in_closure(alg).in_closure
+        assert len(calls) == 1 and result.routes
+        table = sw_engine._class_table(alg, DEFAULT_TOL, 0)
+        assert all(not a.flags.writeable for a in (table.present, table.v, table.labels, table.witness))
+
+    def test_kept_per_tolerance_and_seed(self, monkeypatch):
+        gens, _ = grouped_function_algebra(rng(14), n=2, group_sizes=[2, 2], fibers=["full", "diag"])
+        alg = closure_star_subalgebra(gens)
+        calls = self.count_splits(monkeypatch)
+        first = sw_engine._class_table(alg, DEFAULT_TOL, 0)
+        assert sw_engine._class_table(alg, DEFAULT_TOL, 0) is first and len(calls) == 1
+        other = sw_engine._class_table(alg, DEFAULT_TOL, 1)
+        loose = sw_engine._class_table(alg, dataclasses.replace(DEFAULT_TOL, eq_tol=1e-6), 0)
+        assert len(calls) == 3 and other is not first and loose is not first
+        assert np.array_equal(other.present, first.present) and np.array_equal(loose.present, first.present)
+        assert sw_engine._class_table(closure_star_subalgebra(gens), DEFAULT_TOL, 0) is not first
+        assert len(calls) == 4
 
 
 class TestUnitInClosure:
@@ -1043,7 +1094,7 @@ class TestLatticeJoinChain:
     def test_domination_failure_names_first_input_and_point(self, monkeypatch):
         """With |.| broken to 0 the join is the running mean, which fails
         to dominate g_1 first at point 1."""
-        monkeypatch.setattr(sw_engine, "herm_abs", lambda a, tol: np.zeros_like(a))
+        monkeypatch.setattr(approximation, "_herm_abs", lambda a: np.zeros_like(a))
         gs = [fn(np.eye(2), np.eye(2)), fn(np.eye(2), 3 * np.eye(2)), fn(5 * np.eye(2), np.eye(2))]
         with pytest.raises(NumericalFailure, match="join fails to dominate g_1 at point 1"):
             lattice_join_chain(gs)
@@ -1111,6 +1162,167 @@ class TestScaleCovariantJoin:
         assert opnorm(lattice_join_chain([c * g for g in gs]) / c - want) <= 1e-12 * opnorm(want)
 
 
+def join_chain_checked(gs, tol=DEFAULT_TOL, abs_fn=herm_abs):
+    """lattice_join_chain as it was before its chain stopped re-checking
+    each step: herm_abs (with its finiteness and Hermitian checks) on
+    every step, and the domination test scaled by one stacked SVD of the
+    whole family."""
+    mats = [np.asarray(g, dtype=complex) for g in gs]
+    squeeze = mats[0].ndim == 2
+    mats = [m[None, :, :] if m.ndim == 2 else m for m in mats]
+    for i, m in enumerate(mats):
+        require_hermitian(m, tol, f"g_{i}")
+    h = mats[0].copy()
+    for g in mats[1:]:
+        h = (h + g + abs_fn(h - g, tol)) / 2.0
+    family = np.stack(mats)
+    gap = h - family
+    w = np.linalg.eigvalsh((gap + adj(gap)) / 2.0)
+    below = np.argwhere(_fails((-w).max(axis=-1, initial=0.0), tol.psd_slack, opnorm(family)))
+    if below.size:
+        raise NumericalFailure(f"join fails to dominate g_{below[0, 0]} at point {below[0, 1]}")
+    return h[0] if squeeze else h
+
+
+def outcome(call):
+    """The value of call(), or the type and text of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # compared with the other outcome, never swallowed
+        return type(exc), str(exc)
+
+
+def same_outcome(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    return isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+class TestUncheckedJoin:
+    """The join chain without per-step checks and with a screened sup
+    norm, against the checked chain it replaced: the same bits on exactly
+    Hermitian families, the same refusals, and the same domination
+    verdicts on both sides of the screen."""
+
+    @staticmethod
+    def count_sup_norms(monkeypatch):
+        calls = []
+        real = approximation.opnorm
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(approximation, "opnorm", counting)
+        return calls
+
+    @pytest.mark.parametrize("points", [1, 2, 5, 10, 20, 30])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_identical_on_hermitian_families(self, points, n, monkeypatch):
+        r = rng(7100 + 10 * points + n)
+        calls = self.count_sup_norms(monkeypatch)
+        for count in (1, 2, int(r.integers(3, 8))):
+            gs = [hermitian_function(r, points, n) for _ in range(count)]
+            assert np.array_equal(lattice_join_chain(gs), join_chain_checked(gs))
+        assert calls == []  # the Frobenius screen settles every site
+
+    @pytest.mark.parametrize("points", [5, 20, 30])
+    def test_bit_identical_meet_of_pair_families(self, points):
+        """The (P, P^2, n, n) meet that _lower_envelopes takes, at P up to 30."""
+        r = rng(7200 + points)
+        gens, meta = grouped_function_algebra(r, n=2, group_sizes=[points - 2 * (points // 3), points // 3,
+                                                                   points // 3], fibers=["full", "diag", "scalar"])
+        alg = closure_star_subalgebra(gens, points=points, n=2)
+        f = equivariant_target(r, meta, 2)
+        f = (f + adj(f)) / 2.0
+        family = approximation._pair_family(alg, f, DEFAULT_TOL, opnorm(f))
+        negated = -family.swapaxes(0, 1).reshape(points, points * points, 2, 2)
+        want = -join_chain_checked(negated).reshape(points, points, 2, 2)
+        assert np.array_equal(approximation._lower_envelopes(alg, f, DEFAULT_TOL, opnorm(f)), want)
+
+    @pytest.mark.parametrize("log_c", [-160.0, -150.0, 0.0, 150.0, 155.0])
+    def test_bit_identical_across_scales(self, log_c):
+        r = rng(7300)
+        gs = [10.0 ** log_c * hermitian_function(r, 4, 3) for _ in range(4)]
+        assert np.array_equal(lattice_join_chain(gs), join_chain_checked(gs))
+
+    @pytest.mark.parametrize("bad_input, bad_point", [(0, 0), (2, 1), (3, 2)])
+    def test_same_refusal_of_non_hermitian_input(self, bad_input, bad_point):
+        r = rng(7400)
+        gs = [hermitian_function(r, 3, 2) for _ in range(4)]
+        gs[bad_input][bad_point] += np.array([[0.0, 1e-3], [0.0, 0.0]])
+        gs[3][2] += 1j * np.eye(2)
+        want = outcome(lambda: join_chain_checked(gs))
+        assert want == (NotHermitian, f"g_{bad_input} at point {bad_point} is not Hermitian within eq_tol")
+        assert outcome(lambda: lattice_join_chain(gs)) == want
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_overflowing_step_is_a_domain_error(self, step):
+        gs = [np.eye(2)[None] for _ in range(3)]
+        gs[step - 1] = 1e308 * gs[step - 1]
+        gs[step] = -1e308 * gs[step]
+        with pytest.raises(DomainError), np.errstate(over="ignore", invalid="ignore"):
+            join_chain_checked(gs)
+        with pytest.raises(DomainError, match=f"join step {step} overflows"):
+            lattice_join_chain(gs)
+
+    def test_overflowing_last_join_is_a_domain_error(self):
+        """h + g overflows on the last step while h - g does not: the
+        checked chain returned inf there, with no error."""
+        gs = [1e308 * np.eye(2), 1e308 * np.eye(2)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(join_chain_checked(gs)).all()
+        with pytest.raises(DomainError, match="join step 1 overflows"):
+            lattice_join_chain(gs)
+
+    @pytest.mark.parametrize("log_c", [-160.0, 0.0, 155.0])
+    @pytest.mark.parametrize("slack, exact", [(0.5, False), (0.9, True), (1.05, True), (1.5, False)])
+    def test_screened_verdict_matches_exact_test(self, slack, exact, log_c, monkeypatch):
+        """Each step's |.| is lowered by slack psd_slack S I, with S = 1
+        the family's sup norm, so the join falls below an input by about
+        that much.  diag(1, 1/2) has ||.||_F / sqrt 2 = 0.79 and
+        ||.||_F = 1.12: slack 0.5 passes and 1.5 fails on the screen, 0.9
+        and 1.05 take the exact norm, once (at unit scale; the floor and
+        an overflowing ||.||_F send every site to it at 1e-160 and 1e155)."""
+        c = 10.0 ** log_c
+        shift = 2.0 * slack * DEFAULT_TOL.psd_slack * c * np.eye(2)
+        gs = [c * fn(np.diag([1.0, 0.5]), np.diag([0.1, 0.2])), c * fn(np.diag([0.3, 0.1]), np.diag([0.2, 0.4]))]
+        want = outcome(lambda: join_chain_checked(gs, abs_fn=lambda a, tol: herm_abs(a, tol) - shift))
+        assert isinstance(want, tuple) == (slack > 1.0)
+        real = approximation._herm_abs
+        monkeypatch.setattr(approximation, "_herm_abs", lambda a: real(a) - shift)
+        calls = self.count_sup_norms(monkeypatch)
+        assert same_outcome(outcome(lambda: lattice_join_chain(gs)), want)
+        assert len(calls) == (1 if exact or log_c != 0.0 else 0)
+
+    def test_meet_failure_names_envelope_and_point(self, monkeypatch):
+        """With |.| broken to 0 at the points of envelopes x >= 1, the meet
+        inside _lower_envelopes fails there; the site the join chain
+        names, point x P + z of function y, is read back as envelope x,
+        interpolant g_x,y and point z."""
+        r = rng(7500)
+        gens, meta = grouped_function_algebra(r, n=2, group_sizes=[3, 2], fibers=["full", "diag"])
+        alg = closure_star_subalgebra(gens)
+        P = alg.points
+        f = equivariant_target(r, meta, 2)
+        f = (f + adj(f)) / 2.0
+        family = approximation._pair_family(alg, f, DEFAULT_TOL, opnorm(f))
+        real = approximation._herm_abs
+        monkeypatch.setattr(approximation, "_herm_abs", lambda a: real(a) * (np.arange(P * P) < P)[:, None, None])
+        negated = -family.swapaxes(0, 1).reshape(P, P * P, 2, 2)
+        with pytest.raises(NumericalFailure) as chain:
+            lattice_join_chain(negated)
+        y, site = (int(v) for v in re.fullmatch(r"join fails to dominate g_(\d+) at point (\d+)",
+                                                 str(chain.value)).groups())
+        x, z = divmod(site, P)
+        with pytest.raises(NumericalFailure) as meet:
+            approximation._lower_envelopes(alg, f, DEFAULT_TOL, opnorm(f))
+        assert str(meet.value) == (
+            f"lower envelope {x} fails to lie below the pair interpolant g_{x},{y} at point {z}"
+        )
+        assert x >= 1
+
+
 def commutes_per_element(e, f, tol=DEFAULT_TOL):
     """The per-element, per-point loop _commutes_with_algebra replaced."""
     for b in e.basis.elements():
@@ -1163,27 +1375,27 @@ class TestBatchedPointwiseChecks:
         target = equivariant_target(r, meta, n)
         verdicts = []
         for f in (central, nudged, (target + adj(target)) / 2.0, hermitian_function(r, alg.points, n)):
-            verdicts.append(sw_engine._commutes_with_algebra(alg, f, DEFAULT_TOL))
+            verdicts.append(approximation._commutes_with_algebra(alg, f, DEFAULT_TOL))
             assert verdicts[-1] == commutes_per_element(alg, f)
         assert verdicts[0] and not verdicts[1] and not verdicts[3]
 
     def test_zero_algebra_commutes_with_anything(self):
         alg = closure_star_subalgebra([], points=2, n=2)
         f = hermitian_function(rng(8100), 2, 2)
-        assert sw_engine._commutes_with_algebra(alg, f, DEFAULT_TOL) is commutes_per_element(alg, f) is True
+        assert approximation._commutes_with_algebra(alg, f, DEFAULT_TOL) is commutes_per_element(alg, f) is True
 
     def test_class_indicators_match_loop(self, monkeypatch):
         """The arguments of the real calls, then the same classes permuted
         or regrouped, so that the check fails: same indicators, same
         message naming the same class and point."""
         calls = []
-        real = sw_engine._class_indicators
+        real = approximation._class_indicators
 
         def record(e, classes, witnesses, tol):
             calls.append((e, classes, witnesses, tol))
             return real(e, classes, witnesses, tol)
 
-        monkeypatch.setattr(sw_engine, "_class_indicators", record)
+        monkeypatch.setattr(approximation, "_class_indicators", record)
         for seed in (5, 1003):
             r = rng(seed)
             gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], fibers=["full"] * 3)
@@ -1219,17 +1431,17 @@ class TestBatchedPartitionRoute:
     def test_matches_per_class_scan(self, monkeypatch):
         """The class-cover scan as the old generator loop, around the real
         route: same cover, same approximant."""
-        batched = sw_engine._partition_route
+        batched = approximation._partition_route
         compared = []
 
         def per_class_scan(e, f, delta, classes, witnesses, tol, scale):
-            lower = sw_engine._lower_envelopes(e, f, tol, scale)
-            upper = -sw_engine._lower_envelopes(e, -f, tol, scale)
+            lower = approximation._lower_envelopes(e, f, tol, scale)
+            upper = -approximation._lower_envelopes(e, -f, tol, scale)
             diff = np.array(lower) - np.array(upper)
             w = np.linalg.eigvalsh((diff + adj(diff)) / 2.0)
             in_d = (w[..., 0] > -2.0 * delta) & (w[..., -1] < 2.0 * delta)
             cover = [[j for j in range(e.points) if all(in_d[j, z] for z in cls)] for cls in classes]
-            chi = sw_engine._class_indicators(e, classes, witnesses, tol)
+            chi = approximation._class_indicators(e, classes, witnesses, tol)
             out = np.zeros_like(f)
             for j in range(e.points):
                 alpha = np.zeros_like(f)
@@ -1246,13 +1458,46 @@ class TestBatchedPartitionRoute:
             compared.append(len(classes))
             return got
 
-        monkeypatch.setattr(sw_engine, "_partition_route", both)
+        monkeypatch.setattr(approximation, "_partition_route", both)
         for seed in (5, 1003, 1011):
             r = rng(seed)
             gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], fibers=["full"] * 3)
             alg = closure_star_subalgebra(gens)
             constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1, seed=seed)
         assert compared and all(c == 3 for c in compared)
+
+
+class TestOnePairSolvePerRoute:
+    """The partition route solves the pair system once, for f, and reads
+    -f's pair family as its negation: the same envelopes, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [5, 1003, 1011])
+    def test_negated_family_is_the_solve_of_minus_f(self, seed):
+        r = rng(seed)
+        gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], fibers=["full"] * 3)
+        alg = closure_star_subalgebra(gens)
+        f = equivariant_target(r, meta, 2)
+        for part in ((f + adj(f)) / 2.0, (f - adj(f)) / 2.0j):
+            scale = opnorm(f)
+            family = approximation._pair_family(alg, part, DEFAULT_TOL, scale)
+            assert np.array_equal(approximation._pair_family(alg, -part, DEFAULT_TOL, scale), -family)
+            assert np.array_equal(approximation._meet(-family, DEFAULT_TOL),
+                                  approximation._lower_envelopes(alg, -part, DEFAULT_TOL, scale))
+
+    def test_one_pseudo_inverse_per_route(self, monkeypatch):
+        calls = []
+        real = np.linalg.pinv
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counting)
+        r = rng(5)
+        gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], fibers=["full"] * 3)
+        result = constructive_approximate(closure_star_subalgebra(gens), equivariant_target(r, meta, 2), eps=0.1)
+        assert result.routes == ("partition", "partition")
+        assert len(calls) == 2
 
 
 def pair_interpolant_lstsq(e, f, x, y, tol, scale, vectors=None):
@@ -1302,12 +1547,12 @@ class TestStackedEnvelopes:
         scalar = np.zeros((alg.points, n, n), dtype=complex)
         for grp in meta["groups"]:
             scalar[grp] = float(r.standard_normal()) * np.eye(n)
-        central = sw_engine._central_vectors(alg, DEFAULT_TOL)
+        central = approximation._central_vectors(alg, DEFAULT_TOL)
         target = equivariant_target(r, meta, n)
         for f, vectors in ((target + adj(target)) / 2.0, None), (target, None), (scalar, central):
             scale = opnorm(f)
-            lower = sw_engine._lower_envelopes(alg, f, DEFAULT_TOL, scale, vectors)
-            upper = -sw_engine._lower_envelopes(alg, -f, DEFAULT_TOL, scale, vectors)
+            lower = approximation._lower_envelopes(alg, f, DEFAULT_TOL, scale, vectors)
+            upper = -approximation._lower_envelopes(alg, -f, DEFAULT_TOL, scale, vectors)
             want_lower, want_upper = envelopes_per_point(alg, f, DEFAULT_TOL, scale, vectors)
             assert lower.shape == (alg.points, alg.points, n, n)
             assert np.abs(lower - np.array(want_lower)).max() <= 1e-12 * scale
@@ -1318,7 +1563,7 @@ class TestStackedEnvelopes:
         r = rng(9800 + seed)
         gens, meta = grouped_function_algebra(r, n=n, group_sizes=sizes, fibers=["full", "diag", "scalar"])
         alg = closure_star_subalgebra(gens, points=sum(sizes), n=n)
-        central = sw_engine._central_vectors(alg, DEFAULT_TOL)
+        central = approximation._central_vectors(alg, DEFAULT_TOL)
         noise = np.stack([ginibre(r, n) for _ in range(alg.points)])
         target = equivariant_target(r, meta, n)
         moved = target.copy()  # a diag-group point off its group's value: first refused at the pair within the group
@@ -1328,7 +1573,7 @@ class TestStackedEnvelopes:
             with pytest.raises(PreconditionFailed) as old:
                 envelopes_per_point(alg, f, DEFAULT_TOL, opnorm(f), vectors)
             with pytest.raises(PreconditionFailed) as new:
-                sw_engine._lower_envelopes(alg, f, DEFAULT_TOL, opnorm(f), vectors)
+                approximation._lower_envelopes(alg, f, DEFAULT_TOL, opnorm(f), vectors)
             assert str(new.value) == str(old.value)
 
 
@@ -1521,7 +1766,7 @@ class TestClassPairSeparation:
 
     def test_witnesses_as_point_loop(self, monkeypatch):
         seen = []
-        real = sw_engine._partition_route
+        real = approximation._partition_route
 
         def record(e, f, delta, classes, witnesses, tol, scale):
             table = sw_engine._ClassTable.of(e, tol, seed)
@@ -1532,7 +1777,7 @@ class TestClassPairSeparation:
             seen.append(len(classes))
             return real(e, f, delta, classes, witnesses, tol, scale)
 
-        monkeypatch.setattr(sw_engine, "_partition_route", record)
+        monkeypatch.setattr(approximation, "_partition_route", record)
         for seed in (5, 1003, 1011, 1017):
             r = rng(seed)
             gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2, 1], fibers=["full"] * 4)
