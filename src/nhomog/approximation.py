@@ -29,13 +29,12 @@ from .errors import (
     SpectraNotDisjoint,
 )
 from .matrix_core import (
-    _SCREEN_FLOOR,
-    _SCREEN_MARGIN,
     DEFAULT_TOL,
     Ordering,
     Tolerance,
     _exceeds,
     _fails,
+    _fails_between,
     _frobenius,
     _from_eig,
     _herm_abs,
@@ -159,12 +158,11 @@ def _join(family: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     eigh of its Hermitian part; a step that overflows, in h - g or in h,
     raises DomainError.
 
-    Domination allows psd_slack times the family's sup norm S.  As
-    ||A||_F / sqrt(n) <= ||A|| <= ||A||_F, S lies between the largest
-    Frobenius norm over sqrt(n) and the largest Frobenius norm, which
-    settle a site with the margin and floor of ``_exceeds``; S itself, a
-    stacked SVD of every matrix of the family, is taken only when some
-    site with a negative gap eigenvalue lies between them."""
+    Domination allows psd_slack times the family's sup norm S, which
+    lies between the largest Frobenius norm over sqrt(n) and the largest
+    Frobenius norm (``_fails_between``); S itself, a stacked SVD of every
+    matrix of the family, is taken only when some site with a negative
+    gap eigenvalue lies between them."""
     h = family[0].copy()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         for step, g in enumerate(family[1:], 1):
@@ -177,12 +175,8 @@ def _join(family: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     gap = h - family
     err = -np.linalg.eigvalsh((gap + adj(gap)) / 2.0).min(axis=-1, initial=0.0)
     fro = _frobenius(family).max(initial=0.0)
-    lo, hi = tol.psd_slack * fro / math.sqrt(max(family.shape[-1], 1)), tol.psd_slack * fro
-    passed = (err <= 0.0) | ((fro < np.inf) & (lo >= _SCREEN_FLOOR) & (err * (1.0 + _SCREEN_MARGIN) <= lo))
-    failed = ~np.isfinite(err) | ((hi >= _SCREEN_FLOOR) & (err > hi * (1.0 + _SCREEN_MARGIN)))
-    unsure = ~(passed | failed)
-    if unsure.any():
-        failed[unsure] = _fails(err[unsure], tol.psd_slack, opnorm(family))
+    failed = _fails_between(err, err, tol.psd_slack, fro / math.sqrt(max(family.shape[-1], 1)), fro,
+                            lambda unsure: _fails(err[unsure], tol.psd_slack, opnorm(family)))
     return h, np.argwhere(failed)
 
 
@@ -471,7 +465,7 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
     if _fails(d2.residual(target), tol.eq_tol, scale):
         raise PreconditionFailed("target is not two-point approximable by the algebra")
     table = _class_table(e, tol, seed)
-    if not table.unit(tol).in_closure:
+    if not table.unit(e, tol).in_closure:
         raise HypothesisViolated("(AX0) the constant identity is not in the closure")
     classes = table.groups()
     witnesses: dict[tuple[int, int], tuple[np.ndarray, StarPolynomial]] = {}

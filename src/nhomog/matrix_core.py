@@ -121,7 +121,7 @@ def _opnorms(a: np.ndarray) -> np.ndarray:
 
 
 # ||a||_2 <= ||a||_F.  The screens of ``_exceeds`` and
-# ``require_hermitian`` decide a matrix only with a relative margin for
+# ``_fails_between`` decide a matrix only with a relative margin for
 # the rounding of the norms, and only at bounds where no square of an
 # entry underflows enough to matter.
 _SCREEN_MARGIN = 1e-10
@@ -171,25 +171,40 @@ def _fails(err, rel: float, scale) -> np.ndarray:
     return ~np.isfinite(err) | (err > rel * np.asarray(scale))
 
 
+def _fails_between(err_lo, err_hi, rel: float, scale_lo, scale_hi, exact) -> np.ndarray:
+    """``_fails(err, rel, scale)`` at sites where err is known only to lie
+    in [err_lo, err_hi] and scale in [scale_lo, scale_hi], as a Frobenius
+    norm places an operator norm: ||x||_F / sqrt(n) <= ||x|| <= ||x||_F.
+    A finite err_hi <= 0 passes; the ranges pass or fail a site with the
+    screen's margin for rounding and only at bounds above its floor.
+    ``exact(unsure)``, the exact verdicts at the sites of the boolean
+    mask ``unsure``, decides the rest, and every non-finite range."""
+    on_screen = (err_hi < np.inf) & (scale_hi < np.inf)
+    lo, hi = rel * scale_lo, rel * scale_hi
+    passed = np.isfinite(err_lo) & ((err_hi <= 0.0) | (on_screen & (lo >= _SCREEN_FLOOR)
+                                                        & (err_hi * (1.0 + _SCREEN_MARGIN) <= lo)))
+    failed = on_screen & (hi >= _SCREEN_FLOOR) & (err_lo > hi * (1.0 + _SCREEN_MARGIN))
+    unsure = ~(passed | failed)
+    if np.shape(failed) != np.shape(unsure):
+        failed = np.broadcast_to(failed, np.shape(unsure))
+    if unsure.any():
+        failed = np.array(failed)
+        failed[unsure] = exact(unsure)
+    return failed
+
+
 def require_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
     """Reject a unless ||a - a*|| <= eq_tol ||a||.  A (P, n, n) stack is
     checked point by point, and the first failing point z is named as
     the matrix ``f"{name} at point {z}"`` would be.
 
-    ||x||_F / sqrt(n) <= ||x|| <= ||x||_F, so a Frobenius screen passes
-    a matrix with ||a - a*||_F <= eq_tol ||a||_F / sqrt(n) and fails one
-    with ||a - a*||_F / sqrt(n) > eq_tol ||a||_F, each with a margin for
-    rounding and only at bounds above the screen floor; the two SVDs
-    decide the rest, and non-finite entries."""
+    Both norms are placed by their Frobenius norms (``_fails_between``);
+    the two SVDs decide only the matrices those leave open, and
+    non-finite entries."""
     d = a - adj(a)
     fd, fa, root_n = _frobenius(d), _frobenius(a), np.sqrt(max(a.shape[-1], 1))
-    on_screen = (fd < np.inf) & (fa < np.inf)
-    lo, hi = tol.eq_tol * fa / root_n, tol.eq_tol * fa  # the bound's range over ||a|| given ||a||_F
-    passed = on_screen & (lo >= _SCREEN_FLOOR) & (fd * (1.0 + _SCREEN_MARGIN) <= lo)
-    failed = np.asarray(on_screen & (hi >= _SCREEN_FLOOR) & (fd / root_n > hi * (1.0 + _SCREEN_MARGIN)))
-    unsure = ~(passed | failed)
-    if unsure.any():
-        failed[unsure] = _fails(_opnorms(d[unsure]), tol.eq_tol, _opnorms(a[unsure]))
+    failed = _fails_between(fd / root_n, fd, tol.eq_tol, fa / root_n, fa,
+                            lambda unsure: _fails(_opnorms(d[unsure]), tol.eq_tol, _opnorms(a[unsure])))
     bad = np.flatnonzero(failed)
     if bad.size:
         where = f" at point {bad[0]}" if a.ndim == 3 else ""

@@ -172,15 +172,18 @@ class SubspaceBasis:
     def residual(self, x) -> float:
         return fnorm(np.asarray(x, dtype=complex) - self.project(x))
 
+    def _contains_rows(self, rows: np.ndarray, rel: float) -> np.ndarray:
+        """For each row of an (m, ambient) stack, whether its residual off
+        the subspace is within rel of its norm, from one stacked projection."""
+        residuals = np.linalg.norm(rows - (rows @ self.vectors.conj().T) @ self.vectors, axis=1)
+        return ~_fails(residuals, rel, np.linalg.norm(rows, axis=1))
+
     def contains(self, x, rel: float) -> bool:
-        return not _fails(self.residual(x), rel, fnorm(np.asarray(x, dtype=complex)))
+        return bool(self._contains_rows(np.asarray(x, dtype=complex).reshape(1, -1), rel)[0])
 
     def contains_span(self, other: "SubspaceBasis", rel: float) -> bool:
-        """Whether every basis element of ``other`` passes ``contains``,
-        decided from one stacked residual of its rows."""
-        rows = other.vectors
-        residuals = np.linalg.norm(rows - (rows @ self.vectors.conj().T) @ self.vectors, axis=1)
-        return not _fails(residuals, rel, np.linalg.norm(rows, axis=1)).any()
+        """Whether every basis element of ``other`` passes ``contains``."""
+        return bool(self._contains_rows(other.vectors, rel).all())
 
     def gram(self) -> np.ndarray:
         return self.vectors @ self.vectors.conj().T

@@ -87,7 +87,9 @@ class SeparationVerdict:
     two points have disjoint spectra (integer labels of disjoint sets of
     classes, certified once per class table); certified=False means the
     points cannot be separated: they share a class of irreducible
-    representations, or both have a null part."""
+    representations, or both have a null part.  The witness is the class
+    table's, kept on the algebra and shared by every verdict on it, so it
+    is read-only: copy it to change it."""
 
     certified: bool
     witness: np.ndarray | None = field(repr=False, default=None)
@@ -109,9 +111,11 @@ class _ClassTable:
     evaluation contains.  Label 0 is the null part and label i + 1 is
     class i; ``present[l, x]`` says whether point x contains label l.
     The witness sum_i (i + 1) P_i is certified once, when the table is
-    built, so separating any pair is a lookup in ``present``."""
+    built, so separating any pair is a lookup in ``present``.  The table
+    is kept on its algebra (``_class_table``) and refers to no algebra
+    itself, so the two are freed by reference counting; its arrays are
+    read-only, the witness handed out by ``separation`` included."""
 
-    algebra: FnAlgebra
     present: np.ndarray = field(repr=False)  # (labels, P) bool
     v: np.ndarray = field(repr=False)  # (P, n, n): each point's blocks side by side, a unitary
     labels: np.ndarray = field(repr=False)  # (P, n): label of each column of v
@@ -155,12 +159,11 @@ class _ClassTable:
             raise NumericalFailure("the class witness is not in the algebra span")
         for a in (present, v, labels, witness):
             a.setflags(write=False)
-        return cls(e, present, v, labels, witness)
+        return cls(present, v, labels, witness)
 
-    def unit(self, tol: Tolerance) -> UnitWitness:
-        """The unit is in the algebra iff no point has a null part; the
-        witness is sum_i P_i, taken pointwise."""
-        e = self.algebra
+    def unit(self, e: FnAlgebra, tol: Tolerance) -> UnitWitness:
+        """The unit is in the algebra e of this table iff no point has a
+        null part; the witness is sum_i P_i, taken pointwise."""
         if self.present[0].any():
             return UnitWitness(False, None)
         witness = (self.v * (self.labels > 0)[:, None, :]) @ adj(self.v)
@@ -177,7 +180,7 @@ class _ClassTable:
         """Points grouped by (set of classes, has-null), ordered by their
         smallest point."""
         out: dict[bytes, list[int]] = {}
-        for x in range(self.algebra.points):
+        for x in range(self.present.shape[1]):
             out.setdefault(self.present[:, x].tobytes(), []).append(x)
         return list(out.values())
 
@@ -322,6 +325,8 @@ def density_check(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> 
     Density itself is the exact rank condition dim E = |X| n^2.  Pair
     verdicts are exact, from one class table of the algebra, so the
     criterion is decided on every input and must agree with density.
+    A separated pair's witness is the table's read-only witness, as in
+    ``spectrally_separates``.
     """
     dim = e.basis.dim
     dense = dim == e.ambient_dim
@@ -349,4 +354,4 @@ def unit_in_closure(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> UnitWitness:
     the sum of the isotypic projections, is re-verified to lie in the
     span.
     """
-    return _class_table(e, tol, 0).unit(tol)
+    return _class_table(e, tol, 0).unit(e, tol)

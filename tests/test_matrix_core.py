@@ -9,8 +9,10 @@ from nhomog.matrix_core import (
     DEFAULT_TOL,
     Ordering,
     Tolerance,
+    _SCREEN_MARGIN,
     _exceeds,
     _fails,
+    _fails_between,
     _opnorms,
     adj,
     fix_phase,
@@ -465,6 +467,49 @@ def straddles(r, n):
                         t *= want / ratio(h + 1j * t * k)
                     out.append(h + 1j * t * k)
     return out
+
+
+class TestFailsBetween:
+    """``_fails_between`` gives ``_fails``'s verdict on the true err and
+    scale wherever those lie in the ranges, and asks the exact test only
+    at sites the ranges leave open."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_verdicts_as_fails(self, seed):
+        r = rng(700 + seed)
+        m, rel = 600, 1e-7
+        root_n = np.sqrt(r.integers(1, 6, m))
+        scale = 10.0 ** r.uniform(-170.0, 170.0, m)
+        err = rel * scale * 10.0 ** r.uniform(-1.2, 1.2, m)
+        err[r.random(m) < 0.2] *= -1.0
+        err[:7] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300]
+        scale[7:9] = np.inf, np.nan
+        bracketed = (r.random(m) < 0.5) & (err >= 0.0)  # the others are known exactly
+        err_lo = np.where(bracketed, err * r.uniform(1.0 / root_n, 1.0), err)
+        err_hi = np.where(bracketed, err * r.uniform(1.0, root_n), err)
+        scale_lo, scale_hi = scale * r.uniform(1.0 / root_n, 1.0), scale * r.uniform(1.0, root_n)
+        asked = []
+
+        def exact(unsure):
+            asked.append(unsure.copy())
+            return _fails(err[unsure], rel, scale[unsure])
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _fails_between(err_lo, err_hi, rel, scale_lo, scale_hi, exact)
+            settled = np.isfinite(err_lo) & np.isfinite(err_hi) & ((err_hi <= 0.0) | np.isfinite(scale_hi) & (
+                (err_hi * (1.0 + _SCREEN_MARGIN) <= rel * scale_lo) | (err_lo > rel * scale_hi * (1.0 + _SCREEN_MARGIN))))
+        assert np.array_equal(got, _fails(err, rel, scale))
+        assert len(asked) == 1 and asked[0].any() and not (asked[0] & settled & (rel * scale_lo > 1e-150)).any()
+        assert got.any() and not got.all() and not asked[0].all()
+
+    def test_scalars_and_broadcast(self):
+        never = lambda unsure: pytest.fail("exact test on a settled site")
+        assert not _fails_between(0.1, 0.2, 1.0, 1.0, 2.0, never)
+        assert _fails_between(3.0, 3.0, 1.0, 1.0, 2.0, never)
+        assert _fails_between(1.5, 1.5, 1.0, 1.0, 2.0, lambda unsure: np.array([True]))
+        got = _fails_between(np.array([0.5, 1.5, 3.0]), np.array([0.5, 1.5, 3.0]), 1.0, 1.0, 2.0,
+                             lambda unsure: np.array([False]))
+        assert got.tolist() == [False, False, True]
 
 
 class TestRequireHermitianScreen:

@@ -15,7 +15,7 @@ from nhomog.instances import (
     random_unitary,
     scrambled_direct_sum,
 )
-from nhomog.matrix_core import DEFAULT_TOL, adj, as_matrix, opnorm
+from nhomog.matrix_core import DEFAULT_TOL, _fails, adj, as_matrix, fnorm, opnorm
 from nhomog.star_algebra import (
     MatTuple,
     SubspaceBasis,
@@ -254,6 +254,24 @@ class TestContainsSpan:
         for a, b in ((span, sub), (sub, span), (span, span), (SubspaceBasis(shape, big[:0]), sub),
                      (span, SubspaceBasis(shape, big[:0]))):
             assert a.contains_span(b, 1e-7) is all(a.contains(x, 1e-7) for x in b.elements())
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, 0.9e-7, 1.1e-7, 1e-3])
+    def test_contains_is_the_residual_rule(self, seed, offset):
+        """``contains`` is the one-row case of the stacked residual, with
+        the verdict of ``residual`` against the element's norm."""
+        r = rng(620 + seed)
+        shape = (3, 2, 2)
+        span = SubspaceBasis(shape, orthonormal_rows(r.standard_normal((5, 12)) + 1j * r.standard_normal((5, 12))))
+        outside = r.standard_normal(12) + 1j * r.standard_normal(12)
+        outside -= span.vectors.conj() @ outside @ span.vectors
+        for c in (1e-120, 1.0, 1e120):
+            x = c * ((r.standard_normal(5) + 1j * r.standard_normal(5)) @ span.vectors
+                     + offset * outside / np.linalg.norm(outside)).reshape(shape)
+            want = not _fails(span.residual(x), 1e-7, fnorm(x))
+            assert span.contains(x, 1e-7) is want
+            assert want or offset > 0.0
+            assert not want or offset < 1e-3
 
 class TestHermitianBasis:
     def test_spans_hermitian_part(self):

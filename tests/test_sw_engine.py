@@ -1,9 +1,11 @@
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -301,7 +303,7 @@ class TestClassTableReference:
         assert shapes == ([(2, support, n, n)] if live else [])
         assert support == len(live)
         assert table.groups() == (meta["groups"] if live else [list(range(18))])
-        assert table.unit(DEFAULT_TOL).in_closure is False
+        assert table.unit(alg, DEFAULT_TOL).in_closure is False
 
     @pytest.mark.parametrize("seed", range(2))
     def test_vanishing_group_is_exactly_zero(self, seed, monkeypatch):
@@ -735,6 +737,22 @@ class TestClassTableOnce:
         assert len(calls) == 1 and result.routes
         table = sw_engine._class_table(alg, DEFAULT_TOL, 0)
         assert all(not a.flags.writeable for a in (table.present, table.v, table.labels, table.witness))
+
+    def test_table_refers_to_no_algebra(self):
+        """The table kept on an algebra makes no reference cycle with it,
+        so the algebra is freed with its last reference, with the cyclic
+        collector off."""
+        gens, _ = grouped_function_algebra(rng(15), n=2, group_sizes=[2, 1], fibers=["full", "diag"])
+        alg = closure_star_subalgebra(gens)
+        density_check(alg)
+        assert unit_in_closure(alg).in_closure and len(alg._memo) == 2
+        gone = weakref.ref(alg)
+        gc.disable()
+        try:
+            del alg
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_kept_per_tolerance_and_seed(self, monkeypatch):
         gens, _ = grouped_function_algebra(rng(14), n=2, group_sizes=[2, 2], fibers=["full", "diag"])
