@@ -47,7 +47,7 @@ from .matrix_core import (
     psd_order,
     require_hermitian,
 )
-from .star_algebra import nullspace
+from .star_algebra import _rank_with_gap, nullspace
 from .sw_engine import FnAlgebra, _class_table, delta2_subspace, fn_product
 
 
@@ -296,11 +296,11 @@ def _pair_family(e: FnAlgebra, f: np.ndarray, tol: Tolerance, scale: float,
     Every pair x <= y is solved at once for the element g_xy of the span
     (optionally of a subspace given by its own vector rows) matching f at
     both points: minimal-norm coefficients from one stacked pseudo-inverse
-    that keeps only singular directions above rank_cut, so roundoff in f
-    is not amplified.  It exists, within eq_tol of the target's norm
-    ``scale``, whenever f is two-point approximable there; the first
-    pair that fails is named.  The solve is linear in f, so the family
-    of -f is exactly -family."""
+    whose singular directions the rank gate keeps, so roundoff in f is
+    not amplified, and an ambiguous gap raises.  It exists, within eq_tol
+    of the target's norm ``scale``, whenever f is two-point approximable
+    there; the first pair that fails is named.  The solve is linear in
+    f, so the family of -f is exactly -family."""
     if vectors is None:
         vectors = e.basis.vectors
     P, nn = e.points, e.n * e.n
@@ -309,7 +309,10 @@ def _pair_family(e: FnAlgebra, f: np.ndarray, tol: Tolerance, scale: float,
     blocks = np.concatenate([values[:, xs], values[:, ys]], axis=-1).transpose(1, 2, 0)  # (pairs, 2n^2, dim)
     flat = f.reshape(P, nn)
     targets = np.concatenate([flat[xs], flat[ys]], axis=-1)[..., None]
-    coeffs = np.linalg.pinv(blocks, rcond=tol.rank_cut) @ targets
+    u, s, vh = np.linalg.svd(blocks.conj(), full_matrices=False)  # pinv's own arithmetic, gated
+    kept = np.arange(s.shape[-1]) < _rank_with_gap(s, tol.rank_cut, "pair interpolant")[:, None]
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    coeffs = (vh.swapaxes(-1, -2) @ (inverse[..., None] * u.swapaxes(-1, -2))) @ targets
     residuals = np.linalg.norm(blocks @ coeffs - targets, axis=(1, 2))
     bad = np.flatnonzero(_fails(residuals, tol.eq_tol, scale))
     if bad.size:
@@ -368,7 +371,7 @@ def _class_indicators(e: FnAlgebra, classes, witnesses, tol: Tolerance) -> list[
             wit, poly = witnesses[(ci, cj)]
             prod = fn_product(prod, _eval_stack(poly, wit[None]))
         want = np.isin(np.arange(P), cls)[:, None, None] * eye
-        bad = np.flatnonzero(_opnorms(prod - want) > 1e-6)
+        bad = np.flatnonzero(_exceeds(prod - want, 1e-6))
         if bad.size:
             raise NumericalFailure(
                 f"class indicator {ci} deviates at point {bad[0]}: the instance does not "

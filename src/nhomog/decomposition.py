@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotIrreducible, NotNHomogeneous, NumericalFailure
-from .matrix_core import (_SCREEN_FLOOR, _SCREEN_MARGIN, DEFAULT_TOL, Tolerance, _exceeds, _fails, _opnorms, adj,
-                          fix_phase, opnorm)
+from .matrix_core import (DEFAULT_TOL, Tolerance, _exceeds, _fails, _opnorms, _screen_passes, adj, fix_phase,
+                          opnorm)
 from .star_algebra import RANK_GAP_RATIO, MatTuple, _rank_with_gap, intertwiner_space
 
 _SPLITTER_RESEEDS = 5
@@ -189,13 +189,12 @@ def _spin_up(letters: np.ndarray, e: np.ndarray, tol: Tolerance) -> np.ndarray:
     round multiplies the last round's new vectors by every letter,
     orthogonalises them twice against the basis so far (from the second
     round on) and keeps the rank of a thin SVD, relative to 1 (the
-    letters have scale at most 1).  A round whose projected candidates R
-    have ||R||_F (1 + 1e-10) <= rank_cut adds nothing and ends the loop
-    without the SVD: s_max <= ||R||_F, so the rank would be 0 (at a
-    rank_cut below 1e-150, where squares could underflow, the SVD
-    decides).  The same coefficient matrices, replayed on e_1, ...,
-    e_{m-1} in the same batched products, map A.e_0 onto their cyclic
-    subspaces, already aligned with it."""
+    letters have scale at most 1).  A round whose projected candidates
+    R pass ``_screen_passes`` at rank_cut adds nothing and ends the loop
+    without the SVD, as in ``closure``: s_max <= ||R||_F < rank_cut, so
+    the rank would be 0.  The same coefficient matrices, replayed on
+    e_1, ..., e_{m-1} in the same batched products, map A.e_0 onto
+    their cyclic subspaces, already aligned with it."""
     d, m = e.shape
     points, n = letters.shape[1:3]
     rows = letters.swapaxes(0, 1).reshape(points, -1, n)  # each point's letters, one above the other
@@ -206,8 +205,8 @@ def _spin_up(letters: np.ndarray, e: np.ndarray, tol: Tolerance) -> np.ndarray:
         cand = (rows @ new.reshape(m, points, n, r)).reshape(m, points, -1, n, r).swapaxes(2, 3).reshape(m, d, -1)
         for _ in range(2 if basis.shape[2] else 0):  # Gram-Schmidt twice, with e_0's coefficients for every column
             cand = cand - basis @ (adj(basis[0]) @ cand[0])
-        if tol.rank_cut >= _SCREEN_FLOOR and np.linalg.norm(cand[0]) * (1.0 + _SCREEN_MARGIN) <= tol.rank_cut:
-            break  # the screen of ``_exceeds``: nothing above the rank cut
+        if _screen_passes(cand[0], tol.rank_cut):
+            break
         _, s, vh = np.linalg.svd(cand[0], full_matrices=False)
         rank = _rank_with_gap(s, tol.rank_cut, "spin-up", scale=1.0)
         new = cand @ (adj(vh[:rank]) / s[:rank])

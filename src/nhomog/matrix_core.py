@@ -135,17 +135,25 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
         return np.linalg.norm(a, axis=(-2, -1)) if a.size else np.zeros(a.shape[:-2])
 
 
+def _screen_passes(a: np.ndarray, bound) -> np.ndarray:
+    """Where ||X||_F, an upper bound, already settles ||X||_2 <= bound,
+    for each matrix of a (..., m, n) stack with ``bound`` broadcast
+    against it: with the screen's margin for rounding, and only at
+    bounds above its floor.  False leaves the test open, as it does for
+    a matrix with a NaN or infinite entry."""
+    fro = _frobenius(a)
+    return (fro < np.inf) & (bound >= _SCREEN_FLOOR) & (fro * (1.0 + _SCREEN_MARGIN) <= bound)
+
+
 def _exceeds(a: np.ndarray, bound) -> np.ndarray:
     """``_opnorms(a) > bound`` for each matrix of a (..., m, n) stack,
     with ``bound`` broadcast against the stack, decided exactly but with
-    an SVD only where the Frobenius norm, an upper bound, does not
-    already settle it.  A matrix with a NaN or infinite entry fails the
-    screen and exceeds every finite bound, as in ``_opnorms``."""
+    an SVD only where ``_screen_passes`` does not already settle it.  A
+    matrix with a NaN or infinite entry fails the screen and exceeds
+    every finite bound, as in ``_opnorms``."""
     a = np.asarray(a)
     bound = np.asarray(bound, dtype=float)
-    fro = _frobenius(a)
-    passed = (fro < np.inf) & (bound >= _SCREEN_FLOOR) & (fro * (1.0 + _SCREEN_MARGIN) <= bound)
-    unsure = np.asarray(~passed)
+    unsure = np.asarray(~_screen_passes(a, bound))
     if unsure.any():  # the exact test where the screen is unsure; False everywhere else
         shape = unsure.shape
         norms = _opnorms(np.broadcast_to(a, shape + a.shape[-2:])[unsure])

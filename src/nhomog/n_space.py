@@ -79,7 +79,7 @@ class PointRef:
     def make(cls, orbit: int, u, tol: Tolerance = DEFAULT_TOL) -> "PointRef":
         m = as_matrix(u, "u")
         n = m.shape[0]
-        if m.shape != (n, n) or opnorm(adj(m) @ m - np.eye(n)) > tol.eq_tol:
+        if m.shape != (n, n) or _exceeds(adj(m) @ m - np.eye(n), tol.eq_tol):
             raise ValueError("point representative must be unitary within eq_tol")
         return cls(orbit=orbit, u=fix_phase(m))
 
@@ -211,7 +211,7 @@ def classify_matrix_rep(images, space: FiniteNSpace, tol: Tolerance = DEFAULT_TO
     # matrix-unit images have norm 1; looser than eq_tol: inputs may come from user JSON
     cut = 1e-6 * max(1.0, float(np.abs(arr).max()) if arr.size else 0.0)
     _verify_star_hom(arr, space, cut)
-    live = np.flatnonzero(np.linalg.norm(arr, 2, axis=(-2, -1)).max(axis=(1, 2)) > cut).tolist()
+    live = np.flatnonzero(_exceeds(arr, cut).any(axis=(1, 2))).tolist()
     if not live:
         return None
     if len(live) > 1:
@@ -225,7 +225,7 @@ def classify_matrix_rep(images, space: FiniteNSpace, tol: Tolerance = DEFAULT_TO
     if np.abs(s**2 - 1.0).max() > 1e-6:  # the spectral norm of u*u - I
         raise NumericalFailure("recovered point representative is not unitary")
     u = left @ right  # the nearest unitary: accepted at 1e-6, it must be a point to eq_tol
-    if np.linalg.norm(arr[i] - _unit_images(u), 2, axis=(-2, -1)).max() > cut:
+    if _exceeds(arr[i] - _unit_images(u), cut).any():
         raise NumericalFailure("no orbit point matches the representation within tolerance")
     return PointRef.make(i, u, tol)
 

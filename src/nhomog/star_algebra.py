@@ -21,7 +21,8 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure
-from .matrix_core import DEFAULT_TOL, Tolerance, _fails, _opnorms, adj, as_matrix, fnorm, opnorm
+from .matrix_core import (DEFAULT_TOL, Tolerance, _exceeds, _fails, _opnorms, _screen_passes, adj, as_matrix, fnorm,
+                          opnorm)
 
 # Rank decisions require this ratio between the smallest kept and largest
 # dropped singular value; anything closer is an error, never a guess.
@@ -42,39 +43,23 @@ def _rank_with_gap(s: np.ndarray, rank_cut: float, context: str,
     all-noise matrix (no actual constraints) has rank 0 instead of full
     rank.
 
-    ``s`` is one descending spectrum, or a stack (..., r) of them; a
-    stack gives an integer array with each row's rank, cut and gap rule
-    taken row by row as for one spectrum.  The first ambiguous row in
-    C order raises, with the message its own call would give; empty rows
-    (r = 0) have rank 0."""
-    if s.ndim > 1:
-        r = s.shape[-1]
-        if r == 0:
-            return np.zeros(s.shape[:-1], dtype=int)
-        cut = rank_cut * np.maximum(s[..., :1], scale)
-        rank = np.sum(s > cut, axis=-1)
-        kept = np.take_along_axis(s, np.maximum(rank - 1, 0)[..., None], axis=-1)[..., 0]
-        dropped = np.take_along_axis(s, np.minimum(rank, r - 1)[..., None], axis=-1)[..., 0]
-        ratio = kept / np.where(dropped > 0.0, dropped, 1.0)
-        ambiguous = (0 < rank) & (rank < r) & (dropped > 0.0) & (ratio < RANK_GAP_RATIO)
-        if ambiguous.any():
-            _rank_with_gap(s.reshape(-1, r)[np.argmax(ambiguous.ravel())], rank_cut, context, scale)
-        return rank
-    if s.size == 0:
-        return 0
-    top = max(float(s[0]), float(scale))
-    if top <= 0.0:
-        return 0
-    cut = rank_cut * top
-    rank = int(np.sum(s > cut))
-    if 0 < rank < s.size:
-        dropped = float(s[rank])
-        if dropped > 0.0 and float(s[rank - 1]) / dropped < RANK_GAP_RATIO:
-            raise NumericalFailure(
-                f"ambiguous rank in {context}: singular values "
-                f"{s[rank - 1]:.3e} / {dropped:.3e} straddle the cutoff with gap < {RANK_GAP_RATIO}"
-            )
-    return rank
+    ``s`` is a stack (..., r) of descending spectra, and gives an
+    integer array with each row's rank, cut and gap rule taken row by
+    row; one spectrum is a one-row stack and gives an int.  The first
+    ambiguous row in C order raises; empty rows (r = 0) have rank 0."""
+    rows = s if s.ndim > 1 else s[None]
+    above = rows > rank_cut * np.maximum(rows[..., :1], scale)
+    rank = above.sum(axis=-1)
+    kept = rows.min(axis=-1, where=above, initial=np.inf)  # the smallest kept value; inf at rank 0
+    dropped = rows.max(axis=-1, where=~above, initial=0.0)  # the largest dropped one
+    ambiguous = (dropped > 0.0) & (kept / np.where(dropped > 0.0, dropped, 1.0) < RANK_GAP_RATIO)
+    if ambiguous.any():
+        first = np.argmax(ambiguous.ravel())
+        raise NumericalFailure(
+            f"ambiguous rank in {context}: singular values "
+            f"{kept.flat[first]:.3e} / {dropped.flat[first]:.3e} straddle the cutoff with gap < {RANK_GAP_RATIO}"
+        )
+    return rank if s.ndim > 1 else int(rank[0])
 
 
 def _refuse(gens) -> NoReturn:
@@ -212,9 +197,10 @@ def closure(family, shape, tol: Tolerance = DEFAULT_TOL, context: str = "closure
     last round added.  The generators are scaled to unit Frobenius norm
     once (at any scale a double can hold) and products are kept at their
     own size, so a product that is zero up to roundoff stays near 1e-16
-    and falls below the rank cut, which is taken relative to 1.  Rounds
-    project their candidates R off the span twice (orthogonal to roundoff)
-    and end the loop if one pass leaves ||R||_F <= rank_cut / RANK_GAP_RATIO.
+    and falls below the rank cut, which is taken relative to 1.  Each
+    round projects its candidates R off the span twice (orthogonal to
+    roundoff), and a round that ``_screen_passes`` at rank_cut ends the
+    loop without the SVD: s_max <= ||R||_F < rank_cut leaves no rank.
     The leading axes of ``shape`` are points and the last two a matrix;
     the loop runs on the points where some member is nonzero, so the
     basis is exactly zero at the others.
@@ -234,12 +220,15 @@ def closure(family, shape, tol: Tolerance = DEFAULT_TOL, context: str = "closure
     width = prod(inner)
     vectors = np.zeros((0, width), dtype=complex)
     candidates = letters.reshape(-1, width)
-    while fnorm(candidates) > tol.rank_cut / RANK_GAP_RATIO:  # else s_max <= ||R||_F leaves no rank
-        s, vh = _right_svd(candidates - (candidates @ vectors.conj().T) @ vectors, full=False)
+    while len(candidates):
+        for _ in range(2 if len(vectors) else 0):
+            candidates = candidates - (candidates @ vectors.conj().T) @ vectors
+        if _screen_passes(candidates, tol.rank_cut):
+            break
+        s, vh = _right_svd(candidates, full=False)
         new = vh[:_rank_with_gap(s, tol.rank_cut, context, scale=1.0)]
         vectors = np.vstack([vectors, new])
         candidates = (new.reshape(-1, 1, *inner) @ letters).reshape(-1, width)
-        candidates = candidates - (candidates @ vectors.conj().T) @ vectors
     if part:  # exact zeros at the points left out
         spread = np.zeros((len(vectors), ambient), dtype=complex)
         spread[:, np.repeat(live, ambient // points)] = vectors
@@ -318,7 +307,7 @@ def commutant(t: MatTuple, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
     basis = intertwiner_space(t, t, tol)
     xs = basis.vectors.reshape(-1, 1, t.d, t.d)
     norms = _opnorms(t.gens)
-    if np.any(_opnorms(xs @ t.gens - t.gens @ xs) > 1e-7 * (norms.max() + norms)):
+    if _exceeds(xs @ t.gens - t.gens @ xs, 1e-7 * (norms.max() + norms)).any():
         raise NumericalFailure("commutant basis element fails to commute with a generator")
     return basis
 
@@ -337,9 +326,7 @@ def is_irreducible(t: MatTuple, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def contains_identity(t: MatTuple, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff I_d lies in the generated (non-unital) *-algebra."""
-    span = word_span(t, tol)
-    eye = np.eye(t.d, dtype=complex)
-    return span.residual(eye) <= tol.eq_tol * np.sqrt(t.d)
+    return word_span(t, tol).contains(np.eye(t.d, dtype=complex), tol.eq_tol)
 
 
 def hermitian_basis(basis: SubspaceBasis, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:

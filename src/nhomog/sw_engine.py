@@ -167,7 +167,7 @@ class _ClassTable:
         if self.present[0].any():
             return UnitWitness(False, None)
         witness = (self.v * (self.labels > 0)[:, None, :]) @ adj(self.v)
-        if e.basis.residual(witness) > tol.eq_tol * np.sqrt(e.points * e.n):
+        if not e.basis.contains(witness, tol.eq_tol):
             raise NumericalFailure("unit witness failed the span membership check")
         return UnitWitness(True, witness)
 

@@ -51,3 +51,30 @@ def test_no_absolute_slack_in_the_library():
     assert ABSOLUTE_SLACK.search("if residual > 1e-8 * (1.0 + norm):")
     assert ABSOLUTE_SLACK.search("if certified > eps + tol.psd_slack:")
     assert not ABSOLUTE_SLACK.search("c = low + tol.psd_slack * scale")
+
+
+# One implementation per numerical decision: the Frobenius screen's
+# constants stay in ``matrix_core``, a comparison of operator norms goes
+# through ``_exceeds`` there, and a pseudo-inverse through the rank gate.
+SCREEN_CONSTANT = re.compile(r"\b_SCREEN_(FLOOR|MARGIN)\b")
+INLINE_NORM_TEST = re.compile(r"\b(opnorm|_opnorms)\(.*\)\s*>|\bnp\.linalg\.norm\(.*,\s*2\s*[,)].*>")
+PSEUDO_INVERSE = re.compile(r"\bnp\.linalg\.pinv\b")
+
+
+def test_one_implementation_per_numerical_decision():
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sorted((ROOT / "src" / "nhomog").glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if PSEUDO_INVERSE.search(line) or (path.name != "matrix_core.py" and (
+                SCREEN_CONSTANT.search(line) or INLINE_NORM_TEST.search(line)))]
+    assert hits == []
+    assert SCREEN_CONSTANT.search("from .matrix_core import _SCREEN_FLOOR, _SCREEN_MARGIN")
+    assert INLINE_NORM_TEST.search("if opnorm(x) > 1e-8:")
+    assert INLINE_NORM_TEST.search("if m.shape != (n, n) or opnorm(adj(m) @ m - np.eye(n)) > tol.eq_tol:")
+    assert INLINE_NORM_TEST.search("bad = np.flatnonzero(_opnorms(prod - want) > 1e-6)")
+    assert INLINE_NORM_TEST.search("live = np.linalg.norm(arr, 2, axis=(-2, -1)).max(axis=(1, 2)) > cut")
+    assert PSEUDO_INVERSE.search("coeffs = np.linalg.pinv(blocks, rcond=tol.rank_cut) @ targets")
+    assert not INLINE_NORM_TEST.search("if _exceeds(out - direct, tol.eq_tol * scale):")
+    assert not INLINE_NORM_TEST.search("e = opnorm(env)  # and ||b + eps|| = r + eps")
+    assert not INLINE_NORM_TEST.search("if _fails(opnorm(m @ adj(m) - adj(m) @ m), tol.eq_tol, opnorm(m) ** 2):")
+    assert not INLINE_NORM_TEST.search("live = np.linalg.norm(rows, axis=1) > 0.0")

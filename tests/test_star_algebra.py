@@ -15,7 +15,7 @@ from nhomog.instances import (
     random_unitary,
     scrambled_direct_sum,
 )
-from nhomog.matrix_core import DEFAULT_TOL, _fails, adj, as_matrix, fnorm, opnorm
+from nhomog.matrix_core import DEFAULT_TOL, Tolerance, _fails, adj, as_matrix, fnorm, opnorm
 from nhomog.star_algebra import (
     MatTuple,
     SubspaceBasis,
@@ -327,6 +327,92 @@ class TestRankGuard:
         assert "2.000e-09" in str(stacked.value)
 
 
+def rank_with_gap_two_branches(s, rank_cut, context, scale=0.0):
+    """The rank gate as it was before it became one stacked path: a
+    scalar branch for one spectrum, and a stacked branch that calls it
+    on the first ambiguous row only to raise."""
+    if s.ndim > 1:
+        r = s.shape[-1]
+        if r == 0:
+            return np.zeros(s.shape[:-1], dtype=int)
+        cut = rank_cut * np.maximum(s[..., :1], scale)
+        rank = np.sum(s > cut, axis=-1)
+        kept = np.take_along_axis(s, np.maximum(rank - 1, 0)[..., None], axis=-1)[..., 0]
+        dropped = np.take_along_axis(s, np.minimum(rank, r - 1)[..., None], axis=-1)[..., 0]
+        ratio = kept / np.where(dropped > 0.0, dropped, 1.0)
+        ambiguous = (0 < rank) & (rank < r) & (dropped > 0.0) & (ratio < star_algebra.RANK_GAP_RATIO)
+        if ambiguous.any():
+            rank_with_gap_two_branches(s.reshape(-1, r)[np.argmax(ambiguous.ravel())], rank_cut, context, scale)
+        return rank
+    if s.size == 0:
+        return 0
+    top = max(float(s[0]), float(scale))
+    if top <= 0.0:
+        return 0
+    cut = rank_cut * top
+    rank = int(np.sum(s > cut))
+    if 0 < rank < s.size:
+        dropped = float(s[rank])
+        if dropped > 0.0 and float(s[rank - 1]) / dropped < star_algebra.RANK_GAP_RATIO:
+            raise NumericalFailure(
+                f"ambiguous rank in {context}: singular values "
+                f"{s[rank - 1]:.3e} / {dropped:.3e} straddle the cutoff with gap < {star_algebra.RANK_GAP_RATIO}"
+            )
+    return rank
+
+
+@st.composite
+def gate_inputs(draw):
+    """A spectrum or a (..., r) stack of them, r = 0 included, and a
+    scale.  Below its top a row steps down by ratios at and around the
+    gap of 10, or is placed at a multiple of the cut around 1 and 10
+    (exactly on it included) or at 0."""
+    rank_cut = draw(st.sampled_from([1e-9, 1e-3, 1e-160]))
+    scale = draw(st.sampled_from([0.0, 1.0, 1e4]))  # 1e4 lies above every top below
+    shape = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    r = draw(st.integers(0, 5))
+    rows = []
+    for _ in range(int(np.prod(shape))):
+        top = draw(st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 7.5]))
+        row = [top]
+        cut = rank_cut * max(top, scale)
+        for _ in range(r - 1):
+            how, k = draw(st.sampled_from([("step", k) for k in (1.0, 2.0, 9.99, 10.0, 10.01, 1e4, 1e12)]
+                                          + [("cut", k) for k in (0.0, 0.1, 0.5, 1.0, 2.0, 9.99, 10.0, 10.01)]))
+            row.append(row[-1] / k if how == "step" else cut * k)
+        rows.append(sorted(row[:r], reverse=True))
+    return np.array(rows, dtype=float).reshape(*shape, r), rank_cut, scale
+
+
+class TestOneRankGate:
+    """The one stacked path of ``_rank_with_gap`` against both branches
+    it replaced: the same ranks, return types and error text."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(gate_inputs())
+    @example((np.array([1.0, 2e-9, 0.5e-9]), 1e-9, 0.0))
+    @example((np.array([1.0, 1e-9, 1e-10]), 1e-9, 1.0))
+    @example((np.array([[1.0, 9.99e-9, 1e-9], [1.0, 1e-8, 1e-9]]), 1e-9, 0.0))
+    @example((np.array([[1.0, 1.001e-8, 1e-9], [0.0, 0.0, 0.0]]), 1e-9, 0.0))
+    @example((np.zeros((2, 0)), 1e-9, 1.0))
+    @example((np.zeros(0), 1e-9, 1.0))
+    @example((np.array([0.5, 4e-5, 1e-6]), 1e-9, 1e4))
+    def test_matches_both_branches(self, case):
+        s, rank_cut, scale = case
+        try:
+            want = rank_with_gap_two_branches(s, rank_cut, "gate", scale)
+        except NumericalFailure as exc:
+            with pytest.raises(NumericalFailure) as got:
+                _rank_with_gap(s, rank_cut, "gate", scale)
+            assert str(got.value) == str(exc)
+            return
+        got = _rank_with_gap(s, rank_cut, "gate", scale)
+        assert type(got) is type(want)
+        if s.ndim > 1:
+            assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 class TestNullspace:
     """QR-first nullspace against a plain SVD of the whole system."""
 
@@ -600,6 +686,93 @@ def test_closure_keeps_a_small_new_direction(eps):
     want = closure_two_pass_loop(family, (2, 2))
     assert got.shape[0] == want.shape[0] == (2 if eps > 1e-9 else 1)
     assert_close(got.T @ got.conj(), want.T @ want.conj(), atol=1e-12)
+
+
+def closure_one_pass_exit(family, shape, tol=DEFAULT_TOL):
+    """The closure loop before its closing round took ``closure``'s
+    screen: the SVD sees candidates projected twice, but the loop ends
+    once one pass leaves ||R||_F <= rank_cut / RANK_GAP_RATIO."""
+    ambient = int(np.prod(shape))
+    letters = np.array([u for g in family if (u := star_algebra._unit_frobenius(np.asarray(g, dtype=complex)))
+                        is not None]).reshape(-1, *shape)
+    points = int(np.prod(shape[:-2]))
+    live = letters.any(axis=0).reshape(points, -1).any(axis=1)
+    part = 0 < live.sum() < points
+    if part:
+        letters = letters.reshape(len(letters), points, *shape[-2:])[:, live]
+    inner = letters.shape[1:]
+    width = int(np.prod(inner))
+    vectors = np.zeros((0, width), dtype=complex)
+    candidates = letters.reshape(-1, width)
+    while fnorm(candidates) > tol.rank_cut / star_algebra.RANK_GAP_RATIO:
+        s, vh = star_algebra._right_svd(candidates - (candidates @ vectors.conj().T) @ vectors, full=False)
+        new = vh[:_rank_with_gap(s, tol.rank_cut, "closure", scale=1.0)]
+        vectors = np.vstack([vectors, new])
+        candidates = (new.reshape(-1, 1, *inner) @ letters).reshape(-1, width)
+        candidates = candidates - (candidates @ vectors.conj().T) @ vectors
+    if part:
+        spread = np.zeros((len(vectors), ambient), dtype=complex)
+        spread[:, np.repeat(live, ambient // points)] = vectors
+        vectors = spread
+    return vectors
+
+
+class TestClosureClosingRound:
+    """``closure`` projects twice at the top of each round and ends on
+    ``_screen_passes`` at rank_cut: the same bases, bit for bit, as the
+    one-pass exit at rank_cut / 10, and one SVD fewer where the last
+    candidates lie between the two."""
+
+    @staticmethod
+    def svd_count(monkeypatch):
+        calls = []
+        right_svd = star_algebra._right_svd
+        monkeypatch.setattr(star_algebra, "_right_svd", lambda *a, **k: calls.append(None) or right_svd(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("eps", [2e-10, 5e-10, 9e-10])
+    def test_last_candidates_between_the_screens(self, monkeypatch, eps):
+        """diag(1, eps) squared leaves its span by about eps: the old exit
+        takes an SVD that keeps nothing, the screen ends the round."""
+        family = [np.diag([1.0, eps])]
+        letter = star_algebra._unit_frobenius(family[0].astype(complex)).ravel()
+        square = (letter.reshape(2, 2) @ letter.reshape(2, 2)).ravel()
+        off = square - (letter.conj() @ square) * letter
+        assert DEFAULT_TOL.rank_cut / 10 < np.linalg.norm(off) < DEFAULT_TOL.rank_cut / (1 + 1e-9)
+        calls = self.svd_count(monkeypatch)
+        want = closure_one_pass_exit(family, (2, 2))
+        old_svds = len(calls)
+        got = star_algebra.closure(family, (2, 2)).vectors
+        assert np.array_equal(got, want) and got.shape == (1, 4)
+        assert len(calls) - old_svds == old_svds - 1
+
+    @pytest.mark.parametrize("family, shape", [
+        ([np.diag([1.0, 0.0])], (2, 2)),
+        ([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], (2, 2)),
+        ([np.stack([np.diag([1.0, 0.0]), np.zeros((2, 2))])], (2, 2, 2)),
+    ])
+    def test_rank_cut_below_the_screen_floor(self, family, shape):
+        """At rank_cut 1e-160 the screen never passes and the SVD decides
+        the closing round: the loop still ends, on the old basis."""
+        tiny = Tolerance(rank_cut=1e-160)
+        got = star_algebra.closure(family, shape, tiny).vectors
+        assert np.array_equal(got, closure_one_pass_exit(family, shape, tiny))
+        assert got.shape[0] == len(family)
+
+    def test_empty_generator_list(self):
+        alg = closure_star_subalgebra([], points=3, n=2)
+        assert alg.basis.dim == 0 and alg.basis.vectors.shape == (0, 12)
+
+    def test_grouped_algebras_bit_for_bit(self):
+        r = rng(607)
+        for _ in range(40):
+            n = int(r.integers(1, 4))
+            group_sizes = [int(r.integers(1, 3)) for _ in range(int(r.integers(1, 4)))]
+            vanish = [len(group_sizes) - 1] if len(group_sizes) > 1 and r.random() < 0.3 else []
+            gens, _ = grouped_function_algebra(r, n=n, group_sizes=group_sizes, vanish_groups=vanish)
+            family = gens + [adj(g) for g in gens]
+            shape = (sum(group_sizes), n, n)
+            assert np.array_equal(star_algebra.closure(family, shape).vectors, closure_one_pass_exit(family, shape))
 
 
 class TestStackedIntertwiner:

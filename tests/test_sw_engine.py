@@ -1503,19 +1503,42 @@ class TestOnePairSolvePerRoute:
                                   approximation._lower_envelopes(alg, -part, DEFAULT_TOL, scale))
 
     def test_one_pseudo_inverse_per_route(self, monkeypatch):
+        """Each route gates the spectra of every pair x <= y in one call."""
         calls = []
-        real = np.linalg.pinv
+        real = approximation._rank_with_gap
 
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return real(a, *args, **kwargs)
+        def counting(s, *args, **kwargs):
+            calls.append((args[1], s.shape[0]))
+            return real(s, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "pinv", counting)
+        monkeypatch.setattr(approximation, "_rank_with_gap", counting)
         r = rng(5)
         gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], fibers=["full"] * 3)
         result = constructive_approximate(closure_star_subalgebra(gens), equivariant_target(r, meta, 2), eps=0.1)
         assert result.routes == ("partition", "partition")
-        assert len(calls) == 2
+        assert calls == [("pair interpolant", 15)] * 2
+
+
+    @pytest.mark.parametrize("low, ambiguous", [(0.5e-9, True), (0.9e-9, True), (1e-11, False)])
+    def test_pair_block_at_the_cut(self, low, ambiguous):
+        """The pair interpolants take the library's rank gate: pair (0, 1)
+        restricts the span to three orthogonal directions of norms 1,
+        2e-9 and ``low``, which straddle the rank cut 1e-9.  With a gap
+        below 10 that is NumericalFailure, where a pseudo-inverse at
+        rcond = rank_cut would drop the third direction silently."""
+        alg = all_functions_algebra(2, 2)
+        values = np.zeros((3, 2, 2, 2), dtype=complex)
+        values[0, 0, 0, 0] = 1.0
+        values[1, 1, 0, 1] = 2e-9
+        values[2, 1, 1, 0] = low
+        vectors = values.reshape(3, 8)
+        f = values[0]
+        if ambiguous:
+            with pytest.raises(NumericalFailure, match="ambiguous rank in pair interpolant"):
+                approximation._pair_family(alg, f, DEFAULT_TOL, 1.0, vectors)
+        else:
+            family = approximation._pair_family(alg, f, DEFAULT_TOL, 1.0, vectors)
+            assert np.array_equal(family[0, 1], f)
 
 
 def pair_interpolant_lstsq(e, f, x, y, tol, scale, vectors=None):
