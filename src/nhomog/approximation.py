@@ -7,8 +7,9 @@ a certified sup-norm error, from order-theoretic steps: lattice joins,
 per-point envelopes from the pair interpolants, power-mean envelopes of
 pairwise commuting families, two-point flattening polynomials and their
 partition of unity, and operator-monotone order verification.  The
-hypotheses are read from the algebra's class table and its Delta2
-subspace, which ``sw_engine`` computes and keeps on the algebra.
+hypotheses are read from the ranks of the algebra's pair restrictions,
+its class table and its Delta2 subspace, which ``sw_engine`` computes
+and keeps on the algebra.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .matrix_core import (
     require_hermitian,
 )
 from .star_algebra import _rank_with_gap, nullspace
-from .sw_engine import FnAlgebra, _class_table, delta2_subspace, fn_product
+from .sw_engine import FnAlgebra, _class_table, _contacts, delta2_subspace, fn_product
 
 
 def power_mean_exponent(eps: float, r: float, k: int) -> int:
@@ -444,11 +445,11 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
     """Approximate a two-point approximable target inside the algebra
     with a certified sup-norm error.
 
-    Hypotheses checked up front, from one class table of the algebra:
-    the unit is in the closure; every pair of points across distinct
-    spectral classes is separated; the target is two-point
-    approximable.  Hermitian parts are then handled separately.  A part
-    commuting with the whole algebra goes through the power-mean
+    Hypotheses checked up front, from the rank verdicts of
+    ``sw_engine._contacts``: the unit is in the closure; every pair of
+    points across distinct spectral classes (the class table's groups)
+    is separated; the target is two-point approximable.  Hermitian parts
+    are then handled separately.  A part commuting with the whole algebra goes through the power-mean
     envelope of its per-point lower envelopes; a general part goes
     through the partition of unity built from two-point flattening
     products, weighted onto the envelope family.  The certified error is
@@ -467,9 +468,10 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
     d2 = delta2_subspace(e, tol)
     if _fails(d2.residual(target), tol.eq_tol, scale):
         raise PreconditionFailed("target is not two-point approximable by the algebra")
-    table = _class_table(e, tol, seed)
-    if not table.unit(e, tol).in_closure:
+    shared, null = _contacts(e, tol)
+    if null.any():
         raise HypothesisViolated("(AX0) the constant identity is not in the closure")
+    table = _class_table(e, tol, seed)
     classes = table.groups()
     witnesses: dict[tuple[int, int], tuple[np.ndarray, StarPolynomial]] = {}
     # points of one group share their label set, so separation is decided
@@ -478,10 +480,9 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
     # lexicographically first failing pair of points
     for ci, cj in itertools.combinations(range(len(classes)), 2):
         x, y = classes[ci][0], classes[cj][0]
-        verdict = table.separation(x, y)
-        if not verdict.certified:
+        if shared[x, y]:  # with no null part, a pair is separated iff it shares no class
             raise HypothesisViolated(f"(AX1) no certified spectral separation for pair ({x}, {y})")
-        wit = verdict.witness
+        wit = table.witness
         witnesses[(ci, cj)] = (wit, two_point_flatten(wit[x], wit[y], 1.0, 0.0, tol))
         witnesses[(cj, ci)] = (wit, two_point_flatten(wit[x], wit[y], 0.0, 1.0, tol))
 

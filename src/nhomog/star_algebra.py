@@ -157,21 +157,24 @@ class SubspaceBasis:
     def residual(self, x) -> float:
         return fnorm(np.asarray(x, dtype=complex) - self.project(x))
 
-    def _contains_rows(self, rows: np.ndarray, rel: float) -> np.ndarray:
-        """For each row of an (m, ambient) stack, whether its residual off
-        the subspace is within rel of its norm, from one stacked projection."""
-        residuals = np.linalg.norm(rows - (rows @ self.vectors.conj().T) @ self.vectors, axis=1)
-        return ~_fails(residuals, rel, np.linalg.norm(rows, axis=1))
-
     def contains(self, x, rel: float) -> bool:
-        return bool(self._contains_rows(np.asarray(x, dtype=complex).reshape(1, -1), rel)[0])
+        return bool(_contains_rows(np.asarray(x, dtype=complex).reshape(1, -1), self.vectors, rel)[0])
 
     def contains_span(self, other: "SubspaceBasis", rel: float) -> bool:
         """Whether every basis element of ``other`` passes ``contains``."""
-        return bool(self._contains_rows(other.vectors, rel).all())
+        return bool(_contains_rows(other.vectors, self.vectors, rel).all())
 
     def gram(self) -> np.ndarray:
         return self.vectors @ self.vectors.conj().T
+
+
+def _contains_rows(rows: np.ndarray, vectors: np.ndarray, rel: float) -> np.ndarray:
+    """For each row of an (..., m, c) stack, whether its residual off the
+    span of the orthonormal rows of ``vectors`` (..., k, c), broadcast
+    against it, is within rel of its norm: the one containment rule, from
+    one stacked projection.  Zero rows of ``vectors`` add nothing."""
+    residuals = np.linalg.norm(rows - (rows @ vectors.conj().swapaxes(-1, -2)) @ vectors, axis=-1)
+    return ~_fails(residuals, rel, np.linalg.norm(rows, axis=-1))
 
 
 def _unit_frobenius(g: np.ndarray) -> np.ndarray | None:
@@ -201,6 +204,8 @@ def closure(family, shape, tol: Tolerance = DEFAULT_TOL, context: str = "closure
     round projects its candidates R off the span twice (orthogonal to
     roundoff), and a round that ``_screen_passes`` at rank_cut ends the
     loop without the SVD: s_max <= ||R||_F < rank_cut leaves no rank.
+    A span that would grow past the ambient dimension raises
+    ``NumericalFailure``: its rank cut keeps roundoff as directions.
     The leading axes of ``shape`` are points and the last two a matrix;
     the loop runs on the points where some member is nonzero, so the
     basis is exactly zero at the others.
@@ -227,6 +232,9 @@ def closure(family, shape, tol: Tolerance = DEFAULT_TOL, context: str = "closure
             break
         s, vh = _right_svd(candidates, full=False)
         new = vh[:_rank_with_gap(s, tol.rank_cut, context, scale=1.0)]
+        if len(vectors) + len(new) > width:
+            raise NumericalFailure(f"{context} grew past its ambient dimension {width}: "
+                                   f"the rank cut {tol.rank_cut:.1e} lies below the roundoff of its products")
         vectors = np.vstack([vectors, new])
         candidates = (new.reshape(-1, 1, *inner) @ letters).reshape(-1, width)
     if part:  # exact zeros at the points left out

@@ -7,10 +7,14 @@ density and the two-point approximable subspace are finite linear
 algebra; the constructive approximation built on them lives in
 ``approximation``.  Closures and nullspaces come from
 ``star_algebra.closure`` and ``star_algebra.nullspace``, shared with
-matrix tuples.  Every pointwise spectral question (separation of two
-points, the unit, the spectral classes of points) is answered exactly
-from one split of the algebra's (2, |X|, n, n) values into irreducible
-blocks, each at one point, by the splitter behind ``decompose``.
+matrix tuples.  The pointwise spectral verdicts (separation of two
+points, the unit) are read off ranks: two points share a class exactly
+when their pair restriction has less than the sum of their fibres'
+dimensions, and a point has a null part exactly when I_n is not in its
+fibre.  The spectral classes of points and the witnesses come from one
+split of the algebra's (2, |X|, n, n) values into irreducible blocks,
+each at one point, by the splitter behind ``decompose``; a split is
+checked against the rank verdicts when it is built.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from .errors import IndexOutOfRange, NumericalFailure, SamePoint
 from .matrix_core import DEFAULT_TOL, Tolerance, adj
 from .decomposition import _split_points
-from .star_algebra import RANK_GAP_RATIO, SubspaceBasis, _rank_with_gap, _right_svd, closure, nullspace
+from .star_algebra import RANK_GAP_RATIO, SubspaceBasis, _contains_rows, _rank_with_gap, _right_svd, closure, nullspace
 
 
 @dataclass(frozen=True)
@@ -31,8 +35,8 @@ class FnAlgebra:
     orthonormal basis closed (within tolerance) under pointwise products.
     What is derived from the basis alone is kept in ``_memo`` once
     computed, keyed by what else it depends on: the fibres (``_fibres``)
-    by rank cut, the class table (``_class_table``) by tolerance and
-    seed."""
+    and the pair restrictions' complement rows (``_pair_rows``) by rank
+    cut, the class table (``_class_table``) by tolerance and seed."""
 
     n: int
     points: int
@@ -87,9 +91,9 @@ class SeparationVerdict:
     two points have disjoint spectra (integer labels of disjoint sets of
     classes, certified once per class table); certified=False means the
     points cannot be separated: they share a class of irreducible
-    representations, or both have a null part.  The witness is the class
-    table's, kept on the algebra and shared by every verdict on it, so it
-    is read-only: copy it to change it."""
+    representations, or both have a null part (``_separated``).  The
+    witness is the class table's, kept on the algebra and shared by every
+    verdict on it, so it is read-only: copy it to change it."""
 
     certified: bool
     witness: np.ndarray | None = field(repr=False, default=None)
@@ -111,10 +115,11 @@ class _ClassTable:
     evaluation contains.  Label 0 is the null part and label i + 1 is
     class i; ``present[l, x]`` says whether point x contains label l.
     The witness sum_i (i + 1) P_i is certified once, when the table is
-    built, so separating any pair is a lookup in ``present``.  The table
-    is kept on its algebra (``_class_table``) and refers to no algebra
-    itself, so the two are freed by reference counting; its arrays are
-    read-only, the witness handed out by ``separation`` included."""
+    built, and separates every pair that ``_separated`` separates.  The
+    table is kept on its algebra (``_class_table``) and refers to no
+    algebra itself, so the two are freed by reference counting; its
+    arrays are read-only, the witness handed out by
+    ``spectrally_separates`` included."""
 
     present: np.ndarray = field(repr=False)  # (labels, P) bool
     v: np.ndarray = field(repr=False)  # (P, n, n): each point's blocks side by side, a unitary
@@ -161,21 +166,6 @@ class _ClassTable:
             a.setflags(write=False)
         return cls(present, v, labels, witness)
 
-    def unit(self, e: FnAlgebra, tol: Tolerance) -> UnitWitness:
-        """The unit is in the algebra e of this table iff no point has a
-        null part; the witness is sum_i P_i, taken pointwise."""
-        if self.present[0].any():
-            return UnitWitness(False, None)
-        witness = (self.v * (self.labels > 0)[:, None, :]) @ adj(self.v)
-        if not e.basis.contains(witness, tol.eq_tol):
-            raise NumericalFailure("unit witness failed the span membership check")
-        return UnitWitness(True, witness)
-
-    def separation(self, x: int, y: int) -> SeparationVerdict:
-        if (self.present[:, x] & self.present[:, y]).any():
-            return SeparationVerdict(False)
-        return SeparationVerdict(True, self.witness)
-
     def groups(self) -> list[list[int]]:
         """Points grouped by (set of classes, has-null), ordered by their
         smallest point."""
@@ -187,11 +177,19 @@ class _ClassTable:
 
 def _class_table(e: FnAlgebra, tol: Tolerance, seed: int) -> _ClassTable:
     """The algebra's class table at this tolerance and seed, built once
-    and kept on it read-only."""
+    and kept on it read-only.  Its null parts and the pairs of points it
+    says share a class must be those of ``_contacts``."""
     key = ("classes", tol, seed)
     table = e._memo.get(key)
     if table is None:
-        table = e._memo[key] = _ClassTable.of(e, tol, seed)
+        table = _ClassTable.of(e, tol, seed)
+        shared, null = _contacts(e, tol)
+        classes = table.present[1:].astype(int)
+        table_shared = classes.T @ classes > 0
+        np.fill_diagonal(table_shared, False)
+        if not (np.array_equal(table_shared, shared) and np.array_equal(table.present[0], null)):
+            raise NumericalFailure("the class table disagrees with the ranks of the pair restrictions")
+        e._memo[key] = table
     return table
 
 
@@ -200,17 +198,20 @@ def spectrally_separates(e: FnAlgebra, x: int, y: int, tol: Tolerance = DEFAULT_
     """Decide whether some element of the algebra has values at x and y
     that are normal with disjoint spectra.
 
-    Exact, from the algebra's class table: x and y are separable iff
-    they share no class of irreducible representations and do not both
-    have a null part.  The witness is the central element
-    sum_i (i + 1) P_i over the isotypic projections, whose value at a
-    point has eigenvalue i + 1 on class i and 0 on the null part.
+    Exact, from ranks (``_separated``): x and y are separable iff they
+    share no class of irreducible representations and do not both have
+    a null part.  The witness of a separated pair is the class table's
+    central element sum_i (i + 1) P_i over the isotypic projections,
+    whose value at a point has eigenvalue i + 1 on class i and 0 on the
+    null part.
     """
     e.check_point(x)
     e.check_point(y)
     if x == y:
         raise SamePoint(f"points must differ, both are {x}")
-    return _class_table(e, tol, seed).separation(x, y)
+    if not _separated(e, tol)[x, y]:
+        return SeparationVerdict(False)
+    return SeparationVerdict(True, _class_table(e, tol, seed).witness)
 
 
 def _fibres(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -226,6 +227,15 @@ def _fibres(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
             a.setflags(write=False)
         e._memo[key] = fibres
     return fibres
+
+
+def _fibre_bases(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Each fibre basis B_x of ``_fibres``, padded with zero rows to
+    r = max r_x, as a (P, r, n^2) stack, and live[x, i]: whether row i of
+    B_x is one of its r_x rows, so coordinate i of point x is an unknown."""
+    rank, vh = _fibres(e, tol)
+    live = np.arange(rank.max()) < rank[:, None]
+    return live, vh[:, :live.shape[1]] * live[..., None]
 
 
 def _coupled_pairs(coords: np.ndarray, live: np.ndarray, rank: np.ndarray,
@@ -257,30 +267,80 @@ def _coupled_pairs(coords: np.ndarray, live: np.ndarray, rank: np.ndarray,
     return xs[~settled], ys[~settled]
 
 
+def _pair_rows(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """The complement rows of every pair restriction, in fibre
+    coordinates f(x) = c_x B_x (``_fibres``): (rows, 2r) conjugated
+    right singular vectors, x's r coordinates then y's, and the (2, rows)
+    points x < y of each row's pair.  Taken once per algebra and rank
+    cut, and kept on it read-only.
+
+    A pair x < y that ``_coupled_pairs`` proves to have full rank has
+    none.  The others are one stack of coordinates padded to
+    r = max r_x, with a unit row on each padded column; its SVD leaves
+    each pair the r_x + r_y - r_xy complement rows of its restriction."""
+    key = ("pairs", tol.rank_cut)
+    pairs = e._memo.get(key)
+    if pairs is None:
+        live, basis = _fibre_bases(e, tol)
+        r = live.shape[1]
+        coords = e.basis.vectors.reshape(e.basis.dim, e.points, e.n * e.n).transpose(1, 0, 2) @ adj(basis)
+        xs, ys = _coupled_pairs(coords, live, _fibres(e, tol)[0], tol)
+        units = ~np.concatenate([live[xs], live[ys]], axis=-1)[..., None] * np.eye(2 * r)
+        stacks = np.concatenate([np.concatenate([coords[xs], coords[ys]], axis=-1), units], axis=-2)
+        s, pair_vh = _right_svd(stacks)
+        free = np.arange(2 * r) >= _rank_with_gap(s, tol.rank_cut, "pair restriction", scale=1.0)[:, None]
+        pairs = (pair_vh[free].conj(), np.stack([xs, ys])[:, np.nonzero(free)[0]])
+        for a in pairs:
+            a.setflags(write=False)
+        e._memo[key] = pairs
+    return pairs
+
+
+def _contacts(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Which pairs of points share a class of irreducible representations,
+    as a (P, P) symmetric bool with a False diagonal, and which points
+    have a null part, as a (P,) bool.
+
+    With E = sum_i M_{n_i}, the restriction to {x, y} has dimension
+    r_x + r_y - sum_{i at both} n_i^2, so x and y share a class exactly
+    when their pair has complement rows (``_pair_rows``).  The projection
+    of I_n onto the *-algebra E(x) is its unit, so I_n is in E(x) or off
+    it by at least 1 in Frobenius norm: a point has a null part exactly
+    when I_n fails the residual rule of ``SubspaceBasis.contains`` against
+    the fibre basis B_x, taken for all points in one stacked projection."""
+    at = _pair_rows(e, tol)[1]
+    shared = np.zeros((e.points, e.points), dtype=bool)
+    shared[at[0], at[1]] = shared[at[1], at[0]] = True
+    unit = np.eye(e.n, dtype=complex).reshape(1, 1, -1)
+    null = ~_contains_rows(unit, _fibre_bases(e, tol)[1], tol.eq_tol)[:, 0]
+    return shared, null
+
+
+def _separated(e: FnAlgebra, tol: Tolerance) -> np.ndarray:
+    """(P, P) bool: whether points x and y are spectrally separated: they
+    share no class and do not both have a null part.  ``_contacts`` is
+    the one source of these verdicts, for ``density_check``,
+    ``spectrally_separates``, ``unit_in_closure`` and
+    ``constructive_approximate``."""
+    shared, null = _contacts(e, tol)
+    return ~(shared | (null[:, None] & null[None, :]))
+
+
 def delta2_subspace(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
     """All functions whose restriction to every pair of points lies in the
     algebra's pair restriction: the two-point approximable subspace,
     which at finite X is cut out by per-pair linear constraints.
 
     It is solved in fibre coordinates f(x) = c_x B_x (``_fibres``), as the
-    diagonal pairs (x, x) demand.  A pair x < y that ``_coupled_pairs``
-    proves to have full rank adds no constraint.  The others are one
-    stack of coordinates padded to r = max r_x, with a unit row on each
-    padded column; its SVD leaves each pair the r_x + r_y - r_xy
-    complement rows of its restriction, and one nullspace over the
-    sum_x r_x live columns gives orthonormal c, so orthonormal f."""
-    rank, vh = _fibres(e, tol)
-    r = int(rank.max())
-    live = np.arange(r) < rank[:, None]  # live[x, i]: coordinate i of point x is an unknown
-    basis = vh[:, :r] * live[..., None]  # (P, r, n^2): B_x, padded with zero rows
-    coords = e.basis.vectors.reshape(e.basis.dim, e.points, e.n * e.n).transpose(1, 0, 2) @ adj(basis)
-    xs, ys = _coupled_pairs(coords, live, rank, tol)
-    units = ~np.concatenate([live[xs], live[ys]], axis=-1)[..., None] * np.eye(2 * r)
-    pairs = np.concatenate([np.concatenate([coords[xs], coords[ys]], axis=-1), units], axis=-2)
-    s, pair_vh = _right_svd(pairs)
-    free = np.arange(2 * r) >= _rank_with_gap(s, tol.rank_cut, "pair restriction", scale=1.0)[:, None]
-    rows = pair_vh[free].conj()[:, None]  # (rows, 1, 2r): each pair's complement rows
-    ends = np.eye(e.points)[np.stack([xs, ys])[:, np.nonzero(free)[0]]][..., None]  # (2, rows, P, 1)
+    diagonal pairs (x, x) demand.  Each pair x < y constrains c by the
+    complement rows of its restriction (``_pair_rows``), and one
+    nullspace over the sum_x r_x live columns gives orthonormal c, so
+    orthonormal f."""
+    live, basis = _fibre_bases(e, tol)
+    r = live.shape[1]
+    rows, at = _pair_rows(e, tol)
+    rows = rows[:, None]  # (rows, 1, 2r)
+    ends = np.eye(e.points)[at][..., None]  # (2, rows, P, 1)
     constraints = ends[0] * rows[..., :r] + ends[1] * rows[..., r:]  # (rows, P, r)
     null = nullspace(constraints[:, live], tol, "delta2 constraints")
     lift = np.eye(e.points)[np.nonzero(live)[0], :, None] * basis[live][:, None]  # B_x[i] placed at x
@@ -294,7 +354,6 @@ class DensityReport:
     ambient: int
     fullness: tuple[int, ...]
     separated: dict[tuple[int, int], bool]
-    witnesses: dict[tuple[int, int], np.ndarray | None] = field(repr=False, default=None)
     not_found: tuple[tuple[int, int], ...] = ()
     criterion: bool | None = None
     consistent: bool | None = None
@@ -323,35 +382,35 @@ def density_check(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> 
     point) computed alongside.
 
     Density itself is the exact rank condition dim E = |X| n^2.  Pair
-    verdicts are exact, from one class table of the algebra, so the
-    criterion is decided on every input and must agree with density.
-    A separated pair's witness is the table's read-only witness, as in
-    ``spectrally_separates``.
+    verdicts are exact, from ranks (``_separated``), so the criterion is
+    decided on every input and must agree with density.  No class table
+    is built, and no random draw is taken: ``seed`` changes nothing.
     """
     dim = e.basis.dim
     dense = dim == e.ambient_dim
     fullness = tuple(_fibres(e, tol)[0].tolist())
-    table = _class_table(e, tol, seed)
     xs, ys = np.triu_indices(e.points, k=1)
-    pairs = list(zip(xs.tolist(), ys.tolist()))
-    shared = (table.present[:, xs] & table.present[:, ys]).any(axis=0).tolist()  # the rule of ``separation``
-    separated = {p: not s for p, s in zip(pairs, shared)}
-    witnesses = {p: None if s else table.witness for p, s in zip(pairs, shared)}
+    separated = dict(zip(zip(xs.tolist(), ys.tolist()), _separated(e, tol)[xs, ys].tolist()))
     criterion = all(f == e.n * e.n for f in fullness) and all(separated.values())
     if criterion != dense:
         raise NumericalFailure(
             "density flag contradicts the separation/fullness criterion"
         )
-    return DensityReport(dense, dim, e.ambient_dim, fullness, separated, witnesses,
-                         (), criterion, True)
+    return DensityReport(dense, dim, e.ambient_dim, fullness, separated, (), criterion, True)
 
 
 def unit_in_closure(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> UnitWitness:
     """Decide whether the constant identity function lies in the algebra.
 
-    From the class table: the unit is reachable iff no point evaluation
-    has a null part (a zero algebra is null everywhere).  The witness,
-    the sum of the isotypic projections, is re-verified to lie in the
-    span.
+    The unit is reachable iff no point has a null part (``_contacts``; a
+    zero algebra is null everywhere).  The witness, the sum of the
+    isotypic projections of the class table, taken pointwise, is
+    re-verified to lie in the span.
     """
-    return _class_table(e, tol, 0).unit(e, tol)
+    if _contacts(e, tol)[1].any():
+        return UnitWitness(False, None)
+    table = _class_table(e, tol, 0)
+    witness = (table.v * (table.labels > 0)[:, None, :]) @ adj(table.v)
+    if not e.basis.contains(witness, tol.eq_tol):
+        raise NumericalFailure("unit witness failed the span membership check")
+    return UnitWitness(True, witness)

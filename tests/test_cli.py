@@ -1,8 +1,12 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +258,20 @@ class TestSwCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["dense"] is False
         assert report["delta2_dim"] == report["algebra_dim"] == 4
+
+    def test_tolerance_below_roundoff_exits_three(self, tmp_path):
+        """--tol 1e-17 puts the rank cut below the roundoff of the closure's
+        products, which once grew the span without end.  It runs in a
+        subprocess with a timeout, so a hang fails the test."""
+        r = np.random.default_rng(0)
+        values = [r.standard_normal((2, 2)) + 1j * r.standard_normal((2, 2)) for _ in range(2)]
+        path = write(tmp_path, "sw.json", {"points": 2, "n": 2, "generators": [[mat(v) for v in values]]})
+        code = "import sys; from nhomog.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", code, "sw-check", "--in", path, "--tol", "1e-17"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 3 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("nhomog: numerical failure:")
 
 
 N_OPTION = {"analyze": ["--n", "2"], "calc": ["--n", "2"]}

@@ -746,6 +746,16 @@ class TestClosureClosingRound:
         assert np.array_equal(got, want) and got.shape == (1, 4)
         assert len(calls) - old_svds == old_svds - 1
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("rank_cut", [1e-18, 1e-30])
+    def test_rank_cut_below_roundoff_raises(self, seed, rank_cut):
+        """Two Ginibre values on two points at n = 2: below the roundoff of
+        the products every round keeps noise as new directions, and the
+        span would grow past its 8 ambient dimensions without end."""
+        values = np.stack([ginibre(rng(seed), 2) for _ in range(2)])
+        with pytest.raises(NumericalFailure):
+            star_algebra.closure([values, adj(values)], (2, 2, 2), Tolerance(rank_cut=rank_cut))
+
     @pytest.mark.parametrize("family, shape", [
         ([np.diag([1.0, 0.0])], (2, 2)),
         ([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], (2, 2)),
