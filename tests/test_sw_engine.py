@@ -670,6 +670,17 @@ class TestDensityPairs:
         assert verdicts[(0, 1)].witness is None and not verdicts[(0, 1)]
 
 
+def sw_check_input(tmp_path, gens):
+    """Write generators of shape (points, n, n) as an ``nhomog sw-check``
+    input file and return its path."""
+    points, n, _ = gens[0].shape
+    path = tmp_path / "sw.json"
+    path.write_text(json.dumps({"points": points, "n": n,
+                                "generators": [[[[[float(v.real), float(v.imag)] for v in row] for row in m]
+                                                for m in g] for g in gens]}))
+    return str(path)
+
+
 def corner_sum_algebra(r, log_c):
     """E = A + C at n = n_A + 1 on P points: A a grouped algebra at n_A in
     the upper left corner, C a grouped algebra at n = 1 on another
@@ -749,12 +760,7 @@ class TestPairVerdicts:
         monkeypatch.setattr(sw_engine._ClassTable, "of", refuse)
         gens, _ = grouped_function_algebra(rng(16), n=2, group_sizes=[3, 2, 2], fibers=["full", "diag", "scalar"],
                                            vanish_groups=[2])
-        path = tmp_path / "sw.json"
-        payload = {"points": 7, "n": 2,
-                   "generators": [[[[[float(v.real), float(v.imag)] for v in row] for row in m] for m in g]
-                                  for g in gens]}
-        path.write_text(json.dumps(payload))
-        assert main(["sw-check", "--in", str(path)]) == 1
+        assert main(["sw-check", "--in", sw_check_input(tmp_path, gens)]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["separation"]["0,3"] is True and report["separation"]["5,6"] is False
 
@@ -807,12 +813,7 @@ class TestFibresOnce:
                                               fibers=["full", "scalar", "scalar"], vanish_groups=[2])
         alg = closure_star_subalgebra(gens)
         calls = self.fibre_svds(monkeypatch, (alg.points, alg.basis.dim, alg.n * alg.n))
-        path = tmp_path / "sw.json"
-        payload = {"points": alg.points, "n": alg.n,
-                   "generators": [[[[[float(v.real), float(v.imag)] for v in row] for row in m] for m in g]
-                                  for g in gens]}
-        path.write_text(json.dumps(payload))
-        assert main(["sw-check", "--in", str(path)]) == 1
+        assert main(["sw-check", "--in", sw_check_input(tmp_path, gens)]) == 1
         assert len(calls) == 1
 
     def test_kept_per_rank_cut_and_read_only(self, monkeypatch):
