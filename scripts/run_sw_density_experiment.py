@@ -27,7 +27,7 @@ def main():
         group_sizes = [int(rng.integers(1, 3)) for _ in range(int(rng.integers(1, 4)))]
         gens, _ = grouped_function_algebra(rng, n=args.n, group_sizes=group_sizes)
         alg = closure_star_subalgebra(gens, points=sum(group_sizes), n=args.n)
-        report = density_check(alg, seed=trial)
+        report = density_check(alg)
         d2 = delta2_subspace(alg)
         dense_count += report.dense
         separated_pairs += sum(report.separated.values())

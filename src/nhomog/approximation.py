@@ -7,9 +7,10 @@ a certified sup-norm error, from order-theoretic steps: lattice joins,
 per-point envelopes from the pair interpolants, power-mean envelopes of
 pairwise commuting families, two-point flattening polynomials and their
 partition of unity, and operator-monotone order verification.  The
-hypotheses are read from the ranks of the algebra's pair restrictions,
-its class table and its Delta2 subspace, which ``sw_engine`` computes
-and keeps on the algebra.
+hypotheses and the classes of points are read from the ranks of the
+algebra's fibres and pair restrictions and from its Delta2 subspace,
+which ``sw_engine`` computes and keeps on the algebra; no random draw is
+taken.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .matrix_core import (
     psd_order,
     require_hermitian,
 )
-from .star_algebra import _rank_with_gap, nullspace
-from .sw_engine import FnAlgebra, _class_table, _contacts, delta2_subspace, fn_product
+from .star_algebra import _contains_rows, nullspace
+from .sw_engine import FnAlgebra, _class_groups, _contacts, _pair_solve, delta2_subspace
 
 
 def power_mean_exponent(eps: float, r: float, k: int) -> int:
@@ -294,32 +295,19 @@ def _pair_family(e: FnAlgebra, f: np.ndarray, tol: Tolerance, scale: float,
     """The Hermitian parts of the pair interpolants, a (P, P, n, n) stack
     family[x, y] = g_xy, symmetric in x and y.
 
-    Every pair x <= y is solved at once for the element g_xy of the span
-    (optionally of a subspace given by its own vector rows) matching f at
-    both points: minimal-norm coefficients from one stacked pseudo-inverse
-    whose singular directions the rank gate keeps, so roundoff in f is
-    not amplified, and an ambiguous gap raises.  It exists, within eq_tol
+    Every pair x <= y is solved at once (``sw_engine._pair_solve``) for
+    the element g_xy of the span (optionally of a subspace given by its
+    own vector rows) matching f at both points.  It exists, within eq_tol
     of the target's norm ``scale``, whenever f is two-point approximable
     there; the first pair that fails is named.  The solve is linear in
     f, so the family of -f is exactly -family."""
-    if vectors is None:
-        vectors = e.basis.vectors
-    P, nn = e.points, e.n * e.n
+    P = e.points
     xs, ys = np.triu_indices(P)
-    values = vectors.reshape(-1, P, nn)
-    blocks = np.concatenate([values[:, xs], values[:, ys]], axis=-1).transpose(1, 2, 0)  # (pairs, 2n^2, dim)
-    flat = f.reshape(P, nn)
-    targets = np.concatenate([flat[xs], flat[ys]], axis=-1)[..., None]
-    u, s, vh = np.linalg.svd(blocks.conj(), full_matrices=False)  # pinv's own arithmetic, gated
-    kept = np.arange(s.shape[-1]) < _rank_with_gap(s, tol.rank_cut, "pair interpolant")[:, None]
-    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
-    coeffs = (vh.swapaxes(-1, -2) @ (inverse[..., None] * u.swapaxes(-1, -2))) @ targets
-    residuals = np.linalg.norm(blocks @ coeffs - targets, axis=(1, 2))
+    g, residuals = _pair_solve(e, xs, ys, np.stack([f[xs], f[ys]], axis=1), tol, vectors)
     bad = np.flatnonzero(_fails(residuals, tol.eq_tol, scale))
     if bad.size:
         x, y, res = xs[bad[0]], ys[bad[0]], residuals[bad[0]]
         raise PreconditionFailed(f"target is not two-point approximable at pair ({x}, {y}); residual {res:.3e}")
-    g = (coeffs[..., 0] @ vectors).reshape(-1, P, e.n, e.n)
     pair = np.zeros((P, P), dtype=int)
     pair[xs, ys] = pair[ys, xs] = np.arange(xs.size)
     return (g + adj(g))[pair] / 2.0
@@ -358,31 +346,26 @@ def _central_vectors(e: FnAlgebra, tol: Tolerance) -> np.ndarray:
     return nullspace(system, tol, "relative commutant") @ e.basis.vectors
 
 
-def _class_indicators(e: FnAlgebra, classes, witnesses, tol: Tolerance) -> list[np.ndarray]:
-    """Scalar indicator of each class as an explicit product of two-point
-    flattening polynomials applied to separating witnesses."""
-    P, n = e.points, e.n
-    eye = np.eye(n, dtype=complex)
-    out = []
+def _class_indicators(e: FnAlgebra, classes, tol: Tolerance) -> np.ndarray:
+    """The indicator 1_G I_n of each class G of points, a (classes, P, n, n)
+    stack.  When no two classes of points share a class of irreducible
+    representations, 1_G I_n is the sum of the central projections of the
+    classes at G, so it lies in the algebra; each is checked by the
+    containment rule of ``SubspaceBasis.contains``, in one projection."""
+    member = np.zeros((len(classes), e.points), dtype=bool)
     for ci, cls in enumerate(classes):
-        prod = np.tile(eye, (P, 1, 1))
-        for cj in range(len(classes)):
-            if cj == ci:
-                continue
-            wit, poly = witnesses[(ci, cj)]
-            prod = fn_product(prod, _eval_stack(poly, wit[None]))
-        want = np.isin(np.arange(P), cls)[:, None, None] * eye
-        bad = np.flatnonzero(_exceeds(prod - want, 1e-6))
-        if bad.size:
-            raise NumericalFailure(
-                f"class indicator {ci} deviates at point {bad[0]}: the instance does not "
-                "behave covariantly on its equivalence classes"
-            )
-        out.append(prod)
+        member[ci, cls] = True
+    out = member[..., None, None] * np.eye(e.n, dtype=complex)
+    bad = np.flatnonzero(~_contains_rows(out.reshape(len(classes), -1), e.basis.vectors, tol.eq_tol))
+    if bad.size:
+        raise NumericalFailure(
+            f"class indicator {bad[0]} is not in the algebra: the instance does not "
+            "behave covariantly on its equivalence classes"
+        )
     return out
 
 
-def _partition_route(e: FnAlgebra, f: np.ndarray, delta: float, classes, witnesses,
+def _partition_route(e: FnAlgebra, f: np.ndarray, delta: float, classes,
                      tol: Tolerance, scale: float) -> np.ndarray:
     family = _pair_family(e, f, tol, scale)
     lower = _meet(family, tol)
@@ -393,7 +376,7 @@ def _partition_route(e: FnAlgebra, f: np.ndarray, delta: float, classes, witness
     counts = covers.sum(axis=0)
     if not counts.all():
         raise NumericalFailure(f"no envelope pair covers class {np.flatnonzero(counts == 0)[0]}")
-    alpha = np.tensordot(covers / counts, _class_indicators(e, classes, witnesses, tol), 1)  # (P, P, n, n)
+    alpha = np.tensordot(covers / counts, _class_indicators(e, classes, tol), 1)  # (P, P, n, n)
     return (alpha @ lower).sum(axis=0)
 
 
@@ -440,19 +423,18 @@ class ApproximationReport:
     eps: float = 0.0
 
 
-def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAULT_TOL,
-                             seed: int = 0) -> ApproximationReport:
+def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAULT_TOL) -> ApproximationReport:
     """Approximate a two-point approximable target inside the algebra
     with a certified sup-norm error.
 
     Hypotheses checked up front, from the rank verdicts of
     ``sw_engine._contacts``: the unit is in the closure; every pair of
-    points across distinct spectral classes (the class table's groups)
+    points across distinct spectral classes (``sw_engine._class_groups``)
     is separated; the target is two-point approximable.  Hermitian parts
     are then handled separately.  A part commuting with the whole algebra goes through the power-mean
     envelope of its per-point lower envelopes; a general part goes
-    through the partition of unity built from two-point flattening
-    products, weighted onto the envelope family.  The certified error is
+    through the partition of unity of the class indicators 1_G I_n,
+    weighted onto the envelope family.  The certified error is
     measured by direct evaluation, and an exact orthogonal-projection
     fallback is reported alongside.  Every tolerance test takes its
     scale from the target's sup norm, once per call, so a c-scaled target
@@ -471,10 +453,8 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
     shared, null = _contacts(e, tol)
     if null.any():
         raise HypothesisViolated("(AX0) the constant identity is not in the closure")
-    table = _class_table(e, tol, seed)
-    classes = table.groups()
-    witnesses: dict[tuple[int, int], tuple[np.ndarray, StarPolynomial]] = {}
-    # points of one group share their label set, so separation is decided
+    classes = _class_groups(e, tol)
+    # points of one group contain the same classes, so separation is decided
     # once per pair of groups, at each group's first point; the groups are
     # ordered by first point, so the first failing pair of groups names the
     # lexicographically first failing pair of points
@@ -482,9 +462,6 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
         x, y = classes[ci][0], classes[cj][0]
         if shared[x, y]:  # with no null part, a pair is separated iff it shares no class
             raise HypothesisViolated(f"(AX1) no certified spectral separation for pair ({x}, {y})")
-        wit = table.witness
-        witnesses[(ci, cj)] = (wit, two_point_flatten(wit[x], wit[y], 1.0, 0.0, tol))
-        witnesses[(cj, ci)] = (wit, two_point_flatten(wit[x], wit[y], 0.0, 1.0, tol))
 
     part_re = (target + adj(target)) / 2.0
     part_im = (target - adj(target)) / 2.0j
@@ -507,7 +484,7 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
                 approx = None  # commutant too small to interpolate; use the partition
         if approx is None:
             routes.append("partition")
-            approx = _partition_route(e, part, delta, classes, witnesses, tol, scale)
+            approx = _partition_route(e, part, delta, classes, tol, scale)
         results.append(approx)
     g = results[0] + 1j * results[1]
     certified = opnorm(g - target)

@@ -179,7 +179,7 @@ def _cmd_sw_check(cfg: RunConfig, payload) -> tuple[int, dict, list[str]]:
 
     points, n, gens = jsonio.decode_fn_algebra_input(payload)
     algebra = closure_star_subalgebra(gens, points=points, n=n, tol=cfg.tol)
-    density = density_check(algebra, cfg.tol, cfg.seed)
+    density = density_check(algebra, cfg.tol)
     d2 = delta2_subspace(algebra, cfg.tol)
     report = {**density.to_json(), "points": points, "n": n, "algebra_dim": algebra.basis.dim, "delta2_dim": d2.dim,
               "span_equals_delta2": algebra.basis.dim == d2.dim and d2.contains_span(algebra.basis, 1e-7)}

@@ -277,11 +277,10 @@ class _PointSplit:
     holds (label, isometries (m, Pn, n'), compressions (m, k, n', n'))
     per class, in class order, then per null cluster: label i + 1 for
     class i and 0 for null blocks.  v[x] holds point x's blocks side by
-    side, in block order; labels[x, i] is column i's label."""
+    side, in block order."""
 
     parts: tuple[tuple[int, np.ndarray, np.ndarray], ...]
     v: np.ndarray = field(repr=False)  # (P, n, n)
-    labels: np.ndarray = field(repr=False)  # (P, n)
 
     @property
     def blocks(self) -> tuple[Block, ...]:
@@ -333,8 +332,6 @@ def _assemble(gens: np.ndarray, norms: np.ndarray, tol: Tolerance, classes: list
         raise NumericalFailure(f"block isometries do not give every point {n} columns")
     by_point = np.argsort(col_point, kind="stable")
     v = cols[:, by_point].reshape(n, points, n).swapaxes(0, 1)
-    labels = np.repeat([label for label, _ in parts], [len(part[2]) for _, part in parts])[by_point]
-    labels = labels.reshape(points, n)
     if _exceeds(adj(v) @ v - np.eye(n), tol.eq_tol).any():
         raise NumericalFailure("assembled change of basis is not unitary")
     # V is unitary, so |G_j V - V C_j| at a point is the error of G_j's block reconstruction there
@@ -348,7 +345,7 @@ def _assemble(gens: np.ndarray, norms: np.ndarray, tol: Tolerance, classes: list
         # c <= c + ||C_0||: drift the exact test finds, the first test, which needs no norm of C_0, finds too
         if _exceeds(drift, 1e-7 * c).any() and _exceeds(drift, 1e-7 * c + 1e-7 * _opnorms(comps[0])).any():
             raise NumericalFailure("a block's compression differs from its class representative")
-    return _PointSplit(tuple((label, part[0], part[1]) for label, part in parts), v, labels)
+    return _PointSplit(tuple((label, part[0], part[1]) for label, part in parts), v)
 
 
 def _split_points(gens: np.ndarray, tol: Tolerance, seed: int) -> _PointSplit:

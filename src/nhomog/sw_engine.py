@@ -11,10 +11,11 @@ matrix tuples.  The pointwise spectral verdicts (separation of two
 points, the unit) are read off ranks: two points share a class exactly
 when their pair restriction has less than the sum of their fibres'
 dimensions, and a point has a null part exactly when I_n is not in its
-fibre.  The spectral classes of points and the witnesses come from one
-split of the algebra's (2, |X|, n, n) values into irreducible blocks,
-each at one point, by the splitter behind ``decompose``; a split is
-checked against the rank verdicts when it is built.
+fibre.  The classes of points come from the same ranks, and each
+witness is an element of the span checked where it is used: I_n for
+the unit, and for a separated pair the element that is I_n at one
+point and 0 at the other, from the stacked pair solve that the
+constructive approximation shares.  No random draw is taken.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, NumericalFailure, SamePoint
-from .matrix_core import DEFAULT_TOL, Tolerance, adj
-from .decomposition import _split_points
+from .matrix_core import DEFAULT_TOL, Tolerance, _exceeds, adj
 from .star_algebra import RANK_GAP_RATIO, SubspaceBasis, _contains_rows, _rank_with_gap, _right_svd, closure, nullspace
 
 
@@ -35,8 +35,8 @@ class FnAlgebra:
     orthonormal basis closed (within tolerance) under pointwise products.
     What is derived from the basis alone is kept in ``_memo`` once
     computed, keyed by what else it depends on: the fibres (``_fibres``)
-    and the pair restrictions' complement rows (``_pair_rows``) by rank
-    cut, the class table (``_class_table``) by tolerance and seed."""
+    and the pair restrictions' complement rows (``_pair_rows``), by rank
+    cut."""
 
     n: int
     points: int
@@ -87,13 +87,11 @@ def closure_star_subalgebra(gens, points: int | None = None, n: int | None = Non
 
 @dataclass(frozen=True)
 class SeparationVerdict:
-    """certified=True comes with a Hermitian witness whose values at the
-    two points have disjoint spectra (integer labels of disjoint sets of
-    classes, certified once per class table); certified=False means the
-    points cannot be separated: they share a class of irreducible
-    representations, or both have a null part (``_separated``).  The
-    witness is the class table's, kept on the algebra and shared by every
-    verdict on it, so it is read-only: copy it to change it."""
+    """certified=True comes with a Hermitian witness in the span whose
+    values at the two points are I_n and 0, spectra {1} and {0};
+    certified=False means the points cannot be separated: they share a
+    class of irreducible representations, or both have a null part
+    (``_separated``).  Each verdict holds its own witness."""
 
     certified: bool
     witness: np.ndarray | None = field(repr=False, default=None)
@@ -108,102 +106,16 @@ class UnitWitness:
     witness: np.ndarray | None = field(repr=False, default=None)
 
 
-@dataclass(frozen=True)
-class _ClassTable:
-    """The spectrum of an algebra, point by point: which classes of
-    irreducible representations, and whether a null part, each point
-    evaluation contains.  Label 0 is the null part and label i + 1 is
-    class i; ``present[l, x]`` says whether point x contains label l.
-    The witness sum_i (i + 1) P_i is certified once, when the table is
-    built, and separates every pair that ``_separated`` separates.  The
-    table is kept on its algebra (``_class_table``) and refers to no
-    algebra itself, so the two are freed by reference counting; its
-    arrays are read-only, the witness handed out by
-    ``spectrally_separates`` included."""
-
-    present: np.ndarray = field(repr=False)  # (labels, P) bool
-    v: np.ndarray = field(repr=False)  # (P, n, n): each point's blocks side by side, a unitary
-    labels: np.ndarray = field(repr=False)  # (P, n): label of each column of v
-    witness: np.ndarray = field(repr=False)  # sum_i (i + 1) P_i, taken pointwise
-
-    @classmethod
-    def of(cls, e: FnAlgebra, tol: Tolerance, seed: int) -> "_ClassTable":
-        """Two seeded random elements generate E, and the split of their
-        (2, P, n, n) values into irreducible blocks gives its classes.
-        They generate all of E iff the classes' full matrix algebras fill
-        it: sum n_i^2 = dim E.  Every block lies at one point, so a point
-        contains the labels of the blocks there.  The witness is
-        Hermitian, lies in the span, and at every point its spectrum is
-        the labels of the blocks there, each counted with its dimension.
-
-        Only the algebra's support is split: a point where every basis
-        element is exactly zero carries only the zero representation, so
-        it is a null point (label 0 throughout, v = I, witness 0).  An
-        algebra that is null everywhere takes no split."""
-        rng = np.random.default_rng(seed)
-        coeffs = rng.standard_normal((2, e.basis.dim)) + 1j * rng.standard_normal((2, e.basis.dim))
-        vectors = e.basis.vectors.reshape(e.basis.dim, e.points, e.n * e.n)
-        support = (vectors != 0.0).any(axis=(0, 2))
-        labels = np.zeros((e.points, e.n), dtype=int)
-        v = np.tile(np.eye(e.n, dtype=complex), (e.points, 1, 1))
-        classes = []
-        if support.any():
-            split = _split_points(np.tensordot(coeffs, vectors[:, support], 1).reshape(2, -1, e.n, e.n), tol, seed)
-            classes = split.reps
-            labels[support] = split.labels
-            v[support] = split.v
-        if sum(c.shape[-1] ** 2 for c in classes) != e.basis.dim:
-            raise NumericalFailure("two random elements do not generate the function algebra")
-        present = (labels == np.arange(len(classes) + 1)[:, None, None]).any(axis=-1)
-        witness = (v * labels[:, None, :]) @ adj(v)
-        if np.abs(witness - adj(witness)).max(initial=0.0) > tol.eq_tol:
-            raise NumericalFailure("the class witness is not Hermitian")
-        if np.abs(np.linalg.eigvalsh(witness) - np.sort(labels, axis=1)).max(initial=0.0) > 1e-6:
-            raise NumericalFailure("the class witness's spectrum does not match the classes present")
-        if e.basis.residual(witness) > 1e-10:
-            raise NumericalFailure("the class witness is not in the algebra span")
-        for a in (present, v, labels, witness):
-            a.setflags(write=False)
-        return cls(present, v, labels, witness)
-
-    def groups(self) -> list[list[int]]:
-        """Points grouped by (set of classes, has-null), ordered by their
-        smallest point."""
-        out: dict[bytes, list[int]] = {}
-        for x in range(self.present.shape[1]):
-            out.setdefault(self.present[:, x].tobytes(), []).append(x)
-        return list(out.values())
-
-
-def _class_table(e: FnAlgebra, tol: Tolerance, seed: int) -> _ClassTable:
-    """The algebra's class table at this tolerance and seed, built once
-    and kept on it read-only.  Its null parts and the pairs of points it
-    says share a class must be those of ``_contacts``."""
-    key = ("classes", tol, seed)
-    table = e._memo.get(key)
-    if table is None:
-        table = _ClassTable.of(e, tol, seed)
-        shared, null = _contacts(e, tol)
-        classes = table.present[1:].astype(int)
-        table_shared = classes.T @ classes > 0
-        np.fill_diagonal(table_shared, False)
-        if not (np.array_equal(table_shared, shared) and np.array_equal(table.present[0], null)):
-            raise NumericalFailure("the class table disagrees with the ranks of the pair restrictions")
-        e._memo[key] = table
-    return table
-
-
-def spectrally_separates(e: FnAlgebra, x: int, y: int, tol: Tolerance = DEFAULT_TOL,
-                         seed: int = 0) -> SeparationVerdict:
+def spectrally_separates(e: FnAlgebra, x: int, y: int, tol: Tolerance = DEFAULT_TOL) -> SeparationVerdict:
     """Decide whether some element of the algebra has values at x and y
     that are normal with disjoint spectra.
 
     Exact, from ranks (``_separated``): x and y are separable iff they
     share no class of irreducible representations and do not both have
-    a null part.  The witness of a separated pair is the class table's
-    central element sum_i (i + 1) P_i over the isotypic projections,
-    whose value at a point has eigenvalue i + 1 on class i and 0 on the
-    null part.
+    a null part.  Then the pair restriction is E(x) + E(y), and I_n lies
+    in the fibre of a point without a null part, so some element is I_n
+    there and 0 at the other point: the witness is the Hermitian part of
+    that element from ``_pair_solve``, checked at both points.
     """
     e.check_point(x)
     e.check_point(y)
@@ -211,7 +123,36 @@ def spectrally_separates(e: FnAlgebra, x: int, y: int, tol: Tolerance = DEFAULT_
         raise SamePoint(f"points must differ, both are {x}")
     if not _separated(e, tol)[x, y]:
         return SeparationVerdict(False)
-    return SeparationVerdict(True, _class_table(e, tol, seed).witness)
+    unit_at_y = bool(_contacts(e, tol)[1][x])  # I_n at x, or at y when x has a null part
+    values = np.eye(e.n, dtype=complex) * np.array([not unit_at_y, unit_at_y])[:, None, None]
+    g = _pair_solve(e, np.array([x]), np.array([y]), values[None], tol)[0][0]
+    witness = (g + adj(g)) / 2.0
+    if _exceeds(witness[[x, y]] - values, tol.eq_tol).any():
+        raise NumericalFailure(f"separation witness misses I_n or 0 at pair ({x}, {y})")
+    return SeparationVerdict(True, witness)
+
+
+def _pair_solve(e: FnAlgebra, xs: np.ndarray, ys: np.ndarray, targets: np.ndarray, tol: Tolerance,
+                vectors: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """For each pair (xs[i], ys[i]) the element of the span (optionally of
+    a subspace given by its own vector rows) whose values there come
+    closest to targets[i], a (2, n, n) pair of values, all pairs at once:
+    minimal-norm coefficients from one stacked pseudo-inverse whose
+    singular directions the rank gate keeps, so roundoff in the targets is
+    not amplified, and an ambiguous gap raises.  Returns the elements,
+    (pairs, P, n, n), and the Frobenius norms of their misses at their
+    pairs.  The solve is linear in the targets."""
+    if vectors is None:
+        vectors = e.basis.vectors
+    values = vectors.reshape(-1, e.points, e.n * e.n)
+    blocks = np.concatenate([values[:, xs], values[:, ys]], axis=-1).transpose(1, 2, 0)  # (pairs, 2n^2, dim)
+    targets = targets.reshape(len(xs), -1, 1)
+    u, s, vh = np.linalg.svd(blocks.conj(), full_matrices=False)  # pinv's own arithmetic, gated
+    kept = np.arange(s.shape[-1]) < _rank_with_gap(s, tol.rank_cut, "pair interpolant")[:, None]
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    coeffs = (vh.swapaxes(-1, -2) @ (inverse[..., None] * u.swapaxes(-1, -2))) @ targets
+    residuals = np.linalg.norm(blocks @ coeffs - targets, axis=(1, 2))
+    return (coeffs[..., 0] @ vectors).reshape(-1, e.points, e.n, e.n), residuals
 
 
 def _fibres(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -326,6 +267,23 @@ def _separated(e: FnAlgebra, tol: Tolerance) -> np.ndarray:
     return ~(shared | (null[:, None] & null[None, :]))
 
 
+def _class_groups(e: FnAlgebra, tol: Tolerance) -> list[list[int]]:
+    """Points grouped by the set of classes they contain, each group in
+    order and the groups ordered by their smallest point.  A pair's
+    c_xy = sum_{i at both} n_i^2 complement rows (``_pair_rows``) equal
+    r_x = r_y (``_fibres``) exactly when x and y contain the same classes.
+    Null parts are not read."""
+    rank = _fibres(e, tol)[0]
+    at = _pair_rows(e, tol)[1]
+    count = np.zeros((e.points, e.points), dtype=int)
+    np.add.at(count, (at[0], at[1]), 1)
+    count += count.T
+    same = (count == rank[:, None]) & (count == rank[None, :])
+    np.fill_diagonal(same, True)
+    first = same.argmax(axis=1)  # each point's smallest point with the same classes
+    return [np.flatnonzero(first == x).tolist() for x in np.unique(first)]
+
+
 def delta2_subspace(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
     """All functions whose restriction to every pair of points lies in the
     algebra's pair restriction: the two-point approximable subspace,
@@ -376,15 +334,14 @@ def point_fullness(e: FnAlgebra, x: int, tol: Tolerance = DEFAULT_TOL) -> int:
     return int(_fibres(e, tol)[0][e.check_point(x)])
 
 
-def density_check(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> DensityReport:
+def density_check(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> DensityReport:
     """Density of the algebra in all functions, with the classical
     criterion (spectral separation of all pairs + full fibre at every
     point) computed alongside.
 
     Density itself is the exact rank condition dim E = |X| n^2.  Pair
     verdicts are exact, from ranks (``_separated``), so the criterion is
-    decided on every input and must agree with density.  No class table
-    is built, and no random draw is taken: ``seed`` changes nothing.
+    decided on every input and must agree with density.
     """
     dim = e.basis.dim
     dense = dim == e.ambient_dim
@@ -403,14 +360,13 @@ def unit_in_closure(e: FnAlgebra, tol: Tolerance = DEFAULT_TOL) -> UnitWitness:
     """Decide whether the constant identity function lies in the algebra.
 
     The unit is reachable iff no point has a null part (``_contacts``; a
-    zero algebra is null everywhere).  The witness, the sum of the
-    isotypic projections of the class table, taken pointwise, is
-    re-verified to lie in the span.
+    zero algebra is null everywhere), and then E's unit is I_n at every
+    point: the witness is the constant I_n, re-verified to lie in the
+    span.
     """
     if _contacts(e, tol)[1].any():
         return UnitWitness(False, None)
-    table = _class_table(e, tol, 0)
-    witness = (table.v * (table.labels > 0)[:, None, :]) @ adj(table.v)
+    witness = np.tile(np.eye(e.n, dtype=complex), (e.points, 1, 1))
     if not e.basis.contains(witness, tol.eq_tol):
         raise NumericalFailure("unit witness failed the span membership check")
     return UnitWitness(True, witness)

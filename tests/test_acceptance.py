@@ -176,7 +176,7 @@ def test_criterion_7_density_biconditional():
             fibers = ["full"] * points  # at block size 1 every unital fibre is full
         gens, _ = grouped_function_algebra(r, n=n, group_sizes=[1] * points, fibers=fibers)
         alg = closure_star_subalgebra(gens, points=points, n=n)
-        report = density_check(alg, seed=trial)
+        report = density_check(alg)
         total_pairs += points * (points - 1) // 2
         not_found += len(report.not_found)
         if report.criterion is not None:

@@ -568,16 +568,21 @@ class TestNoCertificationSvd:
 
     @pytest.mark.parametrize("fibers", [["full", "scalar", "scalar"], ["diag", "scalar", "scalar"]])
     def test_class_table_takes_only_the_scale(self, monkeypatch, fibers):
-        """15 points, n = 2, in three groups of 5; the last group vanishes,
-        so its points are null points and the split sees the other 10."""
-        from nhomog.sw_engine import _ClassTable, closure_star_subalgebra
-
-        gens, meta = grouped_function_algebra(rng(901), n=2, group_sizes=[5, 5, 5], fibers=fibers,
-                                              vanish_groups=[2])
-        alg = closure_star_subalgebra(gens)
+        """The pointwise split of a class table: 15 points, n = 2, in three
+        groups of 5; the last group vanishes, so the split sees the other
+        10, and its classes lie on the two live groups."""
+        values, meta = grouped_class_table_input(fibers)
         calls = self.two_norm_calls(monkeypatch)
-        table = _ClassTable.of(alg, DEFAULT_TOL, 0)
-        assert table.groups() == meta["groups"]
+        split = decomposition._split_points(values, DEFAULT_TOL, 0)
+        by_point = {}
+        for label, isos, _ in split.parts:
+            for iso in isos:
+                at = int(np.flatnonzero(np.abs(iso.reshape(10, 2, -1)).max(axis=(1, 2)))[0])
+                by_point.setdefault(at, set()).add(label)
+        groups = {}
+        for x in range(10):
+            groups.setdefault(frozenset(by_point[x]), []).append(x)
+        assert list(groups.values()) == meta["groups"][:2]
         assert calls == [(2, 10, 2, 2)]
 
     @staticmethod
@@ -620,16 +625,26 @@ class TestNoCertificationSvd:
 
     @pytest.mark.parametrize("fibers", [["full", "scalar", "scalar"], ["diag", "scalar", "scalar"]])
     def test_class_table_one_spin_up_svd_per_class(self, monkeypatch, fibers):
-        from nhomog.sw_engine import _ClassTable, closure_star_subalgebra
-
-        gens, _ = grouped_function_algebra(rng(901), n=2, group_sizes=[5, 5, 5], fibers=fibers,
-                                           vanish_groups=[2])
-        alg = closure_star_subalgebra(gens)
+        values, _ = grouped_class_table_input(fibers)
         _, per_spin_up = self.spin_up_svds(monkeypatch)
-        table = _ClassTable.of(alg, DEFAULT_TOL, 0)
-        classes = len(table.present) - 1
+        classes = len(decomposition._split_points(values, DEFAULT_TOL, 0).reps)
         assert classes == (2 if fibers[0] == "full" else 3)
         assert per_spin_up == [1] * classes
+
+
+def grouped_class_table_input(fibers):
+    """A pointwise split's input: the values of two seeded random elements
+    of a grouped algebra at n = 2 (three groups of 5 points, the last
+    vanishing) on the 10 points where the algebra does not vanish, as a
+    (2, 10, 2, 2) stack, and the algebra's metadata."""
+    from nhomog.sw_engine import closure_star_subalgebra
+
+    gens, meta = grouped_function_algebra(rng(901), n=2, group_sizes=[5, 5, 5], fibers=fibers, vanish_groups=[2])
+    alg = closure_star_subalgebra(gens)
+    r = np.random.default_rng(0)
+    coeffs = r.standard_normal((2, alg.basis.dim)) + 1j * r.standard_normal((2, alg.basis.dim))
+    values = np.tensordot(coeffs, alg.basis.vectors.reshape(alg.basis.dim, 15, 2, 2), 1)
+    return values[:, :10], meta
 
 
 def spin_up_without_screen(letters, e, tol):

@@ -76,6 +76,13 @@ def test_bare_import_loads_no_submodule():
     assert loaded_after("import nhomog") == {"nhomog"}
 
 
+def test_sw_engine_loads_no_decomposition():
+    """The function algebras read their classes off ranks and take no
+    split, so ``sw_engine`` does not load the splitter's module."""
+    assert loaded_after("import nhomog.sw_engine") == {
+        "nhomog", "nhomog.sw_engine", "nhomog.errors", "nhomog.matrix_core", "nhomog.star_algebra"}
+
+
 @pytest.mark.parametrize("command, payload, flags, extra", COMMANDS, ids=[c[0] for c in COMMANDS])
 def test_command_loads_only_its_modules(tmp_path, command, payload, flags, extra):
     """A stray top-level import in ``cli``, ``jsonio`` or a module they

@@ -56,9 +56,12 @@ def test_no_absolute_slack_in_the_library():
 # One implementation per numerical decision: the Frobenius screen's
 # constants stay in ``matrix_core``, a comparison of operator norms goes
 # through ``_exceeds`` there, and a pseudo-inverse through the rank gate.
+# The function algebras read their classes off ranks: no random draw and
+# no split in ``sw_engine`` or ``approximation``.
 SCREEN_CONSTANT = re.compile(r"\b_SCREEN_(FLOOR|MARGIN)\b")
 INLINE_NORM_TEST = re.compile(r"\b(opnorm|_opnorms)\(.*\)\s*>|\bnp\.linalg\.norm\(.*,\s*2\s*[,)].*>")
 PSEUDO_INVERSE = re.compile(r"\bnp\.linalg\.pinv\b")
+RANDOM_SPLIT = re.compile(r"\b(default_rng|_split_points)\b")
 
 
 def test_one_implementation_per_numerical_decision():
@@ -66,8 +69,12 @@ def test_one_implementation_per_numerical_decision():
             for path in sorted((ROOT / "src" / "nhomog").glob("*.py"))
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if PSEUDO_INVERSE.search(line) or (path.name != "matrix_core.py" and (
-                SCREEN_CONSTANT.search(line) or INLINE_NORM_TEST.search(line)))]
+                SCREEN_CONSTANT.search(line) or INLINE_NORM_TEST.search(line)))
+            or (path.name in ("sw_engine.py", "approximation.py") and RANDOM_SPLIT.search(line))]
     assert hits == []
+    assert RANDOM_SPLIT.search("rng = np.random.default_rng(seed)")
+    assert RANDOM_SPLIT.search("from .decomposition import _split_points")
+    assert not RANDOM_SPLIT.search("split = decomposition.split_points_by_rank(e)")
     assert SCREEN_CONSTANT.search("from .matrix_core import _SCREEN_FLOOR, _SCREEN_MARGIN")
     assert INLINE_NORM_TEST.search("if opnorm(x) > 1e-8:")
     assert INLINE_NORM_TEST.search("if m.shape != (n, n) or opnorm(adj(m) @ m - np.eye(n)) > tol.eq_tol:")

@@ -53,7 +53,7 @@ from nhomog.approximation import (
     power_mean_exponent,
     two_point_flatten,
 )
-from nhomog.decomposition import decompose
+from nhomog.decomposition import _split_points, decompose
 from nhomog.star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, _right_svd, nullspace
 from nhomog.sw_engine import (
     closure_star_subalgebra,
@@ -151,11 +151,11 @@ class TestSpectrallySeparates:
         )
         alg = closure_star_subalgebra(gens)
         group_of = {z: gi for gi, grp in enumerate(meta["groups"]) for z in grp}
-        report = density_check(alg, seed=seed)
+        report = density_check(alg)
         assert report.not_found == () and report.criterion is False and report.consistent
         for (x, y), separated in report.separated.items():
             assert separated == (group_of[x] != group_of[y])
-            verdict = spectrally_separates(alg, x, y, seed=seed)
+            verdict = spectrally_separates(alg, x, y)
             assert verdict.certified is separated
             w = verdict.witness
             if separated:
@@ -190,7 +190,7 @@ class TestSpectrallySeparates:
         assert spectrally_separates(alg, 0, 1)
         assert spectrally_separates(alg, 0, 2)
 
-    # the same three algebras through density_check, which builds no class table
+    # the same three algebras through density_check, which builds no witness
     def test_shared_class_with_null_part_density(self):
         alg = closure_star_subalgebra([fn(np.diag([1.0, 0.0]), np.eye(2))])
         assert density_check(alg).separated == {(0, 1): False}
@@ -204,23 +204,6 @@ class TestSpectrallySeparates:
         alg = closure_star_subalgebra([fn(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))])
         assert density_check(alg).separated == {(0, 1): True, (0, 2): True, (1, 2): False}
 
-    def test_corrupted_class_table_raises(self, monkeypatch):
-        # Mix the two classes (one per point) of a full algebra on two
-        # points: each point's columns become (a +- b) / sqrt 2, so the
-        # witness there is no longer its label times the identity.
-        real = sw_engine._split_points
-
-        def mixed(values, tol, seed):
-            split = real(values, tol, seed)
-            a, b = split.v
-            return dataclasses.replace(split, v=np.stack([a + b, a - b]) / np.sqrt(2.0))
-
-        alg = closure_star_subalgebra([np.stack([ginibre(rng(s), 2) for s in range(2)])])
-        assert alg.basis.dim == 8
-        monkeypatch.setattr(sw_engine, "_split_points", mixed)
-        with pytest.raises(NumericalFailure, match="spectrum"):
-            spectrally_separates(alg, 0, 1)
-
     @given(st.integers(0, 10_000), st.floats(-150.0, 150.0))
     @settings(max_examples=25, deadline=None)
     def test_verdicts_invariant_under_scale_and_pointwise_conjugation(self, seed, log_c):
@@ -228,18 +211,43 @@ class TestSpectrallySeparates:
         gens, _ = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], vanish_groups=[2])
         us = np.stack([random_unitary(r, 2) for _ in range(5)])
         moved = [10.0 ** log_c * (us @ g @ adj(us)) for g in gens]
-        before = density_check(closure_star_subalgebra(gens), seed=seed)
-        after = density_check(closure_star_subalgebra(moved), seed=seed)
+        before = density_check(closure_star_subalgebra(gens))
+        after = density_check(closure_star_subalgebra(moved))
         assert after.separated == before.separated
         assert after.fullness == before.fullness
         assert after.dense == before.dense
 
+    @given(st.integers(0, 10_000), st.floats(-100.0, 100.0))
+    @settings(max_examples=25, deadline=None)
+    @example(0, 100.0)
+    @example(1, -100.0)
+    def test_witnesses_invariant_under_scale_and_pointwise_conjugation(self, seed, log_c):
+        """c f with c in [1e-100, 1e100] and a unitary at each point, on
+        algebras with null parts: the same verdicts, and every witness is
+        still Hermitian, in the span, and I_n at one point of its pair
+        (the first, unless it has a null part) and 0 at the other."""
+        r = rng(seed)
+        gens, points, n, _, null = corner_sum_gens(r)
+        us = np.stack([random_unitary(r, n) for _ in range(points)])
+        plain = closure_star_subalgebra(gens, points=points, n=n)
+        moved = closure_star_subalgebra([10.0 ** log_c * (us @ g @ adj(us)) for g in gens], points=points, n=n)
+        for x, y in itertools.combinations(range(points), 2):
+            before, after = spectrally_separates(plain, x, y), spectrally_separates(moved, x, y)
+            assert after.certified is before.certified
+            if after:
+                w = after.witness
+                one, zero = (y, x) if null[x] else (x, y)
+                assert opnorm(w[one] - np.eye(n)) <= 1e-8 and opnorm(w[zero]) <= 1e-8
+                assert np.array_equal(w, adj(w)) and moved.basis.contains(w, 1e-10)
+
 
 def dense_class_table(e, tol, seed):
-    """The class table the pointwise split replaced: the two random
-    elements' values on the diagonal of a dense Pn x Pn tuple, one
-    decompose, and presence from the rounded traces of each point's
-    diagonal block of the isotypic projections."""
+    """The classes each point contains, from the dense embedding: two
+    random elements' values on the diagonal of a dense Pn x Pn tuple, one
+    public decompose, and presence from the rounded traces of each
+    point's diagonal block of the isotypic projections.  present[0, x]
+    says whether point x has a null part, present[i + 1, x] whether it
+    contains class i."""
     P, n = e.points, e.n
     r = np.random.default_rng(seed)
     coeffs = r.standard_normal((2, e.basis.dim)) + 1j * r.standard_normal((2, e.basis.dim))
@@ -255,12 +263,35 @@ def dense_class_table(e, tol, seed):
     traces = onehot @ (np.abs(rows) ** 2).sum(axis=1).T
     counts = np.round(traces).astype(int)
     assert np.abs(traces - counts).max() <= 1e-6
-    return counts > 0, (rows * labels) @ adj(rows)
+    return counts > 0
+
+
+def dense_contacts(present):
+    """(shared, null) of ``sw_engine._contacts`` read off a dense class table."""
+    classes = present[1:].astype(int)
+    shared = classes.T @ classes > 0
+    np.fill_diagonal(shared, False)
+    return shared, present[0]
+
+
+def dense_groups(present):
+    """Points grouped by the classes they contain, null parts not read,
+    ordered by their smallest point."""
+    out = {}
+    for x in range(present.shape[1]):
+        out.setdefault(present[1:, x].tobytes(), []).append(x)
+    return list(out.values())
+
+
+def assert_matches_dense(alg, present):
+    for got, want in zip(sw_engine._contacts(alg, DEFAULT_TOL), dense_contacts(present)):
+        assert np.array_equal(got, want)
+    assert sw_engine._class_groups(alg, DEFAULT_TOL) == dense_groups(present)
 
 
 class TestClassTableReference:
-    """The class table from the pointwise split against the dense
-    embedding it replaced, on the five-group shape."""
+    """The contacts and class groups read off ranks against the dense
+    embedding's class table, on the five-group shape."""
 
     FIBERS = ["full", "diag", "full", "scalar", "diag"]
 
@@ -271,87 +302,62 @@ class TestClassTableReference:
         gens, meta = grouped_function_algebra(rng(seed), n=n, group_sizes=[4 * q, 4 * q, 4 * q, 3 * q, 3 * q],
                                               fibers=self.FIBERS)
         alg = closure_star_subalgebra(gens)
-        table = sw_engine._ClassTable.of(alg, DEFAULT_TOL, seed)
-        present, witness = dense_class_table(alg, DEFAULT_TOL, seed)
-        assert np.array_equal(table.present, present)
-        assert table.groups() == meta["groups"]
-        assert np.abs(table.witness - witness).max() <= 1e-12
+        assert_matches_dense(alg, dense_class_table(alg, DEFAULT_TOL, seed))
+        assert sw_engine._class_groups(alg, DEFAULT_TOL) == meta["groups"]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_blocks_lie_at_one_point(self, n):
         gens, _ = grouped_function_algebra(rng(n), n=n, group_sizes=[4, 4, 4, 3, 3], fibers=self.FIBERS)
         alg = closure_star_subalgebra(gens)
         values = np.stack([alg.basis.project(g) for g in gens[:2]])
-        split = sw_engine._split_points(values, DEFAULT_TOL, 0)
+        split = _split_points(values, DEFAULT_TOL, 0)
         assert sum(b.dim for b in split.blocks) == alg.points * n
         for b in split.blocks:
             at = np.abs(b.isometry.reshape(alg.points, n, -1)).max(axis=(1, 2))
             assert np.count_nonzero(at) == 1
 
-    @staticmethod
-    def split_shapes(monkeypatch):
-        shapes = []
-        split_points = sw_engine._split_points
-
-        def recording(values, *args):
-            shapes.append(values.shape)
-            return split_points(values, *args)
-
-        monkeypatch.setattr(sw_engine, "_split_points", recording)
-        return shapes
-
     @pytest.mark.parametrize("vanish", [[1], [3], [0, 1, 2, 3, 4]], ids=["group-1", "group-3", "all-null"])
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("seed", range(2))
-    def test_null_points_match_dense_embedding(self, vanish, n, seed, monkeypatch):
-        """Points where every element vanishes are left out of the split and
-        read as null points; an all-null algebra takes no split."""
+    def test_null_points_match_dense_embedding(self, vanish, n, seed):
+        """Points where every element vanishes have a null part and no
+        class, so they form one group; an all-null algebra is one group."""
         gens, meta = grouped_function_algebra(rng(seed), n=n, group_sizes=[4, 4, 4, 3, 3], fibers=self.FIBERS,
                                               vanish_groups=vanish)
         alg = closure_star_subalgebra(gens, points=18, n=n)
-        shapes = self.split_shapes(monkeypatch)
-        table = sw_engine._ClassTable.of(alg, DEFAULT_TOL, seed)
-        present, witness = dense_class_table(alg, DEFAULT_TOL, seed)
-        assert np.array_equal(table.present, present)
-        assert np.abs(table.witness - witness).max() <= 1e-12
+        assert_matches_dense(alg, dense_class_table(alg, DEFAULT_TOL, seed))
         live = [x for g, grp in enumerate(meta["groups"]) if g not in vanish for x in grp]
         support = np.count_nonzero((alg.basis.vectors.reshape(-1, 18, n * n) != 0.0).any(axis=(0, 2)))
-        assert shapes == ([(2, support, n, n)] if live else [])
         assert support == len(live)
-        assert table.groups() == (meta["groups"] if live else [list(range(18))])
-        assert table.present[0].any() and unit_in_closure(alg).in_closure is False
+        assert np.flatnonzero(~sw_engine._contacts(alg, DEFAULT_TOL)[1]).tolist() == live
+        assert sw_engine._class_groups(alg, DEFAULT_TOL) == (meta["groups"] if live else [list(range(18))])
+        assert unit_in_closure(alg).in_closure is False
 
     @pytest.mark.parametrize("seed", range(2))
-    def test_vanishing_group_is_exactly_zero(self, seed, monkeypatch):
+    def test_vanishing_group_is_exactly_zero(self, seed):
         """The closure spins up only on points where some generator is
-        nonzero, so its basis is exactly zero on a vanishing group and the
-        split sees the other 14 points; roundoff of its SVD once left
-        entries of 1e-32 at point 4 here, and the split saw 15."""
+        nonzero, so its basis is exactly zero on a vanishing group, whose
+        fibres have rank 0."""
         gens, meta = grouped_function_algebra(rng(seed), n=2, group_sizes=[4, 4, 4, 3, 3], fibers=self.FIBERS,
                                               vanish_groups=[1])
         alg = closure_star_subalgebra(gens, points=18, n=2)
         assert not alg.basis.vectors.reshape(alg.basis.dim, 18, 4)[:, meta["groups"][1]].any()
-        shapes = self.split_shapes(monkeypatch)
-        table = sw_engine._ClassTable.of(alg, DEFAULT_TOL, seed)
-        assert shapes == [(2, 14, 2, 2)]
-        assert table.groups() == meta["groups"]
+        assert not sw_engine._fibres(alg, DEFAULT_TOL)[0][meta["groups"][1]].any()
+        assert sw_engine._class_groups(alg, DEFAULT_TOL) == meta["groups"]
 
-    def test_off_support_noise_takes_the_full_split(self, monkeypatch):
+    def test_off_support_noise_takes_the_full_split(self):
         """Noise of 1e-17 where the algebra vanishes makes those points part
-        of the support, tested on exact zeros: the split sees every point
-        and gives the table of the noiseless algebra."""
+        of the support, tested on exact zeros, but changes no rank: the
+        noisy algebra has the contacts, classes and Delta2 of the noiseless
+        one."""
         gens, meta = grouped_function_algebra(rng(7), n=2, group_sizes=[5, 5, 5], fibers=["full", "scalar", "full"],
                                               vanish_groups=[2])
         noise = 1e-17 * ginibre(rng(8), 2)
         noisy = [g + np.isin(np.arange(15), meta["groups"][2])[:, None, None] * noise for g in gens]
         clean, alg = closure_star_subalgebra(gens), closure_star_subalgebra(noisy)
         assert (alg.basis.vectors.reshape(alg.basis.dim, 15, 4)[:, 10:] != 0.0).any(axis=(0, 2)).all()
-        shapes = self.split_shapes(monkeypatch)
-        table = sw_engine._ClassTable.of(alg, DEFAULT_TOL, 0)
-        expected = sw_engine._ClassTable.of(clean, DEFAULT_TOL, 0)
-        assert shapes == [(2, 15, 2, 2), (2, 10, 2, 2)]
-        assert np.array_equal(table.present, expected.present)
-        assert np.abs(table.witness - expected.witness).max() <= 1e-12
+        assert_matches_dense(alg, dense_class_table(clean, DEFAULT_TOL, 0))
+        assert sw_engine._class_groups(alg, DEFAULT_TOL) == meta["groups"]
         assert_close(projector(delta2_subspace(alg).vectors), projector(delta2_unscreened(alg)), atol=1e-12)
         assert_close(projector(delta2_subspace(alg).vectors), projector(delta2_subspace(clean).vectors), atol=1e-12)
 
@@ -617,18 +623,18 @@ class TestDensityCheck:
         assert all(f == 4 for f in report.fullness)
 
 
-def density_pairs_reference(table, points):
-    """Pair verdicts as the per-pair loop over the class table gave them:
+def density_pairs_reference(present, points):
+    """Pair verdicts as the per-pair loop over a class table gave them:
     a pair is separated iff its points share no label, the null part
     (label 0) included."""
-    return {(x, y): not (table.present[:, x] & table.present[:, y]).any()
+    return {(x, y): not (present[:, x] & present[:, y]).any()
             for x in range(points) for y in range(x + 1, points)}
 
 
 class TestDensityPairs:
     """The pair verdicts of ``density_check``, from the ranks of the pair
-    restrictions, equal the per-pair loop over the class table: same keys
-    in the same order, same values."""
+    restrictions, equal the per-pair loop over the dense class table: same
+    keys in the same order, same values."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_per_pair_loop(self, seed):
@@ -637,9 +643,9 @@ class TestDensityPairs:
         vanish = [len(sizes) - 1] if len(sizes) > 1 and r.random() < 0.4 else []
         gens, _ = grouped_function_algebra(r, n=int(r.integers(1, 4)), group_sizes=sizes, vanish_groups=vanish)
         alg = closure_star_subalgebra(gens)
-        report = density_check(alg, DEFAULT_TOL, seed)
-        table = sw_engine._ClassTable.of(alg, DEFAULT_TOL, seed)
-        assert list(report.separated.items()) == list(density_pairs_reference(table, alg.points).items())
+        report = density_check(alg, DEFAULT_TOL)
+        present = dense_class_table(alg, DEFAULT_TOL, seed)
+        assert list(report.separated.items()) == list(density_pairs_reference(present, alg.points).items())
         assert all(type(x) is int and type(y) is int and type(v) is bool for (x, y), v in report.separated.items())
 
     @pytest.mark.parametrize("points", [1, 2])
@@ -648,26 +654,6 @@ class TestDensityPairs:
         report = density_check(alg)
         assert report.separated == ({} if points == 1 else {(0, 1): True})
         assert report.to_json()["separation"] == ({} if points == 1 else {"0,1": True})
-
-    def test_witness_is_the_table_witness(self, monkeypatch):
-        """density_check builds no table; spectrally_separates hands out
-        the one table's witness for separated pairs and None otherwise."""
-        built = []
-        of = sw_engine._ClassTable.of
-
-        def recording(*args):
-            built.append(of(*args))
-            return built[-1]
-
-        monkeypatch.setattr(sw_engine._ClassTable, "of", recording)
-        gens, _ = grouped_function_algebra(rng(9), n=2, group_sizes=[2, 1], fibers=["full", "diag"])
-        alg = closure_star_subalgebra(gens)
-        report = density_check(alg)
-        assert built == [] and report.separated[(0, 1)] is False
-        verdicts = {p: spectrally_separates(alg, *p) for p in [(0, 1), (0, 2), (1, 2)]}
-        assert len(built) == 1
-        assert [verdicts[p].witness is built[0].witness for p in [(0, 2), (1, 2)]] == [True, True]
-        assert verdicts[(0, 1)].witness is None and not verdicts[(0, 1)]
 
 
 def sw_check_input(tmp_path, gens):
@@ -681,15 +667,14 @@ def sw_check_input(tmp_path, gens):
     return str(path)
 
 
-def corner_sum_algebra(r, log_c):
-    """E = A + C at n = n_A + 1 on P points: A a grouped algebra at n_A in
-    the upper left corner, C a grouped algebra at n = 1 on another
-    grouping of the same points in the last diagonal entry, each with
-    random vanishing groups, then each point conjugated by its own
-    unitary and everything scaled by 10^log_c.  A point where A or C
-    vanishes has a null part; x and y share a class iff they lie in one
-    live group of A or of C.  Returns the algebra and the expected
-    (shared, null)."""
+def corner_sum_gens(r):
+    """Generators of E = A + C at n = n_A + 1 on P points: A a grouped
+    algebra at n_A in the upper left corner, C a grouped algebra at n = 1
+    on another grouping of the same points in the last diagonal entry,
+    each with random vanishing groups.  A point where A or C vanishes has
+    a null part; x and y share a class iff they lie in one live group of
+    A or of C.  Returns the generators, P, n and the expected (shared,
+    null)."""
     n_a = int(r.integers(1, 3))
     n = n_a + 1
     sizes_a = [int(r.integers(1, 3)) for _ in range(int(r.integers(1, 4)))]
@@ -707,8 +692,6 @@ def corner_sum_algebra(r, log_c):
     for g in gens_c:
         gens.append(np.zeros((points, n, n), dtype=complex))
         gens[-1][:, n_a:, n_a:] = g
-    us = np.stack([random_unitary(r, n) for _ in range(points)])
-    alg = closure_star_subalgebra([10.0 ** log_c * (us @ g @ adj(us)) for g in gens], points=points, n=n)
     shared = np.zeros((points, points), dtype=bool)
     null = np.zeros(points, dtype=bool)
     for meta in (meta_a, meta_c):
@@ -718,13 +701,32 @@ def corner_sum_algebra(r, log_c):
             else:
                 shared[np.ix_(grp, grp)] = True
     np.fill_diagonal(shared, False)
+    return gens, points, n, shared, null
+
+
+def corner_sum_algebra(r, log_c):
+    """The algebra of ``corner_sum_gens`` with each point conjugated by
+    its own unitary and everything scaled by 10^log_c, and the expected
+    (shared, null)."""
+    gens, points, n, shared, null = corner_sum_gens(r)
+    us = np.stack([random_unitary(r, n) for _ in range(points)])
+    alg = closure_star_subalgebra([10.0 ** log_c * (us @ g @ adj(us)) for g in gens], points=points, n=n)
     return alg, shared, null
+
+
+@functools.lru_cache(maxsize=None)
+def many_small_groups(groups, fiber, n, seed):
+    """A grouped algebra of ``groups`` groups of 2 points with one kind of
+    fibre, its metadata and an equivariant target, built once for the
+    tests that share these shapes."""
+    r = rng(seed)
+    gens, meta = grouped_function_algebra(r, n=n, group_sizes=[2] * groups, fibers=[fiber] * groups)
+    return closure_star_subalgebra(gens), meta, equivariant_target(r, meta, n)
 
 
 class TestPairVerdicts:
     """Separation is decided from the ranks of the pair restrictions and
-    the fibres (``_contacts``), with no class table; a table built for a
-    witness is checked against those verdicts."""
+    the fibres (``_contacts``), with no class table."""
 
     @given(st.integers(0, 10_000), st.floats(-100.0, 100.0))
     @settings(max_examples=40, deadline=None)
@@ -733,11 +735,11 @@ class TestPairVerdicts:
     def test_agree_with_the_class_table(self, seed, log_c):
         alg, shared, null = corner_sum_algebra(rng(seed), log_c)
         got_shared, got_null = sw_engine._contacts(alg, DEFAULT_TOL)
-        table = sw_engine._ClassTable.of(alg, DEFAULT_TOL, seed)
+        present = dense_class_table(alg, DEFAULT_TOL, seed)
         xs, ys = np.triu_indices(alg.points, k=1)
-        from_table = ~(table.present[:, xs] & table.present[:, ys]).any(axis=0)
+        from_table = ~(present[:, xs] & present[:, ys]).any(axis=0)
         assert np.array_equal(sw_engine._separated(alg, DEFAULT_TOL)[xs, ys], from_table)
-        assert np.array_equal(got_null, table.present[0]) and np.array_equal(got_null, null)
+        assert np.array_equal(got_null, present[0]) and np.array_equal(got_null, null)
         assert np.array_equal(got_shared, shared)
 
     @pytest.mark.parametrize("groups, fiber, n", [(30, "diag", 2), (20, "diag", 3), (20, "full", 2)])
@@ -745,49 +747,25 @@ class TestPairVerdicts:
         """Groups of 2 points: the split of two random elements once ended
         these in NumericalFailure on about half of the seeds."""
         for seed in range(500, 510):
-            gens, meta = grouped_function_algebra(rng(seed), n=n, group_sizes=[2] * groups, fibers=[fiber] * groups)
-            report = density_check(closure_star_subalgebra(gens))
+            alg, meta, _ = many_small_groups(groups, fiber, n, seed)
+            report = density_check(alg)
             group_of = {z: gi for gi, grp in enumerate(meta["groups"]) for z in grp}
             assert report.separated == {(x, y): group_of[x] != group_of[y]
                                         for x in range(2 * groups) for y in range(x + 1, 2 * groups)}
 
     def test_sw_check_builds_no_class_table(self, monkeypatch, tmp_path, capsys):
+        from nhomog import decomposition
         from nhomog.cli import main
 
         def refuse(*args):
-            raise AssertionError("sw-check built a class table")
+            raise AssertionError("sw-check split the algebra")
 
-        monkeypatch.setattr(sw_engine._ClassTable, "of", refuse)
+        monkeypatch.setattr(decomposition, "_split_points", refuse)
         gens, _ = grouped_function_algebra(rng(16), n=2, group_sizes=[3, 2, 2], fibers=["full", "diag", "scalar"],
                                            vanish_groups=[2])
         assert main(["sw-check", "--in", sw_check_input(tmp_path, gens)]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["separation"]["0,3"] is True and report["separation"]["5,6"] is False
-
-    @pytest.mark.parametrize("query", ["separation", "unit"])
-    def test_corrupted_table_fails_the_agreement_check(self, monkeypatch, query):
-        """A table whose point 1 has the classes of point 2, not of point 0,
-        or whose point 0 gains a null part, is refused before its witness
-        is handed out."""
-        of = sw_engine._ClassTable.of
-
-        def corrupted(*args):
-            table = of(*args)
-            present = table.present.copy()
-            if query == "separation":
-                present[1:, 1] = present[1:, 2]  # point 1 takes the classes of point 2
-            else:
-                present[0, 0] = True
-            return dataclasses.replace(table, present=present)
-
-        monkeypatch.setattr(sw_engine._ClassTable, "of", corrupted)
-        gens, _ = grouped_function_algebra(rng(17), n=2, group_sizes=[2, 1], fibers=["full", "diag"])
-        alg = closure_star_subalgebra(gens)
-        with pytest.raises(NumericalFailure, match="disagrees"):
-            if query == "separation":
-                spectrally_separates(alg, 0, 2)
-            else:
-                unit_in_closure(alg)
 
 
 class TestFibresOnce:
@@ -833,49 +811,36 @@ class TestFibresOnce:
         assert sw_engine._fibres(alg, DEFAULT_TOL)[1] is vh and len(calls) == 2
         assert "_memo" not in repr(alg)
 
-
-class TestClassTableOnce:
-    """The class table is split once per algebra, tolerance and seed, and
-    kept on the algebra read-only."""
-
-    @staticmethod
-    def count_splits(monkeypatch):
-        calls = []
-        real = sw_engine._split_points
-
-        def counting(values, *args):
-            calls.append(values.shape)
-            return real(values, *args)
-
-        monkeypatch.setattr(sw_engine, "_split_points", counting)
-        return calls
-
-    def test_one_split_for_density_separation_and_approximation(self, monkeypatch):
-        """density_check takes no split; the first witness takes the one
-        split that separation, the unit and the approximation share."""
+    def test_every_query_shares_one_fibre_and_pair_svd(self, monkeypatch):
+        """density_check, spectrally_separates on every pair, unit_in_closure
+        and constructive_approximate read the one fibre SVD and the one
+        pair SVD kept on the algebra, and take no split."""
         r = rng(13)
         gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], fibers=["full", "diag", "full"])
         alg = closure_star_subalgebra(gens)
-        calls = self.count_splits(monkeypatch)
+        calls = []
+        right_svd = sw_engine._right_svd
+
+        def counting(rows, *args, **kwargs):
+            calls.append(rows.shape)
+            return right_svd(rows, *args, **kwargs)
+
+        monkeypatch.setattr(sw_engine, "_right_svd", counting)
         report = density_check(alg)
-        assert len(calls) == 0
         for x, y in itertools.combinations(range(alg.points), 2):
             assert bool(spectrally_separates(alg, x, y)) is report.separated[(x, y)]
-        assert len(calls) == 1
-        result = constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1)
         assert unit_in_closure(alg).in_closure
-        assert len(calls) == 1 and result.routes
-        table = sw_engine._class_table(alg, DEFAULT_TOL, 0)
-        assert all(not a.flags.writeable for a in (table.present, table.v, table.labels, table.witness))
+        assert constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1).routes
+        assert len(calls) == 2 and sorted(k[0] for k in alg._memo) == ["fibres", "pairs"]
 
-    def test_table_refers_to_no_algebra(self):
-        """The table kept on an algebra makes no reference cycle with it,
-        so the algebra is freed with its last reference, with the cyclic
+    def test_memo_refers_to_no_algebra(self):
+        """What is kept on an algebra makes no reference cycle with it, so
+        the algebra is freed with its last reference, with the cyclic
         collector off."""
         gens, _ = grouped_function_algebra(rng(15), n=2, group_sizes=[2, 1], fibers=["full", "diag"])
         alg = closure_star_subalgebra(gens)
         density_check(alg)
-        assert unit_in_closure(alg).in_closure and sorted(k[0] for k in alg._memo) == ["classes", "fibres", "pairs"]
+        assert unit_in_closure(alg).in_closure and sorted(k[0] for k in alg._memo) == ["fibres", "pairs"]
         gone = weakref.ref(alg)
         gc.disable()
         try:
@@ -884,18 +849,31 @@ class TestClassTableOnce:
         finally:
             gc.enable()
 
-    def test_kept_per_tolerance_and_seed(self, monkeypatch):
-        gens, _ = grouped_function_algebra(rng(14), n=2, group_sizes=[2, 2], fibers=["full", "diag"])
-        alg = closure_star_subalgebra(gens)
-        calls = self.count_splits(monkeypatch)
-        first = sw_engine._class_table(alg, DEFAULT_TOL, 0)
-        assert sw_engine._class_table(alg, DEFAULT_TOL, 0) is first and len(calls) == 1
-        other = sw_engine._class_table(alg, DEFAULT_TOL, 1)
-        loose = sw_engine._class_table(alg, dataclasses.replace(DEFAULT_TOL, eq_tol=1e-6), 0)
-        assert len(calls) == 3 and other is not first and loose is not first
-        assert np.array_equal(other.present, first.present) and np.array_equal(loose.present, first.present)
-        assert sw_engine._class_table(closure_star_subalgebra(gens), DEFAULT_TOL, 0) is not first
-        assert len(calls) == 4
+
+class TestManySmallGroupWitnesses:
+    """Groups of 2 points with diag fibres, seeds 500-509: the witnesses
+    of a class table split from two random elements once ended
+    unit_in_closure, spectrally_separates and constructive_approximate in
+    NumericalFailure on half of the seeds.  Each witness is checked at its
+    pair and in the span."""
+
+    @pytest.mark.parametrize("groups, n", [(30, 2), (20, 3)])
+    def test_witnesses_from_ranks(self, groups, n):
+        eye = np.eye(n)
+        for seed in range(500, 510):
+            alg, meta, target = many_small_groups(groups, "diag", n, seed)
+            unit = unit_in_closure(alg)
+            assert unit.in_closure and alg.basis.contains(unit.witness, 1e-10)
+            for x, y in itertools.combinations(range(alg.points), 2):
+                verdict = spectrally_separates(alg, x, y)
+                assert verdict.certified is (x // 2 != y // 2)
+                if verdict:
+                    w = verdict.witness
+                    assert opnorm(w[x] - eye) <= 1e-8 and opnorm(w[y]) <= 1e-8
+                    assert alg.basis.contains(w, 1e-10)
+            result = constructive_approximate(alg, target, eps=0.1)
+            assert result.classes == tuple(tuple(g) for g in meta["groups"])
+            assert result.certified_error <= 0.1 + DEFAULT_TOL.psd_slack
 
 
 class TestUnitInClosure:
@@ -1137,14 +1115,14 @@ def ladder_cases():
         for grp in meta["groups"]:
             scalar[grp] = complex(*r.standard_normal(2)) * np.eye(2)
         for f in (equivariant_target(r, meta, 2), np.stack([ginibre(r, 2) for _ in range(5)]), scalar):
-            cases.append((alg, f, seed, approximation_outcome(alg, f, 0.1, seed)))
+            cases.append((alg, f, approximation_outcome(alg, f, 0.1)))
     return cases
 
 
-def approximation_outcome(alg, f, eps, seed):
+def approximation_outcome(alg, f, eps):
     """(verdict, routes, certified error) of constructive_approximate."""
     try:
-        report = constructive_approximate(alg, f, eps, seed=seed)
+        report = constructive_approximate(alg, f, eps)
     except (PreconditionFailed, HypothesisViolated, NumericalFailure) as exc:
         return type(exc).__name__, (), 0.0
     return "ok", report.routes, report.certified_error
@@ -1169,9 +1147,9 @@ class TestApproximationScaleLadder:
     @example(case=0, log_c=9.0)
     @example(case=2, log_c=150.0)
     def test_same_verdict_routes_and_error(self, case, log_c):
-        alg, f, seed, (verdict, routes, error) = ladder_cases()[case]
+        alg, f, (verdict, routes, error) = ladder_cases()[case]
         c = 10.0 ** log_c
-        got_verdict, got_routes, got_error = approximation_outcome(alg, c * f, 0.1 * c, seed)
+        got_verdict, got_routes, got_error = approximation_outcome(alg, c * f, 0.1 * c)
         assert (got_verdict, got_routes) == (verdict, routes)
         assert abs(got_error / c - error) <= 1e-9 * error + 1e-12 * np.abs(f).max()
 
@@ -1481,29 +1459,18 @@ def commutes_per_element(e, f, tol=DEFAULT_TOL):
     return True
 
 
-def class_indicators_per_point(e, classes, witnesses, tol):
-    """The per-point check _class_indicators replaced, around the same
-    products."""
-    P, n = e.points, e.n
-    eye = np.eye(n, dtype=complex)
+def class_indicators_per_class(e, classes, tol):
+    """Each class indicator 1_G I_n checked by ``SubspaceBasis.contains``
+    one at a time: the loop that _class_indicators stacks."""
     out = []
     for ci, cls in enumerate(classes):
-        prod = np.tile(eye, (P, 1, 1))
-        for cj in range(len(classes)):
-            if cj == ci:
-                continue
-            wit, poly = witnesses[(ci, cj)]
-            vals = np.stack([eval_star_polynomial(poly, MatTuple([wit[z]])) for z in range(P)])
-            prod = sw_engine.fn_product(prod, vals)
-        members = set(cls)
-        for z in range(P):
-            want = eye if z in members else np.zeros((n, n), dtype=complex)
-            if opnorm(prod[z] - want) > 1e-6:
-                raise NumericalFailure(
-                    f"class indicator {ci} deviates at point {z}: the instance does not "
-                    "behave covariantly on its equivalence classes"
-                )
-        out.append(prod)
+        indicator = np.stack([np.eye(e.n, dtype=complex) * (z in cls) for z in range(e.points)])
+        if not e.basis.contains(indicator, tol.eq_tol):
+            raise NumericalFailure(
+                f"class indicator {ci} is not in the algebra: the instance does not "
+                "behave covariantly on its equivalence classes"
+            )
+        out.append(indicator)
     return out
 
 
@@ -1534,32 +1501,32 @@ class TestBatchedPointwiseChecks:
 
     def test_class_indicators_match_loop(self, monkeypatch):
         """The arguments of the real calls, then the same classes permuted
-        or regrouped, so that the check fails: same indicators, same
-        message naming the same class and point."""
+        (still indicators in the algebra) or regrouped so that a class of
+        points splits one of irreducible representations: same indicators,
+        or the same message naming the same class."""
         calls = []
         real = approximation._class_indicators
 
-        def record(e, classes, witnesses, tol):
-            calls.append((e, classes, witnesses, tol))
-            return real(e, classes, witnesses, tol)
+        def record(e, classes, tol):
+            calls.append((e, classes, tol))
+            return real(e, classes, tol)
 
         monkeypatch.setattr(approximation, "_class_indicators", record)
         for seed in (5, 1003):
             r = rng(seed)
             gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], fibers=["full"] * 3)
             alg = closure_star_subalgebra(gens)
-            constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1, seed=seed)
+            constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1)
         assert calls
-        for e, classes, witnesses, tol in calls:
-            for got, want in zip(real(e, classes, witnesses, tol),
-                                 class_indicators_per_point(e, classes, witnesses, tol)):
-                assert np.array_equal(got, want)
-            moved = [classes[0] + classes[1][:1], classes[1][1:] or classes[1], *classes[2:]]
-            for bad in (classes[::-1], moved):
+        for e, classes, tol in calls:
+            assert classes == [[0, 1], [2], [3, 4]]
+            for order in (classes, classes[::-1]):
+                assert np.array_equal(real(e, order, tol), np.stack(class_indicators_per_class(e, order, tol)))
+            for bad in ([[0], [1, 2], [3, 4]], [[0, 1], [2, 3], [4]]):
                 with pytest.raises(NumericalFailure) as old:
-                    class_indicators_per_point(e, bad, witnesses, tol)
+                    class_indicators_per_class(e, bad, tol)
                 with pytest.raises(NumericalFailure) as new:
-                    real(e, bad, witnesses, tol)
+                    real(e, bad, tol)
                 assert str(new.value) == str(old.value)
 
 
@@ -1582,14 +1549,14 @@ class TestBatchedPartitionRoute:
         batched = approximation._partition_route
         compared = []
 
-        def per_class_scan(e, f, delta, classes, witnesses, tol, scale):
+        def per_class_scan(e, f, delta, classes, tol, scale):
             lower = approximation._lower_envelopes(e, f, tol, scale)
             upper = -approximation._lower_envelopes(e, -f, tol, scale)
             diff = np.array(lower) - np.array(upper)
             w = np.linalg.eigvalsh((diff + adj(diff)) / 2.0)
             in_d = (w[..., 0] > -2.0 * delta) & (w[..., -1] < 2.0 * delta)
             cover = [[j for j in range(e.points) if all(in_d[j, z] for z in cls)] for cls in classes]
-            chi = approximation._class_indicators(e, classes, witnesses, tol)
+            chi = approximation._class_indicators(e, classes, tol)
             out = np.zeros_like(f)
             for j in range(e.points):
                 alpha = np.zeros_like(f)
@@ -1600,9 +1567,9 @@ class TestBatchedPartitionRoute:
                     out += sw_engine.fn_product(alpha, lower[j])
             return out
 
-        def both(e, f, delta, classes, witnesses, tol, scale):
-            got = batched(e, f, delta, classes, witnesses, tol, scale)
-            assert_close(got, per_class_scan(e, f, delta, classes, witnesses, tol, scale), atol=1e-12)
+        def both(e, f, delta, classes, tol, scale):
+            got = batched(e, f, delta, classes, tol, scale)
+            assert_close(got, per_class_scan(e, f, delta, classes, tol, scale), atol=1e-12)
             compared.append(len(classes))
             return got
 
@@ -1611,7 +1578,7 @@ class TestBatchedPartitionRoute:
             r = rng(seed)
             gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], fibers=["full"] * 3)
             alg = closure_star_subalgebra(gens)
-            constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1, seed=seed)
+            constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1)
         assert compared and all(c == 3 for c in compared)
 
 
@@ -1633,20 +1600,21 @@ class TestOnePairSolvePerRoute:
                                   approximation._lower_envelopes(alg, -part, DEFAULT_TOL, scale))
 
     def test_one_pseudo_inverse_per_route(self, monkeypatch):
-        """Each route gates the spectra of every pair x <= y in one call."""
+        """Each route gates the spectra of every pair x <= y in one call
+        of the pair solve that ``sw_engine`` shares."""
         calls = []
-        real = approximation._rank_with_gap
+        real = sw_engine._rank_with_gap
 
         def counting(s, *args, **kwargs):
             calls.append((args[1], s.shape[0]))
             return real(s, *args, **kwargs)
 
-        monkeypatch.setattr(approximation, "_rank_with_gap", counting)
+        monkeypatch.setattr(sw_engine, "_rank_with_gap", counting)
         r = rng(5)
         gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], fibers=["full"] * 3)
         result = constructive_approximate(closure_star_subalgebra(gens), equivariant_target(r, meta, 2), eps=0.1)
         assert result.routes == ("partition", "partition")
-        assert calls == [("pair interpolant", 15)] * 2
+        assert [c for c in calls if c[0] == "pair interpolant"] == [("pair interpolant", 15)] * 2
 
 
     @pytest.mark.parametrize("low, ambiguous", [(0.5e-9, True), (0.9e-9, True), (1e-11, False)])
@@ -1813,7 +1781,7 @@ class TestMaxSpecClasses:
             rng(11), n=2, group_sizes=[2, 1], fibers=["full", "diag"]
         )
         alg = closure_star_subalgebra(gens)
-        assert sw_engine._ClassTable.of(alg, DEFAULT_TOL, 0).groups() == meta["groups"]
+        assert sw_engine._class_groups(alg, DEFAULT_TOL) == meta["groups"]
 
 
 class TestConstructiveApproximate:
@@ -1821,7 +1789,7 @@ class TestConstructiveApproximate:
         alg = all_functions_algebra(2, 2)
         r = rng(0)
         f = np.stack([ginibre(r, 2), ginibre(r, 2)])
-        result = constructive_approximate(alg, f, eps=0.5, seed=1)
+        result = constructive_approximate(alg, f, eps=0.5)
         assert result.certified_error <= 0.5 + DEFAULT_TOL.psd_slack
         assert result.projection_error <= 1e-10
 
@@ -1830,7 +1798,7 @@ class TestConstructiveApproximate:
         gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1], fibers=["full", "full"])
         alg = closure_star_subalgebra(gens)
         f = equivariant_target(r, meta, 2)
-        result = constructive_approximate(alg, f, eps=0.1, seed=2)
+        result = constructive_approximate(alg, f, eps=0.1)
         assert result.certified_error <= 0.1 + DEFAULT_TOL.psd_slack
         assert result.projection_error <= result.certified_error + 0.1
         assert result.classes == tuple(tuple(c) for c in meta["groups"])
@@ -1843,7 +1811,7 @@ class TestConstructiveApproximate:
         for gi, grp in enumerate(meta["groups"]):
             for z in grp:
                 f[z] = (0.6 if gi == 0 else -0.2) * np.eye(2)
-        result = constructive_approximate(alg, f, eps=0.05, seed=3)
+        result = constructive_approximate(alg, f, eps=0.05)
         assert "power-mean" in result.routes
         assert result.certified_error <= 0.05 + DEFAULT_TOL.psd_slack
 
@@ -1874,7 +1842,7 @@ class TestConstructiveApproximate:
         alg = closure_star_subalgebra(gens, points=sum(group_sizes), n=n)
         f = equivariant_target(r, meta, n)
         eps = float(r.uniform(0.02, 0.3))
-        result = constructive_approximate(alg, f, eps=eps, seed=seed)
+        result = constructive_approximate(alg, f, eps=eps)
         assert result.certified_error <= eps + DEFAULT_TOL.psd_slack
         assert result.projection_error <= result.certified_error + eps
 
@@ -1890,25 +1858,15 @@ def character_algebra(labels):
     return closure_star_subalgebra(gens, points=len(labels), n=2), gens
 
 
-def witnesses_by_point_pairs(e, table, tol=DEFAULT_TOL):
+def first_unseparated_pair(e, present):
     """The loop over all point pairs that the class-pair loop of
-    constructive_approximate replaced: its first unseparated pair, or
-    the flattening witnesses keyed by class pair."""
-    classes = table.groups()
-    class_of = {z: ci for ci, cls in enumerate(classes) for z in cls}
-    witnesses = {}
-    for x in range(e.points):
-        for y in range(x + 1, e.points):
-            if class_of[x] == class_of[y]:
-                continue
-            if (table.present[:, x] & table.present[:, y]).any():
-                return (x, y)
-            ci, cj = class_of[x], class_of[y]
-            if (ci, cj) not in witnesses:
-                wit = table.witness
-                witnesses[(ci, cj)] = (wit, two_point_flatten(wit[x], wit[y], 1.0, 0.0, tol))
-                witnesses[(cj, ci)] = (wit, two_point_flatten(wit[x], wit[y], 0.0, 1.0, tol))
-    return witnesses
+    constructive_approximate replaced, on a dense class table: the first
+    pair in distinct groups that shares a class, or None."""
+    class_of = {z: ci for ci, cls in enumerate(dense_groups(present)) for z in cls}
+    for x, y in itertools.combinations(range(e.points), 2):
+        if class_of[x] != class_of[y] and (present[:, x] & present[:, y]).any():
+            return (x, y)
+    return None
 
 
 class TestClassPairSeparation:
@@ -1917,14 +1875,15 @@ class TestClassPairSeparation:
         r = rng(9100 + seed)
         labels = [tuple(int(c) for c in r.integers(0, 4, 2)) for _ in range(int(r.integers(3, 8)))]
         alg, gens = character_algebra(labels)
-        table = sw_engine._ClassTable.of(alg, DEFAULT_TOL, seed)
-        want = witnesses_by_point_pairs(alg, table)
-        if isinstance(want, tuple):
+        present = dense_class_table(alg, DEFAULT_TOL, seed)
+        want = first_unseparated_pair(alg, present)
+        if want is not None:
             with pytest.raises(HypothesisViolated) as exc:
-                constructive_approximate(alg, gens[0], eps=0.1, seed=seed)
+                constructive_approximate(alg, gens[0], eps=0.1)
             assert str(exc.value) == f"(AX1) no certified spectral separation for pair {want}"
         else:
-            constructive_approximate(alg, gens[0], eps=0.1, seed=seed)
+            result = constructive_approximate(alg, gens[0], eps=0.1)
+            assert list(map(list, result.classes)) == dense_groups(present)
 
     def test_unseparated_pair_after_separated_groups(self):
         """Groups {0, 2}, {1, 5}, {3}, {4}: every pair with point 0
@@ -1935,22 +1894,23 @@ class TestClassPairSeparation:
             constructive_approximate(alg, gens[0], eps=0.1)
 
     def test_witnesses_as_point_loop(self, monkeypatch):
+        """The partition route gets the dense class table's groups, and
+        weights the exact indicators 1_G I_n of those groups."""
         seen = []
         real = approximation._partition_route
 
-        def record(e, f, delta, classes, witnesses, tol, scale):
-            table = sw_engine._ClassTable.of(e, tol, seed)
-            want = witnesses_by_point_pairs(e, table, tol)
-            assert classes == table.groups() and witnesses.keys() == want.keys()
-            for key, (wit, poly) in witnesses.items():
-                assert np.array_equal(wit, want[key][0]) and poly == want[key][1]
+        def record(e, f, delta, classes, tol, scale):
+            assert classes == dense_groups(dense_class_table(e, tol, seed))
+            indicators = approximation._class_indicators(e, classes, tol)
+            assert np.array_equal(indicators, np.stack(class_indicators_per_class(e, classes, tol)))
+            assert np.array_equal(indicators.sum(axis=0), np.tile(np.eye(e.n), (e.points, 1, 1)))
             seen.append(len(classes))
-            return real(e, f, delta, classes, witnesses, tol, scale)
+            return real(e, f, delta, classes, tol, scale)
 
         monkeypatch.setattr(approximation, "_partition_route", record)
         for seed in (5, 1003, 1011, 1017):
             r = rng(seed)
             gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2, 1], fibers=["full"] * 4)
             alg = closure_star_subalgebra(gens)
-            constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1, seed=seed)
+            constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1)
         assert seen and all(c == 4 for c in seen)
