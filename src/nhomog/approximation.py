@@ -5,8 +5,9 @@ of the operator-valued Stone-Weierstrass theorem, on the algebras of
 A two-point approximable target is approximated inside the algebra with
 a certified sup-norm error, from order-theoretic steps: lattice joins,
 per-point envelopes from the pair interpolants, power-mean envelopes of
-pairwise commuting families, two-point flattening polynomials and their
-partition of unity, and operator-monotone order verification.  The
+pairwise commuting families, the partition of unity of the class
+indicators, two-point flattening polynomials, and operator-monotone
+order verification.  The
 hypotheses and the classes of points are read from the ranks of the
 algebra's fibres and pair restrictions and from its Delta2 subspace,
 which ``sw_engine`` computes and keeps on the algebra; no random draw is

@@ -814,7 +814,7 @@ class TestFibresOnce:
     def test_every_query_shares_one_fibre_and_pair_svd(self, monkeypatch):
         """density_check, spectrally_separates on every pair, unit_in_closure
         and constructive_approximate read the one fibre SVD and the one
-        pair SVD kept on the algebra, and take no split."""
+        pair SVD kept on the algebra, and keep nothing else on it."""
         r = rng(13)
         gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], fibers=["full", "diag", "full"])
         alg = closure_star_subalgebra(gens)
