@@ -5,13 +5,12 @@ of the operator-valued Stone-Weierstrass theorem, on the algebras of
 A two-point approximable target is approximated inside the algebra with
 a certified sup-norm error, from order-theoretic steps: lattice joins,
 per-point envelopes from the pair interpolants, power-mean envelopes of
-pairwise commuting families, the partition of unity of the class
-indicators, two-point flattening polynomials, and operator-monotone
-order verification.  The
-hypotheses and the classes of points are read from the ranks of the
-algebra's fibres and pair restrictions and from its Delta2 subspace,
-which ``sw_engine`` computes and keeps on the algebra; no random draw is
-taken.
+pairwise commuting families, and the partition of unity of the class
+indicators.  The hypotheses and the classes of points are read from the
+ranks of the algebra's fibres and pair restrictions and from its Delta2
+subspace, which ``sw_engine`` computes and keeps on the algebra; no
+random draw is taken.  Two-point flattening polynomials and the
+operator-monotone order check are public here but not steps of the route.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from .matrix_core import (
     _exceeds,
     _fails,
     _fails_between,
+    _finite_complex,
     _frobenius,
     _from_eig,
     _herm_abs,
@@ -92,6 +92,9 @@ def _power_mean_commuting(mats: np.ndarray, norms: np.ndarray, n_pow: int, tol: 
     for m, norm in zip(mats, norms):
         refined = []
         for q in blocks:
+            if q.shape[1] == 1:  # its eigh would give u = [[1]], and q @ u is q
+                refined.append(q)
+                continue
             w, u = np.linalg.eigh(adj(q) @ m @ q)
             refined += np.split(q @ u, np.flatnonzero(_fails(np.diff(w), tol.psd_slack, norm)) + 1, axis=1)
         blocks = refined
@@ -103,55 +106,64 @@ def _power_mean_commuting(mats: np.ndarray, norms: np.ndarray, n_pow: int, tol: 
     return (v * (scale * np.exp(lse / n_pow))) @ adj(v)
 
 
-def power_mean_envelope(a_list, b, eps: float, tol: Tolerance = DEFAULT_TOL,
-                        n_power: int | None = None) -> PowerMeanEnvelope:
+def power_mean_envelope(a_list, b, eps: float, tol: Tolerance = DEFAULT_TOL) -> PowerMeanEnvelope:
     """Common upper envelope (sum of N-th powers)^(1/N) of a dominated,
     pairwise commuting family commuting with b: each a_j stays below it,
-    and it stays below b + eps.
+    and it stays below b + eps.  The a_j and b are (n, n) matrices or
+    (P, n, n) functions, taken point by point with N from the sup norm of
+    b; every precondition is checked at every point before any envelope
+    is formed, and a failure on functions names its first failing point.
 
     The mean is taken per joint eigendirection in the log domain, so no
     eigenvalue ratio is lost to double precision.  A family that does
     not commute pairwise is refused (PreconditionFailed): the sum of its
     N-th powers has no joint eigenbasis, and formed as one matrix it
     loses its eigenvalues below double precision.  Order checks take the
-    PSD rule of ``matrix_core``, commutation checks
-    ||[x, y]|| <= eq_tol ||x|| ||y||, so no verdict depends on scale.
+    PSD rule of ``matrix_core`` with each point's norms, commutation
+    checks ||[x, y]|| <= eq_tol ||x|| ||y||, so no verdict depends on scale.
     """
-    mats = [require_hermitian(as_matrix(a, f"a_{j}"), tol, f"a_{j}") for j, a in enumerate(a_list)]
+    def checked(a, name):  # finite and Hermitian, each point of a function on its own norm
+        return require_hermitian(_finite_complex(a, name) if np.ndim(a) == 3 else as_matrix(a, name), tol, name)
+    mats = [checked(a, f"a_{j}") for j, a in enumerate(a_list)]
     if not mats:
         raise PreconditionFailed("the family a_1..a_k must be nonempty")
-    bm = require_hermitian(as_matrix(b, "b"), tol, "b")
+    bm = checked(b, "b")
     for a in mats:
         if a.shape != bm.shape:
             raise DimensionMismatch(f"shapes {bm.shape} and {a.shape} differ")
-    fam, k = np.stack(mats), len(mats)
-    na, r = _opnorms(fam), opnorm(bm)
-    checked = np.concatenate([fam, bm - fam])
-    lows = np.linalg.eigvalsh((checked + adj(checked)) / 2.0)[:, 0]
+    k, n, squeeze = len(mats), bm.shape[-1], bm.ndim == 2
+    at = "" if squeeze else " at point {}"
+    fam, bm = np.stack(mats, axis=-3).reshape(-1, k, n, n), bm.reshape(-1, n, n)  # fam[z, j] = a_j(z)
+    na, r = _opnorms(fam), _opnorms(bm)
+    stack = np.concatenate([fam, bm[:, None] - fam], axis=1)
+    lows = np.linalg.eigvalsh((stack + adj(stack)) / 2.0)[..., 0]
     failed = np.stack([
-        _fails(-lows[:k], tol.psd_slack, na),
-        _fails(-lows[k:], tol.psd_slack, np.maximum(na, r)),
-        _exceeds(bm @ fam - fam @ bm, tol.eq_tol * na * r),
-    ], axis=1)
+        _fails(-lows[:, :k], tol.psd_slack, na),
+        _fails(-lows[:, k:], tol.psd_slack, np.maximum(na, r[:, None])),
+        _exceeds(bm[:, None] @ fam - fam @ bm[:, None], tol.eq_tol * na * r[:, None]),
+    ], axis=-1)
     if failed.any():
-        texts = ("a_{} is not PSD", "a_{} <= b fails", "b does not commute with a_{}")
-        raise PreconditionFailed("; ".join(texts[c].format(j) for j, c in np.argwhere(failed)))
+        z = np.flatnonzero(failed.any(axis=(1, 2)))[0]
+        texts = ("a_{} is not PSD{}", "a_{} <= b fails{}", "b does not commute with a_{}{}")
+        raise PreconditionFailed("; ".join(texts[c].format(j, at.format(z)) for j, c in np.argwhere(failed[z])))
     i, j = np.triu_indices(k, 1)
-    clash = np.flatnonzero(_exceeds(fam[i] @ fam[j] - fam[j] @ fam[i], tol.eq_tol * na[i] * na[j]))
-    if clash.size:
-        raise PreconditionFailed(f"a_{i[clash[0]]} and a_{j[clash[0]]} do not commute pairwise")
-    n_pow = n_power if n_power is not None else power_mean_exponent(eps, r, k)
-    if n_pow < 2:
-        raise ValueError("power-mean exponent must be >= 2")
-    env = _power_mean_commuting(fam, na, n_pow, tol) if na.max() > 0.0 else np.zeros_like(bm)
-    checked = np.concatenate([env - fam, (bm + eps * np.eye(bm.shape[0]) - env)[None]])
-    lows = np.linalg.eigvalsh((checked + adj(checked)) / 2.0)[:, 0]
-    e = opnorm(env)  # and ||b + eps|| = r + eps, as b is PSD
-    failed = np.flatnonzero(_fails(-lows, tol.psd_slack, np.append(np.maximum(na, e), max(e, r + eps))))
+    clash = _exceeds(fam[:, i] @ fam[:, j] - fam[:, j] @ fam[:, i], tol.eq_tol * na[:, i] * na[:, j])
+    if clash.any():
+        z, pair = np.argwhere(clash)[0]
+        raise PreconditionFailed(f"a_{i[pair]} and a_{j[pair]} do not commute pairwise" + at.format(z))
+    n_pow = power_mean_exponent(eps, float(r.max(initial=0.0)), k)
+    env = np.zeros_like(bm)
+    for z in np.flatnonzero(na.max(axis=1) > 0.0):  # the joint eigendirections differ from point to point
+        env[z] = _power_mean_commuting(fam[z], na[z], n_pow, tol)
+    stack = np.concatenate([env[:, None] - fam, (bm + eps * np.eye(n) - env)[:, None]], axis=1)
+    lows = np.linalg.eigvalsh((stack + adj(stack)) / 2.0)[..., 0]
+    e = _opnorms(env)[:, None]  # and ||b + eps|| = r + eps, as b is PSD
+    failed = np.argwhere(_fails(-lows, tol.psd_slack, np.maximum(e, np.append(na, (r + eps)[:, None], axis=1))))
     if failed.size:
-        what = f"a_{failed[0]} <= env" if failed[0] < k else "env <= b + eps"
-        raise NumericalFailure(f"envelope fails {what}")
-    return PowerMeanEnvelope(n_pow, env)
+        z, site = failed[0]
+        what = f"a_{site} <= env" if site < k else "env <= b + eps"
+        raise NumericalFailure(f"envelope fails {what}" + at.format(z))
+    return PowerMeanEnvelope(n_pow, env[0] if squeeze else env)
 
 
 def _join(family: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -328,13 +340,6 @@ def _meet(family: np.ndarray, tol: Tolerance) -> np.ndarray:
     return -h.reshape(P, P, n, n)
 
 
-def _lower_envelopes(e: FnAlgebra, f: np.ndarray, tol: Tolerance, scale: float,
-                     vectors: np.ndarray | None = None) -> np.ndarray:
-    """Per-point exact lower envelopes, a (P, P, n, n) stack with
-    lower[x] <= f and equality at x; the upper ones are -lower of -f."""
-    return _meet(_pair_family(e, f, tol, scale, vectors), tol)
-
-
 def _central_vectors(e: FnAlgebra, tol: Tolerance) -> np.ndarray:
     """Row vectors spanning the relative commutant {v in span(E) :
     v(z) commutes with u(z) for every basis element u and point z}.
@@ -384,25 +389,16 @@ def _partition_route(e: FnAlgebra, f: np.ndarray, delta: float, classes,
 def _commuting_route(e: FnAlgebra, f: np.ndarray, delta: float, tol: Tolerance, scale: float) -> np.ndarray:
     """Envelope aggregation for a target commuting with the whole
     algebra: interpolants are drawn from the relative commutant (so the
-    envelope family is pairwise commuting) and merged through the
-    power-mean envelope.  Raises PreconditionFailed when the commutant
-    cannot interpolate the target at some pair."""
+    envelope family is pairwise commuting), and the lower envelopes,
+    shifted to be PSD, take one power-mean envelope over every point.
+    Raises PreconditionFailed when the commutant cannot interpolate the
+    target at some pair."""
     central = _central_vectors(e, tol)
-    lower = _lower_envelopes(e, f, tol, scale, vectors=central)
-    P, n = e.points, e.n
-    eye = np.eye(n, dtype=complex)
+    lower = _meet(_pair_family(e, f, tol, scale, central), tol)
+    eye = np.eye(e.n, dtype=complex)
     low = np.concatenate([lower, f[None]])  # the lower envelopes, then f: (P + 1, P, n, n)
     c = max(0.0, -float(np.linalg.eigvalsh((low + adj(low)) / 2.0)[..., 0].min())) + tol.psd_slack * scale
-    b_fn = f + (c + delta) * eye
-    r = opnorm(b_fn)
-    n_pow = power_mean_exponent(delta, r, P)
-    out = np.zeros_like(f)
-    for z in range(P):
-        env = power_mean_envelope(
-            lower[:, z] + c * eye, b_fn[z], delta, tol, n_power=n_pow
-        ).env
-        out[z] = env - c * eye
-    return out
+    return power_mean_envelope(lower + c * eye, f + (c + delta) * eye, delta, tol).env - c * eye
 
 
 def _commutes_with_algebra(e: FnAlgebra, f: np.ndarray, tol: Tolerance) -> bool:

@@ -33,10 +33,9 @@ from .star_algebra import RANK_GAP_RATIO, SubspaceBasis, _contains_rows, _rank_w
 class FnAlgebra:
     """A *-subalgebra of functions on a finite point set, carried as an
     orthonormal basis closed (within tolerance) under pointwise products.
-    What is derived from the basis alone is kept in ``_memo`` once
-    computed, keyed by what else it depends on: the fibres (``_fibres``)
-    and the pair restrictions' complement rows (``_pair_rows``), by rank
-    cut."""
+    What is derived from the basis alone is kept in ``_memo`` read-only
+    (``_kept``), keyed by what else it depends on: the rank cut for
+    ``_fibres`` and ``_pair_rows``, and eq_tol too for ``_contacts``."""
 
     n: int
     points: int
@@ -63,6 +62,17 @@ class FnAlgebra:
     def point_slice(self, x: int) -> slice:
         nn = self.n * self.n
         return slice(x * nn, (x + 1) * nn)
+
+    def _kept(self, key: tuple, compute) -> tuple[np.ndarray, ...]:
+        """The arrays ``compute()`` returns, computed once per key and kept
+        in ``_memo`` read-only."""
+        kept = self._memo.get(key)
+        if kept is None:
+            kept = compute()
+            for a in kept:
+                a.setflags(write=False)
+            self._memo[key] = kept
+        return kept
 
 
 def fn_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -159,15 +169,10 @@ def _fibres(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """Each fibre E(x) = {f(x) : f in E}: its dimension r_x and, from the
     same stacked SVD, a V* whose first r_x rows are a basis B_x of E(x).
     Taken once per algebra and rank cut, and kept on it read-only."""
-    key = ("fibres", tol.rank_cut)
-    fibres = e._memo.get(key)
-    if fibres is None:
+    def compute():
         s, vh = _right_svd(e.basis.vectors.reshape(e.basis.dim, e.points, e.n * e.n).transpose(1, 0, 2))
-        fibres = (_rank_with_gap(s, tol.rank_cut, "point fullness", scale=1.0), vh)
-        for a in fibres:
-            a.setflags(write=False)
-        e._memo[key] = fibres
-    return fibres
+        return _rank_with_gap(s, tol.rank_cut, "point fullness", scale=1.0), vh
+    return e._kept(("fibres", tol.rank_cut), compute)
 
 
 def _fibre_bases(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -219,9 +224,7 @@ def _pair_rows(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     none.  The others are one stack of coordinates padded to
     r = max r_x, with a unit row on each padded column; its SVD leaves
     each pair the r_x + r_y - r_xy complement rows of its restriction."""
-    key = ("pairs", tol.rank_cut)
-    pairs = e._memo.get(key)
-    if pairs is None:
+    def compute():
         live, basis = _fibre_bases(e, tol)
         r = live.shape[1]
         coords = e.basis.vectors.reshape(e.basis.dim, e.points, e.n * e.n).transpose(1, 0, 2) @ adj(basis)
@@ -230,11 +233,8 @@ def _pair_rows(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
         stacks = np.concatenate([np.concatenate([coords[xs], coords[ys]], axis=-1), units], axis=-2)
         s, pair_vh = _right_svd(stacks)
         free = np.arange(2 * r) >= _rank_with_gap(s, tol.rank_cut, "pair restriction", scale=1.0)[:, None]
-        pairs = (pair_vh[free].conj(), np.stack([xs, ys])[:, np.nonzero(free)[0]])
-        for a in pairs:
-            a.setflags(write=False)
-        e._memo[key] = pairs
-    return pairs
+        return pair_vh[free].conj(), np.stack([xs, ys])[:, np.nonzero(free)[0]]
+    return e._kept(("pairs", tol.rank_cut), compute)
 
 
 def _contacts(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -248,13 +248,16 @@ def _contacts(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     of I_n onto the *-algebra E(x) is its unit, so I_n is in E(x) or off
     it by at least 1 in Frobenius norm: a point has a null part exactly
     when I_n fails the residual rule of ``SubspaceBasis.contains`` against
-    the fibre basis B_x, taken for all points in one stacked projection."""
-    at = _pair_rows(e, tol)[1]
-    shared = np.zeros((e.points, e.points), dtype=bool)
-    shared[at[0], at[1]] = shared[at[1], at[0]] = True
-    unit = np.eye(e.n, dtype=complex).reshape(1, 1, -1)
-    null = ~_contains_rows(unit, _fibre_bases(e, tol)[1], tol.eq_tol)[:, 0]
-    return shared, null
+    the fibre basis B_x, taken for all points in one stacked projection.
+    Kept on the algebra per rank cut and eq_tol, which the null test reads."""
+    def compute():
+        at = _pair_rows(e, tol)[1]
+        shared = np.zeros((e.points, e.points), dtype=bool)
+        shared[at[0], at[1]] = shared[at[1], at[0]] = True
+        unit = np.eye(e.n, dtype=complex).reshape(1, 1, -1)
+        null = ~_contains_rows(unit, _fibre_bases(e, tol)[1], tol.eq_tol)[:, 0]
+        return shared, null
+    return e._kept(("contacts", tol.rank_cut, tol.eq_tol), compute)
 
 
 def _separated(e: FnAlgebra, tol: Tolerance) -> np.ndarray:

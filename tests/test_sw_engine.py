@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from nhomog.calculus import eval_star_polynomial
 from nhomog.errors import (
+    DimensionMismatch,
     DomainError,
     HypothesisViolated,
     NotHermitian,
@@ -38,7 +39,9 @@ from nhomog.matrix_core import (
     adj,
     herm_abs,
     normal_spectra_disjoint,
+    _exceeds,
     _fails,
+    _opnorms,
     opnorm,
     psd_order,
     psd_power,
@@ -831,7 +834,7 @@ class TestFibresOnce:
             assert bool(spectrally_separates(alg, x, y)) is report.separated[(x, y)]
         assert unit_in_closure(alg).in_closure
         assert constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1).routes
-        assert len(calls) == 2 and sorted(k[0] for k in alg._memo) == ["fibres", "pairs"]
+        assert len(calls) == 2 and sorted(k[0] for k in alg._memo) == ["contacts", "fibres", "pairs"]
 
     def test_memo_refers_to_no_algebra(self):
         """What is kept on an algebra makes no reference cycle with it, so
@@ -840,7 +843,7 @@ class TestFibresOnce:
         gens, _ = grouped_function_algebra(rng(15), n=2, group_sizes=[2, 1], fibers=["full", "diag"])
         alg = closure_star_subalgebra(gens)
         density_check(alg)
-        assert unit_in_closure(alg).in_closure and sorted(k[0] for k in alg._memo) == ["fibres", "pairs"]
+        assert unit_in_closure(alg).in_closure and sorted(k[0] for k in alg._memo) == ["contacts", "fibres", "pairs"]
         gone = weakref.ref(alg)
         gc.disable()
         try:
@@ -1354,7 +1357,7 @@ class TestUncheckedJoin:
 
     @pytest.mark.parametrize("points", [5, 20, 30])
     def test_bit_identical_meet_of_pair_families(self, points):
-        """The (P, P^2, n, n) meet that _lower_envelopes takes, at P up to 30."""
+        """The (P, P^2, n, n) meet of a pair family, at P up to 30."""
         r = rng(7200 + points)
         gens, meta = grouped_function_algebra(r, n=2, group_sizes=[points - 2 * (points // 3), points // 3,
                                                                    points // 3], fibers=["full", "diag", "scalar"])
@@ -1364,7 +1367,7 @@ class TestUncheckedJoin:
         family = approximation._pair_family(alg, f, DEFAULT_TOL, opnorm(f))
         negated = -family.swapaxes(0, 1).reshape(points, points * points, 2, 2)
         want = -join_chain_checked(negated).reshape(points, points, 2, 2)
-        assert np.array_equal(approximation._lower_envelopes(alg, f, DEFAULT_TOL, opnorm(f)), want)
+        assert np.array_equal(approximation._meet(family, DEFAULT_TOL), want)
 
     @pytest.mark.parametrize("log_c", [-160.0, -150.0, 0.0, 150.0, 155.0])
     def test_bit_identical_across_scales(self, log_c):
@@ -1423,7 +1426,7 @@ class TestUncheckedJoin:
 
     def test_meet_failure_names_envelope_and_point(self, monkeypatch):
         """With |.| broken to 0 at the points of envelopes x >= 1, the meet
-        inside _lower_envelopes fails there; the site the join chain
+        of the pair family fails there; the site the join chain
         names, point x P + z of function y, is read back as envelope x,
         interpolant g_x,y and point z."""
         r = rng(7500)
@@ -1442,7 +1445,7 @@ class TestUncheckedJoin:
                                                  str(chain.value)).groups())
         x, z = divmod(site, P)
         with pytest.raises(NumericalFailure) as meet:
-            approximation._lower_envelopes(alg, f, DEFAULT_TOL, opnorm(f))
+            approximation._meet(family, DEFAULT_TOL)
         assert str(meet.value) == (
             f"lower envelope {x} fails to lie below the pair interpolant g_{x},{y} at point {z}"
         )
@@ -1550,8 +1553,8 @@ class TestBatchedPartitionRoute:
         compared = []
 
         def per_class_scan(e, f, delta, classes, tol, scale):
-            lower = approximation._lower_envelopes(e, f, tol, scale)
-            upper = -approximation._lower_envelopes(e, -f, tol, scale)
+            lower = approximation._meet(approximation._pair_family(e, f, tol, scale), tol)
+            upper = -approximation._meet(approximation._pair_family(e, -f, tol, scale), tol)
             diff = np.array(lower) - np.array(upper)
             w = np.linalg.eigvalsh((diff + adj(diff)) / 2.0)
             in_d = (w[..., 0] > -2.0 * delta) & (w[..., -1] < 2.0 * delta)
@@ -1596,8 +1599,8 @@ class TestOnePairSolvePerRoute:
             scale = opnorm(f)
             family = approximation._pair_family(alg, part, DEFAULT_TOL, scale)
             assert np.array_equal(approximation._pair_family(alg, -part, DEFAULT_TOL, scale), -family)
-            assert np.array_equal(approximation._meet(-family, DEFAULT_TOL),
-                                  approximation._lower_envelopes(alg, -part, DEFAULT_TOL, scale))
+            minus = approximation._pair_family(alg, -part, DEFAULT_TOL, scale)
+            assert np.array_equal(approximation._meet(-family, DEFAULT_TOL), approximation._meet(minus, DEFAULT_TOL))
 
     def test_one_pseudo_inverse_per_route(self, monkeypatch):
         """Each route gates the spectra of every pair x <= y in one call
@@ -1641,7 +1644,7 @@ class TestOnePairSolvePerRoute:
 
 def pair_interpolant_lstsq(e, f, x, y, tol, scale, vectors=None):
     """The element matching f at x and y, from one lstsq per pair: the
-    solve that the stacked pseudo-inverse of _lower_envelopes replaced."""
+    solve that the stacked pseudo-inverse of _pair_family replaced."""
     if vectors is None:
         vectors = e.basis.vectors
     block = np.hstack([vectors[:, e.point_slice(x)], vectors[:, e.point_slice(y)]])
@@ -1670,15 +1673,16 @@ def envelopes_per_point(e, f, tol, scale, vectors=None):
     return lower, upper
 
 
+STACKED_CASES = [(2, [1, 1, 1], 0), (2, [2, 2, 1], 1), (3, [2, 2, 1], 2), (3, [4, 3, 3], 3), (2, [10, 10, 10], 4)]
+
+
 class TestStackedEnvelopes:
-    """_lower_envelopes against the per-pair lstsq loop and per-point
+    """The meet of _pair_family against the per-pair lstsq loop and per-point
     join chains, on the full span and on the relative commutant: the same
     lower envelopes, the same upper ones as -(lower of -f), and the same
     refusal naming the same first pair."""
 
-    @pytest.mark.parametrize("n, sizes, seed", [
-        (2, [1, 1, 1], 0), (2, [2, 2, 1], 1), (3, [2, 2, 1], 2), (3, [4, 3, 3], 3), (2, [10, 10, 10], 4),
-    ])
+    @pytest.mark.parametrize("n, sizes, seed", STACKED_CASES)
     def test_matches_per_pair_loop(self, n, sizes, seed):
         r = rng(9800 + seed)
         gens, meta = grouped_function_algebra(r, n=n, group_sizes=sizes, fibers=["full", "diag", "scalar"])
@@ -1690,8 +1694,8 @@ class TestStackedEnvelopes:
         target = equivariant_target(r, meta, n)
         for f, vectors in ((target + adj(target)) / 2.0, None), (target, None), (scalar, central):
             scale = opnorm(f)
-            lower = approximation._lower_envelopes(alg, f, DEFAULT_TOL, scale, vectors)
-            upper = -approximation._lower_envelopes(alg, -f, DEFAULT_TOL, scale, vectors)
+            lower = approximation._meet(approximation._pair_family(alg, f, DEFAULT_TOL, scale, vectors), DEFAULT_TOL)
+            upper = -approximation._meet(approximation._pair_family(alg, -f, DEFAULT_TOL, scale, vectors), DEFAULT_TOL)
             want_lower, want_upper = envelopes_per_point(alg, f, DEFAULT_TOL, scale, vectors)
             assert lower.shape == (alg.points, alg.points, n, n)
             assert np.abs(lower - np.array(want_lower)).max() <= 1e-12 * scale
@@ -1712,8 +1716,203 @@ class TestStackedEnvelopes:
             with pytest.raises(PreconditionFailed) as old:
                 envelopes_per_point(alg, f, DEFAULT_TOL, opnorm(f), vectors)
             with pytest.raises(PreconditionFailed) as new:
-                approximation._lower_envelopes(alg, f, DEFAULT_TOL, opnorm(f), vectors)
+                approximation._meet(approximation._pair_family(alg, f, DEFAULT_TOL, opnorm(f), vectors), DEFAULT_TOL)
             assert str(new.value) == str(old.value)
+
+
+def power_mean_per_point(family, b, eps, tol=DEFAULT_TOL):
+    """The envelope of (P, n, n) functions as _commuting_route formed it
+    point by point: one checked matrix call per point, with N from the sup
+    norm of b, eigh on every block and the messages of the matrix form."""
+    k, n_pow = len(family), power_mean_exponent(eps, opnorm(b), len(family))
+    out = np.zeros_like(b)
+    for z in range(b.shape[0]):
+        fam = np.stack([require_hermitian(np.array(a[z]), tol, f"a_{j}") for j, a in enumerate(family)])
+        bm = require_hermitian(np.array(b[z]), tol, "b")
+        na, r = _opnorms(fam), opnorm(bm)
+        checked = np.concatenate([fam, bm - fam])
+        lows = np.linalg.eigvalsh((checked + adj(checked)) / 2.0)[:, 0]
+        failed = np.stack([_fails(-lows[:k], tol.psd_slack, na), _fails(-lows[k:], tol.psd_slack, np.maximum(na, r)),
+                           _exceeds(bm @ fam - fam @ bm, tol.eq_tol * na * r)], axis=1)
+        if failed.any():
+            texts = ("a_{} is not PSD", "a_{} <= b fails", "b does not commute with a_{}")
+            raise PreconditionFailed("; ".join(texts[c].format(j) for j, c in np.argwhere(failed)))
+        i, j = np.triu_indices(k, 1)
+        clash = np.flatnonzero(_exceeds(fam[i] @ fam[j] - fam[j] @ fam[i], tol.eq_tol * na[i] * na[j]))
+        if clash.size:
+            raise PreconditionFailed(f"a_{i[clash[0]]} and a_{j[clash[0]]} do not commute pairwise")
+        if na.max() > 0.0:
+            blocks = [np.eye(bm.shape[0], dtype=complex)]
+            for m, norm in zip(fam, na):
+                refined = []
+                for q in blocks:
+                    w, u = np.linalg.eigh(adj(q) @ m @ q)
+                    refined += np.split(q @ u, np.flatnonzero(_fails(np.diff(w), tol.psd_slack, norm)) + 1, axis=1)
+                blocks = refined
+            v = np.hstack(blocks)
+            lams = np.clip(np.einsum("ia,kij,ja->ka", v.conj(), fam, v).real, 0.0, None)
+            scale = lams.max()
+            with np.errstate(divide="ignore"):
+                lse = np.logaddexp.reduce(n_pow * np.log(lams / scale), axis=0)
+            out[z] = (v * (scale * np.exp(lse / n_pow))) @ adj(v)
+        checked = np.concatenate([out[z] - fam, (bm + eps * np.eye(bm.shape[0]) - out[z])[None]])
+        lows = np.linalg.eigvalsh((checked + adj(checked)) / 2.0)[:, 0]
+        e = opnorm(out[z])
+        failed = np.flatnonzero(_fails(-lows, tol.psd_slack, np.append(np.maximum(na, e), max(e, r + eps))))
+        if failed.size:
+            what = f"a_{failed[0]} <= env" if failed[0] < k else "env <= b + eps"
+            raise NumericalFailure(f"envelope fails {what}")
+    return out
+
+
+def recorded_power_means(monkeypatch, cases):
+    """The (family, b, eps) of every power_mean_envelope call that
+    constructive_approximate makes on the (algebra, target) cases."""
+    calls = []
+    real = approximation.power_mean_envelope
+
+    def record(a_list, b, eps, tol=DEFAULT_TOL):
+        calls.append((np.array(a_list), np.array(b), eps))
+        return real(a_list, b, eps, tol)
+
+    monkeypatch.setattr(approximation, "power_mean_envelope", record)
+    for alg, f in cases:
+        constructive_approximate(alg, f, eps=0.1)
+    return calls
+
+
+def stacked_case(n, sizes, seed):
+    """A TestStackedEnvelopes algebra and its scalar target per group."""
+    r = rng(9800 + seed)
+    gens, meta = grouped_function_algebra(r, n=n, group_sizes=sizes, fibers=["full", "diag", "scalar"])
+    alg = closure_star_subalgebra(gens, points=sum(sizes), n=n)
+    scalar = np.zeros((alg.points, n, n), dtype=complex)
+    for grp in meta["groups"]:
+        scalar[grp] = float(r.standard_normal()) * np.eye(n)
+    return alg, scalar
+
+
+def scalar_groups(groups):
+    """Groups of 2 points with diag fibres and a complex scalar target per
+    group: both parts of the target take the power-mean route."""
+    r = rng(9900 + groups)
+    gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2] * groups, fibers=["diag"] * groups)
+    alg = closure_star_subalgebra(gens)
+    target = np.zeros((alg.points, 2, 2), dtype=complex)
+    for grp in meta["groups"]:
+        target[grp] = complex(*r.standard_normal(2)) * np.eye(2)
+    return alg, target
+
+
+class TestPowerMeanOnFunctions:
+    """power_mean_envelope on (P, n, n) functions is the per-point loop of
+    checked matrix calls that _commuting_route made, bit for bit, with
+    every check taken once over all points."""
+
+    @pytest.mark.parametrize("source", ["stacked", "ladder", "many small groups"])
+    def test_matches_per_point_loop(self, source, monkeypatch):
+        if source == "stacked":
+            cases = [stacked_case(*case) for case in STACKED_CASES]
+        elif source == "ladder":
+            cases = [(alg, f) for alg, f, (verdict, *_) in ladder_cases() if verdict == "ok"]
+        else:
+            cases = [(alg, f) for alg, _, f in (many_small_groups(30, "diag", 2, seed) for seed in (500, 501, 502))]
+        calls = recorded_power_means(monkeypatch, cases)
+        assert len(calls) >= len(cases)
+        for family, b, eps in calls:
+            assert family.shape[:2] == (b.shape[0],) * 2  # one envelope per point, each a function
+            assert np.array_equal(power_mean_envelope(family, b, eps).env, power_mean_per_point(family, b, eps))
+
+    def test_matrices_are_functions_on_one_point(self):
+        for seed in range(10):
+            family, b = commuting_dominated_family(rng(9600 + seed), d=3, k=3)
+            matrix = power_mean_envelope(family, b, 0.5)
+            function = power_mean_envelope([a[None] for a in family], b[None], 0.5)
+            assert function.n_power == matrix.n_power
+            assert np.array_equal(function.env, matrix.env[None])
+
+    @pytest.mark.parametrize("member, value, message", [
+        (1, lambda a, b: 3.0 * b, "a_1 <= b fails at point 2"),
+        (0, lambda a, b: a - 0.5 * b, "a_0 is not PSD at point 2"),
+        (2, lambda a, b: np.full((3, 3), 1e-3), "b does not commute with a_2 at point 2"),
+    ], ids=["order", "psd", "commute"])
+    def test_failure_names_its_first_point(self, member, value, message):
+        """A family good at points 0, 1 and 3 and broken at point 2: the
+        per-point loop and the function form raise the same type, and the
+        function form names the point."""
+        r = rng(9650)
+        pairs = [commuting_dominated_family(r, d=3, k=3) for _ in range(4)]
+        family = [np.stack([fam[j] for fam, _ in pairs]) for j in range(3)]
+        b = np.stack([bz for _, bz in pairs])
+        family[member][2] = value(family[member][2], b[2])
+        with pytest.raises(PreconditionFailed) as old:
+            power_mean_per_point(family, b, 0.5)
+        with pytest.raises(PreconditionFailed) as new:
+            power_mean_envelope(family, b, 0.5)
+        assert str(new.value) == str(old.value) + " at point 2" == message
+
+    def test_pairwise_failure_names_its_point(self):
+        r = rng(9660)
+        family, b, eps = dominated_noncommuting_family(r, 3, 2)
+        good, gb = commuting_dominated_family(r, d=3, k=2)
+        funcs = [np.stack([g, a]) for g, a in zip(good, family)]
+        with pytest.raises(PreconditionFailed, match=r"^a_0 and a_1 do not commute pairwise$"):
+            power_mean_per_point(funcs, np.stack([gb, b]), eps)
+        with pytest.raises(PreconditionFailed, match=r"^a_0 and a_1 do not commute pairwise at point 1$"):
+            power_mean_envelope(funcs, np.stack([gb, b]), eps)
+
+    def test_route_falls_back_on_a_failure_past_point_zero(self, monkeypatch):
+        """A precondition broken at one point z > 0 of the route's family
+        sends constructive_approximate to the partition route, as the
+        per-point loop's PreconditionFailed did."""
+        alg, f = scalar_groups(3)
+        assert constructive_approximate(alg, f, eps=0.1).routes == ("power-mean", "power-mean")
+        real = approximation.power_mean_envelope
+        raised = []
+
+        def broken_at_three(a_list, b, eps, tol=DEFAULT_TOL):
+            family = np.array(a_list)
+            family[1, 3] = 3.0 * b[3]  # a_1 above b at point 3 only
+            for check in (power_mean_per_point, real):
+                with pytest.raises(PreconditionFailed) as err:
+                    check(family, b, eps)
+                raised.append(str(err.value))
+            return real(family, b, eps, tol)
+
+        monkeypatch.setattr(approximation, "power_mean_envelope", broken_at_three)
+        assert constructive_approximate(alg, f, eps=0.1).routes == ("partition", "partition")
+        assert raised == ["a_1 <= b fails", "a_1 <= b fails at point 3"] * 2
+
+    def test_refuses_mismatched_points_and_non_finite_entries(self):
+        family, b = commuting_dominated_family(rng(9670), d=2, k=2)
+        funcs = [np.stack([a, a, a]) for a in family]
+        with pytest.raises(DimensionMismatch, match=r"shapes \(2, 2, 2\) and \(3, 2, 2\) differ"):
+            power_mean_envelope(funcs, np.stack([b, b]), 0.5)
+        with pytest.raises(DimensionMismatch):
+            power_mean_envelope(funcs, b, 0.5)
+        funcs[1][2, 0, 0] = np.nan
+        with pytest.raises(DomainError, match="a_1 contains non-finite entries"):
+            power_mean_envelope(funcs, np.stack([b, b, b]), 0.5)
+        with pytest.raises(DomainError, match="b contains non-finite entries"):
+            power_mean_envelope(family, np.full((2, 2), np.inf), 0.5)
+
+    def test_hermitian_checks_grow_with_points_not_their_square(self, monkeypatch):
+        """One require_hermitian per family member and one for b, each on
+        its whole function: P + 1 per power-mean route, where the per-point
+        loop made P (P + 1)."""
+        calls = []
+        real = approximation.require_hermitian
+
+        def counting(a, *args):
+            calls.append(a.shape)
+            return real(a, *args)
+
+        monkeypatch.setattr(approximation, "require_hermitian", counting)
+        for groups in (3, 6, 12):
+            alg, f = scalar_groups(groups)
+            calls.clear()
+            assert constructive_approximate(alg, f, eps=0.1).routes == ("power-mean", "power-mean")
+            assert calls == [(alg.points, 2, 2)] * (2 * (alg.points + 1))
 
 
 class TestTwoPointFlatten:
