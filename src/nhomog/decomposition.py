@@ -2,18 +2,17 @@
 
 ``decompose`` splits the carrier space of a MatTuple into irreducible
 invariant blocks, grouped into unitary-equivalence classes with
-multiplicities, plus common null blocks.  The splitter works on a
-(k, P, n, n) stack of generators acting point by point on C^{Pn}, a
-tuple being the case P = 1, and on vectors, never on the span of the
-algebra: a seeded random Hermitian element h of the generated
-*-algebra (a random sum of words of length <= 3) has each eigenvalue
-cluster in one class, the vector spin-up of the MeatAxe (Parker 1984;
-Holt-Rees 1994) computes the cyclic subspace A.v of one vector of the
-cluster, and the same coefficient matrices carry the cluster's other
-vectors onto the other blocks of the class, aligned.  Norton's count
-certifies each block irreducible.  ``homogeneity_verdict`` and
-``n_spectrum`` are the derived verdicts; ``unitarily_equivalent`` tests
-two irreducible tuples by one intertwiner solve.
+multiplicities, plus common null blocks.  The splitter works on
+vectors, never on the span of the algebra: a seeded random Hermitian
+element h of the generated *-algebra (a random sum of words of length
+<= 3) has each eigenvalue cluster in one class, the vector spin-up of
+the MeatAxe (Parker 1984; Holt-Rees 1994) computes the cyclic subspace
+A.v of one vector of the cluster, and the same coefficient matrices
+carry the cluster's other vectors onto the other blocks of the class,
+aligned.  Norton's count certifies each block irreducible.
+``homogeneity_verdict`` and ``n_spectrum`` are the derived verdicts;
+``unitarily_equivalent`` tests two irreducible tuples by one
+intertwiner solve.
 """
 
 from __future__ import annotations
@@ -171,10 +170,9 @@ def unitarily_equivalent(a: MatTuple, b: MatTuple, tol: Tolerance = DEFAULT_TOL)
 
 def _random_hermitian(letters: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian element h = x + x* of the algebra generated by the
-    (L, P, n, n) stack of letters, at every point: x = X1 + X1 X2 +
-    X1 X2 X3, each X_i a complex Gaussian combination of the letters, so
-    x is a random sum of words of length <= 3, formed without listing the
-    words."""
+    (L, d, d) stack of letters: x = X1 + X1 X2 + X1 X2 X3, each X_i a
+    complex Gaussian combination of the letters, so x is a random sum of
+    words of length <= 3, formed without listing the words."""
     c = rng.standard_normal((3, len(letters))) + 1j * rng.standard_normal((3, len(letters)))
     x1, x2, x3 = (c @ letters.reshape(len(letters), -1)).reshape(3, *letters.shape[1:])
     eye = np.eye(letters.shape[-1])
@@ -183,26 +181,25 @@ def _random_hermitian(letters: np.ndarray, rng: np.random.Generator) -> np.ndarr
 
 
 def _spin_up(letters: np.ndarray, e: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal bases of the cyclic subspaces A.e_k of the Pn x m
-    columns of e, as an (m, Pn, n') stack; the letters act point by
-    point.  A.e_0 is spun up as ``closure`` spins up an algebra: each
-    round multiplies the last round's new vectors by every letter,
-    orthogonalises them twice against the basis so far (from the second
-    round on) and keeps the rank of a thin SVD, relative to 1 (the
-    letters have scale at most 1).  A round whose projected candidates
-    R pass ``_screen_passes`` at rank_cut adds nothing and ends the loop
-    without the SVD, as in ``closure``: s_max <= ||R||_F < rank_cut, so
-    the rank would be 0.  The same coefficient matrices, replayed on
-    e_1, ..., e_{m-1} in the same batched products, map A.e_0 onto
-    their cyclic subspaces, already aligned with it."""
+    """Orthonormal bases of the cyclic subspaces A.e_k of the d x m
+    columns of e, as an (m, d, d') stack.  A.e_0 is spun up as
+    ``closure`` spins up an algebra: each round multiplies the last
+    round's new vectors by every letter, orthogonalises them twice
+    against the basis so far (from the second round on) and keeps the
+    rank of a thin SVD, relative to 1 (the letters have scale at most
+    1).  A round whose projected candidates R pass ``_screen_passes`` at
+    rank_cut adds nothing and ends the loop without the SVD, as in
+    ``closure``: s_max <= ||R||_F < rank_cut, so the rank would be 0.
+    The same coefficient matrices, replayed on e_1, ..., e_{m-1} in the
+    same batched products, map A.e_0 onto their cyclic subspaces,
+    already aligned with it."""
     d, m = e.shape
-    points, n = letters.shape[1:3]
-    rows = letters.swapaxes(0, 1).reshape(points, -1, n)  # each point's letters, one above the other
+    rows = letters.reshape(-1, d)  # the letters one above the other
     basis = np.zeros((m, d, 0), dtype=complex)
     new = e.T[:, :, None]
     while new.shape[2]:
         r = new.shape[2]
-        cand = (rows @ new.reshape(m, points, n, r)).reshape(m, points, -1, n, r).swapaxes(2, 3).reshape(m, d, -1)
+        cand = (rows @ new).reshape(m, -1, d, r).swapaxes(1, 2).reshape(m, d, -1)
         for _ in range(2 if basis.shape[2] else 0):  # Gram-Schmidt twice, with e_0's coefficients for every column
             cand = cand - basis @ (adj(basis[0]) @ cand[0])
         if _screen_passes(cand[0], tol.rank_cut):
@@ -215,23 +212,19 @@ def _spin_up(letters: np.ndarray, e: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 
 def _cyclic_split(letters: np.ndarray, h: np.ndarray, tol: Tolerance) -> tuple[list, list]:
-    """Per class, and per null cluster, an (m, Pn, n') stack of aligned
-    block isometries and each block's point, from the eigenvalue clusters
-    of the (P, n, n) stack h: its P n eigenvalues in one ascending list,
-    relative to the largest |eigenvalue|.  ``letters`` are the generators
-    and adjoints at unit scale.  Raises NumericalFailure when a cluster
-    mixed two classes, a class with the null space, or two eigenvalues of
-    one block, or lies too close to a neighbour for its spin-up."""
-    points, n = letters.shape[1:3]
-    d = points * n
-    w, u = np.linalg.eigh(h.reshape(points, n, n))
-    order = np.argsort(w, axis=None, kind="stable")
-    w = w.ravel()[order]
+    """Per class, and per null cluster, an (m, d, d') stack of aligned
+    block isometries, from the eigenvalue clusters of h: its d
+    eigenvalues, ascending as ``eigh`` returns them, relative to the
+    largest |eigenvalue|.  ``letters`` are the generators and adjoints
+    at unit scale.  Raises NumericalFailure when a cluster mixed two
+    classes, a class with the null space, or two eigenvalues of one
+    block, or lies too close to a neighbour for its spin-up."""
+    d = h.shape[-1]
+    w, vecs = np.linalg.eigh(h)
     top = max(abs(w[0]), abs(w[-1]))
     if top > 0.0:
         w = w / top
-    vecs = np.einsum("xy,xaj->xayj", np.eye(points), u).reshape(d, d)[:, order]  # zero off each one's point
-    images = (letters @ u).swapaxes(1, 2).reshape(len(letters), n, d)[:, :, order]  # every letter on every vecs[:, i]
+    images = letters @ vecs  # every letter on every vecs[:, i]
     reach2 = np.add.reduce((images.conj() * images).real, axis=(0, 1))
     reach = np.sqrt(reach2)
     starts = np.flatnonzero(np.r_[True, np.diff(w) > tol.psd_slack])
@@ -246,7 +239,7 @@ def _cyclic_split(letters: np.ndarray, h: np.ndarray, tol: Tolerance) -> tuple[l
             continue
         e = vecs[:, cluster]
         if null_clusters[i]:
-            null.append((e.T[:, :, None], order[cluster] // n))
+            null.append(e.T[:, :, None])
             found = np.hstack([found, e])
             continue
         # eigh leaves in e a share of about d eps / gap of each other
@@ -267,58 +260,32 @@ def _cyclic_split(letters: np.ndarray, h: np.ndarray, tol: Tolerance) -> tuple[l
         covered[i:] |= np.add.reduceat((off.conj() * off).real.sum(axis=0), starts[i:] - cluster[0]) <= tol.eq_tol ** 2
         if not covered[i]:
             raise NumericalFailure("cyclic blocks do not cover their eigenvalue cluster")
-        classes.append((isos, order[cluster] // n))
+        classes.append(isos)
     return classes, null
 
 
-@dataclass(frozen=True)
-class _PointSplit:
-    """Blocks of C^{Pn}, each zero off one point, as arrays.  ``parts``
-    holds (label, isometries (m, Pn, n'), compressions (m, k, n', n'))
-    per class, in class order, then per null cluster: label i + 1 for
-    class i and 0 for null blocks.  v[x] holds point x's blocks side by
-    side, in block order."""
-
-    parts: tuple[tuple[int, np.ndarray, np.ndarray], ...]
-    v: np.ndarray = field(repr=False)  # (P, n, n)
-
-    @property
-    def blocks(self) -> tuple[Block, ...]:
-        return tuple(Block(iso, MatTuple(comp), label - 1 if label else None, not label)
-                     for label, isos, comps in self.parts for iso, comp in zip(isos, comps))
-
-    @property
-    def reps(self) -> list[np.ndarray]:
-        """Each class's representative, the compressions of its first block."""
-        return [comps[0] for label, _, comps in self.parts if label]
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(len(isos) for label, isos, _ in self.parts if label)
-
-
-def _assemble(gens: np.ndarray, norms: np.ndarray, tol: Tolerance, classes: list, null: list) -> _PointSplit:
+def _assemble(gens: np.ndarray, norms: np.ndarray, tol: Tolerance, classes: list, null: list) -> tuple:
     """Compress onto the blocks, order the classes canonically (by dim,
     then word-trace fingerprint) and check every post-condition, all
-    compared at the scale c = max ||G_j(x)|| of the (k, P, n, n)
-    generators, from their (k, P) ``norms``, each as one norm test over
-    a stack (``_exceeds``).  Irreducibility is not re-proved: once the
+    compared at the scale c = max ||G_j|| of the (k, d, d) generators,
+    from their (k,) ``norms``, each as one norm test over a stack
+    (``_exceeds``).  Irreducibility is not re-proved: once the
     intertwining check G_j V = V (+)_b C_b shows every block reducing and
     the class check shows each class's blocks aligned, Norton's count
-    (see ``decompose``) certifies it."""
-    k, points, n = gens.shape[:3]
+    (see ``decompose``) certifies it.  Returns V, the blocks side by
+    side, and per class, in class order, then per null cluster, (label,
+    isometries (m, d, d'), compressions (m, k, d', d')): label i + 1 for
+    class i and 0 for null blocks."""
+    d = gens.shape[-1]
     c = float(norms.max())
 
-    def compress(isos: np.ndarray, at: np.ndarray) -> tuple:
-        """Each block at its point: the compressions C = (V* G) V, then
-        each column's point, its entries there and G V - V C there."""
-        local = isos.reshape(len(at), points, n, -1)[np.arange(len(at)), at]
-        g = gens[:, at].swapaxes(0, 1)
-        comps = adj(local)[:, None] @ g @ local[:, None]
-        resid = g @ local[:, None] - local[:, None] @ comps
-        return isos, comps, np.repeat(at, local.shape[-1]), np.hstack(local), np.concatenate(resid, axis=-1)
+    def compress(isos: np.ndarray) -> tuple:
+        """The compressions C = (V* G) V of each block, its columns and G V - V C."""
+        comps = adj(isos)[:, None] @ gens @ isos[:, None]
+        resid = gens @ isos[:, None] - isos[:, None] @ comps
+        return isos, comps, np.hstack(isos), np.concatenate(resid, axis=-1)
 
-    groups = [compress(isos, at) for isos, at in classes]
+    groups = [compress(isos) for isos in classes]
     keys = [()] * len(groups)  # (dim, rounded fingerprint): the fingerprints of each dim in one stack
     for dim in {comps.shape[-1] for _, comps, *_ in groups}:
         at = [i for i, (_, comps, *_) in enumerate(groups) if comps.shape[-1] == dim]
@@ -326,18 +293,15 @@ def _assemble(gens: np.ndarray, norms: np.ndarray, tol: Tolerance, classes: list
         for i, re, im in zip(at, reals, imags):
             keys[i] = (dim, re, im)
     groups = [groups[i] for i in sorted(range(len(groups)), key=keys.__getitem__)]
-    parts = [*((i + 1, g) for i, g in enumerate(groups)), *((0, compress(*z)) for z in null)]
-    col_point, cols, resid = (np.concatenate([part[i] for _, part in parts], axis=-1) for i in (2, 3, 4))
-    if np.any(np.bincount(col_point, minlength=points) != n):
-        raise NumericalFailure(f"block isometries do not give every point {n} columns")
-    by_point = np.argsort(col_point, kind="stable")
-    v = cols[:, by_point].reshape(n, points, n).swapaxes(0, 1)
-    if _exceeds(adj(v) @ v - np.eye(n), tol.eq_tol).any():
+    parts = [*((i + 1, g) for i, g in enumerate(groups)), *((0, compress(z)) for z in null)]
+    v, resid = (np.concatenate([part[i] for _, part in parts], axis=-1) for i in (2, 3))
+    if v.shape[1] != d:
+        raise NumericalFailure(f"block isometries do not give {d} columns")
+    if _exceeds(adj(v) @ v - np.eye(d), tol.eq_tol):
         raise NumericalFailure("assembled change of basis is not unitary")
-    # V is unitary, so |G_j V - V C_j| at a point is the error of G_j's block reconstruction there
-    resid = resid[:, :, by_point].reshape(k, n, points, n).swapaxes(1, 2)
+    # V is unitary, so |G_j V - V C_j| is the error of G_j's block reconstruction
     # each bound as a sum of products, which cannot overflow at c near the largest float
-    bad = np.flatnonzero(_exceeds(resid, (1e-7 * c + 1e-7 * norms.max(axis=1))[:, None]).any(axis=1))
+    bad = np.flatnonzero(_exceeds(resid, 1e-7 * c + 1e-7 * norms))
     if bad.size:
         raise NumericalFailure(f"block intertwining of generator {bad[0]} failed")
     for _, comps, *_ in groups:  # blocks of a class are aligned: each compression is the representative
@@ -345,24 +309,7 @@ def _assemble(gens: np.ndarray, norms: np.ndarray, tol: Tolerance, classes: list
         # c <= c + ||C_0||: drift the exact test finds, the first test, which needs no norm of C_0, finds too
         if _exceeds(drift, 1e-7 * c).any() and _exceeds(drift, 1e-7 * c + 1e-7 * _opnorms(comps[0])).any():
             raise NumericalFailure("a block's compression differs from its class representative")
-    return _PointSplit(tuple((label, part[0], part[1]) for label, part in parts), v)
-
-
-def _split_points(gens: np.ndarray, tol: Tolerance, seed: int) -> _PointSplit:
-    """Split a (k, P, n, n) stack of generators, acting point by point,
-    into irreducible blocks at single points (see ``decompose``, P = 1)."""
-    norms = np.linalg.norm(gens, 2, axis=(-2, -1))
-    scale = float(norms.max())
-    unit = gens / scale if scale > 0.0 else gens
-    letters = np.concatenate([unit, adj(unit)])
-    rng = np.random.default_rng(seed)
-    failure = ""
-    for _ in range(_SPLITTER_RESEEDS):
-        try:
-            return _assemble(gens, norms, tol, *_cyclic_split(letters, _random_hermitian(letters, rng), tol))
-        except NumericalFailure as exc:
-            failure = str(exc)
-    raise NumericalFailure(f"cyclic split failed on {_SPLITTER_RESEEDS} random draws; last: {failure}")
+    return v, [(label, part[0], part[1]) for label, part in parts]
 
 
 def decompose(t: MatTuple, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Decomposition:
@@ -391,11 +338,27 @@ def decompose(t: MatTuple, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Decom
     or covering checks; one whose eigenvector of a cluster is too
     inexact for the rank cut (a neighbouring eigenvalue too close) fails
     before its spin-up.  Either is redrawn.  The split is taken on
-    t / t.scale, so it does not depend on the scale of t.  The splitter
-    takes a (k, P, n, n) stack, and a tuple is the stack at P = 1.
+    t / t.scale, so it does not depend on the scale of t.
     """
-    split = _split_points(t.gens[:, None], tol, seed)
-    return Decomposition(t, split.v[0], split.blocks, tuple(map(MatTuple, split.reps)), split.multiplicities, seed)
+    norms = np.linalg.norm(t.gens, 2, axis=(-2, -1))
+    scale = float(norms.max())
+    unit = t.gens / scale if scale > 0.0 else t.gens
+    letters = np.concatenate([unit, adj(unit)])
+    rng = np.random.default_rng(seed)
+    failure = ""
+    for _ in range(_SPLITTER_RESEEDS):
+        try:
+            v, parts = _assemble(t.gens, norms, tol, *_cyclic_split(letters, _random_hermitian(letters, rng), tol))
+            break
+        except NumericalFailure as exc:
+            failure = str(exc)
+    else:
+        raise NumericalFailure(f"cyclic split failed on {_SPLITTER_RESEEDS} random draws; last: {failure}")
+    blocks = tuple(Block(iso, MatTuple(comp), label - 1 if label else None, not label)
+                   for label, isos, comps in parts for iso, comp in zip(isos, comps))
+    classes = tuple(MatTuple(comps[0]) for label, _, comps in parts if label)  # the first block's compressions
+    multiplicities = tuple(len(isos) for label, isos, _ in parts if label)
+    return Decomposition(t, v, blocks, classes, multiplicities, seed)
 
 
 def homogeneity_verdict(t: MatTuple, n: int, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> HomogeneityReport:

@@ -72,6 +72,8 @@ def _refuse(gens) -> NoReturn:
     for i, g in enumerate(checked):
         if g.shape != (d, d):
             raise DimensionMismatch(f"generator {i} has shape {g.shape}, expected ({d}, {d})")
+    if not d:
+        raise DimensionMismatch("the generators are 0 x 0: a MatTuple needs d >= 1")
     raise DimensionMismatch("the generators do not form a (k, d, d) stack")
 
 
@@ -84,17 +86,18 @@ class MatTuple:
     gens: np.ndarray
 
     def __init__(self, gens) -> None:
-        """One conversion to a complex (k, d, d) copy, one shape check and
-        one finiteness check.  A refused input is walked generator by
-        generator only to name the first bad one; the walk never accepts."""
+        """One conversion to a complex (k, d, d) copy with k, d >= 1, one
+        shape check and one finiteness check.  A refused input is walked
+        generator by generator only to name the first bad one; the walk
+        never accepts."""
         if not isinstance(gens, np.ndarray):
             gens = list(gens)  # an iterator is read once
         try:
             stack = np.array(gens, dtype=complex)
         except (TypeError, ValueError, OverflowError):
             stack = None
-        if (stack is None or stack.ndim != 3 or not stack.shape[0] or stack.shape[1] != stack.shape[2]
-                or not np.isfinite(stack).all()):
+        if (stack is None or stack.ndim != 3 or not stack.shape[0] or not stack.shape[1]
+                or stack.shape[1] != stack.shape[2] or not np.isfinite(stack).all()):
             _refuse(gens)
         stack.setflags(write=False)
         object.__setattr__(self, "gens", stack)

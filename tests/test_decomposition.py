@@ -15,7 +15,6 @@ from nhomog.errors import NotIrreducible, NotNHomogeneous, NumericalFailure
 from nhomog.instances import (
     distinct_irreducible_tuples,
     ginibre,
-    grouped_function_algebra,
     random_homogeneous_instance,
     random_irreducible_tuple,
     random_unitary,
@@ -564,26 +563,7 @@ class TestNoCertificationSvd:
         calls = self.two_norm_calls(monkeypatch)
         dec = decompose(t)
         assert sorted(dec.multiplicities) == [1, 2, 3] and dec.zero_dim == 2
-        assert calls == [(2, 1, 20, 20)]
-
-    @pytest.mark.parametrize("fibers", [["full", "scalar", "scalar"], ["diag", "scalar", "scalar"]])
-    def test_class_table_takes_only_the_scale(self, monkeypatch, fibers):
-        """The pointwise split of a class table: 15 points, n = 2, in three
-        groups of 5; the last group vanishes, so the split sees the other
-        10, and its classes lie on the two live groups."""
-        values, meta = grouped_class_table_input(fibers)
-        calls = self.two_norm_calls(monkeypatch)
-        split = decomposition._split_points(values, DEFAULT_TOL, 0)
-        by_point = {}
-        for label, isos, _ in split.parts:
-            for iso in isos:
-                at = int(np.flatnonzero(np.abs(iso.reshape(10, 2, -1)).max(axis=(1, 2)))[0])
-                by_point.setdefault(at, set()).add(label)
-        groups = {}
-        for x in range(10):
-            groups.setdefault(frozenset(by_point[x]), []).append(x)
-        assert list(groups.values()) == meta["groups"][:2]
-        assert calls == [(2, 10, 2, 2)]
+        assert calls == [(2, 20, 20)]
 
     @staticmethod
     def spin_up_svds(monkeypatch):
@@ -621,44 +601,19 @@ class TestNoCertificationSvd:
         dec = decompose(t)
         assert len(dec.classes) == 3 and dec.zero_dim == 2
         assert len(svds) == 3 and per_spin_up == [1, 1, 1]
-        assert two_norms == [(2, 1, 20, 20)]
-
-    @pytest.mark.parametrize("fibers", [["full", "scalar", "scalar"], ["diag", "scalar", "scalar"]])
-    def test_class_table_one_spin_up_svd_per_class(self, monkeypatch, fibers):
-        values, _ = grouped_class_table_input(fibers)
-        _, per_spin_up = self.spin_up_svds(monkeypatch)
-        classes = len(decomposition._split_points(values, DEFAULT_TOL, 0).reps)
-        assert classes == (2 if fibers[0] == "full" else 3)
-        assert per_spin_up == [1] * classes
-
-
-def grouped_class_table_input(fibers):
-    """A pointwise split's input: the values of two seeded random elements
-    of a grouped algebra at n = 2 (three groups of 5 points, the last
-    vanishing) on the 10 points where the algebra does not vanish, as a
-    (2, 10, 2, 2) stack, and the algebra's metadata."""
-    from nhomog.sw_engine import closure_star_subalgebra
-
-    gens, meta = grouped_function_algebra(rng(901), n=2, group_sizes=[5, 5, 5], fibers=fibers, vanish_groups=[2])
-    alg = closure_star_subalgebra(gens)
-    r = np.random.default_rng(0)
-    coeffs = r.standard_normal((2, alg.basis.dim)) + 1j * r.standard_normal((2, alg.basis.dim))
-    values = np.tensordot(coeffs, alg.basis.vectors.reshape(alg.basis.dim, 15, 2, 2), 1)
-    return values[:, :10], meta
+        assert two_norms == [(2, 20, 20)]
 
 
 def spin_up_without_screen(letters, e, tol):
     """The spin-up as it was before the closing round's Frobenius screen:
     Gram-Schmidt in every round and an SVD in every round."""
     d, m = e.shape
-    points, n = letters.shape[1:3]
-    rows = letters.swapaxes(0, 1).reshape(points, -1, n)
+    rows = letters.reshape(-1, d)
     basis = np.zeros((m, d, 0), dtype=complex)
     new = e.T[:, :, None]
     while new.shape[2]:
         r = new.shape[2]
-        cand = (rows @ new.reshape(m, points, n, r)).reshape(m, points, -1, n, r).swapaxes(2, 3)
-        cand = cand.reshape(m, d, -1)
+        cand = (rows @ new).reshape(m, -1, d, r).swapaxes(1, 2).reshape(m, d, -1)
         for _ in range(2):
             cand = cand - basis @ (adj(basis[0]) @ cand[0])
         _, s, vh = np.linalg.svd(cand[0], full_matrices=False)
@@ -674,7 +629,7 @@ class TestSpinUpScreen:
 
     @staticmethod
     def leaky(delta):
-        """Letters on C^4 (one point) and e_0: A = E_10 swaps e_0 and e_1
+        """Letters on C^4 and e_0: A = E_10 swaps e_0 and e_1
         with A*, and B = delta E_20, C = delta E_30 leak e_0 towards e_2
         and e_3.  A.e_0 spins up to span(e_1, e_0) in two rounds; the third
         round's candidates, off that span, are delta e_2 and delta e_3, so
@@ -685,7 +640,7 @@ class TestSpinUpScreen:
             return u
 
         gens = np.stack([unit(1, 0), delta * unit(2, 0), delta * unit(3, 0)])
-        return np.concatenate([gens, adj(gens)])[:, None], np.eye(4, 1, dtype=complex)
+        return np.concatenate([gens, adj(gens)]), np.eye(4, 1, dtype=complex)
 
     # delta / rank_cut: at 0.9 and 0.71, ||R||_F is 1.27 and 1.004 rank_cut,
     # so the closing round takes its SVD (which keeps nothing, as both

@@ -61,7 +61,7 @@ def test_no_absolute_slack_in_the_library():
 SCREEN_CONSTANT = re.compile(r"\b_SCREEN_(FLOOR|MARGIN)\b")
 INLINE_NORM_TEST = re.compile(r"\b(opnorm|_opnorms)\(.*\)\s*>|\bnp\.linalg\.norm\(.*,\s*2\s*[,)].*>")
 PSEUDO_INVERSE = re.compile(r"\bnp\.linalg\.pinv\b")
-RANDOM_SPLIT = re.compile(r"\b(default_rng|_split_points)\b")
+RANDOM_SPLIT = re.compile(r"\b(default_rng|decomposition|_cyclic_split)\b")
 
 
 def test_one_implementation_per_numerical_decision():
@@ -73,8 +73,11 @@ def test_one_implementation_per_numerical_decision():
             or (path.name in ("sw_engine.py", "approximation.py") and RANDOM_SPLIT.search(line))]
     assert hits == []
     assert RANDOM_SPLIT.search("rng = np.random.default_rng(seed)")
-    assert RANDOM_SPLIT.search("from .decomposition import _split_points")
-    assert not RANDOM_SPLIT.search("split = decomposition.split_points_by_rank(e)")
+    assert RANDOM_SPLIT.search("from .decomposition import decompose")
+    assert RANDOM_SPLIT.search("from . import decomposition")
+    assert RANDOM_SPLIT.search("classes, null = _cyclic_split(letters, h, tol)")
+    assert not RANDOM_SPLIT.search("at once, from one eigendecomposition of each side.")
+    assert not RANDOM_SPLIT.search("split = split_points_by_rank(e)")
     assert SCREEN_CONSTANT.search("from .matrix_core import _SCREEN_FLOOR, _SCREEN_MARGIN")
     assert INLINE_NORM_TEST.search("if opnorm(x) > 1e-8:")
     assert INLINE_NORM_TEST.search("if m.shape != (n, n) or opnorm(adj(m) @ m - np.eye(n)) > tol.eq_tol:")

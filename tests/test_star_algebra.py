@@ -467,6 +467,7 @@ class TestMatTupleStack:
         ([SX, [[0.0, np.nan], [1.0, 0.0]]], DomainError, "generator 1 contains non-finite entries"),
         ([SX, SZ, [[0.0, 1.0], [1.0, 1j * np.inf]]], DomainError, "generator 2 contains non-finite entries"),
         ([], DimensionMismatch, "a MatTuple needs at least one generator"),
+        (np.zeros((1, 0, 0)), DimensionMismatch, "the generators are 0 x 0: a MatTuple needs d >= 1"),
     ])
     def test_messages_name_the_generator(self, gens, error, message):
         with pytest.raises(error) as exc:
@@ -504,6 +505,8 @@ def mattuple_stack_reference(gens):
     for i, g in enumerate(checked):
         if g.shape != (d, d):
             raise DimensionMismatch(f"generator {i} has shape {g.shape}, expected ({d}, {d})")
+    if not d:
+        raise DimensionMismatch("the generators are 0 x 0: a MatTuple needs d >= 1")
     stack = np.array(checked)
     stack.setflags(write=False)
     return stack
@@ -563,6 +566,9 @@ REFUSALS = {
     "too large an integer": lambda: [[[10**400, 0], [0, 0]]],
     "None before an overflow": lambda: [[[None, 0], [0, 0]], [[10**400, 0], [0, 0]]],
     "bad iterator": lambda: (g for g in [SX, BAD_NAN]),
+    "empty matrices": lambda: [np.zeros((0, 0)), np.zeros((0, 0))],
+    "empty stack of matrices": lambda: np.zeros((2, 0, 0)),
+    "empty matrix then a mismatch": lambda: [np.zeros((0, 0)), SX],
 }
 
 ACCEPTED = {
@@ -574,7 +580,6 @@ ACCEPTED = {
     "iterator": lambda: (g for g in [SX, SZ, SX @ SZ]),
     "tuple of arrays": lambda: (SX, SZ),
     "one generator": lambda: [SX],
-    "empty matrices": lambda: [np.zeros((0, 0)), np.zeros((0, 0))],
     "object array of matrices": lambda: np.array([SX, SZ], dtype=object),
     "1 x 1": lambda: [[[2.0 + 1j]]],
 }

@@ -56,7 +56,7 @@ from nhomog.approximation import (
     power_mean_exponent,
     two_point_flatten,
 )
-from nhomog.decomposition import _split_points, decompose
+from nhomog.decomposition import decompose
 from nhomog.star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, _right_svd, nullspace
 from nhomog.sw_engine import (
     closure_star_subalgebra,
@@ -307,17 +307,6 @@ class TestClassTableReference:
         alg = closure_star_subalgebra(gens)
         assert_matches_dense(alg, dense_class_table(alg, DEFAULT_TOL, seed))
         assert sw_engine._class_groups(alg, DEFAULT_TOL) == meta["groups"]
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_blocks_lie_at_one_point(self, n):
-        gens, _ = grouped_function_algebra(rng(n), n=n, group_sizes=[4, 4, 4, 3, 3], fibers=self.FIBERS)
-        alg = closure_star_subalgebra(gens)
-        values = np.stack([alg.basis.project(g) for g in gens[:2]])
-        split = _split_points(values, DEFAULT_TOL, 0)
-        assert sum(b.dim for b in split.blocks) == alg.points * n
-        for b in split.blocks:
-            at = np.abs(b.isometry.reshape(alg.points, n, -1)).max(axis=(1, 2))
-            assert np.count_nonzero(at) == 1
 
     @pytest.mark.parametrize("vanish", [[1], [3], [0, 1, 2, 3, 4]], ids=["group-1", "group-3", "all-null"])
     @pytest.mark.parametrize("n", [2, 3])
@@ -763,7 +752,7 @@ class TestPairVerdicts:
         def refuse(*args):
             raise AssertionError("sw-check split the algebra")
 
-        monkeypatch.setattr(decomposition, "_split_points", refuse)
+        monkeypatch.setattr(decomposition, "_cyclic_split", refuse)
         gens, _ = grouped_function_algebra(rng(16), n=2, group_sizes=[3, 2, 2], fibers=["full", "diag", "scalar"],
                                            vanish_groups=[2])
         assert main(["sw-check", "--in", sw_check_input(tmp_path, gens)]) == 1
