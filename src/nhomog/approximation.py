@@ -1,16 +1,12 @@
 """Constructive approximation on finite point sets: the constructive half
 of the operator-valued Stone-Weierstrass theorem, on the algebras of
-``sw_engine``.
-
-A two-point approximable target is approximated inside the algebra with
-a certified sup-norm error, from order-theoretic steps: lattice joins,
+``sw_engine``, with a certified sup-norm error, from lattice joins,
 per-point envelopes from the pair interpolants, power-mean envelopes of
 pairwise commuting families, and the partition of unity of the class
-indicators.  The hypotheses and the classes of points are read from the
-ranks of the algebra's fibres and pair restrictions and from its Delta2
-subspace, which ``sw_engine`` computes and keeps on the algebra; no
-random draw is taken.  Two-point flattening polynomials and the
-operator-monotone order check are public here but not steps of the route.
+indicators.  Hypotheses, classes and the centre are read from what
+``sw_engine`` keeps on the algebra: its rank verdicts, atoms and Delta2
+subspace.  Two-point flattening and the operator-monotone order check are
+public here but not steps of the route.
 """
 
 from __future__ import annotations
@@ -41,6 +37,7 @@ from .matrix_core import (
     _frobenius,
     _from_eig,
     _herm_abs,
+    _joint_eigenspaces,
     _opnorms,
     adj,
     as_matrix,
@@ -50,14 +47,18 @@ from .matrix_core import (
     psd_order,
     require_hermitian,
 )
-from .star_algebra import _contains_rows, nullspace
-from .sw_engine import FnAlgebra, _class_groups, _contacts, _pair_solve, delta2_subspace
+from .star_algebra import _rank_with_gap
+from .sw_engine import FnAlgebra, _atoms, _class_groups, _contacts, delta2_subspace
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < math.inf:  # a NaN fails both
+        raise ValueError(f"eps must be positive and finite, got {eps}")
 
 
 def power_mean_exponent(eps: float, r: float, k: int) -> int:
     """Smallest integer N >= 2 with k^(1/N) <= 1 + eps/r."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_eps(eps)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if r <= 0.0 or k == 1:
@@ -88,17 +89,7 @@ def _power_mean_commuting(mats: np.ndarray, norms: np.ndarray, n_pow: int, tol: 
     (k, d, d) stack with its norms), per joint eigendirection (split off
     at gaps above psd_slack ||a_j||) in the log domain.  This keeps
     eigenvalue ratios far beyond what the summed matrix can carry."""
-    blocks = [np.eye(mats.shape[-1], dtype=complex)]
-    for m, norm in zip(mats, norms):
-        refined = []
-        for q in blocks:
-            if q.shape[1] == 1:  # its eigh would give u = [[1]], and q @ u is q
-                refined.append(q)
-                continue
-            w, u = np.linalg.eigh(adj(q) @ m @ q)
-            refined += np.split(q @ u, np.flatnonzero(_fails(np.diff(w), tol.psd_slack, norm)) + 1, axis=1)
-        blocks = refined
-    v = np.hstack(blocks)
+    v = np.hstack(_joint_eigenspaces(zip(mats, norms), mats.shape[-1], tol.psd_slack))
     lams = np.clip(np.einsum("ia,kij,ja->ka", v.conj(), mats, v).real, 0.0, None)
     scale = lams.max()
     with np.errstate(divide="ignore"):  # log 0 = -inf; a direction where every a_j is 0 gets 0
@@ -122,6 +113,7 @@ def power_mean_envelope(a_list, b, eps: float, tol: Tolerance = DEFAULT_TOL) -> 
     PSD rule of ``matrix_core`` with each point's norms, commutation
     checks ||[x, y]|| <= eq_tol ||x|| ||y||, so no verdict depends on scale.
     """
+    _check_eps(eps)
     def checked(a, name):  # finite and Hermitian, each point of a function on its own norm
         return require_hermitian(_finite_complex(a, name) if np.ndim(a) == 3 else as_matrix(a, name), tol, name)
     mats = [checked(a, f"a_{j}") for j, a in enumerate(a_list)]
@@ -303,17 +295,36 @@ def loewner_heinz_check(a, b, s_grid, tol: Tolerance = DEFAULT_TOL) -> LoewnerHe
 # constructive approximation pipeline
 
 
+def _pair_solve(e: FnAlgebra, xs: np.ndarray, ys: np.ndarray, targets: np.ndarray, tol: Tolerance,
+                vectors: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """For each pair (xs[i], ys[i]) the element of the span (or of the
+    orthonormal ``vectors``) whose values there come closest to targets[i],
+    a (2, n, n) pair, all at once: minimal-norm coefficients from one
+    stacked pseudo-inverse whose singular directions the rank gate keeps,
+    so roundoff in the targets is not amplified.  Returns the elements,
+    (pairs, P, n, n), and the Frobenius norms of their misses; the solve is
+    linear in the targets."""
+    if vectors is None:
+        vectors = e.basis.vectors
+    values = vectors.reshape(-1, e.points, e.n * e.n)
+    blocks = np.concatenate([values[:, xs], values[:, ys]], axis=-1).transpose(1, 2, 0)  # (pairs, 2n^2, dim)
+    targets = targets.reshape(len(xs), -1, 1)
+    u, s, vh = np.linalg.svd(blocks.conj(), full_matrices=False)  # pinv's own arithmetic, gated
+    kept = np.arange(s.shape[-1]) < _rank_with_gap(s, tol.rank_cut, "pair interpolant")[:, None]
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    coeffs = (vh.swapaxes(-1, -2) @ (inverse[..., None] * u.swapaxes(-1, -2))) @ targets
+    residuals = np.linalg.norm(blocks @ coeffs - targets, axis=(1, 2))
+    return (coeffs[..., 0] @ vectors).reshape(-1, e.points, e.n, e.n), residuals
+
+
 def _pair_family(e: FnAlgebra, f: np.ndarray, tol: Tolerance, scale: float,
                  vectors: np.ndarray | None = None) -> np.ndarray:
     """The Hermitian parts of the pair interpolants, a (P, P, n, n) stack
-    family[x, y] = g_xy, symmetric in x and y.
-
-    Every pair x <= y is solved at once (``sw_engine._pair_solve``) for
-    the element g_xy of the span (optionally of a subspace given by its
-    own vector rows) matching f at both points.  It exists, within eq_tol
-    of the target's norm ``scale``, whenever f is two-point approximable
-    there; the first pair that fails is named.  The solve is linear in
-    f, so the family of -f is exactly -family."""
+    family[x, y] = g_xy, symmetric in x and y: every pair x <= y solved at
+    once (``_pair_solve``) for the element matching f at both points.  It
+    exists, within eq_tol of the target's norm ``scale``, whenever f is
+    two-point approximable there; the first pair that fails is named.  The
+    family of -f is exactly -family."""
     P = e.points
     xs, ys = np.triu_indices(P)
     g, residuals = _pair_solve(e, xs, ys, np.stack([f[xs], f[ys]], axis=1), tol, vectors)
@@ -340,29 +351,18 @@ def _meet(family: np.ndarray, tol: Tolerance) -> np.ndarray:
     return -h.reshape(P, P, n, n)
 
 
-def _central_vectors(e: FnAlgebra, tol: Tolerance) -> np.ndarray:
-    """Row vectors spanning the relative commutant {v in span(E) :
-    v(z) commutes with u(z) for every basis element u and point z}.
-    Its members commute pairwise, which keeps power means of envelope
-    families built from them numerically exact."""
-    elems = e.basis.vectors.reshape(-1, e.points, e.n, e.n)
-    dim = elems.shape[0]
-    comm = elems[:, None] @ elems[None] - elems[None] @ elems[:, None]  # comm[i, j] = [v_i, v_j]
-    system = comm.reshape(dim, dim * e.ambient_dim).T  # column i: [v_i, u] over every u
-    return nullspace(system, tol, "relative commutant") @ e.basis.vectors
-
-
 def _class_indicators(e: FnAlgebra, classes, tol: Tolerance) -> np.ndarray:
     """The indicator 1_G I_n of each class G of points, a (classes, P, n, n)
-    stack.  When no two classes of points share a class of irreducible
-    representations, 1_G I_n is the sum of the central projections of the
-    classes at G, so it lies in the algebra; each is checked by the
-    containment rule of ``SubspaceBasis.contains``, in one projection."""
+    stack, checked against the sum of the atoms supported in G
+    (``sw_engine._atoms``): they agree when no two classes of points share
+    a class of irreducible representations, and then 1_G I_n is in E."""
     member = np.zeros((len(classes), e.points), dtype=bool)
     for ci, cls in enumerate(classes):
         member[ci, cls] = True
+    atoms, support = _atoms(e, tol)
+    inside = ~(support & ~member[:, None]).any(axis=-1)  # inside[ci, i]: atom i is supported in class ci
     out = member[..., None, None] * np.eye(e.n, dtype=complex)
-    bad = np.flatnonzero(~_contains_rows(out.reshape(len(classes), -1), e.basis.vectors, tol.eq_tol))
+    bad = np.flatnonzero(_exceeds(np.tensordot(inside, atoms, 1) - out, tol.eq_tol).any(axis=-1))
     if bad.size:
         raise NumericalFailure(
             f"class indicator {bad[0]} is not in the algebra: the instance does not "
@@ -387,13 +387,13 @@ def _partition_route(e: FnAlgebra, f: np.ndarray, delta: float, classes,
 
 
 def _commuting_route(e: FnAlgebra, f: np.ndarray, delta: float, tol: Tolerance, scale: float) -> np.ndarray:
-    """Envelope aggregation for a target commuting with the whole
-    algebra: interpolants are drawn from the relative commutant (so the
-    envelope family is pairwise commuting), and the lower envelopes,
-    shifted to be PSD, take one power-mean envelope over every point.
-    Raises PreconditionFailed when the commutant cannot interpolate the
-    target at some pair."""
-    central = _central_vectors(e, tol)
+    """Envelope aggregation for a target commuting with the whole algebra:
+    interpolants are drawn from the centre, spanned by the normalised atoms
+    (``sw_engine._atoms``), so the envelope family commutes pairwise, and
+    the lower envelopes, shifted to be PSD, take one power-mean envelope.
+    Raises PreconditionFailed when the centre cannot interpolate f."""
+    atoms = _atoms(e, tol)[0].reshape(-1, e.ambient_dim)
+    central = atoms / np.linalg.norm(atoms, axis=1, keepdims=True)
     lower = _meet(_pair_family(e, f, tol, scale, central), tol)
     eye = np.eye(e.n, dtype=complex)
     low = np.concatenate([lower, f[None]])  # the lower envelopes, then f: (P + 1, P, n, n)
@@ -440,8 +440,7 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
     target = np.asarray(f, dtype=complex)
     if target.shape != (e.points, e.n, e.n):
         raise ValueError(f"target shape {target.shape} != {(e.points, e.n, e.n)}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_eps(eps)
 
     scale = opnorm(target)
     d2 = delta2_subspace(e, tol)
@@ -478,7 +477,7 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
                 approx = _commuting_route(e, part, delta, tol, scale)
                 routes.append("power-mean")
             except PreconditionFailed:
-                approx = None  # commutant too small to interpolate; use the partition
+                approx = None  # centre too small to interpolate; use the partition
         if approx is None:
             routes.append("partition")
             approx = _partition_route(e, part, delta, classes, tol, scale)

@@ -306,6 +306,26 @@ def herm_abs(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return _herm_abs(require_hermitian(m, tol))
 
 
+def _joint_eigenspaces(family, d: int, rel: float) -> list[np.ndarray]:
+    """Orthonormal (d, k) column blocks spanning the joint eigenspaces of
+    a commuting Hermitian family of (matrix, norm) pairs, read lazily until
+    every block is one column: each member splits each block by one eigh,
+    at eigenvalue gaps above rel * norm."""
+    blocks = [np.eye(d, dtype=complex)]
+    for m, norm in family:
+        refined = []
+        for q in blocks:
+            if q.shape[1] == 1:  # its eigh would give u = [[1]], and q @ u is q
+                refined.append(q)
+                continue
+            w, u = np.linalg.eigh(adj(q) @ m @ q)
+            refined += np.split(q @ u, np.flatnonzero(_fails(np.diff(w), rel, norm)) + 1, axis=1)
+        blocks = refined
+        if len(blocks) == d:
+            break
+    return blocks
+
+
 def psd_order(a, b, tol: Tolerance = DEFAULT_TOL) -> Ordering:
     """Compare two Hermitian matrices in the positive-semidefinite order.
 

@@ -11,11 +11,9 @@ matrix tuples.  The pointwise spectral verdicts (separation of two
 points, the unit) are read off ranks: two points share a class exactly
 when their pair restriction has less than the sum of their fibres'
 dimensions, and a point has a null part exactly when I_n is not in its
-fibre.  The classes of points come from the same ranks, and each
-witness is an element of the span checked where it is used: I_n for
-the unit, and for a separated pair the element that is I_n at one
-point and 0 at the other, from the stacked pair solve that the
-constructive approximation shares.  No random draw is taken.
+fibre.  Witnesses and the classes of points are read off E's minimal
+central projections (``_atoms``), checked against those ranks.  No
+random draw is taken.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, NumericalFailure, SamePoint
-from .matrix_core import DEFAULT_TOL, Tolerance, _exceeds, adj
+from .matrix_core import DEFAULT_TOL, Tolerance, _exceeds, _joint_eigenspaces, adj
 from .star_algebra import RANK_GAP_RATIO, SubspaceBasis, _contains_rows, _rank_with_gap, _right_svd, closure, nullspace
 
 
@@ -97,11 +95,10 @@ def closure_star_subalgebra(gens, points: int | None = None, n: int | None = Non
 
 @dataclass(frozen=True)
 class SeparationVerdict:
-    """certified=True comes with a Hermitian witness in the span whose
-    values at the two points are I_n and 0, spectra {1} and {0};
-    certified=False means the points cannot be separated: they share a
-    class of irreducible representations, or both have a null part
-    (``_separated``).  Each verdict holds its own witness."""
+    """certified=True comes with a Hermitian witness in the span, a sum of
+    atoms, whose values at the two points are I_n and 0; certified=False
+    means the points share a class of irreducible representations or both
+    have a null part (``_separated``)."""
 
     certified: bool
     witness: np.ndarray | None = field(repr=False, default=None)
@@ -122,10 +119,9 @@ def spectrally_separates(e: FnAlgebra, x: int, y: int, tol: Tolerance = DEFAULT_
 
     Exact, from ranks (``_separated``): x and y are separable iff they
     share no class of irreducible representations and do not both have
-    a null part.  Then the pair restriction is E(x) + E(y), and I_n lies
-    in the fibre of a point without a null part, so some element is I_n
-    there and 0 at the other point: the witness is the Hermitian part of
-    that element from ``_pair_solve``, checked at both points.
+    a null part.  Then the atoms (``_atoms``) at x, or at y when x has a
+    null part, sum to I_n there and to 0 at the other point: that sum, a
+    combination of the basis, is the witness, checked at both points.
     """
     e.check_point(x)
     e.check_point(y)
@@ -134,35 +130,12 @@ def spectrally_separates(e: FnAlgebra, x: int, y: int, tol: Tolerance = DEFAULT_
     if not _separated(e, tol)[x, y]:
         return SeparationVerdict(False)
     unit_at_y = bool(_contacts(e, tol)[1][x])  # I_n at x, or at y when x has a null part
+    atoms, support = _atoms(e, tol)
+    witness = atoms[support[:, y if unit_at_y else x]].sum(axis=0)
     values = np.eye(e.n, dtype=complex) * np.array([not unit_at_y, unit_at_y])[:, None, None]
-    g = _pair_solve(e, np.array([x]), np.array([y]), values[None], tol)[0][0]
-    witness = (g + adj(g)) / 2.0
     if _exceeds(witness[[x, y]] - values, tol.eq_tol).any():
         raise NumericalFailure(f"separation witness misses I_n or 0 at pair ({x}, {y})")
     return SeparationVerdict(True, witness)
-
-
-def _pair_solve(e: FnAlgebra, xs: np.ndarray, ys: np.ndarray, targets: np.ndarray, tol: Tolerance,
-                vectors: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """For each pair (xs[i], ys[i]) the element of the span (optionally of
-    a subspace given by its own vector rows) whose values there come
-    closest to targets[i], a (2, n, n) pair of values, all pairs at once:
-    minimal-norm coefficients from one stacked pseudo-inverse whose
-    singular directions the rank gate keeps, so roundoff in the targets is
-    not amplified, and an ambiguous gap raises.  Returns the elements,
-    (pairs, P, n, n), and the Frobenius norms of their misses at their
-    pairs.  The solve is linear in the targets."""
-    if vectors is None:
-        vectors = e.basis.vectors
-    values = vectors.reshape(-1, e.points, e.n * e.n)
-    blocks = np.concatenate([values[:, xs], values[:, ys]], axis=-1).transpose(1, 2, 0)  # (pairs, 2n^2, dim)
-    targets = targets.reshape(len(xs), -1, 1)
-    u, s, vh = np.linalg.svd(blocks.conj(), full_matrices=False)  # pinv's own arithmetic, gated
-    kept = np.arange(s.shape[-1]) < _rank_with_gap(s, tol.rank_cut, "pair interpolant")[:, None]
-    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
-    coeffs = (vh.swapaxes(-1, -2) @ (inverse[..., None] * u.swapaxes(-1, -2))) @ targets
-    residuals = np.linalg.norm(blocks @ coeffs - targets, axis=(1, 2))
-    return (coeffs[..., 0] @ vectors).reshape(-1, e.points, e.n, e.n), residuals
 
 
 def _fibres(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -265,24 +238,59 @@ def _separated(e: FnAlgebra, tol: Tolerance) -> np.ndarray:
     share no class and do not both have a null part.  ``_contacts`` is
     the one source of these verdicts, for ``density_check``,
     ``spectrally_separates``, ``unit_in_closure`` and
-    ``constructive_approximate``."""
+    ``constructive_approximate``, and ``_atoms`` is checked against it."""
     shared, null = _contacts(e, tol)
     return ~(shared | (null[:, None] & null[None, :]))
 
 
+def _atoms(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """E's minimal central projections ("atoms"), one per class of
+    irreducible representations, as an (m, P, n, n) stack, and their
+    supports, an (m, P) bool.  z in E is central iff z(x) commutes with the
+    fibre E(x) at every point: one nullspace over the dim coefficients.
+    Multiplication by each Hermitian part of Z's basis, one at a time,
+    splits Z into atom lines a, cut where the mixing of about m eps / gap
+    stays within eq_tol, and p = conj(tr a) a.  The atoms must be Hermitian
+    idempotents within eq_tol whose supports give ``_contacts``' verdicts,
+    or NumericalFailure is raised.  Kept per rank cut and eq_tol."""
+    def compute():
+        live, basis = _fibre_bases(e, tol)
+        fibre = basis[live].reshape(-1, e.n, e.n)  # the rows b of every B_x
+        at = e.basis.vectors.reshape(-1, e.points, e.n, e.n)[:, np.nonzero(live)[0]]  # v_j at the point of each b
+        comm = (at @ fibre - fibre @ at).reshape(e.basis.dim, fibre.size)
+        centre = nullspace(comm.T, tol, "centre") @ e.basis.vectors
+        z, m = centre.reshape(-1, e.points, e.n, e.n), len(centre)
+
+        def multiplications():  # by each Hermitian part h of Z's basis, a Hermitian (m, m) operator on Z
+            for c in z:
+                for h in ((c + adj(c)) / 2.0, (c - adj(c)) / 2.0j):
+                    op = centre.conj() @ (h @ z).reshape(m, -1).T
+                    yield (op + adj(op)) / 2.0, 1.0
+
+        lines = _joint_eigenspaces(multiplications(), m, m * np.finfo(float).eps / tol.eq_tol)
+        if max(q.shape[1] for q in lines) > 1:
+            raise NumericalFailure("the centre of the algebra did not split into minimal central projections")
+        a = (np.hstack(lines).T @ centre).reshape(-1, e.points, e.n, e.n)
+        p = a.trace(axis1=-2, axis2=-1).sum(axis=-1).conj()[:, None, None, None] * a
+        if _exceeds(np.stack([p @ p - p, p - adj(p)]), tol.eq_tol).any():
+            raise NumericalFailure("a minimal central projection is not a Hermitian idempotent within eq_tol")
+        p = (p + adj(p)) / 2.0
+        counts = np.rint(p.trace(axis1=-2, axis2=-1).real).astype(int)  # rank p_i(x)
+        support = counts > 0
+        touch = (support[:, :, None] & support[:, None]).any(axis=0) & ~np.eye(e.points, dtype=bool)
+        shared, null = _contacts(e, tol)
+        if not (np.array_equal(touch, shared) and np.array_equal(counts.sum(axis=0) < e.n, null)):
+            raise NumericalFailure("the minimal central projections disagree with the rank verdicts")
+        return p, support
+    return e._kept(("atoms", tol.rank_cut, tol.eq_tol), compute)
+
+
 def _class_groups(e: FnAlgebra, tol: Tolerance) -> list[list[int]]:
-    """Points grouped by the set of classes they contain, each group in
-    order and the groups ordered by their smallest point.  A pair's
-    c_xy = sum_{i at both} n_i^2 complement rows (``_pair_rows``) equal
-    r_x = r_y (``_fibres``) exactly when x and y contain the same classes.
-    Null parts are not read."""
-    rank = _fibres(e, tol)[0]
-    at = _pair_rows(e, tol)[1]
-    count = np.zeros((e.points, e.points), dtype=int)
-    np.add.at(count, (at[0], at[1]), 1)
-    count += count.T
-    same = (count == rank[:, None]) & (count == rank[None, :])
-    np.fill_diagonal(same, True)
+    """Points grouped by the set of classes they contain, the atoms
+    supported there (``_atoms``; null parts are not read), each group in
+    order and the groups ordered by their smallest point."""
+    support = _atoms(e, tol)[1]
+    same = (support[:, :, None] == support[:, None, :]).all(axis=0)
     first = same.argmax(axis=1)  # each point's smallest point with the same classes
     return [np.flatnonzero(first == x).tolist() for x in np.unique(first)]
 

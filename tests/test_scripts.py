@@ -56,12 +56,13 @@ def test_no_absolute_slack_in_the_library():
 # One implementation per numerical decision: the Frobenius screen's
 # constants stay in ``matrix_core``, a comparison of operator norms goes
 # through ``_exceeds`` there, and a pseudo-inverse through the rank gate.
-# The function algebras read their classes off ranks: no random draw and
+# The function algebras read their classes off ranks and their atoms off a
+# deterministic refinement: no random draw of any kind (``np.random``) and
 # no split in ``sw_engine`` or ``approximation``.
 SCREEN_CONSTANT = re.compile(r"\b_SCREEN_(FLOOR|MARGIN)\b")
 INLINE_NORM_TEST = re.compile(r"\b(opnorm|_opnorms)\(.*\)\s*>|\bnp\.linalg\.norm\(.*,\s*2\s*[,)].*>")
 PSEUDO_INVERSE = re.compile(r"\bnp\.linalg\.pinv\b")
-RANDOM_SPLIT = re.compile(r"\b(default_rng|decomposition|_cyclic_split)\b")
+RANDOM_SPLIT = re.compile(r"\b(np\.random|numpy\.random|import random|default_rng|decomposition|_cyclic_split)\b")
 
 
 def test_one_implementation_per_numerical_decision():
@@ -76,6 +77,13 @@ def test_one_implementation_per_numerical_decision():
     assert RANDOM_SPLIT.search("from .decomposition import decompose")
     assert RANDOM_SPLIT.search("from . import decomposition")
     assert RANDOM_SPLIT.search("classes, null = _cyclic_split(letters, h, tol)")
+    assert RANDOM_SPLIT.search("gen = np.random.Generator(np.random.PCG64(0))")
+    assert RANDOM_SPLIT.search("h = np.random.standard_normal((m, m))")
+    assert RANDOM_SPLIT.search("from numpy.random import Generator, PCG64")
+    assert RANDOM_SPLIT.search("from numpy import random")
+    assert RANDOM_SPLIT.search("import random")
+    assert not RANDOM_SPLIT.search("fibre.  No random draw is taken.")
+    assert not RANDOM_SPLIT.search("the split of two random elements")
     assert not RANDOM_SPLIT.search("at once, from one eigendecomposition of each side.")
     assert not RANDOM_SPLIT.search("split = split_points_by_rank(e)")
     assert SCREEN_CONSTANT.search("from .matrix_core import _SCREEN_FLOOR, _SCREEN_MARGIN")

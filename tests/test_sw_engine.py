@@ -286,10 +286,41 @@ def dense_groups(present):
     return list(out.values())
 
 
+def class_groups_from_counts(e, tol=DEFAULT_TOL):
+    """The class groups as the pair counts gave them before the atoms: x
+    and y contain the same classes exactly when their pair has
+    c_xy = r_x = r_y complement rows."""
+    rank = sw_engine._fibres(e, tol)[0]
+    at = sw_engine._pair_rows(e, tol)[1]
+    count = np.zeros((e.points, e.points), dtype=int)
+    np.add.at(count, (at[0], at[1]), 1)
+    count += count.T
+    same = (count == rank[:, None]) & (count == rank[None, :])
+    np.fill_diagonal(same, True)
+    first = same.argmax(axis=1)
+    return [np.flatnonzero(first == x).tolist() for x in np.unique(first)]
+
+
+def assert_atoms_match_contacts(alg, tol=DEFAULT_TOL):
+    """The atoms are Hermitian idempotents within eq_tol; two points share
+    an atom exactly when _contacts says they share a class, a point has a
+    null part exactly when the atoms do not sum to I_n there, and the
+    atoms' support columns group the points as the pair counts did."""
+    atoms, support = sw_engine._atoms(alg, tol)
+    assert not _exceeds(np.stack([atoms @ atoms - atoms, atoms - adj(atoms)]), tol.eq_tol).any()
+    shared, null = sw_engine._contacts(alg, tol)
+    touch = (support[:, :, None] & support[:, None, :]).any(axis=0)
+    np.fill_diagonal(touch, False)
+    assert np.array_equal(touch, shared)
+    assert np.array_equal(_opnorms(atoms.sum(axis=0) - np.eye(alg.n)) > 0.5, null)
+    assert sw_engine._class_groups(alg, tol) == class_groups_from_counts(alg, tol)
+
+
 def assert_matches_dense(alg, present):
     for got, want in zip(sw_engine._contacts(alg, DEFAULT_TOL), dense_contacts(present)):
         assert np.array_equal(got, want)
     assert sw_engine._class_groups(alg, DEFAULT_TOL) == dense_groups(present)
+    assert_atoms_match_contacts(alg)
 
 
 class TestClassTableReference:
@@ -733,6 +764,7 @@ class TestPairVerdicts:
         assert np.array_equal(sw_engine._separated(alg, DEFAULT_TOL)[xs, ys], from_table)
         assert np.array_equal(got_null, present[0]) and np.array_equal(got_null, null)
         assert np.array_equal(got_shared, shared)
+        assert_atoms_match_contacts(alg)
 
     @pytest.mark.parametrize("groups, fiber, n", [(30, "diag", 2), (20, "diag", 3), (20, "full", 2)])
     def test_many_small_groups(self, groups, fiber, n):
@@ -744,6 +776,7 @@ class TestPairVerdicts:
             group_of = {z: gi for gi, grp in enumerate(meta["groups"]) for z in grp}
             assert report.separated == {(x, y): group_of[x] != group_of[y]
                                         for x in range(2 * groups) for y in range(x + 1, 2 * groups)}
+            assert_atoms_match_contacts(alg)
 
     def test_sw_check_builds_no_class_table(self, monkeypatch, tmp_path, capsys):
         from nhomog import decomposition
@@ -805,8 +838,9 @@ class TestFibresOnce:
 
     def test_every_query_shares_one_fibre_and_pair_svd(self, monkeypatch):
         """density_check, spectrally_separates on every pair, unit_in_closure
-        and constructive_approximate read the one fibre SVD and the one
-        pair SVD kept on the algebra, and keep nothing else on it."""
+        and constructive_approximate read the one fibre SVD, the one pair
+        SVD and the one set of atoms kept on the algebra, and keep nothing
+        else on it."""
         r = rng(13)
         gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], fibers=["full", "diag", "full"])
         alg = closure_star_subalgebra(gens)
@@ -823,7 +857,7 @@ class TestFibresOnce:
             assert bool(spectrally_separates(alg, x, y)) is report.separated[(x, y)]
         assert unit_in_closure(alg).in_closure
         assert constructive_approximate(alg, equivariant_target(r, meta, 2), eps=0.1).routes
-        assert len(calls) == 2 and sorted(k[0] for k in alg._memo) == ["contacts", "fibres", "pairs"]
+        assert len(calls) == 2 and sorted(k[0] for k in alg._memo) == ["atoms", "contacts", "fibres", "pairs"]
 
     def test_memo_refers_to_no_algebra(self):
         """What is kept on an algebra makes no reference cycle with it, so
@@ -866,6 +900,160 @@ class TestManySmallGroupWitnesses:
             result = constructive_approximate(alg, target, eps=0.1)
             assert result.classes == tuple(tuple(g) for g in meta["groups"])
             assert result.certified_error <= 0.1 + DEFAULT_TOL.psd_slack
+            assert_atoms_match_contacts(alg)
+
+
+def central_vectors_reference(e, tol=DEFAULT_TOL):
+    """Row vectors spanning the relative commutant {v in span(E) : v(z)
+    commutes with u(z) for every basis element u and point z}, from every
+    pairwise commutator of the basis: the solve that the atoms replaced."""
+    elems = e.basis.vectors.reshape(-1, e.points, e.n, e.n)
+    dim = elems.shape[0]
+    comm = elems[:, None] @ elems[None] - elems[None] @ elems[:, None]
+    return nullspace(comm.reshape(dim, dim * e.ambient_dim).T, tol, "relative commutant") @ e.basis.vectors
+
+
+def delta_ladder_gens(seed, delta, scale):
+    """Two points at n = 2: two Ginibre values at point 0, and at point 1
+    their twist by one unitary plus delta times Ginibre noise, all scaled."""
+    r = rng(seed)
+    u = random_unitary(r, 2)
+    gens = []
+    for _ in range(2):
+        a = ginibre(r, 2)
+        gens.append(scale * np.stack([a, u @ a @ adj(u) + delta * ginibre(r, 2)]))
+    return gens
+
+
+class TestAtoms:
+    """The minimal central projections (sw_engine._atoms): the centre from
+    the fibres, split by the joint eigenspaces of its multiplications."""
+
+    @pytest.mark.parametrize("source", ["stacked", "many small groups"])
+    def test_span_the_relative_commutant(self, source):
+        if source == "stacked":
+            algs = [stacked_case(*case)[0] for case in STACKED_CASES]
+        else:
+            algs = [many_small_groups(*shape, 500)[0] for shape in ((30, "diag", 2), (20, "diag", 3), (20, "full", 2))]
+        for alg in algs:
+            assert_atoms_match_contacts(alg)
+            want = central_vectors_reference(alg)
+            got = normalised_atoms(alg)
+            assert got.shape == want.shape
+            assert np.abs(projector(got) - projector(want)).max() <= 1e-12
+
+    def test_joint_eigenspaces_defer_a_repeated_eigenvalue(self):
+        """diag(1, 1, 2) with 1e-15 of noise leaves its 2-dim eigenspace
+        whole, the next member splits it, and the refinement reads no
+        member once every block is one column."""
+        r = rng(17)
+        u = random_unitary(r, 3)
+        noise = 1e-15 * hermitian_function(r, 1, 3)[0]
+        mats = [u @ np.diag(d) @ adj(u) for d in ([1.0, 1.0, 2.0], [3.0, 4.0, 3.0])] + [None]
+        family = iter(zip(mats, [1.0] * 3))
+        first = sw_engine._joint_eigenspaces([(mats[0] + noise, 1.0)], 3, 1e-12)
+        assert [q.shape[1] for q in first] == [2, 1]
+        lines = sw_engine._joint_eigenspaces(family, 3, 1e-12)
+        assert [q.shape[1] for q in lines] == [1, 1, 1] and next(family)[0] is None
+        overlap = np.abs(adj(u) @ np.hstack(lines))  # each line is a column of u, up to a phase
+        assert_close(overlap, np.round(overlap), atol=1e-12)
+        assert np.array_equal(np.round(overlap).sum(axis=0), np.ones(3))
+
+    def test_zero_algebra_has_none(self):
+        alg = closure_star_subalgebra([], points=3, n=2)
+        atoms, support = sw_engine._atoms(alg, DEFAULT_TOL)
+        assert atoms.shape == (0, 3, 2, 2) and support.shape == (0, 3)
+        assert sw_engine._class_groups(alg, DEFAULT_TOL) == [[0, 1, 2]]
+
+    def test_kept_read_only_and_taken_once(self, monkeypatch):
+        gens, _ = grouped_function_algebra(rng(14), n=2, group_sizes=[2, 1, 2], fibers=["full", "diag", "scalar"])
+        alg = closure_star_subalgebra(gens)
+        calls = []
+        real = sw_engine._joint_eigenspaces
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(sw_engine, "_joint_eigenspaces", counting)
+        atoms, support = sw_engine._atoms(alg, DEFAULT_TOL)
+        assert sw_engine._atoms(alg, DEFAULT_TOL)[0] is atoms and calls == [len(atoms)] == [4]
+        assert not atoms.flags.writeable and not support.flags.writeable
+        assert sw_engine._class_groups(alg, DEFAULT_TOL) == [[0, 1], [2], [3, 4]] and len(calls) == 1
+
+    def test_disagreement_with_the_ranks_raises(self, monkeypatch):
+        gens, _ = grouped_function_algebra(rng(14), n=2, group_sizes=[2, 1, 2], fibers=["full", "diag", "scalar"])
+        shared, null = sw_engine._contacts(closure_star_subalgebra(gens), DEFAULT_TOL)
+        monkeypatch.setattr(sw_engine, "_contacts", lambda e, tol: (shared, ~null))
+        with pytest.raises(NumericalFailure, match="disagree with the rank verdicts"):
+            sw_engine._atoms(closure_star_subalgebra(gens), DEFAULT_TOL)
+        monkeypatch.setattr(sw_engine, "_contacts", lambda e, tol: (~shared, null))
+        with pytest.raises(NumericalFailure, match="disagree with the rank verdicts"):
+            sw_engine._atoms(closure_star_subalgebra(gens), DEFAULT_TOL)
+
+    def test_a_centre_that_does_not_split_raises(self, monkeypatch):
+        gens, _ = grouped_function_algebra(rng(14), n=2, group_sizes=[2, 1, 2], fibers=["full", "diag", "scalar"])
+        monkeypatch.setattr(sw_engine, "_joint_eigenspaces", lambda family, d, rel: [np.eye(d, dtype=complex)])
+        with pytest.raises(NumericalFailure, match="did not split"):
+            sw_engine._atoms(closure_star_subalgebra(gens), DEFAULT_TOL)
+
+    def test_sw_check_density_and_delta2_build_no_atoms(self, monkeypatch, tmp_path, capsys):
+        from nhomog.cli import main
+
+        def refuse(*args):
+            raise AssertionError("built the atoms")
+
+        monkeypatch.setattr(sw_engine, "_atoms", refuse)
+        gens, _ = grouped_function_algebra(rng(16), n=2, group_sizes=[3, 2, 2], fibers=["full", "diag", "scalar"],
+                                           vanish_groups=[2])
+        assert main(["sw-check", "--in", sw_check_input(tmp_path, gens)]) == 1
+        assert json.loads(capsys.readouterr().out)["separation"]["0,3"] is True
+        alg = closure_star_subalgebra(gens)
+        density_check(alg)
+        delta2_subspace(alg)
+        assert unit_in_closure(alg).in_closure is False
+        assert "atoms" not in {k[0] for k in alg._memo}
+
+
+class TestSwCheckNearTheRankCut:
+    """``delta_ladder_gens`` over seeds 0-19: point 1 moves off a unitary
+    twist of point 0 by delta, so the input is dense for every delta > 0.
+    sw-check calls it dense and separated for delta >= 1e-8 and one class,
+    dim E = 4, for delta <= 1e-12, at every scale; between, it gives
+    either verdict or exit 3, and the library raises NumericalFailure
+    exactly where sw-check exits 3.  Every witness passes its own check,
+    and the atoms agree with the rank verdicts on every rung that returns."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+    @pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-9, 1e-10, 1e-12, 1e-14])
+    def test_verdicts_on_the_delta_ladder(self, delta, scale, tmp_path, capsys):
+        from nhomog.cli import main
+
+        for seed in range(20):
+            gens = delta_ladder_gens(seed, delta, scale)
+            code = main(["sw-check", "--in", sw_check_input(tmp_path, gens)])
+            out = capsys.readouterr().out
+            if code == 3:
+                assert 1e-12 < delta < 1e-8
+                with pytest.raises(NumericalFailure):
+                    density_check(closure_star_subalgebra(gens))
+                continue
+            report = json.loads(out)
+            dense = code == 0
+            assert dense or delta < 1e-8
+            assert not dense or delta > 1e-12
+            assert report["dense"] is report["separation"]["0,1"] is dense
+            assert report["dim"] == (8 if dense else 4)
+            alg = closure_star_subalgebra(gens)
+            assert density_check(alg).dense is dense
+            verdict = spectrally_separates(alg, 0, 1)
+            assert verdict.certified is dense
+            if dense:
+                w = verdict.witness
+                assert opnorm(w[0] - np.eye(2)) <= 1e-8 and opnorm(w[1]) <= 1e-8
+                assert np.array_equal(w, adj(w)) and alg.basis.contains(w, 1e-10)
+            assert_atoms_match_contacts(alg)
+            assert len(sw_engine._atoms(alg, DEFAULT_TOL)[0]) == (2 if dense else 1)
 
 
 class TestUnitInClosure:
@@ -964,6 +1152,24 @@ class TestPowerMeanEnvelope:
         for a in family:
             assert psd_order(a, result.env) in (Ordering.LEQ, Ordering.LT)
         assert psd_order(result.env, b + eps * np.eye(3)) in (Ordering.LEQ, Ordering.LT)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("call", ["power_mean_exponent", "power_mean_envelope", "constructive_approximate"])
+def test_non_finite_eps_refused_before_any_work(call, eps, monkeypatch):
+    """A NaN or infinite eps is refused like eps <= 0, with ValueError,
+    before any check of the other arguments or any solve."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("worked on a refused eps")
+
+    monkeypatch.setattr(approximation, "require_hermitian", refuse)
+    monkeypatch.setattr(approximation, "delta2_subspace", refuse)
+    alg = matched_pair_algebra()
+    args = {"power_mean_exponent": (eps, 1.0, 3),
+            "power_mean_envelope": ([np.eye(2)], np.eye(2), eps),
+            "constructive_approximate": (alg, np.zeros((2, 2, 2)), eps)}[call]
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        getattr(approximation, call)(*args)
 
 
 def dominated_noncommuting_family(r, d, k):
@@ -1593,15 +1799,15 @@ class TestOnePairSolvePerRoute:
 
     def test_one_pseudo_inverse_per_route(self, monkeypatch):
         """Each route gates the spectra of every pair x <= y in one call
-        of the pair solve that ``sw_engine`` shares."""
+        of the pair solve."""
         calls = []
-        real = sw_engine._rank_with_gap
+        real = approximation._rank_with_gap
 
         def counting(s, *args, **kwargs):
             calls.append((args[1], s.shape[0]))
             return real(s, *args, **kwargs)
 
-        monkeypatch.setattr(sw_engine, "_rank_with_gap", counting)
+        monkeypatch.setattr(approximation, "_rank_with_gap", counting)
         r = rng(5)
         gens, meta = grouped_function_algebra(r, n=2, group_sizes=[2, 1, 2], fibers=["full"] * 3)
         result = constructive_approximate(closure_star_subalgebra(gens), equivariant_target(r, meta, 2), eps=0.1)
@@ -1665,9 +1871,16 @@ def envelopes_per_point(e, f, tol, scale, vectors=None):
 STACKED_CASES = [(2, [1, 1, 1], 0), (2, [2, 2, 1], 1), (3, [2, 2, 1], 2), (3, [4, 3, 3], 3), (2, [10, 10, 10], 4)]
 
 
+def normalised_atoms(e, tol=DEFAULT_TOL):
+    """The centre's orthonormal rows that _commuting_route draws its pair
+    interpolants from: each atom over its Frobenius norm."""
+    atoms = sw_engine._atoms(e, tol)[0].reshape(-1, e.ambient_dim)
+    return atoms / np.linalg.norm(atoms, axis=1, keepdims=True)
+
+
 class TestStackedEnvelopes:
     """The meet of _pair_family against the per-pair lstsq loop and per-point
-    join chains, on the full span and on the relative commutant: the same
+    join chains, on the full span and on the centre: the same
     lower envelopes, the same upper ones as -(lower of -f), and the same
     refusal naming the same first pair."""
 
@@ -1679,7 +1892,7 @@ class TestStackedEnvelopes:
         scalar = np.zeros((alg.points, n, n), dtype=complex)
         for grp in meta["groups"]:
             scalar[grp] = float(r.standard_normal()) * np.eye(n)
-        central = approximation._central_vectors(alg, DEFAULT_TOL)
+        central = normalised_atoms(alg)
         target = equivariant_target(r, meta, n)
         for f, vectors in ((target + adj(target)) / 2.0, None), (target, None), (scalar, central):
             scale = opnorm(f)
@@ -1695,7 +1908,7 @@ class TestStackedEnvelopes:
         r = rng(9800 + seed)
         gens, meta = grouped_function_algebra(r, n=n, group_sizes=sizes, fibers=["full", "diag", "scalar"])
         alg = closure_star_subalgebra(gens, points=sum(sizes), n=n)
-        central = approximation._central_vectors(alg, DEFAULT_TOL)
+        central = normalised_atoms(alg)
         noise = np.stack([ginibre(r, n) for _ in range(alg.points)])
         target = equivariant_target(r, meta, n)
         moved = target.copy()  # a diag-group point off its group's value: first refused at the pair within the group
