@@ -91,10 +91,15 @@ def _power_mean_commuting(mats: np.ndarray, norms: np.ndarray, n_pow: int, tol: 
     eigenvalue ratios far beyond what the summed matrix can carry."""
     v = np.hstack(_joint_eigenspaces(zip(mats, norms), mats.shape[-1], tol.psd_slack))
     lams = np.clip(np.einsum("ia,kij,ja->ka", v.conj(), mats, v).real, 0.0, None)
+    return (v * _log_power_mean(lams, n_pow)) @ adj(v)
+
+
+def _log_power_mean(lams: np.ndarray, n_pow: int) -> np.ndarray:
+    """(sum_j lams[j]^N)^(1/N) over axis 0 of lams >= 0, not all 0, in the log domain."""
     scale = lams.max()
-    with np.errstate(divide="ignore"):  # log 0 = -inf; a direction where every a_j is 0 gets 0
+    with np.errstate(divide="ignore"):  # log 0 = -inf; a column of zeros gets 0
         lse = np.logaddexp.reduce(n_pow * np.log(lams / scale), axis=0)
-    return (v * (scale * np.exp(lse / n_pow))) @ adj(v)
+    return scale * np.exp(lse / n_pow)
 
 
 def power_mean_envelope(a_list, b, eps: float, tol: Tolerance = DEFAULT_TOL) -> PowerMeanEnvelope:
@@ -295,18 +300,15 @@ def loewner_heinz_check(a, b, s_grid, tol: Tolerance = DEFAULT_TOL) -> LoewnerHe
 # constructive approximation pipeline
 
 
-def _pair_solve(e: FnAlgebra, xs: np.ndarray, ys: np.ndarray, targets: np.ndarray, tol: Tolerance,
-                vectors: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """For each pair (xs[i], ys[i]) the element of the span (or of the
-    orthonormal ``vectors``) whose values there come closest to targets[i],
-    a (2, n, n) pair, all at once: minimal-norm coefficients from one
-    stacked pseudo-inverse whose singular directions the rank gate keeps,
-    so roundoff in the targets is not amplified.  Returns the elements,
-    (pairs, P, n, n), and the Frobenius norms of their misses; the solve is
-    linear in the targets."""
-    if vectors is None:
-        vectors = e.basis.vectors
-    values = vectors.reshape(-1, e.points, e.n * e.n)
+def _pair_solve(e: FnAlgebra, xs: np.ndarray, ys: np.ndarray, targets: np.ndarray,
+                tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """For each pair (xs[i], ys[i]) the element of the span whose values
+    there come closest to targets[i], a (2, n, n) pair, all at once:
+    minimal-norm coefficients from one stacked pseudo-inverse whose
+    singular directions the rank gate keeps, so roundoff in the targets is
+    not amplified.  Returns the elements, (pairs, P, n, n), and the
+    Frobenius norms of their misses; the solve is linear in the targets."""
+    values = e.basis.vectors.reshape(-1, e.points, e.n * e.n)
     blocks = np.concatenate([values[:, xs], values[:, ys]], axis=-1).transpose(1, 2, 0)  # (pairs, 2n^2, dim)
     targets = targets.reshape(len(xs), -1, 1)
     u, s, vh = np.linalg.svd(blocks.conj(), full_matrices=False)  # pinv's own arithmetic, gated
@@ -314,11 +316,10 @@ def _pair_solve(e: FnAlgebra, xs: np.ndarray, ys: np.ndarray, targets: np.ndarra
     inverse = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
     coeffs = (vh.swapaxes(-1, -2) @ (inverse[..., None] * u.swapaxes(-1, -2))) @ targets
     residuals = np.linalg.norm(blocks @ coeffs - targets, axis=(1, 2))
-    return (coeffs[..., 0] @ vectors).reshape(-1, e.points, e.n, e.n), residuals
+    return (coeffs[..., 0] @ e.basis.vectors).reshape(-1, e.points, e.n, e.n), residuals
 
 
-def _pair_family(e: FnAlgebra, f: np.ndarray, tol: Tolerance, scale: float,
-                 vectors: np.ndarray | None = None) -> np.ndarray:
+def _pair_family(e: FnAlgebra, f: np.ndarray, tol: Tolerance, scale: float) -> np.ndarray:
     """The Hermitian parts of the pair interpolants, a (P, P, n, n) stack
     family[x, y] = g_xy, symmetric in x and y: every pair x <= y solved at
     once (``_pair_solve``) for the element matching f at both points.  It
@@ -327,7 +328,7 @@ def _pair_family(e: FnAlgebra, f: np.ndarray, tol: Tolerance, scale: float,
     family of -f is exactly -family."""
     P = e.points
     xs, ys = np.triu_indices(P)
-    g, residuals = _pair_solve(e, xs, ys, np.stack([f[xs], f[ys]], axis=1), tol, vectors)
+    g, residuals = _pair_solve(e, xs, ys, np.stack([f[xs], f[ys]], axis=1), tol)
     bad = np.flatnonzero(_fails(residuals, tol.eq_tol, scale))
     if bad.size:
         x, y, res = xs[bad[0]], ys[bad[0]], residuals[bad[0]]
@@ -386,27 +387,33 @@ def _partition_route(e: FnAlgebra, f: np.ndarray, delta: float, classes,
     return (alpha @ lower).sum(axis=0)
 
 
-def _commuting_route(e: FnAlgebra, f: np.ndarray, delta: float, tol: Tolerance, scale: float) -> np.ndarray:
-    """Envelope aggregation for a target commuting with the whole algebra:
-    interpolants are drawn from the centre, spanned by the normalised atoms
-    (``sw_engine._atoms``), so the envelope family commutes pairwise, and
-    the lower envelopes, shifted to be PSD, take one power-mean envelope.
-    Raises PreconditionFailed when the centre cannot interpolate f."""
-    atoms = _atoms(e, tol)[0].reshape(-1, e.ambient_dim)
-    central = atoms / np.linalg.norm(atoms, axis=1, keepdims=True)
-    lower = _meet(_pair_family(e, f, tol, scale, central), tol)
-    eye = np.eye(e.n, dtype=complex)
-    low = np.concatenate([lower, f[None]])  # the lower envelopes, then f: (P + 1, P, n, n)
-    c = max(0.0, -float(np.linalg.eigvalsh((low + adj(low)) / 2.0)[..., 0].min())) + tol.psd_slack * scale
-    return power_mean_envelope(lower + c * eye, f + (c + delta) * eye, delta, tol).env - c * eye
-
-
-def _commutes_with_algebra(e: FnAlgebra, f: np.ndarray, tol: Tolerance) -> bool:
-    """Whether sup_x ||[f, b](x)|| <= eq_tol ||f|| ||b|| for every basis
-    element b, in sup norms, all from one stacked norm."""
-    elems = e.basis.vectors.reshape(-1, e.points, e.n, e.n)
-    comm_sup, elem_sup = _opnorms(np.stack([f @ elems - elems @ f, elems])).max(axis=-1, initial=0.0)
-    return not _fails(comm_sup, tol.eq_tol, opnorm(f) * elem_sup).any()
+def _commuting_route(e: FnAlgebra, f: np.ndarray, delta: float, tol: Tolerance, scale: float) -> np.ndarray | None:
+    """The power-mean route in atom coordinates, or None where the centre
+    misses f by more than eq_tol ``scale`` at a pair.  The atoms p_i
+    (``sw_engine._atoms``) are orthogonal projections summing to I_n, so
+    the central g_xy nearest f at x and y is sum_i c_i^xy p_i, with c_i^xy
+    = (tr p_i f (x) + tr p_i f (y)) / (||p_i(x)||_F^2 + ||p_i(y)||_F^2), 0
+    for an atom at neither point, and order, meet and power mean act on
+    each atom's coefficient.  NumericalFailure where a lower envelope is
+    not below the mean or the mean not below f + delta."""
+    atoms, support = _atoms(e, tol)
+    weight = np.einsum("ixab,ixba->xi", atoms, atoms).real  # ||p_i(x)||_F^2
+    trace = np.einsum("ixab,xba->xi", atoms, f).real  # tr p_i f (x)
+    at = support.T[:, None] | support.T[None]  # (P, P, m): atom i at x or at y
+    coeffs = np.divide(trace[:, None] + trace[None], weight[:, None] + weight[None], out=np.zeros(at.shape), where=at)
+    miss = np.linalg.norm(f[:, None] - np.einsum("xyi,ixab->xyab", coeffs, atoms), axis=(-2, -1))  # f(x) - g_xy(x)
+    if _fails(np.hypot(miss, miss.T), tol.eq_tol, scale).any():
+        return None
+    lower = coeffs.min(axis=1)  # lower[x, i]: the meet over y of the g_xy on atom i
+    w = np.linalg.eigvalsh(f)
+    c = max(0.0, -min(lower.min(), w.min())) + tol.psd_slack * scale
+    mu = _log_power_mean(lower + c, power_mean_exponent(delta, float(w.max()) + c + delta, e.points))
+    if _fails(lower + c - mu, tol.psd_slack, mu).any():
+        raise NumericalFailure("a lower envelope fails to lie below the power mean")
+    top = np.diagonal(coeffs).T + c + delta  # f + c + delta on atom i at x
+    if (_fails(mu - top, tol.psd_slack, np.maximum(mu, top)) & support.T).any():
+        raise NumericalFailure("the power mean fails to lie below f + delta")
+    return np.tensordot(mu, atoms, 1) - c * np.eye(e.n)
 
 
 @dataclass(frozen=True)
@@ -428,16 +435,18 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
     ``sw_engine._contacts``: the unit is in the closure; every pair of
     points across distinct spectral classes (``sw_engine._class_groups``)
     is separated; the target is two-point approximable.  Hermitian parts
-    are then handled separately.  A part commuting with the whole algebra goes through the power-mean
-    envelope of its per-point lower envelopes; a general part goes
-    through the partition of unity of the class indicators 1_G I_n,
-    weighted onto the envelope family.  The certified error is
-    measured by direct evaluation, and an exact orthogonal-projection
-    fallback is reported alongside.  Every tolerance test takes its
-    scale from the target's sup norm, once per call, so a c-scaled target
-    and eps give the same verdict and routes, and c times the error.
+    are then handled separately.  A part the centre interpolates at every
+    pair, so a central one, goes through the power-mean envelope of its
+    lower envelopes, atom by atom; any other part goes through the
+    partition of unity of the class indicators 1_G I_n, weighted onto the
+    envelope family.  The certified error is measured by direct
+    evaluation, and an exact orthogonal-projection fallback is reported
+    alongside.  A non-finite target is refused first.  Every tolerance
+    test takes its scale from the target's sup norm, once per call, so a
+    c-scaled target and eps give the same verdict and routes, and c times
+    the error.
     """
-    target = np.asarray(f, dtype=complex)
+    target = _finite_complex(f, "target")
     if target.shape != (e.points, e.n, e.n):
         raise ValueError(f"target shape {target.shape} != {(e.points, e.n, e.n)}")
     _check_eps(eps)
@@ -463,25 +472,12 @@ def constructive_approximate(e: FnAlgebra, f, eps: float, tol: Tolerance = DEFAU
     part_im = (target - adj(target)) / 2.0j
     parts = [(p, bool(_fails(fnorm(p), 1e-14, scale))) for p in (part_re, part_im)]
     live = sum(1 for _, nz in parts if nz)
-    routes = []
-    results = []
+    delta = eps / (2.0 * max(live, 1))
+    routes, results = [], []
     for part, nonzero in parts:
-        if not nonzero:
-            routes.append("zero")
-            results.append(np.zeros_like(target))
-            continue
-        delta = eps / (2.0 * live)
-        approx = None
-        if _commutes_with_algebra(e, part, tol):
-            try:
-                approx = _commuting_route(e, part, delta, tol, scale)
-                routes.append("power-mean")
-            except PreconditionFailed:
-                approx = None  # centre too small to interpolate; use the partition
-        if approx is None:
-            routes.append("partition")
-            approx = _partition_route(e, part, delta, classes, tol, scale)
-        results.append(approx)
+        approx = _commuting_route(e, part, delta, tol, scale) if nonzero else np.zeros_like(target)
+        routes.append("zero" if not nonzero else "partition" if approx is None else "power-mean")
+        results.append(_partition_route(e, part, delta, classes, tol, scale) if approx is None else approx)
     g = results[0] + 1j * results[1]
     certified = opnorm(g - target)
     if _fails(certified - eps, tol.psd_slack, scale):

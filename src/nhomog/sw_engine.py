@@ -53,6 +53,8 @@ class FnAlgebra:
         return self.points * self.n * self.n
 
     def check_point(self, x: int) -> int:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):  # bool is an int subclass
+            raise IndexOutOfRange(f"point {x!r} is not an integer")
         if not 0 <= x < self.points:
             raise IndexOutOfRange(f"point {x} out of range [0, {self.points})")
         return x
@@ -274,6 +276,7 @@ def _atoms(e: FnAlgebra, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
         p = a.trace(axis1=-2, axis2=-1).sum(axis=-1).conj()[:, None, None, None] * a
         if _exceeds(np.stack([p @ p - p, p - adj(p)]), tol.eq_tol).any():
             raise NumericalFailure("a minimal central projection is not a Hermitian idempotent within eq_tol")
+        p = p @ p @ (3.0 * np.eye(e.n) - 2.0 * p)  # one McWeeny step squares the idempotency error
         p = (p + adj(p)) / 2.0
         counts = np.rint(p.trace(axis1=-2, axis2=-1).real).astype(int)  # rank p_i(x)
         support = counts > 0

@@ -18,6 +18,7 @@ from nhomog.errors import (
     DimensionMismatch,
     DomainError,
     HypothesisViolated,
+    IndexOutOfRange,
     NotHermitian,
     NumericalFailure,
     PreconditionFailed,
@@ -57,7 +58,7 @@ from nhomog.approximation import (
     two_point_flatten,
 )
 from nhomog.decomposition import decompose
-from nhomog.star_algebra import MatTuple, SubspaceBasis, _rank_with_gap, _right_svd, nullspace
+from nhomog.star_algebra import MatTuple, SubspaceBasis, _contains_rows, _rank_with_gap, _right_svd, nullspace
 from nhomog.sw_engine import (
     closure_star_subalgebra,
     delta2_subspace,
@@ -145,6 +146,18 @@ class TestSpectrallySeparates:
         alg = matched_pair_algebra()
         with pytest.raises(SamePoint):
             spectrally_separates(alg, 1, 1)
+
+    @pytest.mark.parametrize("x, y", [(True, 1), (0, False), (1.0, 0), (0, "1"), (np.True_, 1), (0, np.float64(1.0)),
+                                      (0, 2), (-1, 1)])
+    def test_non_integer_or_outside_point_rejected(self, x, y):
+        """A point must be an integer in [0, P): a bool, a float or a string
+        is refused like a point out of range, never with a bare numpy error."""
+        with pytest.raises(IndexOutOfRange, match=r"^point \S+ (is not an integer|out of range \[0, 2\))$"):
+            spectrally_separates(matched_pair_algebra(), x, y)
+
+    def test_numpy_integer_points_accepted(self):
+        alg = closure_star_subalgebra([fn(np.zeros((2, 2)), np.eye(2))])
+        assert spectrally_separates(alg, np.int64(0), np.int32(1)).certified
 
     @pytest.mark.parametrize("seed", range(10))
     def test_grouped_algebra_separates_across_groups(self, seed):
@@ -881,7 +894,8 @@ class TestManySmallGroupWitnesses:
     of a class table split from two random elements once ended
     unit_in_closure, spectrally_separates and constructive_approximate in
     NumericalFailure on half of the seeds.  Each witness is checked at its
-    pair and in the span."""
+    pair and in the span, a seed's witnesses at once: one stacked norm and
+    one stacked containment test."""
 
     @pytest.mark.parametrize("groups, n", [(30, 2), (20, 3)])
     def test_witnesses_from_ranks(self, groups, n):
@@ -890,13 +904,14 @@ class TestManySmallGroupWitnesses:
             alg, meta, target = many_small_groups(groups, "diag", n, seed)
             unit = unit_in_closure(alg)
             assert unit.in_closure and alg.basis.contains(unit.witness, 1e-10)
-            for x, y in itertools.combinations(range(alg.points), 2):
-                verdict = spectrally_separates(alg, x, y)
-                assert verdict.certified is (x // 2 != y // 2)
-                if verdict:
-                    w = verdict.witness
-                    assert opnorm(w[x] - eye) <= 1e-8 and opnorm(w[y]) <= 1e-8
-                    assert alg.basis.contains(w, 1e-10)
+            pairs = list(itertools.combinations(range(alg.points), 2))
+            verdicts = [spectrally_separates(alg, x, y) for x, y in pairs]
+            assert [v.certified for v in verdicts] == [x // 2 != y // 2 for x, y in pairs]
+            xs, ys = np.array([p for p, v in zip(pairs, verdicts) if v]).T
+            w = np.stack([v.witness for v in verdicts if v])
+            at = np.arange(len(w))
+            assert _opnorms(np.stack([w[at, xs] - eye, w[at, ys]])).max() <= 1e-8
+            assert _contains_rows(w.reshape(len(w), -1), alg.basis.vectors, 1e-10).all()
             result = constructive_approximate(alg, target, eps=0.1)
             assert result.classes == tuple(tuple(g) for g in meta["groups"])
             assert result.certified_error <= 0.1 + DEFAULT_TOL.psd_slack
@@ -938,9 +953,23 @@ class TestAtoms:
         for alg in algs:
             assert_atoms_match_contacts(alg)
             want = central_vectors_reference(alg)
-            got = normalised_atoms(alg)
+            got = central_algebra(alg).basis.vectors
             assert got.shape == want.shape
             assert np.abs(projector(got) - projector(want)).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [503, 505])
+    def test_projections_to_rounding(self, seed):
+        """Orthogonal projections summing to I_n to within 1e-13, not the
+        eq_tol the atoms are checked at: the atom lines mix about 1e-12 of
+        each other on 20 groups of 2 at n = 3 (seed 505), which the
+        McWeeny step squares away, so atom coordinates reproduce the
+        spectral calculus of the matrix functions."""
+        alg = many_small_groups(20, "diag", 3, seed)[0]
+        p = sw_engine._atoms(alg, DEFAULT_TOL)[0]
+        m = len(p)
+        i, j = np.triu_indices(m, 1)
+        assert np.abs(p @ p - p).max() <= 1e-13 and np.abs(p[i] @ p[j]).max() <= 1e-13
+        assert np.abs(p.sum(axis=0) - np.eye(3)).max() <= 1e-13
 
     def test_joint_eigenspaces_defer_a_repeated_eigenvalue(self):
         """diag(1, 1, 2) with 1e-15 of noise leaves its 2-dim eigenspace
@@ -1648,7 +1677,8 @@ class TestUncheckedJoin:
 
 
 def commutes_per_element(e, f, tol=DEFAULT_TOL):
-    """The per-element, per-point loop _commutes_with_algebra replaced."""
+    """Whether f commutes with the algebra, by a per-element, per-point loop:
+    sup ||[f, b]|| <= eq_tol ||f|| ||b|| for every basis element b."""
     for b in e.basis.elements():
         comm = sw_engine.fn_product(f, b) - sw_engine.fn_product(b, f)
         scale = max(opnorm(f[z]) for z in range(e.points)) * max(opnorm(b[z]) for z in range(e.points))
@@ -1675,6 +1705,11 @@ def class_indicators_per_class(e, classes, tol):
 class TestBatchedPointwiseChecks:
     @pytest.mark.parametrize("seed", range(6))
     def test_commutes_with_algebra_matches_loop(self, seed):
+        """A Hermitian target in the algebra takes the power-mean route
+        exactly when it commutes with the algebra by the per-element loop:
+        a scalar per group does, the same nudged by 1e-6 times a Hermitian
+        element does not, nor does a general equivariant target.  A random
+        function is refused before any route."""
         r = rng(8000 + seed)
         n = 2 if seed < 3 else 3
         gens, meta = grouped_function_algebra(r, n=n, group_sizes=[2, 1, 2],
@@ -1683,19 +1718,28 @@ class TestBatchedPointwiseChecks:
         central = np.zeros((alg.points, n, n), dtype=complex)
         for grp in meta["groups"]:
             central[grp] = float(r.standard_normal()) * np.eye(n)
-        nudged = central.copy()
-        nudged[2] += 1e-6 * hermitian_function(r, 1, n)[0]
+        element = alg.basis.project(hermitian_function(r, alg.points, n))
+        nudged = central + 1e-6 * (element + adj(element)) / 2.0
         target = equivariant_target(r, meta, n)
-        verdicts = []
-        for f in (central, nudged, (target + adj(target)) / 2.0, hermitian_function(r, alg.points, n)):
-            verdicts.append(approximation._commutes_with_algebra(alg, f, DEFAULT_TOL))
-            assert verdicts[-1] == commutes_per_element(alg, f)
-        assert verdicts[0] and not verdicts[1] and not verdicts[3]
+        routes = []
+        for f in (central, nudged, (target + adj(target)) / 2.0):
+            routes.append(constructive_approximate(alg, f, eps=0.1).routes)
+            assert routes[-1] == ("power-mean" if commutes_per_element(alg, f) else "partition", "zero")
+        assert routes[:2] == [("power-mean", "zero"), ("partition", "zero")]
+        with pytest.raises(PreconditionFailed, match="not two-point approximable"):
+            constructive_approximate(alg, hermitian_function(r, alg.points, n), eps=0.1)
 
-    def test_zero_algebra_commutes_with_anything(self):
+    def test_zero_algebra_reaches_no_route(self):
+        """Every function commutes with the zero algebra, yet no target
+        reaches a route: a nonzero one is not two-point approximable, and
+        the zero target fails (AX0)."""
         alg = closure_star_subalgebra([], points=2, n=2)
         f = hermitian_function(rng(8100), 2, 2)
-        assert approximation._commutes_with_algebra(alg, f, DEFAULT_TOL) is commutes_per_element(alg, f) is True
+        assert commutes_per_element(alg, f)
+        with pytest.raises(PreconditionFailed, match="not two-point approximable"):
+            constructive_approximate(alg, f, eps=0.1)
+        with pytest.raises(HypothesisViolated, match=r"^\(AX0\)"):
+            constructive_approximate(alg, np.zeros_like(f), eps=0.1)
 
     def test_class_indicators_match_loop(self, monkeypatch):
         """The arguments of the real calls, then the same classes permuted
@@ -1822,26 +1866,25 @@ class TestOnePairSolvePerRoute:
         2e-9 and ``low``, which straddle the rank cut 1e-9.  With a gap
         below 10 that is NumericalFailure, where a pseudo-inverse at
         rcond = rank_cut would drop the third direction silently."""
-        alg = all_functions_algebra(2, 2)
         values = np.zeros((3, 2, 2, 2), dtype=complex)
         values[0, 0, 0, 0] = 1.0
         values[1, 1, 0, 1] = 2e-9
         values[2, 1, 1, 0] = low
-        vectors = values.reshape(3, 8)
+        alg = sw_engine.FnAlgebra(n=2, points=2, basis=SubspaceBasis(element_shape=(2, 2, 2),
+                                                                     vectors=values.reshape(3, 8)))
         f = values[0]
         if ambiguous:
             with pytest.raises(NumericalFailure, match="ambiguous rank in pair interpolant"):
-                approximation._pair_family(alg, f, DEFAULT_TOL, 1.0, vectors)
+                approximation._pair_family(alg, f, DEFAULT_TOL, 1.0)
         else:
-            family = approximation._pair_family(alg, f, DEFAULT_TOL, 1.0, vectors)
+            family = approximation._pair_family(alg, f, DEFAULT_TOL, 1.0)
             assert np.array_equal(family[0, 1], f)
 
 
-def pair_interpolant_lstsq(e, f, x, y, tol, scale, vectors=None):
+def pair_interpolant_lstsq(e, f, x, y, tol, scale):
     """The element matching f at x and y, from one lstsq per pair: the
     solve that the stacked pseudo-inverse of _pair_family replaced."""
-    if vectors is None:
-        vectors = e.basis.vectors
+    vectors = e.basis.vectors
     block = np.hstack([vectors[:, e.point_slice(x)], vectors[:, e.point_slice(y)]])
     target = np.concatenate([f[x].ravel(), f[y].ravel()])
     coeffs, *_ = np.linalg.lstsq(block.T, target, rcond=tol.rank_cut)
@@ -1851,14 +1894,14 @@ def pair_interpolant_lstsq(e, f, x, y, tol, scale, vectors=None):
     return (coeffs @ vectors).reshape(e.points, e.n, e.n)
 
 
-def envelopes_per_point(e, f, tol, scale, vectors=None):
+def envelopes_per_point(e, f, tol, scale):
     """Lower and upper envelopes as lists over x, each from two join
     chains over the pair interpolants of x."""
     P = e.points
     interp = {}
     for x in range(P):
         for y in range(x, P):
-            g = pair_interpolant_lstsq(e, f, x, y, tol, scale, vectors)
+            g = pair_interpolant_lstsq(e, f, x, y, tol, scale)
             interp[(x, y)] = (g + adj(g)) / 2.0
     lower, upper = [], []
     for x in range(P):
@@ -1871,18 +1914,33 @@ def envelopes_per_point(e, f, tol, scale, vectors=None):
 STACKED_CASES = [(2, [1, 1, 1], 0), (2, [2, 2, 1], 1), (3, [2, 2, 1], 2), (3, [4, 3, 3], 3), (2, [10, 10, 10], 4)]
 
 
-def normalised_atoms(e, tol=DEFAULT_TOL):
-    """The centre's orthonormal rows that _commuting_route draws its pair
-    interpolants from: each atom over its Frobenius norm."""
+def central_algebra(e, tol=DEFAULT_TOL):
+    """E's centre as an algebra of its own, on the orthonormal basis of the
+    normalised atoms: the span the commuting route draws its pair
+    interpolants from."""
     atoms = sw_engine._atoms(e, tol)[0].reshape(-1, e.ambient_dim)
-    return atoms / np.linalg.norm(atoms, axis=1, keepdims=True)
+    vectors = atoms / np.linalg.norm(atoms, axis=1, keepdims=True)
+    return sw_engine.FnAlgebra(e.n, e.points, SubspaceBasis(element_shape=e.basis.element_shape, vectors=vectors))
+
+
+def commuting_route_reference(e, f, delta, scale, tol=DEFAULT_TOL):
+    """The commuting route as matrix functions, as it was computed before
+    it read atom coordinates: the pair family on the centre
+    (``central_algebra``), its meet, and the lower envelopes shifted by c
+    to be PSD.  Returns the (family, b, eps) of their power-mean envelope
+    and c: the route's result is that envelope minus c I."""
+    lower = approximation._meet(approximation._pair_family(central_algebra(e, tol), f, tol, scale), tol)
+    eye = np.eye(e.n, dtype=complex)
+    low = np.concatenate([lower, f[None]])
+    c = max(0.0, -float(np.linalg.eigvalsh((low + adj(low)) / 2.0)[..., 0].min())) + tol.psd_slack * scale
+    return (lower + c * eye, f + (c + delta) * eye, delta), c
 
 
 class TestStackedEnvelopes:
     """The meet of _pair_family against the per-pair lstsq loop and per-point
-    join chains, on the full span and on the centre: the same
-    lower envelopes, the same upper ones as -(lower of -f), and the same
-    refusal naming the same first pair."""
+    join chains, on the full span and on the centre (``central_algebra``):
+    the same lower envelopes, the same upper ones as -(lower of -f), and the
+    same refusal naming the same first pair."""
 
     @pytest.mark.parametrize("n, sizes, seed", STACKED_CASES)
     def test_matches_per_pair_loop(self, n, sizes, seed):
@@ -1892,13 +1950,12 @@ class TestStackedEnvelopes:
         scalar = np.zeros((alg.points, n, n), dtype=complex)
         for grp in meta["groups"]:
             scalar[grp] = float(r.standard_normal()) * np.eye(n)
-        central = normalised_atoms(alg)
         target = equivariant_target(r, meta, n)
-        for f, vectors in ((target + adj(target)) / 2.0, None), (target, None), (scalar, central):
+        for f, e in ((target + adj(target)) / 2.0, alg), (target, alg), (scalar, central_algebra(alg)):
             scale = opnorm(f)
-            lower = approximation._meet(approximation._pair_family(alg, f, DEFAULT_TOL, scale, vectors), DEFAULT_TOL)
-            upper = -approximation._meet(approximation._pair_family(alg, -f, DEFAULT_TOL, scale, vectors), DEFAULT_TOL)
-            want_lower, want_upper = envelopes_per_point(alg, f, DEFAULT_TOL, scale, vectors)
+            lower = approximation._meet(approximation._pair_family(e, f, DEFAULT_TOL, scale), DEFAULT_TOL)
+            upper = -approximation._meet(approximation._pair_family(e, -f, DEFAULT_TOL, scale), DEFAULT_TOL)
+            want_lower, want_upper = envelopes_per_point(e, f, DEFAULT_TOL, scale)
             assert lower.shape == (alg.points, alg.points, n, n)
             assert np.abs(lower - np.array(want_lower)).max() <= 1e-12 * scale
             assert np.abs(upper - np.array(want_upper)).max() <= 1e-12 * scale
@@ -1908,22 +1965,21 @@ class TestStackedEnvelopes:
         r = rng(9800 + seed)
         gens, meta = grouped_function_algebra(r, n=n, group_sizes=sizes, fibers=["full", "diag", "scalar"])
         alg = closure_star_subalgebra(gens, points=sum(sizes), n=n)
-        central = normalised_atoms(alg)
         noise = np.stack([ginibre(r, n) for _ in range(alg.points)])
         target = equivariant_target(r, meta, n)
         moved = target.copy()  # a diag-group point off its group's value: first refused at the pair within the group
         z = meta["groups"][1][-1]
         moved[z] = meta["twists"][z] @ np.diag(r.standard_normal(n)) @ adj(meta["twists"][z])
-        for f, vectors in (noise, None), (moved, None), (target, central):
+        for f, e in (noise, alg), (moved, alg), (target, central_algebra(alg)):
             with pytest.raises(PreconditionFailed) as old:
-                envelopes_per_point(alg, f, DEFAULT_TOL, opnorm(f), vectors)
+                envelopes_per_point(e, f, DEFAULT_TOL, opnorm(f))
             with pytest.raises(PreconditionFailed) as new:
-                approximation._meet(approximation._pair_family(alg, f, DEFAULT_TOL, opnorm(f), vectors), DEFAULT_TOL)
+                approximation._meet(approximation._pair_family(e, f, DEFAULT_TOL, opnorm(f)), DEFAULT_TOL)
             assert str(new.value) == str(old.value)
 
 
 def power_mean_per_point(family, b, eps, tol=DEFAULT_TOL):
-    """The envelope of (P, n, n) functions as _commuting_route formed it
+    """The envelope of (P, n, n) functions as the commuting route once formed it
     point by point: one checked matrix call per point, with N from the sup
     norm of b, eigh on every block and the messages of the matrix form."""
     k, n_pow = len(family), power_mean_exponent(eps, opnorm(b), len(family))
@@ -1967,17 +2023,20 @@ def power_mean_per_point(family, b, eps, tol=DEFAULT_TOL):
     return out
 
 
-def recorded_power_means(monkeypatch, cases):
-    """The (family, b, eps) of every power_mean_envelope call that
-    constructive_approximate makes on the (algebra, target) cases."""
+def recorded_routes(monkeypatch, cases):
+    """The arguments and result of every commuting-route call that
+    constructive_approximate makes on the (algebra, target) cases and that
+    takes the route."""
     calls = []
-    real = approximation.power_mean_envelope
+    real = approximation._commuting_route
 
-    def record(a_list, b, eps, tol=DEFAULT_TOL):
-        calls.append((np.array(a_list), np.array(b), eps))
-        return real(a_list, b, eps, tol)
+    def record(e, f, delta, tol, scale):
+        got = real(e, f, delta, tol, scale)
+        if got is not None:
+            calls.append((e, f, delta, scale, got))
+        return got
 
-    monkeypatch.setattr(approximation, "power_mean_envelope", record)
+    monkeypatch.setattr(approximation, "_commuting_route", record)
     for alg, f in cases:
         constructive_approximate(alg, f, eps=0.1)
     return calls
@@ -2006,10 +2065,20 @@ def scalar_groups(groups):
     return alg, target
 
 
+def counted(call, calls):
+    """call, appending its name to calls each time it is made."""
+    def counting(*args, **kwargs):
+        calls.append(call.__name__)
+        return call(*args, **kwargs)
+    return counting
+
+
 class TestPowerMeanOnFunctions:
     """power_mean_envelope on (P, n, n) functions is the per-point loop of
-    checked matrix calls that _commuting_route made, bit for bit, with
-    every check taken once over all points."""
+    checked matrix calls that the commuting route once made, bit for bit,
+    with every check taken once over all points; and the route in atom
+    coordinates is that envelope of the matrix route
+    (``commuting_route_reference``) within 1e-12 of the target's norm."""
 
     @pytest.mark.parametrize("source", ["stacked", "ladder", "many small groups"])
     def test_matches_per_point_loop(self, source, monkeypatch):
@@ -2019,11 +2088,14 @@ class TestPowerMeanOnFunctions:
             cases = [(alg, f) for alg, f, (verdict, *_) in ladder_cases() if verdict == "ok"]
         else:
             cases = [(alg, f) for alg, _, f in (many_small_groups(30, "diag", 2, seed) for seed in (500, 501, 502))]
-        calls = recorded_power_means(monkeypatch, cases)
+        calls = recorded_routes(monkeypatch, cases)
         assert len(calls) >= len(cases)
-        for family, b, eps in calls:
+        for e, f, delta, scale, got in calls:
+            (family, b, eps), c = commuting_route_reference(e, f, delta, scale)
             assert family.shape[:2] == (b.shape[0],) * 2  # one envelope per point, each a function
-            assert np.array_equal(power_mean_envelope(family, b, eps).env, power_mean_per_point(family, b, eps))
+            env = power_mean_envelope(family, b, eps).env
+            assert np.array_equal(env, power_mean_per_point(family, b, eps))
+            assert np.abs(got - (env - c * np.eye(e.n))).max() <= 1e-12 * scale
 
     def test_matrices_are_functions_on_one_point(self):
         for seed in range(10):
@@ -2063,27 +2135,26 @@ class TestPowerMeanOnFunctions:
         with pytest.raises(PreconditionFailed, match=r"^a_0 and a_1 do not commute pairwise at point 1$"):
             power_mean_envelope(funcs, np.stack([gb, b]), eps)
 
-    def test_route_falls_back_on_a_failure_past_point_zero(self, monkeypatch):
-        """A precondition broken at one point z > 0 of the route's family
-        sends constructive_approximate to the partition route, as the
-        per-point loop's PreconditionFailed did."""
+    @pytest.mark.parametrize("shift, message", [
+        (-0.1, "a lower envelope fails to lie below the power mean"),
+        (0.1, "the power mean fails to lie below f + delta"),
+    ], ids=["below", "above"])
+    def test_broken_postcondition_raises(self, shift, message, monkeypatch):
+        """The power mean moved by 0.1 = 4 delta on one atom past atom 0
+        breaks one of the route's two postconditions: NumericalFailure,
+        with no fall back to the partition route."""
         alg, f = scalar_groups(3)
         assert constructive_approximate(alg, f, eps=0.1).routes == ("power-mean", "power-mean")
-        real = approximation.power_mean_envelope
-        raised = []
+        real = approximation._log_power_mean
 
-        def broken_at_three(a_list, b, eps, tol=DEFAULT_TOL):
-            family = np.array(a_list)
-            family[1, 3] = 3.0 * b[3]  # a_1 above b at point 3 only
-            for check in (power_mean_per_point, real):
-                with pytest.raises(PreconditionFailed) as err:
-                    check(family, b, eps)
-                raised.append(str(err.value))
-            return real(family, b, eps, tol)
+        def moved_on_atom_three(lams, n_pow):
+            mu = real(lams, n_pow)
+            mu[3] += shift
+            return mu
 
-        monkeypatch.setattr(approximation, "power_mean_envelope", broken_at_three)
-        assert constructive_approximate(alg, f, eps=0.1).routes == ("partition", "partition")
-        assert raised == ["a_1 <= b fails", "a_1 <= b fails at point 3"] * 2
+        monkeypatch.setattr(approximation, "_log_power_mean", moved_on_atom_three)
+        with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+            constructive_approximate(alg, f, eps=0.1)
 
     def test_refuses_mismatched_points_and_non_finite_entries(self):
         family, b = commuting_dominated_family(rng(9670), d=2, k=2)
@@ -2098,23 +2169,22 @@ class TestPowerMeanOnFunctions:
         with pytest.raises(DomainError, match="b contains non-finite entries"):
             power_mean_envelope(family, np.full((2, 2), np.inf), 0.5)
 
-    def test_hermitian_checks_grow_with_points_not_their_square(self, monkeypatch):
-        """One require_hermitian per family member and one for b, each on
-        its whole function: P + 1 per power-mean route, where the per-point
-        loop made P (P + 1)."""
-        calls = []
-        real = approximation.require_hermitian
-
-        def counting(a, *args):
-            calls.append(a.shape)
-            return real(a, *args)
-
-        monkeypatch.setattr(approximation, "require_hermitian", counting)
+    def test_eigensolves_do_not_grow_with_points(self, monkeypatch):
+        """No eigensolve per point or per pair on the power-mean route: a
+        call makes as many eigh and eigvalsh calls at 3, 6 and 12 groups,
+        with the atoms, kept on the algebra, built beforehand.  The matrix
+        route made P - 1 join steps and a joint eigenbasis per point."""
+        counts = []
         for groups in (3, 6, 12):
             alg, f = scalar_groups(groups)
-            calls.clear()
-            assert constructive_approximate(alg, f, eps=0.1).routes == ("power-mean", "power-mean")
-            assert calls == [(alg.points, 2, 2)] * (2 * (alg.points + 1))
+            sw_engine._atoms(alg, DEFAULT_TOL)
+            calls = []
+            with monkeypatch.context() as patch:
+                for name in ("eigh", "eigvalsh"):
+                    patch.setattr(np.linalg, name, counted(getattr(np.linalg, name), calls))
+                assert constructive_approximate(alg, f, eps=0.1).routes == ("power-mean", "power-mean")
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2]
 
 
 class TestTwoPointFlatten:
@@ -2223,6 +2293,22 @@ class TestConstructiveApproximate:
         f = np.stack([ginibre(r, 2), ginibre(r, 2)])  # breaks the pair coupling
         with pytest.raises(PreconditionFailed):
             constructive_approximate(alg, f, eps=0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf)])
+    def test_non_finite_target_refused_before_any_work(self, bad, monkeypatch):
+        """A NaN or infinite entry of the target is refused with DomainError,
+        before any solve and with no RuntimeWarning; it once ended in
+        PreconditionFailed, as not two-point approximable."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked on a refused target")
+
+        monkeypatch.setattr(approximation, "delta2_subspace", refuse)
+        f = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+        f[1, 0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^target contains non-finite entries$"):
+                constructive_approximate(matched_pair_algebra(), f, eps=0.1)
 
     def test_missing_unit_is_hypothesis_violation(self):
         r = rng(10)
