@@ -21,7 +21,7 @@ _EXPORTS = {
         "invariant_spectral_projection", "n_measure_entry_mc", "reconstruct_generators",
     ),
     "decomposition": (
-        "Block", "Decomposition", "HomogeneityReport", "NSpectrum", "decompose", "homogeneity_verdict",
+        "Decomposition", "HomogeneityReport", "NSpectrum", "decompose", "homogeneity_verdict",
         "n_spectrum", "unitarily_equivalent",
     ),
     "haar": (

@@ -1,8 +1,8 @@
 """Functional calculus through a block decomposition.
 
 Star polynomials and per-class value tables are pushed through a
-``Decomposition``: per class, evaluate (or read off) the value, align it
-into each block copy, and conjugate back by the assembled change of
+``Decomposition``: per class, evaluate (or read off) the value, place it
+on each copy's column range of V, and sum the copies back in the source
 basis.  Includes the atomic matrix-of-measures entries (exact on whole
 orbits, Monte Carlo on sub-orbit regions) and the bounded-convergence
 runner.
@@ -17,12 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .decomposition import Decomposition
-from .errors import (
-    ArityMismatch,
-    IndexOutOfRange,
-    NumericalFailure,
-    TableMismatch,
-)
+from .errors import ArityMismatch, NumericalFailure, TableMismatch, check_index
 from .matrix_core import DEFAULT_TOL, Tolerance, _exceeds, adj, as_matrix, opnorm
 from .star_algebra import MatTuple
 
@@ -139,8 +134,7 @@ class OrbitTable:
 
     @classmethod
     def coordinate(cls, dec: Decomposition, j: int) -> "OrbitTable":
-        if not 0 <= j < dec.source.k:
-            raise IndexOutOfRange(f"coordinate {j} out of range [0, {dec.source.k})")
+        j = check_index(j, dec.source.k, "coordinate")
         return cls([c.gens[j] for c in dec.classes], dec.classes)
 
     @classmethod
@@ -177,12 +171,11 @@ class OrbitTable:
 
 
 def _assemble(dec: Decomposition, class_values) -> np.ndarray:
+    """V ((+)_i F_i (x) I_{m_i} (+) 0) V*, one copy at a time."""
     d = dec.source.d
     out = np.zeros((d, d), dtype=complex)
-    for b in dec.blocks:
-        if b.is_zero:
-            continue
-        out += b.isometry @ class_values[b.class_id] @ adj(b.isometry)
+    for i, iso in dec.copies():
+        out += iso @ class_values[i] @ adj(iso)
     return out
 
 
@@ -240,16 +233,12 @@ def invariant_spectral_projection(dec: Decomposition, class_indices, tol: Tolera
 
     Selecting every class gives the identity exactly when there is no
     null block (the representation is nondegenerate)."""
-    wanted = set()
-    for i in class_indices:
-        if not 0 <= int(i) < len(dec.classes):
-            raise IndexOutOfRange(f"class index {i} out of range [0, {len(dec.classes)})")
-        wanted.add(int(i))
+    wanted = {check_index(i, len(dec.classes), "class index") for i in class_indices}
     d = dec.source.d
     out = np.zeros((d, d), dtype=complex)
-    for b in dec.blocks:
-        if not b.is_zero and b.class_id in wanted:
-            out += b.isometry @ adj(b.isometry)
+    for i, iso in dec.copies():
+        if i in wanted:
+            out += iso @ adj(iso)
     if _exceeds(np.stack([out @ out - out, out - adj(out)]), tol.eq_tol).any():  # s = 1: a projection
         raise NumericalFailure("spectral projection is not an orthogonal projection")
     return out
@@ -281,11 +270,9 @@ def n_measure_entry_mc(
     in the source basis.  ``mc=None`` means ``McConfig()``; ``haar`` is
     imported only when a region is sampled.
     """
-    if not 0 <= class_i < len(dec.classes):
-        raise IndexOutOfRange(f"class index {class_i} out of range [0, {len(dec.classes)})")
+    class_i = check_index(class_i, len(dec.classes), "class index")
     n = dec.classes[class_i].d
-    if not (0 <= j < n and 0 <= k < n):
-        raise IndexOutOfRange(f"entry indices ({j}, {k}) out of range for block size {n}")
+    j, k = check_index(j, n, "entry row"), check_index(k, n, "entry column")
     if region is None:
         weight = (1.0 / n) if j == k else 0.0
         return weight * invariant_spectral_projection(dec, [class_i], tol)

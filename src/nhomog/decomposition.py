@@ -30,38 +30,35 @@ _SPLITTER_RESEEDS = 5
 
 
 @dataclass(frozen=True, eq=False)
-class Block:
-    """One invariant block: a d x m isometry onto the subspace, the m x m
-    compressed tuple and the class it belongs to.  A block's compression
-    equals its class representative (checked by ``decompose``), so no
-    aligning unitary is needed."""
-
-    isometry: np.ndarray = field(repr=False)
-    rep: MatTuple
-    class_id: int | None
-    is_zero: bool
-
-    @property
-    def dim(self) -> int:
-        return self.rep.d
-
-
-@dataclass(frozen=True, eq=False)
 class Decomposition:
+    """The split T_j = V ((+)_i C_ij (x) I_{m_i} (+) 0) V*: the unitary V,
+    the class representatives C_i and their multiplicities m_i.  V's
+    columns hold the m_i copies of class 0 side by side, then those of
+    class 1, and so on, and the null part last; each copy's compression
+    equals its representative (checked by ``decompose``)."""
+
     source: MatTuple
     v: np.ndarray = field(repr=False)
-    blocks: tuple[Block, ...]
     classes: tuple[MatTuple, ...]
     multiplicities: tuple[int, ...]
     seed: int
 
     @property
     def zero_dim(self) -> int:
-        return sum(b.dim for b in self.blocks if b.is_zero)
+        return self.source.d - sum(c.d * m for c, m in zip(self.classes, self.multiplicities))
 
     @property
     def nonzero_dims(self) -> tuple[int, ...]:
-        return tuple(b.dim for b in self.blocks if not b.is_zero)
+        return tuple(c.d for c, m in zip(self.classes, self.multiplicities) for _ in range(m))
+
+    def copies(self):
+        """(class index, d x n_i isometry) of each nonzero copy, in V's
+        column order; each isometry is a column range of V."""
+        at = 0
+        for i, (c, m) in enumerate(zip(self.classes, self.multiplicities)):
+            for _ in range(m):
+                yield i, self.v[:, at:at + c.d]
+                at += c.d
 
 
 @dataclass(frozen=True)
@@ -81,10 +78,16 @@ class NSpectrum:
 class HomogeneityReport:
     is_n_homogeneous: bool
     n: int
-    block_dims: tuple[int, ...]
-    zero_dim: int
     reason: str
     decomposition: Decomposition
+
+    @property
+    def block_dims(self) -> tuple[int, ...]:
+        return tuple(sorted(self.decomposition.nonzero_dims))
+
+    @property
+    def zero_dim(self) -> int:
+        return self.decomposition.zero_dim
 
     def to_json(self) -> dict:
         from .jsonio import encode_matrix
@@ -272,10 +275,10 @@ def _assemble(gens: np.ndarray, norms: np.ndarray, tol: Tolerance, classes: list
     (``_exceeds``).  Irreducibility is not re-proved: once the
     intertwining check G_j V = V (+)_b C_b shows every block reducing and
     the class check shows each class's blocks aligned, Norton's count
-    (see ``decompose``) certifies it.  Returns V, the blocks side by
-    side, and per class, in class order, then per null cluster, (label,
-    isometries (m, d, d'), compressions (m, k, d', d')): label i + 1 for
-    class i and 0 for null blocks."""
+    (see ``decompose``) certifies it.  Returns V (the blocks of each
+    class side by side, class after class, then the null blocks), the
+    class representatives (each class's first compression) and the
+    multiplicities."""
     d = gens.shape[-1]
     c = float(norms.max())
 
@@ -283,18 +286,18 @@ def _assemble(gens: np.ndarray, norms: np.ndarray, tol: Tolerance, classes: list
         """The compressions C = (V* G) V of each block, its columns and G V - V C."""
         comps = adj(isos)[:, None] @ gens @ isos[:, None]
         resid = gens @ isos[:, None] - isos[:, None] @ comps
-        return isos, comps, np.hstack(isos), np.concatenate(resid, axis=-1)
+        return comps, np.hstack(isos), np.concatenate(resid, axis=-1)
 
     groups = [compress(isos) for isos in classes]
     keys = [()] * len(groups)  # (dim, rounded fingerprint): the fingerprints of each dim in one stack
-    for dim in {comps.shape[-1] for _, comps, *_ in groups}:
-        at = [i for i, (_, comps, *_) in enumerate(groups) if comps.shape[-1] == dim]
-        reals, imags = np.round(_fingerprints(np.stack([groups[i][1][0] for i in at]) / c), 6).tolist()
+    for dim in {comps.shape[-1] for comps, *_ in groups}:
+        at = [i for i, (comps, *_) in enumerate(groups) if comps.shape[-1] == dim]
+        reals, imags = np.round(_fingerprints(np.stack([groups[i][0][0] for i in at]) / c), 6).tolist()
         for i, re, im in zip(at, reals, imags):
             keys[i] = (dim, re, im)
     groups = [groups[i] for i in sorted(range(len(groups)), key=keys.__getitem__)]
-    parts = [*((i + 1, g) for i, g in enumerate(groups)), *((0, compress(z)) for z in null)]
-    v, resid = (np.concatenate([part[i] for _, part in parts], axis=-1) for i in (2, 3))
+    parts = [*groups, *map(compress, null)]
+    v, resid = (np.concatenate([part[i] for part in parts], axis=-1) for i in (1, 2))
     if v.shape[1] != d:
         raise NumericalFailure(f"block isometries do not give {d} columns")
     if _exceeds(adj(v) @ v - np.eye(d), tol.eq_tol):
@@ -304,12 +307,12 @@ def _assemble(gens: np.ndarray, norms: np.ndarray, tol: Tolerance, classes: list
     bad = np.flatnonzero(_exceeds(resid, 1e-7 * c + 1e-7 * norms))
     if bad.size:
         raise NumericalFailure(f"block intertwining of generator {bad[0]} failed")
-    for _, comps, *_ in groups:  # blocks of a class are aligned: each compression is the representative
+    for comps, *_ in groups:  # blocks of a class are aligned: each compression is the representative
         drift = comps[1:] - comps[0]
         # c <= c + ||C_0||: drift the exact test finds, the first test, which needs no norm of C_0, finds too
         if _exceeds(drift, 1e-7 * c).any() and _exceeds(drift, 1e-7 * c + 1e-7 * _opnorms(comps[0])).any():
             raise NumericalFailure("a block's compression differs from its class representative")
-    return v, [(label, part[0], part[1]) for label, part in parts]
+    return v, tuple(MatTuple(comps[0]) for comps, *_ in groups), tuple(len(comps) for comps, *_ in groups)
 
 
 def decompose(t: MatTuple, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Decomposition:
@@ -348,17 +351,13 @@ def decompose(t: MatTuple, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Decom
     failure = ""
     for _ in range(_SPLITTER_RESEEDS):
         try:
-            v, parts = _assemble(t.gens, norms, tol, *_cyclic_split(letters, _random_hermitian(letters, rng), tol))
+            split = _assemble(t.gens, norms, tol, *_cyclic_split(letters, _random_hermitian(letters, rng), tol))
             break
         except NumericalFailure as exc:
             failure = str(exc)
     else:
         raise NumericalFailure(f"cyclic split failed on {_SPLITTER_RESEEDS} random draws; last: {failure}")
-    blocks = tuple(Block(iso, MatTuple(comp), label - 1 if label else None, not label)
-                   for label, isos, comps in parts for iso, comp in zip(isos, comps))
-    classes = tuple(MatTuple(comps[0]) for label, _, comps in parts if label)  # the first block's compressions
-    multiplicities = tuple(len(isos) for label, isos, _ in parts if label)
-    return Decomposition(t, v, blocks, classes, multiplicities, seed)
+    return Decomposition(t, *split, seed)
 
 
 def homogeneity_verdict(t: MatTuple, n: int, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> HomogeneityReport:
@@ -379,14 +378,7 @@ def homogeneity_verdict(t: MatTuple, n: int, tol: Tolerance = DEFAULT_TOL, seed:
         verdict, reason = True, "zero algebra; empty spectrum"
     else:
         verdict, reason = True, f"all {len(dims)} nonzero blocks are {n}-dimensional"
-    return HomogeneityReport(
-        is_n_homogeneous=verdict,
-        n=n,
-        block_dims=dims,
-        zero_dim=dec.zero_dim,
-        reason=reason,
-        decomposition=dec,
-    )
+    return HomogeneityReport(is_n_homogeneous=verdict, n=n, reason=reason, decomposition=dec)
 
 
 def n_spectrum(t: MatTuple, n: int, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> NSpectrum:

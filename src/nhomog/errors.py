@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one index check."""
 
 from __future__ import annotations
+
+import operator
 
 
 class NHomogError(Exception):
@@ -53,6 +55,21 @@ class TableMismatch(InputError):
 
 class IndexOutOfRange(InputError):
     pass
+
+
+def check_index(i, bound: int, what: str) -> int:
+    """``i`` as an int, when it is an integer in [0, bound): a Python or
+    numpy integer, never a bool, float or string.  Otherwise
+    IndexOutOfRange, naming the index as ``what``."""
+    try:
+        index = None if isinstance(i, bool) else operator.index(i)  # bool is an int subclass
+    except TypeError:
+        index = None
+    if index is None:
+        raise IndexOutOfRange(f"{what} {i!r} is not an integer")
+    if not 0 <= index < bound:
+        raise IndexOutOfRange(f"{what} {i} out of range [0, {bound})")
+    return index
 
 
 class MCBudgetTooSmall(InputError):

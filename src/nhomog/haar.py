@@ -19,7 +19,7 @@ from functools import update_wrapper
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, IndexOutOfRange, MCBudgetTooSmall, NumericalFailure
+from .errors import DimensionMismatch, DomainError, MCBudgetTooSmall, NumericalFailure
 from .matrix_core import DEFAULT_TOL, as_matrix, fix_phase, require_square
 from .n_space import FiniteNSpace, PointRef
 
@@ -303,8 +303,7 @@ def equivariant_average(g, space: FiniteNSpace, orbit: int, mc: McConfig) -> np.
     not finite.  Beside the stack, the sum of p* v p holds the value
     stack and one product stack: the list of values is dropped once
     stacked, and the spent value stack takes conj(p) for the last GEMM."""
-    if not 0 <= orbit < space.orbits:
-        raise IndexOutOfRange(f"orbit {orbit} out of range [0, {space.orbits})")
+    orbit = space.check_orbit(orbit)
     n = space.n
     ps = _mc_draws(n, mc)
     values = list(map(g, _mc_draws.points(n, mc, orbit)))

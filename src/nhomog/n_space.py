@@ -16,13 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .decomposition import homogeneity_verdict
-from .errors import (
-    IndexOutOfRange,
-    NotAStarHom,
-    NotNHomogeneous,
-    NumericalFailure,
-    SpaceMismatch,
-)
+from .errors import NotAStarHom, NotNHomogeneous, NumericalFailure, SpaceMismatch, check_index
 from .matrix_core import DEFAULT_TOL, Tolerance, _exceeds, _fails, _opnorms, adj, as_matrix, fix_phase, opnorm
 from .star_algebra import MatTuple, SubspaceBasis
 
@@ -42,9 +36,7 @@ class FiniteNSpace:
             raise ValueError(f"orbit count must be >= 0, got {self.orbits}")
 
     def check_orbit(self, i: int) -> int:
-        if not 0 <= i < self.orbits:
-            raise IndexOutOfRange(f"orbit {i} out of range [0, {self.orbits})")
-        return i
+        return check_index(i, self.orbits, "orbit")
 
 
 @dataclass(frozen=True)
@@ -158,7 +150,7 @@ def ideal_set_correspondence(
         raise SpaceMismatch("generator attached to a different space")
     if vanishing_set is not None:
         live = np.ones(m, dtype=bool)
-        live[[space.check_orbit(int(i)) for i in vanishing_set]] = False
+        live[[space.check_orbit(i) for i in vanishing_set]] = False
     else:  # (k, m) norms, one stacked SVD; an orbit is live where a value is not 0 at the generators' scale
         norms = _opnorms(np.array([g.values for g in gens], dtype=complex).reshape(len(gens), m, n, n))
         live = _fails(norms, tol.eq_tol, norms.max(initial=0.0)).any(axis=0)

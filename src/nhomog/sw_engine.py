@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NumericalFailure, SamePoint
+from .errors import NumericalFailure, SamePoint, check_index
 from .matrix_core import DEFAULT_TOL, Tolerance, _exceeds, _joint_eigenspaces, adj
 from .star_algebra import RANK_GAP_RATIO, SubspaceBasis, _contains_rows, _rank_with_gap, _right_svd, closure, nullspace
 
@@ -53,11 +53,7 @@ class FnAlgebra:
         return self.points * self.n * self.n
 
     def check_point(self, x: int) -> int:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):  # bool is an int subclass
-            raise IndexOutOfRange(f"point {x!r} is not an integer")
-        if not 0 <= x < self.points:
-            raise IndexOutOfRange(f"point {x} out of range [0, {self.points})")
-        return x
+        return check_index(x, self.points, "point")
 
     def point_slice(self, x: int) -> slice:
         nn = self.n * self.n

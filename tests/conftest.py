@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nhomog import haar, matrix_core
+from nhomog.errors import IndexOutOfRange
 from nhomog.star_algebra import NOISE_FLOOR, SubspaceBasis, nullspace
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -37,6 +38,23 @@ def fresh_draws():
 
 def rng(seed):
     return np.random.default_rng(seed)
+
+
+# An index argument and the int it stands for, or None where it is no
+# integer: a numpy integer indexes like an int; a bool, float or string
+# is refused.
+INDEX_CASES = [(np.int64(1), 1), (np.int32(1), 1), (np.uint8(1), 1), (True, None), (np.True_, None), (0.7, None),
+               (1.5, None), (np.float64(1.0), None), ("1", None)]
+
+
+def check_index_rule(call, index, same):
+    """``call(index)`` equals ``call(same)`` bit for bit, or raises
+    IndexOutOfRange where ``same`` is None."""
+    if same is None:
+        with pytest.raises(IndexOutOfRange, match=r" is not an integer$"):
+            call(index)
+    else:
+        assert np.array_equal(call(index), call(same))
 
 
 def opnorm(a):

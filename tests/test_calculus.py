@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from nhomog.errors import ArityMismatch, IndexOutOfRange, MCBudgetTooSmall, Nume
 from nhomog.haar import HaarSampler, McConfig, equivariant_average, haar_unitaries, mc_radius
 from nhomog.instances import (
     random_homogeneous_instance,
+    random_mixed_instance,
     random_orbit_table,
     random_star_polynomial,
 )
@@ -26,7 +30,7 @@ from nhomog.matrix_core import adj, fix_phase, opnorm
 from nhomog.n_space import FiniteNSpace
 from nhomog.star_algebra import MatTuple
 
-from conftest import SX, SZ, assert_close, rng
+from conftest import INDEX_CASES, SX, SZ, assert_close, check_index_rule, rng
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +51,35 @@ def orbit_dec():
     return decompose(t, seed=3)
 
 
+def reference_blocks(dec):
+    """The blocks as decompositions once listed them, in V's column
+    order: (contiguous d x n_i isometry, class index) for each copy of
+    each class, then (d x 1 isometry, None) for each null column."""
+    blocks, at = [], 0
+    for i, (c, m) in enumerate(zip(dec.classes, dec.multiplicities)):
+        for _ in range(m):
+            blocks.append((np.ascontiguousarray(dec.v[:, at:at + c.d]), i))
+            at += c.d
+    return blocks + [(np.ascontiguousarray(dec.v[:, x:x + 1]), None) for x in range(at, dec.source.d)]
+
+
+def block_assembly(dec, values, wanted=None):
+    """The calculus's assembly block by block, as it was before each copy
+    was read as a column range of V: the sum of iso F_i iso* over the
+    nonzero blocks, or of iso iso* over those of the ``wanted`` classes."""
+    out = np.zeros((dec.source.d,) * 2, dtype=complex)
+    for iso, i in reference_blocks(dec):
+        if i is not None and wanted is None:
+            out += iso @ values[i] @ adj(iso)
+        elif i is not None and i in wanted:
+            out += iso @ adj(iso)
+    return out
+
+
 def entry_reference(dec, class_i, j, k, region, mc):
     """n_measure_entry_mc on a region as it was before the shared stack:
-    its own draw and its own fix_phase, writable, summed block by block."""
+    its own draw and its own fix_phase, writable, summed block by block
+    and assembled block by block."""
     n = dec.classes[class_i].d
     ps = fix_phase(haar_unitaries(HaarSampler(n, mc.seed), mc.samples))
     mask = np.fromiter((bool(region(p)) for p in ps), dtype=bool, count=mc.samples)
@@ -59,7 +89,7 @@ def entry_reference(dec, class_i, j, k, region, mc):
         local += np.einsum("sa,sb->ab", sel[:, k, :].conj(), sel[:, j, :])
     values = [np.zeros((c.d, c.d), dtype=complex) for c in dec.classes]
     values[class_i] = local / mc.samples
-    return calculus._assemble(dec, values)
+    return block_assembly(dec, values)
 
 
 class TestStarPolynomial:
@@ -111,6 +141,10 @@ class TestEvalStarPolynomial:
 
 
 class TestCalc:
+    @pytest.mark.parametrize("index, same", INDEX_CASES, ids=repr)
+    def test_coordinate_index_must_be_an_integer(self, layered_dec, index, same):
+        check_index_rule(lambda j: calc(OrbitTable.coordinate(layered_dec, j), layered_dec), index, same)
+
     def test_coordinate_table_returns_generator(self, layered_dec):
         out = calc(OrbitTable.coordinate(layered_dec, 0), layered_dec)
         assert opnorm(out - layered_dec.source.gens[0]) <= 1e-8 * (
@@ -247,6 +281,11 @@ class TestInvariantSpectralProjection:
         with pytest.raises(IndexOutOfRange):
             invariant_spectral_projection(pauli_dec, [5])
 
+    @pytest.mark.parametrize("index, same", INDEX_CASES, ids=repr)
+    def test_index_must_be_an_integer(self, layered_dec, index, same):
+        """0.7 once selected class 0, and True class 1."""
+        check_index_rule(lambda i: invariant_spectral_projection(layered_dec, [0, i]), index, same)
+
 
 class TestNMeasureEntries:
     def test_whole_orbit_off_diagonal_vanishes(self, layered_dec):
@@ -288,6 +327,20 @@ class TestNMeasureEntries:
     def test_budget_guard(self, layered_dec):
         with pytest.raises(MCBudgetTooSmall):
             n_measure_entry_mc(layered_dec, 0, 0, 0, region=lambda u: True, mc=McConfig(10, 0))
+
+    @pytest.mark.parametrize("index, same", INDEX_CASES, ids=repr)
+    @pytest.mark.parametrize("at", ["class", "row", "column"])
+    def test_indices_must_be_integers(self, layered_dec, at, index, same):
+        """Each index is checked before the region is called."""
+        calls = []
+        region = lambda u: calls.append(None) or orbit_region(u)
+
+        def entry(i):
+            indices = {"class": (i, 0, 1), "row": (0, i, 1), "column": (0, 0, i)}[at]
+            return n_measure_entry_mc(layered_dec, *indices, region, McConfig(1000, 4))
+
+        check_index_rule(entry, index, same)
+        assert len(calls) == (0 if same is None else 2000)
 
     def test_guard_order(self, layered_dec):
         # index checks come first; the whole orbit is exact and needs no budget
@@ -345,6 +398,50 @@ class TestSharedDraws:
         # the refused write left the kept stack as drawn
         want = entry_reference(layered_dec, 0, 0, 0, orbit_region, mc)
         assert np.array_equal(n_measure_entry_mc(layered_dec, 0, 0, 0, orbit_region, mc), want)
+
+
+def parity_tuples(source, seed):
+    """Tuples whose decompositions have multiplicities and null blocks:
+    a random homogeneous or mixed instance, or every tuple of one round
+    of a benchmark workload's inputs."""
+    if source == "homogeneous":
+        r = rng(seed)
+        n, classes = int(r.integers(1, 4)), int(r.integers(1, 4))
+        return [random_homogeneous_instance(r, n=n, k=2, num_classes=classes, max_mult=3, zero_dim=1 + seed % 2)[0]]
+    if source == "mixed":
+        return [random_mixed_instance(rng(1000 + seed), [1, 2, 3][:1 + seed % 3], k=2, zero_dim=1 + seed % 2)[0]]
+    spec = importlib.util.spec_from_file_location("inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [MatTuple(item["truth"]["gens"]) for item in inputs.build(source, seed)]
+
+
+class TestCopyParity:
+    """The calculus reads each copy as a column range of V and gives what
+    the per-block assembly gave, bit for bit."""
+
+    @pytest.mark.parametrize("source, seed", [*((s, seed) for s in ("homogeneous", "mixed") for seed in range(25)),
+                                              ("calc-small", 1), ("orbit-average", 1)])
+    def test_matches_per_block_assembly(self, source, seed):
+        for t in parity_tuples(source, seed):
+            dec = decompose(t, seed=0)
+            assert dec.zero_dim > 0 or source == "orbit-average"
+            r = rng(seed)
+            p, table = random_star_polynomial(r, t.k), random_orbit_table(r, dec)
+            assert np.array_equal(calc(p, dec), block_assembly(dec, [eval_star_polynomial(p, c) for c in dec.classes]))
+            assert np.array_equal(calc(table, dec), block_assembly(dec, table.values))
+            assert np.array_equal(reconstruct_generators(dec).gens,
+                                  [block_assembly(dec, [c.gens[j] for c in dec.classes]) for j in range(t.k)])
+            everything = range(len(dec.classes))
+            assert np.array_equal(invariant_spectral_projection(dec, everything), block_assembly(dec, None, everything))
+            for i, c in enumerate(dec.classes):
+                proj = block_assembly(dec, None, {i})
+                assert np.array_equal(invariant_spectral_projection(dec, [i]), proj)
+                assert np.array_equal(n_measure_entry_mc(dec, i, 0, 0), (1.0 / c.d) * proj)
+                assert np.array_equal(n_measure_entry_mc(dec, i, 0, c.d - 1), (0.0 if c.d > 1 else 1.0) * proj)
+                mc = McConfig(1000, seed)
+                assert np.array_equal(n_measure_entry_mc(dec, i, c.d - 1, 0, orbit_region, mc),
+                                      entry_reference(dec, i, c.d - 1, 0, orbit_region, mc))
 
 
 class TestDominatedConvergence:

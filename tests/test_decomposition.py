@@ -59,20 +59,27 @@ class TestDecompose:
         t = MatTuple([block_diag(SX, SX), block_diag(SZ, -SZ)])
         dec, again = decompose(t, seed=0), decompose(t, seed=0)
         assert dec == dec and dec != again and len({dec, again}) == 2
-        block, other = dec.blocks[0], again.blocks[0]
-        assert block == block and block != other and len({block, other}) == 2
-        assert block.rep.allclose(other.rep, 1e-12)
+        rep, other = dec.classes[0], again.classes[0]
+        assert rep == rep and rep != other and len({rep, other}) == 2
+        assert rep.allclose(other, 1e-12)
 
     def test_block_invariants(self):
         t, _ = random_homogeneous_instance(rng(3), n=2, k=2, num_classes=2, zero_dim=1)
         dec = decompose(t, seed=7)
-        for b in dec.blocks:
-            assert_close(adj(b.isometry) @ b.isometry, np.eye(b.dim), atol=1e-10)
-            for j, g in enumerate(t.gens):
-                assert opnorm(b.rep.gens[j] - adj(b.isometry) @ g @ b.isometry) <= 1e-8
-            if not b.is_zero:
-                for got, want in zip(dec.classes[b.class_id].gens, b.rep.gens):
-                    assert opnorm(got - want) <= 1e-7
+        assert_close(adj(dec.v) @ dec.v, np.eye(t.d), atol=1e-10)
+        copies = list(dec.copies())
+        support = t.d - dec.zero_dim  # the copies are V's leading columns, in order, as views of V
+        assert [iso.shape[1] for _, iso in copies] == list(dec.nonzero_dims)
+        assert np.array_equal(np.hstack([iso for _, iso in copies]), dec.v[:, :support])
+        assert all(np.shares_memory(iso, dec.v) for _, iso in copies)
+        assert [i for i, _ in copies] == [i for i, m in enumerate(dec.multiplicities) for _ in range(m)]
+        for (i, iso), before in zip(copies, [None, *copies]):
+            # a class's first copy gives its representative; the others align with it
+            comp = adj(iso) @ t.gens @ iso
+            assert opnorm(comp - dec.classes[i].gens) <= (1e-7 if before and before[0] == i else 1e-8)
+        null = dec.v[:, support:]
+        for g in t.gens:
+            assert opnorm(adj(null) @ g @ null) <= 1e-8
         assert sum(c.d * m for c, m in zip(dec.classes, dec.multiplicities)) + dec.zero_dim == t.d
 
     @pytest.mark.parametrize("seed", range(25))
@@ -84,8 +91,8 @@ class TestDecompose:
         dec = decompose(t, seed=seed)
         recon = [
             sum(
-                b.isometry @ b.rep.gens[j] @ adj(b.isometry)
-                for b in dec.blocks
+                iso @ dec.classes[i].gens[j] @ adj(iso)
+                for i, iso in dec.copies()
             )
             for j in range(t.k)
         ]
@@ -139,9 +146,8 @@ class TestCyclicSplit:
         dec = decompose(t, seed=shape)
         assert summary(dec) == sorted(zip(dims, mults))
         assert dec.zero_dim == zero_dim
-        for b in dec.blocks:
-            if not b.is_zero:
-                assert dec.classes[b.class_id].allclose(b.rep, 1e-7)
+        for i, iso in dec.copies():
+            assert dec.classes[i].allclose(MatTuple(adj(iso) @ t.gens @ iso), 1e-7)
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_component_below_eq_tol_is_null(self, scale):

@@ -31,7 +31,7 @@ from nhomog.matrix_core import adj, fix_phase, opnorm
 from nhomog.n_space import FiniteNSpace, PointRef
 from nhomog.star_algebra import MatTuple
 
-from conftest import SX, SZ, assert_close, rng
+from conftest import INDEX_CASES, SX, SZ, assert_close, check_index_rule, rng
 
 
 LADDER = (1, 2, 3, 4, 6, 8)
@@ -262,6 +262,14 @@ class TestTwirl:
 
 
 class TestEquivariantAverage:
+    @pytest.mark.parametrize("index, same", INDEX_CASES, ids=repr)
+    def test_orbit_must_be_an_integer(self, index, same):
+        """The orbit is checked before the function is sampled."""
+        calls = []
+        g = lambda p: calls.append(None) or p.u
+        check_index_rule(lambda o: equivariant_average(g, FiniteNSpace(n=2, orbits=2), o, McConfig(1000, 5)), index, same)
+        assert len(calls) == (0 if same is None else 2000)
+
     def test_constant_function_twirls(self):
         space = FiniteNSpace(n=2, orbits=1)
         a = ginibre(rng(2), 2)

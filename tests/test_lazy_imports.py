@@ -23,7 +23,7 @@ EXPORTS = {
                      "two_point_flatten",
     "calculus": "OrbitTable StarPolynomial calc dominated_convergence_run eval_star_polynomial "
                 "invariant_spectral_projection n_measure_entry_mc reconstruct_generators",
-    "decomposition": "Block Decomposition HomogeneityReport NSpectrum decompose homogeneity_verdict n_spectrum "
+    "decomposition": "Decomposition HomogeneityReport NSpectrum decompose homogeneity_verdict n_spectrum "
                      "unitarily_equivalent",
     "haar": "HaarSampler McConfig equivariant_average haar_unitaries haar_unitary mc_radius mc_twirl twirl_exact",
     "matrix_core": "DEFAULT_TOL Ordering Tolerance herm_eig herm_fun normal_spectra_disjoint psd_order psd_power",
@@ -96,7 +96,7 @@ def test_command_loads_only_its_modules(tmp_path, command, payload, flags, extra
 
 
 def test_all_holds_every_public_name():
-    assert len(nhomog.__all__) == len(set(nhomog.__all__)) == 64
+    assert len(nhomog.__all__) == len(set(nhomog.__all__)) == 63
     assert set(nhomog.__all__) == set(NAMES)
 
 

@@ -29,7 +29,7 @@ from nhomog.n_space import (
 )
 from nhomog.star_algebra import MatTuple
 
-from conftest import HADAMARD, SX, SZ, assert_close, rng, same_up_to_phase
+from conftest import HADAMARD, INDEX_CASES, SX, SZ, assert_close, check_index_rule, rng, same_up_to_phase
 
 
 @pytest.fixture
@@ -61,6 +61,11 @@ class TestEvalPoint:
         f = element(space3, [SX, SZ, np.eye(2)])
         with pytest.raises(IndexOutOfRange):
             eval_point(f, PointRef.make(7, np.eye(2)))
+
+    @pytest.mark.parametrize("index, same", INDEX_CASES, ids=repr)
+    def test_orbit_must_be_an_integer(self, space3, index, same):
+        """1.5 was once returned as an orbit."""
+        check_index_rule(space3.check_orbit, index, same)
 
 
 def ideal_support_reference(space, gens, tol=DEFAULT_TOL):
@@ -120,6 +125,11 @@ class TestIdealCorrespondence:
         data = ideal_set_correspondence(space3, vanishing_set=[0, 2])
         assert data.support == (1,)
         assert data.dim == data.basis.dim == 4
+
+    @pytest.mark.parametrize("index, same", INDEX_CASES, ids=repr)
+    def test_vanishing_orbits_must_be_integers(self, space3, index, same):
+        """1.5 and "1" once vanished on orbit 1."""
+        check_index_rule(lambda i: ideal_set_correspondence(space3, vanishing_set=[0, i]).support, index, same)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_roundtrip_random_ideals(self, seed):

@@ -96,3 +96,33 @@ def test_one_implementation_per_numerical_decision():
     assert not INLINE_NORM_TEST.search("e = opnorm(env)  # and ||b + eps|| = r + eps")
     assert not INLINE_NORM_TEST.search("if _fails(opnorm(m @ adj(m) - adj(m) @ m), tol.eq_tol, opnorm(m) ** 2):")
     assert not INLINE_NORM_TEST.search("live = np.linalg.norm(rows, axis=1) > 0.0")
+
+
+# One layout of V and one index rule: only ``decomposition`` slices a
+# decomposition's V (everyone else reads a copy through
+# ``Decomposition.copies``), and IndexOutOfRange is raised by
+# ``errors.check_index`` alone.
+V_SLICE = re.compile(r"\.v\s*\[")
+INDEX_FAULT = re.compile(r"(?<!class )\bIndexOutOfRange\(")
+
+
+def test_one_column_layout_and_one_index_rule():
+    lines = [(path.name, number, line)
+             for path in sorted((ROOT / "src" / "nhomog").glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)]
+    assert [f"{name}:{number}" for name, number, line in lines
+            if V_SLICE.search(line) and name != "decomposition.py"] == []
+    errors = (ROOT / "src" / "nhomog" / "errors.py").read_text().splitlines()
+    start = next(number for number, line in enumerate(errors, 1) if line.startswith("def check_index("))
+    end = next((number for number, line in enumerate(errors, 1) if number > start and line[:1].strip()),
+               len(errors) + 1)
+    hits = [(name, number) for name, number, line in lines if INDEX_FAULT.search(line)]
+    assert hits and all(name == "errors.py" and start < number < end for name, number in hits)
+    assert V_SLICE.search("yield i, self.v[:, at:at + c.d]")
+    assert V_SLICE.search("null = dec.v [:, support:]")
+    assert not V_SLICE.search("rows = dec.v.reshape(P, n, P * n)")
+    assert not V_SLICE.search("vals = self.values[i]")
+    assert INDEX_FAULT.search('raise IndexOutOfRange(f"orbit {i} out of range [0, {self.orbits})")')
+    assert INDEX_FAULT.search("exc = errors.IndexOutOfRange(message)")
+    assert not INDEX_FAULT.search("class IndexOutOfRange(InputError):")
+    assert not INDEX_FAULT.search("with pytest.raises(IndexOutOfRange):")
