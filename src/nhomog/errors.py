@@ -62,10 +62,10 @@ def check_index(i, bound: int, what: str) -> int:
     numpy integer, never a bool, float or string.  Otherwise
     IndexOutOfRange, naming the index as ``what``."""
     try:
-        index = None if isinstance(i, bool) else operator.index(i)  # bool is an int subclass
+        index = operator.index(i)
     except TypeError:
         index = None
-    if index is None:
+    if index is None or isinstance(i, bool):  # bool is an int subclass
         raise IndexOutOfRange(f"{what} {i!r} is not an integer")
     if not 0 <= index < bound:
         raise IndexOutOfRange(f"{what} {i} out of range [0, {bound})")

@@ -63,15 +63,22 @@ def reference_blocks(dec):
     return blocks + [(np.ascontiguousarray(dec.v[:, x:x + 1]), None) for x in range(at, dec.source.d)]
 
 
-def block_assembly(dec, values, wanted=None):
-    """The calculus's assembly block by block, as it was before each copy
-    was read as a column range of V: the sum of iso F_i iso* over the
-    nonzero blocks, or of iso iso* over those of the ``wanted`` classes."""
+def block_assembly(dec, values):
+    """The calculus's assembly as it was before each copy was read as a
+    column range of V: the sum of iso F_i iso* over the nonzero blocks."""
     out = np.zeros((dec.source.d,) * 2, dtype=complex)
     for iso, i in reference_blocks(dec):
-        if i is not None and wanted is None:
+        if i is not None:
             out += iso @ values[i] @ adj(iso)
-        elif i is not None and i in wanted:
+    return out
+
+
+def block_projection(dec, wanted):
+    """invariant_spectral_projection as it was: the sum of iso iso* over
+    the blocks of the ``wanted`` classes."""
+    out = np.zeros((dec.source.d,) * 2, dtype=complex)
+    for iso, i in reference_blocks(dec):
+        if i is not None and i in wanted:
             out += iso @ adj(iso)
     return out
 
@@ -433,9 +440,9 @@ class TestCopyParity:
             assert np.array_equal(reconstruct_generators(dec).gens,
                                   [block_assembly(dec, [c.gens[j] for c in dec.classes]) for j in range(t.k)])
             everything = range(len(dec.classes))
-            assert np.array_equal(invariant_spectral_projection(dec, everything), block_assembly(dec, None, everything))
+            assert np.array_equal(invariant_spectral_projection(dec, everything), block_projection(dec, everything))
             for i, c in enumerate(dec.classes):
-                proj = block_assembly(dec, None, {i})
+                proj = block_projection(dec, {i})
                 assert np.array_equal(invariant_spectral_projection(dec, [i]), proj)
                 assert np.array_equal(n_measure_entry_mc(dec, i, 0, 0), (1.0 / c.d) * proj)
                 assert np.array_equal(n_measure_entry_mc(dec, i, 0, c.d - 1), (0.0 if c.d > 1 else 1.0) * proj)
