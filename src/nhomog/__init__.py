@@ -14,7 +14,6 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "approximation": (
         "constructive_approximate", "lattice_join_chain", "loewner_heinz_check", "power_mean_envelope",
-        "two_point_flatten",
     ),
     "calculus": (
         "OrbitTable", "StarPolynomial", "calc", "dominated_convergence_run", "eval_star_polynomial",

@@ -5,8 +5,8 @@ per-point envelopes from the pair interpolants, power-mean envelopes of
 pairwise commuting families, and the partition of unity of the class
 indicators.  Hypotheses, classes and the centre are read from what
 ``sw_engine`` keeps on the algebra: its rank verdicts, atoms and Delta2
-subspace.  Two-point flattening and the operator-monotone order check are
-public here but not steps of the route.
+subspace.  The operator-monotone order check is public here but not a
+step of the route.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import StarPolynomial, _eval_stack
 from .errors import (
     DimensionMismatch,
     DomainError,
     HypothesisViolated,
     NumericalFailure,
     PreconditionFailed,
-    SpectraNotDisjoint,
 )
 from .matrix_core import (
     DEFAULT_TOL,
@@ -42,7 +40,6 @@ from .matrix_core import (
     adj,
     as_matrix,
     fnorm,
-    normal_spectra_disjoint,
     opnorm,
     psd_order,
     require_hermitian,
@@ -214,47 +211,6 @@ def lattice_join_chain(gs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if below.size:
         raise NumericalFailure(f"join fails to dominate g_{below[0, 0]} at point {below[0, 1]}")
     return h[0] if squeeze else h
-
-
-def two_point_flatten(a, b, alpha: float, beta: float, tol: Tolerance = DEFAULT_TOL) -> StarPolynomial:
-    """One-variable polynomial taking the constant value alpha on the
-    spectrum of a and beta on the spectrum of b (both normal, spectra
-    disjoint): Lagrange interpolation on the joint spectrum, with nodes
-    closer than psd_slack rho merged (rho = max |z|), and terms with
-    |c_k| rho^k below 1e-14 of the largest dropped.  c_k is of size about
-    rho^-k, so with m nodes the call raises NumericalFailure where
-    rho^(m - 1) or its inverse is not a float (|log10 rho| > ~308 / (m - 1))."""
-    ma, mb = as_matrix(a, "a"), as_matrix(b, "b")
-    verdict = normal_spectra_disjoint(ma, mb, tol)
-    if not verdict.disjoint:
-        raise SpectraNotDisjoint(f"two_point_flatten precondition fails: {verdict.reason}")
-    raw = [(complex(z), float(alpha)) for z in np.linalg.eigvals(ma)]
-    raw += [(complex(z), float(beta)) for z in np.linalg.eigvals(mb)]
-    raw.sort(key=lambda p: (p[0].real, p[0].imag))
-    rho = max(abs(z) for z, _ in raw)
-    nodes: list[complex] = []
-    targets: list[float] = []
-    for z, t in raw:  # the sides lie over 2 psd_slack rho apart, so a merge stays on one side
-        if not nodes or _fails(abs(z - nodes[-1]), tol.psd_slack, rho):
-            nodes.append(z)
-            targets.append(t)
-    coeffs = np.zeros(len(nodes), dtype=complex)
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        try:
-            for i, (z, t) in enumerate(zip(nodes, targets)):
-                others = nodes[:i] + nodes[i + 1:]  # never empty: each side gives a node
-                coeffs += t * np.poly(others)[::-1] / np.prod([z - w for w in others])
-            weights = np.abs(coeffs) * rho ** np.arange(coeffs.size)
-            terms = tuple((complex(c), ((0, False),) * power) for power, c in enumerate(coeffs)
-                          if _fails(weights[power], 1e-14, weights.max()))
-            poly = StarPolynomial(k=1, terms=terms, unital=True)
-            misses = [opnorm(_eval_stack(poly, mat[None]) - want * np.eye(mat.shape[0]))
-                      for mat, want in ((ma, alpha), (mb, beta))]
-        except FloatingPointError as exc:
-            raise NumericalFailure(f"flattening coefficients are not floats at spectral reach {rho:.1e}") from exc
-    if _fails(misses, tol.eq_tol, max(abs(alpha), abs(beta))).any():
-        raise NumericalFailure("interpolation polynomial failed to flatten a side")
-    return poly
 
 
 @dataclass(frozen=True)

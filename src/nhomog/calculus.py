@@ -94,16 +94,11 @@ def eval_star_polynomial(p: StarPolynomial, t: MatTuple) -> np.ndarray:
     word's letters, each letter a generator or its adjoint."""
     if p.k != t.k:
         raise ArityMismatch(f"polynomial arity {p.k} != tuple arity {t.k}")
-    return _eval_stack(p, t.gens)
-
-
-def _eval_stack(p: StarPolynomial, gens: np.ndarray) -> np.ndarray:
-    """The polynomial at every tuple of a (k, ..., d, d) stack at once."""
-    out = np.zeros(gens.shape[1:], dtype=complex)
+    out = np.zeros((t.d, t.d), dtype=complex)
     for coeff, word in p.terms:
-        m = np.eye(gens.shape[-1], dtype=complex)
+        m = np.eye(t.d, dtype=complex)
         for idx, star in word:
-            m = m @ (adj(gens[idx]) if star else gens[idx])
+            m = m @ (adj(t.gens[idx]) if star else t.gens[idx])
         out += coeff * m
     return out
 
@@ -171,11 +166,13 @@ class OrbitTable:
 
 
 def _assemble(dec: Decomposition, class_values) -> np.ndarray:
-    """V ((+)_i F_i (x) I_{m_i} (+) 0) V*, one copy at a time."""
+    """V ((+)_i F_i (x) I_{m_i} (+) 0) V*, one copy at a time; a class
+    whose value is None is zero and forms no product."""
     d = dec.source.d
     out = np.zeros((d, d), dtype=complex)
     for i, iso in dec.copies():
-        out += iso @ class_values[i] @ adj(iso)
+        if class_values[i] is not None:
+            out += iso @ class_values[i] @ adj(iso)
     return out
 
 
@@ -234,11 +231,7 @@ def invariant_spectral_projection(dec: Decomposition, class_indices, tol: Tolera
     Selecting every class gives the identity exactly when there is no
     null block (the representation is nondegenerate)."""
     wanted = {check_index(i, len(dec.classes), "class index") for i in class_indices}
-    d = dec.source.d
-    out = np.zeros((d, d), dtype=complex)
-    for i, iso in dec.copies():
-        if i in wanted:
-            out += iso @ adj(iso)
+    out = _assemble(dec, [np.eye(c.d) if i in wanted else None for i, c in enumerate(dec.classes)])
     if _exceeds(np.stack([out @ out - out, out - adj(out)]), tol.eq_tol).any():  # s = 1: a projection
         raise NumericalFailure("spectral projection is not an orthogonal projection")
     return out
@@ -263,7 +256,8 @@ def n_measure_entry_mc(
     keeps for the config (built once per config and kept with it, and
     the stack the other estimators read too).  ``region=None`` means
     the whole orbit, where delta_{jk}/n times the class projection is
-    exact and returned without sampling or budget check.  Otherwise the
+    exact and returned without sampling or budget check (for j != k,
+    zeros, with no projection formed).  Otherwise the
     closed-form integrand chi(u.x) u* e_k e_j^T u, which a unit phase
     does not change, is averaged over that stack, summed block by block
     of ``haar._BLOCK`` samples, and assembled over multiplicity copies
@@ -274,8 +268,9 @@ def n_measure_entry_mc(
     n = dec.classes[class_i].d
     j, k = check_index(j, n, "entry row"), check_index(k, n, "entry column")
     if region is None:
-        weight = (1.0 / n) if j == k else 0.0
-        return weight * invariant_spectral_projection(dec, [class_i], tol)
+        if j != k:
+            return np.zeros((dec.source.d,) * 2, dtype=complex)
+        return (1.0 / n) * invariant_spectral_projection(dec, [class_i], tol)
     from .haar import McConfig, _blocks, _mc_draws
 
     mc = McConfig() if mc is None else mc
@@ -285,7 +280,7 @@ def n_measure_entry_mc(
     for block, keep in zip(_blocks(ps), _blocks(mask)):
         sel = block[keep]
         local += np.einsum("sa,sb->ab", sel[:, k, :].conj(), sel[:, j, :])
-    values = [np.zeros((c.d, c.d), dtype=complex) for c in dec.classes]
+    values = [None] * len(dec.classes)
     values[class_i] = local / mc.samples
     return _assemble(dec, values)
 

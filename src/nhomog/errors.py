@@ -88,10 +88,6 @@ class SamePoint(InputError):
     pass
 
 
-class SpectraNotDisjoint(InputError):
-    pass
-
-
 class PreconditionFailed(InputError):
     pass
 

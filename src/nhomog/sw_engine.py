@@ -71,10 +71,6 @@ class FnAlgebra:
         return kept
 
 
-def fn_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("pij,pjk->pik", a, b)
-
-
 def closure_star_subalgebra(gens, points: int | None = None, n: int | None = None,
                             tol: Tolerance = DEFAULT_TOL) -> FnAlgebra:
     """Smallest subspace containing the generators and their adjoints and

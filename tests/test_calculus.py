@@ -298,6 +298,16 @@ class TestNMeasureEntries:
     def test_whole_orbit_off_diagonal_vanishes(self, layered_dec):
         assert opnorm(n_measure_entry_mc(layered_dec, 0, 0, 1)) == 0.0
 
+    def test_whole_orbit_off_diagonal_forms_no_projection(self, monkeypatch, layered_dec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an off-diagonal whole-orbit entry formed a projection")
+
+        monkeypatch.setattr(calculus, "invariant_spectral_projection", refuse)
+        d = layered_dec.source.d
+        for i, c in enumerate(layered_dec.classes):
+            out = n_measure_entry_mc(layered_dec, i, 0, c.d - 1)
+            assert out.shape == (d, d) and not out.any()
+
     def test_whole_orbit_diagonal_is_projection_over_n(self, layered_dec):
         n = layered_dec.classes[0].d
         want = invariant_spectral_projection(layered_dec, [0]) / n

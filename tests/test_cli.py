@@ -140,7 +140,7 @@ class TestAnalyze:
 
 INPUT_FAULTS = ["ParseError", "SchemaError", "ArityMismatch", "DimensionMismatch", "DomainError",
                 "IndexOutOfRange", "NotHermitian", "NotSquare", "NotAStarHom", "SamePoint",
-                "SpaceMismatch", "SpectraNotDisjoint", "TableMismatch", "PreconditionFailed",
+                "SpaceMismatch", "TableMismatch", "PreconditionFailed",
                 "MCBudgetTooSmall"]
 OTHER_FAULTS = ["NumericalFailure", "HypothesisViolated", "NotIrreducible", "NotNHomogeneous"]
 

@@ -19,8 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # The package's public names by defining module.
 EXPORTS = {
-    "approximation": "constructive_approximate lattice_join_chain loewner_heinz_check power_mean_envelope "
-                     "two_point_flatten",
+    "approximation": "constructive_approximate lattice_join_chain loewner_heinz_check power_mean_envelope",
     "calculus": "OrbitTable StarPolynomial calc dominated_convergence_run eval_star_polynomial "
                 "invariant_spectral_projection n_measure_entry_mc reconstruct_generators",
     "decomposition": "Decomposition HomogeneityReport NSpectrum decompose homogeneity_verdict n_spectrum "
@@ -83,6 +82,14 @@ def test_sw_engine_loads_no_decomposition():
         "nhomog", "nhomog.sw_engine", "nhomog.errors", "nhomog.matrix_core", "nhomog.star_algebra"}
 
 
+def test_approximation_loads_no_calculus():
+    """The constructive route works on ``sw_engine``'s algebras and forms
+    no star polynomial, so it loads neither the calculus nor the split."""
+    assert loaded_after("import nhomog.approximation") == {
+        "nhomog", "nhomog.approximation", "nhomog.sw_engine", "nhomog.errors", "nhomog.matrix_core",
+        "nhomog.star_algebra"}
+
+
 @pytest.mark.parametrize("command, payload, flags, extra", COMMANDS, ids=[c[0] for c in COMMANDS])
 def test_command_loads_only_its_modules(tmp_path, command, payload, flags, extra):
     """A stray top-level import in ``cli``, ``jsonio`` or a module they
@@ -96,7 +103,7 @@ def test_command_loads_only_its_modules(tmp_path, command, payload, flags, extra
 
 
 def test_all_holds_every_public_name():
-    assert len(nhomog.__all__) == len(set(nhomog.__all__)) == 63
+    assert len(nhomog.__all__) == len(set(nhomog.__all__)) == 62
     assert set(nhomog.__all__) == set(NAMES)
 
 

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nhomog.calculus import eval_star_polynomial
 from nhomog.errors import (
     DimensionMismatch,
     DomainError,
@@ -23,7 +22,6 @@ from nhomog.errors import (
     NumericalFailure,
     PreconditionFailed,
     SamePoint,
-    SpectraNotDisjoint,
 )
 from nhomog.instances import (
     commuting_dominated_family,
@@ -55,7 +53,6 @@ from nhomog.approximation import (
     loewner_heinz_check,
     power_mean_envelope,
     power_mean_exponent,
-    two_point_flatten,
 )
 from nhomog.decomposition import decompose
 from nhomog.star_algebra import MatTuple, SubspaceBasis, _contains_rows, _rank_with_gap, _right_svd, nullspace
@@ -118,11 +115,9 @@ class TestClosure:
 
     def test_products_stay_in_span(self):
         alg = matched_pair_algebra()
-        from nhomog.sw_engine import fn_product
-
         for a in alg.basis.elements():
             for b in alg.basis.elements():
-                assert alg.basis.residual(fn_product(a, b)) <= 1e-8
+                assert alg.basis.residual(a @ b) <= 1e-8
 
 
 class TestSpectrallySeparates:
@@ -1391,31 +1386,9 @@ class TestRelativeClosenessReproducers:
         assert verdict.disjoint and verdict.reason == "Disjoint"
 
     @pytest.mark.parametrize("c", [1e-9, 1.0])
-    def test_flatten_separates_close_nodes(self, c):
-        a, b = c * np.diag([1.0, 2.0]), c * np.diag([4.0, 5.0])
-        p = two_point_flatten(a, b, 1.0, 0.0)
-        assert_close(eval_star_polynomial(p, MatTuple([a])), np.eye(2), atol=1e-8)
-        assert opnorm(eval_star_polynomial(p, MatTuple([b]))) <= 1e-8
-
-    @pytest.mark.parametrize("c", [1e-9, 1.0])
     def test_nilpotent_is_not_hermitian(self, c):
         with pytest.raises(NotHermitian):
             require_hermitian(c * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-    @pytest.mark.parametrize("c", SCALES)
-    def test_flatten_works_or_raises_without_warning(self, c):
-        """Four nodes give coefficients of size about rho^-3: not floats at
-        rho near 1e+-150, where the call must raise, and nowhere else."""
-        a, b = c * np.diag([1.0, 2.0]), c * np.diag([4.0, 5.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            if c in (1e-150, 1e150):
-                with pytest.raises(NumericalFailure, match="not floats"):
-                    two_point_flatten(a, b, 1.0, 0.0)
-                return
-            p = two_point_flatten(a, b, 1.0, 0.0)
-        assert_close(eval_star_polynomial(p, MatTuple([a])), np.eye(2), atol=1e-8)
-        assert opnorm(eval_star_polynomial(p, MatTuple([b]))) <= 1e-8
 
 
 class TestLatticeJoinChain:
@@ -1680,7 +1653,7 @@ def commutes_per_element(e, f, tol=DEFAULT_TOL):
     """Whether f commutes with the algebra, by a per-element, per-point loop:
     sup ||[f, b]|| <= eq_tol ||f|| ||b|| for every basis element b."""
     for b in e.basis.elements():
-        comm = sw_engine.fn_product(f, b) - sw_engine.fn_product(b, f)
+        comm = f @ b - b @ f
         scale = max(opnorm(f[z]) for z in range(e.points)) * max(opnorm(b[z]) for z in range(e.points))
         if max(opnorm(comm[z]) for z in range(e.points)) > tol.eq_tol * scale:
             return False
@@ -1806,7 +1779,7 @@ class TestBatchedPartitionRoute:
                     if j in js:
                         alpha += chi[ci] / len(js)
                 if np.abs(alpha).max() > 0.0:
-                    out += sw_engine.fn_product(alpha, lower[j])
+                    out += alpha @ lower[j]
             return out
 
         def both(e, f, delta, classes, tol, scale):
@@ -2185,39 +2158,6 @@ class TestPowerMeanOnFunctions:
                 assert constructive_approximate(alg, f, eps=0.1).routes == ("power-mean", "power-mean")
             counts.append(len(calls))
         assert counts[0] == counts[1] == counts[2]
-
-
-class TestTwoPointFlatten:
-    def test_affine_case(self):
-        p = two_point_flatten(np.zeros((2, 2)), np.eye(2), alpha=1.0, beta=0.0)
-        # p(z) = 1 - z
-        coeffs = {len(word): c for c, word in p.terms}
-        assert coeffs[0] == pytest.approx(1.0)
-        assert coeffs[1] == pytest.approx(-1.0)
-
-    def test_degree_three_lagrange(self):
-        a, b = np.diag([1.0, 2.0]), np.diag([4.0, 5.0])
-        p = two_point_flatten(a, b, alpha=1.0, beta=0.0)
-        assert max(len(word) for _, word in p.terms) == 3
-        assert_close(eval_star_polynomial(p, MatTuple([a])), np.eye(2), atol=1e-8)
-        assert opnorm(eval_star_polynomial(p, MatTuple([b]))) <= 1e-8
-
-    def test_zero_targets_give_zero(self):
-        p = two_point_flatten(np.zeros((2, 2)), np.eye(2), alpha=0.0, beta=0.0)
-        assert p.terms == ()
-
-    def test_flattens_conjugated_values(self):
-        # evaluation respects unitary conjugation: p(u a u*) = u p(a) u*
-        r = rng(3)
-        a, b = np.diag([1.0, 2.0]), np.diag([4.0, 5.0])
-        p = two_point_flatten(a, b, alpha=1.0, beta=0.0)
-        q, _ = np.linalg.qr(ginibre(r, 2))
-        conj = q @ a @ adj(q)
-        assert_close(eval_star_polynomial(p, MatTuple([conj])), np.eye(2), atol=1e-8)
-
-    def test_overlapping_spectra_rejected(self):
-        with pytest.raises(SpectraNotDisjoint):
-            two_point_flatten(SZ, SZ, 1.0, 0.0)
 
 
 class TestLoewnerHeinz:
